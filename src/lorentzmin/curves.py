@@ -7,6 +7,8 @@ them.  On top of the generic abstraction sit four built-in parameter
 families of light-cone curves used by the surface constructors, each with
 numeric validation of every radicand and denominator in its coefficients.
 
+Curves are evaluated on numpy arrays of parameters: ``Curve.at(t, k)``
+takes a scalar or an array ``t`` and returns shape ``t.shape + (dim,)``.
 Curves are immutable and their evaluation closures stateless, so they can
 be shared freely between threads and grid evaluations.
 """
@@ -14,6 +16,7 @@ be shared freely between threads and grid evaluations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -56,7 +59,8 @@ DOMAIN_PAD_FRACTION = 0.1
 
 
 # ---------------------------------------------------------------------------
-# component builders: each returns a closure (t, k) -> k-th derivative at t
+# component builders: each returns a closure (t, k) -> k-th derivative at
+# the numpy array t (a constant may come back as a plain float)
 
 
 def const(c: float):
@@ -71,43 +75,38 @@ def poly(*coeffs: float):
     ps = [np.polynomial.Polynomial(coeffs)]
     for _ in range(MAX_ORDER):
         ps.append(ps[-1].deriv())
+    cs = [p.coef for p in ps]
 
     def f(t, k):
-        return float(ps[k](t))
+        return np.polynomial.polynomial.polyval(t, cs[k])
+
+    return f
+
+
+def _periodic(a, w, funcs, signs):
+    """a * w^k * signs[k] * funcs[k % 2](w t): the shared shape of the
+    cosh/sinh and sin/cos blocks."""
+
+    def f(t, k):
+        return a * w**k * signs[k] * funcs[k % 2](w * t)
 
     return f
 
 
 def hcosh(a: float, w: float = 1.0):
-    def f(t, k):
-        v = a * w**k
-        return v * (math.cosh(w * t) if k % 2 == 0 else math.sinh(w * t))
-
-    return f
+    return _periodic(a, w, (np.cosh, np.sinh), (1, 1, 1, 1))
 
 
 def hsinh(a: float, w: float = 1.0):
-    def f(t, k):
-        v = a * w**k
-        return v * (math.sinh(w * t) if k % 2 == 0 else math.cosh(w * t))
-
-    return f
+    return _periodic(a, w, (np.sinh, np.cosh), (1, 1, 1, 1))
 
 
 def tsin(a: float, w: float = 1.0):
-    def f(t, k):
-        v = a * w**k
-        return v * (math.sin(w * t), math.cos(w * t), -math.sin(w * t), -math.cos(w * t))[k]
-
-    return f
+    return _periodic(a, w, (np.sin, np.cos), (1, 1, -1, -1))
 
 
 def tcos(a: float, w: float = 1.0):
-    def f(t, k):
-        v = a * w**k
-        return v * (math.cos(w * t), -math.sin(w * t), -math.cos(w * t), math.sin(w * t))[k]
-
-    return f
+    return _periodic(a, w, (np.cos, np.sin), (1, -1, -1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +116,9 @@ def tcos(a: float, w: float = 1.0):
 class Curve:
     """Vector-valued map of one real parameter with exact derivatives.
 
-    ``func(t, k)`` returns the k-th derivative (k in [0, 3]) as a raw
-    array in the given signature.  Evaluation must be deterministic.
+    ``func(t, k)`` returns the k-th derivative (k in [0, 3]) at the numpy
+    array ``t`` as a raw array of shape ``t.shape + (dim,)`` in the given
+    signature.  Evaluation must be deterministic.
     """
 
     signature: Signature
@@ -140,22 +140,24 @@ class Curve:
             )
 
         def func(t, k):
-            return np.array([c(t, k) for c in comps])
+            out = np.empty(np.shape(t) + (len(comps),))
+            for i, c in enumerate(comps):
+                out[..., i] = c(t, k)
+            return out
 
         return cls(signature, tuple(domain), func, label)
 
-    def _check_t(self, t: float):
-        lo, hi = self.domain
-        pad = DOMAIN_PAD_FRACTION * (hi - lo)
-        if not lo - pad <= t <= hi + pad:
-            raise InvalidInputError(
-                f"t={t} outside curve domain [{lo}, {hi}] (pad {pad:g})"
-            )
-
-    def at(self, t: float, order: int = 0) -> np.ndarray:
+    def at(self, t, order: int = 0) -> np.ndarray:
+        """k-th derivative at a scalar or array t; shape t.shape + (dim,)."""
         if not 0 <= order <= MAX_ORDER:
             raise InvalidInputError(f"derivative order must be in [0, {MAX_ORDER}]")
-        self._check_t(t)
+        t = np.asarray(t, dtype=float)
+        lo, hi = self.domain
+        pad = DOMAIN_PAD_FRACTION * (hi - lo)
+        inside = (lo - pad <= t) & (t <= hi + pad)
+        if not inside.all():
+            bad = float(t.flat[np.argmin(inside)])
+            raise InvalidInputError(f"t={bad} outside curve domain [{lo}, {hi}] (pad {pad:g})")
         return self.func(t, order)
 
     def sample_grid(self, samples: int) -> np.ndarray:
@@ -185,10 +187,9 @@ def fd_derivative_check(curve: Curve, t: float, order: int, step: float) -> floa
     return float(np.max(np.abs(fd - exact))) / scale
 
 
-def derivative_inner(
-    c1: Curve, k1: int, c2: Curve, k2: int, t1: float, t2: float
-) -> float:
-    """<c1^(k1)(t1), c2^(k2)(t2)>, the workhorse of all premise checks."""
+def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):
+    """<c1^(k1)(t1), c2^(k2)(t2)>, the workhorse of all premise checks;
+    array arguments broadcast against each other."""
     if c1.signature != c2.signature:
         raise SignatureMismatchError(
             f"signatures differ: {c1.signature} vs {c2.signature}"
@@ -199,11 +200,9 @@ def derivative_inner(
 def null_check(curve: Curve, samples: int = 41, tol: float = 1e-9) -> ConditionReport:
     """Max of |<z',z'>| over an even grid of the domain; pass iff <= tol."""
     ts = curve.sample_grid(samples)
-    residuals = [abs(derivative_inner(curve, 1, curve, 1, t, t)) for t in ts]
+    residuals = np.abs(derivative_inner(curve, 1, curve, 1, ts, ts))
     grid = f"{samples} samples on [{curve.domain[0]:g}, {curve.domain[1]:g}]"
-    return ConditionReport.from_max(
-        "null", residuals, tol, grid, points=[(t,) for t in ts]
-    )
+    return ConditionReport.from_max("null", residuals, tol, grid, points=ts[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +232,18 @@ class ParamFamily:
                 f"unknown family {self.family_id!r}; known: {sorted(FAMILIES)}"
             )
         wanted = FAMILIES[self.family_id]["params"]
+        if not isinstance(self.params, Mapping):
+            raise InvalidInputError(f"{self.family_id} params must map names to numbers")
         got = tuple(sorted(self.params))
         if got != tuple(sorted(wanted)):
             raise InvalidInputError(
                 f"{self.family_id} expects params {wanted}, got {got}"
             )
+        for name, value in self.params.items():
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
+                raise InvalidInputError(
+                    f"{self.family_id}: parameter {name} must be a finite number, got {value!r}")
         object.__setattr__(self, "params", dict(self.params))
 
     def label(self) -> str:

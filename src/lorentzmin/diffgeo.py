@@ -17,19 +17,27 @@ ambient, onto the position vector, which spans the quadric's normal), by
 solving the indefinite Gram system directly.  K is always computed
 intrinsically from the E-field, never from the ambient, so the
 Gauss-equation check is an independent cross-validation.
+
+One routine, ``_forms``, computes all of it on arrays of nodes at once:
+one ``jet`` call for the jet, one ``einsum`` for the Gram matrices, one
+batched ``np.linalg.solve`` behind a degeneracy guard for the projection,
+and one ``jet`` call per offset of the E-field stencil.  ``grid_values``
+runs it over a grid in blocks of at most ``BLOCK_NODES`` nodes, so the
+working set stays bounded; the point functions (``point_forms`` and the
+rest) run it on a single node.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError
-from .indefinite import AmbientKind, indefinite_dot
+from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import ConditionReport
-from .surfaces import Jet2, SurfaceMap
+from .surfaces import Jet2, SurfaceMap, _col, grid_axes
 
 __all__ = [
     "MetricData",
@@ -38,6 +46,7 @@ __all__ = [
     "partials",
     "fd_jet",
     "fd_discrepancy",
+    "grid_values",
     "induced_metric",
     "gauss_curvature",
     "connection_data",
@@ -61,14 +70,21 @@ E_FIRST_STEP = 1e-4
 K_STEP_ANALYTIC = 5e-4
 K_STEP_FD = 1e-3
 
-#: Pivots below this make the Gram system singular (the Gram determinant
-#: in null coordinates is -g_xy^2, so singularity always means bad input).
-GRAM_PIVOT_TOL = 1e-10
+#: A Gram matrix whose |det| falls below this fraction of the product of
+#: its row norms is singular to working precision (the Gram determinant
+#: in null coordinates is -g_xy^2 <L,L>, so singularity always means bad
+#: input).
+GRAM_TOL = 1e-10
+
+#: Nodes per block of grid rows in ``grid_values``; a jet call holds about
+#: twenty arrays of BLOCK_NODES x dim floats at its peak.
+BLOCK_NODES = 512
 
 
 @dataclass(frozen=True)
 class MetricData:
-    """Induced metric components and the conformal factor E = sqrt(-g_xy)."""
+    """Induced metric components and the conformal factor E = sqrt(-g_xy)
+    (scalars at one node, arrays over a block of nodes)."""
 
     g_xx: float
     g_xy: float
@@ -101,64 +117,76 @@ class FundamentalForms:
 
 
 # ---------------------------------------------------------------------------
+# node arrays
+
+
+def _nodes(x, y):
+    """x and y as float arrays of one common node shape."""
+    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def _first(mask) -> int:
+    """Flat index of the first True node."""
+    return int(np.argmax(np.ravel(mask)))
+
+
+# ---------------------------------------------------------------------------
 # jets
 
 
-def _check_point(surface: SurfaceMap, x: float, y: float, reach: float):
+def _check_point(surface: SurfaceMap, x, y, reach):
+    x, y, reach = np.broadcast_arrays(*_nodes(x, y), reach)
     (x0, x1), (y0, y1) = surface.domain
-    pad_x = 0.1 * (x1 - x0)
-    pad_y = 0.1 * (y1 - y0)
-    if not (x0 - pad_x <= x <= x1 + pad_x and y0 - pad_y <= y <= y1 + pad_y):
-        raise DomainError(f"point ({x:g}, {y:g}) outside surface domain")
+    pad_x, pad_y = 0.1 * (x1 - x0), 0.1 * (y1 - y0)
+    inside = (x0 - pad_x <= x) & (x <= x1 + pad_x) & (y0 - pad_y <= y) & (y <= y1 + pad_y)
+    if not inside.all():
+        i = _first(~inside)
+        raise DomainError(f"point ({x.flat[i]:g}, {y.flat[i]:g}) outside surface domain")
     if surface.singular_margin is not None:
-        margin = surface.singular_margin(x, y)
-        if margin <= 2 * reach + 1e-12:
+        margin = np.broadcast_to(surface.singular_margin(x, y), x.shape)
+        close = margin <= 2 * reach + 1e-12
+        if close.any():
+            i = _first(close)
             raise DomainError(
-                f"point ({x:g}, {y:g}) within {margin:g} of a singular locus "
-                f"(need > {2 * reach:g})"
+                f"point ({x.flat[i]:g}, {y.flat[i]:g}) within {margin.flat[i]:g} of a "
+                f"singular locus (need > {2 * reach.flat[i]:g})"
             )
 
 
-def _rich1(f, t: float, h: float) -> np.ndarray:
-    d1 = (f(t + h) - f(t - h)) / (2 * h)
-    d2 = (f(t + h / 2) - f(t - h / 2)) / h
+def _rich1(f, t, h) -> np.ndarray:
+    d1 = (f(t + h) - f(t - h)) / _col(2 * h)
+    d2 = (f(t + h / 2) - f(t - h / 2)) / _col(h)
     return (4 * d2 - d1) / 3
 
 
-def _rich2(f, t: float, h: float) -> np.ndarray:
+def _rich2(f, t, h) -> np.ndarray:
     c = f(t)
-    d1 = (f(t + h) - 2 * c + f(t - h)) / h**2
-    d2 = (f(t + h / 2) - 2 * c + f(t - h / 2)) / (h / 2) ** 2
+    d1 = (f(t + h) - 2 * c + f(t - h)) / _col(h**2)
+    d2 = (f(t + h / 2) - 2 * c + f(t - h / 2)) / _col((h / 2) ** 2)
     return (4 * d2 - d1) / 3
 
 
-def _rich_cross(pos, x: float, y: float, h: float) -> np.ndarray:
+def _rich_cross(pos, x, y, h) -> np.ndarray:
     def cross(hh):
-        return (
-            pos(x + hh, y + hh)
-            - pos(x + hh, y - hh)
-            - pos(x - hh, y + hh)
-            + pos(x - hh, y - hh)
-        ) / (4 * hh * hh)
+        return (pos(x + hh, y + hh) - pos(x + hh, y - hh)
+                - pos(x - hh, y + hh) + pos(x - hh, y - hh)) / _col(4 * hh * hh)
 
     return (4 * cross(h / 2) - cross(h)) / 3
 
 
-def fd_jet(
-    surface: SurfaceMap,
-    x: float,
-    y: float,
-    h1: float | None = None,
-    h2: float | None = None,
-) -> Jet2:
-    """Jet from Richardson-extrapolated central differences of the position."""
+def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None) -> Jet2:
+    """Jet from Richardson-extrapolated central differences of the position,
+    at one node or at arrays of nodes."""
+    x, y = _nodes(x, y)
     pos = surface.position
-    hx1 = h1 if h1 is not None else FIRST_STEP * max(1.0, abs(x))
-    hy1 = h1 if h1 is not None else FIRST_STEP * max(1.0, abs(y))
-    hx2 = h2 if h2 is not None else SECOND_STEP * max(1.0, abs(x))
-    hy2 = h2 if h2 is not None else SECOND_STEP * max(1.0, abs(y))
-    hxy = max(hx2, hy2)
-    _check_point(surface, x, y, max(hx1, hy1, hx2, hy2, hxy))
+
+    def step(h, base, t):  # the given step, or base * max(1, |t|) per node
+        return np.full(t.shape, float(h)) if h is not None else base * np.maximum(1.0, np.abs(t))
+
+    hx1, hy1 = step(h1, FIRST_STEP, x), step(h1, FIRST_STEP, y)
+    hx2, hy2 = step(h2, SECOND_STEP, x), step(h2, SECOND_STEP, y)
+    hxy = np.maximum(hx2, hy2)
+    _check_point(surface, x, y, np.maximum.reduce([hx1, hy1, hxy]))
     return Jet2(
         L=pos(x, y),
         Lx=_rich1(lambda t: pos(t, y), x, hx1),
@@ -169,241 +197,227 @@ def fd_jet(
     )
 
 
-def partials(surface: SurfaceMap, x: float, y: float) -> Jet2:
-    """Analytic jet when the surface provides one, FD jet otherwise."""
-    if surface.jet is not None:
-        _check_point(surface, x, y, 0.0)
-        return surface.jet(x, y)
-    return fd_jet(surface, x, y)
+def partials(surface: SurfaceMap, x, y) -> Jet2:
+    """Analytic jet when the surface provides one, FD jet otherwise.
+
+    x and y may be arrays that broadcast against each other; every field
+    comes back with shape nodes + (dim,)."""
+    if surface.jet is None:
+        return fd_jet(surface, x, y)
+    _check_point(surface, x, y, 0.0)
+    jet = surface.jet(x, y)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y)) + jet.L.shape[-1:]
+    return Jet2(*(np.broadcast_to(getattr(jet, f.name), shape)
+                  for f in dataclasses.fields(Jet2)))
 
 
-def fd_discrepancy(
-    surface: SurfaceMap,
-    x: float,
-    y: float,
-    h1: float | None = None,
-    h2: float | None = None,
-) -> float:
-    """Max relative max-norm gap between analytic and FD partials.
+def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None):
+    """Max relative max-norm gap between analytic and FD partials, per node.
 
     Only meaningful for surfaces with analytic partials; each of the five
     derivatives is compared at scale max(1, |analytic|).
     """
     if surface.jet is None:
         raise DomainError("surface provides no analytic partials to compare")
-    an = surface.jet(x, y)
+    an = partials(surface, x, y)
     fd = fd_jet(surface, x, y, h1, h2)
     worst = 0.0
     for name in ("Lx", "Ly", "Lxx", "Lxy", "Lyy"):
         a = getattr(an, name)
-        f = getattr(fd, name)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        worst = max(worst, float(np.max(np.abs(f - a))) / scale)
+        gap = np.max(np.abs(getattr(fd, name) - a), axis=-1)
+        worst = np.maximum(worst, gap / np.maximum(1.0, np.max(np.abs(a), axis=-1)))
     return worst
 
 
 # ---------------------------------------------------------------------------
-# metric, curvature, connection
+# metric, projection, E-field
 
 
-def _metric_from_jet(surface: SurfaceMap, jet: Jet2) -> MetricData:
-    idx = surface.ambient.embedding_signature.index
-    g_xx = indefinite_dot(jet.Lx, jet.Lx, idx)
-    g_xy = indefinite_dot(jet.Lx, jet.Ly, idx)
-    g_yy = indefinite_dot(jet.Ly, jet.Ly, idx)
-    if g_xy >= 0:
+def _gram(surface: SurfaceMap, jet: Jet2):
+    """Projection basis (L_x, L_y and, on a quadric, L) stacked on axis -2,
+    with its indefinite Gram matrices."""
+    basis = [jet.Lx, jet.Ly]
+    if surface.ambient.kind is not AmbientKind.FLAT:
+        basis.append(jet.L)
+    B = np.stack(basis, axis=-2)
+    d = _metric_diagonal(B.shape[-1], surface.ambient.embedding_signature.index)
+    return B, d, np.einsum("...id,...jd->...ij", B * d, B)
+
+
+def _metric(G) -> MetricData:
+    # [()] makes a single node's entries scalars and leaves arrays as they are
+    g_xx, g_xy, g_yy = G[..., 0, 0][()], G[..., 0, 1][()], G[..., 1, 1][()]
+    bad = g_xy >= 0
+    if bad.any():
         raise DegenerateMetricError(
-            f"g_xy = {g_xy:g} >= 0: not a Lorentz surface in null coordinates "
-            "(if the pairing is positive, reverse one coordinate)"
+            f"g_xy = {np.ravel(g_xy)[_first(bad)]:g} >= 0: not a Lorentz surface in "
+            "null coordinates (if the pairing is positive, reverse one coordinate)"
         )
-    return MetricData(g_xx, g_xy, g_yy, math.sqrt(-g_xy), (abs(g_xx), abs(g_yy)))
+    return MetricData(g_xx, g_xy, g_yy, np.sqrt(-g_xy), (np.abs(g_xx), np.abs(g_yy)))
 
 
-def induced_metric(surface: SurfaceMap, x: float, y: float) -> MetricData:
-    """g_ij = <L_i, L_j>; E = sqrt(-g_xy), defined only for g_xy < 0."""
-    return _metric_from_jet(surface, partials(surface, x, y))
+def _gram_solve(G, rhs):
+    """Solve the batched Gram systems G c = rhs; a system whose |det|
+    falls below GRAM_TOL times the product of its row norms raises."""
+    det = np.linalg.det(G)
+    singular = np.abs(det) <= GRAM_TOL * np.prod(np.linalg.norm(G, axis=-1), axis=-1)
+    if singular.any():
+        raise DegenerateMetricError(
+            f"singular Gram matrix (det {np.ravel(det)[_first(singular)]:.3e})"
+        )
+    return np.linalg.solve(G, rhs)
 
 
-def _conformal_factor(surface: SurfaceMap, x: float, y: float) -> float:
+def _second_form(jet: Jet2, B, d, G):
+    """Normal parts of L_xx, L_xy, L_yy (coordinate h_xx, h_xy, h_yy)."""
+    V = np.stack([jet.Lxx, jet.Lxy, jet.Lyy], axis=-2)
+    C = _gram_solve(G, np.einsum("...id,...kd->...ik", B * d, V))
+    N = V - np.einsum("...ik,...id->...kd", C, B)
+    return N[..., 0, :], N[..., 1, :], N[..., 2, :]
+
+
+def _conformal(surface: SurfaceMap, x, y):
+    """E = sqrt(-g_xy) at arrays of nodes, from the jet's L_x and L_y (or
+    their finite differences when the surface has no analytic jet)."""
     if surface.jet is not None:
         jet = surface.jet(x, y)
         Lx, Ly = jet.Lx, jet.Ly
     else:
         pos = surface.position
-        h = FIRST_STEP * max(1.0, abs(x), abs(y))
+        h = FIRST_STEP * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
         Lx = _rich1(lambda t: pos(t, y), x, h)
         Ly = _rich1(lambda t: pos(x, t), y, h)
-    g_xy = indefinite_dot(Lx, Ly, surface.ambient.embedding_signature.index)
-    if g_xy >= 0:
-        raise DegenerateMetricError(f"g_xy = {g_xy:g} >= 0 at ({x:g}, {y:g})")
-    return math.sqrt(-g_xy)
+    g_xy = np.broadcast_to(
+        indefinite_dot(Lx, Ly, surface.ambient.embedding_signature.index), x.shape)
+    bad = g_xy >= 0
+    if bad.any():
+        i = _first(bad)
+        raise DegenerateMetricError(
+            f"g_xy = {g_xy.flat[i]:g} >= 0 at ({x.flat[i]:g}, {y.flat[i]:g})")
+    return np.sqrt(-g_xy)
 
 
-def _k_step(surface: SurfaceMap, x: float, y: float, step: float | None) -> float:
-    if step is not None:
-        return step
-    base = K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD
-    return base * max(1.0, abs(x), abs(y))
-
-
-def _efield_derivs(surface: SurfaceMap, x: float, y: float, h: float):
-    """E and its first/mixed derivatives by plain central differences.
+def _efield(surface: SurfaceMap, x, y, step):
+    """E_x, E_y and E_xy by plain central differences of E = sqrt(-g_xy).
 
     First derivatives use E_FIRST_STEP (truncation-limited); the mixed one
-    uses the wider step h (noise-limited, divided by h^2)."""
-    h1 = E_FIRST_STEP * max(1.0, abs(x), abs(y))
-    _check_point(surface, x, y, max(h, h1))
-    E = lambda u, v: _conformal_factor(surface, u, v)
-    e0 = E(x, y)
-    ex = (E(x + h1, y) - E(x - h1, y)) / (2 * h1)
-    ey = (E(x, y + h1) - E(x, y - h1)) / (2 * h1)
-    exy = (
-        E(x + h, y + h) - E(x + h, y - h) - E(x - h, y + h) + E(x - h, y - h)
-    ) / (4 * h * h)
-    return e0, ex, ey, exy
+    uses the wider K step (noise-limited, divided by h^2).  Each of the
+    eight offsets is evaluated for all nodes at once."""
+    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    base = K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD
+    h = np.full(x.shape, float(step)) if step is not None else base * scale
+    h1 = E_FIRST_STEP * scale
+    _check_point(surface, x, y, np.maximum(h, h1))
+    shifts = [(h1, 0.0), (-h1, 0.0), (0.0, h1), (0.0, -h1),
+              (h, h), (h, -h), (-h, h), (-h, -h)]
+    e = [_conformal(surface, x + dx, y + dy) for dx, dy in shifts]
+    ex = (e[0] - e[1]) / (2 * h1)
+    ey = (e[2] - e[3]) / (2 * h1)
+    exy = (e[4] - e[5] - e[6] + e[7]) / (4 * h * h)
+    return ex, ey, exy
 
 
-def gauss_curvature(
-    surface: SurfaceMap, x: float, y: float, step: float | None = None
-) -> float:
-    """K = (2 E E_xy - 2 E_x E_y)/E^4, from FD of the E-field."""
-    h = _k_step(surface, x, y, step)
-    e0, ex, ey, exy = _efield_derivs(surface, x, y, h)
-    return (2 * e0 * exy - 2 * ex * ey) / e0**4
+def _connection(surface: SurfaceMap, x, y, E, step):
+    """(gamma_x, gamma_y, omega_e1, omega_e2) and K from the E-field."""
+    ex, ey, exy = _efield(surface, *_nodes(x, y), step)
+    return (2 * ex / E, 2 * ey / E, ex / E**2, -ey / E**2), (2 * E * exy - 2 * ex * ey) / E**4
 
 
-def connection_data(
-    surface: SurfaceMap, x: float, y: float, step: float | None = None
-) -> FrameData:
-    """Null frame and connection coefficients at one point."""
-    h = _k_step(surface, x, y, step)
+def _forms(surface: SurfaceMap, x, y, step=None, efield=True):
+    """Jet and fundamental forms at arrays of nodes (x, y broadcast).
+
+    With ``efield`` False the E-field stencil is skipped, and the
+    connection coefficients and K are left None."""
     jet = partials(surface, x, y)
-    md = _metric_from_jet(surface, jet)
-    e0, ex, ey, _ = _efield_derivs(surface, x, y, h)
-    return FrameData(
-        e1=jet.Lx / md.E,
-        e2=jet.Ly / md.E,
-        gamma_x=2 * ex / e0,
-        gamma_y=2 * ey / e0,
-        omega_e1=ex / e0**2,
-        omega_e2=-ey / e0**2,
-    )
-
-
-# ---------------------------------------------------------------------------
-# second fundamental form
-
-
-def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct elimination with partial pivoting on the (indefinite) Gram
-    system; pivots under GRAM_PIVOT_TOL raise."""
-    n = len(rhs)
-    A = np.concatenate([G.astype(float), rhs.reshape(n, 1)], axis=1)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[pivot_row, col]) < GRAM_PIVOT_TOL:
-            raise DegenerateMetricError(
-                f"singular Gram matrix (pivot {A[pivot_row, col]:.3e})"
-            )
-        if pivot_row != col:
-            A[[col, pivot_row]] = A[[pivot_row, col]]
-        A[col] = A[col] / A[col, col]
-        for row in range(n):
-            if row != col:
-                A[row] = A[row] - A[row, col] * A[col]
-    return A[:, n]
-
-
-def _normal_part(V: np.ndarray, basis: list[np.ndarray], idx: int) -> np.ndarray:
-    G = np.array([[indefinite_dot(a, b, idx) for b in basis] for a in basis])
-    rhs = np.array([indefinite_dot(V, b, idx) for b in basis])
-    coeffs = _solve_gram(G, rhs)
-    out = V.astype(float).copy()
-    for c, b in zip(coeffs, basis):
-        out -= c * b
-    return out
-
-
-def _second_form_raw(surface: SurfaceMap, x: float, y: float):
-    """(jet, metric, h_xx, h_xy, h_yy) in coordinate indices.
-
-    On a quadric ambient the position vector is included in the projection
-    basis, so h is the second fundamental form inside the quadric.
-    """
-    jet = partials(surface, x, y)
-    md = _metric_from_jet(surface, jet)
-    idx = surface.ambient.embedding_signature.index
-    basis = [jet.Lx, jet.Ly]
-    if surface.ambient.kind is not AmbientKind.FLAT:
-        basis.append(jet.L)
-    h_xx = _normal_part(jet.Lxx, basis, idx)
-    h_xy = _normal_part(jet.Lxy, basis, idx)
-    h_yy = _normal_part(jet.Lyy, basis, idx)
-    return jet, md, h_xx, h_xy, h_yy
-
-
-def point_forms(
-    surface: SurfaceMap, x: float, y: float, step: float | None = None
-) -> tuple[Jet2, FundamentalForms]:
-    """Jet plus fundamental forms at one point (one E-field stencil)."""
-    jet, md, h_xx, h_xy, h_yy = _second_form_raw(surface, x, y)
-    E2 = md.E**2
-    h11, h12, h22 = h_xx / E2, h_xy / E2, h_yy / E2
-    h = _k_step(surface, x, y, step)
-    e0, ex, ey, exy = _efield_derivs(surface, x, y, h)
-    frame = FrameData(
-        e1=jet.Lx / md.E,
-        e2=jet.Ly / md.E,
-        gamma_x=2 * ex / e0,
-        gamma_y=2 * ey / e0,
-        omega_e1=ex / e0**2,
-        omega_e2=-ey / e0**2,
-    )
-    K = (2 * e0 * exy - 2 * ex * ey) / e0**4
-    forms = FundamentalForms(
-        metric=md, frame=frame, h11=h11, h12=h12, h22=h22, H=-h12, K=K
-    )
+    B, d, G = _gram(surface, jet)
+    md = _metric(G)
+    h_xx, h_xy, h_yy = _second_form(jet, B, d, G)
+    E, E2 = _col(md.E), _col(md.E**2)
+    connection, K = _connection(surface, x, y, md.E, step) if efield else ((None,) * 4, None)
+    frame = FrameData(jet.Lx / E, jet.Ly / E, *connection)
+    h12 = h_xy / E2
+    forms = FundamentalForms(md, frame, h_xx / E2, h12, h_yy / E2, -h12, K)
     return jet, forms
 
 
-def second_fundamental_form(
-    surface: SurfaceMap, x: float, y: float, step: float | None = None
-) -> FundamentalForms:
+def grid_values(surface: SurfaceMap, shape, fields, *, efield=True):
+    """Per-node quantities over a grid, computed block by block.
+
+    Each entry of ``fields`` maps ``(x, y, jet, forms)`` on a block of
+    nodes (x, y of shape (rows, ny)) to an array with that leading shape.
+    One array per field comes back, of shape (nx, ny) plus whatever the
+    field appends, in the node order of ``grid_points``.  ``efield``
+    False skips the E-field stencil (the forms then carry no K).
+    """
+    xs, ys = grid_axes(surface.domain, shape)
+    rows = max(1, BLOCK_NODES // ys.size)
+    out = [[] for _ in fields]
+    for i in range(0, len(xs), rows):
+        x, y = xs[i:i + rows], ys
+        jet, forms = _forms(surface, x, y, efield=efield)
+        x, y = _nodes(x, y)
+        for acc, field in zip(out, fields):
+            acc.append(field(x, y, jet, forms))
+    return [np.concatenate(acc) for acc in out]
+
+
+# ---------------------------------------------------------------------------
+# point views
+
+
+def induced_metric(surface: SurfaceMap, x: float, y: float) -> MetricData:
+    """g_ij = <L_i, L_j>; E = sqrt(-g_xy), defined only for g_xy < 0."""
+    return _metric(_gram(surface, partials(surface, x, y))[2])
+
+
+def point_forms(surface: SurfaceMap, x: float, y: float,
+                step: float | None = None) -> tuple[Jet2, FundamentalForms]:
+    """Jet plus fundamental forms at one point (one E-field stencil)."""
+    return _forms(surface, x, y, step)
+
+
+def second_fundamental_form(surface: SurfaceMap, x: float, y: float,
+                            step: float | None = None) -> FundamentalForms:
     """Metric, frame, h on the null frame, mean curvature vector, and K."""
     return point_forms(surface, x, y, step)[1]
 
 
+def gauss_curvature(surface: SurfaceMap, x: float, y: float, step: float | None = None) -> float:
+    """K = (2 E E_xy - 2 E_x E_y)/E^4, from FD of the E-field."""
+    return _connection(surface, x, y, induced_metric(surface, x, y).E, step)[1]
+
+
+def connection_data(surface: SurfaceMap, x: float, y: float,
+                    step: float | None = None) -> FrameData:
+    """Null frame and connection coefficients at one point."""
+    return point_forms(surface, x, y, step)[1].frame
+
+
+def _hnorm(x, y, jet, forms):
+    return np.max(np.abs(forms.H), axis=-1)
+
+
 def mean_curvature_norm(surface: SurfaceMap, x: float, y: float) -> float:
     """Max-norm of the mean curvature vector H = -h(e1,e2) at one point."""
-    _, md, _, h_xy, _ = _second_form_raw(surface, x, y)
-    return float(np.max(np.abs(h_xy))) / md.E**2
+    return _hnorm(x, y, *_forms(surface, x, y, efield=False))
 
 
-def minimality_residual(
-    surface: SurfaceMap, grid=(21, 21), tol: float = 1e-6
-) -> ConditionReport:
+def minimality_residual(surface: SurfaceMap, grid=(21, 21), tol: float = 1e-6) -> ConditionReport:
     """Max over the grid of the max-norm of H; pass iff below tol."""
-    pts = surface.grid(grid)
-    residuals = [mean_curvature_norm(surface, x, y) for x, y in pts]
+    (residuals,) = grid_values(surface, grid, [_hnorm], efield=False)
     return ConditionReport.from_max(
-        "minimality", residuals, tol, surface.grid_description(grid), pts,
-        note="max-norm of the mean curvature vector",
-    )
+        "minimality", residuals, tol, surface.grid_description(grid), surface.grid(grid),
+        note="max-norm of the mean curvature vector")
 
 
-def gauss_equation_residual(
-    surface: SurfaceMap, x: float, y: float, step: float | None = None
-) -> float:
+def gauss_equation_residual(surface: SurfaceMap, x: float, y: float,
+                            step: float | None = None) -> float:
     """K - c + <h11,h22> - <h12,h12>; zero when the Gauss equation holds.
 
     K comes from the intrinsic E-field, the h-terms from the extrinsic
     projection, so this genuinely cross-checks the two computations.
     """
-    forms = second_fundamental_form(surface, x, y, step)
+    f = second_fundamental_form(surface, x, y, step)
     idx = surface.ambient.embedding_signature.index
-    return (
-        forms.K
-        - surface.ambient.curvature
-        + indefinite_dot(forms.h11, forms.h22, idx)
-        - indefinite_dot(forms.h12, forms.h12, idx)
-    )
+    return float(f.K - surface.ambient.curvature
+                 + indefinite_dot(f.h11, f.h22, idx) - indefinite_dot(f.h12, f.h12, idx))

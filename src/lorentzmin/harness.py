@@ -21,8 +21,9 @@ to the timings block, with every float printed in scientific notation at
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,11 +50,13 @@ from .surfaces import (
     SPHERE_DOMAIN,
     SQRT2,
     SurfaceMap,
+    _col,
     check_case_b_premises,
     check_case_c_conditions,
     check_case_ii_premises,
     check_case_iii_conditions,
     de_sitter_control,
+    grid_points,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
     sphere_case_b,
@@ -108,8 +111,11 @@ class SurfaceSpec:
             object.__setattr__(
                 self, "domain", ((float(x0), float(x1)), (float(y0), float(y1)))
             )
-        nx, ny = self.grid
-        object.__setattr__(self, "grid", (int(nx), int(ny)))
+        grid = tuple(self.grid) if isinstance(self.grid, (list, tuple)) else ()
+        if len(grid) != 2 or not all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in grid):
+            raise InvalidInputError(f"grid must be two integers [nx, ny], got {self.grid!r}")
+        object.__setattr__(self, "grid", (int(grid[0]), int(grid[1])))
         unknown = set(self.tolerances) - set(DEFAULT_TOLS)
         if unknown:
             raise InvalidInputError(
@@ -141,7 +147,7 @@ class SurfaceSpec:
             family=data["family"],
             curves=tuple(data.get("curves", ())),
             domain=domain,
-            grid=tuple(data.get("grid", (21, 21))),
+            grid=data.get("grid", (21, 21)),
             tolerances=dict(data.get("tolerances", {})),
         )
 
@@ -215,7 +221,7 @@ def _fmt_json(obj, sort_keys: bool = True) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise InvalidInputError(f"cannot serialize non-finite float {obj}")
-        return format(obj, ".17e")
+        return format_float(obj)
     if isinstance(obj, dict):
         items = sorted(obj.items()) if sort_keys else obj.items()
         inner = ",".join(f"{_fmt_json(str(k))}:{_fmt_json(v, sort_keys)}" for k, v in items)
@@ -272,7 +278,7 @@ def _metric_model(family: str):
     if family in ("sphere_b", "sphere_c", "de_sitter_control"):
         return lambda x, y: -2.0 / (x + y) ** 2
     if family in ("hyp_ii", "hyp_iii"):
-        return lambda x, y: -1.0 / math.cosh((x + y) / SQRT2) ** 2
+        return lambda x, y: -1.0 / np.cosh((x + y) / SQRT2) ** 2
     return None
 
 
@@ -281,16 +287,20 @@ def _curvature_model(family: str):
             "hyp_ii": -1.0, "hyp_iii": -1.0}.get(family)
 
 
+def _vmax(v):
+    """Max-norm over the embedding axis, per node."""
+    return np.max(np.abs(v), axis=-1)
+
+
 def _xi_expected(family: str, z: Curve):
     if family == "sphere_b":
-        return lambda x, y: -((x + y) ** 2) * z.at(x, 3) / 4.0
+        return lambda x, y: -_col((x + y) ** 2) * z.at(x, 3) / 4.0
     if family == "hyp_ii":
         # normal field of the single-curve hyperbolic construction; the
         # cosh^2 factor follows from substituting the immersion into its
         # own PDE system (and the numeric residual confirms it)
-        return lambda x, y: (SQRT2 * z.at(x, 1) - z.at(x, 3) / SQRT2) * math.cosh(
-            (x + y) / SQRT2
-        ) ** 2
+        return lambda x, y: ((SQRT2 * z.at(x, 1) - z.at(x, 3) / SQRT2)
+                             * _col(np.cosh((x + y) / SQRT2) ** 2))
     return None
 
 
@@ -302,34 +312,27 @@ def _premise_phase(spec, curves, tols, grid_pts):
     if family == "translation":
         z, w = curves
         for curve, cid in ((z, "null-z"), (w, "null-w")):
-            rep = null_check(curve, 41, tols["premise"])
-            rep = ConditionReport(cid, rep.max_residual, rep.tol, rep.passed,
-                                  rep.grid, rep.worst_point, rep.note)
-            reports.append(rep)
-        values = [derivative_inner(z, 1, w, 1, x, y) for x, y in grid_pts]
+            reports.append(replace(null_check(curve, 41, tols["premise"]), condition_id=cid))
+        values = derivative_inner(z, 1, w, 1, grid_pts[:, 0], grid_pts[:, 1])
         pairing = ConditionReport.from_min(
-            "pairing-nonzero", [abs(v) for v in values], tols["premise"],
+            "pairing-nonzero", np.abs(values), tols["premise"],
             f"{spec.grid[0]}x{spec.grid[1]} grid", grid_pts,
             note="min |<z'(x), w'(y)>| must stay positive")
-        if min(values) < 0 < max(values):  # sign change proves a zero
+        if values.min() < 0 < values.max():  # sign change proves a zero
             pairing = ConditionReport(
-                pairing.condition_id, max(values) - min(values), 0.0, False,
+                pairing.condition_id, float(values.max() - values.min()), 0.0, False,
                 pairing.grid, pairing.worst_point,
                 "<z'(x), w'(y)> changes sign on the grid (residual = span)")
         reports.append(pairing)
         hard = [r.condition_id for r in reports if not r.passed]
-    elif family == "sphere_b":
-        reports = check_case_b_premises(curves[0], 41, tols["premise"])
+    elif family in ("sphere_b", "hyp_ii"):
+        check = check_case_b_premises if family == "sphere_b" else check_case_ii_premises
+        reports = check(curves[0], 41, tols["premise"])
         hard = [r.condition_id for r in reports[:3] if not r.passed]
-    elif family == "hyp_ii":
-        reports = check_case_ii_premises(curves[0], 41, tols["premise"])
-        hard = [r.condition_id for r in reports[:3] if not r.passed]
-    elif family == "sphere_c":
-        reports = check_case_c_conditions(
-            curves[0], curves[1], spec.grid, spec.resolved_domain(), tols["condition"])
-    elif family == "hyp_iii":
-        reports = check_case_iii_conditions(
-            curves[0], curves[1], spec.grid, spec.resolved_domain(), tols["condition"])
+    elif family in ("sphere_c", "hyp_iii"):
+        check = check_case_c_conditions if family == "sphere_c" else check_case_iii_conditions
+        reports = check(curves[0], curves[1], spec.grid, spec.resolved_domain(),
+                        tols["condition"])
     return reports, hard
 
 
@@ -351,24 +354,17 @@ def _build_surface(spec: SurfaceSpec, curves, premise_tol: float) -> SurfaceMap:
 
 def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
     family = spec.family
-    pts = surface.grid(spec.grid)
     desc = surface.grid_description(spec.grid)
     idx = surface.ambient.embedding_signature.index
 
-    try:
-        data = [(x, y) + diffgeo.point_forms(surface, x, y) for x, y in pts]
-    except DegenerateMetricError as exc:
-        # tol -1 keeps the pass == (residual <= tol) invariant honest
-        return [ConditionReport(
-            "metric-signature", 0.0, -1.0, False, desc,
-            note=f"induced metric left null form: {exc}")]
+    def dot(a, b):
+        return indefinite_dot(a, b, idx)
 
-    checks: list[ConditionReport] = []
+    # (condition id, residual of (x, y, jet, forms) on a block, tol key, note)
+    planned: list[tuple] = []
 
-    def add_max(cid, per_point, tol_key, note=""):
-        checks.append(ConditionReport.from_max(
-            cid, [per_point(x, y, jet, forms) for x, y, jet, forms in data],
-            tols[tol_key], desc, pts, note=note))
+    def add_max(cid, per_node, tol_key, note=""):
+        planned.append((cid, per_node, tol_key, note))
 
     quadric_target = {"sphere_b": 1.0, "sphere_c": 1.0,
                       "hyp_ii": -1.0, "hyp_iii": -1.0,
@@ -376,79 +372,85 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
     if quadric_target is not None:
         note = f"<L,L> = {quadric_target:g}"
         add_max("quadric",
-                lambda x, y, jet, f: abs(indefinite_dot(jet.L, jet.L, idx) - quadric_target),
+                lambda x, y, jet, f: np.abs(dot(jet.L, jet.L) - quadric_target),
                 "quadric", note=note)
     if surface.ambient.kind is not AmbientKind.FLAT:
         add_max("tangency",
-                lambda x, y, jet, f: max(abs(indefinite_dot(jet.L, jet.Lx, idx)),
-                                         abs(indefinite_dot(jet.L, jet.Ly, idx))),
+                lambda x, y, jet, f: np.maximum(np.abs(dot(jet.L, jet.Lx)),
+                                                np.abs(dot(jet.L, jet.Ly))),
                 "tangency", note="<L,L_x> = <L,L_y> = 0")
 
     g_model = _metric_model(family)
     if g_model is not None:
         add_max("metric-match",
-                lambda x, y, jet, f: abs(f.metric.g_xy - g_model(x, y)),
+                lambda x, y, jet, f: np.abs(f.metric.g_xy - g_model(x, y)),
                 "metric", note="g_xy matches the model conformal factor")
     add_max("metric-null-form",
-            lambda x, y, jet, f: max(f.metric.offdiag_residuals),
+            lambda x, y, jet, f: np.maximum(*f.metric.offdiag_residuals),
             "metric-null", note="|g_xx|, |g_yy|")
     add_max("frame-normalization",
-            lambda x, y, jet, f: abs(indefinite_dot(f.frame.e1, f.frame.e2, idx) + 1.0),
+            lambda x, y, jet, f: np.abs(dot(f.frame.e1, f.frame.e2) + 1.0),
             "frame", note="<e1,e2> = -1")
 
     if family in ("sphere_b", "sphere_c"):
         add_max("pde-xy",
-                lambda x, y, jet, f: float(np.max(np.abs(
-                    jet.Lxy - 2 * jet.L / (x + y) ** 2))),
+                lambda x, y, jet, f: _vmax(jet.Lxy - 2 * jet.L / _col((x + y) ** 2)),
                 "pde", note="L_xy = 2L/(x+y)^2")
     elif family in ("hyp_ii", "hyp_iii"):
         add_max("pde-xy",
-                lambda x, y, jet, f: float(np.max(np.abs(
-                    jet.Lxy + jet.L / math.cosh((x + y) / SQRT2) ** 2))),
+                lambda x, y, jet, f: _vmax(
+                    jet.Lxy + jet.L / _col(np.cosh((x + y) / SQRT2) ** 2)),
                 "pde", note="L_xy = -sech^2((x+y)/sqrt2) L")
     if family == "sphere_b":
         add_max("pde-yy",
-                lambda x, y, jet, f: float(np.max(np.abs(
-                    jet.Lyy + 2 * jet.Ly / (x + y)))),
+                lambda x, y, jet, f: _vmax(jet.Lyy + 2 * jet.Ly / _col(x + y)),
                 "pde", note="L_yy = -2L_y/(x+y)")
     elif family == "hyp_ii":
         add_max("pde-yy",
-                lambda x, y, jet, f: float(np.max(np.abs(
-                    jet.Lyy + SQRT2 * math.tanh((x + y) / SQRT2) * jet.Ly))),
+                lambda x, y, jet, f: _vmax(
+                    jet.Lyy + SQRT2 * _col(np.tanh((x + y) / SQRT2)) * jet.Ly),
                 "pde", note="L_yy = -sqrt2 tanh((x+y)/sqrt2) L_y")
 
     minim_key = "minimality-flat" if family == "translation" else "minimality"
-    add_max("minimality",
-            lambda x, y, jet, f: float(np.max(np.abs(f.H))),
+    add_max("minimality", lambda x, y, jet, f: _vmax(f.H),
             minim_key, note="max-norm of the mean curvature vector")
 
     k_model = _curvature_model(family)
     if k_model is not None:
-        add_max("curvature",
-                lambda x, y, jet, f: abs(f.K - k_model),
+        add_max("curvature", lambda x, y, jet, f: np.abs(f.K - k_model),
                 "curvature", note=f"K = {k_model:g}")
 
     xi = _xi_expected(family, surface.sources[0]) if surface.sources else None
     if xi is not None:
         def xi_res(x, y, jet, f):
             expected = xi(x, y)
-            scale = max(1.0, float(np.max(np.abs(expected))))
-            return float(np.max(np.abs(f.h11 - expected))) / scale
+            return _vmax(f.h11 - expected) / np.maximum(1.0, _vmax(expected))
         add_max("xi-recovery", xi_res, "xi",
                 note="h(e1,e1) matches the expected normal field (relative)")
 
     c = surface.ambient.curvature
     add_max("gauss-equation",
-            lambda x, y, jet, f: abs(f.K - c + indefinite_dot(f.h11, f.h22, idx)
-                                     - indefinite_dot(f.h12, f.h12, idx)),
+            lambda x, y, jet, f: np.abs(f.K - c + dot(f.h11, f.h22) - dot(f.h12, f.h12)),
             "gauss", note="K - c + <h11,h22> - <h12,h12> = 0")
 
+    try:
+        columns = diffgeo.grid_values(surface, spec.grid, [p[1] for p in planned])
+    except DegenerateMetricError as exc:
+        # tol -1 keeps the pass == (residual <= tol) invariant honest
+        return [ConditionReport(
+            "metric-signature", 0.0, -1.0, False, desc,
+            note=f"induced metric left null form: {exc}")]
+
+    pts = surface.grid(spec.grid)
+    checks = [
+        ConditionReport.from_max(cid, column, tols[tol_key], desc, pts, note=note)
+        for (cid, _, tol_key, note), column in zip(planned, columns)
+    ]
     if surface.jet is not None:
         sub = surface.grid(FD_SUBGRID)
-        residuals = [diffgeo.fd_discrepancy(surface, x, y) for x, y in sub]
         checks.append(ConditionReport.from_max(
-            "fd-partials", residuals, tols["fd"],
-            surface.grid_description(FD_SUBGRID), sub,
+            "fd-partials", diffgeo.fd_discrepancy(surface, sub[:, 0], sub[:, 1]),
+            tols["fd"], surface.grid_description(FD_SUBGRID), sub,
             note="analytic vs finite-difference jet (relative)"))
     return checks
 
@@ -467,11 +469,8 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
 
     t0 = time.perf_counter()
     curves, validations = _resolve_curves(spec)
-    grid_pts = [  # premise phase needs the grid before the surface exists
-        (float(x), float(y))
-        for x in np.linspace(*spec.resolved_domain()[0], spec.grid[0])
-        for y in np.linspace(*spec.resolved_domain()[1], spec.grid[1])
-    ]
+    # the premise phase needs the grid before the surface exists
+    grid_pts = grid_points(spec.resolved_domain(), spec.grid)
     reports, hard = _premise_phase(spec, curves, tols, grid_pts)
     timings["premises"] = time.perf_counter() - t0
 
@@ -614,6 +613,17 @@ def sweep(
 # exports
 
 
+#: 17 significant digits in scientific notation: round-trips doubles exactly.
+FLOAT_FORMAT = "%.17e"
+
+
+def format_float(v: float) -> str:
+    return FLOAT_FORMAT % float(v)
+
+#: Rows formatted per write, which bounds the text held in memory.
+EXPORT_ROWS = 1024
+
+
 def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
     """Write the grid of positions with per-vertex minimality residuals.
 
@@ -628,41 +638,30 @@ def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
     curves, _ = _resolve_curves(spec)
     surface = _build_surface(spec, curves, default_tolerances()["premise"])
     nx, ny = spec.grid
-    pts = surface.grid(spec.grid)
-    rows = []
-    for x, y in pts:
-        L = surface.position(x, y)
-        res = diffgeo.mean_curvature_norm(surface, x, y)
-        rows.append((x, y, L, res))
     dim = surface.ambient.embedding_signature.dim
+    positions, residuals = diffgeo.grid_values(
+        surface, spec.grid,
+        [lambda x, y, jet, f: jet.L, lambda x, y, jet, f: _vmax(f.H)],
+        efield=False)
+    positions = positions.reshape(-1, dim)
 
     if format == "csv":
         header = "x,y," + ",".join(f"L_{i + 1}" for i in range(dim)) + ",residual"
-        lines = [header]
-        for x, y, L, res in rows:
-            fields = [format_float(x), format_float(y)]
-            fields += [format_float(v) for v in L]
-            fields.append(format_float(res))
-            lines.append(",".join(fields))
-        text = "\n".join(lines) + "\n"
+        table = np.column_stack([surface.grid(spec.grid), positions, residuals.ravel()])
+        row = ",".join([FLOAT_FORMAT] * table.shape[1])
+        faces = ()
     else:
-        lines = [f"# {surface.label or spec.family}: {nx}x{ny} grid"]
-        for _, _, L, _ in rows:
-            v = np.zeros(3)
-            v[: min(3, dim)] = L[: min(3, dim)]
-            lines.append("v " + " ".join(format_float(c) for c in v))
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                a = i * ny + j + 1
-                b = (i + 1) * ny + j + 1
-                lines.append(f"f {a} {b} {b + 1} {a + 1}")
-        text = "\n".join(lines) + "\n"
+        header = f"# {surface.label or spec.family}: {nx}x{ny} grid"
+        table = np.zeros((nx * ny, 3))
+        table[:, : min(3, dim)] = positions[:, : min(3, dim)]
+        row = "v " + " ".join([FLOAT_FORMAT] * 3)
+        faces = (f"f {a} {a + ny} {a + ny + 1} {a + 1}\n"
+                 for a in (i * ny + j + 1 for i in range(nx - 1) for j in range(ny - 1)))
     with open(path, "w") as fh:
-        fh.write(text)
-
-
-def format_float(v: float) -> str:
-    return format(float(v), ".17e")
+        fh.write(header + "\n")
+        for i in range(0, len(table), EXPORT_ROWS):
+            fh.write("".join(row % tuple(r) + "\n" for r in table[i:i + EXPORT_ROWS].tolist()))
+        fh.writelines(faces)
 
 
 def list_families() -> dict:

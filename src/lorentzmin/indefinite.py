@@ -69,9 +69,11 @@ def _metric_diagonal(dim: int, index: int) -> np.ndarray:
     return d
 
 
-def indefinite_dot(a: np.ndarray, b: np.ndarray, index: int) -> float:
-    """<a, b> on raw arrays; the fast path used by the geometry layers."""
-    return float(np.dot(a * _metric_diagonal(len(a), index), b))
+def indefinite_dot(a: np.ndarray, b: np.ndarray, index: int):
+    """<a, b> over the last axis of raw arrays, broadcasting the leading
+    axes; a float for two vectors.  The fast path of the geometry layers."""
+    a = np.asarray(a)
+    return np.matmul(a * b, _metric_diagonal(a.shape[-1], index))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,18 @@ tolerance.  ``max`` checks bound a residual from above; ``min`` checks
 (non-vanishing requirements) are folded into the same convention by
 storing the shortfall ``threshold - min_value``, so that the invariant
 ``passed == (max_residual <= tol)`` holds for both kinds.
+
+Residuals arrive as arrays in node order (x-major on grids); the worst
+node is the first to attain the extreme, or the first non-finite one: a
+NaN or inf always fails its check.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -26,10 +32,8 @@ class ConditionReport:
     @classmethod
     def from_max(cls, condition_id, residuals, tol, grid, points=None, note=""):
         """Report for a residual bounded above: pass iff max <= tol."""
-        worst = max(range(len(residuals)), key=lambda i: residuals[i])
-        value = float(residuals[worst])
-        pt = tuple(points[worst]) if points is not None else ()
-        return cls(condition_id, value, float(tol), value <= tol, grid, pt, note)
+        value, pt, finite = _worst(residuals, np.argmax, points)
+        return cls(condition_id, value, float(tol), finite and value <= tol, grid, pt, note)
 
     @classmethod
     def from_min(cls, condition_id, values, threshold, grid, points=None, note=""):
@@ -38,11 +42,10 @@ class ConditionReport:
         Stored residual is the shortfall ``threshold - min_value``; the
         recorded tolerance is 0, preserving pass == (residual <= tol).
         """
-        worst = min(range(len(values)), key=lambda i: values[i])
-        shortfall = float(threshold) - float(values[worst])
-        pt = tuple(points[worst]) if points is not None else ()
+        value, pt, finite = _worst(values, np.argmin, points)
+        shortfall = float(threshold) - value
         note = note or f"lower bound: residual = {threshold:g} - min value"
-        return cls(condition_id, shortfall, 0.0, shortfall <= 0.0, grid, pt, note)
+        return cls(condition_id, shortfall, 0.0, finite and shortfall <= 0.0, grid, pt, note)
 
     def to_dict(self) -> dict:
         return {
@@ -54,6 +57,17 @@ class ConditionReport:
             "worst_point": list(self.worst_point),
             "note": self.note,
         }
+
+
+def _worst(values, pick, points):
+    """(worst value, its point, all finite): ``pick`` (np.argmax or
+    np.argmin, so ties go to the first node) unless a value is not finite,
+    in which case the first non-finite one is the worst."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = ~np.isfinite(values)
+    i = int(np.argmax(bad)) if bad.any() else int(pick(values))
+    pt = tuple(float(v) for v in points[i]) if points is not None else ()
+    return float(values[i]), pt, not bad.any()
 
 
 #: Default tolerances per check tier.  Algebraic identities on analytic

@@ -16,11 +16,14 @@ One constructor per family:
 
 Every constructor attaches analytic first and second partials assembled
 from the exact curve derivatives, so the finite-difference layer acts as
-a cross-check rather than the only source of derivatives.  Premise
-checkers return per-condition reports with the worst sample point;
-constructors raise on algebraic premise failures and merely flag the
-non-degeneracy ones (a vanishing jerk term is the totally geodesic
-boundary case, not an error).
+a cross-check rather than the only source of derivatives.  ``position``
+and ``jet`` broadcast over numpy arrays of x and y; z is evaluated on the
+x values and w on the y values only, so ``jet(xs[:, None], ys[None, :])``
+costs O(nx + ny) curve evaluations on an nx x ny grid.  Premise checkers
+return per-condition reports with the worst sample point; constructors
+raise on algebraic premise failures and merely flag the non-degeneracy
+ones (a vanishing jerk term is the totally geodesic boundary case, not an
+error).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .report import ConditionReport
 __all__ = [
     "Jet2",
     "SurfaceMap",
+    "grid_axes",
     "grid_points",
     "translation_surface",
     "sphere_case_b",
@@ -79,7 +83,8 @@ DEFAULT_GRID = (21, 21)
 
 @dataclass(frozen=True)
 class Jet2:
-    """Position and partial derivatives of an immersion at one point."""
+    """Position and partial derivatives of an immersion at one point, or
+    at an array of points (each field then has shape nodes + (dim,))."""
 
     L: np.ndarray
     Lx: np.ndarray
@@ -95,7 +100,8 @@ class SurfaceMap:
 
     ``position`` and ``jet`` are stateless closures valid on a
     neighborhood of the declared ``domain`` rectangle (finite-difference
-    stencils may poke slightly outside it).  ``singular_margin``, when
+    stencils may poke slightly outside it); both take scalars or arrays of
+    x and y that broadcast against each other.  ``singular_margin``, when
     present, gives the distance from a point to the nearest singular
     locus of the chart.
     """
@@ -114,18 +120,31 @@ class SurfaceMap:
         return grid_points(self.domain, shape)
 
     def grid_description(self, shape=DEFAULT_GRID) -> str:
-        (x0, x1), (y0, y1) = self.domain
-        return f"{shape[0]}x{shape[1]} on [{x0:g},{x1:g}]x[{y0:g},{y1:g}]"
+        return grid_description(self.domain, shape)
 
 
-def grid_points(domain, shape):
+def grid_axes(domain, shape):
+    """(xs[:, None], ys[None, :]): the grid's axes, ready to broadcast."""
     (x0, x1), (y0, y1) = domain
     nx, ny = shape
     if nx < 2 or ny < 2:
         raise InvalidInputError(f"grid must be at least 2x2, got {shape}")
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
-    return [(float(x), float(y)) for x in xs for y in ys]
+    return np.linspace(x0, x1, nx)[:, None], np.linspace(y0, y1, ny)[None, :]
+
+
+def grid_points(domain, shape) -> np.ndarray:
+    """(nx * ny, 2) array of the grid nodes in x-major order."""
+    return np.stack(np.broadcast_arrays(*grid_axes(domain, shape)), axis=-1).reshape(-1, 2)
+
+
+def grid_description(domain, shape) -> str:
+    (x0, x1), (y0, y1) = domain
+    return f"{shape[0]}x{shape[1]} on [{x0:g},{x1:g}]x[{y0:g},{y1:g}]"
+
+
+def _col(a) -> np.ndarray:
+    """Append an axis so that a per-node scalar scales per-node vectors."""
+    return np.asarray(a, dtype=float)[..., None]
 
 
 def _check_domain(domain):
@@ -160,6 +179,38 @@ def _sphere_domain_guard(domain):
         )
 
 
+def _single_curve_premises(z: Curve, samples, tol, speed, acc, nonzero):
+    """<z,z> = 0, <z',z'> = speed, <z'',z''> = acc[1] (check id acc[0]) and
+    a vector nonzero[1](t) that must not vanish (check id nonzero[0], note
+    nonzero[2]), at samples points of z's domain."""
+    ts = z.sample_grid(samples)
+    pts = ts[:, None]
+    grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
+
+    def sq(k):
+        return derivative_inner(z, k, z, k, ts, ts)
+
+    return [
+        ConditionReport.from_max("lightcone-z", np.abs(sq(0)), tol, grid, pts),
+        ConditionReport.from_max(
+            "speed-z", np.abs(sq(1) - speed), tol, grid, pts, note=f"<z',z'> = {speed:g}"),
+        ConditionReport.from_max(
+            acc[0], np.abs(sq(2) - acc[1]), tol, grid, pts, note=f"<z'',z''> = {acc[1]:g}"),
+        ConditionReport.from_min(
+            nonzero[0], np.max(np.abs(nonzero[1](ts)), axis=-1), tol, grid, pts,
+            note=nonzero[2]),
+    ]
+
+
+def _premise_flags(reports: list[ConditionReport]) -> tuple[str, ...]:
+    """Raise on failed algebraic premises (the first three reports); a
+    failed non-degeneracy one only flags the totally geodesic boundary."""
+    hard_failures = [r.condition_id for r in reports[:3] if not r.passed]
+    if hard_failures:
+        raise PremiseError(hard_failures)
+    return () if reports[3].passed else ("totally-geodesic-boundary",)
+
+
 # ---------------------------------------------------------------------------
 # flat ambient: translation surfaces
 
@@ -191,44 +242,30 @@ def translation_surface(
     if failed:
         raise PremiseError(failed)
 
-    xs = np.linspace(domain[0][0], domain[0][1], samples)
-    ys = np.linspace(domain[1][0], domain[1][1], samples)
-    lo = math.inf
-    hi = -math.inf
-    for x in xs:
-        for y in ys:
-            value = derivative_inner(z, 1, w, 1, x, y)
-            if abs(value) <= tol:
-                raise DegenerateMetricError(
-                    f"<z'(x), w'(y)> vanishes near (x, y) = ({x:g}, {y:g})"
-                )
-            lo, hi = min(lo, value), max(hi, value)
+    xs, ys = grid_axes(domain, (samples, samples))
+    values = derivative_inner(z, 1, w, 1, xs, ys)
+    near = np.abs(values) <= tol
+    if near.any():
+        i, j = np.unravel_index(np.argmax(near), near.shape)
+        raise DegenerateMetricError(
+            f"<z'(x), w'(y)> vanishes near (x, y) = ({xs[i, 0]:g}, {ys[0, j]:g})")
+    lo, hi = values.min(), values.max()
     if lo < 0 < hi:  # continuous, so a sign change proves a zero
         raise DegenerateMetricError(
-            f"<z'(x), w'(y)> changes sign on the domain ({lo:g} to {hi:g})"
-        )
+            f"<z'(x), w'(y)> changes sign on the domain ({lo:g} to {hi:g})")
 
-    dim = z.signature.dim
-    zero = np.zeros(dim)
+    zero = np.zeros(z.signature.dim)
 
     def position(x, y):
         return z.at(x) + w.at(y)
 
     def jet(x, y):
-        return Jet2(
-            L=z.at(x) + w.at(y),
-            Lx=z.at(x, 1),
-            Ly=w.at(y, 1),
-            Lxx=z.at(x, 2),
-            Lxy=zero,
-            Lyy=w.at(y, 2),
-        )
+        return Jet2(L=z.at(x) + w.at(y), Lx=z.at(x, 1), Ly=w.at(y, 1),
+                    Lxx=z.at(x, 2), Lxy=zero, Lyy=w.at(y, 2))
 
     return SurfaceMap(
         ambient=Ambient.flat(z.signature),
-        position=position,
-        domain=domain,
-        jet=jet,
+        position=position, jet=jet, domain=domain,
         sources=(z, w),
         family="translation",
         label=f"translation[{z.label or 'z'}, {w.label or 'w'}]",
@@ -248,31 +285,44 @@ def check_case_b_premises(
     acceleration; the jerk must not vanish (its vanishing is the totally
     geodesic boundary case).
     """
-    ts = z.sample_grid(samples)
-    pts = [(t,) for t in ts]
-    grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
-
-    def over(f):
-        return [f(t) for t in ts]
-
-    return [
-        ConditionReport.from_max(
-            "lightcone-z", over(lambda t: abs(derivative_inner(z, 0, z, 0, t, t))),
-            tol, grid, pts),
-        ConditionReport.from_max(
-            "speed-z", over(lambda t: abs(derivative_inner(z, 1, z, 1, t, t) - 4.0)),
-            tol, grid, pts, note="<z',z'> = 4"),
-        ConditionReport.from_max(
-            "acc-null-z", over(lambda t: abs(derivative_inner(z, 2, z, 2, t, t))),
-            tol, grid, pts, note="<z'',z''> = 0"),
-        ConditionReport.from_min(
-            "jerk-nonzero-z", over(lambda t: float(np.max(np.abs(z.at(t, 3))))),
-            tol, grid, pts, note="max-norm of z''' must stay positive"),
-    ]
+    return _single_curve_premises(
+        z, samples, tol, 4.0, ("acc-null-z", 0.0),
+        ("jerk-nonzero-z", lambda t: z.at(t, 3), "max-norm of z''' must stay positive"))
 
 
 def _sphere_ambient(signature: Signature) -> Ambient:
     return Ambient.sphere(Signature(signature.dim - 1, signature.index))
+
+
+def _derivatives(w: Curve | None, t):
+    """w and its first three derivatives at t; a missing curve is zero."""
+    return tuple(w.at(t, k) for k in range(4)) if w is not None else (0.0,) * 4
+
+
+def _sphere_maps(z: Curve, w: Curve | None):
+    """position and jet of L = (z(x)+w(y))/(x+y) - (z'(x)+w'(y))/2; the
+    single-curve construction is the case w = 0."""
+
+    def position(x, y):
+        w0, w1 = _derivatives(w, y)[:2]
+        return (z.at(x) + w0) / _col(x + y) - (z.at(x, 1) + w1) / 2
+
+    def jet(x, y):
+        s = _col(x + y)
+        z0, z1, z2, z3 = _derivatives(z, x)
+        w0, w1, w2, w3 = _derivatives(w, y)
+        zw = z0 + w0
+        L = zw / s - (z1 + w1) / 2
+        return Jet2(
+            L=L,
+            Lx=z1 / s - zw / s**2 - z2 / 2,
+            Ly=w1 / s - zw / s**2 - w2 / 2,
+            Lxx=z2 / s - 2 * z1 / s**2 + 2 * zw / s**3 - z3 / 2,
+            Lxy=2 * zw / s**3 - (z1 + w1) / s**2,
+            Lyy=w2 / s - 2 * w1 / s**2 + 2 * zw / s**3 - w3 / 2,
+        )
+
+    return position, jet
 
 
 def sphere_case_b(
@@ -286,33 +336,11 @@ def sphere_case_b(
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
-    reports = check_case_b_premises(z, samples, tol)
-    hard_failures = [r.condition_id for r in reports[:3] if not r.passed]
-    if hard_failures:
-        raise PremiseError(hard_failures)
-    flags = () if reports[3].passed else ("totally-geodesic-boundary",)
-
-    def position(x, y):
-        return z.at(x) / (x + y) - z.at(x, 1) / 2
-
-    def jet(x, y):
-        s = x + y
-        z0, z1, z2, z3 = (z.at(x, k) for k in range(4))
-        L = z0 / s - z1 / 2
-        return Jet2(
-            L=L,
-            Lx=z1 / s - z0 / s**2 - z2 / 2,
-            Ly=-z0 / s**2,
-            Lxx=z2 / s - 2 * z1 / s**2 + 2 * z0 / s**3 - z3 / 2,
-            Lxy=2 * z0 / s**3 - z1 / s**2,
-            Lyy=2 * z0 / s**3,
-        )
-
+    flags = _premise_flags(check_case_b_premises(z, samples, tol))
+    position, jet = _sphere_maps(z, None)
     return SurfaceMap(
         ambient=_sphere_ambient(z.signature),
-        position=position,
-        domain=domain,
-        jet=jet,
+        position=position, jet=jet, domain=domain,
         singular_margin=lambda x, y: abs(x + y),
         sources=(z,),
         flags=flags,
@@ -336,20 +364,18 @@ def check_case_c_conditions(
     _require_same_signature(z, w)
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
-    pts = grid_points(domain, grid)
+    x, y = grid_axes(domain, grid)
     idx = z.signature.index
-    r1, r2, r3 = [], [], []
-    for x, y in pts:
-        s = x + y
-        z0, z1, z3 = z.at(x), z.at(x, 1), z.at(x, 3)
-        w0, w1, w3 = w.at(y), w.at(y, 1), w.at(y, 3)
-        L = (z0 + w0) / s - (z1 + w1) / 2
-        r1.append(abs(indefinite_dot(L, L, idx) - 1.0))
-        zw, zw1 = z0 + w0, z1 + w1
-        r2.append(abs(2 * indefinite_dot(zw, z3, idx) - s * indefinite_dot(zw1, z3, idx)))
-        r3.append(abs(2 * indefinite_dot(zw, w3, idx) - s * indefinite_dot(zw1, w3, idx)))
-    (x0, x1), (y0, y1) = domain
-    desc = f"{grid[0]}x{grid[1]} on [{x0:g},{x1:g}]x[{y0:g},{y1:g}]"
+    s = x + y
+    z0, z1, z3 = z.at(x), z.at(x, 1), z.at(x, 3)
+    w0, w1, w3 = w.at(y), w.at(y, 1), w.at(y, 3)
+    zw, zw1 = z0 + w0, z1 + w1
+    L = zw / _col(s) - zw1 / 2
+    r1 = np.abs(indefinite_dot(L, L, idx) - 1.0)
+    r2 = np.abs(2 * indefinite_dot(zw, z3, idx) - s * indefinite_dot(zw1, z3, idx))
+    r3 = np.abs(2 * indefinite_dot(zw, w3, idx) - s * indefinite_dot(zw1, w3, idx))
+    pts = grid_points(domain, grid)
+    desc = grid_description(domain, grid)
     return [
         ConditionReport.from_max("c.1", r1, tol, desc, pts, note="<L,L> = 1"),
         ConditionReport.from_max("c.2", r2, tol, desc, pts),
@@ -364,30 +390,10 @@ def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-
-    def position(x, y):
-        return (z.at(x) + w.at(y)) / (x + y) - (z.at(x, 1) + w.at(y, 1)) / 2
-
-    def jet(x, y):
-        s = x + y
-        z0, z1, z2, z3 = (z.at(x, k) for k in range(4))
-        w0, w1, w2, w3 = (w.at(y, k) for k in range(4))
-        zw = z0 + w0
-        L = zw / s - (z1 + w1) / 2
-        return Jet2(
-            L=L,
-            Lx=z1 / s - zw / s**2 - z2 / 2,
-            Ly=w1 / s - zw / s**2 - w2 / 2,
-            Lxx=z2 / s - 2 * z1 / s**2 + 2 * zw / s**3 - z3 / 2,
-            Lxy=2 * zw / s**3 - (z1 + w1) / s**2,
-            Lyy=w2 / s - 2 * w1 / s**2 + 2 * zw / s**3 - w3 / 2,
-        )
-
+    position, jet = _sphere_maps(z, w)
     return SurfaceMap(
         ambient=_sphere_ambient(z.signature),
-        position=position,
-        domain=domain,
-        jet=jet,
+        position=position, jet=jet, domain=domain,
         singular_margin=lambda x, y: abs(x + y),
         sources=(z, w),
         family="sphere_c",
@@ -405,28 +411,10 @@ def check_case_ii_premises(
     """Premises of the single-curve hyperbolic construction: light-cone
     position, <z',z'> = -2, <z'',z''> = 4, and z''' != 2 z' (whose failure
     is the totally geodesic boundary case)."""
-    ts = z.sample_grid(samples)
-    pts = [(t,) for t in ts]
-    grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
-
-    def over(f):
-        return [f(t) for t in ts]
-
-    return [
-        ConditionReport.from_max(
-            "lightcone-z", over(lambda t: abs(derivative_inner(z, 0, z, 0, t, t))),
-            tol, grid, pts),
-        ConditionReport.from_max(
-            "speed-z", over(lambda t: abs(derivative_inner(z, 1, z, 1, t, t) + 2.0)),
-            tol, grid, pts, note="<z',z'> = -2"),
-        ConditionReport.from_max(
-            "acc-norm-z", over(lambda t: abs(derivative_inner(z, 2, z, 2, t, t) - 4.0)),
-            tol, grid, pts, note="<z'',z''> = 4"),
-        ConditionReport.from_min(
-            "nondegenerate-z",
-            over(lambda t: float(np.max(np.abs(z.at(t, 3) - 2 * z.at(t, 1))))),
-            tol, grid, pts, note="max-norm of z''' - 2z' must stay positive"),
-    ]
+    return _single_curve_premises(
+        z, samples, tol, -2.0, ("acc-norm-z", 4.0),
+        ("nondegenerate-z", lambda t: z.at(t, 3) - 2 * z.at(t, 1),
+         "max-norm of z''' - 2z' must stay positive"))
 
 
 def _hyperbolic_ambient(signature: Signature) -> Ambient:
@@ -435,6 +423,33 @@ def _hyperbolic_ambient(signature: Signature) -> Ambient:
             f"hyperbolic ambient needs embedding index >= 1, got {signature}"
         )
     return Ambient.hyperbolic(Signature(signature.dim - 1, signature.index - 1))
+
+
+def _hyperbolic_maps(z: Curve, w: Curve | None):
+    """position and jet of L = (z(x)+w(y)) tanh((x+y)/sqrt2) -
+    (z'(x)+w'(y))/sqrt2; the single-curve construction is the case w = 0."""
+
+    def position(x, y):
+        w0, w1 = _derivatives(w, y)[:2]
+        return (z.at(x) + w0) * _col(np.tanh((x + y) / SQRT2)) - (z.at(x, 1) + w1) / SQRT2
+
+    def jet(x, y):
+        u = (x + y) / SQRT2
+        T, S2 = _col(np.tanh(u)), _col(1.0 / np.cosh(u) ** 2)
+        z0, z1, z2, z3 = _derivatives(z, x)
+        w0, w1, w2, w3 = _derivatives(w, y)
+        zw = z0 + w0
+        L = zw * T - (z1 + w1) / SQRT2
+        return Jet2(
+            L=L,
+            Lx=z1 * T + zw * S2 / SQRT2 - z2 / SQRT2,
+            Ly=w1 * T + zw * S2 / SQRT2 - w2 / SQRT2,
+            Lxx=z2 * T + SQRT2 * z1 * S2 - zw * S2 * T - z3 / SQRT2,
+            Lxy=-S2 * L,
+            Lyy=w2 * T + SQRT2 * w1 * S2 - zw * S2 * T - w3 / SQRT2,
+        )
+
+    return position, jet
 
 
 def hyperbolic_case_ii(
@@ -447,35 +462,11 @@ def hyperbolic_case_ii(
     """L(x,y) = z(x) tanh((x+y)/sqrt2) - z'(x)/sqrt2 on the hyperbolic quadric."""
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
-    reports = check_case_ii_premises(z, samples, tol)
-    hard_failures = [r.condition_id for r in reports[:3] if not r.passed]
-    if hard_failures:
-        raise PremiseError(hard_failures)
-    flags = () if reports[3].passed else ("totally-geodesic-boundary",)
-
-    def position(x, y):
-        return z.at(x) * math.tanh((x + y) / SQRT2) - z.at(x, 1) / SQRT2
-
-    def jet(x, y):
-        u = (x + y) / SQRT2
-        T = math.tanh(u)
-        S2 = 1.0 / math.cosh(u) ** 2
-        z0, z1, z2, z3 = (z.at(x, k) for k in range(4))
-        L = z0 * T - z1 / SQRT2
-        return Jet2(
-            L=L,
-            Lx=z1 * T + z0 * S2 / SQRT2 - z2 / SQRT2,
-            Ly=z0 * S2 / SQRT2,
-            Lxx=z2 * T + SQRT2 * z1 * S2 - z0 * S2 * T - z3 / SQRT2,
-            Lxy=-S2 * L,
-            Lyy=-z0 * S2 * T,
-        )
-
+    flags = _premise_flags(check_case_ii_premises(z, samples, tol))
+    position, jet = _hyperbolic_maps(z, None)
     return SurfaceMap(
         ambient=_hyperbolic_ambient(z.signature),
-        position=position,
-        domain=domain,
-        jet=jet,
+        position=position, jet=jet, domain=domain,
         sources=(z,),
         flags=flags,
         family="hyp_ii",
@@ -496,22 +487,20 @@ def check_case_iii_conditions(
     c = z and c = w respectively."""
     _require_same_signature(z, w)
     domain = _check_domain(domain)
-    pts = grid_points(domain, grid)
+    x, y = grid_axes(domain, grid)
     idx = z.signature.index
-    r1, r2, r3 = [], [], []
-    for x, y in pts:
-        T = math.tanh((x + y) / SQRT2)
-        z0, z1 = z.at(x), z.at(x, 1)
-        w0, w1 = w.at(y), w.at(y, 1)
-        az = 2 * z1 - z.at(x, 3)
-        aw = 2 * w1 - w.at(y, 3)
-        zw, zw1 = z0 + w0, z1 + w1
-        L = zw * T - zw1 / SQRT2
-        r1.append(abs(indefinite_dot(L, L, idx) + 1.0))
-        r2.append(abs(SQRT2 * indefinite_dot(zw, az, idx) * T - indefinite_dot(zw1, az, idx)))
-        r3.append(abs(SQRT2 * indefinite_dot(zw, aw, idx) * T - indefinite_dot(zw1, aw, idx)))
-    (x0, x1), (y0, y1) = domain
-    desc = f"{grid[0]}x{grid[1]} on [{x0:g},{x1:g}]x[{y0:g},{y1:g}]"
+    T = np.tanh((x + y) / SQRT2)
+    z0, z1 = z.at(x), z.at(x, 1)
+    w0, w1 = w.at(y), w.at(y, 1)
+    az = 2 * z1 - z.at(x, 3)
+    aw = 2 * w1 - w.at(y, 3)
+    zw, zw1 = z0 + w0, z1 + w1
+    L = zw * _col(T) - zw1 / SQRT2
+    r1 = np.abs(indefinite_dot(L, L, idx) + 1.0)
+    r2 = np.abs(SQRT2 * indefinite_dot(zw, az, idx) * T - indefinite_dot(zw1, az, idx))
+    r3 = np.abs(SQRT2 * indefinite_dot(zw, aw, idx) * T - indefinite_dot(zw1, aw, idx))
+    pts = grid_points(domain, grid)
+    desc = grid_description(domain, grid)
     return [
         ConditionReport.from_max("iii.1", r1, tol, desc, pts, note="<L,L> = -1"),
         ConditionReport.from_max("iii.2", r2, tol, desc, pts),
@@ -525,33 +514,10 @@ def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> Surface
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-
-    def position(x, y):
-        T = math.tanh((x + y) / SQRT2)
-        return (z.at(x) + w.at(y)) * T - (z.at(x, 1) + w.at(y, 1)) / SQRT2
-
-    def jet(x, y):
-        u = (x + y) / SQRT2
-        T = math.tanh(u)
-        S2 = 1.0 / math.cosh(u) ** 2
-        z0, z1, z2, z3 = (z.at(x, k) for k in range(4))
-        w0, w1, w2, w3 = (w.at(y, k) for k in range(4))
-        zw = z0 + w0
-        L = zw * T - (z1 + w1) / SQRT2
-        return Jet2(
-            L=L,
-            Lx=z1 * T + zw * S2 / SQRT2 - z2 / SQRT2,
-            Ly=w1 * T + zw * S2 / SQRT2 - w2 / SQRT2,
-            Lxx=z2 * T + SQRT2 * z1 * S2 - zw * S2 * T - z3 / SQRT2,
-            Lxy=-S2 * L,
-            Lyy=w2 * T + SQRT2 * w1 * S2 - zw * S2 * T - w3 / SQRT2,
-        )
-
+    position, jet = _hyperbolic_maps(z, w)
     return SurfaceMap(
         ambient=_hyperbolic_ambient(z.signature),
-        position=position,
-        domain=domain,
-        jet=jet,
+        position=position, jet=jet, domain=domain,
         sources=(z, w),
         family="hyp_iii",
         label=f"hyp_iii[{z.label or 'z'}, {w.label or 'w'}]",
@@ -571,21 +537,19 @@ def de_sitter_control(domain=((0.9, 1.1), (0.9, 1.1))) -> SurfaceMap:
     intrinsic (null metric form, K = 1) still passes.
     """
     domain = _check_domain(domain)
-    (x0, x1), (y0, y1) = domain
-    if x0 + y0 <= SINGULAR_MARGIN and x1 + y1 >= -SINGULAR_MARGIN:
-        raise DomainError("domain touches the x+y=0 pole")
+    _sphere_domain_guard(domain)
 
-    def vec(x, y):
-        return np.array([1 - x * y, x - y, 1 + x * y])
+    def vec(*parts):
+        return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
     def position(x, y):
-        return vec(x, y) / (x + y)
+        return vec(1 - x * y, x - y, 1 + x * y) / _col(x + y)
 
     def jet(x, y):
-        s = x + y
-        v = vec(x, y)
-        vx = np.array([-y, 1.0, y])
-        vy = np.array([-x, -1.0, x])
+        s = _col(x + y)
+        v = vec(1 - x * y, x - y, 1 + x * y)
+        vx = vec(-y, 1.0, y)
+        vy = vec(-x, -1.0, x)
         vxy = np.array([-1.0, 0.0, 1.0])
         return Jet2(
             L=v / s,
@@ -598,9 +562,7 @@ def de_sitter_control(domain=((0.9, 1.1), (0.9, 1.1))) -> SurfaceMap:
 
     return SurfaceMap(
         ambient=Ambient.flat(Signature(3, 1)),
-        position=position,
-        domain=domain,
-        jet=jet,
+        position=position, jet=jet, domain=domain,
         singular_margin=lambda x, y: abs(x + y),
         flags=("negative-control",),
         family="de_sitter_control",

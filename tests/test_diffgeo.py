@@ -183,7 +183,7 @@ class TestSecondFundamentalForm:
 
     def test_singular_gram_detected(self):
         with pytest.raises(DegenerateMetricError):
-            diffgeo._solve_gram(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+            diffgeo._gram_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
 
 
 class TestMinimality:

@@ -228,6 +228,24 @@ class TestShippedSpecs:
                             "hyp_ii", "hyp_iii", "de_sitter_control"}
 
 
+class TestThreads:
+    def test_specs_verified_from_four_threads_match_serial(self):
+        # the README's claim: grids can be evaluated from any number of threads
+        import pathlib
+        from concurrent.futures import ThreadPoolExecutor
+
+        spec_dir = pathlib.Path(__file__).resolve().parent.parent / "specs"
+        specs = [json.loads(p.read_text()) for p in sorted(spec_dir.glob("*.json"))]
+
+        def report(spec):
+            return verify(spec).to_dict(include_timings=False)
+
+        serial = [report(spec) for spec in specs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(report, specs * 2))
+        assert threaded == serial * 2
+
+
 class TestListFamilies:
     def test_catalog_shape(self):
         cat = list_families()
@@ -276,6 +294,26 @@ class TestCli:
 
     def test_bad_usage_exit_2(self):
         assert main(["verify"]) == 2
+
+    @pytest.mark.parametrize("patch", [
+        {"params": {"a": "x", "b": 1.1, "p": 1, "q": 1.5}},
+        {"params": {"a": float("nan"), "b": 1.1, "p": 1, "q": 1.5}},
+        {"params": {"a": True, "b": 1.1, "p": 1, "q": 1.5}},
+        {"params": [1, 1.1, 1, 1.5]},
+        {"grid": [21.7, "3"]},
+        {"grid": [True, 5]},
+        {"grid": [21]},
+    ], ids=["param-string", "param-nan", "param-bool", "params-list",
+            "grid-non-integer", "grid-bool", "grid-length"])
+    def test_malformed_spec_exit_2_with_one_line_error(self, tmp_path, capsys, patch):
+        curve = {"family_id": "Ex8_1", "params": {"a": 1, "b": 1.1, "p": 1, "q": 1.5}}
+        curve.update({k: v for k, v in patch.items() if k == "params"})
+        spec = {"family": "hyp_ii", "curves": [curve]}
+        spec.update({k: v for k, v in patch.items() if k == "grid"})
+        code = main(["verify", "--spec", self._write_spec(tmp_path, spec)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_sweep_exit_0(self, capsys):
         assert main(["sweep", "--family", "Ex7_2", "--n", "50", "--seed", "0"]) == 0

@@ -32,7 +32,7 @@ REF_82 = {"a": 1 / math.sqrt(2), "b": 1 / math.sqrt(2),
 def perturbed(curve: Curve, slot: int, component) -> Curve:
     def func(t, k):
         v = np.array(curve.func(t, k), dtype=float)
-        v[slot] += component(t, k)
+        v[..., slot] += component(t, k)
         return v
 
     return Curve(curve.signature, curve.domain, func, curve.label + "+bump")
@@ -105,7 +105,7 @@ class TestSphereCaseB:
 
     def test_wrong_curve_raises_premise_error(self):
         bad = Curve.from_components(
-            Signature(2, 1), [hsinh(1), lambda t, k: hsinh(1)(t, k + 1) if k < 3 else math.sinh(t)]
+            Signature(2, 1), [hsinh(1), lambda t, k: hsinh(1)(t, k + 1) if k < 3 else np.sinh(t)]
         )
         # (sinh t, cosh t): not on the light cone, speed -1 instead of 4
         with pytest.raises(PremiseError) as exc:
