@@ -16,15 +16,28 @@ partials their projection onto the tangent plane (and, on a quadric
 ambient, onto the position vector, which spans the quadric's normal), by
 solving the indefinite Gram system directly.  K is always computed
 intrinsically from the E-field, never from the ambient, so the
-Gauss-equation check is an independent cross-validation.
+Gauss-equation check is an independent cross-validation.  When the jet
+carries L_xxy and L_xyy, the E-field is exact: differentiating
+g_xy = <L_x,L_y> = -E^2 gives
+
+    E_x = -(g_xy)_x / 2E,  E_y = -(g_xy)_y / 2E,
+    E_xy = -(g_xy)_xy / 2E - E_x E_y / E,
+
+    (g_xy)_x  = <L_xx,L_y> + <L_x,L_xy>,
+    (g_xy)_y  = <L_xy,L_y> + <L_x,L_yy>,
+    (g_xy)_xy = <L_xxy,L_y> + <L_xx,L_yy> + <L_xy,L_xy> + <L_x,L_xyy>.
+
+Without them (a surface with no analytic jet), or on request for the
+cross-check, E_x, E_y and E_xy come from central differences of E (the
+E-field stencil, eight more jets per node).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
 one ``jet`` call for the jet, one ``einsum`` for the Gram matrices, one
 batched ``np.linalg.solve`` behind a degeneracy guard for the projection,
-and one ``jet`` call per offset of the E-field stencil.  ``grid_values``
-runs it over a grid in blocks of at most ``BLOCK_NODES`` nodes, so the
-working set stays bounded; the point functions (``point_forms`` and the
-rest) run it on a single node.
+and a few indefinite products for the E-field.  ``grid_values`` runs it
+over a grid in blocks of at most ``BLOCK_NODES`` nodes, so the working
+set stays bounded; the point functions (``point_forms`` and the rest) run
+it on a single node.
 """
 
 from __future__ import annotations
@@ -60,8 +73,8 @@ __all__ = [
 #: Default FD steps (scaled by max(1, |coordinate|)); each uses one
 #: Richardson level.  SECOND_STEP balances Richardson roundoff
 #: (~23 eps |L| / h^2) against pole truncation (~h^4 |L^(6)| / 480): both
-#: stay near 1e-7 relative at 3e-4.  The E-field uses plain central
-#: stencils: E_FIRST_STEP for E_x/E_y and a wider mixed step for E_xy
+#: stay near 1e-7 relative at 3e-4.  The E-field stencil uses plain central
+#: differences: E_FIRST_STEP for E_x/E_y and a wider mixed step for E_xy
 #: (K_STEP_ANALYTIC when analytic partials back the metric, K_STEP_FD
 #: otherwise), because the E-field's own noise floor is amplified by 1/h^2.
 FIRST_STEP = 1e-5
@@ -207,8 +220,8 @@ def partials(surface: SurfaceMap, x, y) -> Jet2:
     _check_point(surface, x, y, 0.0)
     jet = surface.jet(x, y)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y)) + jet.L.shape[-1:]
-    return Jet2(*(np.broadcast_to(getattr(jet, f.name), shape)
-                  for f in dataclasses.fields(Jet2)))
+    return Jet2(*(None if v is None else np.broadcast_to(v, shape)
+                  for v in (getattr(jet, f.name) for f in dataclasses.fields(Jet2))))
 
 
 def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None):
@@ -297,64 +310,86 @@ def _conformal(surface: SurfaceMap, x, y):
     return np.sqrt(-g_xy)
 
 
-def _efield(surface: SurfaceMap, x, y, step):
+def _efield(surface: SurfaceMap, x, y):
     """E_x, E_y and E_xy by plain central differences of E = sqrt(-g_xy).
 
     First derivatives use E_FIRST_STEP (truncation-limited); the mixed one
-    uses the wider K step (noise-limited, divided by h^2).  Each of the
-    eight offsets is evaluated for all nodes at once."""
+    uses the wider K step (noise-limited, divided by h^2).  The eight
+    offsets of all nodes are stacked into one evaluation."""
     scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-    base = K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD
-    h = np.full(x.shape, float(step)) if step is not None else base * scale
+    h = (K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD) * scale
     h1 = E_FIRST_STEP * scale
     _check_point(surface, x, y, np.maximum(h, h1))
-    shifts = [(h1, 0.0), (-h1, 0.0), (0.0, h1), (0.0, -h1),
-              (h, h), (h, -h), (-h, h), (-h, -h)]
-    e = [_conformal(surface, x + dx, y + dy) for dx, dy in shifts]
+    zero = np.zeros_like(h)
+    dx = np.stack([h1, -h1, zero, zero, h, h, -h, -h])
+    dy = np.stack([zero, zero, h1, -h1, h, -h, h, -h])
+    e = _conformal(surface, x + dx, y + dy)
     ex = (e[0] - e[1]) / (2 * h1)
     ey = (e[2] - e[3]) / (2 * h1)
     exy = (e[4] - e[5] - e[6] + e[7]) / (4 * h * h)
     return ex, ey, exy
 
 
-def _connection(surface: SurfaceMap, x, y, E, step):
+def _connection(E, ex, ey, exy):
     """(gamma_x, gamma_y, omega_e1, omega_e2) and K from the E-field."""
-    ex, ey, exy = _efield(surface, *_nodes(x, y), step)
     return (2 * ex / E, 2 * ey / E, ex / E**2, -ey / E**2), (2 * E * exy - 2 * ex * ey) / E**4
 
 
-def _forms(surface: SurfaceMap, x, y, step=None, efield=True):
+def _jet_efield(jet: Jet2, d, E):
+    """E_x, E_y and E_xy exactly, from the derivatives of g_xy = -E^2."""
+    def dot(a, b):
+        return (a * b) @ d
+
+    dx = dot(jet.Lxx, jet.Ly) + dot(jet.Lx, jet.Lxy)  # (g_xy)_x
+    dy = dot(jet.Lxy, jet.Ly) + dot(jet.Lx, jet.Lyy)  # (g_xy)_y
+    dxy = (dot(jet.Lxxy, jet.Ly) + dot(jet.Lxx, jet.Lyy)
+           + dot(jet.Lxy, jet.Lxy) + dot(jet.Lx, jet.Lxyy))
+    ex, ey = -dx / (2 * E), -dy / (2 * E)
+    return ex, ey, -dxy / (2 * E) - ex * ey / E
+
+
+def _forms(surface: SurfaceMap, x, y, curvature="jet"):
     """Jet and fundamental forms at arrays of nodes (x, y broadcast).
 
-    With ``efield`` False the E-field stencil is skipped, and the
-    connection coefficients and K are left None."""
+    ``curvature`` picks the source of the E-field behind K and the
+    connection: "jet" takes it exactly from the third-order jet, or from
+    the stencil when the jet has no third-order fields; "stencil" always
+    uses the stencil (the cross-check); None skips it and leaves the
+    connection coefficients and K None."""
     jet = partials(surface, x, y)
     B, d, G = _gram(surface, jet)
     md = _metric(G)
     h_xx, h_xy, h_yy = _second_form(jet, B, d, G)
     E, E2 = _col(md.E), _col(md.E**2)
-    connection, K = _connection(surface, x, y, md.E, step) if efield else ((None,) * 4, None)
+    connection, K = (None,) * 4, None
+    if curvature is not None:
+        if curvature == "jet" and jet.Lxxy is not None:
+            ex, ey, exy = _jet_efield(jet, d, md.E)
+        else:
+            ex, ey, exy = _efield(surface, *_nodes(x, y))
+        connection, K = _connection(md.E, ex, ey, exy)
     frame = FrameData(jet.Lx / E, jet.Ly / E, *connection)
     h12 = h_xy / E2
     forms = FundamentalForms(md, frame, h_xx / E2, h12, h_yy / E2, -h12, K)
     return jet, forms
 
 
-def grid_values(surface: SurfaceMap, shape, fields, *, efield=True):
+def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     """Per-node quantities over a grid, computed block by block.
 
     Each entry of ``fields`` maps ``(x, y, jet, forms)`` on a block of
     nodes (x, y of shape (rows, ny)) to an array with that leading shape.
     One array per field comes back, of shape (nx, ny) plus whatever the
-    field appends, in the node order of ``grid_points``.  ``efield``
-    False skips the E-field stencil (the forms then carry no K).
+    field appends, in the node order of ``grid_points``.  ``curvature``
+    is passed to ``_forms``: "stencil" takes K from the E-field stencil,
+    None skips K (the forms then carry none).
     """
     xs, ys = grid_axes(surface.domain, shape)
     rows = max(1, BLOCK_NODES // ys.size)
     out = [[] for _ in fields]
     for i in range(0, len(xs), rows):
         x, y = xs[i:i + rows], ys
-        jet, forms = _forms(surface, x, y, efield=efield)
+        jet, forms = _forms(surface, x, y, curvature)
         x, y = _nodes(x, y)
         for acc, field in zip(out, fields):
             acc.append(field(x, y, jet, forms))
@@ -370,27 +405,25 @@ def induced_metric(surface: SurfaceMap, x: float, y: float) -> MetricData:
     return _metric(_gram(surface, partials(surface, x, y))[2])
 
 
-def point_forms(surface: SurfaceMap, x: float, y: float,
-                step: float | None = None) -> tuple[Jet2, FundamentalForms]:
-    """Jet plus fundamental forms at one point (one E-field stencil)."""
-    return _forms(surface, x, y, step)
+def point_forms(surface: SurfaceMap, x: float, y: float) -> tuple[Jet2, FundamentalForms]:
+    """Jet plus fundamental forms at one point."""
+    return _forms(surface, x, y)
 
 
-def second_fundamental_form(surface: SurfaceMap, x: float, y: float,
-                            step: float | None = None) -> FundamentalForms:
+def second_fundamental_form(surface: SurfaceMap, x: float, y: float) -> FundamentalForms:
     """Metric, frame, h on the null frame, mean curvature vector, and K."""
-    return point_forms(surface, x, y, step)[1]
+    return point_forms(surface, x, y)[1]
 
 
-def gauss_curvature(surface: SurfaceMap, x: float, y: float, step: float | None = None) -> float:
-    """K = (2 E E_xy - 2 E_x E_y)/E^4, from FD of the E-field."""
-    return _connection(surface, x, y, induced_metric(surface, x, y).E, step)[1]
+def gauss_curvature(surface: SurfaceMap, x: float, y: float) -> float:
+    """K = (2 E E_xy - 2 E_x E_y)/E^4, exact from the third-order jet (from
+    the E-field stencil on a surface without an analytic jet)."""
+    return point_forms(surface, x, y)[1].K
 
 
-def connection_data(surface: SurfaceMap, x: float, y: float,
-                    step: float | None = None) -> FrameData:
+def connection_data(surface: SurfaceMap, x: float, y: float) -> FrameData:
     """Null frame and connection coefficients at one point."""
-    return point_forms(surface, x, y, step)[1].frame
+    return point_forms(surface, x, y)[1].frame
 
 
 def _hnorm(x, y, jet, forms):
@@ -399,25 +432,24 @@ def _hnorm(x, y, jet, forms):
 
 def mean_curvature_norm(surface: SurfaceMap, x: float, y: float) -> float:
     """Max-norm of the mean curvature vector H = -h(e1,e2) at one point."""
-    return _hnorm(x, y, *_forms(surface, x, y, efield=False))
+    return _hnorm(x, y, *_forms(surface, x, y, curvature=None))
 
 
 def minimality_residual(surface: SurfaceMap, grid=(21, 21), tol: float = 1e-6) -> ConditionReport:
     """Max over the grid of the max-norm of H; pass iff below tol."""
-    (residuals,) = grid_values(surface, grid, [_hnorm], efield=False)
+    (residuals,) = grid_values(surface, grid, [_hnorm], curvature=None)
     return ConditionReport.from_max(
         "minimality", residuals, tol, surface.grid_description(grid), surface.grid(grid),
         note="max-norm of the mean curvature vector")
 
 
-def gauss_equation_residual(surface: SurfaceMap, x: float, y: float,
-                            step: float | None = None) -> float:
+def gauss_equation_residual(surface: SurfaceMap, x: float, y: float) -> float:
     """K - c + <h11,h22> - <h12,h12>; zero when the Gauss equation holds.
 
     K comes from the intrinsic E-field, the h-terms from the extrinsic
     projection, so this genuinely cross-checks the two computations.
     """
-    f = second_fundamental_form(surface, x, y, step)
+    f = second_fundamental_form(surface, x, y)
     idx = surface.ambient.embedding_signature.index
     return float(f.K - surface.ambient.curvature
                  + indefinite_dot(f.h11, f.h22, idx) - indefinite_dot(f.h12, f.h12, idx))

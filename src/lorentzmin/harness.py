@@ -89,6 +89,13 @@ SURFACE_FAMILIES: dict[str, dict] = {
 
 FD_SUBGRID = (5, 5)
 
+#: Largest grid, in nodes, that a spec may ask for.  A verify holds about
+#: 0.5 kB per node at its peak and takes about 13 us per node (sphere_c on
+#: a 2-vCPU VM), so the cap is already about 0.5 GB and 15 s; a larger
+#: grid is a typo (an [nx, ny] of [10**5, 10**5] would try to allocate
+#: terabytes) and is rejected before any work starts.
+MAX_GRID_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -115,7 +122,13 @@ class SurfaceSpec:
         if len(grid) != 2 or not all(
                 isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in grid):
             raise InvalidInputError(f"grid must be two integers [nx, ny], got {self.grid!r}")
-        object.__setattr__(self, "grid", (int(grid[0]), int(grid[1])))
+        nx, ny = int(grid[0]), int(grid[1])
+        if nx < 2 or ny < 2:
+            raise InvalidInputError(f"grid must be at least 2x2, got {[nx, ny]}")
+        if nx * ny > MAX_GRID_NODES:
+            raise InvalidInputError(
+                f"grid {nx}x{ny} has {nx * ny} nodes, more than the {MAX_GRID_NODES} allowed")
+        object.__setattr__(self, "grid", (nx, ny))
         unknown = set(self.tolerances) - set(DEFAULT_TOLS)
         if unknown:
             raise InvalidInputError(
@@ -415,10 +428,17 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
     add_max("minimality", lambda x, y, jet, f: _vmax(f.H),
             minim_key, note="max-norm of the mean curvature vector")
 
+    # K and the Gauss equation are checked twice with the same residuals:
+    # on the whole grid with K exact from the third-order jet, and on the
+    # FD subgrid with K from the E-field stencil (the cross-check)
+    stencil: list[tuple] = []
     k_model = _curvature_model(family)
     if k_model is not None:
-        add_max("curvature", lambda x, y, jet, f: np.abs(f.K - k_model),
-                "curvature", note=f"K = {k_model:g}")
+        def k_res(x, y, jet, f):
+            return np.abs(f.K - k_model)
+        add_max("curvature-analytic", k_res, "analytic-k",
+                note=f"K = {k_model:g} from the third-order jet")
+        stencil.append(("curvature", k_res, "curvature", f"K = {k_model:g}"))
 
     xi = _xi_expected(family, surface.sources[0]) if surface.sources else None
     if xi is not None:
@@ -429,30 +449,37 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
                 note="h(e1,e1) matches the expected normal field (relative)")
 
     c = surface.ambient.curvature
-    add_max("gauss-equation",
-            lambda x, y, jet, f: np.abs(f.K - c + dot(f.h11, f.h22) - dot(f.h12, f.h12)),
-            "gauss", note="K - c + <h11,h22> - <h12,h12> = 0")
+
+    def gauss_res(x, y, jet, f):
+        return np.abs(f.K - c + dot(f.h11, f.h22) - dot(f.h12, f.h12))
+    gauss_note = "K - c + <h11,h22> - <h12,h12> = 0"
+    add_max("gauss-analytic", gauss_res, "analytic-k",
+            note=gauss_note + ", K from the third-order jet")
+    stencil.append(("gauss-equation", gauss_res, "gauss", gauss_note))
 
     try:
         columns = diffgeo.grid_values(surface, spec.grid, [p[1] for p in planned])
+        stencil_columns = diffgeo.grid_values(
+            surface, FD_SUBGRID, [p[1] for p in stencil], curvature="stencil")
     except DegenerateMetricError as exc:
         # tol -1 keeps the pass == (residual <= tol) invariant honest
         return [ConditionReport(
             "metric-signature", 0.0, -1.0, False, desc,
             note=f"induced metric left null form: {exc}")]
 
-    pts = surface.grid(spec.grid)
-    checks = [
-        ConditionReport.from_max(cid, column, tols[tol_key], desc, pts, note=note)
-        for (cid, _, tol_key, note), column in zip(planned, columns)
-    ]
+    def reports(entries, columns, shape):
+        desc, pts = surface.grid_description(shape), surface.grid(shape)
+        return [ConditionReport.from_max(cid, column, tols[tol_key], desc, pts, note=note)
+                for (cid, _, tol_key, note), column in zip(entries, columns)]
+
+    checks = reports(planned, columns, spec.grid)
     if surface.jet is not None:
         sub = surface.grid(FD_SUBGRID)
         checks.append(ConditionReport.from_max(
             "fd-partials", diffgeo.fd_discrepancy(surface, sub[:, 0], sub[:, 1]),
             tols["fd"], surface.grid_description(FD_SUBGRID), sub,
             note="analytic vs finite-difference jet (relative)"))
-    return checks
+    return checks + reports(stencil, stencil_columns, FD_SUBGRID)
 
 
 def verify(spec: SurfaceSpec | dict) -> VerificationReport:
@@ -642,7 +669,7 @@ def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
     positions, residuals = diffgeo.grid_values(
         surface, spec.grid,
         [lambda x, y, jet, f: jet.L, lambda x, y, jet, f: _vmax(f.H)],
-        efield=False)
+        curvature=None)
     positions = positions.reshape(-1, dim)
 
     if format == "csv":

@@ -71,9 +71,11 @@ def _worst(values, pick, points):
 
 
 #: Default tolerances per check tier.  Algebraic identities on analytic
-#: quantities get 1e-9; first-derivative residuals 1e-6; anything built
-#: from second finite differences (curvature) 1e-3.  Each finite-difference
-#: order costs roughly three digits.
+#: quantities get 1e-9; first-derivative residuals 1e-6, and K from the
+#: third-order jet (exact, but a sum of products of up to third
+#: derivatives) 1e-7; anything built from second finite differences (K
+#: from the E-field stencil on the FD subgrid) 1e-3.  Each
+#: finite-difference order costs roughly three digits.
 DEFAULT_TOLS: dict[str, float] = {
     "premise": 1e-9,        # curve identities (light cone, speed, ...)
     "condition": 1e-7,      # joint two-curve conditions on the (x,y) grid
@@ -85,6 +87,7 @@ DEFAULT_TOLS: dict[str, float] = {
     "pde": 1e-6,            # residuals of the defining PDE system
     "minimality": 1e-6,     # max-norm of the mean curvature vector
     "minimality-flat": 1e-7,  # translation surfaces: L_xy vanishes exactly
+    "analytic-k": 1e-7,     # |K - K_model| and the Gauss equation, K from the jet
     "curvature": 1e-3,      # |K - K_model| via FD of the conformal factor
     "xi": 1e-5,             # relative match of the normal field h(e1,e1)
     "gauss": 2e-3,          # Gauss-equation scalar cross-check

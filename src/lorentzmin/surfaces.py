@@ -14,16 +14,17 @@ One constructor per family:
 * ``hyp_iii``:   L = (z+w) tanh((x+y)/sqrt2) - (z'+w')/sqrt2 from a pair
   subject to (iii.1)-(iii.3).
 
-Every constructor attaches analytic first and second partials assembled
-from the exact curve derivatives, so the finite-difference layer acts as
-a cross-check rather than the only source of derivatives.  ``position``
-and ``jet`` broadcast over numpy arrays of x and y; z is evaluated on the
-x values and w on the y values only, so ``jet(xs[:, None], ys[None, :])``
-costs O(nx + ny) curve evaluations on an nx x ny grid.  Premise checkers
-return per-condition reports with the worst sample point; constructors
-raise on algebraic premise failures and merely flag the non-degeneracy
-ones (a vanishing jerk term is the totally geodesic boundary case, not an
-error).
+Every constructor attaches an analytic jet assembled from the exact curve
+derivatives: first and second partials plus the third-order L_xxy and
+L_xyy, which make the Gaussian curvature and the connection exact.  The
+finite-difference layer is then a cross-check rather than the only source
+of derivatives.  ``position`` and ``jet`` broadcast over numpy arrays of x
+and y; z is evaluated on the x values and w on the y values only, so
+``jet(xs[:, None], ys[None, :])`` costs O(nx + ny) curve evaluations on an
+nx x ny grid.  Premise checkers return per-condition reports with the
+worst sample point; constructors raise on algebraic premise failures and
+merely flag the non-degeneracy ones (a vanishing jerk term is the totally
+geodesic boundary case, not an error).
 """
 
 from __future__ import annotations
@@ -84,7 +85,10 @@ DEFAULT_GRID = (21, 21)
 @dataclass(frozen=True)
 class Jet2:
     """Position and partial derivatives of an immersion at one point, or
-    at an array of points (each field then has shape nodes + (dim,))."""
+    at an array of points (each field then has shape nodes + (dim,)).
+
+    The third-order ``Lxxy`` and ``Lxyy`` give K and the connection
+    exactly; a jet without them (``fd_jet``) leaves both None."""
 
     L: np.ndarray
     Lx: np.ndarray
@@ -92,6 +96,8 @@ class Jet2:
     Lxx: np.ndarray
     Lxy: np.ndarray
     Lyy: np.ndarray
+    Lxxy: np.ndarray | None = None
+    Lxyy: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,7 @@ def translation_surface(
 
     def jet(x, y):
         return Jet2(L=z.at(x) + w.at(y), Lx=z.at(x, 1), Ly=w.at(y, 1),
-                    Lxx=z.at(x, 2), Lxy=zero, Lyy=w.at(y, 2))
+                    Lxx=z.at(x, 2), Lxy=zero, Lyy=w.at(y, 2), Lxxy=zero, Lxyy=zero)
 
     return SurfaceMap(
         ambient=Ambient.flat(z.signature),
@@ -311,15 +317,16 @@ def _sphere_maps(z: Curve, w: Curve | None):
         s = _col(x + y)
         z0, z1, z2, z3 = _derivatives(z, x)
         w0, w1, w2, w3 = _derivatives(w, y)
-        zw = z0 + w0
-        L = zw / s - (z1 + w1) / 2
+        zw, zw1 = z0 + w0, z1 + w1
         return Jet2(
-            L=L,
+            L=zw / s - zw1 / 2,
             Lx=z1 / s - zw / s**2 - z2 / 2,
             Ly=w1 / s - zw / s**2 - w2 / 2,
             Lxx=z2 / s - 2 * z1 / s**2 + 2 * zw / s**3 - z3 / 2,
-            Lxy=2 * zw / s**3 - (z1 + w1) / s**2,
+            Lxy=2 * zw / s**3 - zw1 / s**2,
             Lyy=w2 / s - 2 * w1 / s**2 + 2 * zw / s**3 - w3 / 2,
+            Lxxy=2 * z1 / s**3 - 6 * zw / s**4 - z2 / s**2 + 2 * zw1 / s**3,
+            Lxyy=2 * w1 / s**3 - 6 * zw / s**4 - w2 / s**2 + 2 * zw1 / s**3,
         )
 
     return position, jet
@@ -440,13 +447,16 @@ def _hyperbolic_maps(z: Curve, w: Curve | None):
         w0, w1, w2, w3 = _derivatives(w, y)
         zw = z0 + w0
         L = zw * T - (z1 + w1) / SQRT2
+        Lx = z1 * T + zw * S2 / SQRT2 - z2 / SQRT2
+        Ly = w1 * T + zw * S2 / SQRT2 - w2 / SQRT2
         return Jet2(
-            L=L,
-            Lx=z1 * T + zw * S2 / SQRT2 - z2 / SQRT2,
-            Ly=w1 * T + zw * S2 / SQRT2 - w2 / SQRT2,
+            L=L, Lx=Lx, Ly=Ly,
             Lxx=z2 * T + SQRT2 * z1 * S2 - zw * S2 * T - z3 / SQRT2,
             Lxy=-S2 * L,
             Lyy=w2 * T + SQRT2 * w1 * S2 - zw * S2 * T - w3 / SQRT2,
+            # (sech^2 u)_x = -sqrt2 sech^2 u tanh u
+            Lxxy=SQRT2 * S2 * T * L - S2 * Lx,
+            Lxyy=SQRT2 * S2 * T * L - S2 * Ly,
         )
 
     return position, jet
@@ -558,6 +568,8 @@ def de_sitter_control(domain=((0.9, 1.1), (0.9, 1.1))) -> SurfaceMap:
             Lxx=-2 * vx / s**2 + 2 * v / s**3,
             Lxy=vxy / s - (vx + vy) / s**2 + 2 * v / s**3,
             Lyy=-2 * vy / s**2 + 2 * v / s**3,
+            Lxxy=-2 * vxy / s**2 + 2 * (2 * vx + vy) / s**3 - 6 * v / s**4,
+            Lxyy=-2 * vxy / s**2 + 2 * (vx + 2 * vy) / s**3 - 6 * v / s**4,
         )
 
     return SurfaceMap(

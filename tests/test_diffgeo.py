@@ -79,6 +79,24 @@ class TestPartials:
         jet_fd = partials(bare, 0.4, 0.6)
         jet_an = partials(sphere_71, 0.4, 0.6)
         assert np.max(np.abs(jet_fd.Lxx - jet_an.Lxx)) < 1e-5
+        # no third-order jet, so K comes from the E-field stencil
+        assert jet_fd.Lxxy is None and jet_fd.Lxyy is None
+        assert gauss_curvature(bare, 0.4, 0.6) == pytest.approx(1.0, abs=1e-4)
+
+    def test_grid_path_makes_one_jet_call_per_block(self, sphere_71):
+        import dataclasses
+
+        calls = []
+
+        def jet(x, y):
+            calls.append((x, y))
+            return sphere_71.jet(x, y)
+
+        counted = dataclasses.replace(sphere_71, jet=jet)
+        (K,) = diffgeo.grid_values(counted, (81, 81), [lambda x, y, jet, f: f.K])
+        rows = diffgeo.BLOCK_NODES // 81
+        assert len(calls) == -(-81 // rows)
+        assert np.max(np.abs(K - 1.0)) < 1e-7
 
 
 class TestInducedMetric:

@@ -68,6 +68,27 @@ class TestSpecValidation:
             verify(bad)
 
 
+class TestGridCap:
+    def test_absurd_grid_rejected_before_any_work(self, monkeypatch):
+        import lorentzmin.harness as harness
+
+        def started(spec):
+            raise AssertionError("curves were built for a rejected grid")
+
+        monkeypatch.setattr(harness, "_resolve_curves", started)
+        with pytest.raises(InvalidInputError, match="nodes"):
+            verify(dict(HYP_82, grid=[100_000, 100_000]))
+
+    def test_cap_is_inclusive(self):
+        from lorentzmin.harness import MAX_GRID_NODES
+
+        SurfaceSpec.from_dict({"family": "de_sitter_control",
+                               "grid": [2, MAX_GRID_NODES // 2]})
+        with pytest.raises(InvalidInputError):
+            SurfaceSpec.from_dict({"family": "de_sitter_control",
+                                   "grid": [2, MAX_GRID_NODES // 2 + 1]})
+
+
 class TestVerify:
     def test_sphere_example_passes(self):
         report = verify(SPHERE_71)
@@ -78,6 +99,31 @@ class TestVerify:
                 "curvature", "xi-recovery", "gauss-equation", "fd-partials",
                 "pde-xy", "pde-yy", "tangency", "frame-normalization"} <= ids
         assert report.curve_validations[0].ok
+
+    def test_stencil_runs_only_on_the_fd_subgrid(self, monkeypatch):
+        import numpy as np
+
+        from lorentzmin import diffgeo
+        from lorentzmin.harness import FD_SUBGRID
+
+        nodes = []
+        stencil = diffgeo._efield
+
+        def counted(surface, x, y):
+            nodes.append(np.size(x))
+            return stencil(surface, x, y)
+
+        monkeypatch.setattr(diffgeo, "_efield", counted)
+        report = verify(dict(SPHERE_71, grid=[41, 41]))
+        assert report.overall_pass
+        assert sum(nodes) == FD_SUBGRID[0] * FD_SUBGRID[1]
+        by_id = {c.condition_id: c for c in report.checks}
+        assert by_id["curvature"].grid.startswith("5x5")
+        assert by_id["gauss-equation"].grid.startswith("5x5")
+        for cid in ("curvature-analytic", "gauss-analytic"):
+            assert by_id[cid].grid.startswith("41x41")
+            assert by_id[cid].tol == 1e-7
+            assert by_id[cid].max_residual <= 1e-7
 
     def test_de_sitter_control_fails_minimality_only(self):
         report = verify({"family": "de_sitter_control"})
@@ -303,8 +349,12 @@ class TestCli:
         {"grid": [21.7, "3"]},
         {"grid": [True, 5]},
         {"grid": [21]},
+        {"grid": [100_000, 100_000]},
+        {"grid": [-2000, -2000]},
+        {"grid": [1, 5]},
     ], ids=["param-string", "param-nan", "param-bool", "params-list",
-            "grid-non-integer", "grid-bool", "grid-length"])
+            "grid-non-integer", "grid-bool", "grid-length", "grid-absurd",
+            "grid-negative", "grid-too-small"])
     def test_malformed_spec_exit_2_with_one_line_error(self, tmp_path, capsys, patch):
         curve = {"family_id": "Ex8_1", "params": {"a": 1, "b": 1.1, "p": 1, "q": 1.5}}
         curve.update({k: v for k, v in patch.items() if k == "params"})

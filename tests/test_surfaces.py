@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from lorentzmin.errors import (
     PremiseError,
     SignatureMismatchError,
 )
+from lorentzmin.diffgeo import _rich1
+from lorentzmin.harness import FD_SUBGRID, SurfaceSpec, _build_surface, _resolve_curves
 from lorentzmin.indefinite import AmbientKind, Signature, indefinite_dot
+from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
     check_case_b_premises,
     check_case_c_conditions,
@@ -240,3 +245,25 @@ class TestDeSitterControl:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             de_sitter_control(((-0.5, 0.5), (-0.5, 0.5)))
+
+
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
+def test_third_order_jet_matches_richardson_of_mixed_partial(name):
+    # L_xxy and L_xyy against Richardson central differences of the
+    # analytic L_xy, relative at scale max(1, |analytic|)
+    spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
+    curves, _ = _resolve_curves(spec)
+    surface = _build_surface(spec, curves, DEFAULT_TOLS["premise"])
+    sub = surface.grid(FD_SUBGRID)
+    x, y = sub[:, 0], sub[:, 1]
+    jet = surface.jet(x, y)
+    hx, hy = 1e-3 * np.maximum(1.0, np.abs(x)), 1e-3 * np.maximum(1.0, np.abs(y))
+    fd_x = _rich1(lambda t: surface.jet(t, y).Lxy, x, hx)
+    fd_y = _rich1(lambda t: surface.jet(x, t).Lxy, y, hy)
+    for analytic, fd in ((jet.Lxxy, fd_x), (jet.Lxyy, fd_y)):
+        analytic = np.broadcast_to(analytic, fd.shape)
+        scale = np.maximum(1.0, np.max(np.abs(analytic), axis=-1))
+        assert np.max(np.max(np.abs(fd - analytic), axis=-1) / scale) <= 1e-7
