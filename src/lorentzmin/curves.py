@@ -213,6 +213,16 @@ def null_check(curve: Curve, samples: int = 41, tol: float = 1e-9) -> ConditionR
 # as advisory metadata only (see FamilyValidation.chain_ok), because for
 # one family the quoted chain is incompatible with a radicand.
 
+def _finite_number(value) -> bool:
+    """True for an int or float, not a bool, that is a finite double."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 #: Example families keep cosh arguments <= 6 on this domain, so the
 #: premise identities hold to ~1e-11 in double precision, well inside the
 #: 1e-9 algebraic tolerance.
@@ -227,7 +237,7 @@ class ParamFamily:
     params: Mapping[str, float]
 
     def __post_init__(self):
-        if self.family_id not in FAMILIES:
+        if not isinstance(self.family_id, str) or self.family_id not in FAMILIES:
             raise InvalidInputError(
                 f"unknown family {self.family_id!r}; known: {sorted(FAMILIES)}"
             )
@@ -240,8 +250,7 @@ class ParamFamily:
                 f"{self.family_id} expects params {wanted}, got {got}"
             )
         for name, value in self.params.items():
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and math.isfinite(value)):
+            if not _finite_number(value):
                 raise InvalidInputError(
                     f"{self.family_id}: parameter {name} must be a finite number, got {value!r}")
         object.__setattr__(self, "params", dict(self.params))
@@ -527,12 +536,16 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
     for name, value in fam.params.items():
         if not value > 0:
             failures.append(f"parameter {name} must be positive (= {value:g})")
-    rads, dens = info["_coeffs"](*args)
+    try:
+        rads, dens = _coefficients(fam)
+    except InvalidInputError as exc:
+        rads, dens = {}, {}
+        failures.append(str(exc))
     for name, value in dens.items():
         if not value > 0:
             failures.append(f"denominator {name} not positive (= {value:g})")
     for name, value in rads.items():
-        if value < 0:
+        if not value >= 0:  # NaN (an overflow inside the radicand) fails too
             failures.append(f"radicand {name} negative (= {value:g})")
     return FamilyValidation(
         family_id=fam.family_id,
@@ -540,9 +553,27 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
         radicands=rads,
         denominators=dens,
         failures=failures,
-        chain_ok=bool(info["_chain"](*args)),
+        chain_ok=_chain_holds(info["_chain"], args),
         chain=info["chain"],
     )
+
+
+def _coefficients(fam: ParamFamily):
+    """(radicands, denominators) of a parameter set; parameters whose
+    squares leave the double range raise InvalidInputError."""
+    info = FAMILIES[fam.family_id]
+    try:
+        return info["_coeffs"](*(fam.params[k] for k in info["params"]))
+    except OverflowError as exc:
+        raise InvalidInputError(f"{fam.label()}: parameters out of range ({exc})") from exc
+
+
+def _chain_holds(chain, args) -> bool:
+    """The advisory chain; False where one of its quotients is undefined."""
+    try:
+        return bool(chain(*args))
+    except (ZeroDivisionError, OverflowError):
+        return False
 
 
 def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
@@ -559,15 +590,17 @@ def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
                 f"{fam.family_id}: parameter {name} must be positive, "
                 f"got {fam.params[name]:g}"
             )
-    args = [fam.params[k] for k in info["params"]]
-    rads, dens = info["_coeffs"](*args)
+    rads, dens = _coefficients(fam)
     for name, value in dens.items():
         if not value > 0:
             raise ConstraintViolationError(name, value)
     for name, value in rads.items():
-        if value < 0:
+        if not value >= 0:
             raise ConstraintViolationError(name, value)
-    return info["_build"](fam, alt_pairing)
+    try:
+        return info["_build"](fam, alt_pairing)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInputError(f"{fam.label()}: parameters out of range ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +683,7 @@ BUILTIN_CURVES: dict[str, Callable[[], Curve]] = {
 
 
 def builtin_curve(name: str) -> Curve:
-    if name not in BUILTIN_CURVES:
+    if not isinstance(name, str) or name not in BUILTIN_CURVES:
         raise InvalidInputError(
             f"unknown builtin curve {name!r}; known: {sorted(BUILTIN_CURVES)}"
         )

@@ -31,6 +31,12 @@ Without them (a surface with no analytic jet), or on request for the
 cross-check, E_x, E_y and E_xy come from central differences of E (the
 E-field stencil, eight more jets per node).
 
+``fd_jet`` is the derivative-free counterpart of the analytic jet:
+Richardson-extrapolated central differences of the position.  Its 25
+offsets per node are stacked on a leading axis and evaluated in one
+``position`` call; ``fd_discrepancy`` compares it with the analytic jet
+(the ``fd-partials`` cross-check).
+
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
 one ``jet`` call for the jet, one ``einsum`` for the Gram matrices, one
 batched ``np.linalg.solve`` behind a degeneracy guard for the projection,
@@ -172,26 +178,15 @@ def _rich1(f, t, h) -> np.ndarray:
     return (4 * d2 - d1) / 3
 
 
-def _rich2(f, t, h) -> np.ndarray:
-    c = f(t)
-    d1 = (f(t + h) - 2 * c + f(t - h)) / _col(h**2)
-    d2 = (f(t + h / 2) - 2 * c + f(t - h / 2)) / _col((h / 2) ** 2)
-    return (4 * d2 - d1) / 3
-
-
-def _rich_cross(pos, x, y, h) -> np.ndarray:
-    def cross(hh):
-        return (pos(x + hh, y + hh) - pos(x + hh, y - hh)
-                - pos(x - hh, y + hh) + pos(x - hh, y - hh)) / _col(4 * hh * hh)
-
-    return (4 * cross(h / 2) - cross(h)) / 3
-
-
 def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None) -> Jet2:
     """Jet from Richardson-extrapolated central differences of the position,
-    at one node or at arrays of nodes."""
+    at one node or at arrays of nodes.
+
+    The stencils need 25 offsets per node: the centre; x and y at +-h1,
+    +-h1/2, +-h2 and +-h2/2; the cross at (+-hxy, +-hxy) and
+    (+-hxy/2, +-hxy/2).  They are stacked on a leading axis, so the
+    position is evaluated in one call."""
     x, y = _nodes(x, y)
-    pos = surface.position
 
     def step(h, base, t):  # the given step, or base * max(1, |t|) per node
         return np.full(t.shape, float(h)) if h is not None else base * np.maximum(1.0, np.abs(t))
@@ -200,13 +195,40 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
     hx2, hy2 = step(h2, SECOND_STEP, x), step(h2, SECOND_STEP, y)
     hxy = np.maximum(hx2, hy2)
     _check_point(surface, x, y, np.maximum.reduce([hx1, hy1, hxy]))
+    zero = np.zeros_like(x)
+    offsets = [(zero, zero)]
+    for h in (hx1, hx2):
+        offsets += [(h, zero), (-h, zero), (h / 2, zero), (-h / 2, zero)]
+    for h in (hy1, hy2):
+        offsets += [(zero, h), (zero, -h), (zero, h / 2), (zero, -h / 2)]
+    for h in (hxy, hxy / 2):
+        offsets += [(h, h), (h, -h), (-h, h), (-h, -h)]
+    dx, dy = (np.stack(d) for d in zip(*offsets))
+    # p[1:5], p[5:9]: x at h1, h2; p[9:13], p[13:17]: y at h1, h2;
+    # p[17:21], p[21:25]: the crosses at hxy, hxy/2
+    p = surface.position(x + dx, y + dy)
+    c = p[0]
+
+    def rich1(q, h):  # q: the position at +h, -h, +h/2, -h/2
+        d1 = (q[0] - q[1]) / _col(2 * h)
+        d2 = (q[2] - q[3]) / _col(h)
+        return (4 * d2 - d1) / 3
+
+    def rich2(q, h):
+        d1 = (q[0] - 2 * c + q[1]) / _col(h**2)
+        d2 = (q[2] - 2 * c + q[3]) / _col((h / 2) ** 2)
+        return (4 * d2 - d1) / 3
+
+    def cross(q, h):  # q: the position at (+h,+h), (+h,-h), (-h,+h), (-h,-h)
+        return (q[0] - q[1] - q[2] + q[3]) / _col(4 * h * h)
+
     return Jet2(
-        L=pos(x, y),
-        Lx=_rich1(lambda t: pos(t, y), x, hx1),
-        Ly=_rich1(lambda t: pos(x, t), y, hy1),
-        Lxx=_rich2(lambda t: pos(t, y), x, hx2),
-        Lxy=_rich_cross(pos, x, y, hxy),
-        Lyy=_rich2(lambda t: pos(x, t), y, hy2),
+        L=c,
+        Lx=rich1(p[1:5], hx1),
+        Ly=rich1(p[9:13], hy1),
+        Lxx=rich2(p[5:9], hx2),
+        Lxy=(4 * cross(p[21:25], hxy / 2) - cross(p[17:21], hxy)) / 3,
+        Lyy=rich2(p[13:17], hy2),
     )
 
 

@@ -21,10 +21,12 @@ class ConstraintViolationError(InvalidInputError):
 
 class PremiseError(InvalidInputError):
     """A surface constructor's curve premises failed.  ``failed`` lists
-    the condition ids that did not hold."""
+    the condition ids that did not hold; ``reports`` holds the premise
+    reports when the constructor ran a checker that makes them."""
 
-    def __init__(self, failed: list[str]):
+    def __init__(self, failed: list[str], reports: tuple = ()):
         self.failed = list(failed)
+        self.reports = tuple(reports)
         super().__init__("premise check failed: " + ", ".join(self.failed))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from .curves import (
     Curve,
     FamilyValidation,
     ParamFamily,
+    _finite_number,
     builtin_curve,
     derivative_inner,
     family_info,
@@ -41,7 +43,7 @@ from .curves import (
     null_check,
     validate_family,
 )
-from .errors import DegenerateMetricError, InvalidInputError
+from .errors import DegenerateMetricError, InvalidInputError, PremiseError
 from .indefinite import AmbientKind, indefinite_dot
 from .report import ConditionReport, DEFAULT_TOLS, default_tolerances
 from .surfaces import (
@@ -51,9 +53,7 @@ from .surfaces import (
     SQRT2,
     SurfaceMap,
     _col,
-    check_case_b_premises,
     check_case_c_conditions,
-    check_case_ii_premises,
     check_case_iii_conditions,
     de_sitter_control,
     grid_points,
@@ -97,6 +97,22 @@ FD_SUBGRID = (5, 5)
 MAX_GRID_NODES = 1_000_000
 
 
+def _check_grid(grid) -> tuple[int, int]:
+    """(nx, ny) from two integers, each at least 2, with at most
+    MAX_GRID_NODES nodes in all."""
+    shape = tuple(grid) if isinstance(grid, (list, tuple)) else ()
+    if len(shape) != 2 or not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in shape):
+        raise InvalidInputError(f"grid must be two integers [nx, ny], got {grid!r}")
+    nx, ny = int(shape[0]), int(shape[1])
+    if nx < 2 or ny < 2:
+        raise InvalidInputError(f"grid must be at least 2x2, got {[nx, ny]}")
+    if nx * ny > MAX_GRID_NODES:
+        raise InvalidInputError(
+            f"grid {nx}x{ny} has {nx * ny} nodes, more than the {MAX_GRID_NODES} allowed")
+    return nx, ny
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Machine-readable description of one surface to verify."""
@@ -108,32 +124,40 @@ class SurfaceSpec:
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in SURFACE_FAMILIES:
+        if not isinstance(self.family, str) or self.family not in SURFACE_FAMILIES:
             raise InvalidInputError(
                 f"unknown family {self.family!r}; known: {sorted(SURFACE_FAMILIES)}"
             )
+        if not (isinstance(self.curves, (list, tuple))
+                and all(isinstance(c, Mapping) for c in self.curves)):
+            raise InvalidInputError(
+                f"curves must be a list of curve descriptor objects, got {self.curves!r}")
         object.__setattr__(self, "curves", tuple(dict(c) for c in self.curves))
         if self.domain is not None:
-            (x0, x1), (y0, y1) = self.domain
+            try:
+                (x0, x1), (y0, y1) = self.domain
+                bounds = (x0, x1, y0, y1)
+            except (TypeError, ValueError):
+                bounds = ()
+            if not (bounds and all(_finite_number(v) for v in bounds)):
+                raise InvalidInputError(
+                    f"domain must be two pairs of finite numbers, got {self.domain!r}")
             object.__setattr__(
                 self, "domain", ((float(x0), float(x1)), (float(y0), float(y1)))
             )
-        grid = tuple(self.grid) if isinstance(self.grid, (list, tuple)) else ()
-        if len(grid) != 2 or not all(
-                isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in grid):
-            raise InvalidInputError(f"grid must be two integers [nx, ny], got {self.grid!r}")
-        nx, ny = int(grid[0]), int(grid[1])
-        if nx < 2 or ny < 2:
-            raise InvalidInputError(f"grid must be at least 2x2, got {[nx, ny]}")
-        if nx * ny > MAX_GRID_NODES:
+        object.__setattr__(self, "grid", _check_grid(self.grid))
+        if not isinstance(self.tolerances, Mapping):
             raise InvalidInputError(
-                f"grid {nx}x{ny} has {nx * ny} nodes, more than the {MAX_GRID_NODES} allowed")
-        object.__setattr__(self, "grid", (nx, ny))
+                f"tolerances must map tolerance keys to numbers, got {self.tolerances!r}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLS)
         if unknown:
             raise InvalidInputError(
                 f"unknown tolerance keys {sorted(unknown)}; known: {sorted(DEFAULT_TOLS)}"
             )
+        for key, value in self.tolerances.items():
+            if not _finite_number(value):
+                raise InvalidInputError(
+                    f"tolerance {key} must be a finite number, got {value!r}")
         object.__setattr__(
             self, "tolerances", {k: float(v) for k, v in self.tolerances.items()}
         )
@@ -150,18 +174,16 @@ class SurfaceSpec:
         domain = None
         if data.get("domain") is not None:
             dom = data["domain"]
-            try:
-                domain = (tuple(dom["x"]), tuple(dom["y"]))
-            except (KeyError, TypeError) as exc:
-                raise InvalidInputError(
-                    "domain must be {'x': [lo, hi], 'y': [lo, hi]}"
-                ) from exc
+            if not (isinstance(dom, dict) and set(dom) == {"x", "y"}
+                    and all(isinstance(dom[k], (list, tuple)) for k in "xy")):
+                raise InvalidInputError("domain must be {'x': [lo, hi], 'y': [lo, hi]}")
+            domain = (tuple(dom["x"]), tuple(dom["y"]))
         return cls(
             family=data["family"],
-            curves=tuple(data.get("curves", ())),
+            curves=data.get("curves", ()),
             domain=domain,
             grid=data.get("grid", (21, 21)),
-            tolerances=dict(data.get("tolerances", {})),
+            tolerances=data.get("tolerances", {}),
         )
 
     def resolved_domain(self):
@@ -263,8 +285,11 @@ def _resolve_curves(spec: SurfaceSpec):
             if extra:
                 raise InvalidInputError(f"unknown curve descriptor keys {sorted(extra)}")
             fam = ParamFamily(desc["family_id"], desc.get("params", {}))
+            alt_pairing = desc.get("alt_pairing", False)
+            if not isinstance(alt_pairing, bool):
+                raise InvalidInputError(f"alt_pairing must be true or false, got {alt_pairing!r}")
             validations.append(validate_family(fam))
-            built = make_example(fam, alt_pairing=bool(desc.get("alt_pairing", False)))
+            built = make_example(fam, alt_pairing=alt_pairing)
             curves.extend(built if isinstance(built, tuple) else (built,))
         elif "name" in desc:
             extra = set(desc) - {"name"}
@@ -317,13 +342,25 @@ def _xi_expected(family: str, z: Curve):
     return None
 
 
-def _premise_phase(spec, curves, tols, grid_pts):
-    """Family-specific curve checks.  Returns (reports, hard_failure_ids)."""
+def _premise_phase(spec, curves, tols):
+    """Family-specific curve checks.  Returns (reports, hard_failure_ids,
+    surface).  sphere_b and hyp_ii are built here: their constructors run
+    the premise checks first and keep the reports, so surface is the built
+    surface when the premises hold.  It is None otherwise, and for the
+    other families, which are built after this phase."""
     family = spec.family
     reports: list[ConditionReport] = []
     hard: list[str] = []
+    if family in ("sphere_b", "hyp_ii"):
+        try:
+            surface = _build_surface(spec, curves, tols["premise"])
+        except PremiseError as exc:
+            return list(exc.reports), exc.failed, None
+        return list(surface.premises), [], surface
     if family == "translation":
         z, w = curves
+        # the pairing is checked on the grid before the surface exists
+        grid_pts = grid_points(spec.resolved_domain(), spec.grid)
         for curve, cid in ((z, "null-z"), (w, "null-w")):
             reports.append(replace(null_check(curve, 41, tols["premise"]), condition_id=cid))
         values = derivative_inner(z, 1, w, 1, grid_pts[:, 0], grid_pts[:, 1])
@@ -338,15 +375,11 @@ def _premise_phase(spec, curves, tols, grid_pts):
                 "<z'(x), w'(y)> changes sign on the grid (residual = span)")
         reports.append(pairing)
         hard = [r.condition_id for r in reports if not r.passed]
-    elif family in ("sphere_b", "hyp_ii"):
-        check = check_case_b_premises if family == "sphere_b" else check_case_ii_premises
-        reports = check(curves[0], 41, tols["premise"])
-        hard = [r.condition_id for r in reports[:3] if not r.passed]
     elif family in ("sphere_c", "hyp_iii"):
         check = check_case_c_conditions if family == "sphere_c" else check_case_iii_conditions
         reports = check(curves[0], curves[1], spec.grid, spec.resolved_domain(),
                         tols["condition"])
-    return reports, hard
+    return reports, hard, None
 
 
 def _build_surface(spec: SurfaceSpec, curves, premise_tol: float) -> SurfaceMap:
@@ -496,9 +529,7 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
 
     t0 = time.perf_counter()
     curves, validations = _resolve_curves(spec)
-    # the premise phase needs the grid before the surface exists
-    grid_pts = grid_points(spec.resolved_domain(), spec.grid)
-    reports, hard = _premise_phase(spec, curves, tols, grid_pts)
+    reports, hard, surface = _premise_phase(spec, curves, tols)
     timings["premises"] = time.perf_counter() - t0
 
     surface_info: dict = {}
@@ -506,7 +537,8 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
     if hard:
         surface_info = {"constructed": False, "reason": f"premises failed: {hard}"}
     else:
-        surface = _build_surface(spec, curves, tols["premise"])
+        if surface is None:
+            surface = _build_surface(spec, curves, tols["premise"])
         surface_info = {
             "constructed": True,
             "label": surface.label,
@@ -532,6 +564,22 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
 # parameter sweeps
 
 
+#: Sampler modes and the config keys each one reads, besides "mode" and
+#: "grid".
+SAMPLER_KEYS = {"sorted_box": ("a_box", "pqr_box", "min_gap"),
+                "chain": ("qr_box",),
+                "box_around": ("center", "rel")}
+
+#: Draws a sampler may reject in a row before its config counts as one
+#: that cannot be satisfied.
+MAX_SAMPLER_TRIES = 10_000
+
+#: Largest magnitude of a number in a sampler config, so that the squares
+#: of the draws, times the constants of the chain and of the radicands,
+#: stay finite.
+SAMPLER_BOUND = 1e150
+
+
 def _default_sampler(family: str) -> dict:
     if family == "Ex7_1":
         return {"mode": "sorted_box", "a_box": [0.5, 2.0],
@@ -548,33 +596,78 @@ def _default_sampler(family: str) -> dict:
     raise InvalidInputError(f"no sampler for family {family!r}")
 
 
+def _sampler_config(family: str, overrides) -> dict:
+    """The family's default sampler updated with ``overrides``, checked
+    so that drawing from it cannot fail on a type or overflow."""
+    if overrides is None:
+        overrides = {}
+    if not isinstance(overrides, Mapping):
+        raise InvalidInputError(f"sampler config must be a JSON object, got {overrides!r}")
+    known = {"mode", "grid"}.union(*SAMPLER_KEYS.values())
+    unknown = set(overrides) - known
+    if unknown:
+        raise InvalidInputError(
+            f"unknown sampler config keys {sorted(unknown)}; known: {sorted(known)}")
+    cfg = dict(_default_sampler(family))
+    cfg.update(overrides)
+    mode = cfg["mode"]
+    if not isinstance(mode, str) or mode not in SAMPLER_KEYS:
+        raise InvalidInputError(f"unknown sampler mode {mode!r}; known: {sorted(SAMPLER_KEYS)}")
+    missing = [key for key in SAMPLER_KEYS[mode] if key not in cfg]
+    if missing:
+        raise InvalidInputError(f"sampler mode {mode} needs {missing}")
+    _check_grid(cfg["grid"])
+
+    def numbers_ok(value, size):
+        return (isinstance(value, (list, tuple)) and len(value) == size
+                and all(_finite_number(v) and abs(v) <= SAMPLER_BOUND for v in value))
+
+    for key in SAMPLER_KEYS[mode]:
+        value = cfg[key]
+        if key == "center":
+            size = len(FAMILIES[family]["params"])
+            ok, want = numbers_ok(value, size), f"{size} numbers"
+        elif key.endswith("_box"):
+            ok, want = numbers_ok(value, 2) and value[0] <= value[1], "[lo, hi] with lo <= hi"
+        else:  # rel, min_gap
+            hi = 1.0 if key == "rel" else SAMPLER_BOUND
+            ok, want = numbers_ok([value], 1) and 0 <= value <= hi, f"a number in [0, {hi:g}]"
+        if not ok:
+            raise InvalidInputError(
+                f"sampler {key} must be {want} of magnitude at most {SAMPLER_BOUND:g}, "
+                f"got {value!r}")
+    return cfg
+
+
 def _draw_params(family: str, cfg: dict, rng: np.random.Generator) -> dict:
     names = FAMILIES[family]["params"]
     mode = cfg["mode"]
     if mode == "sorted_box":
         a = rng.uniform(*cfg["a_box"])
-        while True:
+        for _ in range(MAX_SAMPLER_TRIES):
             draws = np.sort(rng.uniform(*cfg["pqr_box"], 3))[::-1]
             if draws[0] - draws[1] >= cfg["min_gap"] and draws[1] - draws[2] >= cfg["min_gap"]:
-                break
-        return {"a": float(a), "p": float(draws[0]), "r": float(draws[1]),
-                "q": float(draws[2])}
+                return {"a": float(a), "p": float(draws[0]), "r": float(draws[1]),
+                        "q": float(draws[2])}
+        raise InvalidInputError(
+            f"sampler drew no (p, r, q) with gaps >= {cfg['min_gap']:g} from "
+            f"{cfg['pqr_box']} in {MAX_SAMPLER_TRIES} tries")
     if mode == "chain":
         # draw (q, r) until the chain has a nonempty p-interval, then draw
         # p^2 uniformly inside it, so every triple satisfies the chain
-        while True:
+        for _ in range(MAX_SAMPLER_TRIES):
             q, r = rng.uniform(*cfg["qr_box"], 2)
             mid = 80 + 189 * r**2 - 64 * q**2
             if mid > 0:
-                break
-        p = math.sqrt(rng.uniform(mid / 78.75, mid / 35.0))
-        return {"p": float(p), "q": float(q), "r": float(r)}
-    if mode == "box_around":
-        center = cfg["center"]
-        rel = cfg["rel"]
-        vals = [c * rng.uniform(1 - rel, 1 + rel) for c in center]
-        return dict(zip(names, map(float, vals)))
-    raise InvalidInputError(f"unknown sampler mode {mode!r}")
+                p = math.sqrt(rng.uniform(mid / 78.75, mid / 35.0))
+                return {"p": float(p), "q": float(q), "r": float(r)}
+        raise InvalidInputError(
+            f"sampler drew no (q, r) with a nonempty chain interval from {cfg['qr_box']} "
+            f"in {MAX_SAMPLER_TRIES} tries")
+    center = cfg["center"]
+    rel = cfg["rel"]
+    vals = [c * rng.uniform(1 - rel, 1 + rel) for c in center]
+    return dict(zip(names, map(float, vals)))
 
 
 def sweep(
@@ -588,12 +681,11 @@ def sweep(
     Deterministic for a given seed.  An empty valid set is reported, not
     raised.  Returns counts plus the worst residual seen per check id.
     """
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidInputError(f"unknown curve family {family!r}")
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    cfg = dict(_default_sampler(family))
-    cfg.update(sampler_config or {})
+    cfg = _sampler_config(family, sampler_config)
     rng = np.random.default_rng(rng_seed)
     surface_family = {"Ex7_1": "sphere_b", "Ex7_2": "sphere_c",
                       "Ex8_1": "hyp_ii", "Ex8_2": "hyp_iii"}[family]

@@ -24,7 +24,10 @@ and y; z is evaluated on the x values and w on the y values only, so
 nx x ny grid.  Premise checkers return per-condition reports with the
 worst sample point; constructors raise on algebraic premise failures and
 merely flag the non-degeneracy ones (a vanishing jerk term is the totally
-geodesic boundary case, not an error).
+geodesic boundary case, not an error).  The single-curve constructors run
+their premise checks before anything else and keep the reports, on the
+surface (``premises``) or on the ``PremiseError``, so a caller never needs
+to run them twice.
 """
 
 from __future__ import annotations
@@ -109,7 +112,8 @@ class SurfaceMap:
     stencils may poke slightly outside it); both take scalars or arrays of
     x and y that broadcast against each other.  ``singular_margin``, when
     present, gives the distance from a point to the nearest singular
-    locus of the chart.
+    locus of the chart.  ``premises`` keeps the premise reports of a
+    constructor that checks its curve (sphere_b and hyp_ii).
     """
 
     ambient: Ambient
@@ -121,6 +125,7 @@ class SurfaceMap:
     flags: tuple[str, ...] = ()
     family: str = ""
     label: str = ""
+    premises: tuple[ConditionReport, ...] = ()
 
     def grid(self, shape=DEFAULT_GRID):
         return grid_points(self.domain, shape)
@@ -209,11 +214,12 @@ def _single_curve_premises(z: Curve, samples, tol, speed, acc, nonzero):
 
 
 def _premise_flags(reports: list[ConditionReport]) -> tuple[str, ...]:
-    """Raise on failed algebraic premises (the first three reports); a
-    failed non-degeneracy one only flags the totally geodesic boundary."""
+    """Raise on failed algebraic premises (the first three reports), with
+    all the reports on the error; a failed non-degeneracy one only flags
+    the totally geodesic boundary."""
     hard_failures = [r.condition_id for r in reports[:3] if not r.passed]
     if hard_failures:
-        raise PremiseError(hard_failures)
+        raise PremiseError(hard_failures, reports)
     return () if reports[3].passed else ("totally-geodesic-boundary",)
 
 
@@ -339,11 +345,18 @@ def sphere_case_b(
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
 ) -> SurfaceMap:
-    """L(x,y) = z(x)/(x+y) - z'(x)/2 on the pseudo-sphere quadric."""
+    """L(x,y) = z(x)/(x+y) - z'(x)/2 on the pseudo-sphere quadric.
+
+    The premises (``check_case_b_premises``) run first, before the domain
+    and coverage checks, so a failed premise raises ``PremiseError`` even
+    on a bad domain.  Their four reports are kept on the error
+    (``reports``) or on the returned surface (``premises``).
+    """
+    premises = check_case_b_premises(z, samples, tol)
+    flags = _premise_flags(premises)
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
-    flags = _premise_flags(check_case_b_premises(z, samples, tol))
     position, jet = _sphere_maps(z, None)
     return SurfaceMap(
         ambient=_sphere_ambient(z.signature),
@@ -353,6 +366,7 @@ def sphere_case_b(
         flags=flags,
         family="sphere_b",
         label=f"sphere_b[{z.label or 'z'}]",
+        premises=tuple(premises),
     )
 
 
@@ -469,10 +483,16 @@ def hyperbolic_case_ii(
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
 ) -> SurfaceMap:
-    """L(x,y) = z(x) tanh((x+y)/sqrt2) - z'(x)/sqrt2 on the hyperbolic quadric."""
+    """L(x,y) = z(x) tanh((x+y)/sqrt2) - z'(x)/sqrt2 on the hyperbolic quadric.
+
+    As in ``sphere_case_b``, the premises (``check_case_ii_premises``) run
+    before the domain and coverage checks, and their four reports are kept
+    on the ``PremiseError`` (``reports``) or on the surface (``premises``).
+    """
+    premises = check_case_ii_premises(z, samples, tol)
+    flags = _premise_flags(premises)
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
-    flags = _premise_flags(check_case_ii_premises(z, samples, tol))
     position, jet = _hyperbolic_maps(z, None)
     return SurfaceMap(
         ambient=_hyperbolic_ambient(z.signature),
@@ -481,6 +501,7 @@ def hyperbolic_case_ii(
         flags=flags,
         family="hyp_ii",
         label=f"hyp_ii[{z.label or 'z'}]",
+        premises=tuple(premises),
     )
 
 

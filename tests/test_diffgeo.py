@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,14 +20,20 @@ from lorentzmin.diffgeo import (
     second_fundamental_form,
 )
 from lorentzmin.errors import DegenerateMetricError, DomainError
+from lorentzmin.harness import FD_SUBGRID, SurfaceSpec, _build_surface, _resolve_curves
 from lorentzmin.indefinite import indefinite_dot
+from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
+    Jet2,
+    _col,
     de_sitter_control,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
     sphere_case_b,
     translation_surface,
 )
+
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 REF_82 = {"a": 1 / math.sqrt(2), "b": 1 / math.sqrt(2),
              "p": 1.1, "q": 1.5, "r": 1.1, "s": 1.5}
@@ -97,6 +105,21 @@ class TestPartials:
         rows = diffgeo.BLOCK_NODES // 81
         assert len(calls) == -(-81 // rows)
         assert np.max(np.abs(K - 1.0)) < 1e-7
+
+    def test_fd_discrepancy_makes_one_position_call(self, sphere_71):
+        import dataclasses
+
+        calls = []
+
+        def position(x, y):
+            calls.append((x, y))
+            return sphere_71.position(x, y)
+
+        counted = dataclasses.replace(sphere_71, position=position)
+        sub = counted.grid((5, 5))
+        assert np.max(fd_discrepancy(counted, sub[:, 0], sub[:, 1])) < 1e-6
+        assert len(calls) == 1
+        assert np.shape(calls[0][0]) == (25, 25)  # offsets x nodes
 
 
 class TestInducedMetric:
@@ -288,3 +311,55 @@ class TestFdConvergence:
             coarse = fd_discrepancy(surf, x, y, h1=0.04, h2=0.04)
             fine = fd_discrepancy(surf, x, y, h1=0.02, h2=0.02)
             assert coarse / fine >= 4.0
+
+
+# The per-offset Richardson differences that fd_jet replaced with one
+# stacked position call; fd_jet must reproduce them bit for bit.
+
+
+def _rich2(f, t, h):
+    c = f(t)
+    d1 = (f(t + h) - 2 * c + f(t - h)) / _col(h**2)
+    d2 = (f(t + h / 2) - 2 * c + f(t - h / 2)) / _col((h / 2) ** 2)
+    return (4 * d2 - d1) / 3
+
+
+def _rich_cross(pos, x, y, h):
+    def cross(hh):
+        return (pos(x + hh, y + hh) - pos(x + hh, y - hh)
+                - pos(x - hh, y + hh) + pos(x - hh, y - hh)) / _col(4 * hh * hh)
+
+    return (4 * cross(h / 2) - cross(h)) / 3
+
+
+def _per_offset_fd_jet(surface, x, y, h1=None, h2=None):
+    x, y = diffgeo._nodes(x, y)
+    pos = surface.position
+
+    def step(h, base, t):
+        return np.full(t.shape, float(h)) if h is not None else base * np.maximum(1.0, np.abs(t))
+
+    hx1, hy1 = step(h1, diffgeo.FIRST_STEP, x), step(h1, diffgeo.FIRST_STEP, y)
+    hx2, hy2 = step(h2, diffgeo.SECOND_STEP, x), step(h2, diffgeo.SECOND_STEP, y)
+    return Jet2(
+        L=pos(x, y),
+        Lx=diffgeo._rich1(lambda t: pos(t, y), x, hx1),
+        Ly=diffgeo._rich1(lambda t: pos(x, t), y, hy1),
+        Lxx=_rich2(lambda t: pos(t, y), x, hx2),
+        Lxy=_rich_cross(pos, x, y, np.maximum(hx2, hy2)),
+        Lyy=_rich2(lambda t: pos(x, t), y, hy2),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
+def test_stacked_fd_jet_matches_per_offset_differences(name):
+    spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
+    curves, _ = _resolve_curves(spec)
+    surface = _build_surface(spec, curves, DEFAULT_TOLS["premise"])
+    sub = surface.grid(FD_SUBGRID)
+    (x0, x1), (y0, y1) = surface.domain
+    for args in ((sub[:, 0], sub[:, 1]), (sub[:, 0], sub[:, 1], 0.04, 0.04),
+                 ((x0 + x1) / 2, (y0 + y1) / 2)):
+        stacked, reference = fd_jet(surface, *args), _per_offset_fd_jet(surface, *args)
+        for field in ("L", "Lx", "Ly", "Lxx", "Lxy", "Lyy"):
+            assert np.array_equal(getattr(stacked, field), getattr(reference, field)), field

@@ -137,6 +137,43 @@ class TestVerify:
         # trig3 is null, so its speed is 0 instead of 2
         assert "speed-z" in report.failed_checks()
 
+    @pytest.mark.parametrize("spec, checker", [
+        (SPHERE_71, "check_case_b_premises"),
+        ({"family": "hyp_ii",
+          "curves": [{"family_id": "Ex8_1", "params": {"a": 1, "b": 1.1, "p": 1, "q": 1.5}}]},
+         "check_case_ii_premises"),
+        ({"family": "sphere_b", "curves": [{"name": "trig3"}]}, "check_case_b_premises"),
+    ], ids=["sphere_b", "hyp_ii", "sphere_b-failed"])
+    def test_premise_checker_runs_once(self, monkeypatch, spec, checker):
+        from lorentzmin import harness, surfaces
+
+        calls = []
+        original = getattr(surfaces, checker)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (surfaces, harness):  # wherever the checker is looked up
+            if hasattr(module, checker):
+                monkeypatch.setattr(module, checker, counted)
+        report = verify(dict(spec, grid=[5, 5]))
+        assert len(calls) == 1
+        assert [c.to_dict() for c in report.checks[:4]] == [
+            r.to_dict() for r in original(*calls[0])]
+
+    def test_failed_premise_reported_even_on_a_bad_domain(self):
+        # the premises run before the domain checks, so this is a report
+        # (exit 1), not invalid input
+        report = verify({"family": "sphere_b", "curves": [{"name": "trig3"}],
+                         "domain": {"x": [-0.5, 0.5], "y": [-0.5, 0.5]}})
+        assert not report.surface["constructed"]
+        assert "speed-z" in report.failed_checks()
+
+    def test_bad_domain_with_valid_premises_is_invalid_input(self):
+        with pytest.raises(InvalidInputError):
+            verify(dict(SPHERE_71, domain={"x": [-0.5, 0.5], "y": [-0.5, 0.5]}))
+
     def test_translation_passes(self):
         report = verify(TRANSLATION)
         assert report.overall_pass
@@ -230,6 +267,11 @@ class TestSweep:
     def test_bad_family(self):
         with pytest.raises(InvalidInputError):
             sweep("Ex0_0", n=1)
+
+    def test_zero_parameter_draw_rejected_not_raised(self):
+        # p = 0 leaves a quotient of the advisory chain undefined
+        summary = sweep("Ex8_1", {"center": [1, 1.1, 0, 1.5], "rel": 0}, n=2)
+        assert (summary["valid"], summary["invalid"]) == (0, 2)
 
 
 class TestExport:
@@ -343,6 +385,9 @@ class TestCli:
 
     @pytest.mark.parametrize("patch", [
         {"params": {"a": "x", "b": 1.1, "p": 1, "q": 1.5}},
+        {"params": {"a": 1, "b": 1.1, "p": 0, "q": 1.5}},
+        {"params": {"a": 1, "b": 1.1, "p": 1e200, "q": 1.5}},
+        {"params": {"a": 10**400, "b": 1.1, "p": 1, "q": 1.5}},
         {"params": {"a": float("nan"), "b": 1.1, "p": 1, "q": 1.5}},
         {"params": {"a": True, "b": 1.1, "p": 1, "q": 1.5}},
         {"params": [1, 1.1, 1, 1.5]},
@@ -352,14 +397,22 @@ class TestCli:
         {"grid": [100_000, 100_000]},
         {"grid": [-2000, -2000]},
         {"grid": [1, 5]},
-    ], ids=["param-string", "param-nan", "param-bool", "params-list",
+        {"tolerances": {"minimality": None}},
+        {"tolerances": [1]},
+        {"curves": 5},
+        {"curves": [5]},
+        {"domain": {"x": [0.1, {}], "y": [0.1, 1.1]}},
+        {"family": ["sphere_b"]},
+    ], ids=["param-string", "param-zero", "param-overflow", "param-huge-int",
+            "param-nan", "param-bool", "params-list",
             "grid-non-integer", "grid-bool", "grid-length", "grid-absurd",
-            "grid-negative", "grid-too-small"])
+            "grid-negative", "grid-too-small", "tolerance-null", "tolerances-list",
+            "curves-number", "curve-number", "domain-object-bound", "family-list"])
     def test_malformed_spec_exit_2_with_one_line_error(self, tmp_path, capsys, patch):
         curve = {"family_id": "Ex8_1", "params": {"a": 1, "b": 1.1, "p": 1, "q": 1.5}}
         curve.update({k: v for k, v in patch.items() if k == "params"})
         spec = {"family": "hyp_ii", "curves": [curve]}
-        spec.update({k: v for k, v in patch.items() if k == "grid"})
+        spec.update({k: v for k, v in patch.items() if k != "params"})
         code = main(["verify", "--spec", self._write_spec(tmp_path, spec)])
         err = capsys.readouterr().err
         assert code == 2
@@ -369,6 +422,30 @@ class TestCli:
         assert main(["sweep", "--family", "Ex7_2", "--n", "50", "--seed", "0"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["valid"] == 0
+
+    @pytest.mark.parametrize("family, config", [
+        ("Ex7_1", "[1]"),
+        ("Ex7_1", '{"min_gap": "x"}'),
+        ("Ex7_1", '{"a_box": 3}'),
+        ("Ex7_1", '{"min_gap": 10}'),
+        ("Ex7_1", '{"mode": "chain"}'),
+        ("Ex7_1", '{"grid": 5}'),
+        ("Ex7_1", '{"bogus": 1}'),
+        ("Ex7_2", '{"qr_box": [1e308, -1e308]}'),
+        ("Ex7_2", '{"qr_box": [-%d, %d]}' % (10**308, 10**308)),
+        ("Ex7_2", '{"qr_box": [1, 2e154]}'),
+        ("Ex8_1", '{"center": [1, 1.1, 1]}'),
+        ("Ex8_1", '{"rel": 1e308}'),
+    ], ids=["list", "gap-string", "box-number", "gap-unsatisfiable", "mode-without-keys",
+            "grid-number", "unknown-key", "box-reversed", "box-overflow", "box-square-overflow",
+            "center-short", "rel-huge"])
+    def test_malformed_sampler_config_exit_2_with_one_line_error(self, capsys, family,
+                                                                 config):
+        code = main(["sweep", "--family", family, "--n", "2",
+                     f"--sampler-config={config}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_export_exit_0(self, tmp_path):
         spec = self._write_spec(tmp_path, TRANSLATION)

@@ -118,6 +118,21 @@ class TestSphereCaseB:
         assert "lightcone-z" in exc.value.failed
         assert "speed-z" in exc.value.failed
 
+    def test_premise_reports_kept_on_surface_and_error(self):
+        ids = ["lightcone-z", "speed-z", "acc-null-z", "jerk-nonzero-z"]
+        z = make_example(ParamFamily("Ex7_1", {"a": 1, "p": 3, "q": 1, "r": 2}))
+        assert [r.condition_id for r in sphere_case_b(z).premises] == ids
+        with pytest.raises(PremiseError) as exc:
+            sphere_case_b(builtin_curve("trig3"))
+        assert [r.condition_id for r in exc.value.reports] == ids
+        assert exc.value.failed == [r.condition_id for r in exc.value.reports[:3]
+                                    if not r.passed]
+
+    def test_premises_checked_before_domain(self):
+        # a bad domain and failed premises: the premises decide
+        with pytest.raises(PremiseError):
+            sphere_case_b(builtin_curve("trig3"), domain=((-0.5, 0.5), (-0.5, 0.5)))
+
     def test_domain_touching_pole_rejected(self):
         z = make_example(ParamFamily("Ex7_1", {"a": 1, "p": 3, "q": 1, "r": 2}))
         with pytest.raises(DomainError):
@@ -186,6 +201,15 @@ class TestHyperbolicCaseII:
         with pytest.raises(PremiseError) as exc:
             hyperbolic_case_ii(z71)
         assert "speed-z" in exc.value.failed  # <z',z'> = 4, not -2
+
+    def test_premise_reports_kept_on_surface_and_error(self):
+        ids = ["lightcone-z", "speed-z", "acc-norm-z", "nondegenerate-z"]
+        z = make_example(ParamFamily("Ex8_1", {"a": 1, "b": 1.1, "p": 1, "q": 1.5}))
+        assert [r.condition_id for r in hyperbolic_case_ii(z).premises] == ids
+        z71 = make_example(ParamFamily("Ex7_1", {"a": 1, "p": 3, "q": 1, "r": 2}))
+        with pytest.raises(PremiseError) as exc:
+            hyperbolic_case_ii(z71)
+        assert [r.condition_id for r in exc.value.reports] == ids
 
     def test_premises_pass_for_example_81(self):
         z = make_example(ParamFamily("Ex8_1", {"a": 1, "b": 1.1, "p": 1, "q": 1.5}))
