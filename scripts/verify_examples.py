@@ -1,40 +1,16 @@
 #!/usr/bin/env python3
-"""Run the verification suite on every built-in construction and print a
-summary table; optionally archive the JSON reports."""
+"""Run the verification suite on every shipped spec in specs/ (one per
+built-in construction) and print a summary table; optionally archive the
+JSON reports."""
 
 import argparse
-import math
+import json
 import pathlib
 import sys
 
 from lorentzmin.harness import dumps_json, verify
 
-EXAMPLES = {
-    "sphere_b-Ex7_1": {
-        "family": "sphere_b",
-        "curves": [{"family_id": "Ex7_1", "params": {"a": 1, "p": 3, "q": 1, "r": 2}}],
-    },
-    "sphere_c-Ex7_2": {
-        "family": "sphere_c",
-        "curves": [{"family_id": "Ex7_2", "params": {"p": 3, "q": 1.5, "r": 1}}],
-    },
-    "hyp_ii-Ex8_1": {
-        "family": "hyp_ii",
-        "curves": [{"family_id": "Ex8_1",
-                    "params": {"a": 1, "b": 1.1, "p": 1, "q": 1.5}}],
-    },
-    "hyp_iii-Ex8_2": {
-        "family": "hyp_iii",
-        "curves": [{"family_id": "Ex8_2",
-                    "params": {"a": 1 / math.sqrt(2), "b": 1 / math.sqrt(2),
-                               "p": 1.1, "q": 1.5, "r": 1.1, "s": 1.5}}],
-    },
-    "translation-demo": {
-        "family": "translation",
-        "curves": [{"name": "hyp6"}, {"name": "trig6"}],
-    },
-    "de_sitter_control": {"family": "de_sitter_control"},
-}
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 
 def main() -> int:
@@ -48,9 +24,10 @@ def main() -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     any_unexpected = False
-    for name, spec in EXAMPLES.items():
-        report = verify(spec)
-        expected_fail = name == "de_sitter_control"
+    for path in sorted(SPEC_DIR.glob("*.json")):
+        name = path.stem
+        report = verify(json.loads(path.read_text()))
+        expected_fail = report.spec["family"] == "de_sitter_control"
         status = "pass" if report.overall_pass else "FAIL"
         marker = " (expected: negative control)" if expected_fail else ""
         worst = max(report.checks, key=lambda c: c.max_residual / (c.tol or 1.0))
@@ -59,8 +36,7 @@ def main() -> int:
         if report.overall_pass == expected_fail:
             any_unexpected = True
         if out_dir is not None:
-            path = out_dir / f"{name}.json"
-            path.write_text(dumps_json(report.to_dict()) + "\n")
+            (out_dir / f"{name}.json").write_text(dumps_json(report.to_dict()) + "\n")
     return 1 if any_unexpected else 0
 
 

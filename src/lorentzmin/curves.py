@@ -462,6 +462,8 @@ def _build_ex82(fam, alt_pairing):
     )
 
 
+#: Built-in parameter families.  ``surface`` is the surface family a sweep
+#: verifies each draw with, and ``sampler`` its default sampler config.
 FAMILIES: dict[str, dict] = {
     "Ex7_1": {
         "params": ("a", "p", "q", "r"),
@@ -472,6 +474,9 @@ FAMILIES: dict[str, dict] = {
         "_coeffs": _ex71_coeffs,
         "_chain": _chain_ex71,
         "_build": _build_ex71,
+        "surface": "sphere_b",
+        "sampler": {"mode": "sorted_box", "a_box": [0.5, 2.0], "pqr_box": [0.2, 3.0],
+                    "min_gap": 0.1, "grid": [9, 9]},
     },
     "Ex7_2": {
         "params": ("p", "q", "r"),
@@ -482,6 +487,8 @@ FAMILIES: dict[str, dict] = {
         "_coeffs": _ex72_coeffs,
         "_chain": _chain_ex72,
         "_build": _build_ex72,
+        "surface": "sphere_c",
+        "sampler": {"mode": "chain", "qr_box": [0.05, 3.0], "grid": [9, 9]},
     },
     "Ex8_1": {
         "params": ("a", "b", "p", "q"),
@@ -493,6 +500,9 @@ FAMILIES: dict[str, dict] = {
         "_coeffs": _ex81_coeffs,
         "_chain": _chain_ex81,
         "_build": _build_ex81,
+        "surface": "hyp_ii",
+        "sampler": {"mode": "box_around", "center": [1.0, 1.1, 1.0, 1.5], "rel": 0.1,
+                    "grid": [9, 9]},
     },
     "Ex8_2": {
         "params": ("a", "b", "p", "q", "r", "s"),
@@ -504,6 +514,9 @@ FAMILIES: dict[str, dict] = {
         "_coeffs": _ex82_coeffs,
         "_chain": _chain_ex82,
         "_build": _build_ex82,
+        "surface": "hyp_iii",
+        "sampler": {"mode": "box_around", "center": [1.0 / math.sqrt(2.0)] * 2
+                    + [1.1, 1.5, 1.1, 1.5], "rel": 0.1, "grid": [9, 9]},
     },
 }
 

@@ -20,10 +20,12 @@ to the timings block, with every float printed in scientific notation at
 
 from __future__ import annotations
 
+import copy
+import json
 import math
 import numbers
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,11 +49,11 @@ from .errors import DegenerateMetricError, InvalidInputError, PremiseError
 from .indefinite import AmbientKind, indefinite_dot
 from .report import ConditionReport, DEFAULT_TOLS, default_tolerances
 from .surfaces import (
+    DE_SITTER_DOMAIN,
     FLAT_DOMAIN,
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
     SQRT2,
-    SurfaceMap,
     _col,
     check_case_c_conditions,
     check_case_iii_conditions,
@@ -74,18 +76,6 @@ __all__ = [
     "dumps_json",
     "SURFACE_FAMILIES",
 ]
-
-#: Surface families: curve arity and default domain.  The de Sitter
-#: control takes no curves; it exists so the standard negative control is
-#: addressable from a spec file.
-SURFACE_FAMILIES: dict[str, dict] = {
-    "translation": {"arity": 2, "domain": FLAT_DOMAIN},
-    "sphere_b": {"arity": 1, "domain": SPHERE_DOMAIN},
-    "sphere_c": {"arity": 2, "domain": SPHERE_DOMAIN},
-    "hyp_ii": {"arity": 1, "domain": HYPERBOLIC_DOMAIN},
-    "hyp_iii": {"arity": 2, "domain": HYPERBOLIC_DOMAIN},
-    "de_sitter_control": {"arity": 0, "domain": ((0.9, 1.1), (0.9, 1.1))},
-}
 
 FD_SUBGRID = (5, 5)
 
@@ -155,9 +145,9 @@ class SurfaceSpec:
                 f"unknown tolerance keys {sorted(unknown)}; known: {sorted(DEFAULT_TOLS)}"
             )
         for key, value in self.tolerances.items():
-            if not _finite_number(value):
+            if not (_finite_number(value) and value > 0):
                 raise InvalidInputError(
-                    f"tolerance {key} must be a finite number, got {value!r}")
+                    f"tolerance {key} must be a positive finite number, got {value!r}")
         object.__setattr__(
             self, "tolerances", {k: float(v) for k, v in self.tolerances.items()}
         )
@@ -187,7 +177,7 @@ class SurfaceSpec:
         )
 
     def resolved_domain(self):
-        return self.domain if self.domain is not None else SURFACE_FAMILIES[self.family]["domain"]
+        return self.domain if self.domain is not None else SURFACE_FAMILIES[self.family].domain
 
     def to_dict(self) -> dict:
         (x0, x1), (y0, y1) = self.resolved_domain()
@@ -248,9 +238,7 @@ def _fmt_json(obj, sort_keys: bool = True) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -300,7 +288,7 @@ def _resolve_curves(spec: SurfaceSpec):
             raise InvalidInputError(
                 f"curve descriptor needs 'family_id' or 'name': {desc}"
             )
-    arity = SURFACE_FAMILIES[spec.family]["arity"]
+    arity = SURFACE_FAMILIES[spec.family].arity
     if len(curves) != arity:
         raise InvalidInputError(
             f"family {spec.family} takes {arity} curve(s), got {len(curves)}"
@@ -312,94 +300,128 @@ def _resolve_curves(spec: SurfaceSpec):
 # verification
 
 
-def _metric_model(family: str):
-    if family in ("sphere_b", "sphere_c", "de_sitter_control"):
-        return lambda x, y: -2.0 / (x + y) ** 2
-    if family in ("hyp_ii", "hyp_iii"):
-        return lambda x, y: -1.0 / np.cosh((x + y) / SQRT2) ** 2
-    return None
-
-
-def _curvature_model(family: str):
-    return {"sphere_b": 1.0, "sphere_c": 1.0, "de_sitter_control": 1.0,
-            "hyp_ii": -1.0, "hyp_iii": -1.0}.get(family)
-
-
 def _vmax(v):
     """Max-norm over the embedding axis, per node."""
     return np.max(np.abs(v), axis=-1)
 
 
-def _xi_expected(family: str, z: Curve):
-    if family == "sphere_b":
-        return lambda x, y: -_col((x + y) ** 2) * z.at(x, 3) / 4.0
-    if family == "hyp_ii":
+@dataclass(frozen=True)
+class SurfaceFamily:
+    """Everything the harness knows about one surface family.
+
+    ``build(curves, domain, premise_tol)`` constructs the surface;
+    ``premises(curves, spec, tols)`` returns the reports made before
+    building and the ids among them that block it.  ``k`` is both <L,L>
+    and the model K, ``g_xy(x, y)`` the model conformal factor, ``pde``
+    (check id, residual, note) triples, ``xi(z)`` the expected h(e1,e1)
+    from the source curve z, ``minimality`` a tolerance key; None skips
+    a check.  ``build`` and ``premises`` call constructors and checkers
+    by module-global name, so a wrapper installed there sees every call."""
+
+    arity: int
+    domain: tuple[tuple[float, float], tuple[float, float]]
+    build: Callable
+    premises: Callable = lambda curves, spec, tols: ([], [])
+    k: float | None = None
+    g_xy: Callable | None = None
+    pde: tuple[tuple[str, Callable, str], ...] = ()
+    xi: Callable | None = None
+    minimality: str = "minimality"
+
+
+def _translation_premises(curves, spec, tols):
+    """Null curves and a nonzero <z'(x), w'(y)> on the grid; all blocking."""
+    z, w = curves
+    grid_pts = grid_points(spec.resolved_domain(), spec.grid)
+    reports = [replace(null_check(curve, 41, tols["premise"]), condition_id=cid)
+               for curve, cid in ((z, "null-z"), (w, "null-w"))]
+    values = derivative_inner(z, 1, w, 1, grid_pts[:, 0], grid_pts[:, 1])
+    pairing = ConditionReport.from_min(
+        "pairing-nonzero", np.abs(values), tols["premise"],
+        f"{spec.grid[0]}x{spec.grid[1]} grid", grid_pts,
+        note="min |<z'(x), w'(y)>| must stay positive")
+    if values.min() < 0 < values.max():  # sign change proves a zero
+        pairing = ConditionReport(
+            pairing.condition_id, float(values.max() - values.min()), 0.0, False,
+            pairing.grid, pairing.worst_point,
+            "<z'(x), w'(y)> changes sign on the grid (residual = span)")
+    reports.append(pairing)
+    return reports, [r.condition_id for r in reports if not r.passed]
+
+
+#: Model K (which is also <L,L>) and conformal factor on each quadric
+_ON_SPHERE = {"k": 1.0, "g_xy": lambda x, y: -2.0 / (x + y) ** 2}
+_ON_HYPERBOLIC = {"k": -1.0, "g_xy": lambda x, y: -1.0 / np.cosh((x + y) / SQRT2) ** 2}
+_SPHERE_PDE_XY = ("pde-xy", lambda x, y, jet, f: _vmax(jet.Lxy - 2 * jet.L / _col((x + y) ** 2)),
+                  "L_xy = 2L/(x+y)^2")
+_HYPERBOLIC_PDE_XY = ("pde-xy", lambda x, y, jet, f: _vmax(
+    jet.Lxy + jet.L / _col(np.cosh((x + y) / SQRT2) ** 2)), "L_xy = -sech^2((x+y)/sqrt2) L")
+
+#: The surface families by spec name.  The de Sitter control takes no
+#: curves; it exists so the standard negative control is addressable
+#: from a spec file.
+SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
+    "translation": SurfaceFamily(
+        2, FLAT_DOMAIN,
+        build=lambda curves, domain, tol: translation_surface(*curves, domain, tol=tol),
+        premises=_translation_premises, minimality="minimality-flat"),
+    "sphere_b": SurfaceFamily(
+        1, SPHERE_DOMAIN,
+        build=lambda curves, domain, tol: sphere_case_b(*curves, domain, tol=tol),
+        **_ON_SPHERE,
+        pde=(_SPHERE_PDE_XY,
+             ("pde-yy", lambda x, y, jet, f: _vmax(jet.Lyy + 2 * jet.Ly / _col(x + y)),
+              "L_yy = -2L_y/(x+y)")),
+        xi=lambda z: lambda x, y: -_col((x + y) ** 2) * z.at(x, 3) / 4.0),
+    "sphere_c": SurfaceFamily(
+        2, SPHERE_DOMAIN,
+        build=lambda curves, domain, tol: sphere_case_c(*curves, domain),
+        premises=lambda curves, spec, tols: (check_case_c_conditions(
+            *curves, spec.grid, spec.resolved_domain(), tols["condition"]), []),
+        **_ON_SPHERE, pde=(_SPHERE_PDE_XY,)),
+    "hyp_ii": SurfaceFamily(
+        1, HYPERBOLIC_DOMAIN,
+        build=lambda curves, domain, tol: hyperbolic_case_ii(*curves, domain, tol=tol),
+        **_ON_HYPERBOLIC,
+        pde=(_HYPERBOLIC_PDE_XY,
+             ("pde-yy", lambda x, y, jet, f: _vmax(
+                 jet.Lyy + SQRT2 * _col(np.tanh((x + y) / SQRT2)) * jet.Ly),
+              "L_yy = -sqrt2 tanh((x+y)/sqrt2) L_y")),
         # normal field of the single-curve hyperbolic construction; the
         # cosh^2 factor follows from substituting the immersion into its
         # own PDE system (and the numeric residual confirms it)
-        return lambda x, y: ((SQRT2 * z.at(x, 1) - z.at(x, 3) / SQRT2)
-                             * _col(np.cosh((x + y) / SQRT2) ** 2))
-    return None
+        xi=lambda z: lambda x, y: ((SQRT2 * z.at(x, 1) - z.at(x, 3) / SQRT2)
+                                   * _col(np.cosh((x + y) / SQRT2) ** 2))),
+    "hyp_iii": SurfaceFamily(
+        2, HYPERBOLIC_DOMAIN,
+        build=lambda curves, domain, tol: hyperbolic_case_iii(*curves, domain),
+        premises=lambda curves, spec, tols: (check_case_iii_conditions(
+            *curves, spec.grid, spec.resolved_domain(), tols["condition"]), []),
+        **_ON_HYPERBOLIC, pde=(_HYPERBOLIC_PDE_XY,)),
+    "de_sitter_control": SurfaceFamily(
+        0, DE_SITTER_DOMAIN,
+        build=lambda curves, domain, tol: de_sitter_control(domain),
+        **_ON_SPHERE),
+}
 
 
 def _premise_phase(spec, curves, tols):
-    """Family-specific curve checks.  Returns (reports, hard_failure_ids,
-    surface).  sphere_b and hyp_ii are built here: their constructors run
-    the premise checks first and keep the reports, so surface is the built
-    surface when the premises hold.  It is None otherwise, and for the
-    other families, which are built after this phase."""
-    family = spec.family
-    reports: list[ConditionReport] = []
-    hard: list[str] = []
-    if family in ("sphere_b", "hyp_ii"):
-        try:
-            surface = _build_surface(spec, curves, tols["premise"])
-        except PremiseError as exc:
-            return list(exc.reports), exc.failed, None
-        return list(surface.premises), [], surface
-    if family == "translation":
-        z, w = curves
-        # the pairing is checked on the grid before the surface exists
-        grid_pts = grid_points(spec.resolved_domain(), spec.grid)
-        for curve, cid in ((z, "null-z"), (w, "null-w")):
-            reports.append(replace(null_check(curve, 41, tols["premise"]), condition_id=cid))
-        values = derivative_inner(z, 1, w, 1, grid_pts[:, 0], grid_pts[:, 1])
-        pairing = ConditionReport.from_min(
-            "pairing-nonzero", np.abs(values), tols["premise"],
-            f"{spec.grid[0]}x{spec.grid[1]} grid", grid_pts,
-            note="min |<z'(x), w'(y)>| must stay positive")
-        if values.min() < 0 < values.max():  # sign change proves a zero
-            pairing = ConditionReport(
-                pairing.condition_id, float(values.max() - values.min()), 0.0, False,
-                pairing.grid, pairing.worst_point,
-                "<z'(x), w'(y)> changes sign on the grid (residual = span)")
-        reports.append(pairing)
-        hard = [r.condition_id for r in reports if not r.passed]
-    elif family in ("sphere_c", "hyp_iii"):
-        check = check_case_c_conditions if family == "sphere_c" else check_case_iii_conditions
-        reports = check(curves[0], curves[1], spec.grid, spec.resolved_domain(),
-                        tols["condition"])
-    return reports, hard, None
-
-
-def _build_surface(spec: SurfaceSpec, curves, premise_tol: float) -> SurfaceMap:
-    family = spec.family
-    domain = spec.resolved_domain()
-    if family == "translation":
-        return translation_surface(curves[0], curves[1], domain, tol=premise_tol)
-    if family == "sphere_b":
-        return sphere_case_b(curves[0], domain, tol=premise_tol)
-    if family == "sphere_c":
-        return sphere_case_c(curves[0], curves[1], domain)
-    if family == "hyp_ii":
-        return hyperbolic_case_ii(curves[0], domain, tol=premise_tol)
-    if family == "hyp_iii":
-        return hyperbolic_case_iii(curves[0], curves[1], domain)
-    return de_sitter_control(domain)
+    """The family's premise checks, then the surface unless one blocks it:
+    (reports, blocking ids, surface or None).  sphere_b and hyp_ii check
+    their own premises and keep the reports on the surface or error."""
+    family = SURFACE_FAMILIES[spec.family]
+    reports, hard = family.premises(curves, spec, tols)
+    if hard:
+        return reports, hard, None
+    try:
+        surface = family.build(curves, spec.resolved_domain(), tols["premise"])
+    except PremiseError as exc:
+        return reports + list(exc.reports), exc.failed, None
+    return reports + list(surface.premises), [], surface
 
 
 def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
-    family = spec.family
+    family = SURFACE_FAMILIES[spec.family]
     desc = surface.grid_description(spec.grid)
     idx = surface.ambient.embedding_signature.index
 
@@ -412,24 +434,19 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
     def add_max(cid, per_node, tol_key, note=""):
         planned.append((cid, per_node, tol_key, note))
 
-    quadric_target = {"sphere_b": 1.0, "sphere_c": 1.0,
-                      "hyp_ii": -1.0, "hyp_iii": -1.0,
-                      "de_sitter_control": 1.0}.get(family)
-    if quadric_target is not None:
-        note = f"<L,L> = {quadric_target:g}"
-        add_max("quadric",
-                lambda x, y, jet, f: np.abs(dot(jet.L, jet.L) - quadric_target),
-                "quadric", note=note)
+    k = family.k
+    if k is not None:
+        add_max("quadric", lambda x, y, jet, f: np.abs(dot(jet.L, jet.L) - k),
+                "quadric", note=f"<L,L> = {k:g}")
     if surface.ambient.kind is not AmbientKind.FLAT:
         add_max("tangency",
                 lambda x, y, jet, f: np.maximum(np.abs(dot(jet.L, jet.Lx)),
                                                 np.abs(dot(jet.L, jet.Ly))),
                 "tangency", note="<L,L_x> = <L,L_y> = 0")
 
-    g_model = _metric_model(family)
-    if g_model is not None:
+    if family.g_xy is not None:
         add_max("metric-match",
-                lambda x, y, jet, f: np.abs(f.metric.g_xy - g_model(x, y)),
+                lambda x, y, jet, f: np.abs(f.metric.g_xy - family.g_xy(x, y)),
                 "metric", note="g_xy matches the model conformal factor")
     add_max("metric-null-form",
             lambda x, y, jet, f: np.maximum(*f.metric.offdiag_residuals),
@@ -438,43 +455,25 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
             lambda x, y, jet, f: np.abs(dot(f.frame.e1, f.frame.e2) + 1.0),
             "frame", note="<e1,e2> = -1")
 
-    if family in ("sphere_b", "sphere_c"):
-        add_max("pde-xy",
-                lambda x, y, jet, f: _vmax(jet.Lxy - 2 * jet.L / _col((x + y) ** 2)),
-                "pde", note="L_xy = 2L/(x+y)^2")
-    elif family in ("hyp_ii", "hyp_iii"):
-        add_max("pde-xy",
-                lambda x, y, jet, f: _vmax(
-                    jet.Lxy + jet.L / _col(np.cosh((x + y) / SQRT2) ** 2)),
-                "pde", note="L_xy = -sech^2((x+y)/sqrt2) L")
-    if family == "sphere_b":
-        add_max("pde-yy",
-                lambda x, y, jet, f: _vmax(jet.Lyy + 2 * jet.Ly / _col(x + y)),
-                "pde", note="L_yy = -2L_y/(x+y)")
-    elif family == "hyp_ii":
-        add_max("pde-yy",
-                lambda x, y, jet, f: _vmax(
-                    jet.Lyy + SQRT2 * _col(np.tanh((x + y) / SQRT2)) * jet.Ly),
-                "pde", note="L_yy = -sqrt2 tanh((x+y)/sqrt2) L_y")
-
-    minim_key = "minimality-flat" if family == "translation" else "minimality"
+    for cid, residual, note in family.pde:
+        add_max(cid, residual, "pde", note=note)
     add_max("minimality", lambda x, y, jet, f: _vmax(f.H),
-            minim_key, note="max-norm of the mean curvature vector")
+            family.minimality, note="max-norm of the mean curvature vector")
 
     # K and the Gauss equation are checked twice with the same residuals:
     # on the whole grid with K exact from the third-order jet, and on the
     # FD subgrid with K from the E-field stencil (the cross-check)
     stencil: list[tuple] = []
-    k_model = _curvature_model(family)
-    if k_model is not None:
+    if k is not None:
         def k_res(x, y, jet, f):
-            return np.abs(f.K - k_model)
+            return np.abs(f.K - k)
         add_max("curvature-analytic", k_res, "analytic-k",
-                note=f"K = {k_model:g} from the third-order jet")
-        stencil.append(("curvature", k_res, "curvature", f"K = {k_model:g}"))
+                note=f"K = {k:g} from the third-order jet")
+        stencil.append(("curvature", k_res, "curvature", f"K = {k:g}"))
 
-    xi = _xi_expected(family, surface.sources[0]) if surface.sources else None
-    if xi is not None:
+    if family.xi is not None:
+        xi = family.xi(surface.sources[0])
+
         def xi_res(x, y, jet, f):
             expected = xi(x, y)
             return _vmax(f.h11 - expected) / np.maximum(1.0, _vmax(expected))
@@ -532,19 +531,12 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
     reports, hard, surface = _premise_phase(spec, curves, tols)
     timings["premises"] = time.perf_counter() - t0
 
-    surface_info: dict = {}
     t1 = time.perf_counter()
     if hard:
         surface_info = {"constructed": False, "reason": f"premises failed: {hard}"}
     else:
-        if surface is None:
-            surface = _build_surface(spec, curves, tols["premise"])
-        surface_info = {
-            "constructed": True,
-            "label": surface.label,
-            "ambient": surface.ambient.describe(),
-            "flags": list(surface.flags),
-        }
+        surface_info = {"constructed": True, "label": surface.label,
+                        "ambient": surface.ambient.describe(), "flags": list(surface.flags)}
         reports = reports + _surface_checks(spec, surface, tols)
     timings["checks"] = time.perf_counter() - t1
     timings["total"] = time.perf_counter() - t0
@@ -580,22 +572,6 @@ MAX_SAMPLER_TRIES = 10_000
 SAMPLER_BOUND = 1e150
 
 
-def _default_sampler(family: str) -> dict:
-    if family == "Ex7_1":
-        return {"mode": "sorted_box", "a_box": [0.5, 2.0],
-                "pqr_box": [0.2, 3.0], "min_gap": 0.1, "grid": [9, 9]}
-    if family == "Ex7_2":
-        return {"mode": "chain", "qr_box": [0.05, 3.0], "grid": [9, 9]}
-    if family == "Ex8_1":
-        return {"mode": "box_around", "center": [1.0, 1.1, 1.0, 1.5],
-                "rel": 0.1, "grid": [9, 9]}
-    if family == "Ex8_2":
-        c = 1.0 / SQRT2
-        return {"mode": "box_around", "center": [c, c, 1.1, 1.5, 1.1, 1.5],
-                "rel": 0.1, "grid": [9, 9]}
-    raise InvalidInputError(f"no sampler for family {family!r}")
-
-
 def _sampler_config(family: str, overrides) -> dict:
     """The family's default sampler updated with ``overrides``, checked
     so that drawing from it cannot fail on a type or overflow."""
@@ -608,7 +584,7 @@ def _sampler_config(family: str, overrides) -> dict:
     if unknown:
         raise InvalidInputError(
             f"unknown sampler config keys {sorted(unknown)}; known: {sorted(known)}")
-    cfg = dict(_default_sampler(family))
+    cfg = copy.deepcopy(FAMILIES[family]["sampler"])
     cfg.update(overrides)
     mode = cfg["mode"]
     if not isinstance(mode, str) or mode not in SAMPLER_KEYS:
@@ -687,8 +663,7 @@ def sweep(
         raise InvalidInputError(f"n must be >= 1, got {n}")
     cfg = _sampler_config(family, sampler_config)
     rng = np.random.default_rng(rng_seed)
-    surface_family = {"Ex7_1": "sphere_b", "Ex7_2": "sphere_c",
-                      "Ex8_1": "hyp_ii", "Ex8_2": "hyp_iii"}[family]
+    surface_family = FAMILIES[family]["surface"]
 
     valid = passed = failed = invalid = 0
     worst: dict[str, float] = {}
@@ -755,7 +730,8 @@ def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
     if isinstance(spec, dict):
         spec = SurfaceSpec.from_dict(spec)
     curves, _ = _resolve_curves(spec)
-    surface = _build_surface(spec, curves, default_tolerances()["premise"])
+    surface = SURFACE_FAMILIES[spec.family].build(
+        curves, spec.resolved_domain(), default_tolerances()["premise"])
     nx, ny = spec.grid
     dim = surface.ambient.embedding_signature.dim
     positions, residuals = diffgeo.grid_values(
@@ -788,8 +764,8 @@ def list_families() -> dict:
     return {
         "surface_families": {
             name: {
-                "arity": meta["arity"],
-                "domain": {"x": list(meta["domain"][0]), "y": list(meta["domain"][1])},
+                "arity": meta.arity,
+                "domain": {"x": list(meta.domain[0]), "y": list(meta.domain[1])},
             }
             for name, meta in SURFACE_FAMILIES.items()
         },

@@ -109,8 +109,8 @@ def default_tolerances() -> dict[str, float]:
             value = float(raw)
         except ValueError as exc:
             raise ValueError(f"{ENV_TOL} must be a float, got {raw!r}") from exc
-        if value <= 0:
-            raise ValueError(f"{ENV_TOL} must be positive, got {value}")
+        if not 0 < value < float("inf"):  # also rejects nan
+            raise ValueError(f"{ENV_TOL} must be a positive finite number, got {raw!r}")
         for key in _ALGEBRAIC_TIER:
             tols[key] = value
     return tols

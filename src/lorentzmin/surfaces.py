@@ -67,6 +67,7 @@ __all__ = [
     "SPHERE_DOMAIN",
     "HYPERBOLIC_DOMAIN",
     "FLAT_DOMAIN",
+    "DE_SITTER_DOMAIN",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -76,6 +77,7 @@ SQRT2 = math.sqrt(2.0)
 SPHERE_DOMAIN = ((0.1, 1.1), (0.1, 1.1))
 HYPERBOLIC_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
 FLAT_DOMAIN = ((-1.0, 1.0), (-1.0, 1.0))
+DE_SITTER_DOMAIN = ((0.9, 1.1), (0.9, 1.1))
 
 #: Minimum distance from a sphere-family domain to the x+y = 0 pole.
 SINGULAR_MARGIN = 0.01
@@ -306,9 +308,13 @@ def _sphere_ambient(signature: Signature) -> Ambient:
     return Ambient.sphere(Signature(signature.dim - 1, signature.index))
 
 
-def _derivatives(w: Curve | None, t):
-    """w and its first three derivatives at t; a missing curve is zero."""
-    return tuple(w.at(t, k) for k in range(4)) if w is not None else (0.0,) * 4
+def _derivatives(w: Curve | None, t, orders=4):
+    """w and its derivatives below the given order at t; a missing curve is zero."""
+    return tuple(w.at(t, k) for k in range(orders)) if w is not None else (0.0,) * orders
+
+
+def _sphere_immersion(zw, zw1, s):  # L from z+w, z'+w' and s = _col(x+y)
+    return zw / s - zw1 / 2
 
 
 def _sphere_maps(z: Curve, w: Curve | None):
@@ -316,8 +322,8 @@ def _sphere_maps(z: Curve, w: Curve | None):
     single-curve construction is the case w = 0."""
 
     def position(x, y):
-        w0, w1 = _derivatives(w, y)[:2]
-        return (z.at(x) + w0) / _col(x + y) - (z.at(x, 1) + w1) / 2
+        w0, w1 = _derivatives(w, y, 2)
+        return _sphere_immersion(z.at(x) + w0, z.at(x, 1) + w1, _col(x + y))
 
     def jet(x, y):
         s = _col(x + y)
@@ -325,7 +331,7 @@ def _sphere_maps(z: Curve, w: Curve | None):
         w0, w1, w2, w3 = _derivatives(w, y)
         zw, zw1 = z0 + w0, z1 + w1
         return Jet2(
-            L=zw / s - zw1 / 2,
+            L=_sphere_immersion(zw, zw1, s),
             Lx=z1 / s - zw / s**2 - z2 / 2,
             Ly=w1 / s - zw / s**2 - w2 / 2,
             Lxx=z2 / s - 2 * z1 / s**2 + 2 * zw / s**3 - z3 / 2,
@@ -391,7 +397,7 @@ def check_case_c_conditions(
     z0, z1, z3 = z.at(x), z.at(x, 1), z.at(x, 3)
     w0, w1, w3 = w.at(y), w.at(y, 1), w.at(y, 3)
     zw, zw1 = z0 + w0, z1 + w1
-    L = zw / _col(s) - zw1 / 2
+    L = _sphere_immersion(zw, zw1, _col(s))
     r1 = np.abs(indefinite_dot(L, L, idx) - 1.0)
     r2 = np.abs(2 * indefinite_dot(zw, z3, idx) - s * indefinite_dot(zw1, z3, idx))
     r3 = np.abs(2 * indefinite_dot(zw, w3, idx) - s * indefinite_dot(zw1, w3, idx))
@@ -446,13 +452,18 @@ def _hyperbolic_ambient(signature: Signature) -> Ambient:
     return Ambient.hyperbolic(Signature(signature.dim - 1, signature.index - 1))
 
 
+def _hyperbolic_immersion(zw, zw1, T):  # L from z+w, z'+w' and T = _col(tanh(u))
+    return zw * T - zw1 / SQRT2
+
+
 def _hyperbolic_maps(z: Curve, w: Curve | None):
     """position and jet of L = (z(x)+w(y)) tanh((x+y)/sqrt2) -
     (z'(x)+w'(y))/sqrt2; the single-curve construction is the case w = 0."""
 
     def position(x, y):
-        w0, w1 = _derivatives(w, y)[:2]
-        return (z.at(x) + w0) * _col(np.tanh((x + y) / SQRT2)) - (z.at(x, 1) + w1) / SQRT2
+        w0, w1 = _derivatives(w, y, 2)
+        return _hyperbolic_immersion(
+            z.at(x) + w0, z.at(x, 1) + w1, _col(np.tanh((x + y) / SQRT2)))
 
     def jet(x, y):
         u = (x + y) / SQRT2
@@ -460,7 +471,7 @@ def _hyperbolic_maps(z: Curve, w: Curve | None):
         z0, z1, z2, z3 = _derivatives(z, x)
         w0, w1, w2, w3 = _derivatives(w, y)
         zw = z0 + w0
-        L = zw * T - (z1 + w1) / SQRT2
+        L = _hyperbolic_immersion(zw, z1 + w1, T)
         Lx = z1 * T + zw * S2 / SQRT2 - z2 / SQRT2
         Ly = w1 * T + zw * S2 / SQRT2 - w2 / SQRT2
         return Jet2(
@@ -526,7 +537,7 @@ def check_case_iii_conditions(
     az = 2 * z1 - z.at(x, 3)
     aw = 2 * w1 - w.at(y, 3)
     zw, zw1 = z0 + w0, z1 + w1
-    L = zw * _col(T) - zw1 / SQRT2
+    L = _hyperbolic_immersion(zw, zw1, _col(T))
     r1 = np.abs(indefinite_dot(L, L, idx) + 1.0)
     r2 = np.abs(SQRT2 * indefinite_dot(zw, az, idx) * T - indefinite_dot(zw1, az, idx))
     r3 = np.abs(SQRT2 * indefinite_dot(zw, aw, idx) * T - indefinite_dot(zw1, aw, idx))
@@ -559,7 +570,7 @@ def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> Surface
 # negative control
 
 
-def de_sitter_control(domain=((0.9, 1.1), (0.9, 1.1))) -> SurfaceMap:
+def de_sitter_control(domain=DE_SITTER_DOMAIN) -> SurfaceMap:
     """The unit de Sitter surface S^2_1(1) in E^3_1, treated with a flat
     ambient, in null coordinates: L = ((1-xy)/(x+y), (x-y)/(x+y), (1+xy)/(x+y)).
 

@@ -20,7 +20,7 @@ from lorentzmin.diffgeo import (
     second_fundamental_form,
 )
 from lorentzmin.errors import DegenerateMetricError, DomainError
-from lorentzmin.harness import FD_SUBGRID, SurfaceSpec, _build_surface, _resolve_curves
+from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resolve_curves
 from lorentzmin.indefinite import indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
@@ -355,7 +355,8 @@ def _per_offset_fd_jet(surface, x, y, h1=None, h2=None):
 def test_stacked_fd_jet_matches_per_offset_differences(name):
     spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
     curves, _ = _resolve_curves(spec)
-    surface = _build_surface(spec, curves, DEFAULT_TOLS["premise"])
+    surface = SURFACE_FAMILIES[spec.family].build(
+        curves, spec.resolved_domain(), DEFAULT_TOLS["premise"])
     sub = surface.grid(FD_SUBGRID)
     (x0, x1), (y0, y1) = surface.domain
     for args in ((sub[:, 0], sub[:, 1]), (sub[:, 0], sub[:, 1], 0.04, 0.04),

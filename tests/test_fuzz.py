@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from lorentzmin.cli import main
 from lorentzmin.curves import FAMILIES
-from lorentzmin.harness import _default_sampler
 from lorentzmin.report import DEFAULT_TOLS
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -89,7 +88,7 @@ SPECS = st.builds(lambda spec, grid: {**spec, "grid": grid},
 #: grid, corrupted
 SWEEPS = st.tuples(st.sampled_from(sorted(FAMILIES)), SMALL_GRID).flatmap(
     lambda fg: st.tuples(st.just(fg[0]),
-                         corrupted({**_default_sampler(fg[0]), "grid": fg[1]})))
+                         corrupted({**FAMILIES[fg[0]]["sampler"], "grid": fg[1]})))
 
 
 def _check_exit(code, out, err, verdict):

@@ -1,8 +1,11 @@
-"""Golden reports: every shipped spec in ``specs/`` must keep its report.
+"""Golden reports: every shipped spec in ``specs/`` must keep its report,
+and every built-in curve family its default sweep.
 
 ``tests/golden/<spec>.json`` holds ``verify(spec).to_dict(include_timings=False)``
-for each spec.  After an intended change to a report, regenerate them from
-the current code with
+for each spec, and ``tests/golden/sweeps/<family>.json`` the summary of
+``sweep(family, n=5, rng_seed=0)`` with the family's default sampler.
+After an intended change to a report, regenerate them from the current
+code with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -15,7 +18,9 @@ and review the diff.  The comparison rules:
   checks (``tol == 0``, see ``ConditionReport.from_min``);
 * for passing upper-bound checks only the residual is compared: their
   worst point sits at floating-point noise level and moves with the
-  summation order.
+  summation order;
+* a sweep summary matches exactly outside its worst residuals, which
+  follow the residual rule above.
 """
 
 from __future__ import annotations
@@ -26,12 +31,16 @@ import pathlib
 
 import pytest
 
-from lorentzmin.harness import dumps_json, verify
+from lorentzmin.curves import FAMILIES
+from lorentzmin.harness import dumps_json, sweep, verify
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "specs"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 SPECS = sorted(p.stem for p in SPEC_DIR.glob("*.json"))
+SWEEP_DIR = GOLDEN_DIR / "sweeps"
+SWEEP_FAMILIES = sorted(FAMILIES)
+SWEEP_N, SWEEP_SEED = 5, 0
 
 RESIDUAL_FACTOR = 10.0
 RESIDUAL_ABS = 1e-15
@@ -68,6 +77,20 @@ def assert_matches(got: dict, want: dict) -> None:
                 cid, g["worst_point"], w["worst_point"])
 
 
+def current_sweep(family: str) -> dict:
+    return json.loads(dumps_json(sweep(family, n=SWEEP_N, rng_seed=SWEEP_SEED)))
+
+
+def assert_sweep_matches(got: dict, want: dict) -> None:
+    strip = ("worst_residuals",)
+    assert {k: v for k, v in got.items() if k not in strip} == {
+        k: v for k, v in want.items() if k not in strip}
+    assert sorted(got["worst_residuals"]) == sorted(want["worst_residuals"])
+    for cid, value in want["worst_residuals"].items():
+        assert residuals_agree(got["worst_residuals"][cid], value), (
+            cid, got["worst_residuals"][cid], value)
+
+
 def test_every_spec_has_a_golden_report():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == SPECS
 
@@ -76,6 +99,16 @@ def test_every_spec_has_a_golden_report():
 def test_report_matches_golden(name):
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     assert_matches(current_report(name), want)
+
+
+def test_every_curve_family_has_a_golden_sweep():
+    assert sorted(p.stem for p in SWEEP_DIR.glob("*.json")) == SWEEP_FAMILIES
+
+
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_sweep_matches_golden(family):
+    want = json.loads((SWEEP_DIR / f"{family}.json").read_text())
+    assert_sweep_matches(current_sweep(family), want)
 
 
 @pytest.mark.parametrize("got, want, ok", [
@@ -96,6 +129,11 @@ def write_goldens() -> None:
         text = json.dumps(report, indent=1, sort_keys=True)
         (GOLDEN_DIR / f"{name}.json").write_text(text + "\n")
         print(f"wrote {GOLDEN_DIR / name}.json")
+    SWEEP_DIR.mkdir(exist_ok=True)
+    for family in SWEEP_FAMILIES:
+        text = json.dumps(current_sweep(family), indent=1, sort_keys=True)
+        (SWEEP_DIR / f"{family}.json").write_text(text + "\n")
+        print(f"wrote {SWEEP_DIR / family}.json")
 
 
 if __name__ == "__main__":

@@ -235,10 +235,18 @@ class TestVerify:
         assert by_id["lightcone-z"].tol == 1e-3
         assert by_id["minimality"].tol == 1e-6  # other tiers untouched
 
-    def test_env_tolerance_invalid(self, monkeypatch):
-        monkeypatch.setenv("LMS_DEFAULT_TOL", "banana")
-        with pytest.raises(ValueError):
-            verify(SPHERE_71)
+    def test_env_tolerance_invalid(self, monkeypatch, tmp_path, capsys):
+        # nan or inf would pass every premise and quadric check vacuously;
+        # lms verify must stop with one error line instead
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPHERE_71))
+        for raw in ("banana", "nan", "inf", "-inf", "0", "-1e-9"):
+            monkeypatch.setenv("LMS_DEFAULT_TOL", raw)
+            with pytest.raises(ValueError):
+                verify(SPHERE_71)
+            assert main(["verify", "--spec", str(spec)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: LMS_DEFAULT_TOL") and err.count("\n") == 1, raw
 
 
 class TestSweep:
@@ -399,6 +407,9 @@ class TestCli:
         {"grid": [1, 5]},
         {"tolerances": {"minimality": None}},
         {"tolerances": [1]},
+        {"tolerances": {"premise": 0}},
+        {"tolerances": {"minimality": -1e-6}},
+        {"tolerances": {"quadric": float("inf")}},
         {"curves": 5},
         {"curves": [5]},
         {"domain": {"x": [0.1, {}], "y": [0.1, 1.1]}},
@@ -407,6 +418,7 @@ class TestCli:
             "param-nan", "param-bool", "params-list",
             "grid-non-integer", "grid-bool", "grid-length", "grid-absurd",
             "grid-negative", "grid-too-small", "tolerance-null", "tolerances-list",
+            "tolerance-zero", "tolerance-negative", "tolerance-inf",
             "curves-number", "curve-number", "domain-object-bound", "family-list"])
     def test_malformed_spec_exit_2_with_one_line_error(self, tmp_path, capsys, patch):
         curve = {"family_id": "Ex8_1", "params": {"a": 1, "b": 1.1, "p": 1, "q": 1.5}}

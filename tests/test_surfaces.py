@@ -14,7 +14,7 @@ from lorentzmin.errors import (
     SignatureMismatchError,
 )
 from lorentzmin.diffgeo import _rich1
-from lorentzmin.harness import FD_SUBGRID, SurfaceSpec, _build_surface, _resolve_curves
+from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resolve_curves
 from lorentzmin.indefinite import AmbientKind, Signature, indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
@@ -280,7 +280,8 @@ def test_third_order_jet_matches_richardson_of_mixed_partial(name):
     # analytic L_xy, relative at scale max(1, |analytic|)
     spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
     curves, _ = _resolve_curves(spec)
-    surface = _build_surface(spec, curves, DEFAULT_TOLS["premise"])
+    surface = SURFACE_FAMILIES[spec.family].build(
+        curves, spec.resolved_domain(), DEFAULT_TOLS["premise"])
     sub = surface.grid(FD_SUBGRID)
     x, y = sub[:, 0], sub[:, 1]
     jet = surface.jet(x, y)
