@@ -9,6 +9,7 @@ radicand checks.
 """
 
 import argparse
+import math
 import sys
 
 from lorentzmin.harness import sweep
@@ -30,10 +31,11 @@ def main() -> int:
               f"invalid={summary['invalid']:5d} passed={summary['passed']:5d} "
               f"failed={summary['failed']}")
         if summary["valid"] and summary["worst_residuals"]:
-            worst_id = max(summary["worst_residuals"],
-                           key=summary["worst_residuals"].get)
-            print(f"    worst residual: {worst_id} = "
-                  f"{summary['worst_residuals'][worst_id]:.3e}")
+            # a non-finite residual arrives as "nan", "inf" or "-inf" and is the worst
+            worst = {k: float(v) for k, v in summary["worst_residuals"].items()}
+            worst_id = max(worst, key=lambda k: (not math.isfinite(worst[k]),
+                                                 worst[k] if math.isfinite(worst[k]) else 0.0))
+            print(f"    worst residual: {worst_id} = {worst[worst_id]:.3e}")
     return 1 if failures else 0
 
 

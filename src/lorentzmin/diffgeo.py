@@ -38,10 +38,11 @@ offsets per node are stacked on a leading axis and evaluated in one
 (the ``fd-partials`` cross-check).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
-one ``jet`` call for the jet, one ``einsum`` for the Gram matrices, one
-batched ``np.linalg.solve`` behind a degeneracy guard for the projection,
-and a few indefinite products for the E-field.  ``grid_values`` runs it
-over a grid in blocks of at most ``BLOCK_NODES`` nodes, so the working
+one ``jet`` call, one matmul for a table of the indefinite products that
+the projection, (g_xy)_x, (g_xy)_y and the checks need, the at most 3x3
+Gram systems solved in closed form from their adjugates behind a
+degeneracy guard, and four products for (g_xy)_xy.  ``grid_values`` runs
+it over a grid in blocks of at most ``BLOCK_NODES`` nodes, so the working
 set stays bounded; the point functions (``point_forms`` and the rest) run
 it on a single node.
 """
@@ -110,6 +111,7 @@ class MetricData:
     g_yy: float
     E: float
     offdiag_residuals: tuple[float, float]  # (|g_xx|, |g_yy|)
+    gram: np.ndarray  # <B_i, B_j> for B = (L_x, L_y, L), shape nodes + (3, 3)
 
 
 @dataclass(frozen=True)
@@ -268,46 +270,50 @@ def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float
 # metric, projection, E-field
 
 
-def _gram(surface: SurfaceMap, jet: Jet2):
-    """Projection basis (L_x, L_y and, on a quadric, L) stacked on axis -2,
-    with its indefinite Gram matrices."""
-    basis = [jet.Lx, jet.Ly]
-    if surface.ambient.kind is not AmbientKind.FLAT:
-        basis.append(jet.L)
-    B = np.stack(basis, axis=-2)
-    d = _metric_diagonal(B.shape[-1], surface.ambient.embedding_signature.index)
-    return B, d, np.einsum("...id,...jd->...ij", B * d, B)
-
-
-def _metric(G) -> MetricData:
+def _table(surface: SurfaceMap, jet: Jet2):
+    """(W, d, T, metric): W = (L_x, L_y, L, L_xx, L_xy, L_yy) on axis -2, the
+    table T = <W_i, W_j> for i < 3, and the metric read from it.  On the
+    projection basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3 vectors, the
+    Gram matrix is T[..., :n, :n] and the right-hand sides T[..., :n, 3:]."""
+    W = np.stack([jet.Lx, jet.Ly, jet.L, jet.Lxx, jet.Lxy, jet.Lyy], axis=-2)
+    d = _metric_diagonal(W.shape[-1], surface.ambient.embedding_signature.index)
+    T = (W[..., :3, :] * d) @ np.swapaxes(W, -1, -2)
     # [()] makes a single node's entries scalars and leaves arrays as they are
-    g_xx, g_xy, g_yy = G[..., 0, 0][()], G[..., 0, 1][()], G[..., 1, 1][()]
+    g_xx, g_xy, g_yy = T[..., 0, 0][()], T[..., 0, 1][()], T[..., 1, 1][()]
     bad = g_xy >= 0
     if bad.any():
         raise DegenerateMetricError(
             f"g_xy = {np.ravel(g_xy)[_first(bad)]:g} >= 0: not a Lorentz surface in "
             "null coordinates (if the pairing is positive, reverse one coordinate)"
         )
-    return MetricData(g_xx, g_xy, g_yy, np.sqrt(-g_xy), (np.abs(g_xx), np.abs(g_yy)))
+    return W, d, T, MetricData(g_xx, g_xy, g_yy, np.sqrt(-g_xy),
+                               (np.abs(g_xx), np.abs(g_yy)), T[..., :3])
 
 
 def _gram_solve(G, rhs):
-    """Solve the batched Gram systems G c = rhs; a system whose |det|
-    falls below GRAM_TOL times the product of its row norms raises."""
-    det = np.linalg.det(G)
-    singular = np.abs(det) <= GRAM_TOL * np.prod(np.linalg.norm(G, axis=-1), axis=-1)
+    """Solve the symmetric Gram systems G c = rhs (2x2 or 3x3, batched) in
+    closed form from the adjugate; a system whose |det| falls below
+    GRAM_TOL times the product of its row norms raises."""
+    a, b, e = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+    if G.shape[-1] == 2:
+        det, adj = a * e - b * b, [e, -b, -b, a]
+    else:
+        c, f, i = G[..., 0, 2], G[..., 1, 2], G[..., 2, 2]
+        A00, A01, A02 = e * i - f * f, c * f - b * i, b * f - c * e
+        A11, A12, A22 = a * i - c * c, b * c - a * f, a * e - b * b
+        det, adj = a * A00 + b * A01 + c * A02, [A00, A01, A02, A01, A11, A12, A02, A12, A22]
+    singular = np.abs(det) <= GRAM_TOL * np.prod(np.sqrt(np.sum(G * G, axis=-1)), axis=-1)
     if singular.any():
         raise DegenerateMetricError(
-            f"singular Gram matrix (det {np.ravel(det)[_first(singular)]:.3e})"
-        )
-    return np.linalg.solve(G, rhs)
+            f"singular Gram matrix (det {np.ravel(det)[_first(singular)]:.3e})")
+    return (np.stack(adj, axis=-1).reshape(G.shape) / _col(_col(det))) @ rhs
 
 
-def _second_form(jet: Jet2, B, d, G):
-    """Normal parts of L_xx, L_xy, L_yy (coordinate h_xx, h_xy, h_yy)."""
-    V = np.stack([jet.Lxx, jet.Lxy, jet.Lyy], axis=-2)
-    C = _gram_solve(G, np.einsum("...id,...kd->...ik", B * d, V))
-    N = V - np.einsum("...ik,...id->...kd", C, B)
+def _second_form(W, T, n):
+    """Normal parts of L_xx, L_xy, L_yy (coordinate h_xx, h_xy, h_yy): V
+    minus B C, where G C = <B, V> on the basis B = W[..., :n, :]."""
+    C = _gram_solve(T[..., :n, :n], T[..., :n, 3:])
+    N = W[..., 3:, :] - np.swapaxes(C, -1, -2) @ W[..., :n, :]
     return N[..., 0, :], N[..., 1, :], N[..., 2, :]
 
 
@@ -357,16 +363,11 @@ def _connection(E, ex, ey, exy):
     return (2 * ex / E, 2 * ey / E, ex / E**2, -ey / E**2), (2 * E * exy - 2 * ex * ey) / E**4
 
 
-def _jet_efield(jet: Jet2, d, E):
-    """E_x, E_y and E_xy exactly, from the derivatives of g_xy = -E^2."""
-    def dot(a, b):
-        return (a * b) @ d
-
-    dx = dot(jet.Lxx, jet.Ly) + dot(jet.Lx, jet.Lxy)  # (g_xy)_x
-    dy = dot(jet.Lxy, jet.Ly) + dot(jet.Lx, jet.Lyy)  # (g_xy)_y
-    dxy = (dot(jet.Lxxy, jet.Ly) + dot(jet.Lxx, jet.Lyy)
-           + dot(jet.Lxy, jet.Lxy) + dot(jet.Lx, jet.Lxyy))
-    ex, ey = -dx / (2 * E), -dy / (2 * E)
+def _jet_efield(jet: Jet2, d, T, E):
+    """E_x, E_y and E_xy exactly, from the derivatives of g_xy = -E^2 (two in T)."""
+    ex = -(T[..., 1, 3] + T[..., 0, 4]) / (2 * E)  # (g_xy)_x = <L_y,L_xx> + <L_x,L_xy>
+    ey = -(T[..., 1, 4] + T[..., 0, 5]) / (2 * E)  # (g_xy)_y = <L_y,L_xy> + <L_x,L_yy>
+    dxy = (jet.Lxxy * jet.Ly + jet.Lxx * jet.Lyy + jet.Lxy * jet.Lxy + jet.Lx * jet.Lxyy) @ d
     return ex, ey, -dxy / (2 * E) - ex * ey / E
 
 
@@ -379,14 +380,13 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet"):
     uses the stencil (the cross-check); None skips it and leaves the
     connection coefficients and K None."""
     jet = partials(surface, x, y)
-    B, d, G = _gram(surface, jet)
-    md = _metric(G)
-    h_xx, h_xy, h_yy = _second_form(jet, B, d, G)
+    W, d, T, md = _table(surface, jet)
+    h_xx, h_xy, h_yy = _second_form(W, T, 2 if surface.ambient.kind is AmbientKind.FLAT else 3)
     E, E2 = _col(md.E), _col(md.E**2)
     connection, K = (None,) * 4, None
     if curvature is not None:
         if curvature == "jet" and jet.Lxxy is not None:
-            ex, ey, exy = _jet_efield(jet, d, md.E)
+            ex, ey, exy = _jet_efield(jet, d, T, md.E)
         else:
             ex, ey, exy = _efield(surface, *_nodes(x, y))
         connection, K = _connection(md.E, ex, ey, exy)
@@ -424,7 +424,7 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
 
 def induced_metric(surface: SurfaceMap, x: float, y: float) -> MetricData:
     """g_ij = <L_i, L_j>; E = sqrt(-g_xy), defined only for g_xy < 0."""
-    return _metric(_gram(surface, partials(surface, x, y))[2])
+    return _table(surface, partials(surface, x, y))[3]
 
 
 def point_forms(surface: SurfaceMap, x: float, y: float) -> tuple[Jet2, FundamentalForms]:

@@ -47,7 +47,7 @@ from .curves import (
 )
 from .errors import DegenerateMetricError, InvalidInputError, PremiseError
 from .indefinite import AmbientKind, indefinite_dot
-from .report import ConditionReport, DEFAULT_TOLS, default_tolerances
+from .report import ConditionReport, DEFAULT_TOLS, default_tolerances, json_residual
 from .surfaces import (
     DE_SITTER_DOMAIN,
     FLAT_DOMAIN,
@@ -434,14 +434,14 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
     def add_max(cid, per_node, tol_key, note=""):
         planned.append((cid, per_node, tol_key, note))
 
+    # <L,L>, <L,L_x> and <L,L_y> are read from the Gram matrix of (L_x, L_y, L)
     k = family.k
     if k is not None:
-        add_max("quadric", lambda x, y, jet, f: np.abs(dot(jet.L, jet.L) - k),
+        add_max("quadric", lambda x, y, jet, f: np.abs(f.metric.gram[..., 2, 2] - k),
                 "quadric", note=f"<L,L> = {k:g}")
     if surface.ambient.kind is not AmbientKind.FLAT:
         add_max("tangency",
-                lambda x, y, jet, f: np.maximum(np.abs(dot(jet.L, jet.Lx)),
-                                                np.abs(dot(jet.L, jet.Ly))),
+                lambda x, y, jet, f: np.max(np.abs(f.metric.gram[..., 2, :2]), axis=-1),
                 "tangency", note="<L,L_x> = <L,L_y> = 0")
 
     if family.g_xy is not None:
@@ -522,8 +522,7 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
     """
     if isinstance(spec, dict):
         spec = SurfaceSpec.from_dict(spec)
-    tols = default_tolerances()
-    tols.update(spec.tolerances)
+    tols = {**default_tolerances(), **spec.tolerances}
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -681,8 +680,9 @@ def sweep(
             grid=tuple(cfg["grid"]),
         ))
         for check in report.checks:
+            # np.maximum, unlike max, propagates a NaN from either side
             prev = worst.get(check.condition_id, -math.inf)
-            worst[check.condition_id] = max(prev, check.max_residual)
+            worst[check.condition_id] = float(np.maximum(prev, check.max_residual))
         if report.overall_pass:
             passed += 1
         else:
@@ -698,7 +698,7 @@ def sweep(
         "invalid": invalid,
         "passed": passed,
         "failed": failed,
-        "worst_residuals": dict(sorted(worst.items())),
+        "worst_residuals": {k: json_residual(v) for k, v in sorted(worst.items())},
         "failures": failures,
     }
 
@@ -723,15 +723,19 @@ def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
 
     csv: header "x,y,L_1,...,L_k,residual", one row per grid node.
     obj: quad mesh over the grid; vertices take the first three embedding
-    coordinates (padded with zeros below dimension three).
+    coordinates (padded with zeros below dimension three).  A surface that
+    ``verify`` would not build (a blocking premise fails under the spec's
+    tolerances) raises ``PremiseError`` before the file is opened.
     """
     if format not in ("csv", "obj"):
         raise InvalidInputError(f"format must be 'csv' or 'obj', got {format!r}")
     if isinstance(spec, dict):
         spec = SurfaceSpec.from_dict(spec)
     curves, _ = _resolve_curves(spec)
-    surface = SURFACE_FAMILIES[spec.family].build(
-        curves, spec.resolved_domain(), default_tolerances()["premise"])
+    reports, hard, surface = _premise_phase(spec, curves, {**default_tolerances(),
+                                                           **spec.tolerances})
+    if hard:
+        raise PremiseError(hard, reports)
     nx, ny = spec.grid
     dim = surface.ambient.embedding_signature.dim
     positions, residuals = diffgeo.grid_values(

@@ -8,11 +8,13 @@ storing the shortfall ``threshold - min_value``, so that the invariant
 
 Residuals arrive as arrays in node order (x-major on grids); the worst
 node is the first to attain the extreme, or the first non-finite one: a
-NaN or inf always fails its check.
+NaN or inf always fails its check, and serializes as the string "nan",
+"inf" or "-inf" (``json_residual``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -50,13 +52,19 @@ class ConditionReport:
     def to_dict(self) -> dict:
         return {
             "condition_id": self.condition_id,
-            "max_residual": self.max_residual,
+            "max_residual": json_residual(self.max_residual),
             "tol": self.tol,
             "passed": self.passed,
             "grid": self.grid,
             "worst_point": list(self.worst_point),
             "note": self.note,
         }
+
+
+def json_residual(value: float):
+    """A residual for a JSON report: the float itself when finite, else the
+    string "nan", "inf" or "-inf", which strict JSON can carry."""
+    return value if math.isfinite(value) else str(value)
 
 
 def _worst(values, pick, points):

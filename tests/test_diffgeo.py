@@ -21,12 +21,13 @@ from lorentzmin.diffgeo import (
 )
 from lorentzmin.errors import DegenerateMetricError, DomainError
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resolve_curves
-from lorentzmin.indefinite import indefinite_dot
+from lorentzmin.indefinite import AmbientKind, indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
     Jet2,
     _col,
     de_sitter_control,
+    grid_axes,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
     sphere_case_b,
@@ -364,3 +365,94 @@ def test_stacked_fd_jet_matches_per_offset_differences(name):
         stacked, reference = fd_jet(surface, *args), _per_offset_fd_jet(surface, *args)
         for field in ("L", "Lx", "Ly", "Lxx", "Lxy", "Lyy"):
             assert np.array_equal(getattr(stacked, field), getattr(reference, field)), field
+
+
+# The batched LAPACK solve that the closed-form adjugate solve replaced;
+# the projection must agree with it.
+
+
+def _build_spec_surface(name):
+    spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
+    curves, _ = _resolve_curves(spec)
+    return spec, SURFACE_FAMILIES[spec.family].build(
+        curves, spec.resolved_domain(), DEFAULT_TOLS["premise"])
+
+
+def _random_gram_stack(rng, nodes, n):
+    """Symmetric indefinite n x n matrices Q diag(lam) Q^T with |lam| in
+    [0.5, 2] and mixed signs (condition number at most 4)."""
+    q, _ = np.linalg.qr(rng.normal(size=(nodes, n, n)))
+    lam = rng.uniform(0.5, 2.0, size=(nodes, n)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
+
+
+class TestClosedFormProjection:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_indefinite_stacks_match_lapack(self, n):
+        rng = np.random.default_rng(n)
+        G = _random_gram_stack(rng, 500, n)
+        rhs = rng.normal(size=(500, n, 3))
+        ref = np.linalg.solve(G, rhs)
+        np.testing.assert_allclose(diffgeo._gram_solve(G, rhs), ref, rtol=1e-12, atol=1e-12)
+        # the guard is relative: a scaled stack is just as regular
+        np.testing.assert_allclose(diffgeo._gram_solve(1e-12 * G, rhs), 1e12 * ref,
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(1e12 * ref)))
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
+    def test_spec_grid_matches_lapack(self, name):
+        spec, surface = _build_spec_surface(name)
+        xs, ys = grid_axes(surface.domain, spec.grid)
+        jet = partials(surface, xs, ys)
+        W, d, T, _ = diffgeo._table(surface, jet)
+        n = 2 if surface.ambient.kind is AmbientKind.FLAT else 3
+        G, rhs = T[..., :n, :n], T[..., :n, 3:]
+        ref = np.linalg.solve(G, rhs)
+        np.testing.assert_allclose(diffgeo._gram_solve(G, rhs), ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+        normal = W[..., 3:, :] - np.swapaxes(ref, -1, -2) @ W[..., :n, :]
+        scale = np.max(np.abs(W[..., 3:, :]))
+        for k, h in enumerate(diffgeo._second_form(W, T, n)):
+            np.testing.assert_allclose(h, normal[..., k, :], rtol=1e-12, atol=1e-12 * scale)
+        # the table holds the products the checks read from it
+        idx = surface.ambient.embedding_signature.index
+        for i, a in enumerate((jet.Lx, jet.Ly, jet.L)):
+            for j, b in enumerate((jet.Lx, jet.Ly, jet.L, jet.Lxx, jet.Lxy, jet.Lyy)):
+                np.testing.assert_allclose(T[..., i, j], indefinite_dot(a, b, idx), rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(a)) * np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("G", [
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-10]],  # det 1e-10 <= GRAM_TOL * 2.0
+        # Gram matrix of u, v, u + v in E^3_1, with u = (1, 0, 0), v = (0, 1, 1)
+        [[-1.0, 0.0, -1.0], [0.0, 2.0, 2.0], [-1.0, 2.0, 1.0]],
+    ], ids=["2x2", "2x2-near", "3x3"])
+    def test_singular_guard_at_one_node_and_batched(self, G):
+        G = np.array(G)
+        n = len(G)
+        with pytest.raises(DegenerateMetricError, match="singular Gram matrix"):
+            diffgeo._gram_solve(G, np.ones((n, 3)))
+        stack = _random_gram_stack(np.random.default_rng(0), 7, n)
+        stack[4] = G
+        with pytest.raises(DegenerateMetricError, match="singular Gram matrix"):
+            diffgeo._gram_solve(stack, np.ones((7, n, 3)))
+        stack[4] = np.eye(n)
+        diffgeo._gram_solve(stack, np.ones((7, n, 3)))
+
+    def test_guard_threshold_is_relative_to_row_norms(self):
+        # det 1e-9 against GRAM_TOL times row norms of about 1.4 each
+        G = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
+        np.testing.assert_allclose(diffgeo._gram_solve(G, np.array([1.0, 0.0])),
+                                   np.linalg.solve(G, np.array([1.0, 0.0])), rtol=1e-6)
+
+
+def test_verify_makes_no_linalg_call(monkeypatch):
+    from lorentzmin.harness import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("solve", "det", "norm", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for path in sorted(SPEC_DIR.glob("*.json")):
+        report = verify(json.loads(path.read_text()))
+        assert report.overall_pass == (path.stem != "de_sitter_control"), path.stem

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
+
+import numpy as np
 import pytest
 
 from lorentzmin.cli import main
-from lorentzmin.errors import ConstraintViolationError, InvalidInputError
+from lorentzmin.errors import ConstraintViolationError, InvalidInputError, PremiseError
 from lorentzmin.harness import (
     SurfaceSpec,
     dumps_json,
@@ -12,6 +15,7 @@ from lorentzmin.harness import (
     sweep,
     verify,
 )
+from lorentzmin.report import ConditionReport
 
 SPHERE_71 = {
     "family": "sphere_b",
@@ -281,6 +285,30 @@ class TestSweep:
         summary = sweep("Ex8_1", {"center": [1, 1.1, 0, 1.5], "rel": 0}, n=2)
         assert (summary["valid"], summary["invalid"]) == (0, 2)
 
+    @pytest.mark.parametrize("residuals, worst", [
+        ([1e-3, math.nan], "nan"),          # max(1e-3, nan) is 1e-3
+        ([math.nan, 1e-3], "nan"),
+        ([-math.inf, math.nan], "nan"),     # max(-inf, nan) is -inf
+        ([-math.inf, -math.inf], "-inf"),
+        ([1e-3, math.inf], "inf"),
+        ([1e-3, 2e-3], 2e-3),
+    ])
+    def test_non_finite_worst_residual_kept_and_serialized(self, monkeypatch, residuals,
+                                                           worst):
+        import lorentzmin.harness as harness
+
+        draws = iter(residuals)
+
+        def fake_verify(spec):
+            check = ConditionReport.from_max("x", [next(draws)], 1.0, "g")
+            return harness.VerificationReport({}, {}, (check,), (), check.passed, {})
+
+        monkeypatch.setattr(harness, "verify", fake_verify)
+        summary = sweep("Ex7_1", n=len(residuals), rng_seed=0)
+        assert summary["worst_residuals"] == {"x": worst}
+        assert summary["failed"] == sum(not (math.isfinite(r) and r <= 1.0) for r in residuals)
+        assert json.loads(dumps_json(summary))["worst_residuals"] == {"x": worst}
+
 
 class TestExport:
     def test_csv_contract(self, tmp_path):
@@ -307,6 +335,18 @@ class TestExport:
     def test_bad_format(self, tmp_path):
         with pytest.raises(InvalidInputError):
             export_samples(TRANSLATION, str(tmp_path / "x"), "stl")
+
+    def test_refuses_what_verify_refuses(self, tmp_path):
+        # the spec's premise tolerance blocks the surface in verify, so
+        # export must not write it either
+        spec = dict(SPHERE_71, tolerances={"premise": 1e-15})
+        report = verify(spec)
+        assert not report.surface["constructed"]
+        out = tmp_path / "surface.csv"
+        with pytest.raises(PremiseError) as info:
+            export_samples(spec, str(out), "csv")
+        assert "acc-null-z" in info.value.failed
+        assert not out.exists()
 
 
 class TestShippedSpecs:
@@ -465,6 +505,52 @@ class TestCli:
         assert main(["export", "--spec", spec, "--format", "csv",
                      "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_export_of_a_surface_verify_refuses_exit_2(self, tmp_path, capsys):
+        spec = self._write_spec(tmp_path, dict(SPHERE_71, tolerances={"premise": 1e-15}))
+        out = tmp_path / "mesh.csv"
+        assert main(["verify", "--spec", spec, "--no-timings"]) == 1
+        capsys.readouterr()
+        assert main(["export", "--spec", spec, "--format", "csv", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: premise check failed: ") and err.count("\n") == 1
+        assert "acc-null-z" in err
+        assert not out.exists()
+
+    def test_nan_residual_reported_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a jet that is NaN at one grid node (the domain's corner): the
+        # checks that read L_xy fail with a "nan" residual at that node and
+        # the report is still written
+        import lorentzmin.harness as harness
+
+        family = harness.SURFACE_FAMILIES["sphere_b"]
+
+        def build(curves, domain, tol):
+            surface = family.build(curves, domain, tol)
+            (x0, _), (y0, _) = surface.domain
+
+            def jet(x, y):
+                j = surface.jet(x, y)
+                hit = np.asarray((x == x0) & (y == y0))[..., None]
+                return dataclasses.replace(j, Lxy=np.where(hit, np.nan, j.Lxy))
+
+            return dataclasses.replace(surface, jet=jet)
+
+        monkeypatch.setitem(harness.SURFACE_FAMILIES, "sphere_b",
+                            dataclasses.replace(family, build=build))
+        code = main(["verify", "--spec", self._write_spec(tmp_path, SPHERE_71),
+                     "--no-timings"])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["overall_pass"] is False
+        checks = {c["condition_id"]: c for c in report["checks"]}
+        nan_ids = {cid for cid, c in checks.items() if c["max_residual"] == "nan"}
+        assert {"pde-xy", "minimality", "fd-partials"} <= nan_ids
+        for cid in nan_ids:
+            assert checks[cid]["passed"] is False
+            assert checks[cid]["worst_point"] == [0.1, 0.1]
+        assert checks["quadric"]["passed"] and checks["pde-yy"]["passed"]
 
     def test_export_unwritable_exit_2(self, tmp_path):
         spec = self._write_spec(tmp_path, TRANSLATION)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -35,10 +36,19 @@ class TestNonFinite:
         assert not rep.passed
         assert rep.worst_point == (0.0, 1.0)
 
-    def test_non_finite_report_refuses_to_serialize(self):
-        rep = ConditionReport.from_max("x", [NAN], 1e-6, "g")
-        with pytest.raises(InvalidInputError):
-            dumps_json(rep.to_dict())
+    @pytest.mark.parametrize("value, text", [(NAN, "nan"), (math.inf, "inf"),
+                                             (-math.inf, "-inf")])
+    def test_non_finite_residual_serializes_as_a_string(self, value, text):
+        rep = ConditionReport.from_max("x", [1e-12, value], 1e-6, "g", points=PTS[:2])
+        out = json.loads(dumps_json(rep.to_dict()))
+        assert out["max_residual"] == text and out["passed"] is False
+        assert out["worst_point"] == [0.0, 1.0]
+
+    def test_dumps_json_still_refuses_other_non_finite_floats(self):
+        rep = ConditionReport.from_max("x", [1e-12], 1e-6, "g")
+        for bad in (NAN, math.inf):
+            with pytest.raises(InvalidInputError):
+                dumps_json({**rep.to_dict(), "tol": bad})
 
 
 class TestReduction:
