@@ -33,8 +33,7 @@ def main() -> int:
         if summary["valid"] and summary["worst_residuals"]:
             # a non-finite residual arrives as "nan", "inf" or "-inf" and is the worst
             worst = {k: float(v) for k, v in summary["worst_residuals"].items()}
-            worst_id = max(worst, key=lambda k: (not math.isfinite(worst[k]),
-                                                 worst[k] if math.isfinite(worst[k]) else 0.0))
+            worst_id = max(worst, key=lambda k: worst[k] if math.isfinite(worst[k]) else math.inf)
             print(f"    worst residual: {worst_id} = {worst[worst_id]:.3e}")
     return 1 if failures else 0
 

@@ -352,12 +352,16 @@ def _per_offset_fd_jet(surface, x, y, h1=None, h2=None):
     )
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
-def test_stacked_fd_jet_matches_per_offset_differences(name):
+def _build_spec_surface(name):
     spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
     curves, _ = _resolve_curves(spec)
-    surface = SURFACE_FAMILIES[spec.family].build(
+    return spec, SURFACE_FAMILIES[spec.family].build(
         curves, spec.resolved_domain(), DEFAULT_TOLS["premise"])
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
+def test_stacked_fd_jet_matches_per_offset_differences(name):
+    _, surface = _build_spec_surface(name)
     sub = surface.grid(FD_SUBGRID)
     (x0, x1), (y0, y1) = surface.domain
     for args in ((sub[:, 0], sub[:, 1]), (sub[:, 0], sub[:, 1], 0.04, 0.04),
@@ -369,13 +373,6 @@ def test_stacked_fd_jet_matches_per_offset_differences(name):
 
 # The batched LAPACK solve that the closed-form adjugate solve replaced;
 # the projection must agree with it.
-
-
-def _build_spec_surface(name):
-    spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
-    curves, _ = _resolve_curves(spec)
-    return spec, SURFACE_FAMILIES[spec.family].build(
-        curves, spec.resolved_domain(), DEFAULT_TOLS["premise"])
 
 
 def _random_gram_stack(rng, nodes, n):
