@@ -8,8 +8,6 @@ from .curves import (
     ParamFamily,
     builtin_curve,
     derivative_inner,
-    eval_curve,
-    fd_derivative_check,
     make_example,
     null_check,
     seeded_null_pair,
@@ -19,11 +17,8 @@ from .diffgeo import (
     FrameData,
     FundamentalForms,
     MetricData,
-    connection_data,
     fd_discrepancy,
     gauss_curvature,
-    gauss_equation_residual,
-    induced_metric,
     minimality_residual,
     partials,
     second_fundamental_form,
@@ -45,17 +40,7 @@ from .harness import (
     sweep,
     verify,
 )
-from .indefinite import (
-    Ambient,
-    AmbientKind,
-    CausalCharacter,
-    PseudoVector,
-    Signature,
-    causal_character,
-    inner,
-    light_cone_residual,
-    quadric_residual,
-)
+from .indefinite import Ambient, AmbientKind, Signature
 from .report import ConditionReport
 from .surfaces import (
     Jet2,

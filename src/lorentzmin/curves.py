@@ -2,10 +2,10 @@
 
 A curve is a map t -> E^m_s built from closed-form components (constants,
 polynomials, cosh/sinh and sin/cos blocks), so derivatives are exact
-rather than numerical; a central-difference check is provided to validate
-them.  On top of the generic abstraction sit four built-in parameter
-families of light-cone curves used by the surface constructors, each with
-numeric validation of every radicand and denominator in its coefficients.
+rather than numerical.  On top of the generic abstraction sit four
+built-in parameter families of light-cone curves used by the surface
+constructors, each with numeric validation of every radicand and
+denominator in its coefficients.
 
 Curves are evaluated on numpy arrays of parameters: ``Curve.at(t, k)``
 takes a scalar or an array ``t`` and returns shape ``t.shape + (dim,)``.
@@ -23,20 +23,17 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConstraintViolationError, InvalidInputError, SignatureMismatchError
-from .indefinite import PseudoVector, Signature, indefinite_dot
-from .report import ConditionReport
+from .indefinite import Signature, indefinite_dot
+from .report import DEFAULT_TOLS, ConditionReport
 
 __all__ = [
     "Curve",
     "ParamFamily",
     "FamilyValidation",
-    "eval_curve",
-    "fd_derivative_check",
     "derivative_inner",
     "null_check",
     "make_example",
     "validate_family",
-    "family_info",
     "builtin_curve",
     "BUILTIN_CURVES",
     "FAMILIES",
@@ -56,6 +53,9 @@ MAX_ORDER = 3
 #: beyond the declared domain, so finite-difference stencils anchored at a
 #: boundary point stay legal.
 DOMAIN_PAD_FRACTION = 0.1
+
+#: Samples of a curve's domain on which its premises are checked.
+DEFAULT_SAMPLES = 41
 
 
 # ---------------------------------------------------------------------------
@@ -166,27 +166,6 @@ class Curve:
         return np.linspace(self.domain[0], self.domain[1], samples)
 
 
-def eval_curve(curve: Curve, t: float, order: int = 0) -> PseudoVector:
-    """Exact derivative of the given order, wrapped with its signature."""
-    return PseudoVector(curve.at(t, order), curve.signature)
-
-
-def fd_derivative_check(curve: Curve, t: float, order: int, step: float) -> float:
-    """Max-norm relative gap between the exact order-th derivative and a
-    Richardson-extrapolated central difference of the (order-1)-th one."""
-    if not 1 <= order <= MAX_ORDER:
-        raise InvalidInputError("order must be in [1, 3]")
-    if step <= 0:
-        raise InvalidInputError(f"step must be positive, got {step}")
-    k = order - 1
-    d1 = (curve.at(t + step, k) - curve.at(t - step, k)) / (2 * step)
-    d2 = (curve.at(t + step / 2, k) - curve.at(t - step / 2, k)) / step
-    fd = (4 * d2 - d1) / 3
-    exact = curve.at(t, order)
-    scale = max(1.0, float(np.max(np.abs(exact))))
-    return float(np.max(np.abs(fd - exact))) / scale
-
-
 def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):
     """<c1^(k1)(t1), c2^(k2)(t2)>, the workhorse of all premise checks;
     array arguments broadcast against each other."""
@@ -197,7 +176,8 @@ def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):
     return indefinite_dot(c1.at(t1, k1), c2.at(t2, k2), c1.signature.index)
 
 
-def null_check(curve: Curve, samples: int = 41, tol: float = 1e-9) -> ConditionReport:
+def null_check(curve: Curve, samples: int = DEFAULT_SAMPLES,
+               tol: float = DEFAULT_TOLS["premise"]) -> ConditionReport:
     """Max of |<z',z'>| over an even grid of the domain; pass iff <= tol."""
     ts = curve.sample_grid(samples)
     residuals = np.abs(derivative_inner(curve, 1, curve, 1, ts, ts))
@@ -211,7 +191,10 @@ def null_check(curve: Curve, samples: int = 41, tol: float = 1e-9) -> ConditionR
 # The factories validate every radicand and denominator numerically; the
 # inequality chains traditionally quoted with these families are reported
 # as advisory metadata only (see FamilyValidation.chain_ok), because for
-# one family the quoted chain is incompatible with a radicand.
+# one family the quoted chain is incompatible with a radicand.  Each
+# formula is written once, in ``_exNN_coeffs``: ``make_example`` hands the
+# validated radicands and denominators to ``_build_exNN``, which takes their
+# square roots in the order the coefficient function lists them.
 
 def _finite_number(value) -> bool:
     """True for an int or float, not a bool, that is a finite double."""
@@ -365,12 +348,10 @@ def _place(dim, slot_values):
     return comps
 
 
-def _build_ex71(fam, alt_pairing):
+def _build_ex71(fam, rads, dens, alt_pairing):
     a, p, q, r = (fam.params[k] for k in ("a", "p", "q", "r"))
-    d = math.sqrt(r**2 - q**2)
-    c2 = math.sqrt(4 * r**2 + a**2 * p**2 * (p**2 - r**2)) / (q * d)
-    c3 = math.sqrt(4 * q**2 + a**2 * p**2 * (p**2 - q**2)) / (r * d)
-    c4 = math.sqrt(4 * (q**2 + r**2) + a**2 * (p**2 - r**2) * (p**2 - q**2)) / (q * r)
+    (d,) = map(math.sqrt, dens.values())
+    c2, c3, c4 = (math.sqrt(v) / w for v, w in zip(rads.values(), (q * d, r * d, q * r)))
     comps = [
         hcosh(a, p), hcosh(c2, q), hsinh(c3, r),
         hsinh(a, p), hsinh(c2, q), hcosh(c3, r), const(c4),
@@ -380,14 +361,11 @@ def _build_ex71(fam, alt_pairing):
     )
 
 
-def _build_ex72(fam, alt_pairing):
+def _build_ex72(fam, rads, dens, alt_pairing):
     p, q, r = (fam.params[k] for k in ("p", "q", "r"))
     s15 = math.sqrt(15)
-    A = math.sqrt(256 * q**2 + 369 * r**2) / (4 * s15)
-    B = math.sqrt(16 * q**2 + 609 * r**2) / (4 * s15)
-    C = math.sqrt(320 + 225 * p**2 + 756 * r**2 - 256 * q**2) / (8 * s15)
-    D = math.sqrt(315 * p**2 + 1024 * q**2 - 3024 * r**2 - 1280) / (4 * s15)
-    E = math.sqrt(320 + 756 * r**2 - 35 * p**2 - 256 * q**2) / 8
+    A, B, C, D, E = (math.sqrt(v) / w for v, w in zip(
+        rads.values(), (4 * s15, 4 * s15, 8 * s15, 4 * s15, 8)))
     sig = Signature(14, 6)
     z = _place(14, [
         (0, hcosh(A, 2)), (1, hsinh(B, 4)), (2, hcosh(r, 5)),
@@ -404,14 +382,10 @@ def _build_ex72(fam, alt_pairing):
     )
 
 
-def _build_ex81(fam, alt_pairing):
+def _build_ex81(fam, rads, dens, alt_pairing):
     a, b, p, q = (fam.params[k] for k in ("a", "b", "p", "q"))
-    d = math.sqrt(q**2 - p**2)
-    cp = math.sqrt(q**2 * (2 + a**2) - (4 + a**2)) / (p * d)
-    cq = math.sqrt(4 + a**2 - p**2 * (2 + a**2)) / (q * d)
-    c0 = math.sqrt(
-        b**2 * p**2 * q**2 - a**2 * (q**2 - 1) * (1 - p**2) - 2 * (p**2 + q**2 - 2)
-    ) / (p * q)
+    (d,) = map(math.sqrt, dens.values())
+    cp, cq, c0 = (math.sqrt(v) / w for v, w in zip(rads.values(), (p * d, q * d, p * q)))
     # default pairs the fifth component with the a*cosh(x) block; the
     # alternate variant uses frequency p there and fails the light-cone
     # checks whenever p != 1 (kept as a negative control).
@@ -425,23 +399,11 @@ def _build_ex81(fam, alt_pairing):
     )
 
 
-def _build_ex82(fam, alt_pairing):
+def _build_ex82(fam, rads, dens, alt_pairing):
     a, b, p, q, r, s = (fam.params[k] for k in ("a", "b", "p", "q", "r", "s"))
-
-    def half_coeffs(bb, pp, qq):
-        al = math.sqrt(pp**2 + qq**2 - bb**2 * pp**2 * qq**2 - 2) / math.sqrt(
-            (pp**2 - 1) * (qq**2 - 1)
-        )
-        be = math.sqrt(1 - pp**2 * (1 - bb**2)) / math.sqrt(
-            (qq**2 - pp**2) * (qq**2 - 1)
-        )
-        ga = math.sqrt(qq**2 * (1 - bb**2) - 1) / math.sqrt(
-            (qq**2 - pp**2) * (pp**2 - 1)
-        )
-        return al, be, ga
-
-    al, be, ga = half_coeffs(b, p, q)
-    de, ep, ze = half_coeffs(a, r, s)
+    # each half lists its three radicands and denominators in matching order
+    al, be, ga, de, ep, ze = (
+        math.sqrt(v) / math.sqrt(w) for v, w in zip(rads.values(), dens.values()))
     sig = Signature(14, 8)
     z = _place(14, [
         (0, const(b)), (1, hcosh(al, 1)), (2, hsinh(be, q)), (3, hsinh(ga, p)),
@@ -521,21 +483,6 @@ FAMILIES: dict[str, dict] = {
 }
 
 
-def family_info(family_id: str) -> dict:
-    """Public metadata of a built-in family (params, signature, arity)."""
-    if family_id not in FAMILIES:
-        raise InvalidInputError(f"unknown family {family_id!r}")
-    info = FAMILIES[family_id]
-    return {
-        "family_id": family_id,
-        "params": info["params"],
-        "signature": info["signature"],
-        "pair": info["pair"],
-        "ambient": info["ambient"],
-        "chain": info["chain"],
-    }
-
-
 def validate_family(fam: ParamFamily) -> FamilyValidation:
     """Numeric validation: every radicand >= 0, every denominator > 0.
 
@@ -611,7 +558,7 @@ def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
         if not value >= 0:
             raise ConstraintViolationError(name, value)
     try:
-        return info["_build"](fam, alt_pairing)
+        return info["_build"](fam, rads, dens, alt_pairing)
     except (ZeroDivisionError, OverflowError) as exc:
         raise InvalidInputError(f"{fam.label()}: parameters out of range ({exc})") from exc
 

@@ -29,7 +29,7 @@ g_xy = <L_x,L_y> = -E^2 gives
 
 Without them (a surface with no analytic jet), or on request for the
 cross-check, E_x, E_y and E_xy come from central differences of E (the
-E-field stencil, eight more jets per node).
+E-field stencil, eight more jets per node, each from ``partials``).
 
 ``fd_jet`` is the derivative-free counterpart of the analytic jet:
 Richardson-extrapolated central differences of the position.  Its 25
@@ -43,8 +43,8 @@ the projection, (g_xy)_x, (g_xy)_y and the checks need, the at most 3x3
 Gram systems solved in closed form from their adjugates behind a
 degeneracy guard, and four products for (g_xy)_xy.  ``grid_values`` runs
 it over a grid in blocks of at most ``BLOCK_NODES`` nodes, so the working
-set stays bounded; the point functions (``point_forms`` and the rest) run
-it on a single node.
+set stays bounded; the point functions (``point_forms`` and the functions
+built on it) run it on a single node.
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import DOMAIN_PAD_FRACTION
 from .errors import DegenerateMetricError, DomainError
 from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
-from .report import ConditionReport
-from .surfaces import Jet2, SurfaceMap, _col, grid_axes
+from .report import DEFAULT_TOLS, ConditionReport
+from .surfaces import DEFAULT_GRID, Jet2, SurfaceMap, _col, grid_axes
 
 __all__ = [
     "MetricData",
@@ -67,14 +68,11 @@ __all__ = [
     "fd_jet",
     "fd_discrepancy",
     "grid_values",
-    "induced_metric",
     "gauss_curvature",
-    "connection_data",
     "point_forms",
     "second_fundamental_form",
     "mean_curvature_norm",
     "minimality_residual",
-    "gauss_equation_residual",
 ]
 
 #: Default FD steps (scaled by max(1, |coordinate|)); each uses one
@@ -96,7 +94,7 @@ K_STEP_FD = 1e-3
 #: input).
 GRAM_TOL = 1e-10
 
-#: Nodes per block of grid rows in ``grid_values``; a jet call holds about
+#: Most nodes in one block of ``grid_values``; a jet call holds about
 #: twenty arrays of BLOCK_NODES x dim floats at its peak.
 BLOCK_NODES = 512
 
@@ -158,7 +156,7 @@ def _first(mask) -> int:
 def _check_point(surface: SurfaceMap, x, y, reach):
     x, y, reach = np.broadcast_arrays(*_nodes(x, y), reach)
     (x0, x1), (y0, y1) = surface.domain
-    pad_x, pad_y = 0.1 * (x1 - x0), 0.1 * (y1 - y0)
+    pad_x, pad_y = DOMAIN_PAD_FRACTION * (x1 - x0), DOMAIN_PAD_FRACTION * (y1 - y0)
     inside = (x0 - pad_x <= x) & (x <= x1 + pad_x) & (y0 - pad_y <= y) & (y <= y1 + pad_y)
     if not inside.all():
         i = _first(~inside)
@@ -172,12 +170,6 @@ def _check_point(surface: SurfaceMap, x, y, reach):
                 f"point ({x.flat[i]:g}, {y.flat[i]:g}) within {margin.flat[i]:g} of a "
                 f"singular locus (need > {2 * reach.flat[i]:g})"
             )
-
-
-def _rich1(f, t, h) -> np.ndarray:
-    d1 = (f(t + h) - f(t - h)) / _col(2 * h)
-    d2 = (f(t + h / 2) - f(t - h / 2)) / _col(h)
-    return (4 * d2 - d1) / 3
 
 
 def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None) -> Jet2:
@@ -244,7 +236,7 @@ def partials(surface: SurfaceMap, x, y) -> Jet2:
     _check_point(surface, x, y, 0.0)
     jet = surface.jet(x, y)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y)) + jet.L.shape[-1:]
-    return Jet2(*(None if v is None else np.broadcast_to(v, shape)
+    return Jet2(*(v if v is None or v.shape == shape else np.broadcast_to(v, shape)
                   for v in (getattr(jet, f.name) for f in dataclasses.fields(Jet2))))
 
 
@@ -318,18 +310,10 @@ def _second_form(W, T, n):
 
 
 def _conformal(surface: SurfaceMap, x, y):
-    """E = sqrt(-g_xy) at arrays of nodes, from the jet's L_x and L_y (or
-    their finite differences when the surface has no analytic jet)."""
-    if surface.jet is not None:
-        jet = surface.jet(x, y)
-        Lx, Ly = jet.Lx, jet.Ly
-    else:
-        pos = surface.position
-        h = FIRST_STEP * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-        Lx = _rich1(lambda t: pos(t, y), x, h)
-        Ly = _rich1(lambda t: pos(x, t), y, h)
-    g_xy = np.broadcast_to(
-        indefinite_dot(Lx, Ly, surface.ambient.embedding_signature.index), x.shape)
+    """E = sqrt(-g_xy) at arrays of nodes, from L_x and L_y of ``partials``
+    (the analytic jet, or the FD jet of a surface without one)."""
+    jet = partials(surface, x, y)
+    g_xy = indefinite_dot(jet.Lx, jet.Ly, surface.ambient.embedding_signature.index)
     bad = g_xy >= 0
     if bad.any():
         i = _first(bad)
@@ -400,31 +384,33 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     """Per-node quantities over a grid, computed block by block.
 
     Each entry of ``fields`` maps ``(x, y, jet, forms)`` on a block of
-    nodes (x, y of shape (rows, ny)) to an array with that leading shape.
-    One array per field comes back, of shape (nx, ny) plus whatever the
-    field appends, in the node order of ``grid_points``.  ``curvature``
-    is passed to ``_forms``: "stencil" takes K from the E-field stencil,
-    None skips K (the forms then carry none).
+    nodes (x, y of shape (rows, cols)) to an array with that leading shape.
+    A block spans whole rows of the grid when a row fits in BLOCK_NODES,
+    and part of one row otherwise.  One array per field comes back, of
+    shape (nx, ny) plus whatever the field appends, in the node order of
+    ``grid_points``.  ``curvature`` is passed to ``_forms``: "stencil"
+    takes K from the E-field stencil, None skips K (the forms then carry
+    none).
     """
     xs, ys = grid_axes(surface.domain, shape)
-    rows = max(1, BLOCK_NODES // ys.size)
+    cols = min(ys.size, BLOCK_NODES)
+    rows = BLOCK_NODES // cols
     out = [[] for _ in fields]
-    for i in range(0, len(xs), rows):
-        x, y = xs[i:i + rows], ys
-        jet, forms = _forms(surface, x, y, curvature)
-        x, y = _nodes(x, y)
-        for acc, field in zip(out, fields):
-            acc.append(field(x, y, jet, forms))
-    return [np.concatenate(acc) for acc in out]
+    for i in range(0, xs.size, rows):
+        for j in range(0, ys.size, cols):
+            x, y = xs[i:i + rows], ys[:, j:j + cols]
+            jet, forms = _forms(surface, x, y, curvature)
+            x, y = _nodes(x, y)
+            for acc, field in zip(out, fields):
+                value = field(x, y, jet, forms)
+                acc.append(value.reshape((-1,) + value.shape[2:]))
+    # the blocks are whole rows or consecutive pieces of one row, so their
+    # flattened nodes follow the grid's x-major order
+    return [np.concatenate(acc).reshape((xs.size, ys.size) + acc[0].shape[1:]) for acc in out]
 
 
 # ---------------------------------------------------------------------------
 # point views
-
-
-def induced_metric(surface: SurfaceMap, x: float, y: float) -> MetricData:
-    """g_ij = <L_i, L_j>; E = sqrt(-g_xy), defined only for g_xy < 0."""
-    return _table(surface, partials(surface, x, y))[3]
 
 
 def point_forms(surface: SurfaceMap, x: float, y: float) -> tuple[Jet2, FundamentalForms]:
@@ -443,11 +429,6 @@ def gauss_curvature(surface: SurfaceMap, x: float, y: float) -> float:
     return point_forms(surface, x, y)[1].K
 
 
-def connection_data(surface: SurfaceMap, x: float, y: float) -> FrameData:
-    """Null frame and connection coefficients at one point."""
-    return point_forms(surface, x, y)[1].frame
-
-
 def _hnorm(x, y, jet, forms):
     return np.max(np.abs(forms.H), axis=-1)
 
@@ -457,21 +438,10 @@ def mean_curvature_norm(surface: SurfaceMap, x: float, y: float) -> float:
     return _hnorm(x, y, *_forms(surface, x, y, curvature=None))
 
 
-def minimality_residual(surface: SurfaceMap, grid=(21, 21), tol: float = 1e-6) -> ConditionReport:
+def minimality_residual(surface: SurfaceMap, grid=DEFAULT_GRID,
+                        tol: float = DEFAULT_TOLS["minimality"]) -> ConditionReport:
     """Max over the grid of the max-norm of H; pass iff below tol."""
     (residuals,) = grid_values(surface, grid, [_hnorm], curvature=None)
     return ConditionReport.from_max(
         "minimality", residuals, tol, surface.grid_description(grid), surface.grid(grid),
         note="max-norm of the mean curvature vector")
-
-
-def gauss_equation_residual(surface: SurfaceMap, x: float, y: float) -> float:
-    """K - c + <h11,h22> - <h12,h12>; zero when the Gauss equation holds.
-
-    K comes from the intrinsic E-field, the h-terms from the extrinsic
-    projection, so this genuinely cross-checks the two computations.
-    """
-    f = second_fundamental_form(surface, x, y)
-    idx = surface.ambient.embedding_signature.index
-    return float(f.K - surface.ambient.curvature
-                 + indefinite_dot(f.h11, f.h22, idx) - indefinite_dot(f.h12, f.h12, idx))

@@ -33,6 +33,7 @@ import numpy as np
 from . import diffgeo
 from .curves import (
     BUILTIN_CURVES,
+    DEFAULT_SAMPLES,
     FAMILIES,
     Curve,
     FamilyValidation,
@@ -40,7 +41,6 @@ from .curves import (
     _finite_number,
     builtin_curve,
     derivative_inner,
-    family_info,
     make_example,
     null_check,
     validate_family,
@@ -49,6 +49,7 @@ from .errors import DegenerateMetricError, InvalidInputError, PremiseError
 from .indefinite import AmbientKind, indefinite_dot
 from .report import ConditionReport, DEFAULT_TOLS, default_tolerances, json_residual
 from .surfaces import (
+    DEFAULT_GRID,
     DE_SITTER_DOMAIN,
     FLAT_DOMAIN,
     HYPERBOLIC_DOMAIN,
@@ -110,7 +111,7 @@ class SurfaceSpec:
     family: str
     curves: tuple[dict, ...] = ()
     domain: tuple[tuple[float, float], tuple[float, float]] | None = None
-    grid: tuple[int, int] = (21, 21)
+    grid: tuple[int, int] = DEFAULT_GRID
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -172,7 +173,7 @@ class SurfaceSpec:
             family=data["family"],
             curves=data.get("curves", ()),
             domain=domain,
-            grid=data.get("grid", (21, 21)),
+            grid=data.get("grid", DEFAULT_GRID),
             tolerances=data.get("tolerances", {}),
         )
 
@@ -333,7 +334,7 @@ def _translation_premises(curves, spec, tols):
     """Null curves and a nonzero <z'(x), w'(y)> on the grid; all blocking."""
     z, w = curves
     grid_pts = grid_points(spec.resolved_domain(), spec.grid)
-    reports = [replace(null_check(curve, 41, tols["premise"]), condition_id=cid)
+    reports = [replace(null_check(curve, DEFAULT_SAMPLES, tols["premise"]), condition_id=cid)
                for curve, cid in ((z, "null-z"), (w, "null-w"))]
     values = derivative_inner(z, 1, w, 1, grid_pts[:, 0], grid_pts[:, 1])
     pairing = ConditionReport.from_min(
@@ -775,13 +776,13 @@ def list_families() -> dict:
         },
         "curve_families": {
             fid: {
-                "params": list(family_info(fid)["params"]),
-                "signature": str(family_info(fid)["signature"]),
-                "pair": family_info(fid)["pair"],
-                "ambient": family_info(fid)["ambient"],
-                "advisory_chain": family_info(fid)["chain"],
+                "params": list(info["params"]),
+                "signature": str(info["signature"]),
+                "pair": info["pair"],
+                "ambient": info["ambient"],
+                "advisory_chain": info["chain"],
             }
-            for fid in sorted(FAMILIES)
+            for fid, info in sorted(FAMILIES.items())
         },
         "builtin_curves": sorted(BUILTIN_CURVES),
     }

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import Curve, derivative_inner, null_check
+from .curves import DEFAULT_SAMPLES, Curve, derivative_inner, null_check
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -47,7 +47,7 @@ from .errors import (
     SignatureMismatchError,
 )
 from .indefinite import Ambient, Signature, indefinite_dot
-from .report import ConditionReport
+from .report import DEFAULT_TOLS, ConditionReport
 
 __all__ = [
     "Jet2",
@@ -82,8 +82,6 @@ DE_SITTER_DOMAIN = ((0.9, 1.1), (0.9, 1.1))
 #: Minimum distance from a sphere-family domain to the x+y = 0 pole.
 SINGULAR_MARGIN = 0.01
 
-DEFAULT_SAMPLES = 41
-DEFAULT_TOL = 1e-9
 DEFAULT_GRID = (21, 21)
 
 
@@ -235,7 +233,7 @@ def translation_surface(
     domain=FLAT_DOMAIN,
     *,
     samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
+    tol: float = DEFAULT_TOLS["premise"],
 ) -> SurfaceMap:
     """L(x,y) = z(x) + w(y) for null curves with <z'(x), w'(y)> != 0.
 
@@ -291,7 +289,7 @@ def translation_surface(
 
 
 def check_case_b_premises(
-    z: Curve, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL
+    z: Curve, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOLS["premise"]
 ) -> list[ConditionReport]:
     """Premises of the single-curve sphere construction.
 
@@ -349,7 +347,7 @@ def sphere_case_b(
     domain=SPHERE_DOMAIN,
     *,
     samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
+    tol: float = DEFAULT_TOLS["premise"],
 ) -> SurfaceMap:
     """L(x,y) = z(x)/(x+y) - z'(x)/2 on the pseudo-sphere quadric.
 
@@ -381,7 +379,7 @@ def check_case_c_conditions(
     w: Curve,
     grid=DEFAULT_GRID,
     domain=SPHERE_DOMAIN,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_TOLS["condition"],
 ) -> list[ConditionReport]:
     """The three joint conditions of the sphere pair construction:
     (c.1) <L,L> = 1, (c.2) 2<z+w, z'''> = (x+y)<z'+w', z'''> and (c.3)
@@ -433,7 +431,7 @@ def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
 
 
 def check_case_ii_premises(
-    z: Curve, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOL
+    z: Curve, samples: int = DEFAULT_SAMPLES, tol: float = DEFAULT_TOLS["premise"]
 ) -> list[ConditionReport]:
     """Premises of the single-curve hyperbolic construction: light-cone
     position, <z',z'> = -2, <z'',z''> = 4, and z''' != 2 z' (whose failure
@@ -492,7 +490,7 @@ def hyperbolic_case_ii(
     domain=HYPERBOLIC_DOMAIN,
     *,
     samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
+    tol: float = DEFAULT_TOLS["premise"],
 ) -> SurfaceMap:
     """L(x,y) = z(x) tanh((x+y)/sqrt2) - z'(x)/sqrt2 on the hyperbolic quadric.
 
@@ -521,7 +519,7 @@ def check_case_iii_conditions(
     w: Curve,
     grid=DEFAULT_GRID,
     domain=HYPERBOLIC_DOMAIN,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_TOLS["condition"],
 ) -> list[ConditionReport]:
     """The three joint conditions of the hyperbolic pair construction:
     (iii.1) <L,L> = -1 and (iii.2)/(iii.3)

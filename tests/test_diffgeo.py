@@ -8,12 +8,9 @@ import pytest
 from lorentzmin import diffgeo
 from lorentzmin.curves import ParamFamily, builtin_curve, make_example
 from lorentzmin.diffgeo import (
-    connection_data,
     fd_discrepancy,
     fd_jet,
     gauss_curvature,
-    gauss_equation_residual,
-    induced_metric,
     minimality_residual,
     partials,
     point_forms,
@@ -38,6 +35,16 @@ SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 REF_82 = {"a": 1 / math.sqrt(2), "b": 1 / math.sqrt(2),
              "p": 1.1, "q": 1.5, "r": 1.1, "s": 1.5}
+
+
+def gauss_equation_residual(surface, x, y):
+    """K - c + <h11,h22> - <h12,h12> at one point; zero when the Gauss
+    equation holds.  K comes from the intrinsic E-field, the h-terms from
+    the extrinsic projection, so this cross-checks the two computations."""
+    f = point_forms(surface, x, y)[1]
+    idx = surface.ambient.embedding_signature.index
+    return float(f.K - surface.ambient.curvature
+                 + indefinite_dot(f.h11, f.h22, idx) - indefinite_dot(f.h12, f.h12, idx))
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +114,26 @@ class TestPartials:
         assert len(calls) == -(-81 // rows)
         assert np.max(np.abs(K - 1.0)) < 1e-7
 
+    def test_long_rows_split_into_blocks_of_at_most_block_nodes(self, monkeypatch):
+        _, surface = _build_spec_surface("sphere_b_ex71")
+        shapes = []
+        forms = diffgeo._forms
+
+        def recording(surface, x, y, curvature="jet"):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
+            return forms(surface, x, y, curvature)
+
+        monkeypatch.setattr(diffgeo, "_forms", recording)
+        fields = [lambda x, y, jet, f: jet.L, lambda x, y, jet, f: f.K,
+                  lambda x, y, jet, f: f.h11]
+        split = diffgeo.grid_values(surface, (3, 3000), fields)
+        assert all(rows * cols <= diffgeo.BLOCK_NODES for rows, cols in shapes)
+        assert sum(rows * cols for rows, cols in shapes) == 3 * 3000
+        xs, ys = grid_axes(surface.domain, (3, 3000))
+        jet, whole = forms(surface, xs, ys)
+        for got, want in zip(split, (jet.L, whole.K, whole.h11)):
+            assert np.array_equal(got, want)
+
     def test_fd_discrepancy_makes_one_position_call(self, sphere_71):
         import dataclasses
 
@@ -125,18 +152,18 @@ class TestPartials:
 
 class TestInducedMetric:
     def test_translation_plane(self, plane):
-        md = induced_metric(plane, 0.1, 0.2)
+        md = point_forms(plane, 0.1, 0.2)[1].metric
         assert (md.g_xx, md.g_xy, md.g_yy) == (0.0, -2.0, 0.0)
         assert md.E == pytest.approx(math.sqrt(2))
 
     def test_sphere_example_at_fixed_point(self, sphere_71):
-        md = induced_metric(sphere_71, 0.3, 0.5)
+        md = point_forms(sphere_71, 0.3, 0.5)[1].metric
         assert md.g_xy == pytest.approx(-2 / 0.8**2, abs=1e-12)
         assert md.g_xy == pytest.approx(-3.125, abs=1e-12)
         assert abs(md.g_xx) < 1e-9 and abs(md.g_yy) < 1e-9
 
     def test_hyperbolic_example_at_fixed_point(self, hyp_81):
-        md = induced_metric(hyp_81, 0.2, 0.1)
+        md = point_forms(hyp_81, 0.2, 0.1)[1].metric
         expected = -1 / math.cosh(0.3 / math.sqrt(2)) ** 2
         assert md.g_xy == pytest.approx(expected, abs=1e-12)
 
@@ -148,7 +175,7 @@ class TestInducedMetric:
         w = Curve.from_components(Signature(2, 1), [poly(0, -1), poly(0, 1)])
         surf = translation_surface(builtin_curve("line2"), w)
         with pytest.raises(DegenerateMetricError):
-            induced_metric(surf, 0.0, 0.0)
+            point_forms(surf, 0.0, 0.0)
 
 
 class TestGaussCurvature:
@@ -164,20 +191,20 @@ class TestGaussCurvature:
 
 class TestConnection:
     def test_constant_factor_kills_coefficients(self, plane):
-        fd = connection_data(plane, 0.1, 0.4)
+        fd = point_forms(plane, 0.1, 0.4)[1].frame
         for value in (fd.gamma_x, fd.gamma_y, fd.omega_e1, fd.omega_e2):
             assert abs(value) < 1e-9
 
     def test_sphere_gamma(self, sphere_71):
         x, y = 0.3, 0.4
-        fd = connection_data(sphere_71, x, y)
+        fd = point_forms(sphere_71, x, y)[1].frame
         assert fd.gamma_x == pytest.approx(-2 / (x + y), abs=1e-5)
         assert fd.gamma_y == pytest.approx(-2 / (x + y), abs=1e-5)
         assert fd.omega_e1 == pytest.approx(-1 / math.sqrt(2), abs=1e-5)
 
     def test_frame_products(self, hyp_82):
         idx = hyp_82.ambient.embedding_signature.index
-        fd = connection_data(hyp_82, 0.3, -0.2)
+        fd = point_forms(hyp_82, 0.3, -0.2)[1].frame
         assert indefinite_dot(fd.e1, fd.e2, idx) == pytest.approx(-1.0, abs=1e-7)
         assert abs(indefinite_dot(fd.e1, fd.e1, idx)) < 1e-7
         assert abs(indefinite_dot(fd.e2, fd.e2, idx)) < 1e-7
@@ -318,6 +345,12 @@ class TestFdConvergence:
 # stacked position call; fd_jet must reproduce them bit for bit.
 
 
+def _rich1(f, t, h):
+    d1 = (f(t + h) - f(t - h)) / _col(2 * h)
+    d2 = (f(t + h / 2) - f(t - h / 2)) / _col(h)
+    return (4 * d2 - d1) / 3
+
+
 def _rich2(f, t, h):
     c = f(t)
     d1 = (f(t + h) - 2 * c + f(t - h)) / _col(h**2)
@@ -344,8 +377,8 @@ def _per_offset_fd_jet(surface, x, y, h1=None, h2=None):
     hx2, hy2 = step(h2, diffgeo.SECOND_STEP, x), step(h2, diffgeo.SECOND_STEP, y)
     return Jet2(
         L=pos(x, y),
-        Lx=diffgeo._rich1(lambda t: pos(t, y), x, hx1),
-        Ly=diffgeo._rich1(lambda t: pos(x, t), y, hy1),
+        Lx=_rich1(lambda t: pos(t, y), x, hx1),
+        Ly=_rich1(lambda t: pos(x, t), y, hy1),
         Lxx=_rich2(lambda t: pos(t, y), x, hx2),
         Lxy=_rich_cross(pos, x, y, np.maximum(hx2, hy2)),
         Lyy=_rich2(lambda t: pos(x, t), y, hy2),

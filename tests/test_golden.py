@@ -3,7 +3,8 @@ and every built-in curve family its default sweep.
 
 ``tests/golden/<spec>.json`` holds ``verify(spec).to_dict(include_timings=False)``
 for each spec, and ``tests/golden/sweeps/<family>.json`` the summary of
-``sweep(family, n=5, rng_seed=0)`` with the family's default sampler.
+``sweep(family, n=5, rng_seed=0)`` with the family's default sampler, and
+``tests/golden/list_families.json`` the catalog of ``list_families()``.
 After an intended change to a report, regenerate them from the current
 code with
 
@@ -20,7 +21,8 @@ and review the diff.  The comparison rules:
   worst point sits at floating-point noise level and moves with the
   summation order;
 * a sweep summary matches exactly outside its worst residuals, which
-  follow the residual rule above.
+  follow the residual rule above;
+* the catalog matches exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import pathlib
 import pytest
 
 from lorentzmin.curves import FAMILIES
-from lorentzmin.harness import dumps_json, sweep, verify
+from lorentzmin.harness import dumps_json, list_families, sweep, verify
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPEC_DIR = ROOT / "specs"
@@ -41,6 +43,7 @@ SPECS = sorted(p.stem for p in SPEC_DIR.glob("*.json"))
 SWEEP_DIR = GOLDEN_DIR / "sweeps"
 SWEEP_FAMILIES = sorted(FAMILIES)
 SWEEP_N, SWEEP_SEED = 5, 0
+CATALOG = GOLDEN_DIR / "list_families.json"
 
 RESIDUAL_FACTOR = 10.0
 RESIDUAL_ABS = 1e-15
@@ -91,8 +94,12 @@ def assert_sweep_matches(got: dict, want: dict) -> None:
             cid, got["worst_residuals"][cid], value)
 
 
+def current_catalog() -> dict:
+    return json.loads(dumps_json(list_families()))
+
+
 def test_every_spec_has_a_golden_report():
-    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == SPECS
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json") if p != CATALOG) == SPECS
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -109,6 +116,10 @@ def test_every_curve_family_has_a_golden_sweep():
 def test_sweep_matches_golden(family):
     want = json.loads((SWEEP_DIR / f"{family}.json").read_text())
     assert_sweep_matches(current_sweep(family), want)
+
+
+def test_catalog_matches_golden():
+    assert current_catalog() == json.loads(CATALOG.read_text())
 
 
 @pytest.mark.parametrize("got, want, ok", [
@@ -134,6 +145,8 @@ def write_goldens() -> None:
         text = json.dumps(current_sweep(family), indent=1, sort_keys=True)
         (SWEEP_DIR / f"{family}.json").write_text(text + "\n")
         print(f"wrote {SWEEP_DIR / family}.json")
+    CATALOG.write_text(json.dumps(current_catalog(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {CATALOG}")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,11 @@ from lorentzmin.errors import (
     PremiseError,
     SignatureMismatchError,
 )
-from lorentzmin.diffgeo import _rich1
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resolve_curves
 from lorentzmin.indefinite import AmbientKind, Signature, indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
+    _col,
     check_case_b_premises,
     check_case_c_conditions,
     check_case_ii_premises,
@@ -272,6 +272,13 @@ class TestDeSitterControl:
 
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
+
+
+def _rich1(f, t, h):
+    """Richardson-extrapolated central difference of f at t, step h per node."""
+    d1 = (f(t + h) - f(t - h)) / _col(2 * h)
+    d2 = (f(t + h / 2) - f(t - h / 2)) / _col(h)
+    return (4 * d2 - d1) / 3
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
