@@ -1,24 +1,26 @@
 """Analytic curves with exact derivatives up to order three.
 
-A curve is a map t -> E^m_s built from closed-form components (constants,
-polynomials, cosh/sinh and sin/cos blocks), so derivatives are exact
-rather than numerical.  On top of the generic abstraction sit four
-built-in parameter families of light-cone curves used by the surface
-constructors, each with numeric validation of every radicand and
-denominator in its coefficients.
+A curve is a map t -> E^m_s whose components are term tables: sums of
+terms a*cosh(w t), a*sinh(w t), a*cos(w t), a*sin(w t) and a*t^j, so
+derivatives are exact rather than numerical, and a curve is plain data
+that can be compared, printed or mapped to a computer-algebra system.  On
+top of the generic abstraction sit four built-in parameter families of
+light-cone curves used by the surface constructors, each with numeric
+validation of every radicand and denominator in its coefficients.
 
-Curves are evaluated on numpy arrays of parameters: ``Curve.at(t, k)``
-takes a scalar or an array ``t`` and returns shape ``t.shape + (dim,)``.
-Curves are immutable and their evaluation closures stateless, so they can
-be shared freely between threads and grid evaluations.
+Curves are evaluated on numpy arrays of parameters: ``Curve.derivatives(t,
+orders)`` returns several derivative orders from one evaluation of each
+term and ``Curve.at(t, k)`` is its one-order view, both with shape
+``t.shape + (dim,)`` per order.  Curves are immutable, so they can be
+shared freely between threads and grid evaluations.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -58,55 +60,78 @@ DOMAIN_PAD_FRACTION = 0.1
 DEFAULT_SAMPLES = 41
 
 
+def _finite_number(value) -> bool:
+    """True for an int or float, not a bool, that is a finite double."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 # ---------------------------------------------------------------------------
-# component builders: each returns a closure (t, k) -> k-th derivative at
-# the numpy array t (a constant may come back as a plain float)
+# term tables: a component is a tuple of terms (basis, a, w), meaning
+# a*basis(w t), or ("pow", a, j), meaning a*t^j; components add with +
+
+#: The functions the even and odd derivatives of a*basis(w t) are
+#: multiples of, and the sign of each order: the k-th derivative is
+#: a * w^k * sign[k] * funcs[k % 2](w t).
+PERIODIC_BASES = {
+    "cosh": ((np.cosh, np.sinh), (1, 1, 1, 1)),
+    "sinh": ((np.sinh, np.cosh), (1, 1, 1, 1)),
+    "cos": ((np.cos, np.sin), (1, -1, -1, 1)),
+    "sin": ((np.sin, np.cos), (1, 1, -1, -1)),
+}
 
 
 def const(c: float):
-    def f(t, k):
-        return c if k == 0 else 0.0
-
-    return f
+    return (("pow", c, 0),)
 
 
 def poly(*coeffs: float):
     """Polynomial component c0 + c1 t + c2 t^2 + ..."""
-    ps = [np.polynomial.Polynomial(coeffs)]
-    for _ in range(MAX_ORDER):
-        ps.append(ps[-1].deriv())
-    cs = [p.coef for p in ps]
-
-    def f(t, k):
-        return np.polynomial.polynomial.polyval(t, cs[k])
-
-    return f
-
-
-def _periodic(a, w, funcs, signs):
-    """a * w^k * signs[k] * funcs[k % 2](w t): the shared shape of the
-    cosh/sinh and sin/cos blocks."""
-
-    def f(t, k):
-        return a * w**k * signs[k] * funcs[k % 2](w * t)
-
-    return f
+    return tuple(("pow", c, j) for j, c in enumerate(coeffs))
 
 
 def hcosh(a: float, w: float = 1.0):
-    return _periodic(a, w, (np.cosh, np.sinh), (1, 1, 1, 1))
+    return (("cosh", a, w),)
 
 
 def hsinh(a: float, w: float = 1.0):
-    return _periodic(a, w, (np.sinh, np.cosh), (1, 1, 1, 1))
+    return (("sinh", a, w),)
 
 
 def tsin(a: float, w: float = 1.0):
-    return _periodic(a, w, (np.sin, np.cos), (1, 1, -1, -1))
+    return (("sin", a, w),)
 
 
 def tcos(a: float, w: float = 1.0):
-    return _periodic(a, w, (np.cos, np.sin), (1, -1, -1, 1))
+    return (("cos", a, w),)
+
+
+def _checked_term(term) -> tuple:
+    """The term with a float coefficient and a float frequency (int power)."""
+    basis, a, w = term if isinstance(term, (tuple, list)) and len(term) == 3 else (None,) * 3
+    if basis == "pow":
+        ok = isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 0
+    else:
+        ok = isinstance(basis, str) and basis in PERIODIC_BASES and _finite_number(w)
+    if not (ok and _finite_number(a)):
+        raise InvalidInputError(f"malformed term {term!r}: want (basis, a, w) with basis in "
+                                f"{sorted(PERIODIC_BASES)}, or ('pow', a, j) with j >= 0")
+    return basis, float(a), int(w) if basis == "pow" else float(w)
+
+
+def _coefficients_by_order(basis, a, w) -> tuple:
+    """The factor of each derivative order: a * w^k * sign[k] for a
+    periodic term, a * j (j-1) ... (j-k+1) for a power t^j."""
+    if basis != "pow":
+        return tuple(a * w**k * sign for k, sign in enumerate(PERIODIC_BASES[basis][1]))
+    coefs = [a]
+    for i in range(min(w, MAX_ORDER)):
+        coefs.append((w - i) * coefs[-1])
+    return tuple(coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +141,46 @@ def tcos(a: float, w: float = 1.0):
 class Curve:
     """Vector-valued map of one real parameter with exact derivatives.
 
-    ``func(t, k)`` returns the k-th derivative (k in [0, 3]) at the numpy
-    array ``t`` as a raw array of shape ``t.shape + (dim,)`` in the given
-    signature.  Evaluation must be deterministic.
+    ``components`` holds one term table per coordinate of the signature
+    (see ``const``, ``poly``, ``hcosh``, ``hsinh``, ``tsin`` and ``tcos``,
+    which add with ``+``).  Terms are checked and stored with float
+    coefficients; the factor of each derivative order is computed once
+    here, so evaluation only multiplies it by the term's basis function.
     """
 
     signature: Signature
-    domain: tuple[float, float]
-    func: Callable[[float, int], np.ndarray]
+    components: tuple
+    domain: tuple[float, float] = (-2.0, 2.0)
     label: str = ""
+    #: (slot, first, basis, w or j, factors by order) per term of every
+    #: nonzero component; a zero one stays at the zeros evaluation starts from
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
         if not lo < hi:
             raise InvalidInputError(f"empty curve domain {self.domain}")
+        if not isinstance(self.components, (tuple, list)) or not all(
+                isinstance(c, (tuple, list)) for c in self.components):
+            raise InvalidInputError("curve components must be sequences of terms")
+        comps = tuple(tuple(map(_checked_term, c)) for c in self.components)
+        if len(comps) != self.signature.dim:
+            raise InvalidInputError(f"{len(comps)} components for signature {self.signature}")
+        try:
+            plan = tuple((slot, n == 0, b, w, _coefficients_by_order(b, a, w))
+                         for slot, comp in enumerate(comps) if any(a != 0 for _, a, _ in comp)
+                         for n, (b, a, w) in enumerate(comp))
+        except OverflowError as exc:
+            raise InvalidInputError(f"{self.label or 'curve'}: term out of range ({exc})") from exc
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "_plan", plan)
 
-    @classmethod
-    def from_components(cls, signature, components, domain=(-2.0, 2.0), label=""):
-        comps = list(components)
-        if len(comps) != signature.dim:
-            raise InvalidInputError(
-                f"{len(comps)} components for signature {signature}"
-            )
-
-        def func(t, k):
-            out = np.empty(np.shape(t) + (len(comps),))
-            for i, c in enumerate(comps):
-                out[..., i] = c(t, k)
-            return out
-
-        return cls(signature, tuple(domain), func, label)
-
-    def at(self, t, order: int = 0) -> np.ndarray:
-        """k-th derivative at a scalar or array t; shape t.shape + (dim,)."""
-        if not 0 <= order <= MAX_ORDER:
+    def derivatives(self, t, orders) -> np.ndarray:
+        """The derivatives of the given orders at a scalar or array t,
+        stacked: shape (len(orders),) + t.shape + (dim,)."""
+        orders = tuple(orders)
+        if not all(k in range(MAX_ORDER + 1) for k in orders):
             raise InvalidInputError(f"derivative order must be in [0, {MAX_ORDER}]")
         t = np.asarray(t, dtype=float)
         lo, hi = self.domain
@@ -158,7 +189,30 @@ class Curve:
         if not inside.all():
             bad = float(t.flat[np.argmin(inside)])
             raise InvalidInputError(f"t={bad} outside curve domain [{lo}, {hi}] (pad {pad:g})")
-        return self.func(t, order)
+        out = np.zeros((len(orders),) + t.shape + (self.signature.dim,))
+        # a component's first term assigns and the others add, so it is the
+        # sum of its terms in order; each basis function is evaluated once
+        for slot, first, basis, w, coefs in self._plan:
+            if basis != "pow":
+                funcs, wt, f = PERIODIC_BASES[basis][0], w * t, [None, None]
+            for i, k in enumerate(orders):
+                if basis != "pow":
+                    if f[k % 2] is None:
+                        f[k % 2] = funcs[k % 2](wt)
+                    value = coefs[k] * f[k % 2]
+                elif k <= w:  # a power t^j dies above order j
+                    value = coefs[k] * t ** (w - k) if k < w else coefs[k]
+                else:
+                    continue
+                if first:
+                    out[i, ..., slot] = value
+                else:
+                    out[i, ..., slot] += value
+        return out
+
+    def at(self, t, order: int = 0) -> np.ndarray:
+        """k-th derivative at a scalar or array t; shape t.shape + (dim,)."""
+        return self.derivatives(t, (order,))[0]
 
     def sample_grid(self, samples: int) -> np.ndarray:
         if samples < 2:
@@ -194,17 +248,9 @@ def null_check(curve: Curve, samples: int = DEFAULT_SAMPLES,
 # one family the quoted chain is incompatible with a radicand.  Each
 # formula is written once, in ``_exNN_coeffs``: ``make_example`` hands the
 # validated radicands and denominators to ``_build_exNN``, which takes their
-# square roots in the order the coefficient function lists them.
-
-def _finite_number(value) -> bool:
-    """True for an int or float, not a bool, that is a finite double."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the double range
-        return False
-
+# square roots in the order the coefficient function lists them and returns
+# the term tables of the family's curve or pair.  Both take numbers or, with
+# a symbolic ``sqrt``, symbols, so the tables can be checked symbolically.
 
 #: Example families keep cosh arguments <= 6 on this domain, so the
 #: premise identities hold to ~1e-11 in double precision, well inside the
@@ -254,6 +300,8 @@ class FamilyValidation:
     failures: list[str]
     chain_ok: bool                   # advisory: the quoted inequality chain
     chain: str
+    #: ConstraintViolationError's arguments if make_example raises it, else ()
+    _error: tuple = field(default=(), repr=False, compare=False)
 
 
 def _ex71_coeffs(a, p, q, r):
@@ -317,9 +365,18 @@ def _chain_ex71(a, p, q, r):
     return p > r > q > 0
 
 
+#: Ex7_2's quoted chain reads HI p^2 > X(q, r) > LO p^2 with (HI, LO) here.
+EX72_CHAIN_BOUNDS = (315 / 4, 35.0)
+
+
+def _ex72_chain_mid(q, r):
+    """X(q, r) = 80+189r^2-64q^2, the middle of Ex7_2's quoted chain."""
+    return 80 + 189 * r**2 - 64 * q**2
+
+
 def _chain_ex72(p, q, r):
-    mid = 80 + 189 * r**2 - 64 * q**2
-    return (315 / 4) * p**2 > mid > 35 * p**2
+    hi, lo = EX72_CHAIN_BOUNDS
+    return hi * p**2 > _ex72_chain_mid(q, r) > lo * p**2
 
 
 def _chain_ex81(a, b, p, q):
@@ -348,25 +405,19 @@ def _place(dim, slot_values):
     return comps
 
 
-def _build_ex71(fam, rads, dens, alt_pairing):
-    a, p, q, r = (fam.params[k] for k in ("a", "p", "q", "r"))
-    (d,) = map(math.sqrt, dens.values())
-    c2, c3, c4 = (math.sqrt(v) / w for v, w in zip(rads.values(), (q * d, r * d, q * r)))
-    comps = [
+def _build_ex71(a, p, q, r, rads, dens, alt_pairing, sqrt=math.sqrt):
+    (d,) = map(sqrt, dens.values())
+    c2, c3, c4 = (sqrt(v) / w for v, w in zip(rads.values(), (q * d, r * d, q * r)))
+    return ([
         hcosh(a, p), hcosh(c2, q), hsinh(c3, r),
         hsinh(a, p), hsinh(c2, q), hcosh(c3, r), const(c4),
-    ]
-    return Curve.from_components(
-        Signature(7, 3), comps, FACTORY_DOMAIN, label=fam.label()
-    )
+    ],)
 
 
-def _build_ex72(fam, rads, dens, alt_pairing):
-    p, q, r = (fam.params[k] for k in ("p", "q", "r"))
-    s15 = math.sqrt(15)
-    A, B, C, D, E = (math.sqrt(v) / w for v, w in zip(
+def _build_ex72(p, q, r, rads, dens, alt_pairing, sqrt=math.sqrt):
+    s15 = sqrt(15)
+    A, B, C, D, E = (sqrt(v) / w for v, w in zip(
         rads.values(), (4 * s15, 4 * s15, 8 * s15, 4 * s15, 8)))
-    sig = Signature(14, 6)
     z = _place(14, [
         (0, hcosh(A, 2)), (1, hsinh(B, 4)), (2, hcosh(r, 5)),
         (6, hsinh(A, 2)), (7, hcosh(B, 4)), (8, hsinh(r, 5)), (12, const(q)),
@@ -375,36 +426,25 @@ def _build_ex72(fam, rads, dens, alt_pairing):
         (3, hcosh(p, 1.5)), (4, hsinh(C, 2)), (5, hsinh(D, 1)),
         (9, hsinh(p, 1.5)), (10, hcosh(C, 2)), (11, hcosh(D, 1)), (13, const(E)),
     ])
-    label = fam.label()
-    return (
-        Curve.from_components(sig, z, FACTORY_DOMAIN, label=label + ".z"),
-        Curve.from_components(sig, w, FACTORY_DOMAIN, label=label + ".w"),
-    )
+    return z, w
 
 
-def _build_ex81(fam, rads, dens, alt_pairing):
-    a, b, p, q = (fam.params[k] for k in ("a", "b", "p", "q"))
-    (d,) = map(math.sqrt, dens.values())
-    cp, cq, c0 = (math.sqrt(v) / w for v, w in zip(rads.values(), (p * d, q * d, p * q)))
+def _build_ex81(a, b, p, q, rads, dens, alt_pairing, sqrt=math.sqrt):
+    (d,) = map(sqrt, dens.values())
+    cp, cq, c0 = (sqrt(v) / w for v, w in zip(rads.values(), (p * d, q * d, p * q)))
     # default pairs the fifth component with the a*cosh(x) block; the
     # alternate variant uses frequency p there and fails the light-cone
     # checks whenever p != 1 (kept as a negative control).
     fifth = hsinh(a, p) if alt_pairing else hsinh(a, 1)
-    comps = [
+    return ([
         const(b), hcosh(a, 1), hsinh(cp, p), hsinh(cq, q),
         fifth, hcosh(cp, p), hcosh(cq, q), const(c0),
-    ]
-    return Curve.from_components(
-        Signature(8, 4), comps, FACTORY_DOMAIN, label=fam.label()
-    )
+    ],)
 
 
-def _build_ex82(fam, rads, dens, alt_pairing):
-    a, b, p, q, r, s = (fam.params[k] for k in ("a", "b", "p", "q", "r", "s"))
+def _build_ex82(a, b, p, q, r, s, rads, dens, alt_pairing, sqrt=math.sqrt):
     # each half lists its three radicands and denominators in matching order
-    al, be, ga, de, ep, ze = (
-        math.sqrt(v) / math.sqrt(w) for v, w in zip(rads.values(), dens.values()))
-    sig = Signature(14, 8)
+    al, be, ga, de, ep, ze = (sqrt(v) / sqrt(w) for v, w in zip(rads.values(), dens.values()))
     z = _place(14, [
         (0, const(b)), (1, hcosh(al, 1)), (2, hsinh(be, q)), (3, hsinh(ga, p)),
         (8, hsinh(al, 1)), (9, hcosh(be, q)), (10, hcosh(ga, p)),
@@ -417,11 +457,7 @@ def _build_ex82(fam, rads, dens, alt_pairing):
         (4, const(a)), (5, hcosh(de, 1)), (6, hsinh(ep, s)), (7, hsinh(ze, r)),
         (11, hsinh(de, 1)), (12, hcosh(ep, tail[0])), (13, hcosh(ze, tail[1])),
     ])
-    label = fam.label()
-    return (
-        Curve.from_components(sig, z, FACTORY_DOMAIN, label=label + ".z"),
-        Curve.from_components(sig, w, FACTORY_DOMAIN, label=label + ".w"),
-    )
+    return z, w
 
 
 #: Built-in parameter families.  ``surface`` is the surface family a sweep
@@ -492,40 +528,28 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
     """
     info = FAMILIES[fam.family_id]
     args = [fam.params[k] for k in info["params"]]
-    failures = []
-    for name, value in fam.params.items():
-        if not value > 0:
-            failures.append(f"parameter {name} must be positive (= {value:g})")
+    failures = [f"{fam.family_id}: parameter {name} must be positive (= {value:g})"
+                for name, value in zip(info["params"], args) if not value > 0]
     try:
-        rads, dens = _coefficients(fam)
-    except InvalidInputError as exc:
+        rads, dens = info["_coeffs"](*args)
+    except OverflowError as exc:  # squares of parameters beyond the double range
         rads, dens = {}, {}
-        failures.append(str(exc))
-    for name, value in dens.items():
-        if not value > 0:
-            failures.append(f"denominator {name} not positive (= {value:g})")
-    for name, value in rads.items():
-        if not value >= 0:  # NaN (an overflow inside the radicand) fails too
-            failures.append(f"radicand {name} negative (= {value:g})")
+        failures.append(f"{fam.label()}: parameters out of range ({exc})")
+    violations = [(name, value, "denominator") for name, value in dens.items() if not value > 0]
+    # NaN (an overflow inside the radicand) fails too
+    violations += [(name, value, "radicand") for name, value in rads.items() if not value >= 0]
     return FamilyValidation(
         family_id=fam.family_id,
-        ok=not failures,
+        ok=not (failures or violations),
         radicands=rads,
         denominators=dens,
-        failures=failures,
+        failures=failures + [
+            f"{kind} {name} {'negative' if kind == 'radicand' else 'not positive'} (= {value:g})"
+            for name, value, kind in violations],
         chain_ok=_chain_holds(info["_chain"], args),
         chain=info["chain"],
+        _error=violations[0] if violations and not failures else (),
     )
-
-
-def _coefficients(fam: ParamFamily):
-    """(radicands, denominators) of a parameter set; parameters whose
-    squares leave the double range raise InvalidInputError."""
-    info = FAMILIES[fam.family_id]
-    try:
-        return info["_coeffs"](*(fam.params[k] for k in info["params"]))
-    except OverflowError as exc:
-        raise InvalidInputError(f"{fam.label()}: parameters out of range ({exc})") from exc
 
 
 def _chain_holds(chain, args) -> bool:
@@ -543,102 +567,69 @@ def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
     ConstraintViolationError naming the first offending radicand or
     denominator.
     """
+    return _example_from(fam, validate_family(fam), alt_pairing)
+
+
+def _example_from(fam: ParamFamily, validation: FamilyValidation, alt_pairing: bool):
+    """``make_example`` from a validation of the same parameters."""
+    if validation._error:
+        raise ConstraintViolationError(*validation._error)
+    if not validation.ok:
+        raise InvalidInputError(validation.failures[0])
     info = FAMILIES[fam.family_id]
-    for name in info["params"]:
-        if not fam.params[name] > 0:
-            raise InvalidInputError(
-                f"{fam.family_id}: parameter {name} must be positive, "
-                f"got {fam.params[name]:g}"
-            )
-    rads, dens = _coefficients(fam)
-    for name, value in dens.items():
-        if not value > 0:
-            raise ConstraintViolationError(name, value)
-    for name, value in rads.items():
-        if not value >= 0:
-            raise ConstraintViolationError(name, value)
+    label = fam.label()
+    suffixes = (".z", ".w") if info["pair"] else ("",)
     try:
-        return info["_build"](fam, rads, dens, alt_pairing)
+        tables = info["_build"](*(fam.params[k] for k in info["params"]), validation.radicands,
+                                validation.denominators, alt_pairing)
+        curves = tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, label + suffix)
+                       for comps, suffix in zip(tables, suffixes))
     except (ZeroDivisionError, OverflowError) as exc:
-        raise InvalidInputError(f"{fam.label()}: parameters out of range ({exc})") from exc
+        raise InvalidInputError(f"{label}: parameters out of range ({exc})") from exc
+    return curves if info["pair"] else curves[0]
 
 
 # ---------------------------------------------------------------------------
 # named test curves addressable from the harness
 
 
-def _builtin(signature, comps, label, domain=(-2.0, 2.0)):
-    return lambda: Curve.from_components(signature, comps, domain, label=label)
-
-
-BUILTIN_CURVES: dict[str, Callable[[], Curve]] = {
-    # null lines in the Lorentz plane (totally geodesic translation plane)
-    "line2": _builtin(Signature(2, 1), [poly(0, 1), poly(0, 1)], "line2"),
-    "line2_rev": _builtin(Signature(2, 1), [poly(0, 1), poly(0, -1)], "line2_rev"),
-    # circular null curve in E^3_1
-    "trig3": _builtin(Signature(3, 1), [poly(0, 1), tsin(1), tcos(1)], "trig3"),
-    # hyperbolic null curves in E^4_2
-    "hyp4": _builtin(
-        Signature(4, 2), [hcosh(1), poly(0, 1), hsinh(1), const(0)], "hyp4"
-    ),
-    "hyp4_mirror": _builtin(
-        Signature(4, 2), [hcosh(1), poly(0, -1), const(0), hsinh(1)], "hyp4_mirror"
-    ),
-    "hyp4_conj": _builtin(
-        Signature(4, 2), [hcosh(1), poly(0, 1), const(0), hsinh(-1)], "hyp4_conj"
-    ),
-    "line4": _builtin(
-        Signature(4, 2), [const(0), poly(0, 1), const(0), poly(0, -1)], "line4"
-    ),
-    # circular null curves in E^4_2 (antipodal phases pair to <z',w'> < 0)
-    "trig4": _builtin(
-        Signature(4, 2), [poly(0, 1), const(0), tsin(1), tcos(1)], "trig4"
-    ),
-    "trig4_anti": _builtin(
-        Signature(4, 2), [poly(0, 1), const(0), tsin(-1), tcos(-1)], "trig4_anti"
-    ),
-    # E^6_3 variants
-    "hyp6": _builtin(
-        Signature(6, 3),
-        [hcosh(1), poly(0, 1), const(0), hsinh(1), const(0), const(0)],
-        "hyp6",
-    ),
-    "trig6": _builtin(
-        Signature(6, 3),
-        [const(0), poly(0, 1), const(0), const(0), tsin(1), tcos(1)],
-        "trig6",
-    ),
-    # quadratic light-cone curve: speed 2, <z'',z''> = 0, z''' = 0
-    "quadratic3": _builtin(
-        Signature(3, 1), [poly(1, 0, 1), poly(0, 2), poly(1, 0, -1)], "quadratic3"
-    ),
-    # halves of the quadratic curve; together they parametrize the unit
-    # de Sitter surface through the sphere-family pair construction
-    "half_quadratic": _builtin(
-        Signature(3, 1),
-        [poly(0.5, 0, 0.5), poly(0, 1), poly(0.5, 0, -0.5)],
-        "half_quadratic",
-    ),
-    "half_quadratic_rev": _builtin(
-        Signature(3, 1),
-        [poly(0.5, 0, 0.5), poly(0, -1), poly(0.5, 0, -0.5)],
-        "half_quadratic_rev",
-    ),
-    # light-cone curve in E^3_2 with speed^2 = -2 and jerk 2 z' (totally
-    # geodesic boundary case of the hyperbolic classification)
-    "ads_null": _builtin(
-        Signature(3, 2),
-        [hsinh(1, math.sqrt(2)), const(1), hcosh(1, math.sqrt(2))],
-        "ads_null",
-    ),
-    "ads_null_open": _builtin(
-        Signature(3, 2),
-        [hsinh(1, math.sqrt(2)), const(0), hcosh(1, math.sqrt(2))],
-        "ads_null_open",
-    ),
-    "unit_const32": _builtin(
-        Signature(3, 2), [const(0), const(1), const(0)], "unit_const32"
-    ),
+#: Named test curves, each on the domain [-2, 2].
+BUILTIN_CURVES: dict[str, Curve] = {
+    name: Curve(signature, comps, label=name) for name, signature, comps in (
+        # null lines in the Lorentz plane (totally geodesic translation plane)
+        ("line2", Signature(2, 1), [poly(0, 1), poly(0, 1)]),
+        ("line2_rev", Signature(2, 1), [poly(0, 1), poly(0, -1)]),
+        # circular null curve in E^3_1
+        ("trig3", Signature(3, 1), [poly(0, 1), tsin(1), tcos(1)]),
+        # hyperbolic null curves in E^4_2
+        ("hyp4", Signature(4, 2), [hcosh(1), poly(0, 1), hsinh(1), const(0)]),
+        ("hyp4_mirror", Signature(4, 2), [hcosh(1), poly(0, -1), const(0), hsinh(1)]),
+        ("hyp4_conj", Signature(4, 2), [hcosh(1), poly(0, 1), const(0), hsinh(-1)]),
+        ("line4", Signature(4, 2), [const(0), poly(0, 1), const(0), poly(0, -1)]),
+        # circular null curves in E^4_2 (antipodal phases pair to <z',w'> < 0)
+        ("trig4", Signature(4, 2), [poly(0, 1), const(0), tsin(1), tcos(1)]),
+        ("trig4_anti", Signature(4, 2), [poly(0, 1), const(0), tsin(-1), tcos(-1)]),
+        # E^6_3 variants
+        ("hyp6", Signature(6, 3),
+         [hcosh(1), poly(0, 1), const(0), hsinh(1), const(0), const(0)]),
+        ("trig6", Signature(6, 3),
+         [const(0), poly(0, 1), const(0), const(0), tsin(1), tcos(1)]),
+        # quadratic light-cone curve: speed 2, <z'',z''> = 0, z''' = 0
+        ("quadratic3", Signature(3, 1), [poly(1, 0, 1), poly(0, 2), poly(1, 0, -1)]),
+        # halves of the quadratic curve; together they parametrize the unit
+        # de Sitter surface through the sphere-family pair construction
+        ("half_quadratic", Signature(3, 1),
+         [poly(0.5, 0, 0.5), poly(0, 1), poly(0.5, 0, -0.5)]),
+        ("half_quadratic_rev", Signature(3, 1),
+         [poly(0.5, 0, 0.5), poly(0, -1), poly(0.5, 0, -0.5)]),
+        # light-cone curve in E^3_2 with speed^2 = -2 and jerk 2 z' (totally
+        # geodesic boundary case of the hyperbolic classification)
+        ("ads_null", Signature(3, 2),
+         [hsinh(1, math.sqrt(2)), const(1), hcosh(1, math.sqrt(2))]),
+        ("ads_null_open", Signature(3, 2),
+         [hsinh(1, math.sqrt(2)), const(0), hcosh(1, math.sqrt(2))]),
+        ("unit_const32", Signature(3, 2), [const(0), const(1), const(0)]),
+    )
 }
 
 
@@ -647,7 +638,7 @@ def builtin_curve(name: str) -> Curve:
         raise InvalidInputError(
             f"unknown builtin curve {name!r}; known: {sorted(BUILTIN_CURVES)}"
         )
-    return BUILTIN_CURVES[name]()
+    return BUILTIN_CURVES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +683,5 @@ def seeded_null_pair(rng: np.random.Generator, flavor: str):
         z = [hcosh(A, al), poly(0, A * al), const(0), hsinh(A, al), const(0), const(0)]
         w = [const(0), poly(0, B * ga), const(0), const(0), tsin(B, ga), tcos(B, ga)]
     label = f"{flavor}(A={A:.3f},B={B:.3f},al={al:.3f},ga={ga:.3f})"
-    zc = Curve.from_components(sig, z, dom, label=label + ".z")
-    wc = Curve.from_components(sig, w, dom, label=label + ".w")
-    return zc, wc, flavor.endswith("_const")
+    return (Curve(sig, z, dom, label + ".z"), Curve(sig, w, dom, label + ".w"),
+            flavor.endswith("_const"))

@@ -11,12 +11,14 @@ class SignatureMismatchError(InvalidInputError):
 
 class ConstraintViolationError(InvalidInputError):
     """A curve-family parameter set makes a radicand negative or a
-    denominator vanish.  ``radicand`` names the offending expression."""
+    denominator non-positive.  ``radicand`` names the offending expression
+    and ``kind`` says which of the two it is."""
 
-    def __init__(self, radicand: str, value: float):
+    def __init__(self, radicand: str, value: float, kind: str = "radicand"):
         self.radicand = radicand
         self.value = value
-        super().__init__(f"radicand {radicand} is negative (= {value:.6g})")
+        bound = "negative" if kind == "radicand" else "not positive"
+        super().__init__(f"{kind} {radicand} is {bound} (= {value:.6g})")
 
 
 class PremiseError(InvalidInputError):

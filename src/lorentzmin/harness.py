@@ -34,14 +34,16 @@ from . import diffgeo
 from .curves import (
     BUILTIN_CURVES,
     DEFAULT_SAMPLES,
+    EX72_CHAIN_BOUNDS,
     FAMILIES,
     Curve,
     FamilyValidation,
     ParamFamily,
+    _ex72_chain_mid,
+    _example_from,
     _finite_number,
     builtin_curve,
     derivative_inner,
-    make_example,
     null_check,
     validate_family,
 )
@@ -269,26 +271,22 @@ def _resolve_curves(spec: SurfaceSpec):
     curves: list[Curve] = []
     validations: list[FamilyValidation] = []
     for desc in spec.curves:
-        if "family_id" in desc:
-            extra = set(desc) - {"family_id", "params", "alt_pairing"}
-            if extra:
-                raise InvalidInputError(f"unknown curve descriptor keys {sorted(extra)}")
-            fam = ParamFamily(desc["family_id"], desc.get("params", {}))
-            alt_pairing = desc.get("alt_pairing", False)
-            if not isinstance(alt_pairing, bool):
-                raise InvalidInputError(f"alt_pairing must be true or false, got {alt_pairing!r}")
-            validations.append(validate_family(fam))
-            built = make_example(fam, alt_pairing=alt_pairing)
-            curves.extend(built if isinstance(built, tuple) else (built,))
-        elif "name" in desc:
-            extra = set(desc) - {"name"}
-            if extra:
-                raise InvalidInputError(f"unknown curve descriptor keys {sorted(extra)}")
+        if "family_id" not in desc and "name" not in desc:
+            raise InvalidInputError(f"curve descriptor needs 'family_id' or 'name': {desc}")
+        extra = set(desc) - ({"family_id", "params", "alt_pairing"} if "family_id" in desc
+                             else {"name"})
+        if extra:
+            raise InvalidInputError(f"unknown curve descriptor keys {sorted(extra)}")
+        if "name" in desc:
             curves.append(builtin_curve(desc["name"]))
-        else:
-            raise InvalidInputError(
-                f"curve descriptor needs 'family_id' or 'name': {desc}"
-            )
+            continue
+        fam = ParamFamily(desc["family_id"], desc.get("params", {}))
+        alt_pairing = desc.get("alt_pairing", False)
+        if not isinstance(alt_pairing, bool):
+            raise InvalidInputError(f"alt_pairing must be true or false, got {alt_pairing!r}")
+        validations.append(validate_family(fam))
+        built = _example_from(fam, validations[-1], alt_pairing)
+        curves.extend(built if isinstance(built, tuple) else (built,))
     arity = SURFACE_FAMILIES[spec.family].arity
     if len(curves) != arity:
         raise InvalidInputError(
@@ -631,11 +629,12 @@ def _draw_params(family: str, cfg: dict, rng: np.random.Generator) -> dict:
     if mode == "chain":
         # draw (q, r) until the chain has a nonempty p-interval, then draw
         # p^2 uniformly inside it, so every triple satisfies the chain
+        hi, lo = EX72_CHAIN_BOUNDS
         for _ in range(MAX_SAMPLER_TRIES):
             q, r = rng.uniform(*cfg["qr_box"], 2)
-            mid = 80 + 189 * r**2 - 64 * q**2
+            mid = _ex72_chain_mid(q, r)
             if mid > 0:
-                p = math.sqrt(rng.uniform(mid / 78.75, mid / 35.0))
+                p = math.sqrt(rng.uniform(mid / hi, mid / lo))
                 return {"p": float(p), "q": float(q), "r": float(r)}
         raise InvalidInputError(
             f"sampler drew no (q, r) with a nonempty chain interval from {cfg['qr_box']} "

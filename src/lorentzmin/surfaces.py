@@ -191,24 +191,23 @@ def _sphere_domain_guard(domain):
 
 
 def _single_curve_premises(z: Curve, samples, tol, speed, acc, nonzero):
-    """<z,z> = 0, <z',z'> = speed, <z'',z''> = acc[1] (check id acc[0]) and
-    a vector nonzero[1](t) that must not vanish (check id nonzero[0], note
-    nonzero[2]), at samples points of z's domain."""
+    """<z,z> = 0, <z',z'> = speed, <z'',z''> = acc[1] (check id acc[0]) and a
+    vector nonzero[1](d) of d = (z, z', z'', z''') that must not vanish (check
+    id nonzero[0], note nonzero[2]), at samples points of z's domain."""
     ts = z.sample_grid(samples)
     pts = ts[:, None]
     grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
-
-    def sq(k):
-        return derivative_inner(z, k, z, k, ts, ts)
+    d = z.derivatives(ts, range(4))
+    sq = [indefinite_dot(d[k], d[k], z.signature.index) for k in range(3)]
 
     return [
-        ConditionReport.from_max("lightcone-z", np.abs(sq(0)), tol, grid, pts),
+        ConditionReport.from_max("lightcone-z", np.abs(sq[0]), tol, grid, pts),
         ConditionReport.from_max(
-            "speed-z", np.abs(sq(1) - speed), tol, grid, pts, note=f"<z',z'> = {speed:g}"),
+            "speed-z", np.abs(sq[1] - speed), tol, grid, pts, note=f"<z',z'> = {speed:g}"),
         ConditionReport.from_max(
-            acc[0], np.abs(sq(2) - acc[1]), tol, grid, pts, note=f"<z'',z''> = {acc[1]:g}"),
+            acc[0], np.abs(sq[2] - acc[1]), tol, grid, pts, note=f"<z'',z''> = {acc[1]:g}"),
         ConditionReport.from_min(
-            nonzero[0], np.max(np.abs(nonzero[1](ts)), axis=-1), tol, grid, pts,
+            nonzero[0], np.max(np.abs(nonzero[1](d)), axis=-1), tol, grid, pts,
             note=nonzero[2]),
     ]
 
@@ -272,8 +271,8 @@ def translation_surface(
         return z.at(x) + w.at(y)
 
     def jet(x, y):
-        return Jet2(L=z.at(x) + w.at(y), Lx=z.at(x, 1), Ly=w.at(y, 1),
-                    Lxx=z.at(x, 2), Lxy=zero, Lyy=w.at(y, 2), Lxxy=zero, Lxyy=zero)
+        (z0, z1, z2), (w0, w1, w2) = z.derivatives(x, range(3)), w.derivatives(y, range(3))
+        return Jet2(L=z0 + w0, Lx=z1, Ly=w1, Lxx=z2, Lxy=zero, Lyy=w2, Lxxy=zero, Lxyy=zero)
 
     return SurfaceMap(
         ambient=Ambient.flat(z.signature),
@@ -299,7 +298,7 @@ def check_case_b_premises(
     """
     return _single_curve_premises(
         z, samples, tol, 4.0, ("acc-null-z", 0.0),
-        ("jerk-nonzero-z", lambda t: z.at(t, 3), "max-norm of z''' must stay positive"))
+        ("jerk-nonzero-z", lambda d: d[3], "max-norm of z''' must stay positive"))
 
 
 def _sphere_ambient(signature: Signature) -> Ambient:
@@ -308,7 +307,7 @@ def _sphere_ambient(signature: Signature) -> Ambient:
 
 def _derivatives(w: Curve | None, t, orders=4):
     """w and its derivatives below the given order at t; a missing curve is zero."""
-    return tuple(w.at(t, k) for k in range(orders)) if w is not None else (0.0,) * orders
+    return w.derivatives(t, range(orders)) if w is not None else (0.0,) * orders
 
 
 def _sphere_immersion(zw, zw1, s):  # L from z+w, z'+w' and s = _col(x+y)
@@ -320,8 +319,8 @@ def _sphere_maps(z: Curve, w: Curve | None):
     single-curve construction is the case w = 0."""
 
     def position(x, y):
-        w0, w1 = _derivatives(w, y, 2)
-        return _sphere_immersion(z.at(x) + w0, z.at(x, 1) + w1, _col(x + y))
+        (z0, z1), (w0, w1) = _derivatives(z, x, 2), _derivatives(w, y, 2)
+        return _sphere_immersion(z0 + w0, z1 + w1, _col(x + y))
 
     def jet(x, y):
         s = _col(x + y)
@@ -392,8 +391,8 @@ def check_case_c_conditions(
     x, y = grid_axes(domain, grid)
     idx = z.signature.index
     s = x + y
-    z0, z1, z3 = z.at(x), z.at(x, 1), z.at(x, 3)
-    w0, w1, w3 = w.at(y), w.at(y, 1), w.at(y, 3)
+    z0, z1, z3 = z.derivatives(x, (0, 1, 3))
+    w0, w1, w3 = w.derivatives(y, (0, 1, 3))
     zw, zw1 = z0 + w0, z1 + w1
     L = _sphere_immersion(zw, zw1, _col(s))
     r1 = np.abs(indefinite_dot(L, L, idx) - 1.0)
@@ -438,7 +437,7 @@ def check_case_ii_premises(
     is the totally geodesic boundary case)."""
     return _single_curve_premises(
         z, samples, tol, -2.0, ("acc-norm-z", 4.0),
-        ("nondegenerate-z", lambda t: z.at(t, 3) - 2 * z.at(t, 1),
+        ("nondegenerate-z", lambda d: d[3] - 2 * d[1],
          "max-norm of z''' - 2z' must stay positive"))
 
 
@@ -459,9 +458,8 @@ def _hyperbolic_maps(z: Curve, w: Curve | None):
     (z'(x)+w'(y))/sqrt2; the single-curve construction is the case w = 0."""
 
     def position(x, y):
-        w0, w1 = _derivatives(w, y, 2)
-        return _hyperbolic_immersion(
-            z.at(x) + w0, z.at(x, 1) + w1, _col(np.tanh((x + y) / SQRT2)))
+        (z0, z1), (w0, w1) = _derivatives(z, x, 2), _derivatives(w, y, 2)
+        return _hyperbolic_immersion(z0 + w0, z1 + w1, _col(np.tanh((x + y) / SQRT2)))
 
     def jet(x, y):
         u = (x + y) / SQRT2
@@ -530,10 +528,9 @@ def check_case_iii_conditions(
     x, y = grid_axes(domain, grid)
     idx = z.signature.index
     T = np.tanh((x + y) / SQRT2)
-    z0, z1 = z.at(x), z.at(x, 1)
-    w0, w1 = w.at(y), w.at(y, 1)
-    az = 2 * z1 - z.at(x, 3)
-    aw = 2 * w1 - w.at(y, 3)
+    z0, z1, z3 = z.derivatives(x, (0, 1, 3))
+    w0, w1, w3 = w.derivatives(y, (0, 1, 3))
+    az, aw = 2 * z1 - z3, 2 * w1 - w3
     zw, zw1 = z0 + w0, z1 + w1
     L = _hyperbolic_immersion(zw, zw1, _col(T))
     r1 = np.abs(indefinite_dot(L, L, idx) + 1.0)

@@ -1,9 +1,17 @@
+import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lorentzmin
+
 from lorentzmin.curves import (
+    BUILTIN_CURVES,
     Curve,
     ParamFamily,
     builtin_curve,
@@ -15,6 +23,8 @@ from lorentzmin.curves import (
     null_check,
     poly,
     seeded_null_pair,
+    tcos,
+    tsin,
     validate_family,
     PAIR_FLAVORS,
 )
@@ -49,11 +59,11 @@ def fd_derivative_check(curve: Curve, t: float, order: int, step: float) -> floa
 
 class TestEval:
     def test_constant_curve_derivative(self):
-        c = Curve.from_components(E21, [const(1), const(1)])
+        c = Curve(E21, [const(1), const(1)])
         assert np.all(c.at(0.3, 1) == 0)
 
     def test_sinh_cosh_second_derivative(self):
-        c = Curve.from_components(E21, [hsinh(1), hcosh(1)])
+        c = Curve(E21, [hsinh(1), hcosh(1)])
         np.testing.assert_allclose(c.at(0.0, 2), [0.0, 1.0], atol=1e-15)
 
     def test_order_out_of_range(self):
@@ -83,9 +93,89 @@ class TestEval:
         assert rel < 1e-6
 
 
+def every_curve():
+    """Every builtin curve, every factory curve with and without alt_pairing,
+    and both curves of every seeded pair flavor."""
+    curves = [pytest.param(c, id=name) for name, c in BUILTIN_CURVES.items()]
+    for family_id, params in (
+        ("Ex7_1", {"a": 1, "p": 3, "q": 1, "r": 2}),
+        ("Ex7_2", {"p": 3, "q": 1.5, "r": 1}),
+        ("Ex8_1", {"a": 1, "b": 1.2, "p": 1.2, "q": 1.5}),
+        ("Ex8_2", {"a": 0.6, "b": 0.7, "p": 1.15, "q": 1.45, "r": 1.2, "s": 1.3}),
+    ):
+        for alt_pairing in (False, True):
+            built = make_example(ParamFamily(family_id, params), alt_pairing=alt_pairing)
+            for c, half in zip(built if isinstance(built, tuple) else (built,), ("z", "w")):
+                curves.append(pytest.param(c, id=f"{family_id}{'-alt' * alt_pairing}.{half}"))
+    for flavor in PAIR_FLAVORS:
+        z, w, _ = seeded_null_pair(np.random.default_rng(5), flavor)
+        curves += [pytest.param(z, id=f"{flavor}.z"), pytest.param(w, id=f"{flavor}.w")]
+    return curves
+
+
+class TestTermTables:
+    @pytest.mark.parametrize("curve", every_curve())
+    def test_derivatives_equal_at_bit_for_bit(self, curve):
+        lo, hi = curve.domain
+        for t in (np.linspace(lo, hi, 17), np.linspace(lo, hi, 6)[:, None], 0.0, 0.3):
+            stacked = curve.derivatives(t, range(4))
+            assert stacked.shape == (4,) + np.shape(t) + (curve.signature.dim,)
+            for k in range(4):
+                assert stacked[k].tobytes() == curve.at(t, k).tobytes()
+            picked = curve.derivatives(t, (3, 1))
+            assert picked.tobytes() == stacked[[3, 1]].tobytes()
+
+    @pytest.mark.parametrize("component", [
+        (("tanh", 1.0, 1.0),),
+        (("cosh", 1.0),),
+        (("pow", 1.0, -1),),
+        (("pow", 1.0, 1.5),),
+        (("pow", 1.0, True),),
+        (("cosh", "1", 1.0),),
+        (("sin", 1.0, math.inf),),
+        (("cos", math.nan, 1.0),),
+        (("sinh", 1.0, 1e300),),  # its third-order factor overflows
+        ("cosh", 1.0, 1.0),  # a bare term, not a component
+        lambda t, k: 0.0,  # a closure component
+    ], ids=["unknown-basis", "short", "negative-power", "fractional-power", "bool-power",
+            "string-coefficient", "inf-frequency", "nan-coefficient", "overflow", "bare-term",
+            "closure"])
+    def test_malformed_term_rejected(self, component):
+        with pytest.raises(InvalidInputError):
+            Curve(E21, [hcosh(1), component])
+
+    def test_component_count_must_match_signature(self):
+        with pytest.raises(InvalidInputError):
+            Curve(E21, [hcosh(1)])
+        with pytest.raises(InvalidInputError):
+            Curve(E21, [hcosh(1), hsinh(1), const(0)])
+
+    def test_two_term_components_pass_fd_check(self):
+        c = Curve(E21, [hcosh(0.5, 2) + poly(1, -1, 0.5), tsin(1, 3) + tcos(0.5, 1.5)])
+        np.testing.assert_allclose(
+            c.at(0.4), [0.5 * math.cosh(0.8) + 1 - 0.4 + 0.08,
+                        math.sin(1.2) + 0.5 * math.cos(0.6)], rtol=1e-15)
+        for order, step in ((1, 1e-5), (2, 1e-4), (3, 1e-3)):
+            assert fd_derivative_check(c, 0.3, order, step) < 1e-8
+
+    def test_curve_is_data(self):
+        c = builtin_curve("trig3")
+        assert c == Curve(Signature(3, 1), [poly(0, 1), tsin(1), tcos(1)], label="trig3")
+        assert c.components[1] == (("sin", 1.0, 1.0),)
+        assert not any(callable(getattr(c, f.name)) for f in dataclasses.fields(c))
+        assert hash(c) == hash(Curve(c.signature, c.components, c.domain, c.label))
+
+    def test_import_does_not_load_numpy_polynomial(self):
+        code = "import sys, lorentzmin; print('numpy.polynomial' in sys.modules)"
+        src = str(pathlib.Path(lorentzmin.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+
 class TestFdDerivativeCheck:
     def test_quadratic_exact(self):
-        c = Curve.from_components(E21, [poly(1, 0, 1), poly(0, 2)])
+        c = Curve(E21, [poly(1, 0, 1), poly(0, 2)])
         assert fd_derivative_check(c, 0.5, 1, 1e-3) < 1e-10
 
     def test_hyperbolic_pair_second_order(self):
@@ -124,7 +214,7 @@ class TestDerivativeInner:
             assert derivative_inner(z, 1, z, 1, t, t) == pytest.approx(-2.0, abs=1e-9)
 
     def test_constant_curve_vanishes(self):
-        c = Curve.from_components(E21, [const(2), const(1)])
+        c = Curve(E21, [const(2), const(1)])
         line = builtin_curve("line2")
         assert derivative_inner(c, 1, line, 1, 0.3, 0.4) == 0.0
 
@@ -143,7 +233,7 @@ class TestNullCheck:
         assert rep.passed and rep.max_residual < 1e-12
 
     def test_unit_hyperbola_fails(self):
-        c = Curve.from_components(E21, [hsinh(1), hcosh(1)])
+        c = Curve(E21, [hsinh(1), hcosh(1)])
         rep = null_check(c)
         assert not rep.passed
         assert rep.max_residual == pytest.approx(1.0, abs=1e-12)
@@ -204,6 +294,14 @@ class TestFamilies:
         report = validate_family(ParamFamily("Ex7_2", {"p": 3, "q": 1.5, "r": 1}))
         assert report.ok
         assert not report.chain_ok
+
+    def test_zero_denominator_named_as_denominator(self):
+        fam = fam71(q=2, r=2)
+        assert validate_family(fam).failures == ["denominator r^2-q^2 not positive (= 0)"]
+        with pytest.raises(ConstraintViolationError) as exc:
+            make_example(fam)
+        assert exc.value.radicand == "r^2-q^2"
+        assert str(exc.value) == "denominator r^2-q^2 is not positive (= 0)"
 
     def test_ex71_chain_advisory(self):
         report = validate_family(fam71())

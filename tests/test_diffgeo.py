@@ -172,7 +172,7 @@ class TestInducedMetric:
         from lorentzmin.curves import Curve, poly
         from lorentzmin.indefinite import Signature
 
-        w = Curve.from_components(Signature(2, 1), [poly(0, -1), poly(0, 1)])
+        w = Curve(Signature(2, 1), [poly(0, -1), poly(0, 1)])
         surf = translation_surface(builtin_curve("line2"), w)
         with pytest.raises(DegenerateMetricError):
             point_forms(surf, 0.0, 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lorentzmin.cli import main
+from lorentzmin.curves import FAMILIES
 from lorentzmin.errors import ConstraintViolationError, InvalidInputError, PremiseError
 from lorentzmin.harness import (
     SurfaceSpec,
@@ -64,6 +65,21 @@ class TestSpecValidation:
     def test_unknown_builtin_curve(self):
         with pytest.raises(InvalidInputError):
             verify({"family": "sphere_b", "curves": [{"name": "nope"}]})
+
+    @pytest.mark.parametrize("spec", [
+        SPHERE_71, HYP_82,
+        {"family": "sphere_c",
+         "curves": [{"family_id": "Ex7_2", "params": {"p": 3, "q": 1.5, "r": 1}}]},
+        {"family": "hyp_ii",
+         "curves": [{"family_id": "Ex8_1", "params": {"a": 1, "b": 1.1, "p": 1, "q": 1.5}}]},
+    ], ids=["Ex7_1", "Ex8_2", "Ex7_2", "Ex8_1"])
+    def test_family_coefficients_computed_once_per_verify(self, monkeypatch, spec):
+        family = FAMILIES[spec["curves"][0]["family_id"]]
+        calls = []
+        coeffs = family["_coeffs"]
+        monkeypatch.setitem(family, "_coeffs", lambda *args: calls.append(args) or coeffs(*args))
+        verify(spec)
+        assert len(calls) == 1
 
     def test_constraint_violation_propagates(self):
         bad = {"family": "sphere_c",
@@ -469,6 +485,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_denominator_exit_2_names_the_denominator(self, tmp_path, capsys):
+        params = {"a": 1, "p": 3, "q": 2, "r": 2}
+        spec = dict(SPHERE_71, curves=[{"family_id": "Ex7_1", "params": params}])
+        assert main(["verify", "--spec", self._write_spec(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == "error: denominator r^2-q^2 is not positive (= 0)\n"
 
     def test_sweep_exit_0(self, capsys):
         assert main(["sweep", "--family", "Ex7_2", "--n", "50", "--seed", "0"]) == 0
