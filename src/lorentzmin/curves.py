@@ -189,7 +189,9 @@ class Curve:
         if not inside.all():
             bad = float(t.flat[np.argmin(inside)])
             raise InvalidInputError(f"t={bad} outside curve domain [{lo}, {hi}] (pad {pad:g})")
-        out = np.zeros((len(orders),) + t.shape + (self.signature.dim,))
+        # the factors of a ``_stack`` broadcast against t
+        shape = np.broadcast_shapes(t.shape, *(np.shape(p[4][0]) for p in self._plan[:1]))
+        out = np.zeros((len(orders),) + shape + (self.signature.dim,))
         # a component's first term assigns and the others add, so it is the
         # sum of its terms in order; each basis function is evaluated once
         for slot, first, basis, w, coefs in self._plan:
@@ -218,6 +220,23 @@ class Curve:
         if samples < 2:
             raise InvalidInputError("need at least 2 samples")
         return np.linspace(self.domain[0], self.domain[1], samples)
+
+
+def _stack(curves) -> Curve:
+    """One curve for curves of one term structure (signature, domain, nonzero
+    components, bases and powers): each term's frequency and factors are
+    arrays of shape (len(curves), 1, 1), along the third from last axis of t."""
+    def structure(c):
+        return c.signature, c.domain, [p[:3] + (p[3] if p[2] == "pow" else None,) for p in c._plan]
+    if any(structure(c) != structure(curves[0]) for c in curves):
+        raise InvalidInputError("only curves of one term structure can be stacked")
+    stack = object.__new__(Curve)  # the first curve's fields but for the plan
+    stack.__dict__.update(vars(curves[0]), _plan=tuple(
+        (slot, lead, basis, w if basis == "pow" else wf[0], tuple(wf[1:]))
+        for (slot, lead, basis, w, _), wf in zip(curves[0]._plan, (
+            np.array([(t[3],) + t[4] for t in terms]).T[..., None, None]
+            for terms in zip(*(c._plan for c in curves))))))
+    return stack
 
 
 def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):

@@ -236,8 +236,20 @@ def partials(surface: SurfaceMap, x, y) -> Jet2:
     _check_point(surface, x, y, 0.0)
     jet = surface.jet(x, y)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y)) + jet.L.shape[-1:]
+    if jet.L.ndim > len(shape):  # a stacked surface: its draw axis is third from last
+        shape = jet.L.shape
     return Jet2(*(v if v is None or v.shape == shape else np.broadcast_to(v, shape)
                   for v in (getattr(jet, f.name) for f in dataclasses.fields(Jet2))))
+
+
+def _fd_gap(an: Jet2, fd: Jet2):
+    """``fd_discrepancy`` of an analytic and an FD jet at the same nodes."""
+    worst = 0.0
+    for name in ("Lx", "Ly", "Lxx", "Lxy", "Lyy"):
+        a = getattr(an, name)
+        gap = np.max(np.abs(getattr(fd, name) - a), axis=-1)
+        worst = np.maximum(worst, gap / np.maximum(1.0, np.max(np.abs(a), axis=-1)))
+    return worst
 
 
 def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None):
@@ -248,14 +260,7 @@ def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float
     """
     if surface.jet is None:
         raise DomainError("surface provides no analytic partials to compare")
-    an = partials(surface, x, y)
-    fd = fd_jet(surface, x, y, h1, h2)
-    worst = 0.0
-    for name in ("Lx", "Ly", "Lxx", "Lxy", "Lyy"):
-        a = getattr(an, name)
-        gap = np.max(np.abs(getattr(fd, name) - a), axis=-1)
-        worst = np.maximum(worst, gap / np.maximum(1.0, np.max(np.abs(a), axis=-1)))
-    return worst
+    return _fd_gap(partials(surface, x, y), fd_jet(surface, x, y, h1, h2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +315,9 @@ def _second_form(W, T, n):
 
 
 def _conformal(surface: SurfaceMap, x, y):
-    """E = sqrt(-g_xy) at arrays of nodes, from L_x and L_y of ``partials``
-    (the analytic jet, or the FD jet of a surface without one)."""
-    jet = partials(surface, x, y)
+    """E = sqrt(-g_xy) at arrays of nodes the caller has checked, from L_x
+    and L_y of the analytic jet (the FD jet of a surface without one)."""
+    jet = fd_jet(surface, x, y) if surface.jet is None else surface.jet(x, y)
     g_xy = indefinite_dot(jet.Lx, jet.Ly, surface.ambient.embedding_signature.index)
     bad = g_xy >= 0
     if bad.any():
@@ -390,7 +395,8 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     shape (nx, ny) plus whatever the field appends, in the node order of
     ``grid_points``.  ``curvature`` is passed to ``_forms``: "stencil"
     takes K from the E-field stencil, None skips K (the forms then carry
-    none).
+    none).  A stack of D draws (``surfaces._stacked``, with D x nx x ny in
+    BLOCK_NODES) gives the fields and arrays a leading draw axis.
     """
     xs, ys = grid_axes(surface.domain, shape)
     cols = min(ys.size, BLOCK_NODES)
@@ -400,13 +406,15 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
         for j in range(0, ys.size, cols):
             x, y = xs[i:i + rows], ys[:, j:j + cols]
             jet, forms = _forms(surface, x, y, curvature)
+            lead = jet.L.ndim - 3  # 1 on a stacked surface: its draw axis
             x, y = _nodes(x, y)
             for acc, field in zip(out, fields):
                 value = field(x, y, jet, forms)
-                acc.append(value.reshape((-1,) + value.shape[2:]))
+                acc.append(value.reshape(value.shape[:lead] + (-1,) + value.shape[lead + 2:]))
     # the blocks are whole rows or consecutive pieces of one row, so their
     # flattened nodes follow the grid's x-major order
-    return [np.concatenate(acc).reshape((xs.size, ys.size) + acc[0].shape[1:]) for acc in out]
+    return [np.concatenate(acc, axis=lead).reshape(
+        acc[0].shape[:lead] + (xs.size, ys.size) + acc[0].shape[lead + 1:]) for acc in out]
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .surfaces import (
     SPHERE_DOMAIN,
     SQRT2,
     _col,
+    _stacked,
     check_case_c_conditions,
     check_case_iii_conditions,
     de_sitter_control,
@@ -419,9 +420,11 @@ def _premise_phase(spec, curves, tols):
     return reports + list(surface.premises), [], surface
 
 
-def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
+def _surface_checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
+    """The checks of each of a batch of surfaces built for one spec but for
+    their curves, stacked (``_stacked``) in the grid pass and in groups."""
+    surface = _stacked(surfaces)
     family = SURFACE_FAMILIES[spec.family]
-    desc = surface.grid_description(spec.grid)
     idx = surface.ambient.embedding_signature.index
 
     def dot(a, b):
@@ -461,8 +464,11 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
 
     # K and the Gauss equation are checked twice with the same residuals:
     # on the whole grid with K exact from the third-order jet, and on the
-    # FD subgrid with K from the E-field stencil (the cross-check)
+    # FD subgrid with K from the E-field stencil (the cross-check), whose
+    # analytic jet is compared with the FD jet of each group's stack (None)
     stencil: list[tuple] = []
+    if surface.jet is not None:
+        stencil.append(("fd-partials", None, "fd", "analytic vs finite-difference jet (relative)"))
     if k is not None:
         def k_res(x, y, jet, f):
             return np.abs(f.K - k)
@@ -488,29 +494,43 @@ def _surface_checks(spec, surface, tols) -> list[ConditionReport]:
             note=gauss_note + ", K from the third-order jet")
     stencil.append(("gauss-equation", gauss_res, "gauss", gauss_note))
 
-    try:
-        columns = diffgeo.grid_values(surface, spec.grid, [p[1] for p in planned])
-        stencil_columns = diffgeo.grid_values(
-            surface, FD_SUBGRID, [p[1] for p in stencil], curvature="stencil")
-    except DegenerateMetricError as exc:
-        # tol -1 keeps the pass == (residual <= tol) invariant honest
-        return [ConditionReport(
-            "metric-signature", 0.0, -1.0, False, desc,
-            note=f"induced metric left null form: {exc}")]
+    def subgrid_columns(group):  # the subgrid pass on a group: (draws, nodes) per entry
+        stack = _stacked(group)
+        fields = [r or (lambda x, y, jet, f: diffgeo._fd_gap(jet, diffgeo.fd_jet(stack, x, y)))
+                  for _, r, _, _ in stencil]
+        columns = diffgeo.grid_values(stack, FD_SUBGRID, fields, curvature="stencil")
+        return [np.reshape(c, (len(group), -1)) for c in columns]
 
-    def reports(entries, columns, shape):
+    grid_columns = diffgeo.grid_values(surface, spec.grid, [p[1] for p in planned])
+    # the E-field stencil evaluates jets at 8 offsets of each subgrid node,
+    # so a subgrid block takes only as many surfaces as that fits in
+    group = max(1, diffgeo.BLOCK_NODES // (8 * FD_SUBGRID[0] * FD_SUBGRID[1]))
+    groups = [subgrid_columns(surfaces[i:i + group]) for i in range(0, len(surfaces), group)]
+    by_check = []
+    for entries, shape, columns in ((planned, spec.grid, grid_columns),
+                                    (stencil, FD_SUBGRID, map(np.concatenate, zip(*groups)))):
         desc, pts = surface.grid_description(shape), surface.grid(shape)
-        return [ConditionReport.from_max(cid, column, tols[tol_key], desc, pts, note=note)
-                for (cid, _, tol_key, note), column in zip(entries, columns)]
+        by_check += [ConditionReport._from_max_rows(
+            cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note=note)
+            for (cid, _, tol_key, note), column in zip(entries, columns)]
+    return [list(checks) for checks in zip(*by_check)]
 
-    checks = reports(planned, columns, spec.grid)
-    if surface.jet is not None:
-        sub = surface.grid(FD_SUBGRID)
-        checks.append(ConditionReport.from_max(
-            "fd-partials", diffgeo.fd_discrepancy(surface, sub[:, 0], sub[:, 1]),
-            tols["fd"], surface.grid_description(FD_SUBGRID), sub,
-            note="analytic vs finite-difference jet (relative)"))
-    return checks + reports(stencil, stencil_columns, FD_SUBGRID)
+
+def _checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
+    """``_surface_checks``; a batch that fails as a whole (a degenerate
+    metric, curves of two term structures) is rerun one surface at a time,
+    so each gets the outcome it would get alone."""
+    try:
+        return _surface_checks(spec, surfaces, tols)
+    except Exception as exc:
+        if len(surfaces) > 1:
+            return [checks for surface in surfaces for checks in _checks(spec, [surface], tols)]
+        if not isinstance(exc, DegenerateMetricError):
+            raise
+        # tol -1 keeps the pass == (residual <= tol) invariant honest
+        return [[ConditionReport(
+            "metric-signature", 0.0, -1.0, False, surfaces[0].grid_description(spec.grid),
+            note=f"induced metric left null form: {exc}")]]
 
 
 def verify(spec: SurfaceSpec | dict) -> VerificationReport:
@@ -535,7 +555,7 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
     else:
         surface_info = {"constructed": True, "label": surface.label,
                         "ambient": surface.ambient.describe(), "flags": list(surface.flags)}
-        reports = reports + _surface_checks(spec, surface, tols)
+        reports = reports + _checks(spec, [surface], tols)[0]
     timings["checks"] = time.perf_counter() - t1
     timings["total"] = time.perf_counter() - t0
 
@@ -655,6 +675,7 @@ def sweep(
 
     Deterministic for a given seed.  An empty valid set is reported, not
     raised.  Returns counts plus the worst residual seen per check id.
+    Each draw gets ``verify``'s outcome, checked in a batch (``_checks``).
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidInputError(f"unknown curve family {family!r}")
@@ -663,38 +684,48 @@ def sweep(
     cfg = _sampler_config(family, sampler_config)
     rng = np.random.default_rng(rng_seed)
     surface_family = FAMILIES[family]["surface"]
-
-    valid = passed = failed = invalid = 0
-    worst: dict[str, float] = {}
-    failures: list[dict] = []
+    spec = SurfaceSpec(family=surface_family, grid=tuple(cfg["grid"]))
+    invalid = 0
+    drawn: list[tuple] = []  # (params, reports, blocking ids, surface or None) per valid draw
     for _ in range(n):
         params = _draw_params(family, cfg, rng)
         fam = ParamFamily(family, params)
-        if not validate_family(fam).ok:
+        validation = validate_family(fam)
+        if not validation.ok:
             invalid += 1
             continue
-        valid += 1
-        report = verify(SurfaceSpec(
-            family=surface_family,
-            curves=({"family_id": family, "params": params},),
-            grid=tuple(cfg["grid"]),
-        ))
-        for check in report.checks:
+        tols = default_tolerances()
+        built = _example_from(fam, validation, False)
+        drawn.append((params, *_premise_phase(
+            spec, built if isinstance(built, tuple) else (built,), tols)))
+    # the built surfaces' checks, in batches of one block, follow their premises
+    to_check = [(reports, surface) for _, reports, _, surface in drawn if surface is not None]
+    per_batch = max(1, diffgeo.BLOCK_NODES // (spec.grid[0] * spec.grid[1]))
+    for i in range(0, len(to_check), per_batch):
+        batch = to_check[i:i + per_batch]
+        for (reports, _), checks in zip(batch, _checks(spec, [s for _, s in batch], tols)):
+            reports += checks
+    passed = failed = 0
+    worst: dict[str, float] = {}
+    failures: list[dict] = []
+    for params, reports, hard, _ in drawn:
+        for check in reports:
             # np.maximum, unlike max, propagates a NaN from either side
             prev = worst.get(check.condition_id, -math.inf)
             worst[check.condition_id] = float(np.maximum(prev, check.max_residual))
-        if report.overall_pass:
+        if not hard and all(r.passed for r in reports):
             passed += 1
         else:
             failed += 1
-            failures.append({"params": params, "failed": report.failed_checks()})
+            failures.append({"params": params,
+                             "failed": [r.condition_id for r in reports if not r.passed]})
     return {
         "family": family,
         "surface_family": surface_family,
         "n": n,
         "seed": rng_seed,
         "sampler": {k: v for k, v in sorted(cfg.items())},
-        "valid": valid,
+        "valid": len(drawn),
         "invalid": invalid,
         "passed": passed,
         "failed": failed,

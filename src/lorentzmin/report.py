@@ -34,8 +34,14 @@ class ConditionReport:
     @classmethod
     def from_max(cls, condition_id, residuals, tol, grid, points=None, note=""):
         """Report for a residual bounded above: pass iff max <= tol."""
-        value, pt, finite = _worst(residuals, np.argmax, points)
-        return cls(condition_id, value, float(tol), finite and value <= tol, grid, pt, note)
+        return cls._from_max_rows(condition_id, np.reshape(residuals, (1, -1)), tol, grid,
+                                  points, note)[0]
+
+    @classmethod
+    def _from_max_rows(cls, condition_id, rows, tol, grid, points=None, note=""):
+        """``from_max`` of each row of a (draws, nodes) array, reduced at once."""
+        return [cls(condition_id, value, float(tol), finite and value <= tol, grid, pt, note)
+                for value, pt, finite in _worst(rows, np.argmax, points)]
 
     @classmethod
     def from_min(cls, condition_id, values, threshold, grid, points=None, note=""):
@@ -44,7 +50,7 @@ class ConditionReport:
         Stored residual is the shortfall ``threshold - min_value``; the
         recorded tolerance is 0, preserving pass == (residual <= tol).
         """
-        value, pt, finite = _worst(values, np.argmin, points)
+        ((value, pt, finite),) = _worst(np.reshape(values, (1, -1)), np.argmin, points)
         shortfall = float(threshold) - value
         note = note or f"lower bound: residual = {threshold:g} - min value"
         return cls(condition_id, shortfall, 0.0, finite and shortfall <= 0.0, grid, pt, note)
@@ -67,15 +73,18 @@ def json_residual(value: float):
     return value if math.isfinite(value) else str(value)
 
 
-def _worst(values, pick, points):
-    """(worst value, its point, all finite): ``pick`` (np.argmax or
-    np.argmin, so ties go to the first node) unless a value is not finite,
-    in which case the first non-finite one is the worst."""
-    values = np.asarray(values, dtype=float).ravel()
-    bad = ~np.isfinite(values)
-    i = int(np.argmax(bad)) if bad.any() else int(pick(values))
-    pt = tuple(float(v) for v in points[i]) if points is not None else ()
-    return float(values[i]), pt, not bad.any()
+def _worst(rows, pick, points):
+    """(worst value, its point, all finite) per row of a (draws, nodes) array:
+    ``pick`` (np.argmax or np.argmin, so ties go to the first node) unless a
+    value is not finite, in which case the first non-finite one is worst."""
+    rows = np.asarray(rows, dtype=float)
+    finite = np.isfinite(rows).all(axis=1)
+    index = pick(rows, axis=1)
+    if not finite.all():
+        index = np.where(finite, index, np.argmax(~np.isfinite(rows), axis=1))
+    index = index.tolist()
+    pts = [tuple(float(v) for v in points[i]) if points is not None else () for i in index]
+    return list(zip([float(rows[k, i]) for k, i in enumerate(index)], pts, finite.tolist()))
 
 
 #: Default tolerances per check tier.  Algebraic identities on analytic

@@ -33,12 +33,12 @@ to run them twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .curves import DEFAULT_SAMPLES, Curve, derivative_inner, null_check
+from .curves import DEFAULT_SAMPLES, Curve, _stack, derivative_inner, null_check
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -113,7 +113,8 @@ class SurfaceMap:
     x and y that broadcast against each other.  ``singular_margin``, when
     present, gives the distance from a point to the nearest singular
     locus of the chart.  ``premises`` keeps the premise reports of a
-    constructor that checks its curve (sphere_b and hyp_ii).
+    constructor that checks its curve (sphere_b and hyp_ii), ``_maps`` the
+    function of ``sources`` that made ``position`` and ``jet``.
     """
 
     ambient: Ambient
@@ -126,12 +127,34 @@ class SurfaceMap:
     family: str = ""
     label: str = ""
     premises: tuple[ConditionReport, ...] = ()
+    _maps: Callable | None = None
 
     def grid(self, shape=DEFAULT_GRID):
         return grid_points(self.domain, shape)
 
     def grid_description(self, shape=DEFAULT_GRID) -> str:
         return grid_description(self.domain, shape)
+
+
+def _mapped(family, maps, ambient, domain, sources, **fields) -> SurfaceMap:
+    """The surface whose ``position`` and ``jet`` ``maps`` makes from its
+    source curves, labelled family[z, w]; ``_maps`` keeps ``maps``."""
+    position, jet = maps(*sources)
+    names = ", ".join(c.label or name for c, name in zip(sources, "zw"))
+    return SurfaceMap(ambient, position, domain, jet, sources=sources, family=family,
+                      label=f"{family}[{names}]", _maps=maps, **fields)
+
+
+def _stacked(surfaces) -> SurfaceMap:
+    """One surface for surfaces of one constructor and curves of one term
+    structure: its sources are their curves stacked (``_stack``), and its
+    maps put a draw axis before the two node axes of x and y."""
+    if len(surfaces) == 1:
+        return surfaces[0]
+    sources = tuple(map(_stack, zip(*(s.sources for s in surfaces))))
+    position, jet = (lambda x, y, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3))
+                     for f in surfaces[0]._maps(*sources))
+    return replace(surfaces[0], sources=sources, position=position, jet=jet)
 
 
 def grid_axes(domain, shape):
@@ -314,7 +337,7 @@ def _sphere_immersion(zw, zw1, s):  # L from z+w, z'+w' and s = _col(x+y)
     return zw / s - zw1 / 2
 
 
-def _sphere_maps(z: Curve, w: Curve | None):
+def _sphere_maps(z: Curve, w: Curve | None = None):
     """position and jet of L = (z(x)+w(y))/(x+y) - (z'(x)+w'(y))/2; the
     single-curve construction is the case w = 0."""
 
@@ -360,17 +383,9 @@ def sphere_case_b(
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
-    position, jet = _sphere_maps(z, None)
-    return SurfaceMap(
-        ambient=_sphere_ambient(z.signature),
-        position=position, jet=jet, domain=domain,
-        singular_margin=lambda x, y: abs(x + y),
-        sources=(z,),
-        flags=flags,
-        family="sphere_b",
-        label=f"sphere_b[{z.label or 'z'}]",
-        premises=tuple(premises),
-    )
+    return _mapped("sphere_b", _sphere_maps, _sphere_ambient(z.signature), domain, (z,),
+                   singular_margin=lambda x, y: abs(x + y), flags=flags,
+                   premises=tuple(premises))
 
 
 def check_case_c_conditions(
@@ -414,15 +429,8 @@ def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    position, jet = _sphere_maps(z, w)
-    return SurfaceMap(
-        ambient=_sphere_ambient(z.signature),
-        position=position, jet=jet, domain=domain,
-        singular_margin=lambda x, y: abs(x + y),
-        sources=(z, w),
-        family="sphere_c",
-        label=f"sphere_c[{z.label or 'z'}, {w.label or 'w'}]",
-    )
+    return _mapped("sphere_c", _sphere_maps, _sphere_ambient(z.signature), domain, (z, w),
+                   singular_margin=lambda x, y: abs(x + y))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +461,7 @@ def _hyperbolic_immersion(zw, zw1, T):  # L from z+w, z'+w' and T = _col(tanh(u)
     return zw * T - zw1 / SQRT2
 
 
-def _hyperbolic_maps(z: Curve, w: Curve | None):
+def _hyperbolic_maps(z: Curve, w: Curve | None = None):
     """position and jet of L = (z(x)+w(y)) tanh((x+y)/sqrt2) -
     (z'(x)+w'(y))/sqrt2; the single-curve construction is the case w = 0."""
 
@@ -500,16 +508,8 @@ def hyperbolic_case_ii(
     flags = _premise_flags(premises)
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
-    position, jet = _hyperbolic_maps(z, None)
-    return SurfaceMap(
-        ambient=_hyperbolic_ambient(z.signature),
-        position=position, jet=jet, domain=domain,
-        sources=(z,),
-        flags=flags,
-        family="hyp_ii",
-        label=f"hyp_ii[{z.label or 'z'}]",
-        premises=tuple(premises),
-    )
+    return _mapped("hyp_ii", _hyperbolic_maps, _hyperbolic_ambient(z.signature), domain, (z,),
+                   flags=flags, premises=tuple(premises))
 
 
 def check_case_iii_conditions(
@@ -551,14 +551,7 @@ def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> Surface
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    position, jet = _hyperbolic_maps(z, w)
-    return SurfaceMap(
-        ambient=_hyperbolic_ambient(z.signature),
-        position=position, jet=jet, domain=domain,
-        sources=(z, w),
-        family="hyp_iii",
-        label=f"hyp_iii[{z.label or 'z'}, {w.label or 'w'}]",
-    )
+    return _mapped("hyp_iii", _hyperbolic_maps, _hyperbolic_ambient(z.signature), domain, (z, w))
 
 
 # ---------------------------------------------------------------------------

@@ -315,11 +315,12 @@ class TestSweep:
 
         draws = iter(residuals)
 
-        def fake_verify(spec):
-            check = ConditionReport.from_max("x", [next(draws)], 1.0, "g")
-            return harness.VerificationReport({}, {}, (check,), (), check.passed, {})
+        def fake_checks(spec, surfaces, tols):
+            return [[ConditionReport.from_max("x", [next(draws)], 1.0, "g")] for _ in surfaces]
 
-        monkeypatch.setattr(harness, "verify", fake_verify)
+        # every draw builds a surface with no premise reports, then checks "x"
+        monkeypatch.setattr(harness, "_premise_phase", lambda spec, curves, tols: ([], [], spec))
+        monkeypatch.setattr(harness, "_checks", fake_checks)
         summary = sweep("Ex7_1", n=len(residuals), rng_seed=0)
         assert summary["worst_residuals"] == {"x": worst}
         assert summary["failed"] == sum(not (math.isfinite(r) and r <= 1.0) for r in residuals)
