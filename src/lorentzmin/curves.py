@@ -176,6 +176,9 @@ class Curve:
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "_plan", plan)
 
+    #: the shape of a term factor: () here, (curves, 1, 1) on a ``_Stack``
+    _lead = ()
+
     def derivatives(self, t, orders) -> np.ndarray:
         """The derivatives of the given orders at a scalar or array t,
         stacked: shape (len(orders),) + t.shape + (dim,)."""
@@ -189,8 +192,7 @@ class Curve:
         if not inside.all():
             bad = float(t.flat[np.argmin(inside)])
             raise InvalidInputError(f"t={bad} outside curve domain [{lo}, {hi}] (pad {pad:g})")
-        # the factors of a ``_stack`` broadcast against t
-        shape = np.broadcast_shapes(t.shape, *(np.shape(p[4][0]) for p in self._plan[:1]))
+        shape = np.broadcast_shapes(t.shape, self._lead) if self._lead else t.shape
         out = np.zeros((len(orders),) + shape + (self.signature.dim,))
         # a component's first term assigns and the others add, so it is the
         # sum of its terms in order; each basis function is evaluated once
@@ -222,21 +224,27 @@ class Curve:
         return np.linspace(self.domain[0], self.domain[1], samples)
 
 
-def _stack(curves) -> Curve:
-    """One curve for curves of one term structure (signature, domain, nonzero
-    components, bases and powers): each term's frequency and factors are
-    arrays of shape (len(curves), 1, 1), along the third from last axis of t."""
-    def structure(c):
-        return c.signature, c.domain, [p[:3] + (p[3] if p[2] == "pow" else None,) for p in c._plan]
-    if any(structure(c) != structure(curves[0]) for c in curves):
-        raise InvalidInputError("only curves of one term structure can be stacked")
-    stack = object.__new__(Curve)  # the first curve's fields but for the plan
-    stack.__dict__.update(vars(curves[0]), _plan=tuple(
-        (slot, lead, basis, w if basis == "pow" else wf[0], tuple(wf[1:]))
-        for (slot, lead, basis, w, _), wf in zip(curves[0]._plan, (
-            np.array([(t[3],) + t[4] for t in terms]).T[..., None, None]
-            for terms in zip(*(c._plan for c in curves))))))
-    return stack
+class _Stack:
+    """Curves of one term structure (signature, domain, nonzero components,
+    bases and powers) evaluated at once by ``Curve.derivatives``: each
+    term's frequency and factors are arrays of shape (len(curves), 1, 1),
+    so the curves lie along the third from last axis of t's shape."""
+
+    def __init__(self, curves):
+        def structure(c):
+            return c.signature, c.domain, [p[:3] + (p[3] if p[2] == "pow" else None,)
+                                           for p in c._plan]
+        if any(structure(c) != structure(curves[0]) for c in curves):
+            raise InvalidInputError("only curves of one term structure can be stacked")
+        self.signature, self.domain = curves[0].signature, curves[0].domain
+        self._lead = (len(curves), 1, 1)
+        self._plan = tuple(
+            (slot, first, basis, w if basis == "pow" else wf[0], tuple(wf[1:]))
+            for (slot, first, basis, w, _), wf in zip(curves[0]._plan, (
+                np.array([(p[3],) + p[4] for p in terms]).T[..., None, None]
+                for terms in zip(*(c._plan for c in curves)))))
+
+    derivatives, at = Curve.derivatives, Curve.at
 
 
 def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):

@@ -58,7 +58,7 @@ from .curves import DOMAIN_PAD_FRACTION
 from .errors import DegenerateMetricError, DomainError
 from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
-from .surfaces import DEFAULT_GRID, Jet2, SurfaceMap, _col, grid_axes
+from .surfaces import DEFAULT_GRID, Jet2, SurfaceMap, _col, _stacked, grid_axes
 
 __all__ = [
     "MetricData",
@@ -235,9 +235,8 @@ def partials(surface: SurfaceMap, x, y) -> Jet2:
         return fd_jet(surface, x, y)
     _check_point(surface, x, y, 0.0)
     jet = surface.jet(x, y)
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y)) + jet.L.shape[-1:]
-    if jet.L.ndim > len(shape):  # a stacked surface: its draw axis is third from last
-        shape = jet.L.shape
+    # the nodes' shape (after the draw axis of a stack of draws) + (dim,)
+    shape = np.broadcast_shapes(np.shape(x) + (1,), np.shape(y) + (1,), jet.L.shape)
     return Jet2(*(v if v is None or v.shape == shape else np.broadcast_to(v, shape)
                   for v in (getattr(jet, f.name) for f in dataclasses.fields(Jet2))))
 
@@ -385,6 +384,12 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet"):
     return jet, forms
 
 
+def _draws_per_block(shape, curvature="jet") -> int:
+    """Whole draws of a grid in one block of ``grid_values``: BLOCK_NODES
+    counts draws x nodes, a node eight times where the E-field stencil runs."""
+    return max(1, BLOCK_NODES // ((8 if curvature == "stencil" else 1) * shape[0] * shape[1]))
+
+
 def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     """Per-node quantities over a grid, computed block by block.
 
@@ -395,9 +400,22 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     shape (nx, ny) plus whatever the field appends, in the node order of
     ``grid_points``.  ``curvature`` is passed to ``_forms``: "stencil"
     takes K from the E-field stencil, None skips K (the forms then carry
-    none).  A stack of D draws (``surfaces._stacked``, with D x nx x ny in
-    BLOCK_NODES) gives the fields and arrays a leading draw axis.
+    none).
+
+    ``surface`` may be a list of draws (surfaces of one constructor and
+    curve term structure): a block then stacks ``_draws_per_block`` whole
+    draws (``surfaces._stacked``), and each array gets a leading draw axis.
+    ``fields`` may be a function of a block's surface that gives them.
     """
+    if isinstance(surface, list):
+        per, parts = _draws_per_block(shape, curvature), []
+        for d in range(0, len(surface), per):
+            draws = surface[d:d + per]
+            values = grid_values(_stacked(draws), shape, fields, curvature=curvature)
+            parts.append(values if len(draws) > 1 else [v[None] for v in values])
+        return [np.concatenate(p) for p in zip(*parts)]
+    if callable(fields):
+        fields = fields(surface)
     xs, ys = grid_axes(surface.domain, shape)
     cols = min(ys.size, BLOCK_NODES)
     rows = BLOCK_NODES // cols
@@ -406,7 +424,7 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
         for j in range(0, ys.size, cols):
             x, y = xs[i:i + rows], ys[:, j:j + cols]
             jet, forms = _forms(surface, x, y, curvature)
-            lead = jet.L.ndim - 3  # 1 on a stacked surface: its draw axis
+            lead = jet.L.ndim - 3  # 1 on a stack of draws: its draw axis
             x, y = _nodes(x, y)
             for acc, field in zip(out, fields):
                 value = field(x, y, jet, forms)

@@ -58,7 +58,6 @@ from .surfaces import (
     SPHERE_DOMAIN,
     SQRT2,
     _col,
-    _stacked,
     check_case_c_conditions,
     check_case_iii_conditions,
     de_sitter_control,
@@ -420,17 +419,16 @@ def _premise_phase(spec, curves, tols):
     return reports + list(surface.premises), [], surface
 
 
-def _surface_checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
-    """The checks of each of a batch of surfaces built for one spec but for
-    their curves, stacked (``_stacked``) in the grid pass and in groups."""
-    surface = _stacked(surfaces)
+def _check_plan(spec, surface) -> tuple[list[tuple], list[tuple]]:
+    """The checks of a surface built for ``spec`` (or of a block's stack of
+    such surfaces) as (condition id, residual of (x, y, jet, forms) on a
+    block, tol key, note): those of the grid pass and of the subgrid pass."""
     family = SURFACE_FAMILIES[spec.family]
     idx = surface.ambient.embedding_signature.index
 
     def dot(a, b):
         return indefinite_dot(a, b, idx)
 
-    # (condition id, residual of (x, y, jet, forms) on a block, tol key, note)
     planned: list[tuple] = []
 
     def add_max(cid, per_node, tol_key, note=""):
@@ -465,10 +463,12 @@ def _surface_checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
     # K and the Gauss equation are checked twice with the same residuals:
     # on the whole grid with K exact from the third-order jet, and on the
     # FD subgrid with K from the E-field stencil (the cross-check), whose
-    # analytic jet is compared with the FD jet of each group's stack (None)
+    # analytic jet is compared with the FD jet
     stencil: list[tuple] = []
     if surface.jet is not None:
-        stencil.append(("fd-partials", None, "fd", "analytic vs finite-difference jet (relative)"))
+        stencil.append(("fd-partials",
+                        lambda x, y, jet, f: diffgeo._fd_gap(jet, diffgeo.fd_jet(surface, x, y)),
+                        "fd", "analytic vs finite-difference jet (relative)"))
     if k is not None:
         def k_res(x, y, jet, f):
             return np.abs(f.K - k)
@@ -494,35 +494,27 @@ def _surface_checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
             note=gauss_note + ", K from the third-order jet")
     stencil.append(("gauss-equation", gauss_res, "gauss", gauss_note))
 
-    def subgrid_columns(group):  # the subgrid pass on a group: (draws, nodes) per entry
-        stack = _stacked(group)
-        fields = [r or (lambda x, y, jet, f: diffgeo._fd_gap(jet, diffgeo.fd_jet(stack, x, y)))
-                  for _, r, _, _ in stencil]
-        columns = diffgeo.grid_values(stack, FD_SUBGRID, fields, curvature="stencil")
-        return [np.reshape(c, (len(group), -1)) for c in columns]
-
-    grid_columns = diffgeo.grid_values(surface, spec.grid, [p[1] for p in planned])
-    # the E-field stencil evaluates jets at 8 offsets of each subgrid node,
-    # so a subgrid block takes only as many surfaces as that fits in
-    group = max(1, diffgeo.BLOCK_NODES // (8 * FD_SUBGRID[0] * FD_SUBGRID[1]))
-    groups = [subgrid_columns(surfaces[i:i + group]) for i in range(0, len(surfaces), group)]
-    by_check = []
-    for entries, shape, columns in ((planned, spec.grid, grid_columns),
-                                    (stencil, FD_SUBGRID, map(np.concatenate, zip(*groups)))):
-        desc, pts = surface.grid_description(shape), surface.grid(shape)
-        by_check += [ConditionReport._from_max_rows(
-            cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note=note)
-            for (cid, _, tol_key, note), column in zip(entries, columns)]
-    return [list(checks) for checks in zip(*by_check)]
+    return planned, stencil
 
 
 def _checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
-    """``_surface_checks``; a batch that fails as a whole (a degenerate
-    metric, curves of two term structures) is rerun one surface at a time,
-    so each gets the outcome it would get alone."""
+    """The checks of each of a list of surfaces built for one spec but for
+    their curves, which ``grid_values`` stacks in blocks of whole draws.  A
+    list that fails as a whole (a degenerate metric, or curves of two term
+    structures, as when a draw zeroes a whole component) is rerun one
+    surface at a time, so each gets the outcome it would get alone."""
+    by_check = []
     try:
-        return _surface_checks(spec, surfaces, tols)
-    except Exception as exc:
+        for pick, (shape, curvature) in enumerate(((spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
+            columns = diffgeo.grid_values(
+                surfaces, shape, lambda s: [e[1] for e in _check_plan(spec, s)[pick]],
+                curvature=curvature)
+            desc, pts = surfaces[0].grid_description(shape), surfaces[0].grid(shape)
+            by_check += [ConditionReport._from_max_rows(
+                cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note=note)
+                for (cid, _, tol_key, note), column in zip(
+                    _check_plan(spec, surfaces[0])[pick], columns)]
+    except (DegenerateMetricError, InvalidInputError) as exc:
         if len(surfaces) > 1:
             return [checks for surface in surfaces for checks in _checks(spec, [surface], tols)]
         if not isinstance(exc, DegenerateMetricError):
@@ -531,6 +523,7 @@ def _checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
         return [[ConditionReport(
             "metric-signature", 0.0, -1.0, False, surfaces[0].grid_description(spec.grid),
             note=f"induced metric left null form: {exc}")]]
+    return [list(checks) for checks in zip(*by_check)]
 
 
 def verify(spec: SurfaceSpec | dict) -> VerificationReport:
@@ -685,8 +678,32 @@ def sweep(
     rng = np.random.default_rng(rng_seed)
     surface_family = FAMILIES[family]["surface"]
     spec = SurfaceSpec(family=surface_family, grid=tuple(cfg["grid"]))
-    invalid = 0
-    drawn: list[tuple] = []  # (params, reports, blocking ids, surface or None) per valid draw
+    tols = default_tolerances()
+    batch = diffgeo._draws_per_block(spec.grid)
+    pending: list[tuple] = []  # (params, reports, blocking ids, surface or None) per valid draw
+    valid = passed = failed = invalid = 0
+    worst: dict[str, float] = {}
+    failures: list[dict] = []
+
+    def fold():  # check the pending draws' surfaces together, then fold in draw order
+        nonlocal passed, failed
+        built = [(reports, s) for _, reports, _, s in pending if s is not None]
+        for (reports, _), checks in zip(built, _checks(spec, [s for _, s in built], tols)
+                                        if built else ()):
+            reports += checks
+        for params, reports, hard, _ in pending:
+            for check in reports:
+                # np.maximum, unlike max, propagates a NaN from either side
+                prev = worst.get(check.condition_id, -math.inf)
+                worst[check.condition_id] = float(np.maximum(prev, check.max_residual))
+            if not hard and all(r.passed for r in reports):
+                passed += 1
+            else:
+                failed += 1
+                failures.append({"params": params,
+                                 "failed": [r.condition_id for r in reports if not r.passed]})
+        pending.clear()
+
     for _ in range(n):
         params = _draw_params(family, cfg, rng)
         fam = ParamFamily(family, params)
@@ -694,38 +711,20 @@ def sweep(
         if not validation.ok:
             invalid += 1
             continue
-        tols = default_tolerances()
-        built = _example_from(fam, validation, False)
-        drawn.append((params, *_premise_phase(
-            spec, built if isinstance(built, tuple) else (built,), tols)))
-    # the built surfaces' checks, in batches of one block, follow their premises
-    to_check = [(reports, surface) for _, reports, _, surface in drawn if surface is not None]
-    per_batch = max(1, diffgeo.BLOCK_NODES // (spec.grid[0] * spec.grid[1]))
-    for i in range(0, len(to_check), per_batch):
-        batch = to_check[i:i + per_batch]
-        for (reports, _), checks in zip(batch, _checks(spec, [s for _, s in batch], tols)):
-            reports += checks
-    passed = failed = 0
-    worst: dict[str, float] = {}
-    failures: list[dict] = []
-    for params, reports, hard, _ in drawn:
-        for check in reports:
-            # np.maximum, unlike max, propagates a NaN from either side
-            prev = worst.get(check.condition_id, -math.inf)
-            worst[check.condition_id] = float(np.maximum(prev, check.max_residual))
-        if not hard and all(r.passed for r in reports):
-            passed += 1
-        else:
-            failed += 1
-            failures.append({"params": params,
-                             "failed": [r.condition_id for r in reports if not r.passed]})
+        valid += 1
+        example = _example_from(fam, validation, False)
+        pending.append((params, *_premise_phase(
+            spec, example if isinstance(example, tuple) else (example,), tols)))
+        if sum(d[3] is not None for d in pending) == batch:
+            fold()
+    fold()
     return {
         "family": family,
         "surface_family": surface_family,
         "n": n,
         "seed": rng_seed,
         "sampler": {k: v for k, v in sorted(cfg.items())},
-        "valid": len(drawn),
+        "valid": valid,
         "invalid": invalid,
         "passed": passed,
         "failed": failed,

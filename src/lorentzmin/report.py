@@ -78,13 +78,10 @@ def _worst(rows, pick, points):
     ``pick`` (np.argmax or np.argmin, so ties go to the first node) unless a
     value is not finite, in which case the first non-finite one is worst."""
     rows = np.asarray(rows, dtype=float)
-    finite = np.isfinite(rows).all(axis=1)
-    index = pick(rows, axis=1)
-    if not finite.all():
-        index = np.where(finite, index, np.argmax(~np.isfinite(rows), axis=1))
-    index = index.tolist()
-    pts = [tuple(float(v) for v in points[i]) if points is not None else () for i in index]
-    return list(zip([float(rows[k, i]) for k, i in enumerate(index)], pts, finite.tolist()))
+    bad = ~np.isfinite(rows)
+    index = np.where(bad.any(axis=1), np.argmax(bad, axis=1), pick(rows, axis=1)).tolist()
+    return [(float(row[i]), tuple(float(v) for v in points[i]) if points is not None else (),
+             not row_bad.any()) for row, i, row_bad in zip(rows, index, bad)]
 
 
 #: Default tolerances per check tier.  Algebraic identities on analytic

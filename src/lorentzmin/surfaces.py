@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import DEFAULT_SAMPLES, Curve, _stack, derivative_inner, null_check
+from .curves import DEFAULT_SAMPLES, Curve, _Stack, derivative_inner, null_check
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -147,11 +147,12 @@ def _mapped(family, maps, ambient, domain, sources, **fields) -> SurfaceMap:
 
 def _stacked(surfaces) -> SurfaceMap:
     """One surface for surfaces of one constructor and curves of one term
-    structure: its sources are their curves stacked (``_stack``), and its
-    maps put a draw axis before the two node axes of x and y."""
+    structure: its sources are their curves stacked (``_Stack``), and its
+    maps put a draw axis before the two node axes of x and y.  It keeps
+    the first surface's other fields."""
     if len(surfaces) == 1:
         return surfaces[0]
-    sources = tuple(map(_stack, zip(*(s.sources for s in surfaces))))
+    sources = tuple(map(_Stack, zip(*(s.sources for s in surfaces))))
     position, jet = (lambda x, y, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3))
                      for f in surfaces[0]._maps(*sources))
     return replace(surfaces[0], sources=sources, position=position, jet=jet)

@@ -3,7 +3,9 @@ if it were verified alone, through ``verify``, and the batch must not
 repeat work that a single verify does once."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -99,14 +101,14 @@ def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
 
 
 def test_sweep_checks_full_batches(monkeypatch):
-    checks = harness._surface_checks
+    checks = harness._checks
     sizes = []
 
     def recording(spec, surfaces, tols):
         sizes.append(len(surfaces))
         return checks(spec, surfaces, tols)
 
-    monkeypatch.setattr(harness, "_surface_checks", recording)
+    monkeypatch.setattr(harness, "_checks", recording)
     sweep("Ex7_1", n=20, rng_seed=0)
     per = diffgeo.BLOCK_NODES // 81
     assert sizes == [per] * (20 // per) + [20 % per]
@@ -161,15 +163,84 @@ def test_efield_checks_its_nodes_once():
 
 
 
+def test_sweep_holds_one_batch_of_surfaces(monkeypatch):
+    phase, checks = harness._premise_phase, harness._checks
+    made, live = [], []
+
+    def tracked(spec, curves, tols):
+        out = phase(spec, curves, tols)
+        if out[2] is not None:
+            made.append(weakref.ref(out[2]))
+        return out
+
+    def counting(spec, surfaces, tols):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in made))
+        return checks(spec, surfaces, tols)
+
+    monkeypatch.setattr(harness, "_premise_phase", tracked)
+    monkeypatch.setattr(harness, "_checks", counting)
+    sweep("Ex7_1", n=20, rng_seed=0)
+    per = diffgeo._draws_per_block((9, 9))
+    assert live == [per] * (20 // per) + [20 % per]
+
+
+def test_grid_values_blocks_whole_draws(monkeypatch):
+    spec = SurfaceSpec(family="sphere_b", grid=(9, 9), curves=SPHERE_71["curves"])
+    curves, _ = harness._resolve_curves(spec)
+    surface = harness._premise_phase(spec, curves, default_tolerances())[2]
+    forms, blocks = diffgeo._forms, []
+
+    def recording(surface, x, y, curvature="jet"):
+        jet, f = forms(surface, x, y, curvature)
+        blocks.append(jet.L.shape[:-1])
+        return jet, f
+
+    monkeypatch.setattr(diffgeo, "_forms", recording)
+    k = [lambda x, y, jet, f: f.K]
+    for shape, curvature, per in (((9, 9), "jet", 6), ((5, 5), "stencil", 2),
+                                  ((30, 30), "jet", 1)):
+        assert diffgeo._draws_per_block(shape, curvature) == per
+        blocks.clear()
+        (alone,) = diffgeo.grid_values(surface, shape, k, curvature=curvature)
+        single = list(blocks)
+        blocks.clear()
+        (one,) = diffgeo.grid_values([surface], shape, k, curvature=curvature)
+        assert blocks == single and np.array_equal(one, alone[None])  # a batch of one
+        blocks.clear()
+        (seven,) = diffgeo.grid_values([surface] * 7, shape, k, curvature=curvature)
+        assert np.array_equal(seven, np.broadcast_to(alone, (7,) + alone.shape))
+        # whole draws per block; a block of one draw is that draw alone
+        stacks = [(d,) + shape if d > 1 else shape for d in [per] * (7 // per) + [7 % per] if d]
+        assert blocks == (stacks if per > 1 else single * 7)
+        weight = 8 if curvature == "stencil" else 1
+        assert all(weight * math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks if b != shape)
+
+
+def test_batch_error_other_than_a_degenerate_metric_propagates(monkeypatch):
+    table = diffgeo._table
+
+    def broken_on_stacks(surface, jet):
+        if jet.L.ndim > 3:
+            raise ValueError("test: a broadcasting bug in the batch code")
+        return table(surface, jet)
+
+    monkeypatch.setattr(diffgeo, "_table", broken_on_stacks)
+    with pytest.raises(ValueError, match="broadcasting bug"):
+        sweep("Ex7_1", n=12, rng_seed=3)
+
+
 def test_stacked_curves_evaluate_each_curve_bit_for_bit():
-    from lorentzmin.curves import _stack, make_example
+    from lorentzmin.curves import _Stack, make_example
     pairs = [make_example(ParamFamily("Ex8_2", {"a": a, "b": 0.7, "p": 1.1, "q": 1.5,
                                                 "r": 1.1, "s": 1.5})) for a in (0.6, 0.65, 0.7)]
     t = np.linspace(-1.0, 1.0, 12).reshape(2, 1, 2, 3)  # offsets, draws, rows, cols
     for curves in zip(*pairs):
-        stacked = _stack(curves).derivatives(t, range(4))
+        stack = _Stack(curves)
+        stacked = stack.derivatives(t, range(4))
         assert stacked.shape == (4, 2, 3, 2, 3, 14)
         for b, curve in enumerate(curves):
             assert np.array_equal(stacked[:, :, b], curve.derivatives(t[:, 0], range(4)))
+            assert np.array_equal(stack.at(t, 2)[:, b], curve.at(t[:, 0], 2))
     with pytest.raises(InvalidInputError, match="term structure"):
-        _stack(pairs[0])  # z and w of one pair have different terms
+        _Stack(pairs[0])  # z and w of one pair have different terms
