@@ -230,6 +230,23 @@ def test_batch_error_other_than_a_degenerate_metric_propagates(monkeypatch):
         sweep("Ex7_1", n=12, rng_seed=3)
 
 
+def test_draws_of_two_term_structures_are_checked_one_by_one():
+    # this q zeroes a radicand exactly, which validation allows; two of the
+    # curve's components then vanish, so its terms cannot stack with a
+    # draw's whose radicand is positive
+    a = 0.5
+    q = math.sqrt((4 + a * a) / (2 + a * a))
+    tols = default_tolerances()
+    specs = [SurfaceSpec(family="hyp_ii", grid=(9, 9), curves=(
+        {"family_id": "Ex8_1", "params": {"a": a, "b": 1.1, "p": 1.0, "q": qq}},))
+        for qq in (1.5, q)]
+    surfaces = [harness._premise_phase(s, harness._resolve_curves(s)[0], tols)[2] for s in specs]
+    assert [len(s.sources[0]._plan) for s in surfaces] == [8, 6]
+    batch = harness._checks(specs[0], surfaces, tols)
+    assert batch == [harness._checks(specs[0], [s], tols)[0] for s in surfaces]
+    assert all(r.passed for checks in batch for r in checks)
+
+
 def test_stacked_curves_evaluate_each_curve_bit_for_bit():
     from lorentzmin.curves import _Stack, make_example
     pairs = [make_example(ParamFamily("Ex8_2", {"a": a, "b": 0.7, "p": 1.1, "q": 1.5,
