@@ -390,7 +390,7 @@ def _draws_per_block(shape, curvature="jet") -> int:
     return max(1, BLOCK_NODES // ((8 if curvature == "stencil" else 1) * shape[0] * shape[1]))
 
 
-def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
+def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvature="jet"):
     """Per-node quantities over a grid, computed block by block.
 
     Each entry of ``fields`` maps ``(x, y, jet, forms)`` on a block of
