@@ -546,19 +546,20 @@ FAMILIES: dict[str, dict] = {
 }
 
 
-def validate_family(fam: ParamFamily) -> FamilyValidation:
+def validate_family(fam: ParamFamily, coeffs: tuple | None = None) -> FamilyValidation:
     """Numeric validation: every radicand >= 0, every denominator > 0.
 
     The quoted inequality chain is evaluated too, but only for reporting;
     it neither implies nor is implied by validity (one family's chain in
-    fact forces a radicand negative).
+    fact forces a radicand negative).  ``coeffs`` is the family's
+    (radicands, denominators) at these parameters when already computed.
     """
     info = FAMILIES[fam.family_id]
     args = [fam.params[k] for k in info["params"]]
     failures = [f"{fam.family_id}: parameter {name} must be positive (= {value:g})"
                 for name, value in zip(info["params"], args) if not value > 0]
     try:
-        rads, dens = info["_coeffs"](*args)
+        rads, dens = coeffs or info["_coeffs"](*args)
     except OverflowError as exc:  # squares of parameters beyond the double range
         rads, dens = {}, {}
         failures.append(f"{fam.label()}: parameters out of range ({exc})")
@@ -577,6 +578,21 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
         chain=info["chain"],
         _error=violations[0] if violations and not failures else (),
     )
+
+
+def _valid_coeffs(family_id: str, params: Mapping[str, float]) -> tuple | None:
+    """The family's (radicands, denominators) at these parameters if
+    ``validate_family`` would pass them, else None, by its tests (parameters and
+    denominators > 0, radicands >= 0 so NaN fails, no overflow) but no objects."""
+    info = FAMILIES[family_id]
+    args = [params[k] for k in info["params"]]
+    try:
+        rads, dens = info["_coeffs"](*args)
+    except OverflowError:
+        return None
+    ok = (all(v > 0 for v in args) and all(v > 0 for v in dens.values())
+          and all(v >= 0 for v in rads.values()))
+    return (rads, dens) if ok else None
 
 
 def _chain_holds(chain, args) -> bool:

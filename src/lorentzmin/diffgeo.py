@@ -29,13 +29,14 @@ g_xy = <L_x,L_y> = -E^2 gives
 
 Without them (a surface with no analytic jet), or on request for the
 cross-check, E_x, E_y and E_xy come from central differences of E (the
-E-field stencil, eight more jets per node, each from ``partials``).
+E-field stencil: L_x and L_y alone, the surface's ``tangent``, at eight
+offsets per node).
 
 ``fd_jet`` is the derivative-free counterpart of the analytic jet:
-Richardson-extrapolated central differences of the position.  Its 25
-offsets per node are stacked on a leading axis and evaluated in one
-``position`` call; ``fd_discrepancy`` compares it with the analytic jet
-(the ``fd-partials`` cross-check).
+Richardson-extrapolated central differences of the position at 25 offsets
+per node, those along x evaluated on a grid block's x axis alone and those
+along y on its y axis; ``fd_discrepancy`` compares it with the analytic
+jet (the ``fd-partials`` cross-check).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
 one ``jet`` call, one matmul for a table of the indefinite products that
@@ -58,7 +59,8 @@ from .curves import DOMAIN_PAD_FRACTION
 from .errors import DegenerateMetricError, DomainError
 from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
-from .surfaces import DEFAULT_GRID, Jet2, SurfaceMap, _col, _stacked, grid_axes
+from .surfaces import (BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _grid_blocks,
+                       _stacked, grid_axes)
 
 __all__ = [
     "MetricData",
@@ -93,10 +95,6 @@ K_STEP_FD = 1e-3
 #: in null coordinates is -g_xy^2 <L,L>, so singularity always means bad
 #: input).
 GRAM_TOL = 1e-10
-
-#: Most nodes in one block of ``grid_values``; a jet call holds about
-#: twenty arrays of BLOCK_NODES x dim floats at its peak.
-BLOCK_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -174,34 +172,32 @@ def _check_point(surface: SurfaceMap, x, y, reach):
 
 def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None) -> Jet2:
     """Jet from Richardson-extrapolated central differences of the position,
-    at one node or at arrays of nodes.
+    at one node or at arrays of nodes (x and y broadcast against each other).
 
     The stencils need 25 offsets per node: the centre; x and y at +-h1,
     +-h1/2, +-h2 and +-h2/2; the cross at (+-hxy, +-hxy) and
-    (+-hxy/2, +-hxy/2).  They are stacked on a leading axis, so the
-    position is evaluated in one call."""
-    x, y = _nodes(x, y)
+    (+-hxy/2, +-hxy/2).  A step scales with its own coordinate, so the
+    eight x offsets are evaluated on x's own shape (a grid block's (rows, 1)
+    axis) and the eight y offsets likewise; only the crosses, with
+    hxy = max(hx2, hy2), need every node.  Each group is one ``position`` call."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
     def step(h, base, t):  # the given step, or base * max(1, |t|) per node
         return np.full(t.shape, float(h)) if h is not None else base * np.maximum(1.0, np.abs(t))
 
+    def offsets(*hs):  # +h, -h, +h/2, -h/2 for each step h, on a leading axis
+        return np.stack([d for h in hs for d in (h, -h, h / 2, -h / 2)])
+
     hx1, hy1 = step(h1, FIRST_STEP, x), step(h1, FIRST_STEP, y)
     hx2, hy2 = step(h2, SECOND_STEP, x), step(h2, SECOND_STEP, y)
     hxy = np.maximum(hx2, hy2)
-    _check_point(surface, x, y, np.maximum.reduce([hx1, hy1, hxy]))
-    zero = np.zeros_like(x)
-    offsets = [(zero, zero)]
-    for h in (hx1, hx2):
-        offsets += [(h, zero), (-h, zero), (h / 2, zero), (-h / 2, zero)]
-    for h in (hy1, hy2):
-        offsets += [(zero, h), (zero, -h), (zero, h / 2), (zero, -h / 2)]
-    for h in (hxy, hxy / 2):
-        offsets += [(h, h), (h, -h), (-h, h), (-h, -h)]
-    dx, dy = (np.stack(d) for d in zip(*offsets))
-    # p[1:5], p[5:9]: x at h1, h2; p[9:13], p[13:17]: y at h1, h2;
-    # p[17:21], p[21:25]: the crosses at hxy, hxy/2
-    p = surface.position(x + dx, y + dy)
-    c = p[0]
+    _check_point(surface, x, y, np.maximum(np.maximum(hx1, hy1), hxy))
+    c = surface.position(x, y)
+    # px, py: x and y at h1 ([:4]) and h2 ([4:]); pxy: the crosses at hxy, hxy/2
+    px, py = surface.position(x + offsets(hx1, hx2), y), surface.position(x, y + offsets(hy1, hy2))
+    half = hxy / 2
+    pxy = surface.position(x + np.stack([hxy, hxy, -hxy, -hxy, half, half, -half, -half]),
+                           y + np.stack([hxy, -hxy, hxy, -hxy, half, -half, half, -half]))
 
     def rich1(q, h):  # q: the position at +h, -h, +h/2, -h/2
         d1 = (q[0] - q[1]) / _col(2 * h)
@@ -218,11 +214,11 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
 
     return Jet2(
         L=c,
-        Lx=rich1(p[1:5], hx1),
-        Ly=rich1(p[9:13], hy1),
-        Lxx=rich2(p[5:9], hx2),
-        Lxy=(4 * cross(p[21:25], hxy / 2) - cross(p[17:21], hxy)) / 3,
-        Lyy=rich2(p[13:17], hy2),
+        Lx=rich1(px[:4], hx1),
+        Ly=rich1(py[:4], hy1),
+        Lxx=rich2(px[4:], hx2),
+        Lxy=(4 * cross(pxy[4:], half) - cross(pxy[:4], hxy)) / 3,
+        Lyy=rich2(py[4:], hy2),
     )
 
 
@@ -315,9 +311,13 @@ def _second_form(W, T, n):
 
 def _conformal(surface: SurfaceMap, x, y):
     """E = sqrt(-g_xy) at arrays of nodes the caller has checked, from L_x
-    and L_y of the analytic jet (the FD jet of a surface without one)."""
-    jet = fd_jet(surface, x, y) if surface.jet is None else surface.jet(x, y)
-    g_xy = indefinite_dot(jet.Lx, jet.Ly, surface.ambient.embedding_signature.index)
+    and L_y of the analytic jet (``tangent`` if any) or else of the FD jet."""
+    if surface.jet is not None and surface.tangent is not None:
+        lx, ly = surface.tangent(x, y)
+    else:
+        jet = fd_jet(surface, x, y) if surface.jet is None else surface.jet(x, y)
+        lx, ly = jet.Lx, jet.Ly
+    g_xy = indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
     bad = g_xy >= 0
     if bad.any():
         i = _first(bad)
@@ -384,17 +384,18 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet"):
     return jet, forms
 
 
-def _draws_per_block(shape, curvature="jet") -> int:
+def _draws_per_block(shape) -> int:
     """Whole draws of a grid in one block of ``grid_values``: BLOCK_NODES
-    counts draws x nodes, a node eight times where the E-field stencil runs."""
-    return max(1, BLOCK_NODES // ((8 if curvature == "stencil" else 1) * shape[0] * shape[1]))
+    counts draws x nodes, as the FD subgrid's light stencils allow there too."""
+    return max(1, BLOCK_NODES // (shape[0] * shape[1]))
 
 
 def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvature="jet"):
     """Per-node quantities over a grid, computed block by block.
 
     Each entry of ``fields`` maps ``(x, y, jet, forms)`` on a block of
-    nodes (x, y of shape (rows, cols)) to an array with that leading shape.
+    nodes (the block's axes, x of shape (rows, 1) and y of shape (1, cols))
+    to an array of leading shape (rows, cols).
     A block spans whole rows of the grid when a row fits in BLOCK_NODES,
     and part of one row otherwise.  One array per field comes back, of
     shape (nx, ny) plus whatever the field appends, in the node order of
@@ -408,7 +409,7 @@ def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvat
     ``fields`` may be a function of a block's surface that gives them.
     """
     if isinstance(surface, list):
-        per, parts = _draws_per_block(shape, curvature), []
+        per, parts = _draws_per_block(shape), []
         for d in range(0, len(surface), per):
             draws = surface[d:d + per]
             values = grid_values(_stacked(draws), shape, fields, curvature=curvature)
@@ -417,18 +418,14 @@ def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvat
     if callable(fields):
         fields = fields(surface)
     xs, ys = grid_axes(surface.domain, shape)
-    cols = min(ys.size, BLOCK_NODES)
-    rows = BLOCK_NODES // cols
     out = [[] for _ in fields]
-    for i in range(0, xs.size, rows):
-        for j in range(0, ys.size, cols):
-            x, y = xs[i:i + rows], ys[:, j:j + cols]
-            jet, forms = _forms(surface, x, y, curvature)
-            lead = jet.L.ndim - 3  # 1 on a stack of draws: its draw axis
-            x, y = _nodes(x, y)
-            for acc, field in zip(out, fields):
-                value = field(x, y, jet, forms)
-                acc.append(value.reshape(value.shape[:lead] + (-1,) + value.shape[lead + 2:]))
+    for r, c in _grid_blocks(shape):
+        x, y = xs[r], ys[:, c]
+        jet, forms = _forms(surface, x, y, curvature)
+        lead = jet.L.ndim - 3  # 1 on a stack of draws: its draw axis
+        for acc, field in zip(out, fields):
+            value = field(x, y, jet, forms)
+            acc.append(value.reshape(value.shape[:lead] + (-1,) + value.shape[lead + 2:]))
     # the blocks are whole rows or consecutive pieces of one row, so their
     # flattened nodes follow the grid's x-major order
     return [np.concatenate(acc, axis=lead).reshape(

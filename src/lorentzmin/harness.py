@@ -42,6 +42,7 @@ from .curves import (
     _ex72_chain_mid,
     _example_from,
     _finite_number,
+    _valid_coeffs,
     builtin_curve,
     derivative_inner,
     null_check,
@@ -706,13 +707,13 @@ def sweep(
 
     for _ in range(n):
         params = _draw_params(family, cfg, rng)
-        fam = ParamFamily(family, params)
-        validation = validate_family(fam)
-        if not validation.ok:
+        coeffs = _valid_coeffs(family, params)  # builds nothing for a rejected draw
+        if coeffs is None:
             invalid += 1
             continue
         valid += 1
-        example = _example_from(fam, validation, False)
+        fam = ParamFamily(family, params)
+        example = _example_from(fam, validate_family(fam, coeffs), False)
         pending.append((params, *_premise_phase(
             spec, example if isinstance(example, tuple) else (example,), tols)))
         if sum(d[3] is not None for d in pending) == batch:

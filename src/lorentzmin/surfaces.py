@@ -21,7 +21,8 @@ finite-difference layer is then a cross-check rather than the only source
 of derivatives.  ``position`` and ``jet`` broadcast over numpy arrays of x
 and y; z is evaluated on the x values and w on the y values only, so
 ``jet(xs[:, None], ys[None, :])`` costs O(nx + ny) curve evaluations on an
-nx x ny grid.  Premise checkers return per-condition reports with the
+nx x ny grid.  ``tangent`` gives L_x and L_y alone (curve orders 0-2) for
+the E-field stencil.  Premise checkers return per-condition reports with the
 worst sample point; constructors raise on algebraic premise failures and
 merely flag the non-degeneracy ones (a vanishing jerk term is the totally
 geodesic boundary case, not an error).  The single-curve constructors run
@@ -84,6 +85,10 @@ SINGULAR_MARGIN = 0.01
 
 DEFAULT_GRID = (21, 21)
 
+#: Most nodes in one block of a grid evaluation (``_grid_blocks``); a jet
+#: call holds about twenty arrays of BLOCK_NODES x dim floats at its peak.
+BLOCK_NODES = 512
+
 
 @dataclass(frozen=True)
 class Jet2:
@@ -107,20 +112,22 @@ class Jet2:
 class SurfaceMap:
     """An immersion (x, y) -> embedding space, with its ambient.
 
-    ``position`` and ``jet`` are stateless closures valid on a
+    ``position``, ``jet`` and ``tangent`` (the jet's L_x and L_y alone, so
+    replace or drop it with ``jet``) are stateless closures valid on a
     neighborhood of the declared ``domain`` rectangle (finite-difference
-    stencils may poke slightly outside it); both take scalars or arrays of
+    stencils may poke slightly outside it); all take scalars or arrays of
     x and y that broadcast against each other.  ``singular_margin``, when
     present, gives the distance from a point to the nearest singular
     locus of the chart.  ``premises`` keeps the premise reports of a
     constructor that checks its curve (sphere_b and hyp_ii), ``_maps`` the
-    function of ``sources`` that made ``position`` and ``jet``.
+    function of ``sources`` that made ``position``, ``jet`` and ``tangent``.
     """
 
     ambient: Ambient
     position: Callable[[float, float], np.ndarray]
     domain: tuple[tuple[float, float], tuple[float, float]]
     jet: Callable[[float, float], Jet2] | None = None
+    tangent: Callable[[float, float], tuple[np.ndarray, np.ndarray]] | None = None
     singular_margin: Callable[[float, float], float] | None = None
     sources: tuple[Curve, ...] = ()
     flags: tuple[str, ...] = ()
@@ -137,11 +144,11 @@ class SurfaceMap:
 
 
 def _mapped(family, maps, ambient, domain, sources, **fields) -> SurfaceMap:
-    """The surface whose ``position`` and ``jet`` ``maps`` makes from its
-    source curves, labelled family[z, w]; ``_maps`` keeps ``maps``."""
-    position, jet = maps(*sources)
+    """The surface whose ``position``, ``jet`` and ``tangent`` ``maps`` makes
+    from its source curves, labelled family[z, w]; ``_maps`` keeps ``maps``."""
+    position, jet, tangent = maps(*sources)
     names = ", ".join(c.label or name for c, name in zip(sources, "zw"))
-    return SurfaceMap(ambient, position, domain, jet, sources=sources, family=family,
+    return SurfaceMap(ambient, position, domain, jet, tangent, sources=sources, family=family,
                       label=f"{family}[{names}]", _maps=maps, **fields)
 
 
@@ -153,9 +160,10 @@ def _stacked(surfaces) -> SurfaceMap:
     if len(surfaces) == 1:
         return surfaces[0]
     sources = tuple(map(_Stack, zip(*(s.sources for s in surfaces))))
-    position, jet = (lambda x, y, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3))
-                     for f in surfaces[0]._maps(*sources))
-    return replace(surfaces[0], sources=sources, position=position, jet=jet)
+    position, jet, tangent = (
+        lambda x, y, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3))
+        for f in surfaces[0]._maps(*sources))
+    return replace(surfaces[0], sources=sources, position=position, jet=jet, tangent=tangent)
 
 
 def grid_axes(domain, shape):
@@ -170,6 +178,16 @@ def grid_axes(domain, shape):
 def grid_points(domain, shape) -> np.ndarray:
     """(nx * ny, 2) array of the grid nodes in x-major order."""
     return np.stack(np.broadcast_arrays(*grid_axes(domain, shape)), axis=-1).reshape(-1, 2)
+
+
+def _grid_blocks(shape):
+    """(rows, cols) index slices of a grid's blocks of at most BLOCK_NODES
+    nodes: whole rows when a row fits, consecutive pieces of one row
+    otherwise, so the blocks' flattened nodes follow the x-major order."""
+    cols = min(shape[1], BLOCK_NODES)
+    rows = BLOCK_NODES // cols
+    return [(slice(i, i + rows), slice(j, j + cols))
+            for i in range(0, shape[0], rows) for j in range(0, shape[1], cols)]
 
 
 def grid_description(domain, shape) -> str:
@@ -212,6 +230,21 @@ def _sphere_domain_guard(domain):
         raise DomainError(
             f"domain touches the x+y=0 pole (x+y in [{lo:g}, {hi:g}])"
         )
+
+
+def _pair_conditions(z, w, grid, domain, tol, residuals, ids) -> list[ConditionReport]:
+    """Reports of a pair's joint conditions ``ids`` ((id, note) pairs) over a
+    grid, evaluated block by block (``_grid_blocks``): ``residuals(s, dz,
+    dw, index)`` gives their per-node residuals on a block from s = x+y and
+    the derivatives of orders 0, 1 and 3 of z and w there."""
+    x, y = grid_axes(domain, grid)
+    dz, dw = z.derivatives(x, (0, 1, 3)), w.derivatives(y, (0, 1, 3))
+    parts = [residuals(x[r] + y[:, c], dz[:, r], dw[:, :, c], z.signature.index)
+             for r, c in _grid_blocks(grid)]
+    pts, desc = grid_points(domain, grid), grid_description(domain, grid)
+    return [ConditionReport.from_max(cid, np.concatenate([np.ravel(p) for p in column]), tol,
+                                     desc, pts, note=note)
+            for (cid, note), column in zip(ids, zip(*parts))]
 
 
 def _single_curve_premises(z: Curve, samples, tol, speed, acc, nonzero):
@@ -339,22 +372,24 @@ def _sphere_immersion(zw, zw1, s):  # L from z+w, z'+w' and s = _col(x+y)
 
 
 def _sphere_maps(z: Curve, w: Curve | None = None):
-    """position and jet of L = (z(x)+w(y))/(x+y) - (z'(x)+w'(y))/2; the
-    single-curve construction is the case w = 0."""
+    """position, jet and tangent of L = (z(x)+w(y))/(x+y) - (z'(x)+w'(y))/2;
+    the single-curve construction is the case w = 0."""
+
+    def parts(x, y, orders):  # s, z+w, z's and w's derivatives below orders, (L_x, L_y)
+        s = _col(x + y)
+        dz, dw = _derivatives(z, x, orders), _derivatives(w, y, orders)
+        zw = dz[0] + dw[0]
+        return s, zw, dz, dw, [d[1] / s - zw / s**2 - d[2] / 2 for d in (dz, dw)]
 
     def position(x, y):
         (z0, z1), (w0, w1) = _derivatives(z, x, 2), _derivatives(w, y, 2)
         return _sphere_immersion(z0 + w0, z1 + w1, _col(x + y))
 
     def jet(x, y):
-        s = _col(x + y)
-        z0, z1, z2, z3 = _derivatives(z, x)
-        w0, w1, w2, w3 = _derivatives(w, y)
-        zw, zw1 = z0 + w0, z1 + w1
+        s, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, 4)
+        zw1 = z1 + w1
         return Jet2(
-            L=_sphere_immersion(zw, zw1, s),
-            Lx=z1 / s - zw / s**2 - z2 / 2,
-            Ly=w1 / s - zw / s**2 - w2 / 2,
+            L=_sphere_immersion(zw, zw1, s), Lx=Lx, Ly=Ly,
             Lxx=z2 / s - 2 * z1 / s**2 + 2 * zw / s**3 - z3 / 2,
             Lxy=2 * zw / s**3 - zw1 / s**2,
             Lyy=w2 / s - 2 * w1 / s**2 + 2 * zw / s**3 - w3 / 2,
@@ -362,7 +397,7 @@ def _sphere_maps(z: Curve, w: Curve | None = None):
             Lxyy=2 * w1 / s**3 - 6 * zw / s**4 - w2 / s**2 + 2 * zw1 / s**3,
         )
 
-    return position, jet
+    return position, jet, lambda x, y: parts(x, y, 3)[-1]
 
 
 def sphere_case_b(
@@ -404,23 +439,17 @@ def check_case_c_conditions(
     _require_same_signature(z, w)
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
-    x, y = grid_axes(domain, grid)
-    idx = z.signature.index
-    s = x + y
-    z0, z1, z3 = z.derivatives(x, (0, 1, 3))
-    w0, w1, w3 = w.derivatives(y, (0, 1, 3))
-    zw, zw1 = z0 + w0, z1 + w1
-    L = _sphere_immersion(zw, zw1, _col(s))
-    r1 = np.abs(indefinite_dot(L, L, idx) - 1.0)
-    r2 = np.abs(2 * indefinite_dot(zw, z3, idx) - s * indefinite_dot(zw1, z3, idx))
-    r3 = np.abs(2 * indefinite_dot(zw, w3, idx) - s * indefinite_dot(zw1, w3, idx))
-    pts = grid_points(domain, grid)
-    desc = grid_description(domain, grid)
-    return [
-        ConditionReport.from_max("c.1", r1, tol, desc, pts, note="<L,L> = 1"),
-        ConditionReport.from_max("c.2", r2, tol, desc, pts),
-        ConditionReport.from_max("c.3", r3, tol, desc, pts),
-    ]
+
+    def residuals(s, dz, dw, idx):
+        (z0, z1, z3), (w0, w1, w3) = dz, dw
+        zw, zw1 = z0 + w0, z1 + w1
+        L = _sphere_immersion(zw, zw1, _col(s))
+        return (np.abs(indefinite_dot(L, L, idx) - 1.0),
+                np.abs(2 * indefinite_dot(zw, z3, idx) - s * indefinite_dot(zw1, z3, idx)),
+                np.abs(2 * indefinite_dot(zw, w3, idx) - s * indefinite_dot(zw1, w3, idx)))
+
+    return _pair_conditions(z, w, grid, domain, tol, residuals,
+                            [("c.1", "<L,L> = 1"), ("c.2", ""), ("c.3", "")])
 
 
 def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
@@ -463,22 +492,23 @@ def _hyperbolic_immersion(zw, zw1, T):  # L from z+w, z'+w' and T = _col(tanh(u)
 
 
 def _hyperbolic_maps(z: Curve, w: Curve | None = None):
-    """position and jet of L = (z(x)+w(y)) tanh((x+y)/sqrt2) -
+    """position, jet and tangent of L = (z(x)+w(y)) tanh((x+y)/sqrt2) -
     (z'(x)+w'(y))/sqrt2; the single-curve construction is the case w = 0."""
+
+    def parts(x, y, orders):  # tanh, sech^2, z+w, the derivatives below orders, (L_x, L_y)
+        u = (x + y) / SQRT2
+        T, S2 = _col(np.tanh(u)), _col(1.0 / np.cosh(u) ** 2)
+        dz, dw = _derivatives(z, x, orders), _derivatives(w, y, orders)
+        zw = dz[0] + dw[0]
+        return T, S2, zw, dz, dw, [d[1] * T + zw * S2 / SQRT2 - d[2] / SQRT2 for d in (dz, dw)]
 
     def position(x, y):
         (z0, z1), (w0, w1) = _derivatives(z, x, 2), _derivatives(w, y, 2)
         return _hyperbolic_immersion(z0 + w0, z1 + w1, _col(np.tanh((x + y) / SQRT2)))
 
     def jet(x, y):
-        u = (x + y) / SQRT2
-        T, S2 = _col(np.tanh(u)), _col(1.0 / np.cosh(u) ** 2)
-        z0, z1, z2, z3 = _derivatives(z, x)
-        w0, w1, w2, w3 = _derivatives(w, y)
-        zw = z0 + w0
+        T, S2, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, 4)
         L = _hyperbolic_immersion(zw, z1 + w1, T)
-        Lx = z1 * T + zw * S2 / SQRT2 - z2 / SQRT2
-        Ly = w1 * T + zw * S2 / SQRT2 - w2 / SQRT2
         return Jet2(
             L=L, Lx=Lx, Ly=Ly,
             Lxx=z2 * T + SQRT2 * z1 * S2 - zw * S2 * T - z3 / SQRT2,
@@ -489,7 +519,7 @@ def _hyperbolic_maps(z: Curve, w: Curve | None = None):
             Lxyy=SQRT2 * S2 * T * L - S2 * Ly,
         )
 
-    return position, jet
+    return position, jet, lambda x, y: parts(x, y, 3)[-1]
 
 
 def hyperbolic_case_ii(
@@ -526,24 +556,19 @@ def check_case_iii_conditions(
     c = z and c = w respectively."""
     _require_same_signature(z, w)
     domain = _check_domain(domain)
-    x, y = grid_axes(domain, grid)
-    idx = z.signature.index
-    T = np.tanh((x + y) / SQRT2)
-    z0, z1, z3 = z.derivatives(x, (0, 1, 3))
-    w0, w1, w3 = w.derivatives(y, (0, 1, 3))
-    az, aw = 2 * z1 - z3, 2 * w1 - w3
-    zw, zw1 = z0 + w0, z1 + w1
-    L = _hyperbolic_immersion(zw, zw1, _col(T))
-    r1 = np.abs(indefinite_dot(L, L, idx) + 1.0)
-    r2 = np.abs(SQRT2 * indefinite_dot(zw, az, idx) * T - indefinite_dot(zw1, az, idx))
-    r3 = np.abs(SQRT2 * indefinite_dot(zw, aw, idx) * T - indefinite_dot(zw1, aw, idx))
-    pts = grid_points(domain, grid)
-    desc = grid_description(domain, grid)
-    return [
-        ConditionReport.from_max("iii.1", r1, tol, desc, pts, note="<L,L> = -1"),
-        ConditionReport.from_max("iii.2", r2, tol, desc, pts),
-        ConditionReport.from_max("iii.3", r3, tol, desc, pts),
-    ]
+
+    def residuals(s, dz, dw, idx):
+        (z0, z1, z3), (w0, w1, w3) = dz, dw
+        T = np.tanh(s / SQRT2)
+        az, aw = 2 * z1 - z3, 2 * w1 - w3
+        zw, zw1 = z0 + w0, z1 + w1
+        L = _hyperbolic_immersion(zw, zw1, _col(T))
+        return (np.abs(indefinite_dot(L, L, idx) + 1.0),
+                np.abs(SQRT2 * indefinite_dot(zw, az, idx) * T - indefinite_dot(zw1, az, idx)),
+                np.abs(SQRT2 * indefinite_dot(zw, aw, idx) * T - indefinite_dot(zw1, aw, idx)))
+
+    return _pair_conditions(z, w, grid, domain, tol, residuals,
+                            [("iii.1", "<L,L> = -1"), ("iii.2", ""), ("iii.3", "")])
 
 
 def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> SurfaceMap:

@@ -9,10 +9,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lorentzmin
 from lorentzmin import diffgeo, harness
-from lorentzmin.curves import FAMILIES, ParamFamily, validate_family
+from lorentzmin.curves import FAMILIES, ParamFamily, _valid_coeffs, validate_family
 from lorentzmin.errors import DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import default_tolerances
@@ -128,22 +130,80 @@ def test_sweep_validates_each_draw_once(monkeypatch):
     assert len(calls) == 10
 
 
+#: parameters inside and outside the families' domains, down to 0 and
+#: below, and up to and past SAMPLER_BOUND, where squares times the
+#: coefficients overflow to inf or NaN, and where a square itself raises
+#: OverflowError (beyond about 1.3e154)
+PARAMS = (st.floats(-0.5, 4.0) | st.floats(1e140, 1e160)
+          | st.sampled_from([0.0, -0.0, -1.0, 1e-200, harness.SAMPLER_BOUND, 1e155]))
+
+
+def _same_verdict(family, params):
+    """The sweep's verdict on a draw (``_valid_coeffs``) is validate_family's,
+    and a valid draw's validation from those coefficients is the full one."""
+    coeffs = _valid_coeffs(family, params)
+    validation = validate_family(ParamFamily(family, params))
+    assert (coeffs is not None) == validation.ok
+    if coeffs is not None:
+        assert validate_family(ParamFamily(family, params), coeffs) == validation
+    return validation
+
+
+#: a valid parameter set of each family; draws within 10% of it are often valid
+CENTRES = {"Ex7_1": {"a": 1, "p": 3, "q": 1, "r": 2}, "Ex7_2": {"p": 3, "q": 1.5, "r": 1},
+           "Ex8_1": {"a": 1, "b": 1.1, "p": 1, "q": 1.5},
+           "Ex8_2": dict(zip("abpqrs", [math.sqrt(0.5)] * 2 + [1.1, 1.5, 1.1, 1.5]))}
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.booleans(), st.data())
+def test_sweep_rejects_exactly_the_draws_validation_rejects(family, near, data):
+    _same_verdict(family, {
+        k: CENTRES[family][k] * data.draw(st.floats(0.9, 1.1), label=k) if near
+        else data.draw(PARAMS, label=k) for k in FAMILIES[family]["params"]})
+
+
+@pytest.mark.parametrize("family, params, ok, edge", [
+    # q^2(2+a^2) - (4+a^2) is exactly 0, which passes
+    ("Ex8_1", {"a": 0.5, "b": 1.1, "p": 1.0, "q": math.sqrt(4.25 / 2.25)}, True, 0.0),
+    ("Ex7_1", {"a": 0.0, "p": 3, "q": 1, "r": 2}, False, None),
+    ("Ex8_2", {"a": -0.7, "b": 0.7, "p": 1.1, "q": 1.5, "r": 1.1, "s": 1.5}, False, None),
+    # at SAMPLER_BOUND a^2 p^2 is inf: times p^2 - r^2 = 0 it is NaN, which fails ...
+    ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 1e150}, False, math.nan),
+    # ... and an inf radicand passes
+    ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 2}, True, math.inf),
+    # beyond it p**2 raises OverflowError
+    ("Ex7_1", {"a": 1, "p": 1e155, "q": 1, "r": 2}, False, "out of range"),
+])
+def test_sweep_rejection_edges(family, params, ok, edge):
+    validation = _same_verdict(family, params)
+    assert validation.ok is ok
+    if isinstance(edge, str):
+        assert not validation.radicands and edge in validation.failures[0]
+    elif edge is not None:
+        rads = list(validation.radicands.values())
+        assert any(v == edge or (math.isnan(v) and math.isnan(edge)) for v in rads)
+
+
 def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
-    nodes = []
+    nodes = {"jet": [], "tangent": []}
 
     def counting(z, domain, **kwargs):
         surface = sphere_case_b(z, domain, **kwargs)
 
-        def jet(x, y):
-            nodes.append(np.broadcast(x, y).size)
-            return surface.jet(x, y)
-        return dataclasses.replace(surface, jet=jet)
+        def counted(name):
+            def evaluate(x, y):
+                nodes[name].append(np.broadcast(x, y).size)
+                return getattr(surface, name)(x, y)
+            return evaluate
+        return dataclasses.replace(surface, jet=counted("jet"), tangent=counted("tangent"))
 
     monkeypatch.setattr(harness, "sphere_case_b", counting)
     report = verify(SPHERE_71)
     assert report.overall_pass
-    # the grid, the subgrid centres, and the subgrid's 8 E-field offsets
-    assert sorted(nodes) == [25, 8 * 25, 21 * 21]
+    # jets on the grid and the subgrid centres; only L_x and L_y at the
+    # subgrid's 8 E-field offsets
+    assert sorted(nodes["jet"]) == [25, 21 * 21]
+    assert nodes["tangent"] == [8 * 25]
 
 
 def test_efield_checks_its_nodes_once():
@@ -198,9 +258,9 @@ def test_grid_values_blocks_whole_draws(monkeypatch):
 
     monkeypatch.setattr(diffgeo, "_forms", recording)
     k = [lambda x, y, jet, f: f.K]
-    for shape, curvature, per in (((9, 9), "jet", 6), ((5, 5), "stencil", 2),
+    for shape, curvature, per in (((9, 9), "jet", 6), ((5, 5), "stencil", 20),
                                   ((30, 30), "jet", 1)):
-        assert diffgeo._draws_per_block(shape, curvature) == per
+        assert diffgeo._draws_per_block(shape) == per
         blocks.clear()
         (alone,) = diffgeo.grid_values(surface, shape, k, curvature=curvature)
         single = list(blocks)
@@ -213,8 +273,7 @@ def test_grid_values_blocks_whole_draws(monkeypatch):
         # whole draws per block; a block of one draw is that draw alone
         stacks = [(d,) + shape if d > 1 else shape for d in [per] * (7 // per) + [7 % per] if d]
         assert blocks == (stacks if per > 1 else single * 7)
-        weight = 8 if curvature == "stencil" else 1
-        assert all(weight * math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks if b != shape)
+        assert all(math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks if b != shape)
 
 
 def test_batch_error_other_than_a_degenerate_metric_propagates(monkeypatch):

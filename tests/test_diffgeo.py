@@ -134,20 +134,22 @@ class TestPartials:
         for got, want in zip(split, (jet.L, whole.K, whole.h11)):
             assert np.array_equal(got, want)
 
-    def test_fd_discrepancy_makes_one_position_call(self, sphere_71):
+    def test_fd_discrepancy_makes_one_position_call_per_stencil_group(self, sphere_71):
         import dataclasses
 
         calls = []
 
         def position(x, y):
-            calls.append((x, y))
+            calls.append((np.shape(x), np.shape(y)))
             return sphere_71.position(x, y)
 
         counted = dataclasses.replace(sphere_71, position=position)
-        sub = counted.grid((5, 5))
-        assert np.max(fd_discrepancy(counted, sub[:, 0], sub[:, 1])) < 1e-6
-        assert len(calls) == 1
-        assert np.shape(calls[0][0]) == (25, 25)  # offsets x nodes
+        xs, ys = grid_axes(counted.domain, (5, 5))
+        assert np.max(fd_discrepancy(counted, xs, ys)) < 1e-6
+        # the centres; the eight x offsets on the x axis alone and the eight
+        # y offsets on the y axis alone; the two diagonal crosses on every node
+        assert calls == [((5, 1), (1, 5)), ((8, 5, 1), (1, 5)), ((5, 1), (8, 1, 5)),
+                         ((8, 5, 5), (8, 5, 5))]
 
 
 class TestInducedMetric:
@@ -342,7 +344,7 @@ class TestFdConvergence:
 
 
 # The per-offset Richardson differences that fd_jet replaced with one
-# stacked position call; fd_jet must reproduce them bit for bit.
+# position call per group of offsets; fd_jet must reproduce them bit for bit.
 
 
 def _rich1(f, t, h):
