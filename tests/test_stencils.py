@@ -102,7 +102,7 @@ def test_per_axis_fd_jet_equals_the_stencil_on_every_node(family, draws):
 
 def test_subgrid_pass_of_six_draws_peaks_near_the_grid_pass():
     # measured at 1.26x (1.74 vs 1.38 MiB) with the per-axis FD jet and the
-    # tangent-only E-field; the full stencils peaked at 3.52 MiB (2.5x)
+    # tangent-only E-field; the full stencils peaked at 3.50 MiB (2.6x)
     spec = SurfaceSpec(family="hyp_iii", grid=(9, 9))
     stack = _stacked(_surfaces("hyp_iii"))
     assert diffgeo._draws_per_block(FD_SUBGRID) >= 6  # a sweep's block is one subgrid block
