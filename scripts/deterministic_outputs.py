@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Write every deterministic output of ``lms`` that a change must keep
+byte-identical, with a sha256 manifest, so that two versions of lorentzmin
+can be compared by diffing their manifests:
+
+    PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
+
+The outputs (74):
+
+* ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
+* csv and obj exports of the six specs, at their own grids;
+* sweeps of Ex7_1, Ex8_1 and Ex8_2 at n=50 on seeds 0 and 1, with
+  ``LMS_DEFAULT_TOL`` unset and at seven tolerances from 1e-12 to 1e-15,
+  which mix passing and failing draws;
+* the Ex7_2 sweep at n=300 on seed 5;
+* ``list-families``.
+
+Each output runs in this process through ``lorentzmin.cli.main``; its file
+is the command's standard output (the exported file for exports).
+``DIR/MANIFEST`` holds one line per output: sha256, exit code and name.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+from lorentzmin.cli import main as lms
+from lorentzmin.report import ENV_TOL
+
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
+SPECS = sorted(p.stem for p in SPEC_DIR.glob("*.json"))
+GRIDS = (21, 81)
+SWEEP_TOLS = (None, "1e-12", "3e-13", "1e-13", "3e-14", "1e-14", "3e-15", "1e-15")
+
+
+def outputs() -> dict[str, tuple[list[str], str | None]]:
+    """Output name -> (``lms`` arguments, ``LMS_DEFAULT_TOL`` or None).  In the
+    arguments ``{tmp}`` is the directory of ``write_grid_specs`` and ``{out}``
+    the output's path."""
+    table = {}
+    for spec in SPECS:
+        for n in GRIDS:
+            table[f"verify-{spec}-{n}.json"] = (
+                ["verify", "--spec", f"{{tmp}}/{spec}-{n}.json", "--no-timings"], None)
+        for fmt in ("csv", "obj"):
+            table[f"export-{spec}.{fmt}"] = (
+                ["export", "--spec", str(SPEC_DIR / f"{spec}.json"), "--format", fmt,
+                 "--out", "{out}"], None)
+    for family in ("Ex7_1", "Ex8_1", "Ex8_2"):
+        for seed in (0, 1):
+            for tol in SWEEP_TOLS:
+                table[f"sweep-{family}-seed{seed}-tol{tol or 'default'}.json"] = (
+                    ["sweep", "--family", family, "--n", "50", "--seed", str(seed)], tol)
+    table["sweep-Ex7_2-seed5.json"] = (
+        ["sweep", "--family", "Ex7_2", "--n", "300", "--seed", "5"], None)
+    table["list-families.json"] = (["list-families"], None)
+    return table
+
+
+def write_grid_specs(tmp: pathlib.Path) -> None:
+    """Each shipped spec at each of ``GRIDS``, as ``{tmp}/{spec}-{n}.json``."""
+    for spec in SPECS:
+        data = json.loads((SPEC_DIR / f"{spec}.json").read_text())
+        for n in GRIDS:
+            (tmp / f"{spec}-{n}.json").write_text(json.dumps({**data, "grid": [n, n]}))
+
+
+def run(name: str, out_dir: pathlib.Path, tmp: pathlib.Path) -> int:
+    """Write output ``name`` to ``out_dir / name`` and return its exit code."""
+    argv, tol = outputs()[name]
+    target = out_dir / name
+    argv = [a.format(tmp=tmp, out=target) for a in argv]
+    saved = os.environ.pop(ENV_TOL, None)
+    if tol is not None:
+        os.environ[ENV_TOL] = tol
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = lms(argv)
+    finally:
+        os.environ.pop(ENV_TOL, None)
+        if saved is not None:
+            os.environ[ENV_TOL] = saved
+    if argv[0] != "export":
+        target.write_text(stdout.getvalue())
+    elif not target.exists():
+        target.write_text("")  # a refused export writes no file
+    return code
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="directory for the outputs and MANIFEST")
+    parser.add_argument("--only", action="append", help="write only this output (repeatable)")
+    parser.add_argument("--list", action="store_true", help="print the output names and exit")
+    args = parser.parse_args()
+    names = list(outputs())
+    if args.list:
+        print("\n".join(names))
+        return 0
+    unknown = set(args.only or ()) - set(names)
+    if not args.out:
+        parser.error("--out is required")
+    if unknown:
+        parser.error(f"unknown outputs: {', '.join(sorted(unknown))}")
+    out_dir = pathlib.Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        write_grid_specs(pathlib.Path(tmp))
+        for name in args.only or names:
+            code = run(name, out_dir, pathlib.Path(tmp))
+            digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            lines.append(f"{digest} {code} {name}\n")
+    (out_dir / "MANIFEST").write_text("".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ the full differential-geometry suite on the grid, returning a report that
 never throws on a failed check (only on malformed input).  Reports
 serialize deterministically: identical specs yield byte-identical JSON up
 to the timings block, with every float printed in scientific notation at
-17 significant digits.
+18 significant digits (``%.17e``: 17 after the point).
 """
 
 from __future__ import annotations
@@ -259,8 +259,8 @@ def _fmt_json(obj, sort_keys: bool = True) -> str:
 
 
 def dumps_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits in
-    scientific notation (still plain JSON numbers)."""
+    """Deterministic JSON: sorted keys, floats at 18 significant digits in
+    scientific notation (``FLOAT_FORMAT``; still plain JSON numbers)."""
     return _fmt_json(obj)
 
 
@@ -738,15 +738,85 @@ def sweep(
 # exports
 
 
-#: 17 significant digits in scientific notation: round-trips doubles exactly.
+#: Scientific notation with 18 significant digits (one before the point, 17
+#: after), which round-trips doubles exactly.
 FLOAT_FORMAT = "%.17e"
 
 
 def format_float(v: float) -> str:
     return FLOAT_FORMAT % float(v)
 
-#: Rows formatted per write, which bounds the text held in memory.
-EXPORT_ROWS = 1024
+
+#: Values formatted per write, which bounds the writer's temporaries.
+EXPORT_VALUES = 2048
+
+#: 5**p for p = 0..55 in four 32-bit limbs (one row per limb), and the ASCII
+#: digits of 0..9999 packed four bytes to a word in reading order.
+_POW5 = np.array([[5**p >> s & 0xFFFFFFFF for p in range(56)] for s in (0, 32, 64, 96)], np.uint64)
+_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+            ).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _scaled(m, e, k):
+    """floor(X) and its round-half-even increment, X = m * 2**e * 10**(17 - k),
+    computed exactly for 0 <= 17 - k <= 55 and X < 10**18."""
+    n, p = m.size, 17 - k
+    c = _POW5.take(p, 1)
+    low = (m & 0xFFFFFFFF) * c
+    limbs = np.zeros((8, n), np.uint64)  # m * 5**p * 2**32 in 32-bit limbs, little-endian
+    limbs[1:5] = low & 0xFFFFFFFF
+    limbs[2:6] += (low >> 32) + (m >> 32) * c
+    for j in range(1, 6):
+        limbs[j + 1] += limbs[j] >> 32
+        limbs[j] &= 0xFFFFFFFF
+    t = 31 - e - p  # 2X = limbs >> t, and t >= 26
+    at, b = t // 32 * n + np.arange(n), (t % 32).astype(np.uint64)
+    lo, mid, hi = limbs.ravel().take([at, at + n, at + 2 * n])
+    twice = (lo >> b) | (mid << 32 - b) | (hi << 64 - b)
+    # 5**p is odd, so limbs has a one below bit t iff m has one below bit t - 32
+    sticky = m & (np.uint64(1) << np.maximum(t - 32, 0).astype(np.uint64)) - 1 != 0
+    floor = twice >> 1
+    return floor, twice & 1 & (sticky | floor & 1)
+
+
+def _decimal(a):
+    """The 18 significant digits (an integer) and the decimal exponent of
+    each ``a`` in (1e-38, 1e17), rounded half to even as ``FLOAT_FORMAT`` is.
+    No double there rounds up to a power of ten, so the digits never carry."""
+    f, e = np.frexp(a)
+    m, e = (f * 2.0**53).astype(np.uint64), e - 53
+    k = np.floor(np.log10(a) + 1e-12).astype(np.int64)  # floor(log10 a) or one above it
+    floor, up = _scaled(m, e, k)
+    low = np.flatnonzero(floor < 10**17)
+    if low.size:
+        k[low] -= 1
+        floor[low], up[low] = _scaled(m[low], e[low], k[low])
+    return floor + up, k
+
+
+def _format_rows(table: np.ndarray, sep: str, prefix: str = "") -> str:
+    """``prefix + sep.join(FLOAT_FORMAT % v for v in row) + "\\n"`` for each
+    row of ``table``, formatted as one block; ``sep`` is one character."""
+    rows, cols = table.shape
+    a = np.abs(table).ravel()
+    exact = (a > 1e-38) & (a < 1e17)
+    digits, k = _decimal(np.where(exact, a, 1.0))
+    digits[~exact], k[~exact] = 0, 0  # right for zeros; the others are replaced below
+    # six words: "00" and the first two digits, four digits four times, "00" and |k|
+    words = [digits // 10**16] + [digits // u % 10000 for u in (10**12, 10**8, 10**4, 1)]
+    text = _DIGITS4.take(np.stack(words + [np.abs(k).astype(np.uint64)], 1)).view(np.uint8)
+    lines = np.zeros((rows, len(prefix) + 26 * cols), np.uint8)  # zero bytes are dropped
+    lines[:, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
+    cell = lines[:, len(prefix):].reshape(rows, cols, 26)
+    cell[..., :24] = text.reshape(rows, cols, 24)  # in place but for the first digit
+    cell[..., 1] = text[:, 2].reshape(rows, cols)
+    cell[..., 0] = np.signbit(table) * ord("-")
+    cell[..., 21] = np.where(k < 0, ord("-"), ord("+")).reshape(rows, cols)
+    cell[..., [2, 20, 25]] = np.frombuffer(f".e{sep}".encode(), np.uint8)
+    cell[:, -1, 25] = ord("\n")
+    for i, j in zip(*np.nonzero(~exact.reshape(rows, cols) & (table != 0))):
+        cell[i, j, :25] = list(format_float(table[i, j]).encode().ljust(25, b"\0"))
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
@@ -778,19 +848,19 @@ def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
     if format == "csv":
         header = "x,y," + ",".join(f"L_{i + 1}" for i in range(dim)) + ",residual"
         table = np.column_stack([surface.grid(spec.grid), positions, residuals.ravel()])
-        row = ",".join([FLOAT_FORMAT] * table.shape[1])
-        faces = ()
+        sep, prefix, faces = ",", "", ()
     else:
         header = f"# {surface.label or spec.family}: {nx}x{ny} grid"
         table = np.zeros((nx * ny, 3))
         table[:, : min(3, dim)] = positions[:, : min(3, dim)]
-        row = "v " + " ".join([FLOAT_FORMAT] * 3)
+        sep, prefix = " ", "v "
         faces = (f"f {a} {a + ny} {a + ny + 1} {a + 1}\n"
                  for a in (i * ny + j + 1 for i in range(nx - 1) for j in range(ny - 1)))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(table), EXPORT_ROWS):
-            fh.write("".join(row % tuple(r) + "\n" for r in table[i:i + EXPORT_ROWS].tolist()))
+        step = max(1, EXPORT_VALUES // table.shape[1])
+        for i in range(0, len(table), step):
+            fh.write(_format_rows(table[i:i + step], sep, prefix))
         fh.writelines(faces)
 
 

@@ -45,7 +45,7 @@ class ConditionReport:
 
     @classmethod
     def from_min(cls, condition_id, values, threshold, grid, points=None, note=""):
-        """Report for a quantity bounded below: pass iff min > threshold.
+        """Report for a quantity bounded below: pass iff min >= threshold.
 
         Stored residual is the shortfall ``threshold - min_value``; the
         recorded tolerance is 0, preserving pass == (residual <= tol).

@@ -64,3 +64,20 @@ class TestReduction:
         assert rep.max_residual == 0.7 and rep.worst_point == (1.0, 0.0)
         assert isinstance(rep.max_residual, float)
         assert all(type(v) is float for v in rep.worst_point)
+
+
+class TestBoundary:
+    """A value exactly at its bound passes; the next float past it fails."""
+
+    def test_from_max_passes_at_tol(self):
+        tol = 1e-9
+        assert ConditionReport.from_max("x", [0.0, tol], tol, "g").passed
+        assert not ConditionReport.from_max("x", [0.0, np.nextafter(tol, math.inf)], tol,
+                                            "g").passed
+
+    def test_from_min_passes_at_threshold(self):
+        threshold = 1e-9
+        assert ConditionReport.from_min("x", [threshold, 2.0], threshold, "g").passed
+        low = ConditionReport.from_min("x", [np.nextafter(threshold, -math.inf), 2.0],
+                                       threshold, "g")
+        assert not low.passed and low.max_residual > low.tol

@@ -1,5 +1,6 @@
-"""The example scripts under ``scripts/`` run and exit 0."""
+"""The scripts under ``scripts/`` run and exit 0."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -34,3 +35,17 @@ def test_sweep_examples_has_no_failed_draw():
     summaries = [line for line in result.stdout.splitlines() if not line.startswith(" ")]
     assert [line.split(":")[0] for line in summaries] == ["Ex7_1", "Ex7_2", "Ex8_1", "Ex8_2"]
     assert all(line.endswith("failed=0") for line in summaries)
+
+
+def test_deterministic_outputs_names_74_and_writes_one(tmp_path):
+    listed = run_script("deterministic_outputs.py", "--list")
+    assert listed.returncode == 0, listed.stderr
+    names = listed.stdout.split()
+    assert len(names) == len(set(names)) == 74
+    name = "export-translation_demo.csv"
+    result = run_script("deterministic_outputs.py", "--out", str(tmp_path), "--only", name)
+    assert result.returncode == 0, result.stdout + result.stderr
+    digest, code, written = (tmp_path / "MANIFEST").read_text().split()
+    assert (code, written) == ("0", name)
+    assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert (tmp_path / name).read_text().startswith("x,y,L_1,")
