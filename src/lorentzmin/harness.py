@@ -753,8 +753,8 @@ EXPORT_VALUES = 2048
 #: 5**p for p = 0..55 in four 32-bit limbs (one row per limb), and the ASCII
 #: digits of 0..9999 packed four bytes to a word in reading order.
 _POW5 = np.array([[5**p >> s & 0xFFFFFFFF for p in range(56)] for s in (0, 32, 64, 96)], np.uint64)
-_DIGITS4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
-            ).astype(np.uint8).view(np.uint32).ravel()
+_DIGITS4 = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
+                    -1).view(np.uint32).ravel()
 
 
 def _scaled(m, e, k):
