@@ -4,20 +4,26 @@ byte-identical, with a sha256 manifest, so that two versions of lorentzmin
 can be compared by diffing their manifests:
 
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
+    PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (74):
+The outputs (80):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
 * sweeps of Ex7_1, Ex8_1 and Ex8_2 at n=50 on seeds 0 and 1, with
   ``LMS_DEFAULT_TOL`` unset and at seven tolerances from 1e-12 to 1e-15,
   which mix passing and failing draws;
-* the Ex7_2 sweep at n=300 on seed 5;
+* the Ex7_2 sweep at n=300 on seed 5, and at n=2000 on seeds 0 and 1;
+* on seeds 0 and 1, Ex7_1 at n=50 with min_gap 1.2 (about 340 rejected
+  tries per draw) and Ex8_1 at n=50 with rel 0.3 (about half the draws
+  invalid), which exercise the samplers' rejections;
 * ``list-families``.
 
 Each output runs in this process through ``lorentzmin.cli.main``; its file
 is the command's standard output (the exported file for exports).
 ``DIR/MANIFEST`` holds one line per output: sha256, exit code and name.
+``--compare OLD`` then names every output whose sha256 or exit code
+differs from the manifest OLD, and exits 1 if one does.
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
                     ["sweep", "--family", family, "--n", "50", "--seed", str(seed)], tol)
     table["sweep-Ex7_2-seed5.json"] = (
         ["sweep", "--family", "Ex7_2", "--n", "300", "--seed", "5"], None)
+    for seed in (0, 1):
+        table[f"sweep-Ex7_2-n2000-seed{seed}.json"] = (
+            ["sweep", "--family", "Ex7_2", "--n", "2000", "--seed", str(seed)], None)
+        for family, key, value in (("Ex7_1", "min_gap", 1.2), ("Ex8_1", "rel", 0.3)):
+            table[f"sweep-{family}-{key}{value}-seed{seed}.json"] = (
+                ["sweep", "--family", family, "--n", "50", "--seed", str(seed),
+                 f"--sampler-config={json.dumps({key: value})}"], None)
     table["list-families.json"] = (["list-families"], None)
     return table
 
@@ -77,7 +90,7 @@ def run(name: str, out_dir: pathlib.Path, tmp: pathlib.Path) -> int:
     """Write output ``name`` to ``out_dir / name`` and return its exit code."""
     argv, tol = outputs()[name]
     target = out_dir / name
-    argv = [a.format(tmp=tmp, out=target) for a in argv]
+    argv = [a.replace("{tmp}", str(tmp)).replace("{out}", str(target)) for a in argv]
     saved = os.environ.pop(ENV_TOL, None)
     if tol is not None:
         os.environ[ENV_TOL] = tol
@@ -100,6 +113,8 @@ def main() -> int:
     parser.add_argument("--out", help="directory for the outputs and MANIFEST")
     parser.add_argument("--only", action="append", help="write only this output (repeatable)")
     parser.add_argument("--list", action="store_true", help="print the output names and exit")
+    parser.add_argument("--compare", metavar="MANIFEST",
+                        help="name the outputs that differ from this manifest; exit 1 if any")
     args = parser.parse_args()
     names = list(outputs())
     if args.list:
@@ -120,7 +135,16 @@ def main() -> int:
             digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             lines.append(f"{digest} {code} {name}\n")
     (out_dir / "MANIFEST").write_text("".join(lines))
-    return 0
+    if not args.compare:
+        return 0
+    old = {line.split()[-1]: line.split() for line in
+           pathlib.Path(args.compare).read_text().splitlines() if line.strip()}
+    new = {line.split()[-1]: line.split() for line in lines}
+    differ = [name for name in new if old.get(name) != new[name]]
+    differ += [] if args.only else sorted(set(old) - set(new))  # outputs this run lacks
+    for name in differ:
+        print(f"differs: {name}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -244,7 +244,7 @@ class _Stack:
                 np.array([(p[3],) + p[4] for p in terms]).T[..., None, None]
                 for terms in zip(*(c._plan for c in curves)))))
 
-    derivatives, at = Curve.derivatives, Curve.at
+    derivatives, at, sample_grid = Curve.derivatives, Curve.at, Curve.sample_grid
 
 
 def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):
@@ -580,19 +580,49 @@ def validate_family(fam: ParamFamily, coeffs: tuple | None = None) -> FamilyVali
     )
 
 
-def _valid_coeffs(family_id: str, params: Mapping[str, float]) -> tuple | None:
-    """The family's (radicands, denominators) at these parameters if
-    ``validate_family`` would pass them, else None, by its tests (parameters and
-    denominators > 0, radicands >= 0 so NaN fails, no overflow) but no objects."""
-    info = FAMILIES[family_id]
-    args = [params[k] for k in info["params"]]
+def _py_squares(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each float as Python computes it (libm's pow, which need
+    not round as ``v * v`` does), NaN where that raises OverflowError."""
+    def square(v):
+        try:
+            return v**2
+        except OverflowError:
+            return math.nan
+
+    values = values.tolist()
     try:
-        rads, dens = info["_coeffs"](*args)
+        return np.array([v**2 for v in values], dtype=float)
     except OverflowError:
-        return None
-    ok = (all(v > 0 for v in args) and all(v > 0 for v in dens.values())
-          and all(v >= 0 for v in rads.values()))
-    return (rads, dens) if ok else None
+        return np.array([square(v) for v in values], dtype=float)
+
+
+class _Squares:
+    """Arrays of parameters for formulas that take them only as ``p**2``,
+    which gives ``squares`` (``_py_squares``), so each element comes out as
+    the same formula on floats gives it, bit for bit."""
+
+    def __init__(self, squares):
+        self.squares = squares
+
+    def __pow__(self, k):
+        return self.squares if k == 2 else NotImplemented
+
+
+def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, list]:
+    """The rows of a (draws, params) array that ``validate_family`` would
+    pass, and their (radicands, denominators), from one run of the family's
+    formulas on the columns with its tests (parameters and denominators > 0,
+    radicands >= 0, so NaN fails, and a square that overflows fails)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rads, dens = FAMILIES[family_id]["_coeffs"](*(_Squares(_py_squares(c)) for c in values.T))
+    ok = np.all(values > 0, axis=1)
+    for value in dens.values():
+        ok &= value > 0
+    for value in rads.values():
+        ok &= value >= 0
+    rows = np.flatnonzero(ok)
+    return rows, [tuple({k: float(v[i]) for k, v in part.items()} for part in (rads, dens))
+                  for i in rows.tolist()]
 
 
 def _chain_holds(chain, args) -> bool:

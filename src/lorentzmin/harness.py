@@ -20,10 +20,8 @@ to the timings block, with every float printed in scientific notation at
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-import numbers
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
@@ -34,15 +32,14 @@ from . import diffgeo
 from .curves import (
     BUILTIN_CURVES,
     DEFAULT_SAMPLES,
-    EX72_CHAIN_BOUNDS,
     FAMILIES,
     Curve,
     FamilyValidation,
     ParamFamily,
-    _ex72_chain_mid,
+    _Stack,
     _example_from,
     _finite_number,
-    _valid_coeffs,
+    _valid_rows,
     builtin_curve,
     derivative_inner,
     null_check,
@@ -50,7 +47,8 @@ from .curves import (
 )
 from .errors import DegenerateMetricError, InvalidInputError, PremiseError
 from .indefinite import AmbientKind, indefinite_dot
-from .report import ConditionReport, DEFAULT_TOLS, default_tolerances, json_residual
+from .report import ConditionReport, DEFAULT_TOLS, _max_verdicts, default_tolerances, json_residual
+from .sampling import _draw_chunks, _sampler_config
 from .surfaces import (
     DEFAULT_GRID,
     DE_SITTER_DOMAIN,
@@ -58,8 +56,11 @@ from .surfaces import (
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
     SQRT2,
+    _check_grid,
     _col,
+    check_case_b_premises,
     check_case_c_conditions,
+    check_case_ii_premises,
     check_case_iii_conditions,
     de_sitter_control,
     grid_points,
@@ -82,30 +83,6 @@ __all__ = [
 ]
 
 FD_SUBGRID = (5, 5)
-
-#: Largest grid, in nodes, that a spec may ask for.  A verify holds about
-#: 0.5 kB per node at its peak and takes about 13 us per node (sphere_c on
-#: a 2-vCPU VM), so the cap is already about 0.5 GB and 15 s; a larger
-#: grid is a typo (an [nx, ny] of [10**5, 10**5] would try to allocate
-#: terabytes) and is rejected before any work starts.
-MAX_GRID_NODES = 1_000_000
-
-
-def _check_grid(grid) -> tuple[int, int]:
-    """(nx, ny) from two integers, each at least 2, with at most
-    MAX_GRID_NODES nodes in all."""
-    shape = tuple(grid) if isinstance(grid, (list, tuple)) else ()
-    if len(shape) != 2 or not all(
-            isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in shape):
-        raise InvalidInputError(f"grid must be two integers [nx, ny], got {grid!r}")
-    nx, ny = int(shape[0]), int(shape[1])
-    if nx < 2 or ny < 2:
-        raise InvalidInputError(f"grid must be at least 2x2, got {[nx, ny]}")
-    if nx * ny > MAX_GRID_NODES:
-        raise InvalidInputError(
-            f"grid {nx}x{ny} has {nx * ny} nodes, more than the {MAX_GRID_NODES} allowed")
-    return nx, ny
-
 
 @dataclass(frozen=True)
 class SurfaceSpec:
@@ -309,19 +286,22 @@ def _vmax(v):
 class SurfaceFamily:
     """Everything the harness knows about one surface family.
 
-    ``build(curves, domain, premise_tol)`` constructs the surface;
     ``premises(curves, spec, tols)`` returns the reports made before
-    building and the ids among them that block it.  ``k`` is both <L,L>
-    and the model K, ``g_xy(x, y)`` the model conformal factor, ``pde``
-    (check id, residual, note) triples, ``xi(z)`` the expected h(e1,e1)
-    from the source curve z, ``minimality`` a tolerance key; None skips
-    a check.  ``build`` and ``premises`` call constructors and checkers
-    by module-global name, so a wrapper installed there sees every call."""
+    building, or one list of them per draw when the curves are ``_Stack``s
+    of many draws' curves; if ``blocking``, a failed one blocks the surface.
+    ``build(curves, domain, premise_tol, premises)`` constructs the surface
+    from those reports.  ``k`` is both <L,L> and the model K, ``g_xy(x, y)``
+    the model conformal factor, ``pde`` (check id, residual, note)
+    triples, ``xi(z)`` the expected h(e1,e1) from the source curve z,
+    ``minimality`` a tolerance key; None skips a check.  ``build`` and
+    ``premises`` call constructors and checkers by module-global name, so a
+    wrapper installed there sees every call."""
 
     arity: int
     domain: tuple[tuple[float, float], tuple[float, float]]
     build: Callable
-    premises: Callable = lambda curves, spec, tols: ([], [])
+    premises: Callable = lambda curves, spec, tols: []
+    blocking: bool = False
     k: float | None = None
     g_xy: Callable | None = None
     pde: tuple[tuple[str, Callable, str], ...] = ()
@@ -330,7 +310,7 @@ class SurfaceFamily:
 
 
 def _translation_premises(curves, spec, tols):
-    """Null curves and a nonzero <z'(x), w'(y)> on the grid; all blocking."""
+    """Null curves and a nonzero <z'(x), w'(y)> on the grid."""
     z, w = curves
     grid_pts = grid_points(spec.resolved_domain(), spec.grid)
     reports = [replace(null_check(curve, DEFAULT_SAMPLES, tols["premise"]), condition_id=cid)
@@ -345,8 +325,7 @@ def _translation_premises(curves, spec, tols):
             pairing.condition_id, float(values.max() - values.min()), 0.0, False,
             pairing.grid, pairing.worst_point,
             "<z'(x), w'(y)> changes sign on the grid (residual = span)")
-    reports.append(pairing)
-    return reports, [r.condition_id for r in reports if not r.passed]
+    return reports + [pairing]
 
 
 #: Model K (which is also <L,L>) and conformal factor on each quadric
@@ -363,11 +342,14 @@ _HYPERBOLIC_PDE_XY = ("pde-xy", lambda x, y, jet, f: _vmax(
 SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
     "translation": SurfaceFamily(
         2, FLAT_DOMAIN,
-        build=lambda curves, domain, tol: translation_surface(*curves, domain, tol=tol),
-        premises=_translation_premises, minimality="minimality-flat"),
+        build=lambda curves, domain, tol, *_: translation_surface(*curves, domain, tol=tol),
+        premises=_translation_premises, blocking=True, minimality="minimality-flat"),
     "sphere_b": SurfaceFamily(
         1, SPHERE_DOMAIN,
-        build=lambda curves, domain, tol: sphere_case_b(*curves, domain, tol=tol),
+        build=lambda curves, domain, tol, premises=None: sphere_case_b(
+            *curves, domain, tol=tol, _premises=premises),
+        premises=lambda curves, spec, tols: check_case_b_premises(
+            *curves, DEFAULT_SAMPLES, tols["premise"]),
         **_ON_SPHERE,
         pde=(_SPHERE_PDE_XY,
              ("pde-yy", lambda x, y, jet, f: _vmax(jet.Lyy + 2 * jet.Ly / _col(x + y)),
@@ -375,13 +357,16 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         xi=lambda z: lambda x, y: -_col((x + y) ** 2) * z.at(x, 3) / 4.0),
     "sphere_c": SurfaceFamily(
         2, SPHERE_DOMAIN,
-        build=lambda curves, domain, tol: sphere_case_c(*curves, domain),
-        premises=lambda curves, spec, tols: (check_case_c_conditions(
-            *curves, spec.grid, spec.resolved_domain(), tols["condition"]), []),
+        build=lambda curves, domain, tol, *_: sphere_case_c(*curves, domain),
+        premises=lambda curves, spec, tols: check_case_c_conditions(
+            *curves, spec.grid, spec.resolved_domain(), tols["condition"]),
         **_ON_SPHERE, pde=(_SPHERE_PDE_XY,)),
     "hyp_ii": SurfaceFamily(
         1, HYPERBOLIC_DOMAIN,
-        build=lambda curves, domain, tol: hyperbolic_case_ii(*curves, domain, tol=tol),
+        build=lambda curves, domain, tol, premises=None: hyperbolic_case_ii(
+            *curves, domain, tol=tol, _premises=premises),
+        premises=lambda curves, spec, tols: check_case_ii_premises(
+            *curves, DEFAULT_SAMPLES, tols["premise"]),
         **_ON_HYPERBOLIC,
         pde=(_HYPERBOLIC_PDE_XY,
              ("pde-yy", lambda x, y, jet, f: _vmax(
@@ -394,30 +379,47 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
                                    * _col(np.cosh((x + y) / SQRT2) ** 2))),
     "hyp_iii": SurfaceFamily(
         2, HYPERBOLIC_DOMAIN,
-        build=lambda curves, domain, tol: hyperbolic_case_iii(*curves, domain),
-        premises=lambda curves, spec, tols: (check_case_iii_conditions(
-            *curves, spec.grid, spec.resolved_domain(), tols["condition"]), []),
+        build=lambda curves, domain, tol, *_: hyperbolic_case_iii(*curves, domain),
+        premises=lambda curves, spec, tols: check_case_iii_conditions(
+            *curves, spec.grid, spec.resolved_domain(), tols["condition"]),
         **_ON_HYPERBOLIC, pde=(_HYPERBOLIC_PDE_XY,)),
     "de_sitter_control": SurfaceFamily(
         0, DE_SITTER_DOMAIN,
-        build=lambda curves, domain, tol: de_sitter_control(domain),
+        build=lambda curves, domain, tol, *_: de_sitter_control(domain),
         **_ON_SPHERE),
 }
 
 
 def _premise_phase(spec, curves, tols):
     """The family's premise checks, then the surface unless one blocks it:
-    (reports, blocking ids, surface or None).  sphere_b and hyp_ii check
-    their own premises and keep the reports on the surface or error."""
+    (reports, blocking ids, surface or None).  sphere_b and hyp_ii judge
+    their own premises, from the reports handed to their constructors."""
+    return _premise_phases(spec, [curves], tols)[0]
+
+
+def _premise_phases(spec, draws, tols):
+    """``_premise_phase`` of each of a list of draws (tuples of curves) of one
+    spec, with the premise checks run once on the draws' curves stacked
+    (``_Stack``), or one draw at a time if they have two term structures."""
     family = SURFACE_FAMILIES[spec.family]
-    reports, hard = family.premises(curves, spec, tols)
-    if hard:
-        return reports, hard, None
-    try:
-        surface = family.build(curves, spec.resolved_domain(), tols["premise"])
-    except PremiseError as exc:
-        return reports + list(exc.reports), exc.failed, None
-    return reports + list(surface.premises), [], surface
+    if len(draws) == 1:
+        rows = [family.premises(draws[0], spec, tols)]
+    else:
+        try:
+            stacks = tuple(map(_Stack, zip(*draws)))
+        except InvalidInputError:
+            return [_premise_phase(spec, curves, tols) for curves in draws]
+        rows = family.premises(stacks, spec, tols)
+    out = []
+    for curves, reports in zip(draws, rows):
+        hard = [r.condition_id for r in reports if not r.passed] if family.blocking else []
+        try:
+            surface = None if hard else family.build(
+                curves, spec.resolved_domain(), tols["premise"], reports)
+        except PremiseError as exc:
+            hard, surface = exc.failed, None
+        out.append((reports, hard, surface))
+    return out
 
 
 def _check_plan(spec, surface) -> tuple[list[tuple], list[tuple]]:
@@ -498,33 +500,41 @@ def _check_plan(spec, surface) -> tuple[list[tuple], list[tuple]]:
     return planned, stencil
 
 
-def _checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
-    """The checks of each of a list of surfaces built for one spec but for
-    their curves, which ``grid_values`` stacks in blocks of whole draws.  A
-    list that fails as a whole (a degenerate metric, or curves of two term
-    structures, as when a draw zeroes a whole component) is rerun one
-    surface at a time, so each gets the outcome it would get alone."""
-    by_check = []
+def _check_rows(spec, surfaces, tols) -> list[list[tuple]]:
+    """The checks of a list of surfaces built for one spec but for their
+    curves, which ``grid_values`` stacks in blocks of whole draws, in runs
+    of draws: per run, (condition id, residuals as (draws, nodes) rows, tol,
+    grid description, grid points, note) per check.  A list that fails as a
+    whole (a degenerate metric, or curves of two term structures, as when a
+    draw zeroes a whole component) is rerun one surface at a time, so each
+    gets the outcome it would get alone."""
+    checks = []
     try:
         for pick, (shape, curvature) in enumerate(((spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
             columns = diffgeo.grid_values(
                 surfaces, shape, lambda s: [e[1] for e in _check_plan(spec, s)[pick]],
                 curvature=curvature)
             desc, pts = surfaces[0].grid_description(shape), surfaces[0].grid(shape)
-            by_check += [ConditionReport._from_max_rows(
-                cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note=note)
-                for (cid, _, tol_key, note), column in zip(
-                    _check_plan(spec, surfaces[0])[pick], columns)]
+            checks += [(cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note)
+                       for (cid, _, tol_key, note), column in zip(
+                           _check_plan(spec, surfaces[0])[pick], columns)]
     except (DegenerateMetricError, InvalidInputError) as exc:
         if len(surfaces) > 1:
-            return [checks for surface in surfaces for checks in _checks(spec, [surface], tols)]
+            return [run for surface in surfaces for run in _check_rows(spec, [surface], tols)]
         if not isinstance(exc, DegenerateMetricError):
             raise
         # tol -1 keeps the pass == (residual <= tol) invariant honest
-        return [[ConditionReport(
-            "metric-signature", 0.0, -1.0, False, surfaces[0].grid_description(spec.grid),
-            note=f"induced metric left null form: {exc}")]]
-    return [list(checks) for checks in zip(*by_check)]
+        return [[("metric-signature", np.zeros((1, 1)), -1.0,
+                  surfaces[0].grid_description(spec.grid), None,
+                  f"induced metric left null form: {exc}")]]
+    return [checks]
+
+
+def _checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
+    """The reports of ``_check_rows``, one list per surface."""
+    return [list(reports) for run in _check_rows(spec, surfaces, tols) for reports in zip(*(
+        ConditionReport._from_max_rows(cid, rows, tol, desc, pts, note=note)
+        for cid, rows, tol, desc, pts, note in run))]
 
 
 def verify(spec: SurfaceSpec | dict) -> VerificationReport:
@@ -568,97 +578,6 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
 # parameter sweeps
 
 
-#: Sampler modes and the config keys each one reads, besides "mode" and
-#: "grid".
-SAMPLER_KEYS = {"sorted_box": ("a_box", "pqr_box", "min_gap"),
-                "chain": ("qr_box",),
-                "box_around": ("center", "rel")}
-
-#: Draws a sampler may reject in a row before its config counts as one
-#: that cannot be satisfied.
-MAX_SAMPLER_TRIES = 10_000
-
-#: Largest magnitude of a number in a sampler config, so that the squares
-#: of the draws, times the constants of the chain and of the radicands,
-#: stay finite.
-SAMPLER_BOUND = 1e150
-
-
-def _sampler_config(family: str, overrides) -> dict:
-    """The family's default sampler updated with ``overrides``, checked
-    so that drawing from it cannot fail on a type or overflow."""
-    if overrides is None:
-        overrides = {}
-    if not isinstance(overrides, Mapping):
-        raise InvalidInputError(f"sampler config must be a JSON object, got {overrides!r}")
-    known = {"mode", "grid"}.union(*SAMPLER_KEYS.values())
-    unknown = set(overrides) - known
-    if unknown:
-        raise InvalidInputError(
-            f"unknown sampler config keys {sorted(unknown)}; known: {sorted(known)}")
-    cfg = copy.deepcopy(FAMILIES[family]["sampler"])
-    cfg.update(overrides)
-    mode = cfg["mode"]
-    if not isinstance(mode, str) or mode not in SAMPLER_KEYS:
-        raise InvalidInputError(f"unknown sampler mode {mode!r}; known: {sorted(SAMPLER_KEYS)}")
-    missing = [key for key in SAMPLER_KEYS[mode] if key not in cfg]
-    if missing:
-        raise InvalidInputError(f"sampler mode {mode} needs {missing}")
-    _check_grid(cfg["grid"])
-
-    def numbers_ok(value, size):
-        return (isinstance(value, (list, tuple)) and len(value) == size
-                and all(_finite_number(v) and abs(v) <= SAMPLER_BOUND for v in value))
-
-    for key in SAMPLER_KEYS[mode]:
-        value = cfg[key]
-        if key == "center":
-            size = len(FAMILIES[family]["params"])
-            ok, want = numbers_ok(value, size), f"{size} numbers"
-        elif key.endswith("_box"):
-            ok, want = numbers_ok(value, 2) and value[0] <= value[1], "[lo, hi] with lo <= hi"
-        else:  # rel, min_gap
-            hi = 1.0 if key == "rel" else SAMPLER_BOUND
-            ok, want = numbers_ok([value], 1) and 0 <= value <= hi, f"a number in [0, {hi:g}]"
-        if not ok:
-            raise InvalidInputError(
-                f"sampler {key} must be {want} of magnitude at most {SAMPLER_BOUND:g}, "
-                f"got {value!r}")
-    return cfg
-
-
-def _draw_params(family: str, cfg: dict, rng: np.random.Generator) -> dict:
-    names = FAMILIES[family]["params"]
-    mode = cfg["mode"]
-    if mode == "sorted_box":
-        a = rng.uniform(*cfg["a_box"])
-        for _ in range(MAX_SAMPLER_TRIES):
-            draws = np.sort(rng.uniform(*cfg["pqr_box"], 3))[::-1]
-            if draws[0] - draws[1] >= cfg["min_gap"] and draws[1] - draws[2] >= cfg["min_gap"]:
-                return {"a": float(a), "p": float(draws[0]), "r": float(draws[1]),
-                        "q": float(draws[2])}
-        raise InvalidInputError(
-            f"sampler drew no (p, r, q) with gaps >= {cfg['min_gap']:g} from "
-            f"{cfg['pqr_box']} in {MAX_SAMPLER_TRIES} tries")
-    if mode == "chain":
-        # draw (q, r) until the chain has a nonempty p-interval, then draw
-        # p^2 uniformly inside it, so every triple satisfies the chain
-        hi, lo = EX72_CHAIN_BOUNDS
-        for _ in range(MAX_SAMPLER_TRIES):
-            q, r = rng.uniform(*cfg["qr_box"], 2)
-            mid = _ex72_chain_mid(q, r)
-            if mid > 0:
-                p = math.sqrt(rng.uniform(mid / hi, mid / lo))
-                return {"p": float(p), "q": float(q), "r": float(r)}
-        raise InvalidInputError(
-            f"sampler drew no (q, r) with a nonempty chain interval from {cfg['qr_box']} "
-            f"in {MAX_SAMPLER_TRIES} tries")
-    center = cfg["center"]
-    rel = cfg["rel"]
-    vals = [c * rng.uniform(1 - rel, 1 + rel) for c in center]
-    return dict(zip(names, map(float, vals)))
-
-
 def sweep(
     family: str,
     sampler_config: dict | None = None,
@@ -669,7 +588,10 @@ def sweep(
 
     Deterministic for a given seed.  An empty valid set is reported, not
     raised.  Returns counts plus the worst residual seen per check id.
-    Each draw gets ``verify``'s outcome, checked in a batch (``_checks``).
+    Each draw gets ``verify``'s outcome: the draws are drawn and validated
+    in chunks (``_draw_chunks``, ``curves._valid_rows``), and the valid ones
+    checked in folds of one block (``_premise_phases``, ``_check_rows``)
+    whose residual rows are folded into the summary in draw order.
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidInputError(f"unknown curve family {family!r}")
@@ -680,45 +602,52 @@ def sweep(
     surface_family = FAMILIES[family]["surface"]
     spec = SurfaceSpec(family=surface_family, grid=tuple(cfg["grid"]))
     tols = default_tolerances()
-    batch = diffgeo._draws_per_block(spec.grid)
-    pending: list[tuple] = []  # (params, reports, blocking ids, surface or None) per valid draw
+    names = FAMILIES[family]["params"]
+    pending: list[tuple] = []  # (params, curves) per valid draw
     valid = passed = failed = invalid = 0
     worst: dict[str, float] = {}
     failures: list[dict] = []
 
-    def fold():  # check the pending draws' surfaces together, then fold in draw order
+    def fold_worst(cids, values):  # np.maximum over each row of values, in draw order
+        if cids:
+            start = [[worst.get(cid, -math.inf)] for cid in cids]
+            worst.update(zip(cids, np.maximum.accumulate(np.hstack([start, values]), axis=1)[
+                :, -1].tolist()))
+
+    def fold():  # check the pending draws together, then fold them in draw order
         nonlocal passed, failed
-        built = [(reports, s) for _, reports, _, s in pending if s is not None]
-        for (reports, _), checks in zip(built, _checks(spec, [s for _, s in built], tols)
-                                        if built else ()):
-            reports += checks
-        for params, reports, hard, _ in pending:
-            for check in reports:
-                # np.maximum, unlike max, propagates a NaN from either side
-                prev = worst.get(check.condition_id, -math.inf)
-                worst[check.condition_id] = float(np.maximum(prev, check.max_residual))
-            if not hard and all(r.passed for r in reports):
-                passed += 1
-            else:
+        outcomes = _premise_phases(spec, [curves for _, curves in pending], tols)
+        built = [s for _, _, s in outcomes if s is not None]
+        failed_checks = []  # per built draw
+        for run in _check_rows(spec, built, tols) if built else ():
+            cids = [check[0] for check in run]
+            values, _, ok = map(np.array, zip(*(_max_verdicts(rows, tol)
+                                                for _, rows, tol, *_ in run)))
+            fold_worst(cids, values)
+            failed_checks += [[c for c, good in zip(cids, col) if not good] for col in ok.T]
+        failed_checks.reverse()
+        for (params, _), (reports, hard, surface) in zip(pending, outcomes):
+            fold_worst([r.condition_id for r in reports], [[r.max_residual] for r in reports])
+            ids = [r.condition_id for r in reports if not r.passed]
+            ids += failed_checks.pop() if surface is not None else []
+            if hard or ids:
                 failed += 1
-                failures.append({"params": params,
-                                 "failed": [r.condition_id for r in reports if not r.passed]})
+                failures.append({"params": params, "failed": ids})
+            else:
+                passed += 1
         pending.clear()
 
-    for _ in range(n):
-        params = _draw_params(family, cfg, rng)
-        coeffs = _valid_coeffs(family, params)  # builds nothing for a rejected draw
-        if coeffs is None:
-            invalid += 1
-            continue
-        valid += 1
-        fam = ParamFamily(family, params)
-        example = _example_from(fam, validate_family(fam, coeffs), False)
-        pending.append((params, *_premise_phase(
-            spec, example if isinstance(example, tuple) else (example,), tols)))
-        if sum(d[3] is not None for d in pending) == batch:
-            fold()
-    fold()
+    for chunk in _draw_chunks(family, cfg, rng, n):
+        rows, coeffs = _valid_rows(family, chunk)
+        valid, invalid = valid + len(rows), invalid + len(chunk) - len(rows)
+        for values, coeff in zip(chunk[rows].tolist(), coeffs):
+            fam = ParamFamily(family, dict(zip(names, values)))
+            example = _example_from(fam, validate_family(fam, coeff), False)
+            pending.append((fam.params, example if isinstance(example, tuple) else (example,)))
+            if len(pending) == diffgeo._draws_per_block(spec.grid):
+                fold()
+    if pending:
+        fold()
     return {
         "family": family,
         "surface_family": surface_family,
@@ -848,20 +777,22 @@ def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
     if format == "csv":
         header = "x,y," + ",".join(f"L_{i + 1}" for i in range(dim)) + ",residual"
         table = np.column_stack([surface.grid(spec.grid), positions, residuals.ravel()])
-        sep, prefix, faces = ",", "", ()
+        sep, prefix, faces = ",", "", np.empty((0, 4), dtype=int)
     else:
         header = f"# {surface.label or spec.family}: {nx}x{ny} grid"
         table = np.zeros((nx * ny, 3))
         table[:, : min(3, dim)] = positions[:, : min(3, dim)]
         sep, prefix = " ", "v "
-        faces = (f"f {a} {a + ny} {a + ny + 1} {a + 1}\n"
-                 for a in (i * ny + j + 1 for i in range(nx - 1) for j in range(ny - 1)))
+        a = (np.arange(nx - 1)[:, None] * ny + np.arange(1, ny)).ravel()  # 1-based corners
+        faces = np.column_stack([a, a + ny, a + ny + 1, a + 1])
     with open(path, "w") as fh:
         fh.write(header + "\n")
         step = max(1, EXPORT_VALUES // table.shape[1])
         for i in range(0, len(table), step):
             fh.write(_format_rows(table[i:i + step], sep, prefix))
-        fh.writelines(faces)
+        for i in range(0, len(faces), EXPORT_VALUES // 4):
+            quads = faces[i:i + EXPORT_VALUES // 4]
+            fh.write("f %d %d %d %d\n" * len(quads) % tuple(quads.ravel().tolist()))
 
 
 def list_families() -> dict:

@@ -40,8 +40,9 @@ class ConditionReport:
     @classmethod
     def _from_max_rows(cls, condition_id, rows, tol, grid, points=None, note=""):
         """``from_max`` of each row of a (draws, nodes) array, reduced at once."""
-        return [cls(condition_id, value, float(tol), finite and value <= tol, grid, pt, note)
-                for value, pt, finite in _worst(rows, np.argmax, points)]
+        values, index, passed = _max_verdicts(rows, tol)
+        return [cls(condition_id, value, float(tol), ok, grid, _point(points, i), note)
+                for value, i, ok in zip(values.tolist(), index.tolist(), passed.tolist())]
 
     @classmethod
     def from_min(cls, condition_id, values, threshold, grid, points=None, note=""):
@@ -50,10 +51,17 @@ class ConditionReport:
         Stored residual is the shortfall ``threshold - min_value``; the
         recorded tolerance is 0, preserving pass == (residual <= tol).
         """
-        ((value, pt, finite),) = _worst(np.reshape(values, (1, -1)), np.argmin, points)
-        shortfall = float(threshold) - value
+        return cls._from_min_rows(condition_id, np.reshape(values, (1, -1)), threshold, grid,
+                                  points, note)[0]
+
+    @classmethod
+    def _from_min_rows(cls, condition_id, rows, threshold, grid, points=None, note=""):
+        """``from_min`` of each row of a (draws, nodes) array, reduced at once."""
+        values, index, finite = _worst(rows, np.argmin)
         note = note or f"lower bound: residual = {threshold:g} - min value"
-        return cls(condition_id, shortfall, 0.0, finite and shortfall <= 0.0, grid, pt, note)
+        return [cls(condition_id, float(threshold) - value, 0.0,
+                    ok and float(threshold) - value <= 0.0, grid, _point(points, i), note)
+                for value, i, ok in zip(values.tolist(), index.tolist(), finite.tolist())]
 
     def to_dict(self) -> dict:
         return {
@@ -73,15 +81,27 @@ def json_residual(value: float):
     return value if math.isfinite(value) else str(value)
 
 
-def _worst(rows, pick, points):
-    """(worst value, its point, all finite) per row of a (draws, nodes) array:
-    ``pick`` (np.argmax or np.argmin, so ties go to the first node) unless a
-    value is not finite, in which case the first non-finite one is worst."""
+def _worst(rows, pick):
+    """(worst value, its node, all finite) of each row of a (draws, nodes)
+    array, as arrays: ``pick`` (np.argmax or np.argmin, so ties go to the
+    first node) unless a value is not finite, in which case the first
+    non-finite one is worst."""
     rows = np.asarray(rows, dtype=float)
     bad = ~np.isfinite(rows)
-    index = np.where(bad.any(axis=1), np.argmax(bad, axis=1), pick(rows, axis=1)).tolist()
-    return [(float(row[i]), tuple(float(v) for v in points[i]) if points is not None else (),
-             not row_bad.any()) for row, i, row_bad in zip(rows, index, bad)]
+    finite = ~bad.any(axis=1)
+    index = np.where(finite, pick(rows, axis=1), np.argmax(bad, axis=1))
+    return rows[np.arange(len(rows)), index], index, finite
+
+
+def _max_verdicts(rows, tol):
+    """(residual, worst node, verdict) of ``from_max`` for each row of a
+    (draws, nodes) array, as arrays: what a report holds but its point."""
+    values, index, finite = _worst(rows, np.argmax)
+    return values, index, finite & (values <= tol)
+
+
+def _point(points, i) -> tuple[float, ...]:
+    return tuple(float(v) for v in points[i]) if points is not None else ()
 
 
 #: Default tolerances per check tier.  Algebraic identities on analytic

@@ -34,6 +34,7 @@ to run them twice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -166,6 +167,30 @@ def _stacked(surfaces) -> SurfaceMap:
     return replace(surfaces[0], sources=sources, position=position, jet=jet, tangent=tangent)
 
 
+#: Largest grid, in nodes, that a spec may ask for.  A verify holds about
+#: 0.5 kB per node at its peak and takes about 13 us per node (sphere_c on
+#: a 2-vCPU VM), so the cap is already about 0.5 GB and 15 s; a larger
+#: grid is a typo (an [nx, ny] of [10**5, 10**5] would try to allocate
+#: terabytes) and is rejected before any work starts.
+MAX_GRID_NODES = 1_000_000
+
+
+def _check_grid(grid) -> tuple[int, int]:
+    """(nx, ny) from two integers, each at least 2, with at most
+    MAX_GRID_NODES nodes in all."""
+    shape = tuple(grid) if isinstance(grid, (list, tuple)) else ()
+    if len(shape) != 2 or not all(
+            isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in shape):
+        raise InvalidInputError(f"grid must be two integers [nx, ny], got {grid!r}")
+    nx, ny = int(shape[0]), int(shape[1])
+    if nx < 2 or ny < 2:
+        raise InvalidInputError(f"grid must be at least 2x2, got {[nx, ny]}")
+    if nx * ny > MAX_GRID_NODES:
+        raise InvalidInputError(
+            f"grid {nx}x{ny} has {nx * ny} nodes, more than the {MAX_GRID_NODES} allowed")
+    return nx, ny
+
+
 def grid_axes(domain, shape):
     """(xs[:, None], ys[None, :]): the grid's axes, ready to broadcast."""
     (x0, x1), (y0, y1) = domain
@@ -232,41 +257,50 @@ def _sphere_domain_guard(domain):
         )
 
 
-def _pair_conditions(z, w, grid, domain, tol, residuals, ids) -> list[ConditionReport]:
+def _per_draw(z, rows) -> list:
+    """Rows of (draws, nodes) residuals as (condition id, rows, tol, grid,
+    points, note, reduction) by check, as one list of reports per draw when
+    z is a ``_Stack`` of the draws' curves, else as the one curve's list."""
+    checks = [reduce(cid, np.reshape(r, (z._lead[:1] or (1,)) + (-1,)), tol, grid, pts, note)
+              for cid, r, tol, grid, pts, note, reduce in rows]
+    draws = [list(reports) for reports in zip(*checks)]
+    return draws if isinstance(z, _Stack) else draws[0]
+
+
+def _pair_conditions(z, w, grid, domain, tol, residuals, ids):
     """Reports of a pair's joint conditions ``ids`` ((id, note) pairs) over a
     grid, evaluated block by block (``_grid_blocks``): ``residuals(s, dz,
     dw, index)`` gives their per-node residuals on a block from s = x+y and
-    the derivatives of orders 0, 1 and 3 of z and w there."""
+    the derivatives of orders 0, 1 and 3 of z and w there (``_per_draw``)."""
     x, y = grid_axes(domain, grid)
     dz, dw = z.derivatives(x, (0, 1, 3)), w.derivatives(y, (0, 1, 3))
-    parts = [residuals(x[r] + y[:, c], dz[:, r], dw[:, :, c], z.signature.index)
+    parts = [residuals(x[r] + y[:, c], dz[..., r, :, :], dw[..., c, :], z.signature.index)
              for r, c in _grid_blocks(grid)]
     pts, desc = grid_points(domain, grid), grid_description(domain, grid)
-    return [ConditionReport.from_max(cid, np.concatenate([np.ravel(p) for p in column]), tol,
-                                     desc, pts, note=note)
-            for (cid, note), column in zip(ids, zip(*parts))]
+    draws = z._lead[:1] or (1,)
+    return _per_draw(z, [
+        (cid, np.concatenate([np.reshape(p, draws + (-1,)) for p in column], axis=1), tol, desc,
+         pts, note, ConditionReport._from_max_rows) for (cid, note), column in zip(ids, zip(*parts))])
 
 
-def _single_curve_premises(z: Curve, samples, tol, speed, acc, nonzero):
+def _single_curve_premises(z, samples, tol, speed, acc, nonzero):
     """<z,z> = 0, <z',z'> = speed, <z'',z''> = acc[1] (check id acc[0]) and a
     vector nonzero[1](d) of d = (z, z', z'', z''') that must not vanish (check
-    id nonzero[0], note nonzero[2]), at samples points of z's domain."""
+    id nonzero[0], note nonzero[2]), at samples points of z's domain
+    (``_per_draw``)."""
     ts = z.sample_grid(samples)
     pts = ts[:, None]
     grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
     d = z.derivatives(ts, range(4))
     sq = [indefinite_dot(d[k], d[k], z.signature.index) for k in range(3)]
-
-    return [
-        ConditionReport.from_max("lightcone-z", np.abs(sq[0]), tol, grid, pts),
-        ConditionReport.from_max(
-            "speed-z", np.abs(sq[1] - speed), tol, grid, pts, note=f"<z',z'> = {speed:g}"),
-        ConditionReport.from_max(
-            acc[0], np.abs(sq[2] - acc[1]), tol, grid, pts, note=f"<z'',z''> = {acc[1]:g}"),
-        ConditionReport.from_min(
-            nonzero[0], np.max(np.abs(nonzero[1](d)), axis=-1), tol, grid, pts,
-            note=nonzero[2]),
-    ]
+    most = ConditionReport._from_max_rows
+    return _per_draw(z, [
+        ("lightcone-z", np.abs(sq[0]), tol, grid, pts, "", most),
+        ("speed-z", np.abs(sq[1] - speed), tol, grid, pts, f"<z',z'> = {speed:g}", most),
+        (acc[0], np.abs(sq[2] - acc[1]), tol, grid, pts, f"<z'',z''> = {acc[1]:g}", most),
+        (nonzero[0], np.max(np.abs(nonzero[1](d)), axis=-1), tol, grid, pts, nonzero[2],
+         ConditionReport._from_min_rows),
+    ])
 
 
 def _premise_flags(reports: list[ConditionReport]) -> tuple[str, ...]:
@@ -294,7 +328,7 @@ def translation_surface(
     """L(x,y) = z(x) + w(y) for null curves with <z'(x), w'(y)> != 0.
 
     The pairing <z', w'> is sampled on a samples x samples grid; a value
-    within tol of zero anywhere makes the induced metric degenerate and
+    below tol in magnitude anywhere makes the induced metric degenerate and
     raises.  (A positive pairing is accepted here - the surface is still
     minimal - but the null-coordinate analysis downstream requires a
     negative one; reverse the parameter of one curve to flip the sign.)
@@ -312,7 +346,7 @@ def translation_surface(
 
     xs, ys = grid_axes(domain, (samples, samples))
     values = derivative_inner(z, 1, w, 1, xs, ys)
-    near = np.abs(values) <= tol
+    near = ~(np.abs(values) >= tol)  # ConditionReport.from_min's rule: NaN fails too
     if near.any():
         i, j = np.unravel_index(np.argmax(near), near.shape)
         raise DegenerateMetricError(
@@ -406,15 +440,18 @@ def sphere_case_b(
     *,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOLS["premise"],
+    _premises: list[ConditionReport] | None = None,
 ) -> SurfaceMap:
     """L(x,y) = z(x)/(x+y) - z'(x)/2 on the pseudo-sphere quadric.
 
     The premises (``check_case_b_premises``) run first, before the domain
     and coverage checks, so a failed premise raises ``PremiseError`` even
     on a bad domain.  Their four reports are kept on the error
-    (``reports``) or on the returned surface (``premises``).
+    (``reports``) or on the returned surface (``premises``); ``_premises``
+    hands in these reports when they were made already (for many draws at
+    once, by a sweep).
     """
-    premises = check_case_b_premises(z, samples, tol)
+    premises = _premises if _premises is not None else check_case_b_premises(z, samples, tol)
     flags = _premise_flags(premises)
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
@@ -528,14 +565,16 @@ def hyperbolic_case_ii(
     *,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOLS["premise"],
+    _premises: list[ConditionReport] | None = None,
 ) -> SurfaceMap:
     """L(x,y) = z(x) tanh((x+y)/sqrt2) - z'(x)/sqrt2 on the hyperbolic quadric.
 
     As in ``sphere_case_b``, the premises (``check_case_ii_premises``) run
     before the domain and coverage checks, and their four reports are kept
-    on the ``PremiseError`` (``reports``) or on the surface (``premises``).
+    on the ``PremiseError`` (``reports``) or on the surface (``premises``),
+    or are handed in (``_premises``).
     """
-    premises = check_case_ii_premises(z, samples, tol)
+    premises = _premises if _premises is not None else check_case_ii_premises(z, samples, tol)
     flags = _premise_flags(premises)
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")

@@ -5,16 +5,19 @@ repeat work that a single verify does once."""
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorentzmin
-from lorentzmin import diffgeo, harness
-from lorentzmin.curves import FAMILIES, ParamFamily, _valid_coeffs, validate_family
+from lorentzmin import diffgeo, harness, sampling
+from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, ParamFamily, _ex72_chain_mid,
+                               _valid_rows, validate_family)
 from lorentzmin.errors import DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import default_tolerances
@@ -26,6 +29,36 @@ SPHERE_71 = {
 }
 
 
+def draw_params(family, cfg, rng):
+    """One parameter set drawn by scalar rng calls, the reference for
+    ``sampling._draw_chunks``, which must consume the same values in the
+    same order with the same bounds."""
+    mode = cfg["mode"]
+    if mode == "sorted_box":
+        a = rng.uniform(*cfg["a_box"])
+        for _ in range(sampling.MAX_SAMPLER_TRIES):
+            draws = np.sort(rng.uniform(*cfg["pqr_box"], 3))[::-1]
+            if draws[0] - draws[1] >= cfg["min_gap"] and draws[1] - draws[2] >= cfg["min_gap"]:
+                return {"a": float(a), "p": float(draws[0]), "r": float(draws[1]),
+                        "q": float(draws[2])}
+        raise InvalidInputError(
+            f"sampler drew no (p, r, q) with gaps >= {cfg['min_gap']:g} from "
+            f"{cfg['pqr_box']} in {sampling.MAX_SAMPLER_TRIES} tries")
+    if mode == "chain":
+        hi, lo = EX72_CHAIN_BOUNDS
+        for _ in range(sampling.MAX_SAMPLER_TRIES):
+            q, r = rng.uniform(*cfg["qr_box"], 2)
+            mid = _ex72_chain_mid(q, r)
+            if mid > 0:
+                p = math.sqrt(rng.uniform(mid / hi, mid / lo))
+                return {"p": float(p), "q": float(q), "r": float(r)}
+        raise InvalidInputError(
+            f"sampler drew no (q, r) with a nonempty chain interval from {cfg['qr_box']} "
+            f"in {sampling.MAX_SAMPLER_TRIES} tries")
+    vals = [c * rng.uniform(1 - cfg["rel"], 1 + cfg["rel"]) for c in cfg["center"]]
+    return dict(zip(FAMILIES[family]["params"], map(float, vals)))
+
+
 def draw_by_draw(family, n, seed):
     """The sweep summary from one ``verify`` per valid draw, folded in draw
     order with np.maximum, as an unbatched sweep does."""
@@ -35,7 +68,7 @@ def draw_by_draw(family, n, seed):
     valid = passed = failed = invalid = 0
     worst, failures = {}, []
     for _ in range(n):
-        params = harness._draw_params(family, cfg, rng)
+        params = draw_params(family, cfg, rng)
         if not validate_family(ParamFamily(family, params)).ok:
             invalid += 1
             continue
@@ -79,7 +112,7 @@ def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
     plain = sweep("Ex7_1", n=12, rng_seed=3)
     cfg = harness._sampler_config("Ex7_1", None)
     rng = np.random.default_rng(3)
-    params = [harness._draw_params("Ex7_1", cfg, rng) for _ in range(12)]
+    params = [draw_params("Ex7_1", cfg, rng) for _ in range(12)]
     assert plain["valid"] == 12
     # the third draw's L at the first grid node marks its jets
     spec = SurfaceSpec(family="sphere_b", grid=(9, 9),
@@ -103,31 +136,111 @@ def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
 
 
 def test_sweep_checks_full_batches(monkeypatch):
-    checks = harness._checks
+    checks = harness._check_rows
     sizes = []
 
     def recording(spec, surfaces, tols):
         sizes.append(len(surfaces))
         return checks(spec, surfaces, tols)
 
-    monkeypatch.setattr(harness, "_checks", recording)
+    monkeypatch.setattr(harness, "_check_rows", recording)
     sweep("Ex7_1", n=20, rng_seed=0)
     per = diffgeo.BLOCK_NODES // 81
     assert sizes == [per] * (20 // per) + [20 % per]
 
 
 def test_sweep_validates_each_draw_once(monkeypatch):
-    calls = []
-    coeffs = FAMILIES["Ex7_1"]["_coeffs"]
+    # one array call of the family's formulas per chunk of draws
+    for family, n, chunks in (("Ex7_1", 10, [10]), ("Ex7_2", 1100, [512, 512, 76])):
+        calls = []
+        coeffs = FAMILIES[family]["_coeffs"]
 
-    def counted(*args):
-        calls.append(args)
-        return coeffs(*args)
+        def counted(*args, coeffs=coeffs):
+            calls.append(len(args[0].squares))
+            return coeffs(*args)
 
-    monkeypatch.setitem(FAMILIES["Ex7_1"], "_coeffs", counted)
-    summary = sweep("Ex7_1", n=10, rng_seed=0)
-    assert summary["valid"] == 10
-    assert len(calls) == 10
+        monkeypatch.setitem(FAMILIES[family], "_coeffs", counted)
+        summary = sweep(family, n=n, rng_seed=0)
+        assert summary["valid"] + summary["invalid"] == n
+        assert calls == chunks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chunked_draws_replay_the_scalar_draws(data):
+    # every mode, with configs that reject most tries (a min_gap near half
+    # the box, a qr_box where X(q, r) <= 0 is common) and try limits small
+    # enough that a draw runs out of tries
+    family = data.draw(st.sampled_from(sorted(FAMILIES)), label="family")
+    tries = data.draw(st.sampled_from([1, 3, 30, sampling.MAX_SAMPLER_TRIES]), label="tries")
+    mode = FAMILIES[family]["sampler"]["mode"]
+    if mode == "sorted_box":
+        lo, width = data.draw(st.floats(0.01, 3.0)), data.draw(st.floats(0.01, 5.0))
+        near = 0.99 if tries < sampling.MAX_SAMPLER_TRIES else 0.6
+        over = {"pqr_box": [lo, lo + width],
+                "min_gap": data.draw(st.floats(0.0, near), label="gap") * width / 2}
+    elif mode == "chain":
+        over = {"qr_box": sorted(data.draw(st.lists(st.floats(-100, 100), min_size=2,
+                                                    max_size=2), label="qr_box"))}
+    else:
+        over = {"rel": data.draw(st.floats(0.0, 1.0), label="rel")}
+    cfg = harness._sampler_config(family, over)
+    seed, n = data.draw(st.integers(0, 2**32 - 1), label="seed"), data.draw(st.integers(1, 700))
+    names = FAMILIES[family]["params"]
+
+    def scalar():
+        rng, drawn = np.random.default_rng(seed), []
+        try:
+            for _ in range(n):
+                params = draw_params(family, cfg, rng)
+                drawn.append([params[k] for k in names])
+        except InvalidInputError as exc:
+            return drawn, str(exc)
+        return drawn, rng.uniform()
+
+    def chunked():
+        rng, drawn = np.random.default_rng(seed), []
+        try:
+            for chunk in sampling._draw_chunks(family, cfg, rng, n):
+                assert len(chunk) <= diffgeo.BLOCK_NODES
+                drawn += chunk.tolist()
+        except InvalidInputError as exc:
+            return drawn, str(exc)
+        return drawn, rng.uniform()  # the stream goes on where the scalar one does
+
+    with mock.patch.object(sampling, "MAX_SAMPLER_TRIES", tries):
+        assert chunked() == scalar()
+
+
+def test_a_chunk_of_rejecting_draws_stops_at_its_value_cap():
+    # about 340 tries of three values per set: a chunk takes about eight
+    # sets before CHUNK_VALUES, and the next chunk goes on where it stopped
+    cfg = harness._sampler_config("Ex7_1", {"min_gap": 1.2})
+    rng = np.random.default_rng(0)
+    chunks = [c.tolist() for c in sampling._draw_chunks("Ex7_1", cfg, rng, 30)]
+    assert len(chunks) > 2 and sum(map(len, chunks)) == 30
+    scalar = np.random.default_rng(0)
+    assert sum(chunks, []) == [[p[k] for k in FAMILIES["Ex7_1"]["params"]]
+                               for p in (draw_params("Ex7_1", cfg, scalar) for _ in range(30))]
+    assert rng.uniform() == scalar.uniform()
+
+
+def test_chain_sweep_holds_one_chunk_of_parameters():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            summary = sweep("Ex7_2", n=n, rng_seed=0)
+            return tracemalloc.get_traced_memory()[1], summary
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call allocations
+    one_chunk, _ = peak(diffgeo.BLOCK_NODES)
+    many, summary = peak(100_000)
+    assert summary["invalid"] == 100_000
+    # a chunk's arrays live until the next chunk's replace them, so the peak
+    # of 196 chunks may reach two chunks' worth, never more
+    assert many < 2 * one_chunk
 
 
 #: parameters inside and outside the families' domains, down to 0 and
@@ -135,17 +248,22 @@ def test_sweep_validates_each_draw_once(monkeypatch):
 #: coefficients overflow to inf or NaN, and where a square itself raises
 #: OverflowError (beyond about 1.3e154)
 PARAMS = (st.floats(-0.5, 4.0) | st.floats(1e140, 1e160)
-          | st.sampled_from([0.0, -0.0, -1.0, 1e-200, harness.SAMPLER_BOUND, 1e155]))
+          | st.sampled_from([0.0, -0.0, -1.0, 1e-200, sampling.SAMPLER_BOUND, 1e155]))
 
 
 def _same_verdict(family, params):
-    """The sweep's verdict on a draw (``_valid_coeffs``) is validate_family's,
-    and a valid draw's validation from those coefficients is the full one."""
-    coeffs = _valid_coeffs(family, params)
+    """The sweep's verdict on a draw (``_valid_rows``) is validate_family's,
+    and a valid draw's validation from those coefficients is the full one,
+    bit for bit."""
+    rows, coeffs = _valid_rows(family, np.array([[params[k] for k in
+                                                  FAMILIES[family]["params"]]], dtype=float))
     validation = validate_family(ParamFamily(family, params))
-    assert (coeffs is not None) == validation.ok
-    if coeffs is not None:
-        assert validate_family(ParamFamily(family, params), coeffs) == validation
+    assert (rows.size == 1) == validation.ok
+    if validation.ok:
+        assert validate_family(ParamFamily(family, params), coeffs[0]) == validation
+        assert [np.float64(v).tobytes() for part in coeffs[0] for v in part.values()] == [
+            np.float64(v).tobytes() for part in (validation.radicands, validation.denominators)
+            for v in part.values()]
     return validation
 
 
@@ -224,13 +342,12 @@ def test_efield_checks_its_nodes_once():
 
 
 def test_sweep_holds_one_batch_of_surfaces(monkeypatch):
-    phase, checks = harness._premise_phase, harness._checks
+    phases, checks = harness._premise_phases, harness._check_rows
     made, live = [], []
 
-    def tracked(spec, curves, tols):
-        out = phase(spec, curves, tols)
-        if out[2] is not None:
-            made.append(weakref.ref(out[2]))
+    def tracked(spec, draws, tols):
+        out = phases(spec, draws, tols)
+        made.extend(weakref.ref(surface) for _, _, surface in out if surface is not None)
         return out
 
     def counting(spec, surfaces, tols):
@@ -238,8 +355,8 @@ def test_sweep_holds_one_batch_of_surfaces(monkeypatch):
         live.append(sum(ref() is not None for ref in made))
         return checks(spec, surfaces, tols)
 
-    monkeypatch.setattr(harness, "_premise_phase", tracked)
-    monkeypatch.setattr(harness, "_checks", counting)
+    monkeypatch.setattr(harness, "_premise_phases", tracked)
+    monkeypatch.setattr(harness, "_check_rows", counting)
     sweep("Ex7_1", n=20, rng_seed=0)
     per = diffgeo._draws_per_block((9, 9))
     assert live == [per] * (20 // per) + [20 % per]

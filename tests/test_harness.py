@@ -100,7 +100,7 @@ class TestGridCap:
             verify(dict(HYP_82, grid=[100_000, 100_000]))
 
     def test_cap_is_inclusive(self):
-        from lorentzmin.harness import MAX_GRID_NODES
+        from lorentzmin.surfaces import MAX_GRID_NODES
 
         SurfaceSpec.from_dict({"family": "de_sitter_control",
                                "grid": [2, MAX_GRID_NODES // 2]})
@@ -193,6 +193,19 @@ class TestVerify:
     def test_bad_domain_with_valid_premises_is_invalid_input(self):
         with pytest.raises(InvalidInputError):
             verify(dict(SPHERE_71, domain={"x": [-0.5, 0.5], "y": [-0.5, 0.5]}))
+
+    def test_translation_premise_at_its_boundary_builds_the_surface(self, tmp_path, capsys):
+        # min |<z', w'>| on the 41x41 grid is exactly 1.0, where the premise
+        # report passes, so the constructor must build the surface too
+        spec = dict(TRANSLATION, grid=[41, 41], tolerances={"premise": 1.0})
+        report = verify(spec)
+        pairing = next(c for c in report.checks if c.condition_id == "pairing-nonzero")
+        assert pairing.passed and pairing.max_residual == 0.0
+        assert report.surface["constructed"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["verify", "--spec", str(path), "--no-timings"]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
     def test_translation_passes(self):
         report = verify(TRANSLATION)
@@ -315,12 +328,13 @@ class TestSweep:
 
         draws = iter(residuals)
 
-        def fake_checks(spec, surfaces, tols):
-            return [[ConditionReport.from_max("x", [next(draws)], 1.0, "g")] for _ in surfaces]
+        def fake_check_rows(spec, surfaces, tols):
+            return [[("x", np.array([[next(draws)] for _ in surfaces]), 1.0, "g", None, "")]]
 
         # every draw builds a surface with no premise reports, then checks "x"
-        monkeypatch.setattr(harness, "_premise_phase", lambda spec, curves, tols: ([], [], spec))
-        monkeypatch.setattr(harness, "_checks", fake_checks)
+        monkeypatch.setattr(harness, "_premise_phases",
+                            lambda spec, draws, tols: [([], [], spec) for _ in draws])
+        monkeypatch.setattr(harness, "_check_rows", fake_check_rows)
         summary = sweep("Ex7_1", n=len(residuals), rng_seed=0)
         assert summary["worst_residuals"] == {"x": worst}
         assert summary["failed"] == sum(not (math.isfinite(r) and r <= 1.0) for r in residuals)
@@ -548,8 +562,8 @@ class TestCli:
 
         family = harness.SURFACE_FAMILIES["sphere_b"]
 
-        def build(curves, domain, tol):
-            surface = family.build(curves, domain, tol)
+        def build(curves, domain, tol, premises=None):
+            surface = family.build(curves, domain, tol, premises)
             (x0, _), (y0, _) = surface.domain
 
             def jet(x, y):

@@ -37,15 +37,23 @@ def test_sweep_examples_has_no_failed_draw():
     assert all(line.endswith("failed=0") for line in summaries)
 
 
-def test_deterministic_outputs_names_74_and_writes_one(tmp_path):
+def test_deterministic_outputs_names_80_and_writes_one(tmp_path):
     listed = run_script("deterministic_outputs.py", "--list")
     assert listed.returncode == 0, listed.stderr
     names = listed.stdout.split()
-    assert len(names) == len(set(names)) == 74
+    assert len(names) == len(set(names)) == 80
     name = "export-translation_demo.csv"
     result = run_script("deterministic_outputs.py", "--out", str(tmp_path), "--only", name)
     assert result.returncode == 0, result.stdout + result.stderr
-    digest, code, written = (tmp_path / "MANIFEST").read_text().split()
+    manifest = (tmp_path / "MANIFEST").read_text()
+    digest, code, written = manifest.split()
     assert (code, written) == ("0", name)
     assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert (tmp_path / name).read_text().startswith("x,y,L_1,")
+    # --compare names each output whose digest or exit code differs
+    for old, code, out in ((manifest, 0, ""), (manifest.replace(" 0 ", " 1 "), 1, name),
+                           ("0" * 64 + f" 0 {name}\n", 1, name)):
+        (tmp_path / "OLD").write_text(old)
+        result = run_script("deterministic_outputs.py", "--out", str(tmp_path / "again"),
+                            "--only", name, "--compare", str(tmp_path / "OLD"))
+        assert (result.returncode, result.stdout.split()[1:]) == (code, [out] if out else [])

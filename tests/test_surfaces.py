@@ -5,7 +5,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from lorentzmin.curves import Curve, ParamFamily, builtin_curve, hcosh, hsinh, make_example
+from lorentzmin.curves import (Curve, ParamFamily, builtin_curve, derivative_inner, hcosh, hsinh,
+                               make_example)
 from lorentzmin.errors import (
     DegenerateMetricError,
     DomainError,
@@ -15,14 +16,16 @@ from lorentzmin.errors import (
 )
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resolve_curves
 from lorentzmin.indefinite import AmbientKind, Signature, indefinite_dot
-from lorentzmin.report import DEFAULT_TOLS
+from lorentzmin.report import DEFAULT_TOLS, ConditionReport
 from lorentzmin.surfaces import (
+    FLAT_DOMAIN,
     _col,
     check_case_b_premises,
     check_case_c_conditions,
     check_case_ii_premises,
     check_case_iii_conditions,
     de_sitter_control,
+    grid_axes,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
     sphere_case_b,
@@ -67,6 +70,17 @@ class TestTranslation:
         w = Curve(Signature(4, 2), [poly(0, 1), poly(0, -1), const(0), poly(0, math.sqrt(2))])
         with pytest.raises(DegenerateMetricError):
             translation_surface(z, w, ((0.5, 1.2), (-0.5, 0.5)))
+
+    def test_pairing_exactly_at_tol_passes_as_its_premise_report_does(self):
+        # the constructor rejects a pairing by ConditionReport.from_min's rule:
+        # a least |<z', w'>| equal to tol passes, and one below tol fails
+        z, w = builtin_curve("hyp6"), builtin_curve("trig6")
+        xs, ys = grid_axes(FLAT_DOMAIN, (41, 41))
+        least = float(np.abs(derivative_inner(z, 1, w, 1, xs, ys)).min())
+        assert ConditionReport.from_min("pairing", [least], least, "g").passed
+        translation_surface(z, w, tol=least)
+        with pytest.raises(DegenerateMetricError, match="vanishes"):
+            translation_surface(z, w, tol=np.nextafter(least, np.inf))
 
     def test_non_null_curve_rejected(self):
         from lorentzmin.curves import const

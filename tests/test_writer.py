@@ -114,3 +114,20 @@ def test_exports_round_trip_the_grid_values(name, tmp_path):
     assert np.array_equal(np.array([[float(c) for c in v.split(" ")] for v in vertices])
                           .view(np.uint64), first3.view(np.uint64))
     assert "".join(f"v {v}\n" for v in vertices) == reference(first3, " ", "v ")
+
+
+def reference_faces(nx: int, ny: int) -> str:
+    """The per-face f-string generator that obj exports used before the
+    vectorised writer."""
+    return "".join(f"f {a} {a + ny} {a + ny + 1} {a + 1}\n"
+                   for a in (i * ny + j + 1 for i in range(nx - 1) for j in range(ny - 1)))
+
+
+@pytest.mark.parametrize("grid", [(2, 2), (5, 4), (3, 7), (30, 25)])
+def test_obj_faces_equal_the_per_face_writer(grid, tmp_path):
+    # (30, 25) has 696 faces, more than one write of EXPORT_VALUES // 4
+    spec = {"family": "translation", "curves": [{"name": "hyp6"}, {"name": "trig6"}],
+            "grid": list(grid)}
+    export_samples(spec, str(tmp_path / "s.obj"), "obj")
+    text = (tmp_path / "s.obj").read_text()
+    assert text[text.index("\nf ") + 1:] == reference_faces(*grid)
