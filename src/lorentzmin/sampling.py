@@ -59,13 +59,13 @@ def _sampler_config(family: str, overrides) -> dict:
     mode = cfg["mode"]
     if not isinstance(mode, str) or mode not in SAMPLER_KEYS:
         raise InvalidInputError(f"unknown sampler mode {mode!r}; known: {sorted(SAMPLER_KEYS)}")
+    missing = [key for key in SAMPLER_KEYS[mode] if key not in cfg]
+    if missing:
+        raise InvalidInputError(f"sampler mode {mode} needs {missing}")
     drawn = SAMPLER_PARAMS.get(mode, FAMILIES[family]["params"])
     if sorted(drawn) != sorted(FAMILIES[family]["params"]):
         raise InvalidInputError(f"sampler mode {mode} draws {list(drawn)}, but {family} takes "
                                 f"{list(FAMILIES[family]['params'])}")
-    missing = [key for key in SAMPLER_KEYS[mode] if key not in cfg]
-    if missing:
-        raise InvalidInputError(f"sampler mode {mode} needs {missing}")
     _check_grid(cfg["grid"])
 
     def numbers_ok(value, size):

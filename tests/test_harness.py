@@ -525,9 +525,12 @@ class TestCli:
         ("Ex7_2", '{"qr_box": [1, 2e154]}'),
         ("Ex8_1", '{"center": [1, 1.1, 1]}'),
         ("Ex8_1", '{"rel": 1e308}'),
+        # a mode that draws other parameters than the family takes
+        ("Ex7_1", '{"mode": "chain", "qr_box": [0.1, 3]}'),
+        ("Ex8_1", '{"mode": "sorted_box", "a_box": [1, 2], "pqr_box": [1, 2], "min_gap": 0}'),
     ], ids=["list", "gap-string", "box-number", "gap-unsatisfiable", "mode-without-keys",
             "grid-number", "unknown-key", "box-reversed", "box-overflow", "box-square-overflow",
-            "center-short", "rel-huge"])
+            "center-short", "rel-huge", "mode-for-other-params", "box-for-other-params"])
     def test_malformed_sampler_config_exit_2_with_one_line_error(self, capsys, family,
                                                                  config):
         code = main(["sweep", "--family", family, "--n", "2",
