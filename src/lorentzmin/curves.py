@@ -62,6 +62,8 @@ DEFAULT_SAMPLES = 41
 
 def _finite_number(value) -> bool:
     """True for an int or float, not a bool, that is a finite double."""
+    if type(value) is float:  # a sweep's curve terms: skip the ABC check below
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
     try:
