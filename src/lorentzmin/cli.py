@@ -14,6 +14,7 @@ Exit codes: 0 = all checks passed, 1 = at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -110,10 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built once, on the first call of main
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, matching the invalid-input code
         return EXIT_INVALID_INPUT if exc.code not in (0, None) else EXIT_PASS

@@ -39,13 +39,15 @@ along y on its y axis; ``fd_discrepancy`` compares it with the analytic
 jet (the ``fd-partials`` cross-check).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
-one ``jet`` call, one matmul for a table of the indefinite products that
-the projection, (g_xy)_x, (g_xy)_y and the checks need, the at most 3x3
-Gram systems solved in closed form from their adjugates behind a
-degeneracy guard, and four products for (g_xy)_xy.  ``grid_values`` runs
-it over a grid in blocks of at most ``BLOCK_NODES`` nodes, so the working
-set stays bounded; the point functions (``point_forms`` and the functions
-built on it) run it on a single node.
+one ``jet`` call, one table of the indefinite products that the
+projection, (g_xy)_x, (g_xy)_y and the checks need, the at most 3x3 Gram
+systems solved in closed form from their adjugates behind a degeneracy
+guard, and four products for (g_xy)_xy, all component-major (embedding
+axis first in memory), returning dim-last views.  ``grid_values`` runs it
+in blocks of at most ``BLOCK_NODES`` nodes, with the grid's axes checked
+once and each block handed its slice of the curves' per-axis derivatives
+(``surfaces._grid_blocks``); the point functions (``point_forms`` and the
+functions built on it) run it on a single node.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from .curves import DOMAIN_PAD_FRACTION
 from .errors import DegenerateMetricError, DomainError
-from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
+from .indefinite import AmbientKind, _dim_last, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 from .surfaces import (BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _grid_blocks,
                        _stacked, grid_axes)
@@ -233,8 +235,8 @@ def partials(surface: SurfaceMap, x, y) -> Jet2:
     jet = surface.jet(x, y)
     # the nodes' shape (after the draw axis of a stack of draws) + (dim,)
     shape = np.broadcast_shapes(np.shape(x) + (1,), np.shape(y) + (1,), jet.L.shape)
-    return Jet2(*(v if v is None or v.shape == shape else np.broadcast_to(v, shape)
-                  for v in (getattr(jet, f.name) for f in dataclasses.fields(Jet2))))
+    return dataclasses.replace(jet, **{f: np.broadcast_to(v, shape) for f in _FIELDS if (
+        v := getattr(jet, f)) is not None and v.shape != shape})
 
 
 def _fd_gap(an: Jet2, fd: Jet2):
@@ -262,51 +264,61 @@ def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float
 # metric, projection, E-field
 
 
+_FIELDS = ("Lx", "Ly", "L", "Lxx", "Lxy", "Lyy", "Lxxy", "Lxyy")  # the rows of ``_table``'s W
+
+
 def _table(surface: SurfaceMap, jet: Jet2):
-    """(W, d, T, metric): W = (L_x, L_y, L, L_xx, L_xy, L_yy) on axis -2, the
-    table T = <W_i, W_j> for i < 3, and the metric read from it.  On the
-    projection basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3 vectors, the
-    Gram matrix is T[..., :n, :n] and the right-hand sides T[..., :n, 3:]."""
-    W = np.stack([jet.Lx, jet.Ly, jet.L, jet.Lxx, jet.Lxy, jet.Lyy], axis=-2)
-    d = _metric_diagonal(W.shape[-1], surface.ambient.embedding_signature.index)
-    T = (W[..., :3, :] * d) @ np.swapaxes(W, -1, -2)
-    # [()] makes a single node's entries scalars and leaves arrays as they are
-    g_xx, g_xy, g_yy = T[..., 0, 0][()], T[..., 0, 1][()], T[..., 1, 1][()]
-    bad = g_xy >= 0
+    """(W, d, T, nodes): the jet's fields (``_FIELDS``) broadcast to its
+    nodes, component-major, shape (fields, dim, n nodes); the metric
+    diagonal; T = <W_i, W_j> for i < 3, j < 6, shape (3, 6, n); the nodes'
+    shape.  On the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3 vectors,
+    the Gram matrix is T[:n, :n] and the right-hand sides T[:n, 3:]."""
+    fields = [getattr(jet, f) for f in _FIELDS[:6 if jet.Lxxy is None else 8]]
+    shape = np.broadcast_shapes(*(np.shape(v) for v in fields))
+    W = np.empty((len(fields), shape[-1]) + shape[:-1])
+    for row, v in zip(_dim_last(W, 1), fields):
+        row[...] = v
+    W = W.reshape(len(fields), shape[-1], -1)
+    d = _metric_diagonal(shape[-1], surface.ambient.embedding_signature.index)
+    T = np.empty((3, 6, W.shape[-1]))
+    # the Gram block by a matmul per node, whose summation order the quadric
+    # verdicts at an LMS_DEFAULT_TOL near rounding level depend on
+    B = np.ascontiguousarray(W[:3].transpose(2, 0, 1))
+    T[:, :3] = ((B * d) @ B.transpose(0, 2, 1)).transpose(1, 2, 0)
+    T[:, 3:] = np.einsum("ikn,jkn->ijn", W[:3] * d[:, None], W[3:6])
+    bad = T[0, 1] >= 0
     if bad.any():
         raise DegenerateMetricError(
-            f"g_xy = {np.ravel(g_xy)[_first(bad)]:g} >= 0: not a Lorentz surface in "
+            f"g_xy = {T[0, 1, _first(bad)]:g} >= 0: not a Lorentz surface in "
             "null coordinates (if the pairing is positive, reverse one coordinate)"
         )
-    return W, d, T, MetricData(g_xx, g_xy, g_yy, np.sqrt(-g_xy),
-                               (np.abs(g_xx), np.abs(g_yy)), T[..., :3])
+    return W, d, T, shape[:-1]
 
 
 def _gram_solve(G, rhs):
-    """Solve the symmetric Gram systems G c = rhs (2x2 or 3x3, batched) in
-    closed form from the adjugate; a system whose |det| falls below
-    GRAM_TOL times the product of its row norms raises."""
-    a, b, e = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
-    if G.shape[-1] == 2:
-        det, adj = a * e - b * b, [e, -b, -b, a]
+    """Solve the symmetric Gram systems G c = rhs (2x2 or 3x3, shape (n, n) +
+    nodes, rhs (n, k) + nodes) in closed form from the adjugate; a system
+    whose |det| falls below GRAM_TOL times its row norms' product raises."""
+    a, b, e = G[0, 0], G[0, 1], G[1, 1]
+    if len(G) == 2:
+        det, adj = a * e - b * b, [[e, -b], [-b, a]]
     else:
-        c, f, i = G[..., 0, 2], G[..., 1, 2], G[..., 2, 2]
+        c, f, i = G[0, 2], G[1, 2], G[2, 2]
         A00, A01, A02 = e * i - f * f, c * f - b * i, b * f - c * e
         A11, A12, A22 = a * i - c * c, b * c - a * f, a * e - b * b
-        det, adj = a * A00 + b * A01 + c * A02, [A00, A01, A02, A01, A11, A12, A02, A12, A22]
-    singular = np.abs(det) <= GRAM_TOL * np.prod(np.sqrt(np.sum(G * G, axis=-1)), axis=-1)
+        det, adj = a * A00 + b * A01 + c * A02, [[A00, A01, A02], [A01, A11, A12], [A02, A12, A22]]
+    singular = np.abs(det) <= GRAM_TOL * np.prod(np.sqrt(np.sum(G * G, axis=1)), axis=0)
     if singular.any():
         raise DegenerateMetricError(
             f"singular Gram matrix (det {np.ravel(det)[_first(singular)]:.3e})")
-    return (np.stack(adj, axis=-1).reshape(G.shape) / _col(_col(det))) @ rhs
+    return np.einsum("ik...,kj...->ij...", np.array(adj) / det, rhs)
 
 
 def _second_form(W, T, n):
-    """Normal parts of L_xx, L_xy, L_yy (coordinate h_xx, h_xy, h_yy): V
-    minus B C, where G C = <B, V> on the basis B = W[..., :n, :]."""
-    C = _gram_solve(T[..., :n, :n], T[..., :n, 3:])
-    N = W[..., 3:, :] - np.swapaxes(C, -1, -2) @ W[..., :n, :]
-    return N[..., 0, :], N[..., 1, :], N[..., 2, :]
+    """Normal parts of L_xx, L_xy, L_yy (coordinate h_xx, h_xy, h_yy), shape
+    (3, dim, nodes): V minus B C, where G C = <B, V> on the basis B = W[:n]."""
+    C = _gram_solve(T[:n, :n], T[:n, 3:6])
+    return W[3:6] - np.einsum("ijn,ikn->jkn", C, W[:n])
 
 
 def _conformal(surface: SurfaceMap, x, y):
@@ -351,37 +363,51 @@ def _connection(E, ex, ey, exy):
     return (2 * ex / E, 2 * ey / E, ex / E**2, -ey / E**2), (2 * E * exy - 2 * ex * ey) / E**4
 
 
-def _jet_efield(jet: Jet2, d, T, E):
+def _jet_efield(W, d, T, E):
     """E_x, E_y and E_xy exactly, from the derivatives of g_xy = -E^2 (two in T)."""
-    ex = -(T[..., 1, 3] + T[..., 0, 4]) / (2 * E)  # (g_xy)_x = <L_y,L_xx> + <L_x,L_xy>
-    ey = -(T[..., 1, 4] + T[..., 0, 5]) / (2 * E)  # (g_xy)_y = <L_y,L_xy> + <L_x,L_yy>
-    dxy = (jet.Lxxy * jet.Ly + jet.Lxx * jet.Lyy + jet.Lxy * jet.Lxy + jet.Lx * jet.Lxyy) @ d
+    ex = -(T[1, 3] + T[0, 4]) / (2 * E)  # (g_xy)_x = <L_y,L_xx> + <L_x,L_xy>
+    ey = -(T[1, 4] + T[0, 5]) / (2 * E)  # (g_xy)_y = <L_y,L_xy> + <L_x,L_yy>
+    Lx, Ly, _, Lxx, Lxy, Lyy, Lxxy, Lxyy = W
+    dxy = np.einsum("k,kn->n", d, Lxxy * Ly + Lxx * Lyy + Lxy * Lxy + Lx * Lxyy)
     return ex, ey, -dxy / (2 * E) - ex * ey / E
 
 
-def _forms(surface: SurfaceMap, x, y, curvature="jet"):
+def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     """Jet and fundamental forms at arrays of nodes (x, y broadcast).
 
     ``curvature`` picks the source of the E-field behind K and the
     connection: "jet" takes it exactly from the third-order jet, or from
     the stencil when the jet has no third-order fields; "stencil" always
     uses the stencil (the cross-check); None skips it and leaves the
-    connection coefficients and K None."""
-    jet = partials(surface, x, y)
-    W, d, T, md = _table(surface, jet)
-    h_xx, h_xy, h_yy = _second_form(W, T, 2 if surface.ambient.kind is AmbientKind.FLAT else 3)
-    E, E2 = _col(md.E), _col(md.E**2)
+    connection coefficients and K None.  ``d`` hands ``jet`` the curves'
+    derivatives on a grid ``grid_values`` has checked; without it the
+    nodes are checked here.  The jet comes back broadcast to the nodes."""
+    if d is None:
+        _check_point(surface, x, y, 0.0)
+    jet = fd_jet(surface, x, y) if surface.jet is None else surface.jet(x, y, *(d or ()))
+    W, g, T, nodes = _table(surface, jet)
+    h = _second_form(W, T, 2 if surface.ambient.kind is AmbientKind.FLAT else 3)
+    E = np.sqrt(-T[0, 1])
     connection, K = (None,) * 4, None
     if curvature is not None:
-        if curvature == "jet" and jet.Lxxy is not None:
-            ex, ey, exy = _jet_efield(jet, d, T, md.E)
+        if curvature == "jet" and len(W) == 8:
+            ex, ey, exy = _jet_efield(W, g, T, E)
         else:
-            ex, ey, exy = _efield(surface, *_nodes(x, y))
-        connection, K = _connection(md.E, ex, ey, exy)
-    frame = FrameData(jet.Lx / E, jet.Ly / E, *connection)
-    h12 = h_xy / E2
-    forms = FundamentalForms(md, frame, h_xx / E2, h12, h_yy / E2, -h12, K)
-    return jet, forms
+            ex, ey, exy = (np.reshape(e, -1) for e in _efield(surface, *_nodes(x, y)))
+        connection, K = _connection(E, ex, ey, exy)
+
+    def public(a, lead=0):  # (lead axes..., n) -> nodes + (lead axes...); a scalar at one node
+        a = a.reshape(a.shape[:lead] + nodes)
+        return a.transpose(*range(lead, a.ndim), *range(lead))[()]
+
+    g_xx, g_xy, g_yy = T[0, 0], T[0, 1], T[1, 1]
+    md = MetricData(public(g_xx), public(g_xy), public(g_yy), public(E),
+                    (public(np.abs(g_xx)), public(np.abs(g_yy))), public(T[:3, :3], 2))
+    frame = FrameData(*(public(v, 1) for v in W[:2] / E),
+                      *(c if c is None else public(c) for c in connection))
+    h11, h12, h22 = (public(v, 1) for v in h / E**2)
+    forms = FundamentalForms(md, frame, h11, h12, h22, -h12, K if K is None else public(K))
+    return Jet2(**dict(zip(_FIELDS, (public(v, 1) for v in W))), curves=jet.curves), forms
 
 
 def _draws_per_block(shape) -> int:
@@ -418,18 +444,18 @@ def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvat
     if callable(fields):
         fields = fields(surface)
     xs, ys = grid_axes(surface.domain, shape)
-    out = [[] for _ in fields]
-    for r, c in _grid_blocks(shape):
-        x, y = xs[r], ys[:, c]
-        jet, forms = _forms(surface, x, y, curvature)
-        lead = jet.L.ndim - 3  # 1 on a stack of draws: its draw axis
-        for acc, field in zip(out, fields):
+    _check_point(surface, xs, ys, 0.0)
+    out = [None] * len(fields)
+    for r, c, x, y, d in _grid_blocks(shape, xs, ys, surface.sources):
+        jet, forms = _forms(surface, x, y, curvature, d)
+        at = (slice(None),) * (jet.L.ndim - 3) + (r, c)  # after the draw axis of a stack
+        for i, field in enumerate(fields):
             value = field(x, y, jet, forms)
-            acc.append(value.reshape(value.shape[:lead] + (-1,) + value.shape[lead + 2:]))
-    # the blocks are whole rows or consecutive pieces of one row, so their
-    # flattened nodes follow the grid's x-major order
-    return [np.concatenate(acc, axis=lead).reshape(
-        acc[0].shape[:lead] + (xs.size, ys.size) + acc[0].shape[lead + 1:]) for acc in out]
+            if out[i] is None:
+                out[i] = np.empty(value.shape[:len(at) - 2] + (xs.size, ys.size)
+                                  + value.shape[len(at):], value.dtype)
+            out[i][at] = value
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,13 @@ from .surfaces import (
     SQRT2,
     _check_grid,
     _col,
+    _stacked,
     check_case_b_premises,
     check_case_c_conditions,
     check_case_ii_premises,
     check_case_iii_conditions,
     de_sitter_control,
+    grid_axes,
     grid_points,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
@@ -292,8 +294,9 @@ class SurfaceFamily:
     ``build(curves, domain, premise_tol, premises)`` constructs the surface
     from those reports.  ``k`` is both <L,L> and the model K, ``g_xy(x, y)``
     the model conformal factor, ``pde`` (check id, residual, note)
-    triples, ``xi(z)`` the expected h(e1,e1) from the source curve z,
-    ``minimality`` a tolerance key; None skips a check.  ``build`` and
+    triples, ``xi(x, y, dz)`` the expected h(e1,e1) from the derivatives dz
+    (orders 0-3) of the source curve z at x, ``minimality`` a tolerance
+    key; None skips a check.  ``build`` and
     ``premises`` call constructors and checkers by module-global name, so a
     wrapper installed there sees every call."""
 
@@ -312,13 +315,12 @@ class SurfaceFamily:
 def _translation_premises(curves, spec, tols):
     """Null curves and a nonzero <z'(x), w'(y)> on the grid."""
     z, w = curves
-    grid_pts = grid_points(spec.resolved_domain(), spec.grid)
     reports = [replace(null_check(curve, DEFAULT_SAMPLES, tols["premise"]), condition_id=cid)
                for curve, cid in ((z, "null-z"), (w, "null-w"))]
-    values = derivative_inner(z, 1, w, 1, grid_pts[:, 0], grid_pts[:, 1])
+    values = derivative_inner(z, 1, w, 1, *grid_axes(spec.resolved_domain(), spec.grid))
     pairing = ConditionReport.from_min(
         "pairing-nonzero", np.abs(values), tols["premise"],
-        f"{spec.grid[0]}x{spec.grid[1]} grid", grid_pts,
+        f"{spec.grid[0]}x{spec.grid[1]} grid", grid_points(spec.resolved_domain(), spec.grid),
         note="min |<z'(x), w'(y)>| must stay positive")
     if values.min() < 0 < values.max():  # sign change proves a zero
         pairing = ConditionReport(
@@ -354,7 +356,7 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         pde=(_SPHERE_PDE_XY,
              ("pde-yy", lambda x, y, jet, f: _vmax(jet.Lyy + 2 * jet.Ly / _col(x + y)),
               "L_yy = -2L_y/(x+y)")),
-        xi=lambda z: lambda x, y: -_col((x + y) ** 2) * z.at(x, 3) / 4.0),
+        xi=lambda x, y, z: -_col((x + y) ** 2) * z[3] / 4.0),
     "sphere_c": SurfaceFamily(
         2, SPHERE_DOMAIN,
         build=lambda curves, domain, tol, *_: sphere_case_c(*curves, domain),
@@ -375,8 +377,8 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         # normal field of the single-curve hyperbolic construction; the
         # cosh^2 factor follows from substituting the immersion into its
         # own PDE system (and the numeric residual confirms it)
-        xi=lambda z: lambda x, y: ((SQRT2 * z.at(x, 1) - z.at(x, 3) / SQRT2)
-                                   * _col(np.cosh((x + y) / SQRT2) ** 2))),
+        xi=lambda x, y, z: ((SQRT2 * z[1] - z[3] / SQRT2)
+                            * _col(np.cosh((x + y) / SQRT2) ** 2))),
     "hyp_iii": SurfaceFamily(
         2, HYPERBOLIC_DOMAIN,
         build=lambda curves, domain, tol, *_: hyperbolic_case_iii(*curves, domain),
@@ -480,10 +482,8 @@ def _check_plan(spec, surface) -> tuple[list[tuple], list[tuple]]:
         stencil.append(("curvature", k_res, "curvature", f"K = {k:g}"))
 
     if family.xi is not None:
-        xi = family.xi(surface.sources[0])
-
         def xi_res(x, y, jet, f):
-            expected = xi(x, y)
+            expected = family.xi(x, y, jet.curves[0])
             return _vmax(f.h11 - expected) / np.maximum(1.0, _vmax(expected))
         add_max("xi-recovery", xi_res, "xi",
                 note="h(e1,e1) matches the expected normal field (relative)")
@@ -504,15 +504,19 @@ def _check_rows(spec, surfaces, tols) -> list[list[tuple]]:
     """The checks of a list of surfaces built for one spec but for their
     curves, which ``grid_values`` stacks in blocks of whole draws, in runs
     of draws: per run, (condition id, residuals as (draws, nodes) rows, tol,
-    grid description, grid points, note) per check.  A list that fails as a
-    whole (a degenerate metric, or curves of two term structures, as when a
-    draw zeroes a whole component) is rerun one surface at a time, so each
-    gets the outcome it would get alone."""
+    grid description, grid points, note) per check.  A list that fits one
+    block of both passes (a sweep's fold) is stacked once for both.  A list
+    that fails as a whole (a degenerate metric, or curves of two term
+    structures, as when a draw zeroes a whole component) is rerun one
+    surface at a time, so each gets the outcome it would get alone."""
     checks = []
+    passes = ((spec.grid, "jet"), (FD_SUBGRID, "stencil"))
     try:
-        for pick, (shape, curvature) in enumerate(((spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
+        fits = len(surfaces) <= min(diffgeo._draws_per_block(shape) for shape, _ in passes)
+        draws = _stacked(surfaces) if fits else surfaces
+        for pick, (shape, curvature) in enumerate(passes):
             columns = diffgeo.grid_values(
-                surfaces, shape, lambda s: [e[1] for e in _check_plan(spec, s)[pick]],
+                draws, shape, lambda s: [e[1] for e in _check_plan(spec, s)[pick]],
                 curvature=curvature)
             desc, pts = surfaces[0].grid_description(shape), surfaces[0].grid(shape)
             checks += [(cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note)

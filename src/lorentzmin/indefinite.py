@@ -61,11 +61,17 @@ def _metric_diagonal(dim: int, index: int) -> np.ndarray:
     return d
 
 
+def _dim_last(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The dim-last view of ``a``, whose embedding axis is ``axis``."""
+    return a.transpose(*range(axis), *range(axis + 1, a.ndim), axis)
+
+
 def indefinite_dot(a: np.ndarray, b: np.ndarray, index: int):
     """<a, b> over the last axis of raw arrays, broadcasting the leading
-    axes; a float for two vectors."""
+    axes; a float for two vectors.  The product is made contiguous, so
+    each node sums in one order whatever the layout and its position."""
     a = np.asarray(a)
-    return np.matmul(a * b, _metric_diagonal(a.shape[-1], index))
+    return np.matmul(np.ascontiguousarray(a * b), _metric_diagonal(a.shape[-1], index))
 
 
 class AmbientKind(enum.Enum):

@@ -19,11 +19,13 @@ derivatives: first and second partials plus the third-order L_xxy and
 L_xyy, which make the Gaussian curvature and the connection exact.  The
 finite-difference layer is then a cross-check rather than the only source
 of derivatives.  ``position`` and ``jet`` broadcast over numpy arrays of x
-and y; z is evaluated on the x values and w on the y values only, so
-``jet(xs[:, None], ys[None, :])`` costs O(nx + ny) curve evaluations on an
-nx x ny grid.  ``tangent`` gives L_x and L_y alone (curve orders 0-2) for
-the E-field stencil.  Premise checkers return per-condition reports with the
-worst sample point; constructors raise on algebraic premise failures and
+and y, z evaluated on the x values and w on the y values only; a grid pass
+evaluates each curve once per axis chunk of BLOCK_NODES coordinates
+(``_grid_blocks``) and hands ``jet`` each block's slice.  They compute
+component-major (embedding axis first) and return dim-last views.
+``tangent`` gives L_x and L_y alone (curve orders 0-2) for the E-field
+stencil.  Premise checkers return per-condition reports with the worst
+sample point; constructors raise on algebraic premise failures and
 merely flag the non-degeneracy ones (a vanishing jerk term is the totally
 geodesic boundary case, not an error).  The single-curve constructors run
 their premise checks before anything else and keep the reports, on the
@@ -48,7 +50,7 @@ from .errors import (
     PremiseError,
     SignatureMismatchError,
 )
-from .indefinite import Ambient, Signature, indefinite_dot
+from .indefinite import Ambient, Signature, _dim_last, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 
 __all__ = [
@@ -97,7 +99,9 @@ class Jet2:
     at an array of points (each field then has shape nodes + (dim,)).
 
     The third-order ``Lxxy`` and ``Lxyy`` give K and the connection
-    exactly; a jet without them (``fd_jet``) leaves both None."""
+    exactly; a jet without them (``fd_jet``) leaves both None.  ``curves``
+    keeps the source curves' ``derivatives`` (orders 0-3, z's at x, w's at
+    y) that a chart's jet was built from."""
 
     L: np.ndarray
     Lx: np.ndarray
@@ -107,6 +111,7 @@ class Jet2:
     Lyy: np.ndarray
     Lxxy: np.ndarray | None = None
     Lxyy: np.ndarray | None = None
+    curves: tuple[np.ndarray, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,8 @@ class SurfaceMap:
     replace or drop it with ``jet``) are stateless closures valid on a
     neighborhood of the declared ``domain`` rectangle (finite-difference
     stencils may poke slightly outside it); all take scalars or arrays of
-    x and y that broadcast against each other.  ``singular_margin``, when
+    x and y that broadcast against each other; ``jet(x, y, *d)`` also takes
+    the sources' ``derivatives`` there (``Jet2.curves``).  ``singular_margin``, when
     present, gives the distance from a point to the nearest singular
     locus of the chart.  ``premises`` keeps the premise reports of a
     constructor that checks its curve (sphere_b and hyp_ii), ``_maps`` the
@@ -162,7 +168,7 @@ def _stacked(surfaces) -> SurfaceMap:
         return surfaces[0]
     sources = tuple(map(_Stack, zip(*(s.sources for s in surfaces))))
     position, jet, tangent = (
-        lambda x, y, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3))
+        lambda x, y, *d, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3), *d)
         for f in surfaces[0]._maps(*sources))
     return replace(surfaces[0], sources=sources, position=position, jet=jet, tangent=tangent)
 
@@ -205,14 +211,25 @@ def grid_points(domain, shape) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*grid_axes(domain, shape)), axis=-1).reshape(-1, 2)
 
 
-def _grid_blocks(shape):
-    """(rows, cols) index slices of a grid's blocks of at most BLOCK_NODES
-    nodes: whole rows when a row fits, consecutive pieces of one row
-    otherwise, so the blocks' flattened nodes follow the x-major order."""
+def _grid_blocks(shape, xs, ys, sources=(), orders=range(4)):
+    """(rows, cols, x, y, d) of a grid's blocks of at most BLOCK_NODES nodes
+    (whole rows when a row fits, pieces of one row otherwise): index slices,
+    axes, and the sources' ``derivatives`` there, z's at x and w's at y.
+    Each curve is evaluated once per axis chunk of at most BLOCK_NODES
+    coordinates (w once per chunk of x too when both axes exceed it)."""
     cols = min(shape[1], BLOCK_NODES)
     rows = BLOCK_NODES // cols
-    return [(slice(i, i + rows), slice(j, j + cols))
-            for i in range(0, shape[0], rows) for j in range(0, shape[1], cols)]
+    span = BLOCK_NODES // rows * rows
+    dw = None
+    for i in range(0, shape[0], span):
+        dz = [z.derivatives(xs[i:i + span], orders) for z in sources[:1]]
+        for j in range(0, shape[1], cols):
+            c = slice(j, j + cols)
+            if dw is None or cols < shape[1]:
+                dw = [w.derivatives(ys[:, c], orders) for w in sources[1:]]
+            for k in range(0, min(span, shape[0] - i), rows):
+                yield (slice(i + k, i + k + rows), c, xs[i + k:i + k + rows], ys[:, c],
+                       [t[..., k:k + rows, :, :] for t in dz] + dw)
 
 
 def grid_description(domain, shape) -> str:
@@ -223,6 +240,24 @@ def grid_description(domain, shape) -> str:
 def _col(a) -> np.ndarray:
     """Append an axis so that a per-node scalar scales per-node vectors."""
     return np.asarray(a, dtype=float)[..., None]
+
+
+def _derivatives(sources, x, y, orders):  # of orders below ``orders``, z's at x, w's at y
+    return [c.derivatives(t, range(orders)) for c, t in zip(sources, (x, y))]
+
+
+def _component_major(d, x, y):
+    """``_derivatives`` tables at x and y as views of shape (orders, dim) +
+    node axes (padded on the left to the nodes'); a missing w is zero."""
+    ndim = max(np.ndim(x), np.ndim(y), *(t.ndim - 2 for t in d))
+    cm = [t.transpose(0, t.ndim - 1, *range(1, t.ndim - 1)) for t in d]
+    return ([c.reshape(c.shape[:2] + (1,) * (ndim + 2 - c.ndim) + c.shape[2:]) for c in cm]
+            + [(0.0,) * len(d[0])] * (2 - len(d)))
+
+
+def _jet(curves, **fields) -> Jet2:
+    """The ``Jet2`` of fields computed component-major, as dim-last views."""
+    return Jet2(**{k: _dim_last(v) for k, v in fields.items()}, curves=tuple(curves))
 
 
 def _check_domain(domain):
@@ -272,15 +307,14 @@ def _pair_conditions(z, w, grid, domain, tol, residuals, ids):
     grid, evaluated block by block (``_grid_blocks``): ``residuals(s, dz,
     dw, index)`` gives their per-node residuals on a block from s = x+y and
     the derivatives of orders 0, 1 and 3 of z and w there (``_per_draw``)."""
-    x, y = grid_axes(domain, grid)
-    dz, dw = z.derivatives(x, (0, 1, 3)), w.derivatives(y, (0, 1, 3))
-    parts = [residuals(x[r] + y[:, c], dz[..., r, :, :], dw[..., c, :], z.signature.index)
-             for r, c in _grid_blocks(grid)]
+    draws, grid = z._lead[:1] or (1,), tuple(grid)
+    rows = [np.empty(draws + grid) for _ in ids]
+    for r, c, x, y, (dz, dw) in _grid_blocks(grid, *grid_axes(domain, grid), (z, w), (0, 1, 3)):
+        for row, value in zip(rows, residuals(x + y, dz, dw, z.signature.index)):
+            row[:, r, c] = value
     pts, desc = grid_points(domain, grid), grid_description(domain, grid)
-    draws = z._lead[:1] or (1,)
-    return _per_draw(z, [
-        (cid, np.concatenate([np.reshape(p, draws + (-1,)) for p in column], axis=1), tol, desc,
-         pts, note, ConditionReport._from_max_rows) for (cid, note), column in zip(ids, zip(*parts))])
+    return _per_draw(z, [(cid, row.reshape(draws + (-1,)), tol, desc, pts, note,
+                          ConditionReport._from_max_rows) for (cid, note), row in zip(ids, rows)])
 
 
 def _single_curve_premises(z, samples, tol, speed, acc, nonzero):
@@ -361,9 +395,10 @@ def translation_surface(
     def position(x, y):
         return z.at(x) + w.at(y)
 
-    def jet(x, y):
-        (z0, z1, z2), (w0, w1, w2) = z.derivatives(x, range(3)), w.derivatives(y, range(3))
-        return Jet2(L=z0 + w0, Lx=z1, Ly=w1, Lxx=z2, Lxy=zero, Lyy=w2, Lxxy=zero, Lxyy=zero)
+    def jet(x, y, *d):
+        d = d or _derivatives((z, w), x, y, 3)
+        (z0, z1, z2, *_), (w0, w1, w2, *_) = _component_major(d, x, y)
+        return _jet(d, L=z0 + w0, Lx=z1, Ly=w1, Lxx=z2, Lxy=zero, Lyy=w2, Lxxy=zero, Lxyy=zero)
 
     return SurfaceMap(
         ambient=Ambient.flat(z.signature),
@@ -396,34 +431,31 @@ def _sphere_ambient(signature: Signature) -> Ambient:
     return Ambient.sphere(Signature(signature.dim - 1, signature.index))
 
 
-def _derivatives(w: Curve | None, t, orders=4):
-    """w and its derivatives below the given order at t; a missing curve is zero."""
-    return w.derivatives(t, range(orders)) if w is not None else (0.0,) * orders
-
-
-def _sphere_immersion(zw, zw1, s):  # L from z+w, z'+w' and s = _col(x+y)
+def _sphere_immersion(zw, zw1, s):  # L from z+w, z'+w' and s = x+y, broadcasting
     return zw / s - zw1 / 2
 
 
 def _sphere_maps(z: Curve, w: Curve | None = None):
     """position, jet and tangent of L = (z(x)+w(y))/(x+y) - (z'(x)+w'(y))/2;
     the single-curve construction is the case w = 0."""
+    sources = (z,) if w is None else (z, w)
 
-    def parts(x, y, orders):  # s, z+w, z's and w's derivatives below orders, (L_x, L_y)
-        s = _col(x + y)
-        dz, dw = _derivatives(z, x, orders), _derivatives(w, y, orders)
+    def parts(x, y, d):  # s, z+w, z's and w's derivatives (component-major), (L_x, L_y)
+        s = x + y
+        dz, dw = _component_major(d, x, y)
         zw = dz[0] + dw[0]
-        return s, zw, dz, dw, [d[1] / s - zw / s**2 - d[2] / 2 for d in (dz, dw)]
+        return s, zw, dz, dw, [c[1] / s - zw / s**2 - c[2] / 2 for c in (dz, dw)]
 
     def position(x, y):
-        (z0, z1), (w0, w1) = _derivatives(z, x, 2), _derivatives(w, y, 2)
-        return _sphere_immersion(z0 + w0, z1 + w1, _col(x + y))
+        (z0, z1), (w0, w1) = _component_major(_derivatives(sources, x, y, 2), x, y)
+        return _dim_last(_sphere_immersion(z0 + w0, z1 + w1, x + y))
 
-    def jet(x, y):
-        s, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, 4)
+    def jet(x, y, *d):
+        d = d or _derivatives(sources, x, y, 4)
+        s, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
         zw1 = z1 + w1
-        return Jet2(
-            L=_sphere_immersion(zw, zw1, s), Lx=Lx, Ly=Ly,
+        return _jet(
+            d, L=_sphere_immersion(zw, zw1, s), Lx=Lx, Ly=Ly,
             Lxx=z2 / s - 2 * z1 / s**2 + 2 * zw / s**3 - z3 / 2,
             Lxy=2 * zw / s**3 - zw1 / s**2,
             Lyy=w2 / s - 2 * w1 / s**2 + 2 * zw / s**3 - w3 / 2,
@@ -431,7 +463,8 @@ def _sphere_maps(z: Curve, w: Curve | None = None):
             Lxyy=2 * w1 / s**3 - 6 * zw / s**4 - w2 / s**2 + 2 * zw1 / s**3,
         )
 
-    return position, jet, lambda x, y: parts(x, y, 3)[-1]
+    return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
+        sources, x, y, 3))[-1])]
 
 
 def sphere_case_b(
@@ -524,30 +557,32 @@ def _hyperbolic_ambient(signature: Signature) -> Ambient:
     return Ambient.hyperbolic(Signature(signature.dim - 1, signature.index - 1))
 
 
-def _hyperbolic_immersion(zw, zw1, T):  # L from z+w, z'+w' and T = _col(tanh(u))
+def _hyperbolic_immersion(zw, zw1, T):  # L from z+w, z'+w' and T = tanh(u), broadcasting
     return zw * T - zw1 / SQRT2
 
 
 def _hyperbolic_maps(z: Curve, w: Curve | None = None):
     """position, jet and tangent of L = (z(x)+w(y)) tanh((x+y)/sqrt2) -
     (z'(x)+w'(y))/sqrt2; the single-curve construction is the case w = 0."""
+    sources = (z,) if w is None else (z, w)
 
-    def parts(x, y, orders):  # tanh, sech^2, z+w, the derivatives below orders, (L_x, L_y)
+    def parts(x, y, d):  # tanh, sech^2, z+w, the derivatives (component-major), (L_x, L_y)
         u = (x + y) / SQRT2
-        T, S2 = _col(np.tanh(u)), _col(1.0 / np.cosh(u) ** 2)
-        dz, dw = _derivatives(z, x, orders), _derivatives(w, y, orders)
+        T, S2 = np.tanh(u), 1.0 / np.cosh(u) ** 2
+        dz, dw = _component_major(d, x, y)
         zw = dz[0] + dw[0]
-        return T, S2, zw, dz, dw, [d[1] * T + zw * S2 / SQRT2 - d[2] / SQRT2 for d in (dz, dw)]
+        return T, S2, zw, dz, dw, [c[1] * T + zw * S2 / SQRT2 - c[2] / SQRT2 for c in (dz, dw)]
 
     def position(x, y):
-        (z0, z1), (w0, w1) = _derivatives(z, x, 2), _derivatives(w, y, 2)
-        return _hyperbolic_immersion(z0 + w0, z1 + w1, _col(np.tanh((x + y) / SQRT2)))
+        (z0, z1), (w0, w1) = _component_major(_derivatives(sources, x, y, 2), x, y)
+        return _dim_last(_hyperbolic_immersion(z0 + w0, z1 + w1, np.tanh((x + y) / SQRT2)))
 
-    def jet(x, y):
-        T, S2, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, 4)
+    def jet(x, y, *d):
+        d = d or _derivatives(sources, x, y, 4)
+        T, S2, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
         L = _hyperbolic_immersion(zw, z1 + w1, T)
-        return Jet2(
-            L=L, Lx=Lx, Ly=Ly,
+        return _jet(
+            d, L=L, Lx=Lx, Ly=Ly,
             Lxx=z2 * T + SQRT2 * z1 * S2 - zw * S2 * T - z3 / SQRT2,
             Lxy=-S2 * L,
             Lyy=w2 * T + SQRT2 * w1 * S2 - zw * S2 * T - w3 / SQRT2,
@@ -556,7 +591,8 @@ def _hyperbolic_maps(z: Curve, w: Curve | None = None):
             Lxyy=SQRT2 * S2 * T * L - S2 * Ly,
         )
 
-    return position, jet, lambda x, y: parts(x, y, 3)[-1]
+    return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
+        sources, x, y, 3))[-1])]
 
 
 def hyperbolic_case_ii(
@@ -634,19 +670,20 @@ def de_sitter_control(domain=DE_SITTER_DOMAIN) -> SurfaceMap:
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
 
-    def vec(*parts):
-        return np.stack(np.broadcast_arrays(*parts), axis=-1)
+    def vec(s, *parts):  # the three components over the nodes of s, component-major
+        return np.stack(np.broadcast_arrays(s, *parts)[1:])
 
     def position(x, y):
-        return vec(1 - x * y, x - y, 1 + x * y) / _col(x + y)
+        return _dim_last(vec(x + y, 1 - x * y, x - y, 1 + x * y) / (x + y))
 
     def jet(x, y):
-        s = _col(x + y)
-        v = vec(1 - x * y, x - y, 1 + x * y)
-        vx = vec(-y, 1.0, y)
-        vy = vec(-x, -1.0, x)
-        vxy = np.array([-1.0, 0.0, 1.0])
-        return Jet2(
+        s = x + y
+        v = vec(s, 1 - x * y, x - y, 1 + x * y)
+        vx = vec(s, -y, 1.0, y)
+        vy = vec(s, -x, -1.0, x)
+        vxy = vec(s, -1.0, 0.0, 1.0)
+        return _jet(
+            (),
             L=v / s,
             Lx=vx / s - v / s**2,
             Ly=vy / s - v / s**2,

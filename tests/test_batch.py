@@ -149,6 +149,23 @@ def test_sweep_checks_full_batches(monkeypatch):
     assert sizes == [per] * (20 // per) + [20 % per]
 
 
+def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
+    # per fold of six sphere_b draws, one stack of z for the premises and one
+    # for the grid and subgrid passes together
+    from lorentzmin.curves import _Stack
+
+    stacks = []
+    init = _Stack.__init__
+
+    def counted(self, curves):
+        stacks.append(len(curves))
+        init(self, curves)
+
+    monkeypatch.setattr(_Stack, "__init__", counted)
+    sweep("Ex7_1", n=14, rng_seed=0)
+    assert stacks == [6, 6, 6, 6, 2, 2]
+
+
 def test_sweep_validates_each_draw_once(monkeypatch):
     # one array call of the family's formulas per chunk of draws
     for family, n, chunks in (("Ex7_1", 10, [10]), ("Ex7_2", 1100, [512, 512, 76])):
@@ -309,9 +326,9 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
         surface = sphere_case_b(z, domain, **kwargs)
 
         def counted(name):
-            def evaluate(x, y):
+            def evaluate(x, y, *d):
                 nodes[name].append(np.broadcast(x, y).size)
-                return getattr(surface, name)(x, y)
+                return getattr(surface, name)(x, y, *d)
             return evaluate
         return dataclasses.replace(surface, jet=counted("jet"), tangent=counted("tangent"))
 
@@ -368,8 +385,8 @@ def test_grid_values_blocks_whole_draws(monkeypatch):
     surface = harness._premise_phase(spec, curves, default_tolerances())[2]
     forms, blocks = diffgeo._forms, []
 
-    def recording(surface, x, y, curvature="jet"):
-        jet, f = forms(surface, x, y, curvature)
+    def recording(surface, x, y, curvature="jet", d=None):
+        jet, f = forms(surface, x, y, curvature, d)
         blocks.append(jet.L.shape[:-1])
         return jet, f
 

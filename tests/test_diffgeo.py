@@ -104,9 +104,9 @@ class TestPartials:
 
         calls = []
 
-        def jet(x, y):
+        def jet(x, y, *d):
             calls.append((x, y))
-            return sphere_71.jet(x, y)
+            return sphere_71.jet(x, y, *d)
 
         counted = dataclasses.replace(sphere_71, jet=jet)
         (K,) = diffgeo.grid_values(counted, (81, 81), [lambda x, y, jet, f: f.K])
@@ -114,14 +114,15 @@ class TestPartials:
         assert len(calls) == -(-81 // rows)
         assert np.max(np.abs(K - 1.0)) < 1e-7
 
-    def test_long_rows_split_into_blocks_of_at_most_block_nodes(self, monkeypatch):
-        _, surface = _build_spec_surface("sphere_b_ex71")
+    @pytest.mark.parametrize("name", ["sphere_b_ex71", "hyp_iii_ex82"])
+    def test_long_rows_split_into_blocks_of_at_most_block_nodes(self, monkeypatch, name):
+        _, surface = _build_spec_surface(name)
         shapes = []
         forms = diffgeo._forms
 
-        def recording(surface, x, y, curvature="jet"):
+        def recording(surface, x, y, curvature="jet", d=None):
             shapes.append(np.broadcast_shapes(np.shape(x), np.shape(y)))
-            return forms(surface, x, y, curvature)
+            return forms(surface, x, y, curvature, d)
 
         monkeypatch.setattr(diffgeo, "_forms", recording)
         fields = [lambda x, y, jet, f: jet.L, lambda x, y, jet, f: f.K,
@@ -133,6 +134,61 @@ class TestPartials:
         jet, whole = forms(surface, xs, ys)
         for got, want in zip(split, (jet.L, whole.K, whole.h11)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name, shape, chunks", [
+        ("sphere_c_ex72", (81, 81), (1, 1)), ("sphere_b_ex71", (81, 81), (1,)),
+        ("hyp_iii_ex82", (3, 1200), (1, 3)), ("hyp_iii_ex82", (600, 2), (2, 1))])
+    def test_grid_pass_evaluates_each_curve_once_per_axis_chunk(self, monkeypatch, name, shape,
+                                                                chunks):
+        # the harness's grid checks, xi-recovery's derivatives of z included:
+        # each curve is evaluated once per chunk of at most BLOCK_NODES
+        # coordinates of its own axis, never inside the block loop
+        from lorentzmin.curves import Curve
+        from lorentzmin.harness import _check_plan
+
+        spec, surface = _build_spec_surface(name)
+        calls = []
+        derivatives = Curve.derivatives
+
+        def counted(curve, t, orders):
+            calls.append(curve)
+            return derivatives(curve, t, orders)
+
+        monkeypatch.setattr(Curve, "derivatives", counted)
+        values = diffgeo.grid_values(surface, shape,
+                                     lambda s: [e[1] for e in _check_plan(spec, s)[0]])
+        assert [calls.count(c) for c in surface.sources] == list(chunks)
+        assert len(calls) == sum(chunks)
+        assert all(v.shape[:2] == shape for v in values)
+
+    @pytest.mark.parametrize("check", ["pair conditions", "grid values"])
+    def test_long_thin_grid_memory_grows_with_the_outputs_alone(self, check):
+        # the axis tables are chunked like the blocks, so going from
+        # [2, 5000] to [2, 50000] adds about the outputs' bytes: three
+        # residual rows and the grid points (40 bytes a node) for the pair
+        # conditions, one value (8 bytes a node) for a grid_values field
+        import tracemalloc
+
+        from lorentzmin.surfaces import check_case_c_conditions
+
+        spec, surface = _build_spec_surface("sphere_c_ex72")
+        z, w = surface.sources
+        run, per_node = {
+            "pair conditions": (lambda g: check_case_c_conditions(z, w, g, surface.domain), 40),
+            "grid values": (lambda g: diffgeo.grid_values(surface, g, [lambda x, y, jet, f: f.K]),
+                            8)}[check]
+
+        def peak(grid):
+            run(grid)
+            tracemalloc.start()
+            try:
+                run(grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak((2, 50000)) - peak((2, 5000))
+        assert growth <= 2 * per_node * 2 * 45000 + 2**19, growth / 2**20
 
     def test_fd_discrepancy_makes_one_position_call_per_stencil_group(self, sphere_71):
         import dataclasses
@@ -254,7 +310,7 @@ class TestSecondFundamentalForm:
 
     def test_singular_gram_detected(self):
         with pytest.raises(DegenerateMetricError):
-            diffgeo._gram_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
+            diffgeo._gram_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0], [0.0]]))
 
 
 class TestMinimality:
@@ -410,6 +466,14 @@ def test_stacked_fd_jet_matches_per_offset_differences(name):
 # the projection must agree with it.
 
 
+def _solve(G, rhs):
+    """``diffgeo._gram_solve`` on batched matrices, nodes + (n, n) and nodes
+    + (n, k), which it takes component-major, (n, n) + nodes and (n, k) + nodes."""
+    def cm(a):
+        return np.moveaxis(a, (-2, -1), (0, 1))
+    return np.moveaxis(diffgeo._gram_solve(cm(G), cm(rhs)), (0, 1), (-2, -1))
+
+
 def _random_gram_stack(rng, nodes, n):
     """Symmetric indefinite n x n matrices Q diag(lam) Q^T with |lam| in
     [0.5, 2] and mixed signs (condition number at most 4)."""
@@ -425,9 +489,9 @@ class TestClosedFormProjection:
         G = _random_gram_stack(rng, 500, n)
         rhs = rng.normal(size=(500, n, 3))
         ref = np.linalg.solve(G, rhs)
-        np.testing.assert_allclose(diffgeo._gram_solve(G, rhs), ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_solve(G, rhs), ref, rtol=1e-12, atol=1e-12)
         # the guard is relative: a scaled stack is just as regular
-        np.testing.assert_allclose(diffgeo._gram_solve(1e-12 * G, rhs), 1e12 * ref,
+        np.testing.assert_allclose(_solve(1e-12 * G, rhs), 1e12 * ref,
                                    rtol=1e-12, atol=1e-12 * np.max(np.abs(1e12 * ref)))
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
@@ -435,21 +499,26 @@ class TestClosedFormProjection:
         spec, surface = _build_spec_surface(name)
         xs, ys = grid_axes(surface.domain, spec.grid)
         jet = partials(surface, xs, ys)
-        W, d, T, _ = diffgeo._table(surface, jet)
+        W, d, T, nodes = diffgeo._table(surface, jet)
+        assert nodes == spec.grid
+        # component-major: W is (fields, dim, nodes) and T (3, 6, nodes)
+        W, T = np.moveaxis(W, -1, 0), np.moveaxis(T, -1, 0)
         n = 2 if surface.ambient.kind is AmbientKind.FLAT else 3
         G, rhs = T[..., :n, :n], T[..., :n, 3:]
         ref = np.linalg.solve(G, rhs)
-        np.testing.assert_allclose(diffgeo._gram_solve(G, rhs), ref, rtol=1e-12,
+        np.testing.assert_allclose(_solve(G, rhs), ref, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(ref)))
-        normal = W[..., 3:, :] - np.swapaxes(ref, -1, -2) @ W[..., :n, :]
-        scale = np.max(np.abs(W[..., 3:, :]))
-        for k, h in enumerate(diffgeo._second_form(W, T, n)):
-            np.testing.assert_allclose(h, normal[..., k, :], rtol=1e-12, atol=1e-12 * scale)
+        normal = W[..., 3:6, :] - np.swapaxes(ref, -1, -2) @ W[..., :n, :]
+        scale = np.max(np.abs(W[..., 3:6, :]))
+        h = np.moveaxis(diffgeo._second_form(np.moveaxis(W, 0, -1), np.moveaxis(T, 0, -1), n),
+                        -1, 0)
+        np.testing.assert_allclose(h, normal, rtol=1e-12, atol=1e-12 * scale)
         # the table holds the products the checks read from it
         idx = surface.ambient.embedding_signature.index
         for i, a in enumerate((jet.Lx, jet.Ly, jet.L)):
             for j, b in enumerate((jet.Lx, jet.Ly, jet.L, jet.Lxx, jet.Lxy, jet.Lyy)):
-                np.testing.assert_allclose(T[..., i, j], indefinite_dot(a, b, idx), rtol=1e-12,
+                np.testing.assert_allclose(T[..., i, j], indefinite_dot(a, b, idx).ravel(),
+                                           rtol=1e-12,
                                            atol=1e-12 * np.max(np.abs(a)) * np.max(np.abs(b)))
 
     @pytest.mark.parametrize("G", [
@@ -462,18 +531,18 @@ class TestClosedFormProjection:
         G = np.array(G)
         n = len(G)
         with pytest.raises(DegenerateMetricError, match="singular Gram matrix"):
-            diffgeo._gram_solve(G, np.ones((n, 3)))
+            _solve(G, np.ones((n, 3)))
         stack = _random_gram_stack(np.random.default_rng(0), 7, n)
         stack[4] = G
         with pytest.raises(DegenerateMetricError, match="singular Gram matrix"):
-            diffgeo._gram_solve(stack, np.ones((7, n, 3)))
+            _solve(stack, np.ones((7, n, 3)))
         stack[4] = np.eye(n)
-        diffgeo._gram_solve(stack, np.ones((7, n, 3)))
+        _solve(stack, np.ones((7, n, 3)))
 
     def test_guard_threshold_is_relative_to_row_norms(self):
         # det 1e-9 against GRAM_TOL times row norms of about 1.4 each
         G = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])
-        np.testing.assert_allclose(diffgeo._gram_solve(G, np.array([1.0, 0.0])),
+        np.testing.assert_allclose(diffgeo._gram_solve(G, np.array([[1.0], [0.0]]))[:, 0],
                                    np.linalg.solve(G, np.array([1.0, 0.0])), rtol=1e-6)
 
 

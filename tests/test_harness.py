@@ -212,6 +212,24 @@ class TestVerify:
         assert report.overall_pass
         assert "pairing-nonzero" in {c.condition_id for c in report.checks}
 
+    def test_pairing_on_the_axes_equals_the_flattened_grid(self):
+        # <z'(x), w'(y)> broadcast over the grid's axes: the same residual,
+        # worst point and bits as on every node's (x, y) pair
+        from lorentzmin.curves import derivative_inner
+        from lorentzmin.harness import SurfaceSpec, _resolve_curves, _translation_premises
+        from lorentzmin.report import default_tolerances
+        from lorentzmin.surfaces import grid_axes, grid_points
+
+        spec = SurfaceSpec.from_dict({**TRANSLATION, "grid": [7, 5]})
+        (z, w), _ = _resolve_curves(spec)
+        pts = grid_points(spec.resolved_domain(), spec.grid)
+        flat = derivative_inner(z, 1, w, 1, pts[:, 0], pts[:, 1])
+        axes = derivative_inner(z, 1, w, 1, *grid_axes(spec.resolved_domain(), spec.grid))
+        assert axes.shape == spec.grid and np.array_equal(axes.ravel(), flat)
+        pairing = _translation_premises((z, w), spec, default_tolerances())[-1]
+        assert pairing.max_residual == 1e-9 - np.min(np.abs(flat))
+        assert pairing.worst_point == tuple(pts[np.argmin(np.abs(flat))])
+
     def test_pairing_sign_change_reported_not_thrown(self):
         # 1 - sinh x sinh y changes sign on the default [-1,1]^2 domain
         report = verify({"family": "translation",
@@ -569,8 +587,8 @@ class TestCli:
             surface = family.build(curves, domain, tol, premises)
             (x0, _), (y0, _) = surface.domain
 
-            def jet(x, y):
-                j = surface.jet(x, y)
+            def jet(x, y, *d):
+                j = surface.jet(x, y, *d)
                 hit = np.asarray((x == x0) & (y == y0))[..., None]
                 return dataclasses.replace(j, Lxy=np.where(hit, np.nan, j.Lxy))
 
@@ -591,6 +609,22 @@ class TestCli:
             assert checks[cid]["passed"] is False
             assert checks[cid]["worst_point"] == [0.1, 0.1]
         assert checks["quadric"]["passed"] and checks["pde-yy"]["passed"]
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        import lorentzmin.cli as cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert [main(["list-families"]) for _ in range(3)] == [0, 0, 0]
+            assert main(["verify"]) == 2  # a usage error leaves the parser as it was
+            assert main(["list-families"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        capsys.readouterr()
 
     def test_export_unwritable_exit_2(self, tmp_path):
         spec = self._write_spec(tmp_path, TRANSLATION)
