@@ -396,18 +396,20 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
             ex, ey, exy = (np.reshape(e, -1) for e in _efield(surface, *_nodes(x, y)))
         connection, K = _connection(E, ex, ey, exy)
 
-    def public(a, lead=0):  # (lead axes..., n) -> nodes + (lead axes...); a scalar at one node
-        a = a.reshape(a.shape[:lead] + nodes)
-        return a.transpose(*range(lead, a.ndim), *range(lead))[()]
+    def scalar(a):  # per node -> the nodes' shape; a float at one node
+        return a if a is None else a.reshape(nodes)[()]
+
+    def vectors(a):  # (k, dim, n) -> k arrays of shape nodes + (dim,)
+        return _dim_last(a.reshape(a.shape[:2] + nodes), 1)
 
     g_xx, g_xy, g_yy = T[0, 0], T[0, 1], T[1, 1]
-    md = MetricData(public(g_xx), public(g_xy), public(g_yy), public(E),
-                    (public(np.abs(g_xx)), public(np.abs(g_yy))), public(T[:3, :3], 2))
-    frame = FrameData(*(public(v, 1) for v in W[:2] / E),
-                      *(c if c is None else public(c) for c in connection))
-    h11, h12, h22 = (public(v, 1) for v in h / E**2)
-    forms = FundamentalForms(md, frame, h11, h12, h22, -h12, K if K is None else public(K))
-    return Jet2(**dict(zip(_FIELDS, (public(v, 1) for v in W))), curves=jet.curves), forms
+    md = MetricData(scalar(g_xx), scalar(g_xy), scalar(g_yy), scalar(E),
+                    (scalar(np.abs(g_xx)), scalar(np.abs(g_yy))),
+                    np.moveaxis(T[:3, :3].reshape((3, 3) + nodes), (0, 1), (-2, -1)))
+    frame = FrameData(*vectors(W[:2] / E), *map(scalar, connection))
+    h11, h12, h22 = vectors(h / E**2)
+    forms = FundamentalForms(md, frame, h11, h12, h22, -h12, scalar(K))
+    return Jet2(**dict(zip(_FIELDS, vectors(W))), curves=jet.curves), forms
 
 
 def _draws_per_block(shape) -> int:

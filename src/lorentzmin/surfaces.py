@@ -454,13 +454,14 @@ def _sphere_maps(z: Curve, w: Curve | None = None):
         d = d or _derivatives(sources, x, y, 4)
         s, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
         zw1 = z1 + w1
+        a, b, c = 2 * zw / s**3, 6 * zw / s**4, 2 * zw1 / s**3  # terms shared by fields
         return _jet(
             d, L=_sphere_immersion(zw, zw1, s), Lx=Lx, Ly=Ly,
-            Lxx=z2 / s - 2 * z1 / s**2 + 2 * zw / s**3 - z3 / 2,
-            Lxy=2 * zw / s**3 - zw1 / s**2,
-            Lyy=w2 / s - 2 * w1 / s**2 + 2 * zw / s**3 - w3 / 2,
-            Lxxy=2 * z1 / s**3 - 6 * zw / s**4 - z2 / s**2 + 2 * zw1 / s**3,
-            Lxyy=2 * w1 / s**3 - 6 * zw / s**4 - w2 / s**2 + 2 * zw1 / s**3,
+            Lxx=z2 / s - 2 * z1 / s**2 + a - z3 / 2,
+            Lxy=a - zw1 / s**2,
+            Lyy=w2 / s - 2 * w1 / s**2 + a - w3 / 2,
+            Lxxy=2 * z1 / s**3 - b - z2 / s**2 + c,
+            Lxyy=2 * w1 / s**3 - b - w2 / s**2 + c,
         )
 
     return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
@@ -581,14 +582,15 @@ def _hyperbolic_maps(z: Curve, w: Curve | None = None):
         d = d or _derivatives(sources, x, y, 4)
         T, S2, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
         L = _hyperbolic_immersion(zw, z1 + w1, T)
+        a, b = zw * S2 * T, SQRT2 * S2 * T * L  # terms shared by fields
         return _jet(
             d, L=L, Lx=Lx, Ly=Ly,
-            Lxx=z2 * T + SQRT2 * z1 * S2 - zw * S2 * T - z3 / SQRT2,
+            Lxx=z2 * T + SQRT2 * z1 * S2 - a - z3 / SQRT2,
             Lxy=-S2 * L,
-            Lyy=w2 * T + SQRT2 * w1 * S2 - zw * S2 * T - w3 / SQRT2,
+            Lyy=w2 * T + SQRT2 * w1 * S2 - a - w3 / SQRT2,
             # (sech^2 u)_x = -sqrt2 sech^2 u tanh u
-            Lxxy=SQRT2 * S2 * T * L - S2 * Lx,
-            Lxyy=SQRT2 * S2 * T * L - S2 * Ly,
+            Lxxy=b - S2 * Lx,
+            Lxyy=b - S2 * Ly,
         )
 
     return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
