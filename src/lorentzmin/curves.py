@@ -11,9 +11,8 @@ validation of every radicand and denominator in its coefficients.
 Curves are evaluated on numpy arrays of parameters: ``Curve.derivatives(t,
 orders)`` returns several derivative orders from one evaluation of each
 term and ``Curve.at(t, k)`` is its one-order view, both with shape
-``t.shape + (dim,)`` per order, as views of memory laid out component-major
-(each coordinate's values contiguous).  Curves are immutable, so they can
-be shared freely between threads and grid evaluations.
+``t.shape + (dim,)`` per order.  Curves are immutable, so they can be
+shared freely between threads and grid evaluations.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConstraintViolationError, InvalidInputError, SignatureMismatchError
-from .indefinite import Signature, _dim_last, indefinite_dot
+from .indefinite import Signature, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 
 __all__ = [
@@ -184,8 +183,7 @@ class Curve:
 
     def derivatives(self, t, orders) -> np.ndarray:
         """The derivatives of the given orders at a scalar or array t,
-        stacked: shape (len(orders),) + t.shape + (dim,), a view of an
-        array of shape (len(orders), dim) + t.shape."""
+        stacked: shape (len(orders),) + t.shape + (dim,)."""
         orders = tuple(orders)
         if not all(k in range(MAX_ORDER + 1) for k in orders):
             raise InvalidInputError(f"derivative order must be in [0, {MAX_ORDER}]")
@@ -197,7 +195,7 @@ class Curve:
             bad = float(t.flat[np.argmin(inside)])
             raise InvalidInputError(f"t={bad} outside curve domain [{lo}, {hi}] (pad {pad:g})")
         shape = np.broadcast_shapes(t.shape, self._lead) if self._lead else t.shape
-        out = np.zeros((len(orders), self.signature.dim) + shape)
+        out = np.zeros((len(orders),) + shape + (self.signature.dim,))
         # a component's first term assigns and the others add, so it is the
         # sum of its terms in order; each basis function is evaluated once
         for slot, first, basis, w, coefs in self._plan:
@@ -213,10 +211,10 @@ class Curve:
                 else:
                     continue
                 if first:
-                    out[i, slot] = value
+                    out[i, ..., slot] = value
                 else:
-                    out[i, slot] += value
-        return _dim_last(out, 1)
+                    out[i, ..., slot] += value
+        return out
 
     def at(self, t, order: int = 0) -> np.ndarray:
         """k-th derivative at a scalar or array t; shape t.shape + (dim,)."""

@@ -59,10 +59,10 @@ import numpy as np
 
 from .curves import DOMAIN_PAD_FRACTION
 from .errors import DegenerateMetricError, DomainError
-from .indefinite import AmbientKind, _dim_last, _metric_diagonal, indefinite_dot
+from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
-from .surfaces import (BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _grid_blocks,
-                       _stacked, grid_axes)
+from .surfaces import (BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _dim_last,
+                       _grid_blocks, _stacked, grid_axes)
 
 __all__ = [
     "MetricData",

@@ -61,11 +61,6 @@ def _metric_diagonal(dim: int, index: int) -> np.ndarray:
     return d
 
 
-def _dim_last(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """The dim-last view of ``a``, whose embedding axis is ``axis``."""
-    return a.transpose(*range(axis), *range(axis + 1, a.ndim), axis)
-
-
 def indefinite_dot(a: np.ndarray, b: np.ndarray, index: int):
     """<a, b> over the last axis of raw arrays, broadcasting the leading
     axes; a float for two vectors.  The product is made contiguous, so

@@ -50,7 +50,7 @@ from .errors import (
     PremiseError,
     SignatureMismatchError,
 )
-from .indefinite import Ambient, Signature, _dim_last, indefinite_dot
+from .indefinite import Ambient, Signature, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 
 __all__ = [
@@ -220,13 +220,16 @@ def _grid_blocks(shape, xs, ys, sources=(), orders=range(4)):
     cols = min(shape[1], BLOCK_NODES)
     rows = BLOCK_NODES // cols
     span = BLOCK_NODES // rows * rows
+    def tables(curves, t):  # their derivatives at t, laid out component-major
+        return [_dim_last(np.moveaxis(c.derivatives(t, orders), -1, 1).copy(), 1) for c in curves]
+
     dw = None
     for i in range(0, shape[0], span):
-        dz = [z.derivatives(xs[i:i + span], orders) for z in sources[:1]]
+        dz = tables(sources[:1], xs[i:i + span])
         for j in range(0, shape[1], cols):
             c = slice(j, j + cols)
             if dw is None or cols < shape[1]:
-                dw = [w.derivatives(ys[:, c], orders) for w in sources[1:]]
+                dw = tables(sources[1:], ys[:, c])
             for k in range(0, min(span, shape[0] - i), rows):
                 yield (slice(i + k, i + k + rows), c, xs[i + k:i + k + rows], ys[:, c],
                        [t[..., k:k + rows, :, :] for t in dz] + dw)
@@ -242,13 +245,19 @@ def _col(a) -> np.ndarray:
     return np.asarray(a, dtype=float)[..., None]
 
 
+def _dim_last(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The dim-last view of ``a``, whose embedding axis is ``axis``."""
+    return a.transpose(*range(axis), *range(axis + 1, a.ndim), axis)
+
+
 def _derivatives(sources, x, y, orders):  # of orders below ``orders``, z's at x, w's at y
     return [c.derivatives(t, range(orders)) for c, t in zip(sources, (x, y))]
 
 
 def _component_major(d, x, y):
     """``_derivatives`` tables at x and y as views of shape (orders, dim) +
-    node axes (padded on the left to the nodes'); a missing w is zero."""
+    node axes (padded on the left to the nodes'), component-major where
+    ``_grid_blocks`` laid them out so; a missing w is zero."""
     ndim = max(np.ndim(x), np.ndim(y), *(t.ndim - 2 for t in d))
     cm = [t.transpose(0, t.ndim - 1, *range(1, t.ndim - 1)) for t in d]
     return ([c.reshape(c.shape[:2] + (1,) * (ndim + 2 - c.ndim) + c.shape[2:]) for c in cm]
