@@ -433,8 +433,9 @@ def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvat
 
     ``surface`` may be a list of draws (surfaces of one constructor and
     curve term structure): a block then stacks ``_draws_per_block`` whole
-    draws (``surfaces._stacked``), and each array gets a leading draw axis.
-    ``fields`` may be a function of a block's surface that gives them.
+    draws (``surfaces._stacked``), and each array gets a leading draw axis,
+    as it does for a surface stacked already.  ``fields`` may be a function
+    of a block's surface that gives them.
     """
     if isinstance(surface, list):
         per, parts = _draws_per_block(shape), []
