@@ -23,16 +23,24 @@ Each output runs in this process through ``lorentzmin.cli.main``; its file
 is the command's standard output (the exported file for exports).
 ``DIR/MANIFEST`` holds one line per output: sha256, exit code and name.
 ``--compare OLD`` then names every output whose sha256 or exit code
-differs from the manifest OLD, and exits 1 if one does.
+differs from the manifest OLD, and exits 1 if one does.  When the old
+output sits beside OLD, its line ends in ``verdicts`` if the exit code, a
+check id or verdict, or a sweep's valid/invalid/passed/failed counts or
+failures moved, and otherwise in ``residuals R``: the largest ratio, either
+way round, between an old and a new residual (a check's ``max_residual``,
+a sweep's ``worst_residuals``, the largest of an export's ``residual``
+column).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import sys
@@ -108,6 +116,41 @@ def run(name: str, out_dir: pathlib.Path, tmp: pathlib.Path) -> int:
     return code
 
 
+def _summary(path: pathlib.Path, code: str):
+    """(verdicts, residuals by place) of an output file with exit code ``code``."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        column = [float(row["residual"]) for row in csv.DictReader(io.StringIO(text))]
+        return (code,), {"residual": max(column, key=lambda v: (math.isnan(v), v), default=0.0)}
+    try:
+        data = json.loads(text)
+    except ValueError:  # an obj export, or the empty file of a refused one
+        return (code,), {}
+    checks = data.get("checks", [])
+    verdicts = (code, data.get("overall_pass"), [(c["condition_id"], c["passed"]) for c in checks],
+                [data.get(k) for k in ("valid", "invalid", "passed", "failed", "failures")])
+    residuals = {c["condition_id"]: c["max_residual"] for c in checks}
+    return verdicts, {**residuals, **data.get("worst_residuals", {})}
+
+
+def _ratio(old, new) -> float:
+    """The larger of |old/new| and |new/old|: 1 for equal values (NaNs too)."""
+    a, b = abs(float(old)), abs(float(new))
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 1.0
+    return max(a, b) / min(a, b) if min(a, b) > 0 else math.inf
+
+
+def _moved(old: pathlib.Path, new: pathlib.Path, old_code: str, new_code: str) -> str:
+    """``verdicts``, or ``residuals R`` with R the largest residual ratio ("" for
+    an output without residuals)."""
+    (was, old_res), (now, new_res) = _summary(old, old_code), _summary(new, new_code)
+    if was != now:
+        return "verdicts"
+    ratios = [_ratio(old_res[k], new_res[k]) for k in old_res.keys() & new_res.keys()]
+    return f"residuals {max(ratios):.3g}" if ratios else ""
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="directory for the outputs and MANIFEST")
@@ -142,8 +185,11 @@ def main() -> int:
     new = {line.split()[-1]: line.split() for line in lines}
     differ = [name for name in new if old.get(name) != new[name]]
     differ += [] if args.only else sorted(set(old) - set(new))  # outputs this run lacks
+    old_dir = pathlib.Path(args.compare).parent
     for name in differ:
-        print(f"differs: {name}")
+        beside = (old_dir / name).exists() and name in new and name in old
+        note = _moved(old_dir / name, out_dir / name, old[name][1], new[name][1]) if beside else ""
+        print(f"differs: {name} {note}".rstrip())
     return 1 if differ else 0
 
 

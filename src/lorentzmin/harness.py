@@ -344,7 +344,8 @@ _HYPERBOLIC_PDE_XY = ("pde-xy", lambda x, y, jet, f: _vmax(
 SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
     "translation": SurfaceFamily(
         2, FLAT_DOMAIN,
-        build=lambda curves, domain, tol, *_: translation_surface(*curves, domain, tol=tol),
+        build=lambda curves, domain, tol, premises=None: translation_surface(
+            *curves, domain, tol=tol, _premises=premises),
         premises=_translation_premises, blocking=True, minimality="minimality-flat"),
     "sphere_b": SurfaceFamily(
         1, SPHERE_DOMAIN,

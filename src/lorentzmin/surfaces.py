@@ -18,8 +18,13 @@ Every constructor attaches an analytic jet assembled from the exact curve
 derivatives: first and second partials plus the third-order L_xxy and
 L_xyy, which make the Gaussian curvature and the connection exact.  The
 finite-difference layer is then a cross-check rather than the only source
-of derivatives.  ``position`` and ``jet`` broadcast over numpy arrays of x
-and y, z evaluated on the x values and w on the y values only; a grid pass
+of derivatives.  The four curve-built families share one chart formula,
+L = a(x+y) Z + b Z' with Z = z(x)+w(y) and Z' = z'(x)+w'(y): ``_chart_maps``
+takes L from the family's own expression and its partials from a's
+derivatives by the product rule, so a PDE check compares two independent
+computations.  Translation and the de Sitter control keep closed forms.
+``position`` and ``jet`` broadcast over numpy arrays of x and y, z
+evaluated on the x values and w on the y values only; a grid pass
 evaluates each curve once per axis chunk of BLOCK_NODES coordinates
 (``_grid_blocks``) and hands ``jet`` each block's slice.  They compute
 component-major (embedding axis first) and return dim-last views.
@@ -29,12 +34,14 @@ sample point; constructors raise on algebraic premise failures and
 merely flag the non-degeneracy ones (a vanishing jerk term is the totally
 geodesic boundary case, not an error).  The single-curve constructors run
 their premise checks before anything else and keep the reports, on the
-surface (``premises``) or on the ``PremiseError``, so a caller never needs
-to run them twice.
+surface (``premises``) or on the ``PremiseError``; they and
+``translation_surface`` also take reports made already (``_premises``),
+so a caller never needs to run them twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -127,7 +134,8 @@ class SurfaceMap:
     present, gives the distance from a point to the nearest singular
     locus of the chart.  ``premises`` keeps the premise reports of a
     constructor that checks its curve (sphere_b and hyp_ii), ``_maps`` the
-    function of ``sources`` that made ``position``, ``jet`` and ``tangent``.
+    function of ``sources`` that made ``position``, ``jet`` and ``tangent``
+    (``_chart_maps`` on the family's chart; ``_stacked`` calls it again).
     """
 
     ambient: Ambient
@@ -150,9 +158,57 @@ class SurfaceMap:
         return grid_description(self.domain, shape)
 
 
-def _mapped(family, maps, ambient, domain, sources, **fields) -> SurfaceMap:
-    """The surface whose ``position``, ``jet`` and ``tangent`` ``maps`` makes
-    from its source curves, labelled family[z, w]; ``_maps`` keeps ``maps``."""
+@dataclass(frozen=True)
+class _Chart:
+    """A curve-built family's L = a(s) Z + b Z' (s = x+y; w = 0 for one curve):
+    ``immersion(Z, Z', s)`` is its own expression for L, ``coefficients(s)``
+    gives a, a', a'' and a''' at s."""
+
+    immersion: Callable
+    coefficients: Callable
+    b: float
+
+
+def _chart_maps(chart: _Chart, *sources):
+    """position, jet and tangent of ``chart`` on its sources (z, or z and w):
+    L is the chart's immersion, and its partials the product rule on
+    a(x+y) Z + b Z' (L_xy = a''Z + a'Z', L_xxy = a'''Z + a''(z' + Z') + a'z'')."""
+    b = chart.b
+
+    def parts(x, y, d):  # s, a to a''', Z, z's and w's derivatives (component-major), (L_x, L_y)
+        s = x + y
+        a = chart.coefficients(s)
+        dz, dw = _component_major(d, x, y)
+        Z = dz[0] + dw[0]
+        a1Z = a[1] * Z  # shared by L_x and L_y
+        return s, a, Z, dz, dw, [a1Z + a[0] * c[1] + b * c[2] for c in (dz, dw)]
+
+    def position(x, y):
+        (z0, z1), (w0, w1) = _component_major(_derivatives(sources, x, y, 2), x, y)
+        return _dim_last(chart.immersion(z0 + w0, z1 + w1, x + y))
+
+    def jet(x, y, *d):
+        d = d or _derivatives(sources, x, y, 4)
+        s, (a0, a1, a2, a3), Z, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
+        Z1 = z1 + w1
+        a2Z, a3Z = a2 * Z, a3 * Z  # terms shared by fields
+        return _jet(
+            d, L=chart.immersion(Z, Z1, s), Lx=Lx, Ly=Ly,
+            Lxx=a2Z + 2 * a1 * z1 + a0 * z2 + b * z3,
+            Lxy=a2Z + a1 * Z1,
+            Lyy=a2Z + 2 * a1 * w1 + a0 * w2 + b * w3,
+            Lxxy=a3Z + a2 * (z1 + Z1) + a1 * z2,
+            Lxyy=a3Z + a2 * (w1 + Z1) + a1 * w2,
+        )
+
+    return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
+        sources, x, y, 3))[-1])]
+
+
+def _mapped(family, chart, ambient, domain, sources, **fields) -> SurfaceMap:
+    """The surface of ``chart`` on its source curves, labelled family[z, w];
+    ``_maps`` keeps the function of the sources that made its maps."""
+    maps = functools.partial(_chart_maps, chart)
     position, jet, tangent = maps(*sources)
     names = ", ".join(c.label or name for c, name in zip(sources, "zw"))
     return SurfaceMap(ambient, position, domain, jet, tangent, sources=sources, family=family,
@@ -367,6 +423,7 @@ def translation_surface(
     *,
     samples: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOLS["premise"],
+    _premises: list[ConditionReport] | None = None,
 ) -> SurfaceMap:
     """L(x,y) = z(x) + w(y) for null curves with <z'(x), w'(y)> != 0.
 
@@ -375,15 +432,15 @@ def translation_surface(
     raises.  (A positive pairing is accepted here - the surface is still
     minimal - but the null-coordinate analysis downstream requires a
     negative one; reverse the parameter of one curve to flip the sign.)
+    ``_premises`` hands in reports made already, which begin with the null
+    checks (``null_check``) of z and w.
     """
     _require_same_signature(z, w)
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    failed = []
-    for curve, name in ((z, "null-z"), (w, "null-w")):
-        if not null_check(curve, samples, tol).passed:
-            failed.append(name)
+    nulls = _premises or [null_check(curve, samples, tol) for curve in (z, w)]
+    failed = [name for report, name in zip(nulls, ("null-z", "null-w")) if not report.passed]
     if failed:
         raise PremiseError(failed)
 
@@ -440,41 +497,9 @@ def _sphere_ambient(signature: Signature) -> Ambient:
     return Ambient.sphere(Signature(signature.dim - 1, signature.index))
 
 
-def _sphere_immersion(zw, zw1, s):  # L from z+w, z'+w' and s = x+y, broadcasting
-    return zw / s - zw1 / 2
-
-
-def _sphere_maps(z: Curve, w: Curve | None = None):
-    """position, jet and tangent of L = (z(x)+w(y))/(x+y) - (z'(x)+w'(y))/2;
-    the single-curve construction is the case w = 0."""
-    sources = (z,) if w is None else (z, w)
-
-    def parts(x, y, d):  # s, z+w, z's and w's derivatives (component-major), (L_x, L_y)
-        s = x + y
-        dz, dw = _component_major(d, x, y)
-        zw = dz[0] + dw[0]
-        return s, zw, dz, dw, [c[1] / s - zw / s**2 - c[2] / 2 for c in (dz, dw)]
-
-    def position(x, y):
-        (z0, z1), (w0, w1) = _component_major(_derivatives(sources, x, y, 2), x, y)
-        return _dim_last(_sphere_immersion(z0 + w0, z1 + w1, x + y))
-
-    def jet(x, y, *d):
-        d = d or _derivatives(sources, x, y, 4)
-        s, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
-        zw1 = z1 + w1
-        a, b, c = 2 * zw / s**3, 6 * zw / s**4, 2 * zw1 / s**3  # terms shared by fields
-        return _jet(
-            d, L=_sphere_immersion(zw, zw1, s), Lx=Lx, Ly=Ly,
-            Lxx=z2 / s - 2 * z1 / s**2 + a - z3 / 2,
-            Lxy=a - zw1 / s**2,
-            Lyy=w2 / s - 2 * w1 / s**2 + a - w3 / 2,
-            Lxxy=2 * z1 / s**3 - b - z2 / s**2 + c,
-            Lxyy=2 * w1 / s**3 - b - w2 / s**2 + c,
-        )
-
-    return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
-        sources, x, y, 3))[-1])]
+#: L = (z+w)/(x+y) - (z'+w')/2: a(s) = 1/s and b = -1/2
+_SPHERE_CHART = _Chart(lambda Z, Z1, s: Z / s - Z1 / 2,
+                       lambda s: (1 / s, -1 / s**2, 2 / s**3, -6 / s**4), -0.5)
 
 
 def sphere_case_b(
@@ -499,7 +524,7 @@ def sphere_case_b(
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
-    return _mapped("sphere_b", _sphere_maps, _sphere_ambient(z.signature), domain, (z,),
+    return _mapped("sphere_b", _SPHERE_CHART, _sphere_ambient(z.signature), domain, (z,),
                    singular_margin=lambda x, y: abs(x + y), flags=flags,
                    premises=tuple(premises))
 
@@ -523,7 +548,7 @@ def check_case_c_conditions(
     def residuals(s, dz, dw, idx):
         (z0, z1, z3), (w0, w1, w3) = dz, dw
         zw, zw1 = z0 + w0, z1 + w1
-        L = _sphere_immersion(zw, zw1, _col(s))
+        L = _SPHERE_CHART.immersion(zw, zw1, _col(s))
         return (np.abs(indefinite_dot(L, L, idx) - 1.0),
                 np.abs(2 * indefinite_dot(zw, z3, idx) - s * indefinite_dot(zw1, z3, idx)),
                 np.abs(2 * indefinite_dot(zw, w3, idx) - s * indefinite_dot(zw1, w3, idx)))
@@ -539,7 +564,7 @@ def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    return _mapped("sphere_c", _sphere_maps, _sphere_ambient(z.signature), domain, (z, w),
+    return _mapped("sphere_c", _SPHERE_CHART, _sphere_ambient(z.signature), domain, (z, w),
                    singular_margin=lambda x, y: abs(x + y))
 
 
@@ -567,43 +592,15 @@ def _hyperbolic_ambient(signature: Signature) -> Ambient:
     return Ambient.hyperbolic(Signature(signature.dim - 1, signature.index - 1))
 
 
-def _hyperbolic_immersion(zw, zw1, T):  # L from z+w, z'+w' and T = tanh(u), broadcasting
-    return zw * T - zw1 / SQRT2
+def _tanh_coefficients(s):  # tanh(s/sqrt2) and its first three derivatives
+    u = s / SQRT2
+    T, S2 = np.tanh(u), 1.0 / np.cosh(u) ** 2
+    return T, S2 / SQRT2, -S2 * T, S2 * (2 * T**2 - S2) / SQRT2
 
 
-def _hyperbolic_maps(z: Curve, w: Curve | None = None):
-    """position, jet and tangent of L = (z(x)+w(y)) tanh((x+y)/sqrt2) -
-    (z'(x)+w'(y))/sqrt2; the single-curve construction is the case w = 0."""
-    sources = (z,) if w is None else (z, w)
-
-    def parts(x, y, d):  # tanh, sech^2, z+w, the derivatives (component-major), (L_x, L_y)
-        u = (x + y) / SQRT2
-        T, S2 = np.tanh(u), 1.0 / np.cosh(u) ** 2
-        dz, dw = _component_major(d, x, y)
-        zw = dz[0] + dw[0]
-        return T, S2, zw, dz, dw, [c[1] * T + zw * S2 / SQRT2 - c[2] / SQRT2 for c in (dz, dw)]
-
-    def position(x, y):
-        (z0, z1), (w0, w1) = _component_major(_derivatives(sources, x, y, 2), x, y)
-        return _dim_last(_hyperbolic_immersion(z0 + w0, z1 + w1, np.tanh((x + y) / SQRT2)))
-
-    def jet(x, y, *d):
-        d = d or _derivatives(sources, x, y, 4)
-        T, S2, zw, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
-        L = _hyperbolic_immersion(zw, z1 + w1, T)
-        a, b = zw * S2 * T, SQRT2 * S2 * T * L  # terms shared by fields
-        return _jet(
-            d, L=L, Lx=Lx, Ly=Ly,
-            Lxx=z2 * T + SQRT2 * z1 * S2 - a - z3 / SQRT2,
-            Lxy=-S2 * L,
-            Lyy=w2 * T + SQRT2 * w1 * S2 - a - w3 / SQRT2,
-            # (sech^2 u)_x = -sqrt2 sech^2 u tanh u
-            Lxxy=b - S2 * Lx,
-            Lxyy=b - S2 * Ly,
-        )
-
-    return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
-        sources, x, y, 3))[-1])]
+#: L = (z+w) tanh((x+y)/sqrt2) - (z'+w')/sqrt2: a(s) = tanh(s/sqrt2), b = -1/sqrt2
+_HYPERBOLIC_CHART = _Chart(lambda Z, Z1, s: Z * np.tanh(s / SQRT2) - Z1 / SQRT2,
+                           _tanh_coefficients, -1 / SQRT2)
 
 
 def hyperbolic_case_ii(
@@ -625,7 +622,7 @@ def hyperbolic_case_ii(
     flags = _premise_flags(premises)
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
-    return _mapped("hyp_ii", _hyperbolic_maps, _hyperbolic_ambient(z.signature), domain, (z,),
+    return _mapped("hyp_ii", _HYPERBOLIC_CHART, _hyperbolic_ambient(z.signature), domain, (z,),
                    flags=flags, premises=tuple(premises))
 
 
@@ -648,7 +645,7 @@ def check_case_iii_conditions(
         T = np.tanh(s / SQRT2)
         az, aw = 2 * z1 - z3, 2 * w1 - w3
         zw, zw1 = z0 + w0, z1 + w1
-        L = _hyperbolic_immersion(zw, zw1, _col(T))
+        L = _HYPERBOLIC_CHART.immersion(zw, zw1, _col(s))
         return (np.abs(indefinite_dot(L, L, idx) + 1.0),
                 np.abs(SQRT2 * indefinite_dot(zw, az, idx) * T - indefinite_dot(zw1, az, idx)),
                 np.abs(SQRT2 * indefinite_dot(zw, aw, idx) * T - indefinite_dot(zw1, aw, idx)))
@@ -663,7 +660,7 @@ def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> Surface
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    return _mapped("hyp_iii", _hyperbolic_maps, _hyperbolic_ambient(z.signature), domain, (z, w))
+    return _mapped("hyp_iii", _HYPERBOLIC_CHART, _hyperbolic_ambient(z.signature), domain, (z, w))
 
 
 # ---------------------------------------------------------------------------

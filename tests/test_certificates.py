@@ -8,14 +8,21 @@ as a polynomial in the curve parameters x, y, t, the basis functions and
 any free symbol, modulo cosh^2 - sinh^2 = 1 and cos^2 + sin^2 = 1, with
 coefficients rational in the family parameters; it holds when the
 remainder is zero.
+
+The surface charts are certified too: the jet of ``surfaces._chart_maps``
+against sympy's derivatives of a(x+y) Z + b Z' for a symbolic a, z and w,
+and each chart's coefficients and immersion against 1/s and tanh(s/sqrt2).
 """
 
 import functools
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 sp = pytest.importorskip("sympy")
 
+from lorentzmin import surfaces  # noqa: E402
 from lorentzmin.curves import EX72_CHAIN_BOUNDS, FAMILIES, _ex72_chain_mid  # noqa: E402
 
 t, x, y = sp.symbols("t x y", real=True)
@@ -136,3 +143,43 @@ def test_false_identities_are_not_certified():
     params, signature, (table,) = family("Ex7_1")
     z1 = diff(vector(table, t), t, 1)
     assert not vanishes(dot(z1, z1, signature) - 5, params)
+
+
+#: the jet's fields by their orders in x and y
+JET_ORDERS = {"L": (0, 0), "Lx": (1, 0), "Ly": (0, 1), "Lxx": (2, 0), "Lxy": (1, 1),
+              "Lyy": (0, 2), "Lxxy": (2, 1), "Lxyy": (1, 2)}
+
+
+@pytest.mark.parametrize("curves", [2, 1], ids=["pair", "single"])
+def test_chart_jet_is_the_product_rule(curves):
+    # every field of the chart jet, for a symbolic a(s), b and curves z, w
+    a, b = sp.Function("a"), sp.Symbol("b")
+    chart = surfaces._Chart(lambda Z, Z1, s: a(s) * Z + b * Z1,
+                            lambda s: [sp.diff(a(t), t, k).subs(t, s) for k in range(4)], b)
+    sources = [(sp.Function("z")(x), x), (sp.Function("w")(y), y)][:curves]
+    L = a(x + y) * sum(c for c, _ in sources) + b * sum(sp.diff(c, v) for c, v in sources)
+    d = [np.array([[sp.diff(c, v, k)] for k in range(4)], dtype=object) for c, v in sources]
+    jet = surfaces._chart_maps(chart, *"zw"[:curves])[1](x, y, *d)
+    for field, (i, j) in JET_ORDERS.items():
+        assert sp.simplify((getattr(jet, field)[0] - sp.diff(L, x, i, y, j)).doit()) == 0, field
+
+
+S = sp.Symbol("s", positive=True)
+
+
+@pytest.mark.parametrize("chart, a", [("_SPHERE_CHART", 1 / S),
+                                      ("_HYPERBOLIC_CHART", sp.tanh(S / sp.sqrt(2)))],
+                         ids=["sphere", "hyperbolic"])
+def test_chart_coefficients_and_immersion(monkeypatch, chart, a):
+    # coefficients(s) are a and its first three derivatives, and
+    # immersion(Z, Z', s) = a Z + b Z', with sympy's tanh and cosh and an
+    # exact sqrt2 in place of numpy's
+    chart = getattr(surfaces, chart)
+    monkeypatch.setattr(surfaces, "np", SimpleNamespace(tanh=sp.tanh, cosh=sp.cosh))
+    monkeypatch.setattr(surfaces, "SQRT2", sp.sqrt(2))
+    for k, coefficient in enumerate(chart.coefficients(S)):
+        assert sp.simplify(sp.nsimplify(coefficient) - sp.diff(a, S, k)) == 0, k
+    b = sp.nsimplify(chart.b, [sp.sqrt(2)])
+    assert abs(float(b) - chart.b) <= 2**-52
+    Z, Z1 = sp.symbols("Z Z1")
+    assert sp.simplify(chart.immersion(Z, Z1, S) - (a * Z + b * Z1)) == 0

@@ -182,6 +182,27 @@ class TestVerify:
         assert [c.to_dict() for c in report.checks[:4]] == [
             r.to_dict() for r in original(*calls[0])]
 
+    def test_translation_null_checks_run_once(self, monkeypatch):
+        # the harness's null-z and null-w reports are handed to the
+        # constructor, which keeps its own pairing sweep
+        import pathlib
+
+        from lorentzmin import harness, surfaces
+
+        calls = []
+        original = surfaces.null_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (surfaces, harness):
+            monkeypatch.setattr(module, "null_check", counted)
+        spec = pathlib.Path(__file__).resolve().parent.parent / "specs" / "translation_demo.json"
+        report = verify(json.loads(spec.read_text()))
+        assert report.overall_pass
+        assert len(calls) == 2
+
     def test_failed_premise_reported_even_on_a_bad_domain(self):
         # the premises run before the domain checks, so this is a report
         # (exit 1), not invalid input

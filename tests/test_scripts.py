@@ -50,10 +50,34 @@ def test_deterministic_outputs_names_80_and_writes_one(tmp_path):
     assert (code, written) == ("0", name)
     assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert (tmp_path / name).read_text().startswith("x,y,L_1,")
-    # --compare names each output whose digest or exit code differs
-    for old, code, out in ((manifest, 0, ""), (manifest.replace(" 0 ", " 1 "), 1, name),
-                           ("0" * 64 + f" 0 {name}\n", 1, name)):
-        (tmp_path / "OLD").write_text(old)
-        result = run_script("deterministic_outputs.py", "--out", str(tmp_path / "again"),
-                            "--only", name, "--compare", str(tmp_path / "OLD"))
-        assert (result.returncode, result.stdout.split()[1:]) == (code, [out] if out else [])
+    # --compare names each output whose digest or exit code differs, and says
+    # what moved when the old output sits beside the old manifest
+    (tmp_path / "bare").mkdir()
+    for old, code, beside, bare in (
+            (manifest, 0, [], []),
+            (manifest.replace(" 0 ", " 1 "), 1, [name, "verdicts"], [name]),
+            ("0" * 64 + f" 0 {name}\n", 1, [name, "residuals", "1"], [name])):
+        for where, out in ((tmp_path, beside), (tmp_path / "bare", bare)):
+            (where / "OLD").write_text(old)
+            result = run_script("deterministic_outputs.py", "--out", str(tmp_path / "again"),
+                                "--only", name, "--compare", str(where / "OLD"))
+            assert (result.returncode, result.stdout.split()[1:]) == (code, out)
+
+
+def test_deterministic_outputs_compare_tells_verdicts_from_residuals(tmp_path):
+    name = "verify-translation_demo-21.json"
+    old = tmp_path / "old"
+    result = run_script("deterministic_outputs.py", "--out", str(old), "--only", name)
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads((old / name).read_text())
+    (old / "MANIFEST").write_text("0" * 64 + f" 0 {name}\n")
+    fd = [c["condition_id"] == "fd-partials" for c in report["checks"]]
+    scaled = {**report, "checks": [{**c, "max_residual": c["max_residual"] * 3} if f else c
+                                   for c, f in zip(report["checks"], fd)]}
+    flipped = {**report, "checks": [{**c, "passed": not c["passed"]} if f else c
+                                    for c, f in zip(report["checks"], fd)]}
+    for changed, out in ((scaled, [name, "residuals", "3"]), (flipped, [name, "verdicts"])):
+        (old / name).write_text(json.dumps(changed))
+        result = run_script("deterministic_outputs.py", "--out", str(tmp_path / "new"),
+                            "--only", name, "--compare", str(old / "MANIFEST"))
+        assert (result.returncode, result.stdout.split()[1:]) == (1, out)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -303,3 +304,21 @@ def test_third_order_jet_matches_richardson_of_mixed_partial(name):
         analytic = np.broadcast_to(analytic, fd.shape)
         scale = np.maximum(1.0, np.max(np.abs(analytic), axis=-1))
         assert np.max(np.max(np.abs(fd - analytic), axis=-1) / scale) <= 1e-7
+
+
+@pytest.mark.parametrize("name, chart", [
+    ("sphere_b_ex71", "_SPHERE_CHART"), ("sphere_c_ex72", "_SPHERE_CHART"),
+    ("hyp_ii_ex81", "_HYPERBOLIC_CHART"), ("hyp_iii_ex82", "_HYPERBOLIC_CHART"),
+])
+def test_pde_xy_fails_when_L_disagrees_with_its_chart(monkeypatch, name, chart):
+    # negative control: an immersion whose Z' coefficient is off by 1e-6
+    # leaves the jet's L_xy (from the chart's coefficients) unchanged, so
+    # pde-xy, which compares L_xy with L, must fail
+    from lorentzmin import surfaces
+    from lorentzmin.harness import verify
+
+    good = getattr(surfaces, chart)
+    monkeypatch.setattr(surfaces, chart, dataclasses.replace(
+        good, immersion=lambda Z, Z1, s: good.immersion(Z, (1 + 1e-6) * Z1, s)))
+    report = verify(json.loads((SPEC_DIR / f"{name}.json").read_text()))
+    assert "pde-xy" in report.failed_checks()
