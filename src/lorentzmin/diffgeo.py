@@ -61,7 +61,7 @@ from .curves import DOMAIN_PAD_FRACTION
 from .errors import DegenerateMetricError, DomainError
 from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
-from .surfaces import (BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _dim_last,
+from .surfaces import (_FIELDS, BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _dim_last,
                        _grid_blocks, _stacked, grid_axes)
 
 __all__ = [
@@ -181,7 +181,7 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
     (+-hxy/2, +-hxy/2).  A step scales with its own coordinate, so the
     eight x offsets are evaluated on x's own shape (a grid block's (rows, 1)
     axis) and the eight y offsets likewise; only the crosses, with
-    hxy = max(hx2, hy2), need every node.  Each group is one ``position`` call."""
+    hxy = max(hx2, hy2), need every node, two offsets per ``position`` call."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
     def step(h, base, t):  # the given step, or base * max(1, |t|) per node
@@ -195,11 +195,8 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
     hxy = np.maximum(hx2, hy2)
     _check_point(surface, x, y, np.maximum(np.maximum(hx1, hy1), hxy))
     c = surface.position(x, y)
-    # px, py: x and y at h1 ([:4]) and h2 ([4:]); pxy: the crosses at hxy, hxy/2
+    # px, py: x and y at h1 ([:4]) and h2 ([4:])
     px, py = surface.position(x + offsets(hx1, hx2), y), surface.position(x, y + offsets(hy1, hy2))
-    half = hxy / 2
-    pxy = surface.position(x + np.stack([hxy, hxy, -hxy, -hxy, half, half, -half, -half]),
-                           y + np.stack([hxy, -hxy, hxy, -hxy, half, -half, half, -half]))
 
     def rich1(q, h):  # q: the position at +h, -h, +h/2, -h/2
         d1 = (q[0] - q[1]) / _col(2 * h)
@@ -211,15 +208,16 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
         d2 = (q[2] - 2 * c + q[3]) / _col((h / 2) ** 2)
         return (4 * d2 - d1) / 3
 
-    def cross(q, h):  # q: the position at (+h,+h), (+h,-h), (-h,+h), (-h,-h)
-        return (q[0] - q[1] - q[2] + q[3]) / _col(4 * h * h)
+    def cross(h):  # from the position at x + h and at x - h, each at y + h and y - h
+        p, q = (surface.position(x + s, y + np.stack([h, -h])) for s in (h, -h))
+        return (p[0] - p[1] - q[0] + q[1]) / _col(4 * h * h)
 
     return Jet2(
         L=c,
         Lx=rich1(px[:4], hx1),
         Ly=rich1(py[:4], hy1),
         Lxx=rich2(px[4:], hx2),
-        Lxy=(4 * cross(pxy[4:], half) - cross(pxy[:4], hxy)) / 3,
+        Lxy=(4 * cross(hxy / 2) - cross(hxy)) / 3,
         Lyy=rich2(py[4:], hy2),
     )
 
@@ -264,22 +262,22 @@ def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float
 # metric, projection, E-field
 
 
-_FIELDS = ("Lx", "Ly", "L", "Lxx", "Lxy", "Lyy", "Lxxy", "Lxyy")  # the rows of ``_table``'s W
-
-
 def _table(surface: SurfaceMap, jet: Jet2):
     """(W, d, T, nodes): the jet's fields (``_FIELDS``) broadcast to its
-    nodes, component-major, shape (fields, dim, n nodes); the metric
-    diagonal; T = <W_i, W_j> for i < 3, j < 6, shape (3, 6, n); the nodes'
-    shape.  On the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3 vectors,
-    the Gram matrix is T[:n, :n] and the right-hand sides T[:n, 3:]."""
-    fields = [getattr(jet, f) for f in _FIELDS[:6 if jet.Lxxy is None else 8]]
-    shape = np.broadcast_shapes(*(np.shape(v) for v in fields))
-    W = np.empty((len(fields), shape[-1]) + shape[:-1])
-    for row, v in zip(_dim_last(W, 1), fields):
-        row[...] = v
-    W = W.reshape(len(fields), shape[-1], -1)
-    d = _metric_diagonal(shape[-1], surface.ambient.embedding_signature.index)
+    nodes, component-major, shape (fields, dim, n nodes), which is the jet's
+    own table if it has one (``Jet2.table``); the metric diagonal;
+    T = <W_i, W_j> for i < 3, j < 6, shape (3, 6, n); the nodes' shape.  On
+    the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3 vectors, the Gram
+    matrix is T[:n, :n] and the right-hand sides T[:n, 3:]."""
+    if (W := jet.table) is None:
+        fields = [getattr(jet, f) for f in _FIELDS[:6 if jet.Lxxy is None else 8]]
+        shape = np.broadcast_shapes(*(np.shape(v) for v in fields))
+        W = np.empty((len(fields), shape[-1]) + shape[:-1])
+        for row, v in zip(_dim_last(W, 1), fields):
+            row[...] = v
+    nodes = W.shape[2:]
+    W = W.reshape(W.shape[:2] + (-1,))
+    d = _metric_diagonal(W.shape[1], surface.ambient.embedding_signature.index)
     T = np.empty((3, 6, W.shape[-1]))
     # the Gram block by a matmul per node, whose summation order the quadric
     # verdicts at an LMS_DEFAULT_TOL near rounding level depend on
@@ -292,7 +290,7 @@ def _table(surface: SurfaceMap, jet: Jet2):
             f"g_xy = {T[0, 1, _first(bad)]:g} >= 0: not a Lorentz surface in "
             "null coordinates (if the pairing is positive, reverse one coordinate)"
         )
-    return W, d, T, shape[:-1]
+    return W, d, T, nodes
 
 
 def _gram_solve(G, rhs):
@@ -343,7 +341,7 @@ def _efield(surface: SurfaceMap, x, y):
 
     First derivatives use E_FIRST_STEP (truncation-limited); the mixed one
     uses the wider K step (noise-limited, divided by h^2).  The eight
-    offsets of all nodes are stacked into one evaluation."""
+    offsets of all nodes are evaluated two at a time, to bound the memory."""
     scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
     h = (K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD) * scale
     h1 = E_FIRST_STEP * scale
@@ -351,7 +349,8 @@ def _efield(surface: SurfaceMap, x, y):
     zero = np.zeros_like(h)
     dx = np.stack([h1, -h1, zero, zero, h, h, -h, -h])
     dy = np.stack([zero, zero, h1, -h1, h, -h, h, -h])
-    e = _conformal(surface, x + dx, y + dy)
+    e = np.concatenate([_conformal(surface, x + dx[i:i + 2], y + dy[i:i + 2])
+                        for i in range(0, 8, 2)])
     ex = (e[0] - e[1]) / (2 * h1)
     ey = (e[2] - e[3]) / (2 * h1)
     exy = (e[4] - e[5] - e[6] + e[7]) / (4 * h * h)
@@ -407,14 +406,14 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
                     (scalar(np.abs(g_xx)), scalar(np.abs(g_yy))),
                     np.moveaxis(T[:3, :3].reshape((3, 3) + nodes), (0, 1), (-2, -1)))
     frame = FrameData(*vectors(W[:2] / E), *map(scalar, connection))
-    h11, h12, h22 = vectors(h / E**2)
+    h11, h12, h22 = vectors(np.divide(h, E**2, out=h))
     forms = FundamentalForms(md, frame, h11, h12, h22, -h12, scalar(K))
     return Jet2(**dict(zip(_FIELDS, vectors(W))), curves=jet.curves), forms
 
 
 def _draws_per_block(shape) -> int:
-    """Whole draws of a grid in one block of ``grid_values``: BLOCK_NODES
-    counts draws x nodes, as the FD subgrid's light stencils allow there too."""
+    """Whole draws of a grid in one ``grid_values`` block: BLOCK_NODES counts draws x
+    nodes, on the FD subgrid too (12 Ex8_2 draws peak at 2.0 MiB there, as at 9x9)."""
     return max(1, BLOCK_NODES // (shape[0] * shape[1]))
 
 
@@ -458,6 +457,7 @@ def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvat
                 out[i] = np.empty(value.shape[:len(at) - 2] + (xs.size, ys.size)
                                   + value.shape[len(at):], value.dtype)
             out[i][at] = value
+        jet = forms = value = None  # this block's arrays die before the next block's jet
     return out
 
 

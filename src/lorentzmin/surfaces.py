@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -95,9 +95,9 @@ SINGULAR_MARGIN = 0.01
 
 DEFAULT_GRID = (21, 21)
 
-#: Most nodes in one block of a grid evaluation (``_grid_blocks``); a jet
-#: call holds about twenty arrays of BLOCK_NODES x dim floats at its peak.
-BLOCK_NODES = 512
+#: Most nodes in one block of a grid evaluation (``_grid_blocks``); a grid
+#: pass holds about 19 arrays of BLOCK_NODES x dim floats (hyp_iii, tracemalloc).
+BLOCK_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,13 @@ class Jet2:
     Lxxy: np.ndarray | None = None
     Lxyy: np.ndarray | None = None
     curves: tuple[np.ndarray, ...] = ()
+    #: the fields as rows (``_FIELDS``) of one (8, dim) + nodes array, when a chart's jet
+    #: computed them there; not an init field, so ``dataclasses.replace`` drops it
+    table: np.ndarray | None = field(default=None, init=False, repr=False)
+
+
+#: The jet's fields in the row order of ``Jet2.table`` and ``diffgeo._table``'s W
+_FIELDS = ("Lx", "Ly", "L", "Lxx", "Lxy", "Lyy", "Lxxy", "Lxyy")
 
 
 @dataclass(frozen=True)
@@ -172,16 +179,22 @@ class _Chart:
 def _chart_maps(chart: _Chart, *sources):
     """position, jet and tangent of ``chart`` on its sources (z, or z and w):
     L is the chart's immersion, and its partials the product rule on
-    a(x+y) Z + b Z' (L_xy = a''Z + a'Z', L_xxy = a'''Z + a''(z' + Z') + a'z'')."""
-    b = chart.b
+    a(x+y) Z + b Z' (L_xy = a''Z + a'Z', L_xxy = a'''Z + a''(z' + Z') + a'z'').
+    ``jet`` writes each field into a row of one table (``Jet2.table``).  One source
+    skips w = 0's terms but keeps Z = z + 0.0 and Z' = z' + 0.0, so L's zeros keep their signs."""
+    b, pair = chart.b, len(sources) > 1
 
-    def parts(x, y, d):  # s, a to a''', Z, z's and w's derivatives (component-major), (L_x, L_y)
+    def parts(x, y, d, rows):  # s, a to a''', Z, z's and w's derivatives (component-major),
+        # and a table of ``rows`` fields whose first two rows hold L_x and L_y
         s = x + y
         a = chart.coefficients(s)
         dz, dw = _component_major(d, x, y)
         Z = dz[0] + dw[0]
-        a1Z = a[1] * Z  # shared by L_x and L_y
-        return s, a, Z, dz, dw, [a1Z + a[0] * c[1] + b * c[2] for c in (dz, dw)]
+        W = np.empty((rows,) + np.broadcast_shapes(Z.shape, np.shape(s)), Z.dtype)
+        a1Z = np.multiply(a[1], Z, out=None if pair else W[1])  # in L_x and L_y, or L_y alone
+        for c, row in zip((dz, dw)[:1 + pair], W):
+            np.add(a1Z + a[0] * c[1], b * c[2], out=row)
+        return s, a, Z, dz, dw, W
 
     def position(x, y):
         (z0, z1), (w0, w1) = _component_major(_derivatives(sources, x, y, 2), x, y)
@@ -189,20 +202,26 @@ def _chart_maps(chart: _Chart, *sources):
 
     def jet(x, y, *d):
         d = d or _derivatives(sources, x, y, 4)
-        s, (a0, a1, a2, a3), Z, (_, z1, z2, z3), (_, w1, w2, w3), (Lx, Ly) = parts(x, y, d)
+        s, (a0, a1, a2, a3), Z, (_, z1, z2, z3), (_, w1, w2, w3), W = parts(x, y, d, 8)
+        _, _, L, Lxx, Lxy, Lyy, Lxxy, Lxyy = W
         Z1 = z1 + w1
-        a2Z, a3Z = a2 * Z, a3 * Z  # terms shared by fields
-        return _jet(
-            d, L=chart.immersion(Z, Z1, s), Lx=Lx, Ly=Ly,
-            Lxx=a2Z + 2 * a1 * z1 + a0 * z2 + b * z3,
-            Lxy=a2Z + a1 * Z1,
-            Lyy=a2Z + 2 * a1 * w1 + a0 * w2 + b * w3,
-            Lxxy=a3Z + a2 * (z1 + Z1) + a1 * z2,
-            Lxyy=a3Z + a2 * (w1 + Z1) + a1 * w2,
-        )
+        L[...] = chart.immersion(Z, Z1, s)
+        a2Z = np.multiply(a2, Z, out=None if pair else Lyy)  # shared by fields, or L_yy alone
+        a3Z = a3 * Z
+        np.add(a2Z + 2 * a1 * z1 + a0 * z2, b * z3, out=Lxx)
+        np.add(a2Z, a1 * Z1, out=Lxy)
+        np.add(a3Z + a2 * (z1 + Z1), a1 * z2, out=Lxxy)
+        if pair:
+            np.add(a2Z + 2 * a1 * w1 + a0 * w2, b * w3, out=Lyy)
+            np.add(a3Z + a2 * (w1 + Z1), a1 * w2, out=Lxyy)
+        else:
+            np.add(a3Z, a2 * Z1, out=Lxyy)
+        jet = _jet(d, **dict(zip(_FIELDS, W)))
+        object.__setattr__(jet, "table", W)  # frozen, and not an init field
+        return jet
 
-    return position, jet, lambda x, y: [*map(_dim_last, parts(x, y, _derivatives(
-        sources, x, y, 3))[-1])]
+    return position, jet, lambda x, y: [*map(_dim_last, parts(
+        x, y, _derivatives(sources, x, y, 3), 2)[-1])]
 
 
 def _mapped(family, chart, ambient, domain, sources, **fields) -> SurfaceMap:
@@ -230,8 +249,8 @@ def _stacked(surfaces) -> SurfaceMap:
 
 
 #: Largest grid, in nodes, that a spec may ask for.  A verify holds about
-#: 0.5 kB per node at its peak and takes about 13 us per node (sphere_c on
-#: a 2-vCPU VM), so the cap is already about 0.5 GB and 15 s; a larger
+#: 0.1 kB per node at its peak and takes 2-3 us per node (sphere_c, hyp_iii
+#: at 300x300 on a 2-vCPU VM), so the cap is about 0.1 GB and 3 s; a larger
 #: grid is a typo (an [nx, ny] of [10**5, 10**5] would try to allocate
 #: terabytes) and is rejected before any work starts.
 MAX_GRID_NODES = 1_000_000

@@ -150,8 +150,8 @@ def test_sweep_checks_full_batches(monkeypatch):
 
 
 def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
-    # per fold of six sphere_b draws, one stack of z for the premises and one
-    # for the grid and subgrid passes together
+    # per fold of twelve sphere_b draws, one stack of z for the premises and
+    # one for the grid and subgrid passes together
     from lorentzmin.curves import _Stack
 
     stacks = []
@@ -162,13 +162,13 @@ def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
         init(self, curves)
 
     monkeypatch.setattr(_Stack, "__init__", counted)
-    sweep("Ex7_1", n=14, rng_seed=0)
-    assert stacks == [6, 6, 6, 6, 2, 2]
+    sweep("Ex7_1", n=26, rng_seed=0)
+    assert stacks == [12, 12, 12, 12, 2, 2]
 
 
 def test_sweep_validates_each_draw_once(monkeypatch):
     # one array call of the family's formulas per chunk of draws
-    for family, n, chunks in (("Ex7_1", 10, [10]), ("Ex7_2", 1100, [512, 512, 76])):
+    for family, n, chunks in (("Ex7_1", 10, [10]), ("Ex7_2", 2100, [1024, 1024, 52])):
         calls = []
         coeffs = FAMILIES[family]["_coeffs"]
 
@@ -230,15 +230,15 @@ def test_chunked_draws_replay_the_scalar_draws(data):
 
 
 def test_a_chunk_of_rejecting_draws_stops_at_its_value_cap():
-    # about 340 tries of three values per set: a chunk takes about eight
+    # about 340 tries of three values per set: a chunk takes about sixteen
     # sets before CHUNK_VALUES, and the next chunk goes on where it stopped
     cfg = harness._sampler_config("Ex7_1", {"min_gap": 1.2})
     rng = np.random.default_rng(0)
-    chunks = [c.tolist() for c in sampling._draw_chunks("Ex7_1", cfg, rng, 30)]
-    assert len(chunks) > 2 and sum(map(len, chunks)) == 30
+    chunks = [c.tolist() for c in sampling._draw_chunks("Ex7_1", cfg, rng, 60)]
+    assert len(chunks) > 2 and sum(map(len, chunks)) == 60
     scalar = np.random.default_rng(0)
     assert sum(chunks, []) == [[p[k] for k in FAMILIES["Ex7_1"]["params"]]
-                               for p in (draw_params("Ex7_1", cfg, scalar) for _ in range(30))]
+                               for p in (draw_params("Ex7_1", cfg, scalar) for _ in range(60))]
     assert rng.uniform() == scalar.uniform()
 
 
@@ -336,9 +336,9 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
     report = verify(SPHERE_71)
     assert report.overall_pass
     # jets on the grid and the subgrid centres; only L_x and L_y at the
-    # subgrid's 8 E-field offsets
+    # subgrid's 8 E-field offsets, two offsets per call
     assert sorted(nodes["jet"]) == [25, 21 * 21]
-    assert nodes["tangent"] == [8 * 25]
+    assert nodes["tangent"] == [2 * 25] * 4
 
 
 def test_efield_checks_its_nodes_once():
@@ -392,7 +392,7 @@ def test_grid_values_blocks_whole_draws(monkeypatch):
 
     monkeypatch.setattr(diffgeo, "_forms", recording)
     k = [lambda x, y, jet, f: f.K]
-    for shape, curvature, per in (((9, 9), "jet", 6), ((5, 5), "stencil", 20),
+    for shape, curvature, per in (((9, 9), "jet", 12), ((5, 5), "stencil", 40),
                                   ((30, 30), "jet", 1)):
         assert diffgeo._draws_per_block(shape) == per
         blocks.clear()
@@ -402,11 +402,11 @@ def test_grid_values_blocks_whole_draws(monkeypatch):
         (one,) = diffgeo.grid_values([surface], shape, k, curvature=curvature)
         assert blocks == single and np.array_equal(one, alone[None])  # a batch of one
         blocks.clear()
-        (seven,) = diffgeo.grid_values([surface] * 7, shape, k, curvature=curvature)
-        assert np.array_equal(seven, np.broadcast_to(alone, (7,) + alone.shape))
+        (many,) = diffgeo.grid_values([surface] * 13, shape, k, curvature=curvature)
+        assert np.array_equal(many, np.broadcast_to(alone, (13,) + alone.shape))
         # whole draws per block; a block of one draw is that draw alone
-        stacks = [(d,) + shape if d > 1 else shape for d in [per] * (7 // per) + [7 % per] if d]
-        assert blocks == (stacks if per > 1 else single * 7)
+        stacks = [(d,) + shape if d > 1 else shape for d in [per] * (13 // per) + [13 % per] if d]
+        assert blocks == (stacks if per > 1 else single * 13)
         assert all(math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks if b != shape)
 
 

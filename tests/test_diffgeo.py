@@ -137,7 +137,7 @@ class TestPartials:
 
     @pytest.mark.parametrize("name, shape, chunks", [
         ("sphere_c_ex72", (81, 81), (1, 1)), ("sphere_b_ex71", (81, 81), (1,)),
-        ("hyp_iii_ex82", (3, 1200), (1, 3)), ("hyp_iii_ex82", (600, 2), (2, 1))])
+        ("hyp_iii_ex82", (3, 2400), (1, 3)), ("hyp_iii_ex82", (1200, 2), (2, 1))])
     def test_grid_pass_evaluates_each_curve_once_per_axis_chunk(self, monkeypatch, name, shape,
                                                                 chunks):
         # the harness's grid checks, xi-recovery's derivatives of z included:
@@ -190,6 +190,53 @@ class TestPartials:
         growth = peak((2, 50000)) - peak((2, 5000))
         assert growth <= 2 * per_node * 2 * 45000 + 2**19, growth / 2**20
 
+    def test_a_blocks_table_and_forms_die_before_the_next_blocks_jet(self, monkeypatch):
+        # the chart jet's table (which the block's jet fields view) and the
+        # block's forms are released by the time the next block's jet runs
+        import dataclasses
+        import weakref
+
+        from lorentzmin.harness import _check_plan
+
+        spec, surface = _build_spec_surface("hyp_iii_ex82")
+        made, live = [], []
+
+        def jet(x, y, *d):
+            live.append(sum(ref() is not None for ref in made))
+            j = surface.jet(x, y, *d)
+            made.append(weakref.ref(j.table))
+            return j
+
+        forms = diffgeo._forms
+
+        def recording(*args):
+            j, f = forms(*args)
+            made.append(weakref.ref(f))
+            return j, f
+
+        monkeypatch.setattr(diffgeo, "_forms", recording)
+        diffgeo.grid_values(dataclasses.replace(surface, jet=jet), (81, 81),
+                            [e[1] for e in _check_plan(spec, surface)[0]])
+        blocks = -(-81 // (diffgeo.BLOCK_NODES // 81))
+        assert len(made) == 2 * blocks and live == [0] * blocks
+
+    def test_hyp_iii_verify_at_81x81_peaks_below_the_512_node_blocks(self):
+        # 2.80 MiB with 512-node blocks, whose jet was copied into the table;
+        # 2.41 MiB with 1,024-node blocks whose jet is written into it
+        import tracemalloc
+
+        from lorentzmin.harness import verify
+
+        spec = {**json.loads((SPEC_DIR / "hyp_iii_ex82.json").read_text()), "grid": [81, 81]}
+        verify(spec)  # first-call allocations
+        tracemalloc.start()
+        try:
+            assert verify(spec).overall_pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.80 * 2**20, peak / 2**20
+
     def test_fd_discrepancy_makes_one_position_call_per_stencil_group(self, sphere_71):
         import dataclasses
 
@@ -203,9 +250,10 @@ class TestPartials:
         xs, ys = grid_axes(counted.domain, (5, 5))
         assert np.max(fd_discrepancy(counted, xs, ys)) < 1e-6
         # the centres; the eight x offsets on the x axis alone and the eight
-        # y offsets on the y axis alone; the two diagonal crosses on every node
-        assert calls == [((5, 1), (1, 5)), ((8, 5, 1), (1, 5)), ((5, 1), (8, 1, 5)),
-                         ((8, 5, 5), (8, 5, 5))]
+        # y offsets on the y axis alone; the two diagonal crosses on every
+        # node, two offsets that share their x per call
+        assert calls == [((5, 1), (1, 5)), ((8, 5, 1), (1, 5)), ((5, 1), (8, 1, 5))] + [
+            ((5, 5), (2, 5, 5))] * 4
 
 
 class TestInducedMetric:

@@ -4,8 +4,11 @@ block of draws at once, and give the same bits as the full stencils did:
 line offsets on a block's own axes, equals the 25-offset stencil evaluated
 on every node.  Each is checked on a single surface and on a stack of six
 draws (``surfaces._stacked``), and the subgrid pass over six draws must
-stay within 1.5x the memory of the grid pass over the same draws."""
+stay within 1.5x the memory of the grid pass over the same draws.  The
+chart jet, which writes its fields into the grid pass's table, gives the
+bits of a jet whose fields are copied there and of the point path."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from lorentzmin import diffgeo, harness
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec
 from lorentzmin.report import default_tolerances
-from lorentzmin.surfaces import Jet2, _col, _stacked, grid_axes
+from lorentzmin.surfaces import _FIELDS, Jet2, _col, _stacked, grid_axes
 
 #: Six valid parameter sets of each curve-built family, one term structure each
 DRAWS = {
@@ -100,9 +103,35 @@ def test_per_axis_fd_jet_equals_the_stencil_on_every_node(family, draws):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize("family", sorted(DRAWS))
+def test_table_jet_gives_the_bits_of_copied_fields_and_of_the_point_path(family, draws):
+    # the chart jet writes its fields into the table of diffgeo._table
+    # (Jet2.table); rebuilt by dataclasses.replace, a jet has no table, and
+    # _table copies its fields as for any other jet.  Both runs give the
+    # same bits, over two blocks, and the blocks' fields are partials()'s.
+    spec = SurfaceSpec(family=family, grid=(9, 9))
+    surface = _stacked(_surfaces(family)[:draws])
+    copied = dataclasses.replace(
+        surface, jet=lambda x, y, *d: dataclasses.replace(surface.jet(x, y, *d)))
+    shape = (40, 40)  # two blocks of 1,024 nodes at most
+    axes = grid_axes(surface.domain, shape)
+    assert surface.jet(*axes).table is not None and copied.jet(*axes).table is None
+    fields = [lambda x, y, jet, f, name=name: getattr(jet, name) for name in _FIELDS] + [
+        e[1] for e in harness._check_plan(spec, surface)[0]]
+    table, copy = (diffgeo.grid_values(s, shape, fields) for s in (surface, copied))
+    for got, want in zip(table, copy):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    jet = diffgeo.partials(surface, *axes)
+    for got, name in zip(table, _FIELDS):
+        assert got.tobytes() == np.ascontiguousarray(getattr(jet, name)).tobytes(), name
+
+
 def test_subgrid_pass_of_six_draws_peaks_near_the_grid_pass():
-    # measured at 1.26x (1.74 vs 1.38 MiB) with the per-axis FD jet and the
-    # tangent-only E-field; the full stencils peaked at 3.50 MiB (2.6x)
+    # measured at 1.12x (1.14 vs 1.02 MiB) with the E-field's offsets and the
+    # FD crosses two at a time, 1.30x (1.92 vs 1.47 MiB) with each eight in one
+    # call; the full stencils, before the per-axis FD jet and the tangent-only
+    # E-field, peaked at 3.50 MiB (2.6x)
     spec = SurfaceSpec(family="hyp_iii", grid=(9, 9))
     stack = _stacked(_surfaces("hyp_iii"))
     assert diffgeo._draws_per_block(FD_SUBGRID) >= 6  # a sweep's block is one subgrid block
