@@ -691,8 +691,8 @@ BUILTIN_CURVES: dict[str, Curve] = {
          [const(0), poly(0, 1), const(0), const(0), tsin(1), tcos(1)]),
         # quadratic light-cone curve: speed 2, <z'',z''> = 0, z''' = 0
         ("quadratic3", Signature(3, 1), [poly(1, 0, 1), poly(0, 2), poly(1, 0, -1)]),
-        # halves of the quadratic curve; together they parametrize the unit
-        # de Sitter surface through the sphere-family pair construction
+        # halves of the quadratic curve; as z and w of the sphere pair chart
+        # they make the unit de Sitter surface of ``de_sitter_control``
         ("half_quadratic", Signature(3, 1),
          [poly(0.5, 0, 0.5), poly(0, 1), poly(0.5, 0, -0.5)]),
         ("half_quadratic_rev", Signature(3, 1),

@@ -339,8 +339,8 @@ _HYPERBOLIC_PDE_XY = ("pde-xy", lambda x, y, jet, f: _vmax(
     jet.Lxy + jet.L / _col(np.cosh((x + y) / SQRT2) ** 2)), "L_xy = -sech^2((x+y)/sqrt2) L")
 
 #: The surface families by spec name.  The de Sitter control takes no
-#: curves; it exists so the standard negative control is addressable
-#: from a spec file.
+#: curves from its spec (it builds its own); it exists so the standard
+#: negative control is addressable from a spec file.
 SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
     "translation": SurfaceFamily(
         2, FLAT_DOMAIN,

@@ -18,11 +18,12 @@ Every constructor attaches an analytic jet assembled from the exact curve
 derivatives: first and second partials plus the third-order L_xxy and
 L_xyy, which make the Gaussian curvature and the connection exact.  The
 finite-difference layer is then a cross-check rather than the only source
-of derivatives.  The four curve-built families share one chart formula,
+of derivatives.  Every constructor builds one chart formula,
 L = a(x+y) Z + b Z' with Z = z(x)+w(y) and Z' = z'(x)+w'(y): ``_chart_maps``
 takes L from the family's own expression and its partials from a's
 derivatives by the product rule, so a PDE check compares two independent
-computations.  Translation and the de Sitter control keep closed forms.
+computations.  Translation is the chart with a = 1 and b = 0, and the de
+Sitter control the sphere pair chart on two built-in curves.
 ``position`` and ``jet`` broadcast over numpy arrays of x and y, z
 evaluated on the x values and w on the y values only; a grid pass
 evaluates each curve once per axis chunk of BLOCK_NODES coordinates
@@ -49,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import DEFAULT_SAMPLES, Curve, _Stack, derivative_inner, null_check
+from .curves import BUILTIN_CURVES, DEFAULT_SAMPLES, Curve, _Stack, derivative_inner, null_check
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -142,7 +143,8 @@ class SurfaceMap:
     locus of the chart.  ``premises`` keeps the premise reports of a
     constructor that checks its curve (sphere_b and hyp_ii), ``_maps`` the
     function of ``sources`` that made ``position``, ``jet`` and ``tangent``
-    (``_chart_maps`` on the family's chart; ``_stacked`` calls it again).
+    (``_chart_maps`` on the family's chart, which every constructor sets;
+    ``_stacked`` calls it again).
     """
 
     ambient: Ambient
@@ -167,7 +169,7 @@ class SurfaceMap:
 
 @dataclass(frozen=True)
 class _Chart:
-    """A curve-built family's L = a(s) Z + b Z' (s = x+y; w = 0 for one curve):
+    """A family's L = a(s) Z + b Z' (s = x+y; w = 0 for one curve):
     ``immersion(Z, Z', s)`` is its own expression for L, ``coefficients(s)``
     gives a, a', a'' and a''' at s."""
 
@@ -216,7 +218,7 @@ def _chart_maps(chart: _Chart, *sources):
             np.add(a3Z + a2 * (w1 + Z1), a1 * w2, out=Lxyy)
         else:
             np.add(a3Z, a2 * Z1, out=Lxyy)
-        jet = _jet(d, **dict(zip(_FIELDS, W)))
+        jet = Jet2(**{k: _dim_last(v) for k, v in zip(_FIELDS, W)}, curves=tuple(d))
         object.__setattr__(jet, "table", W)  # frozen, and not an init field
         return jet
 
@@ -224,14 +226,14 @@ def _chart_maps(chart: _Chart, *sources):
         x, y, _derivatives(sources, x, y, 3), 2)[-1])]
 
 
-def _mapped(family, chart, ambient, domain, sources, **fields) -> SurfaceMap:
-    """The surface of ``chart`` on its source curves, labelled family[z, w];
-    ``_maps`` keeps the function of the sources that made its maps."""
+def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> SurfaceMap:
+    """The surface of ``chart`` on its source curves, labelled family[z, w] (or
+    ``label``); ``_maps`` keeps the function of the sources that made its maps."""
     maps = functools.partial(_chart_maps, chart)
     position, jet, tangent = maps(*sources)
     names = ", ".join(c.label or name for c, name in zip(sources, "zw"))
     return SurfaceMap(ambient, position, domain, jet, tangent, sources=sources, family=family,
-                      label=f"{family}[{names}]", _maps=maps, **fields)
+                      label=label or f"{family}[{names}]", _maps=maps, **fields)
 
 
 def _stacked(surfaces) -> SurfaceMap:
@@ -339,11 +341,6 @@ def _component_major(d, x, y):
             + [(0.0,) * len(d[0])] * (2 - len(d)))
 
 
-def _jet(curves, **fields) -> Jet2:
-    """The ``Jet2`` of fields computed component-major, as dim-last views."""
-    return Jet2(**{k: _dim_last(v) for k, v in fields.items()}, curves=tuple(curves))
-
-
 def _check_domain(domain):
     (x0, x1), (y0, y1) = domain
     if not (x0 < x1 and y0 < y1):
@@ -435,6 +432,10 @@ def _premise_flags(reports: list[ConditionReport]) -> tuple[str, ...]:
 # flat ambient: translation surfaces
 
 
+#: L = z + w: a = 1 and b = 0
+_FLAT_CHART = _Chart(lambda Z, Z1, s: Z, lambda s: (1.0, 0.0, 0.0, 0.0), 0.0)
+
+
 def translation_surface(
     z: Curve,
     w: Curve,
@@ -475,23 +476,7 @@ def translation_surface(
         raise DegenerateMetricError(
             f"<z'(x), w'(y)> changes sign on the domain ({lo:g} to {hi:g})")
 
-    zero = np.zeros(z.signature.dim)
-
-    def position(x, y):
-        return z.at(x) + w.at(y)
-
-    def jet(x, y, *d):
-        d = d or _derivatives((z, w), x, y, 3)
-        (z0, z1, z2, *_), (w0, w1, w2, *_) = _component_major(d, x, y)
-        return _jet(d, L=z0 + w0, Lx=z1, Ly=w1, Lxx=z2, Lxy=zero, Lyy=w2, Lxxy=zero, Lxyy=zero)
-
-    return SurfaceMap(
-        ambient=Ambient.flat(z.signature),
-        position=position, jet=jet, domain=domain,
-        sources=(z, w),
-        family="translation",
-        label=f"translation[{z.label or 'z'}, {w.label or 'w'}]",
-    )
+    return _mapped("translation", _FLAT_CHART, Ambient.flat(z.signature), domain, (z, w))
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +673,8 @@ def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> Surface
 
 def de_sitter_control(domain=DE_SITTER_DOMAIN) -> SurfaceMap:
     """The unit de Sitter surface S^2_1(1) in E^3_1, treated with a flat
-    ambient, in null coordinates: L = ((1-xy)/(x+y), (x-y)/(x+y), (1+xy)/(x+y)).
+    ambient, in null coordinates: L = ((1-xy)/(x+y), (x-y)/(x+y), (1+xy)/(x+y)),
+    the sphere pair chart on ``half_quadratic`` and ``half_quadratic_rev``.
 
     Totally umbilical with mean curvature vector H = -L, hence a clean
     non-minimal control: the minimality residual is ~1 while everything
@@ -697,35 +683,11 @@ def de_sitter_control(domain=DE_SITTER_DOMAIN) -> SurfaceMap:
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
 
-    def vec(s, *parts):  # the three components over the nodes of s, component-major
-        return np.stack(np.broadcast_arrays(s, *parts)[1:])
+    def covering(name, span):  # the built-in curve on its domain widened to cover span
+        lo, hi = BUILTIN_CURVES[name].domain
+        return replace(BUILTIN_CURVES[name], domain=(min(lo, span[0]), max(hi, span[1])))
 
-    def position(x, y):
-        return _dim_last(vec(x + y, 1 - x * y, x - y, 1 + x * y) / (x + y))
-
-    def jet(x, y):
-        s = x + y
-        v = vec(s, 1 - x * y, x - y, 1 + x * y)
-        vx = vec(s, -y, 1.0, y)
-        vy = vec(s, -x, -1.0, x)
-        vxy = vec(s, -1.0, 0.0, 1.0)
-        return _jet(
-            (),
-            L=v / s,
-            Lx=vx / s - v / s**2,
-            Ly=vy / s - v / s**2,
-            Lxx=-2 * vx / s**2 + 2 * v / s**3,
-            Lxy=vxy / s - (vx + vy) / s**2 + 2 * v / s**3,
-            Lyy=-2 * vy / s**2 + 2 * v / s**3,
-            Lxxy=-2 * vxy / s**2 + 2 * (2 * vx + vy) / s**3 - 6 * v / s**4,
-            Lxyy=-2 * vxy / s**2 + 2 * (vx + 2 * vy) / s**3 - 6 * v / s**4,
-        )
-
-    return SurfaceMap(
-        ambient=Ambient.flat(Signature(3, 1)),
-        position=position, jet=jet, domain=domain,
-        singular_margin=lambda x, y: abs(x + y),
-        flags=("negative-control",),
-        family="de_sitter_control",
-        label="de_sitter_control",
-    )
+    z, w = covering("half_quadratic", domain[0]), covering("half_quadratic_rev", domain[1])
+    return _mapped("de_sitter_control", _SPHERE_CHART, Ambient.flat(z.signature), domain, (z, w),
+                   label="de_sitter_control", singular_margin=lambda x, y: abs(x + y),
+                   flags=("negative-control",))

@@ -4,7 +4,9 @@ repeat work that a single verify does once."""
 
 import dataclasses
 import gc
+import json
 import math
+import pathlib
 import tracemalloc
 import weakref
 from unittest import mock
@@ -23,6 +25,7 @@ from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import default_tolerances
 from lorentzmin.surfaces import SPHERE_DOMAIN, sphere_case_b
 
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SPHERE_71 = {
     "family": "sphere_b",
     "curves": [{"family_id": "Ex7_1", "params": {"a": 1, "p": 3, "q": 1, "r": 2}}],
@@ -379,8 +382,10 @@ def test_sweep_holds_one_batch_of_surfaces(monkeypatch):
     assert live == [per] * (20 // per) + [20 % per]
 
 
-def test_grid_values_blocks_whole_draws(monkeypatch):
-    spec = SurfaceSpec(family="sphere_b", grid=(9, 9), curves=SPHERE_71["curves"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
+def test_grid_values_blocks_whole_draws(monkeypatch, name):
+    spec = SurfaceSpec.from_dict({**json.loads((SPEC_DIR / f"{name}.json").read_text()),
+                                  "grid": [9, 9]})
     curves, _ = harness._resolve_curves(spec)
     surface = harness._premise_phase(spec, curves, default_tolerances())[2]
     forms, blocks = diffgeo._forms, []

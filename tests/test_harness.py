@@ -146,9 +146,11 @@ class TestVerify:
             assert by_id[cid].max_residual <= 1e-7
 
     def test_de_sitter_control_fails_minimality_only(self):
-        report = verify({"family": "de_sitter_control"})
-        assert not report.overall_pass
-        assert report.failed_checks() == ["minimality"]
+        # also on a pole-free domain beyond the built-in curves' [-2, 2]
+        for domain in (None, {"x": [2.5, 3], "y": [2.5, 3]}):
+            report = verify({"family": "de_sitter_control", "domain": domain})
+            assert not report.overall_pass
+            assert report.failed_checks() == ["minimality"]
 
     def test_premise_failure_skips_construction(self):
         report = verify({"family": "sphere_b", "curves": [{"name": "trig3"}]})

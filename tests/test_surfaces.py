@@ -16,9 +16,10 @@ from lorentzmin.errors import (
     SignatureMismatchError,
 )
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resolve_curves
-from lorentzmin.indefinite import AmbientKind, Signature, indefinite_dot
+from lorentzmin.indefinite import Ambient, AmbientKind, Signature, indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS, ConditionReport
 from lorentzmin.surfaces import (
+    DE_SITTER_DOMAIN,
     FLAT_DOMAIN,
     _col,
     check_case_b_premises,
@@ -62,6 +63,15 @@ class TestTranslation:
         pairing = indefinite_dot(jet.Lx, jet.Ly, 2)
         assert pairing == pytest.approx(1 - math.sinh(1.2) * math.sinh(1.3))
         assert pairing < 0
+        # the flat chart (a = 1, b = 0) gives the curves' derivatives bit for bit
+        x, y = grid_axes(surf.domain, (7, 9))
+        jet, (dz, dw) = surf.jet(x, y), (z.derivatives(x, range(3)), w.derivatives(y, range(3)))
+        expected = {"L": dz[0] + dw[0], "Lx": dz[1], "Ly": dw[1], "Lxx": dz[2], "Lyy": dw[2],
+                    "Lxy": 0.0, "Lxxy": 0.0, "Lxyy": 0.0}
+        for name, value in expected.items():
+            assert np.array_equal(getattr(jet, name), np.broadcast_to(value, jet.L.shape)), name
+        lx, ly = surf.tangent(x, y)
+        assert np.array_equal(lx, jet.Lx) and np.array_equal(ly, jet.Ly)
 
     def test_vanishing_pairing_rejected(self):
         # null line with <z', w'> = 1 - sinh x, vanishing at arcsinh 1 ~ 0.881
@@ -260,7 +270,42 @@ class TestHyperbolicCaseIII:
         assert not by_id["iii.1"].passed
 
 
+def _de_sitter_closed_form(x, y):
+    """The unit de Sitter surface's L = v/(x+y), v = (1-xy, x-y, 1+xy), and
+    its jet fields, written out by hand."""
+    def vec(*parts):  # the three components over the nodes, dim last
+        return np.stack(np.broadcast_arrays(x + y, *parts)[1:], axis=-1)
+
+    s = _col(x + y)
+    v, vx, vy = vec(1 - x * y, x - y, 1 + x * y), vec(-y, 1.0, y), vec(-x, -1.0, x)
+    vxy = vec(-1.0, 0.0, 1.0)
+    return {
+        "L": v / s,
+        "Lx": vx / s - v / s**2,
+        "Ly": vy / s - v / s**2,
+        "Lxx": -2 * vx / s**2 + 2 * v / s**3,
+        "Lxy": vxy / s - (vx + vy) / s**2 + 2 * v / s**3,
+        "Lyy": -2 * vy / s**2 + 2 * v / s**3,
+        "Lxxy": -2 * vxy / s**2 + 2 * (2 * vx + vy) / s**3 - 6 * v / s**4,
+        "Lxyy": -2 * vxy / s**2 + 2 * (vx + 2 * vy) / s**3 - 6 * v / s**4,
+    }
+
+
 class TestDeSitterControl:
+    def test_chart_matches_closed_form(self):
+        # the sphere pair chart on half_quadratic and half_quadratic_rev is
+        # the closed-form surface, with the same label, flags and ambient
+        surf = de_sitter_control()
+        assert (surf.label, surf.family, surf.flags) == (
+            "de_sitter_control", "de_sitter_control", ("negative-control",))
+        assert surf.ambient == Ambient.flat(Signature(3, 1))
+        assert [c.label for c in surf.sources] == ["half_quadratic", "half_quadratic_rev"]
+        x, y = grid_axes(DE_SITTER_DOMAIN, (21, 21))
+        jet, expected = surf.jet(x, y), _de_sitter_closed_form(x, y)
+        for name, value in expected.items():
+            assert np.max(np.abs(getattr(jet, name) - value)) <= 1e-15, name
+        assert np.max(np.abs(surf.position(x, y) - expected["L"])) <= 1e-15
+
     def test_unit_quadric_and_null_form(self):
         surf = de_sitter_control()
         assert surf.ambient.kind is AmbientKind.FLAT
@@ -297,6 +342,8 @@ def test_third_order_jet_matches_richardson_of_mixed_partial(name):
     sub = surface.grid(FD_SUBGRID)
     x, y = sub[:, 0], sub[:, 1]
     jet = surface.jet(x, y)
+    # every family is a chart: stackable, with a tangent map and a jet table
+    assert all(f is not None for f in (surface._maps, surface.tangent, jet.table))
     hx, hy = 1e-3 * np.maximum(1.0, np.abs(x)), 1e-3 * np.maximum(1.0, np.abs(y))
     fd_x = _rich1(lambda t: surface.jet(t, y).Lxy, x, hx)
     fd_y = _rich1(lambda t: surface.jet(x, t).Lxy, y, hy)
