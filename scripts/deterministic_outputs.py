@@ -6,13 +6,15 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (80):
+The outputs (82):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
 * sweeps of Ex7_1, Ex8_1 and Ex8_2 at n=50 on seeds 0 and 1, with
   ``LMS_DEFAULT_TOL`` unset and at seven tolerances from 1e-12 to 1e-15,
   which mix passing and failing draws;
+* Ex8_2 at n=160 on seed 0 (53 valid draws, so more than one fold), with
+  ``LMS_DEFAULT_TOL`` unset and at 1e-14 (3 of its draws fail there);
 * the Ex7_2 sweep at n=300 on seed 5, and at n=2000 on seeds 0 and 1;
 * on seeds 0 and 1, Ex7_1 at n=50 with min_gap 1.2 (about 340 rejected
   tries per draw) and Ex8_1 at n=50 with rel 0.3 (about half the draws
@@ -73,6 +75,9 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
             for tol in SWEEP_TOLS:
                 table[f"sweep-{family}-seed{seed}-tol{tol or 'default'}.json"] = (
                     ["sweep", "--family", family, "--n", "50", "--seed", str(seed)], tol)
+    for tol in (None, "1e-14"):
+        table[f"sweep-Ex8_2-n160-seed0-tol{tol or 'default'}.json"] = (
+            ["sweep", "--family", "Ex8_2", "--n", "160", "--seed", "0"], tol)
     table["sweep-Ex7_2-seed5.json"] = (
         ["sweep", "--family", "Ex7_2", "--n", "300", "--seed", "5"], None)
     for seed in (0, 1):

@@ -246,6 +246,15 @@ class _Stack:
                 np.array([(p[3],) + p[4] for p in terms]).T[..., None, None]
                 for terms in zip(*(c._plan for c in curves)))))
 
+    def __getitem__(self, draws):
+        """The stack of the curves that ``draws`` (a slice or a list of indices) picks."""
+        part = object.__new__(_Stack)
+        part.signature, part.domain = self.signature, self.domain
+        part._lead = (np.arange(self._lead[0])[draws].size, 1, 1)
+        part._plan = tuple(p[:3] + (p[3] if p[2] == "pow" else p[3][draws],
+                                    tuple(c[draws] for c in p[4])) for p in self._plan)
+        return part
+
     derivatives, at, sample_grid = Curve.derivatives, Curve.at, Curve.sample_grid
 
 

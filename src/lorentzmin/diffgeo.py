@@ -30,13 +30,12 @@ g_xy = <L_x,L_y> = -E^2 gives
 Without them (a surface with no analytic jet), or on request for the
 cross-check, E_x, E_y and E_xy come from central differences of E (the
 E-field stencil: L_x and L_y alone, the surface's ``tangent``, at eight
-offsets per node).
-
-``fd_jet`` is the derivative-free counterpart of the analytic jet:
-Richardson-extrapolated central differences of the position at 25 offsets
-per node, those along x evaluated on a grid block's x axis alone and those
-along y on its y axis; ``fd_discrepancy`` compares it with the analytic
-jet (the ``fd-partials`` cross-check).
+offsets per node).  ``fd_jet`` is the derivative-free counterpart of the
+analytic jet: Richardson-extrapolated central differences of the position
+at 25 offsets per node; ``fd_discrepancy`` compares it with the analytic
+jet (the ``fd-partials`` cross-check).  Each stencil step scales with its
+own coordinate, so a grid block's offsets lie on its x and y axes, and
+each quotient's offsets are evaluated together, then dropped (``_offsets``).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
 one ``jet`` call, one table of the indefinite products that the
@@ -62,7 +61,7 @@ from .errors import DegenerateMetricError, DomainError
 from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 from .surfaces import (_FIELDS, BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _dim_last,
-                       _grid_blocks, _stacked, grid_axes)
+                       _draw_count, _draws_per_block, _grid_blocks, _stacked, grid_axes)
 
 __all__ = [
     "MetricData",
@@ -139,11 +138,6 @@ class FundamentalForms:
 # node arrays
 
 
-def _nodes(x, y):
-    """x and y as float arrays of one common node shape."""
-    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
 def _first(mask) -> int:
     """Flat index of the first True node."""
     return int(np.argmax(np.ravel(mask)))
@@ -154,7 +148,7 @@ def _first(mask) -> int:
 
 
 def _check_point(surface: SurfaceMap, x, y, reach):
-    x, y, reach = np.broadcast_arrays(*_nodes(x, y), reach)
+    x, y, reach = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (x, y)), reach)
     (x0, x1), (y0, y1) = surface.domain
     pad_x, pad_y = DOMAIN_PAD_FRACTION * (x1 - x0), DOMAIN_PAD_FRACTION * (y1 - y0)
     inside = (x0 - pad_x <= x) & (x <= x1 + pad_x) & (y0 - pad_y <= y) & (y <= y1 + pad_y)
@@ -172,31 +166,43 @@ def _check_point(surface: SurfaceMap, x, y, reach):
             )
 
 
+def _offsets(surface, f, x, y):
+    """at(dx, dy): [f(x + sx[i] hx, y + sy[i] hy) for each offset i], with
+    dx = (sx, hx) and dy = (sy, hy) factors and steps (an axis without them
+    keeps its coordinate) and the offsets on an axis before the nodes', from
+    calls of f on at most 2 BLOCK_NODES node-offsets of ``surface`` each."""
+    nodes = np.broadcast(x, y)
+    each = max(1, 2 * BLOCK_NODES // (_draw_count(surface) * nodes.size))
+
+    def moved(t, d, i):
+        return t + np.reshape(d[0][i:i + each], (-1,) + (1,) * nodes.ndim) * d[1] if d else t
+    return lambda dx=(), dy=(): [v for i in range(0, len((dx or dy)[0]), each)
+                                 for v in f(moved(x, dx, i), moved(y, dy, i))]
+
+
+#: Offset factors: a Richardson quotient's +h, -h, +h/2, -h/2; a cross's x and y signs
+_RICHARDSON, _CROSS_X, _CROSS_Y = (1, -1, 0.5, -0.5), (1, 1, -1, -1), (1, -1, 1, -1)
+
+
 def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None) -> Jet2:
     """Jet from Richardson-extrapolated central differences of the position,
     at one node or at arrays of nodes (x and y broadcast against each other).
 
     The stencils need 25 offsets per node: the centre; x and y at +-h1,
-    +-h1/2, +-h2 and +-h2/2; the cross at (+-hxy, +-hxy) and
-    (+-hxy/2, +-hxy/2).  A step scales with its own coordinate, so the
-    eight x offsets are evaluated on x's own shape (a grid block's (rows, 1)
-    axis) and the eight y offsets likewise; only the crosses, with
-    hxy = max(hx2, hy2), need every node, two offsets per ``position`` call."""
+    +-h1/2, +-h2 and +-h2/2; the crosses (+-hx2, +-hy2) and
+    (+-hx2/2, +-hy2/2).  Each step scales with its own coordinate, so x's
+    offsets are evaluated on x's own shape (a grid block's (rows, 1) axis)
+    and y's likewise.  Each quotient is formed from its own four offsets
+    (``_offsets``), which are then dropped."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
     def step(h, base, t):  # the given step, or base * max(1, |t|) per node
         return np.full(t.shape, float(h)) if h is not None else base * np.maximum(1.0, np.abs(t))
 
-    def offsets(*hs):  # +h, -h, +h/2, -h/2 for each step h, on a leading axis
-        return np.stack([d for h in hs for d in (h, -h, h / 2, -h / 2)])
-
     hx1, hy1 = step(h1, FIRST_STEP, x), step(h1, FIRST_STEP, y)
     hx2, hy2 = step(h2, SECOND_STEP, x), step(h2, SECOND_STEP, y)
-    hxy = np.maximum(hx2, hy2)
-    _check_point(surface, x, y, np.maximum(np.maximum(hx1, hy1), hxy))
-    c = surface.position(x, y)
-    # px, py: x and y at h1 ([:4]) and h2 ([4:])
-    px, py = surface.position(x + offsets(hx1, hx2), y), surface.position(x, y + offsets(hy1, hy2))
+    _check_point(surface, x, y, np.maximum(np.maximum(hx1, hy1), np.maximum(hx2, hy2)))
+    c, at = surface.position(x, y), _offsets(surface, surface.position, x, y)
 
     def rich1(q, h):  # q: the position at +h, -h, +h/2, -h/2
         d1 = (q[0] - q[1]) / _col(2 * h)
@@ -208,17 +214,17 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
         d2 = (q[2] - 2 * c + q[3]) / _col((h / 2) ** 2)
         return (4 * d2 - d1) / 3
 
-    def cross(h):  # from the position at x + h and at x - h, each at y + h and y - h
-        p, q = (surface.position(x + s, y + np.stack([h, -h])) for s in (h, -h))
-        return (p[0] - p[1] - q[0] + q[1]) / _col(4 * h * h)
+    def cross(hx, hy):  # from the position at (x + hx, y + hy), (x + hx, y - hy), ...
+        p = at((_CROSS_X, hx), (_CROSS_Y, hy))
+        return (p[0] - p[1] - p[2] + p[3]) / _col(4 * hx * hy)
 
     return Jet2(
         L=c,
-        Lx=rich1(px[:4], hx1),
-        Ly=rich1(py[:4], hy1),
-        Lxx=rich2(px[4:], hx2),
-        Lxy=(4 * cross(hxy / 2) - cross(hxy)) / 3,
-        Lyy=rich2(py[4:], hy2),
+        Lx=rich1(at((_RICHARDSON, hx1)), hx1),
+        Ly=rich1(at(dy=(_RICHARDSON, hy1)), hy1),
+        Lxx=rich2(at((_RICHARDSON, hx2)), hx2),
+        Lxy=(4 * cross(hx2 / 2, hy2 / 2) - cross(hx2, hy2)) / 3,
+        Lyy=rich2(at(dy=(_RICHARDSON, hy2)), hy2),
     )
 
 
@@ -330,31 +336,35 @@ def _conformal(surface: SurfaceMap, x, y):
     g_xy = indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
     bad = g_xy >= 0
     if bad.any():
-        i = _first(bad)
+        x, y = np.broadcast_arrays(x, y)
+        if g_xy.ndim > x.ndim:  # a stack of draws, whose axis is third from last
+            x, y = np.expand_dims(x, -3), np.expand_dims(y, -3)
+        x, y, g_xy = np.broadcast_arrays(x, y, g_xy)
+        i = _first(g_xy >= 0)
         raise DegenerateMetricError(
             f"g_xy = {g_xy.flat[i]:g} >= 0 at ({x.flat[i]:g}, {y.flat[i]:g})")
     return np.sqrt(-g_xy)
 
 
 def _efield(surface: SurfaceMap, x, y):
-    """E_x, E_y and E_xy by plain central differences of E = sqrt(-g_xy).
+    """E_x, E_y and E_xy by plain central differences of E = sqrt(-g_xy), at
+    nodes x and y that broadcast (a grid block's axes).
 
     First derivatives use E_FIRST_STEP (truncation-limited); the mixed one
-    uses the wider K step (noise-limited, divided by h^2).  The eight
-    offsets of all nodes are evaluated two at a time, to bound the memory."""
-    scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-    h = (K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD) * scale
-    h1 = E_FIRST_STEP * scale
-    _check_point(surface, x, y, np.maximum(h, h1))
-    zero = np.zeros_like(h)
-    dx = np.stack([h1, -h1, zero, zero, h, h, -h, -h])
-    dy = np.stack([zero, zero, h1, -h1, h, -h, h, -h])
-    e = np.concatenate([_conformal(surface, x + dx[i:i + 2], y + dy[i:i + 2])
-                        for i in range(0, 8, 2)])
-    ex = (e[0] - e[1]) / (2 * h1)
-    ey = (e[2] - e[3]) / (2 * h1)
-    exy = (e[4] - e[5] - e[6] + e[7]) / (4 * h * h)
-    return ex, ey, exy
+    uses the wider K step (noise-limited, divided by h^2).  Each step scales
+    with its own coordinate, max(1, |x|) or max(1, |y|), so the offsets lie
+    on x's and y's own axes; each quotient's are evaluated by ``_offsets``."""
+    k = K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD
+    ax, ay = (np.maximum(1.0, np.abs(t)) for t in (x, y))
+    hx1, hy1, hx, hy = E_FIRST_STEP * ax, E_FIRST_STEP * ay, k * ax, k * ay
+    _check_point(surface, x, y, np.maximum(hx, hy))
+    at = _offsets(surface, lambda u, v: _conformal(surface, u, v), x, y)
+    e = at(((1, -1), hx1))
+    ex = (e[0] - e[1]) / (2 * hx1)
+    e = at(dy=((1, -1), hy1))
+    ey = (e[0] - e[1]) / (2 * hy1)
+    e = at((_CROSS_X, hx), (_CROSS_Y, hy))
+    return ex, ey, (e[0] - e[1] - e[2] + e[3]) / (4 * hx * hy)
 
 
 def _connection(E, ex, ey, exy):
@@ -392,7 +402,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
         if curvature == "jet" and len(W) == 8:
             ex, ey, exy = _jet_efield(W, g, T, E)
         else:
-            ex, ey, exy = (np.reshape(e, -1) for e in _efield(surface, *_nodes(x, y)))
+            ex, ey, exy = (np.reshape(e, -1) for e in _efield(surface, x, y))
         connection, K = _connection(E, ex, ey, exy)
 
     def scalar(a):  # per node -> the nodes' shape; a float at one node
@@ -411,13 +421,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     return Jet2(**dict(zip(_FIELDS, vectors(W))), curves=jet.curves), forms
 
 
-def _draws_per_block(shape) -> int:
-    """Whole draws of a grid in one ``grid_values`` block: BLOCK_NODES counts draws x
-    nodes, on the FD subgrid too (12 Ex8_2 draws peak at 2.0 MiB there, as at 9x9)."""
-    return max(1, BLOCK_NODES // (shape[0] * shape[1]))
-
-
-def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvature="jet"):
+def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     """Per-node quantities over a grid, computed block by block.
 
     Each entry of ``fields`` maps ``(x, y, jet, forms)`` on a block of
@@ -430,19 +434,15 @@ def grid_values(surface: SurfaceMap | list[SurfaceMap], shape, fields, *, curvat
     takes K from the E-field stencil, None skips K (the forms then carry
     none).
 
-    ``surface`` may be a list of draws (surfaces of one constructor and
-    curve term structure): a block then stacks ``_draws_per_block`` whole
-    draws (``surfaces._stacked``), and each array gets a leading draw axis,
-    as it does for a surface stacked already.  ``fields`` may be a function
-    of a block's surface that gives them.
+    ``surface`` may be a stack of draws (``surfaces._stacked``): each
+    array then gets a leading draw axis, and a block holds at most
+    ``_draws_per_block`` whole draws, taken from the stack's sources.
+    ``fields`` may be a function of a block's surface that gives them.
     """
-    if isinstance(surface, list):
-        per, parts = _draws_per_block(shape), []
-        for d in range(0, len(surface), per):
-            draws = surface[d:d + per]
-            values = grid_values(_stacked(draws), shape, fields, curvature=curvature)
-            parts.append(values if len(draws) > 1 else [v[None] for v in values])
-        return [np.concatenate(p) for p in zip(*parts)]
+    if (draws := _draw_count(surface)) > (per := _draws_per_block(shape)):
+        return [np.concatenate(p) for p in zip(*(grid_values(
+            _stacked([surface], tuple(s[d:d + per] for s in surface.sources)), shape, fields,
+            curvature=curvature) for d in range(0, draws, per)))]
     if callable(fields):
         fields = fields(surface)
     xs, ys = grid_axes(surface.domain, shape)

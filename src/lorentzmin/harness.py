@@ -397,24 +397,24 @@ def _premise_phase(spec, curves, tols):
     """The family's premise checks, then the surface unless one blocks it:
     (reports, blocking ids, surface or None).  sphere_b and hyp_ii judge
     their own premises, from the reports handed to their constructors."""
-    return _premise_phases(spec, [curves], tols)[0]
+    return _premise_phases(spec, [curves], tols)[0][0]
 
 
 def _premise_phases(spec, draws, tols):
     """``_premise_phase`` of each of a list of draws (tuples of curves) of one
-    spec, with the premise checks run once on the draws' curves stacked
-    (``_Stack``), or one draw at a time if they have two term structures."""
+    spec, and the built draws as one surface (``surfaces._stacked``) on one
+    ``_Stack`` per source curve, which the premise checks run on too; or one
+    draw at a time, and None, if they have two term structures."""
     family = SURFACE_FAMILIES[spec.family]
-    if len(draws) == 1:
-        rows = [family.premises(draws[0], spec, tols)]
-    else:
+    stacks = None
+    if len(draws) > 1:
         try:
             stacks = tuple(map(_Stack, zip(*draws)))
         except InvalidInputError:
-            return [_premise_phase(spec, curves, tols) for curves in draws]
-        rows = family.premises(stacks, spec, tols)
+            return [_premise_phase(spec, curves, tols) for curves in draws], None
     out = []
-    for curves, reports in zip(draws, rows):
+    for curves, reports in zip(draws, family.premises(stacks, spec, tols) if stacks
+                               else [family.premises(draws[0], spec, tols)]):
         hard = [r.condition_id for r in reports if not r.passed] if family.blocking else []
         try:
             surface = None if hard else family.build(
@@ -422,7 +422,9 @@ def _premise_phases(spec, draws, tols):
         except PremiseError as exc:
             hard, surface = exc.failed, None
         out.append((reports, hard, surface))
-    return out
+    built = [i for i, (_, _, surface) in enumerate(out) if surface is not None]
+    return out, (_stacked([out[i][2] for i in built], tuple(s[built] for s in stacks))
+                 if stacks and built else None)
 
 
 def _check_plan(spec, surface) -> tuple[list[tuple], list[tuple]]:
@@ -501,21 +503,19 @@ def _check_plan(spec, surface) -> tuple[list[tuple], list[tuple]]:
     return planned, stencil
 
 
-def _check_rows(spec, surfaces, tols) -> list[list[tuple]]:
+def _check_rows(spec, surfaces, tols, stacked=None) -> list[list[tuple]]:
     """The checks of a list of surfaces built for one spec but for their
-    curves, which ``grid_values`` stacks in blocks of whole draws, in runs
-    of draws: per run, (condition id, residuals as (draws, nodes) rows, tol,
-    grid description, grid points, note) per check.  A list that fits one
-    block of both passes (a sweep's fold) is stacked once for both.  A list
-    that fails as a whole (a degenerate metric, or curves of two term
-    structures, as when a draw zeroes a whole component) is rerun one
-    surface at a time, so each gets the outcome it would get alone."""
+    curves, in runs of draws: per run, (condition id, residuals as (draws,
+    nodes) rows, tol, grid description, grid points, note) per check.  Both
+    passes take one stack of them (``stacked``, or ``surfaces._stacked``),
+    which ``grid_values`` cuts into blocks of whole draws.  A list that
+    fails as a whole (a degenerate metric, or curves of two term structures,
+    as when a draw zeroes a whole component) is rerun one surface at a
+    time, so each gets the outcome it would get alone."""
     checks = []
-    passes = ((spec.grid, "jet"), (FD_SUBGRID, "stencil"))
     try:
-        fits = len(surfaces) <= min(diffgeo._draws_per_block(shape) for shape, _ in passes)
-        draws = _stacked(surfaces) if fits else surfaces
-        for pick, (shape, curvature) in enumerate(passes):
+        draws = stacked or _stacked(surfaces)
+        for pick, (shape, curvature) in enumerate(((spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
             columns = diffgeo.grid_values(
                 draws, shape, lambda s: [e[1] for e in _check_plan(spec, s)[pick]],
                 curvature=curvature)
@@ -595,8 +595,9 @@ def sweep(
     raised.  Returns counts plus the worst residual seen per check id.
     Each draw gets ``verify``'s outcome: the draws are drawn and validated
     in chunks (``_draw_chunks``, ``curves._valid_rows``), and the valid ones
-    checked in folds of one block (``_premise_phases``, ``_check_rows``)
-    whose residual rows are folded into the summary in draw order.
+    checked in folds of one FD subgrid block (40 draws), each source curve
+    stacked once per fold (``_premise_phases``, ``_check_rows``), whose
+    residual rows are folded into the summary in draw order.
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidInputError(f"unknown curve family {family!r}")
@@ -621,10 +622,10 @@ def sweep(
 
     def fold():  # check the pending draws together, then fold them in draw order
         nonlocal passed, failed
-        outcomes = _premise_phases(spec, [curves for _, curves in pending], tols)
+        outcomes, stacked = _premise_phases(spec, [curves for _, curves in pending], tols)
         built = [s for _, _, s in outcomes if s is not None]
         failed_checks = []  # per built draw
-        for run in _check_rows(spec, built, tols) if built else ():
+        for run in _check_rows(spec, built, tols, stacked) if built else ():
             cids = [check[0] for check in run]
             values, _, ok = map(np.array, zip(*(_max_verdicts(rows, tol)
                                                 for _, rows, tol, *_ in run)))
@@ -649,7 +650,7 @@ def sweep(
             fam = ParamFamily(family, dict(zip(names, values)))
             example = _example_from(fam, validate_family(fam, coeff), False)
             pending.append((fam.params, example if isinstance(example, tuple) else (example,)))
-            if len(pending) == diffgeo._draws_per_block(spec.grid):
+            if len(pending) == diffgeo._draws_per_block(FD_SUBGRID):
                 fold()
     if pending:
         fold()

@@ -236,18 +236,31 @@ def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> Su
                       label=label or f"{family}[{names}]", _maps=maps, **fields)
 
 
-def _stacked(surfaces) -> SurfaceMap:
+def _stacked(surfaces, sources=None) -> SurfaceMap:
     """One surface for surfaces of one constructor and curves of one term
-    structure: its sources are their curves stacked (``_Stack``), and its
-    maps put a draw axis before the two node axes of x and y.  It keeps
-    the first surface's other fields."""
-    if len(surfaces) == 1:
+    structure: its sources are their curves stacked (``_Stack``), or
+    ``sources``, stacks of them made already, and its maps put a draw axis
+    before the two node axes of x and y.  It keeps the first surface's other
+    fields.  ``_stacked([stack], sources)`` thus takes draws of a stack."""
+    if sources is None and len(surfaces) == 1:
         return surfaces[0]
-    sources = tuple(map(_Stack, zip(*(s.sources for s in surfaces))))
+    sources = sources or tuple(map(_Stack, zip(*(s.sources for s in surfaces))))
     position, jet, tangent = (
         lambda x, y, *d, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3), *d)
         for f in surfaces[0]._maps(*sources))
     return replace(surfaces[0], sources=sources, position=position, jet=jet, tangent=tangent)
+
+
+def _draw_count(surface) -> int:
+    """The draws of a surface stacked by ``_stacked``; 1 for any other."""
+    return surface.sources[0]._lead[0] if surface.sources and surface.sources[0]._lead else 1
+
+
+def _draws_per_block(shape) -> int:
+    """Whole draws of a grid in one block (``diffgeo.grid_values``,
+    ``_pair_conditions``): BLOCK_NODES counts draws x nodes, so 12 draws at
+    9x9, and 40 on the 5x5 FD subgrid (a sweep's fold; 3.9 MiB at most)."""
+    return max(1, BLOCK_NODES // (shape[0] * shape[1]))
 
 
 #: Largest grid, in nodes, that a spec may ask for.  A verify holds about
@@ -385,14 +398,16 @@ def _per_draw(z, rows) -> list:
 
 def _pair_conditions(z, w, grid, domain, tol, residuals, ids):
     """Reports of a pair's joint conditions ``ids`` ((id, note) pairs) over a
-    grid, evaluated block by block (``_grid_blocks``): ``residuals(s, dz,
-    dw, index)`` gives their per-node residuals on a block from s = x+y and
-    the derivatives of orders 0, 1 and 3 of z and w there (``_per_draw``)."""
-    draws, grid = z._lead[:1] or (1,), tuple(grid)
-    rows = [np.empty(draws + grid) for _ in ids]
-    for r, c, x, y, (dz, dw) in _grid_blocks(grid, *grid_axes(domain, grid), (z, w), (0, 1, 3)):
-        for row, value in zip(rows, residuals(x + y, dz, dw, z.signature.index)):
-            row[:, r, c] = value
+    grid, by blocks of whole draws (``_grid_blocks``): ``residuals(s, dz, dw,
+    index)`` gives their per-node residuals on a block from s = x+y and the
+    derivatives of orders 0, 1 and 3 of z and w there (``_per_draw``)."""
+    draws, grid, axes = z._lead[:1] or (1,), tuple(grid), grid_axes(domain, grid)
+    rows, per = [np.empty(draws + grid) for _ in ids], _draws_per_block(grid)
+    for d in range(0, draws[0], per):
+        pair = (z[d:d + per], w[d:d + per]) if z._lead else (z, w)
+        for r, c, x, y, (dz, dw) in _grid_blocks(grid, *axes, pair, (0, 1, 3)):
+            for row, value in zip(rows, residuals(x + y, dz, dw, z.signature.index)):
+                row[d:d + per, r, c] = value
     pts, desc = grid_points(domain, grid), grid_description(domain, grid)
     return _per_draw(z, [(cid, row.reshape(draws + (-1,)), tol, desc, pts, note,
                           ConditionReport._from_max_rows) for (cid, note), row in zip(ids, rows)])

@@ -23,7 +23,7 @@ from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, ParamFamily, _ex72_c
 from lorentzmin.errors import DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import default_tolerances
-from lorentzmin.surfaces import SPHERE_DOMAIN, sphere_case_b
+from lorentzmin.surfaces import SPHERE_DOMAIN, _stacked, sphere_case_b
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SPHERE_71 = {
@@ -139,22 +139,23 @@ def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
 
 
 def test_sweep_checks_full_batches(monkeypatch):
+    # a fold is one block of the FD subgrid pass: 40 draws at 5x5
     checks = harness._check_rows
     sizes = []
 
-    def recording(spec, surfaces, tols):
+    def recording(spec, surfaces, tols, stacked=None):
         sizes.append(len(surfaces))
-        return checks(spec, surfaces, tols)
+        return checks(spec, surfaces, tols, stacked)
 
     monkeypatch.setattr(harness, "_check_rows", recording)
-    sweep("Ex7_1", n=20, rng_seed=0)
-    per = diffgeo.BLOCK_NODES // 81
-    assert sizes == [per] * (20 // per) + [20 % per]
+    sweep("Ex7_1", n=90, rng_seed=0)
+    per = diffgeo.BLOCK_NODES // 25
+    assert sizes == [per] * (90 // per) + [90 % per]
 
 
 def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
-    # per fold of twelve sphere_b draws, one stack of z for the premises and
-    # one for the grid and subgrid passes together
+    # each source is stacked once per fold of 40 sphere_b draws: the
+    # premises, the grid pass and the subgrid pass all take draws of it
     from lorentzmin.curves import _Stack
 
     stacks = []
@@ -165,8 +166,8 @@ def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
         init(self, curves)
 
     monkeypatch.setattr(_Stack, "__init__", counted)
-    sweep("Ex7_1", n=26, rng_seed=0)
-    assert stacks == [12, 12, 12, 12, 2, 2]
+    assert sweep("Ex7_1", n=50, rng_seed=0)["valid"] == 50
+    assert stacks == [40, 10]
 
 
 def test_sweep_validates_each_draw_once(monkeypatch):
@@ -339,9 +340,9 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
     report = verify(SPHERE_71)
     assert report.overall_pass
     # jets on the grid and the subgrid centres; only L_x and L_y at the
-    # subgrid's 8 E-field offsets, two offsets per call
+    # subgrid's 8 E-field offsets, each quotient's offsets in one call
     assert sorted(nodes["jet"]) == [25, 21 * 21]
-    assert nodes["tangent"] == [2 * 25] * 4
+    assert nodes["tangent"] == [2 * 25, 2 * 25, 4 * 25]
 
 
 def test_efield_checks_its_nodes_once():
@@ -366,20 +367,22 @@ def test_sweep_holds_one_batch_of_surfaces(monkeypatch):
     made, live = [], []
 
     def tracked(spec, draws, tols):
-        out = phases(spec, draws, tols)
+        out, stacked = phases(spec, draws, tols)
         made.extend(weakref.ref(surface) for _, _, surface in out if surface is not None)
-        return out
+        made.append(weakref.ref(stacked))
+        return out, stacked
 
-    def counting(spec, surfaces, tols):
+    def counting(spec, surfaces, tols, stacked=None):
         gc.collect()
         live.append(sum(ref() is not None for ref in made))
-        return checks(spec, surfaces, tols)
+        return checks(spec, surfaces, tols, stacked)
 
     monkeypatch.setattr(harness, "_premise_phases", tracked)
     monkeypatch.setattr(harness, "_check_rows", counting)
-    sweep("Ex7_1", n=20, rng_seed=0)
-    per = diffgeo._draws_per_block((9, 9))
-    assert live == [per] * (20 // per) + [20 % per]
+    sweep("Ex7_1", n=50, rng_seed=0)
+    per = diffgeo._draws_per_block(harness.FD_SUBGRID)
+    # a fold's draws and their stacked surface
+    assert live == [per + 1] * (50 // per) + [50 % per + 1]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
@@ -404,15 +407,12 @@ def test_grid_values_blocks_whole_draws(monkeypatch, name):
         (alone,) = diffgeo.grid_values(surface, shape, k, curvature=curvature)
         single = list(blocks)
         blocks.clear()
-        (one,) = diffgeo.grid_values([surface], shape, k, curvature=curvature)
-        assert blocks == single and np.array_equal(one, alone[None])  # a batch of one
-        blocks.clear()
-        (many,) = diffgeo.grid_values([surface] * 13, shape, k, curvature=curvature)
+        (many,) = diffgeo.grid_values(_stacked([surface] * 13), shape, k, curvature=curvature)
         assert np.array_equal(many, np.broadcast_to(alone, (13,) + alone.shape))
-        # whole draws per block; a block of one draw is that draw alone
-        stacks = [(d,) + shape if d > 1 else shape for d in [per] * (13 // per) + [13 % per] if d]
-        assert blocks == (stacks if per > 1 else single * 13)
-        assert all(math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks if b != shape)
+        # whole draws of one stack per block, one draw where a grid block holds one
+        stacks = [(d,) + shape for d in [per] * (13 // per) + [13 % per] if d]
+        assert blocks == (stacks if per > 1 else [(1,) + b for b in single] * 13)
+        assert all(math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks)
 
 
 def test_batch_error_other_than_a_degenerate_metric_propagates(monkeypatch):

@@ -249,11 +249,12 @@ class TestPartials:
         counted = dataclasses.replace(sphere_71, position=position)
         xs, ys = grid_axes(counted.domain, (5, 5))
         assert np.max(fd_discrepancy(counted, xs, ys)) < 1e-6
-        # the centres; the eight x offsets on the x axis alone and the eight
-        # y offsets on the y axis alone; the two diagonal crosses on every
-        # node, two offsets that share their x per call
-        assert calls == [((5, 1), (1, 5)), ((8, 5, 1), (1, 5)), ((5, 1), (8, 1, 5))] + [
-            ((5, 5), (2, 5, 5))] * 4
+        # the centres, then each quotient's four offsets in one call (25
+        # nodes), x's on the x axis and y's on the y axis: L_x, L_y, L_xx,
+        # the two crosses of L_xy on both axes, L_yy
+        x4, y4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5))
+        assert calls == [((5, 1), (1, 5)), x4, y4, x4, ((4, 5, 1), (4, 1, 5)),
+                         ((4, 5, 1), (4, 1, 5)), y4]
 
 
 class TestInducedMetric:
@@ -464,16 +465,16 @@ def _rich2(f, t, h):
     return (4 * d2 - d1) / 3
 
 
-def _rich_cross(pos, x, y, h):
-    def cross(hh):
-        return (pos(x + hh, y + hh) - pos(x + hh, y - hh)
-                - pos(x - hh, y + hh) + pos(x - hh, y - hh)) / _col(4 * hh * hh)
+def _rich_cross(pos, x, y, hx, hy):
+    def cross(hx, hy):
+        return (pos(x + hx, y + hy) - pos(x + hx, y - hy)
+                - pos(x - hx, y + hy) + pos(x - hx, y - hy)) / _col(4 * hx * hy)
 
-    return (4 * cross(h / 2) - cross(h)) / 3
+    return (4 * cross(hx / 2, hy / 2) - cross(hx, hy)) / 3
 
 
 def _per_offset_fd_jet(surface, x, y, h1=None, h2=None):
-    x, y = diffgeo._nodes(x, y)
+    x, y = np.broadcast_arrays(x, y)
     pos = surface.position
 
     def step(h, base, t):
@@ -486,7 +487,7 @@ def _per_offset_fd_jet(surface, x, y, h1=None, h2=None):
         Lx=_rich1(lambda t: pos(t, y), x, hx1),
         Ly=_rich1(lambda t: pos(x, t), y, hy1),
         Lxx=_rich2(lambda t: pos(t, y), x, hx2),
-        Lxy=_rich_cross(pos, x, y, np.maximum(hx2, hy2)),
+        Lxy=_rich_cross(pos, x, y, hx2, hy2),
         Lyy=_rich2(lambda t: pos(x, t), y, hy2),
     )
 

@@ -130,7 +130,7 @@ class TestVerify:
         stencil = diffgeo._efield
 
         def counted(surface, x, y):
-            nodes.append(np.size(x))
+            nodes.append(np.broadcast(x, y).size)
             return stencil(surface, x, y)
 
         monkeypatch.setattr(diffgeo, "_efield", counted)
@@ -369,12 +369,12 @@ class TestSweep:
 
         draws = iter(residuals)
 
-        def fake_check_rows(spec, surfaces, tols):
+        def fake_check_rows(spec, surfaces, tols, stacked=None):
             return [[("x", np.array([[next(draws)] for _ in surfaces]), 1.0, "g", None, "")]]
 
         # every draw builds a surface with no premise reports, then checks "x"
         monkeypatch.setattr(harness, "_premise_phases",
-                            lambda spec, draws, tols: [([], [], spec) for _ in draws])
+                            lambda spec, draws, tols: ([([], [], spec) for _ in draws], None))
         monkeypatch.setattr(harness, "_check_rows", fake_check_rows)
         summary = sweep("Ex7_1", n=len(residuals), rng_seed=0)
         assert summary["worst_residuals"] == {"x": worst}

@@ -37,11 +37,11 @@ def test_sweep_examples_has_no_failed_draw():
     assert all(line.endswith("failed=0") for line in summaries)
 
 
-def test_deterministic_outputs_names_80_and_writes_one(tmp_path):
+def test_deterministic_outputs_names_82_and_writes_one(tmp_path):
     listed = run_script("deterministic_outputs.py", "--list")
     assert listed.returncode == 0, listed.stderr
     names = listed.stdout.split()
-    assert len(names) == len(set(names)) == 80
+    assert len(names) == len(set(names)) == 82
     name = "export-translation_demo.csv"
     result = run_script("deterministic_outputs.py", "--out", str(tmp_path), "--only", name)
     assert result.returncode == 0, result.stdout + result.stderr

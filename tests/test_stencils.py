@@ -1,12 +1,14 @@
 """The FD subgrid's stencils are light enough to check a sweep's whole
-block of draws at once, and give the same bits as the full stencils did:
-``tangent`` is the jet's (L_x, L_y), and ``fd_jet``, which evaluates its
-line offsets on a block's own axes, equals the 25-offset stencil evaluated
-on every node.  Each is checked on a single surface and on a stack of six
-draws (``surfaces._stacked``), and the subgrid pass over six draws must
-stay within 1.5x the memory of the grid pass over the same draws.  The
-chart jet, which writes its fields into the grid pass's table, gives the
-bits of a jet whose fields are copied there and of the point path."""
+fold of draws at once, and give the same bits as the full stencils did:
+``tangent`` is the jet's (L_x, L_y); ``fd_jet`` and the E-field stencil,
+which evaluate their offsets on a block's own axes, a quotient at a time,
+equal the stencils evaluated on every node, one offset at a time.  Each
+is checked on a single surface and on stacks of draws
+(``surfaces._stacked``).  The subgrid pass over a fold of 40 draws peaks
+at most 2x the grid pass over a 9x9 block of 12 draws, and the premises of
+40 pair draws at a 33x33 grid no higher than that grid pass.  The chart
+jet, which writes its fields into the grid pass's table, gives the bits of
+a jet whose fields are copied there and of the point path."""
 
 import dataclasses
 import tracemalloc
@@ -15,48 +17,51 @@ import numpy as np
 import pytest
 
 from lorentzmin import diffgeo, harness
+from lorentzmin.errors import DegenerateMetricError
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec
+from lorentzmin.indefinite import indefinite_dot
 from lorentzmin.report import default_tolerances
 from lorentzmin.surfaces import _FIELDS, Jet2, _col, _stacked, grid_axes
 
-#: Six valid parameter sets of each curve-built family, one term structure each
+#: 40 valid parameter sets of each curve-built family (a sweep's fold), one
+#: term structure each
 DRAWS = {
-    "sphere_b": ("Ex7_1", [{"a": a, "p": 3, "q": 1, "r": 2} for a in np.linspace(1, 1.25, 6)]),
-    "sphere_c": ("Ex7_2", [{"p": p, "q": 1.5, "r": 1} for p in np.linspace(2.9, 3.15, 6)]),
-    "hyp_ii": ("Ex8_1", [{"a": 1, "b": b, "p": 1, "q": 1.5} for b in np.linspace(1.1, 1.35, 6)]),
+    "sphere_b": ("Ex7_1", [{"a": a, "p": 3, "q": 1, "r": 2} for a in np.linspace(1, 1.25, 40)]),
+    "sphere_c": ("Ex7_2", [{"p": p, "q": 1.5, "r": 1} for p in np.linspace(2.9, 3.15, 40)]),
+    "hyp_ii": ("Ex8_1", [{"a": 1, "b": b, "p": 1, "q": 1.5} for b in np.linspace(1.1, 1.35, 40)]),
     "hyp_iii": ("Ex8_2", [{"a": a, "b": 0.7, "p": 1.1, "q": 1.5, "r": 1.1, "s": 1.5}
-                          for a in np.linspace(0.6, 0.7, 6)]),
+                          for a in np.linspace(0.6, 0.7, 40)]),
 }
 
 
-def _surfaces(family):
+def _curves(family, grid=(9, 9), draws=None):
+    """The spec and each draw's curves (the first ``draws`` draws)."""
     curve_family, params = DRAWS[family]
-    tols = default_tolerances()
-    out = []
-    for p in params:
-        spec = SurfaceSpec(family=family, grid=(9, 9),
-                           curves=({"family_id": curve_family, "params": dict(p)},))
-        curves, _ = harness._resolve_curves(spec)
-        out.append(SURFACE_FAMILIES[family].build(curves, spec.resolved_domain(),
-                                                  tols["premise"]))
-    return out
+    specs = [SurfaceSpec(family=family, grid=grid, curves=(
+        {"family_id": curve_family, "params": dict(p)},)) for p in params[:draws]]
+    return specs[0], [tuple(harness._resolve_curves(spec)[0]) for spec in specs]
+
+
+def _surfaces(family, draws=6):
+    spec, curves = _curves(family, draws=draws)
+    premise = default_tolerances()["premise"]
+    return [SURFACE_FAMILIES[family].build(c, spec.resolved_domain(), premise) for c in curves]
 
 
 def _fd_jet_on_every_node(surface, x, y):
     """``fd_jet`` as it was before its line offsets were evaluated per axis:
     all 25 offsets of every node stacked into one ``position`` call."""
-    x, y = diffgeo._nodes(x, y)
+    x, y = np.broadcast_arrays(x, y)
     hx1, hy1 = (diffgeo.FIRST_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
     hx2, hy2 = (diffgeo.SECOND_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
-    hxy = np.maximum(hx2, hy2)
     zero = np.zeros_like(x)
     offsets = [(zero, zero)]
     for h in (hx1, hx2):
         offsets += [(h, zero), (-h, zero), (h / 2, zero), (-h / 2, zero)]
     for h in (hy1, hy2):
         offsets += [(zero, h), (zero, -h), (zero, h / 2), (zero, -h / 2)]
-    for h in (hxy, hxy / 2):
-        offsets += [(h, h), (h, -h), (-h, h), (-h, -h)]
+    for hx, hy in ((hx2, hy2), (hx2 / 2, hy2 / 2)):
+        offsets += [(hx, hy), (hx, -hy), (-hx, hy), (-hx, -hy)]
     dx, dy = (np.stack(d) for d in zip(*offsets))
     p = surface.position(x + dx, y + dy)
     c = p[0]
@@ -71,19 +76,35 @@ def _fd_jet_on_every_node(surface, x, y):
         d2 = (q[2] - 2 * c + q[3]) / _col((h / 2) ** 2)
         return (4 * d2 - d1) / 3
 
-    def cross(q, h):
-        return (q[0] - q[1] - q[2] + q[3]) / _col(4 * h * h)
+    def cross(q, hx, hy):
+        return (q[0] - q[1] - q[2] + q[3]) / _col(4 * hx * hy)
 
     return Jet2(L=c, Lx=rich1(p[1:5], hx1), Ly=rich1(p[9:13], hy1), Lxx=rich2(p[5:9], hx2),
-                Lxy=(4 * cross(p[21:25], hxy / 2) - cross(p[17:21], hxy)) / 3,
+                Lxy=(4 * cross(p[21:25], hx2 / 2, hy2 / 2) - cross(p[17:21], hx2, hy2)) / 3,
                 Lyy=rich2(p[13:17], hy2))
+
+
+def _efield_per_offset(surface, x, y):
+    """``diffgeo._efield`` with one ``tangent`` call per offset, on every node."""
+    x, y = np.broadcast_arrays(x, y)
+    (hx1, hx), (hy1, hy) = ((diffgeo.E_FIRST_STEP * a, diffgeo.K_STEP_ANALYTIC * a)
+                            for a in (np.maximum(1.0, np.abs(t)) for t in (x, y)))
+
+    def e(u, v):
+        lx, ly = surface.tangent(u, v)
+        return np.sqrt(-indefinite_dot(lx, ly, surface.ambient.embedding_signature.index))
+
+    return ((e(x + hx1, y) - e(x - hx1, y)) / (2 * hx1),
+            (e(x, y + hy1) - e(x, y - hy1)) / (2 * hy1),
+            (e(x + hx, y + hy) - e(x + hx, y - hy) - e(x - hx, y + hy) + e(x - hx, y - hy))
+            / (4 * hx * hy))
 
 
 @pytest.mark.parametrize("draws", [1, 6])
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_tangent_is_the_jets_lx_and_ly(family, draws):
     surface = _stacked(_surfaces(family)[:draws])
-    x, y = diffgeo._nodes(*grid_axes(surface.domain, FD_SUBGRID))
+    x, y = np.broadcast_arrays(*grid_axes(surface.domain, FD_SUBGRID))
     # offsets on a leading axis, as the E-field stencil passes them
     d = np.linspace(-1e-3, 1e-3, 8)[:, None, None]
     lx, ly = surface.tangent(x + d, y - d)
@@ -127,24 +148,92 @@ def test_table_jet_gives_the_bits_of_copied_fields_and_of_the_point_path(family,
         assert got.tobytes() == np.ascontiguousarray(getattr(jet, name)).tobytes(), name
 
 
+@pytest.mark.parametrize("draws", [1, 40])
+@pytest.mark.parametrize("family", sorted(DRAWS))
+def test_axis_efield_equals_the_stencil_on_every_node(family, draws):
+    # 40 draws of 25 nodes take two offsets per tangent call
+    surface = _stacked(_surfaces(family, draws))
+    xs, ys = grid_axes(surface.domain, FD_SUBGRID)
+    for got, want in zip(diffgeo._efield(surface, xs, ys), _efield_per_offset(surface, xs, ys)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _peak(run):
+    run()  # warm-up
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _pass_peak(family, draws, shape, curvature, pick):
+    spec, stack = SurfaceSpec(family=family, grid=(9, 9)), _stacked(_surfaces(family, draws))
+    fields = [e[1] for e in harness._check_plan(spec, stack)[pick]]
+    return _peak(lambda: diffgeo.grid_values(stack, shape, fields, curvature=curvature))
+
+
 def test_subgrid_pass_of_six_draws_peaks_near_the_grid_pass():
     # measured at 1.12x (1.14 vs 1.02 MiB) with the E-field's offsets and the
     # FD crosses two at a time, 1.30x (1.92 vs 1.47 MiB) with each eight in one
     # call; the full stencils, before the per-axis FD jet and the tangent-only
     # E-field, peaked at 3.50 MiB (2.6x)
-    spec = SurfaceSpec(family="hyp_iii", grid=(9, 9))
-    stack = _stacked(_surfaces("hyp_iii"))
-    assert diffgeo._draws_per_block(FD_SUBGRID) >= 6  # a sweep's block is one subgrid block
-
-    def peak(shape, curvature, pick):
-        fields = [e[1] for e in harness._check_plan(spec, stack)[pick]]
-        diffgeo.grid_values(stack, shape, fields, curvature=curvature)  # warm-up
-        tracemalloc.start()
-        try:
-            diffgeo.grid_values(stack, shape, fields, curvature=curvature)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    grid, subgrid = peak(spec.grid, "jet", 0), peak(FD_SUBGRID, "stencil", 1)
+    grid = _pass_peak("hyp_iii", 6, (9, 9), "jet", 0)
+    subgrid = _pass_peak("hyp_iii", 6, FD_SUBGRID, "stencil", 1)
     assert subgrid <= 1.5 * grid, (subgrid / 2**20, grid / 2**20)
+
+
+@pytest.mark.parametrize("family", sorted(DRAWS))
+def test_subgrid_pass_of_a_fold_peaks_near_a_grid_block(family):
+    # a sweep's fold is one subgrid block of 40 draws; the grid pass's 9x9
+    # block holds 12.  With the E-field and FD steps scaled by max(1, |x|,
+    # |y|) and their offsets on every node, the ratio was 2.28-3.27x
+    per = diffgeo._draws_per_block(FD_SUBGRID)
+    assert per == 40 and diffgeo._draws_per_block((9, 9)) == 12
+    grid = _pass_peak(family, 12, (9, 9), "jet", 0)
+    subgrid = _pass_peak(family, per, FD_SUBGRID, "stencil", 1)
+    assert subgrid <= 2 * grid, (subgrid / 2**20, grid / 2**20)
+
+
+def test_premises_of_a_fold_at_a_large_grid_peak_below_a_grid_block():
+    # the pair conditions run on blocks of whole draws: one draw per block
+    # at 33x33, where a stack of 40 draws peaked at 25 MiB
+    spec, curves = _curves("hyp_iii", (33, 33))
+    tols = default_tolerances()
+    outcomes, stacked = harness._premise_phases(spec, curves, tols)
+    assert all(s is not None for _, _, s in outcomes) and stacked is not None
+    premises = _peak(lambda: harness._premise_phases(spec, curves, tols))
+    grid = _pass_peak("hyp_iii", 12, (9, 9), "jet", 0)
+    assert premises <= grid, (premises / 2**20, grid / 2**20)
+
+
+def test_efield_names_the_offset_where_g_xy_turns(monkeypatch):
+    # L_y reversed at one E-field offset, (x - h1, y) of the subgrid node
+    # (0.6, 0.85), makes g_xy positive there alone; the grid pass uses the jet
+    spec = SurfaceSpec(family="sphere_b", grid=(5, 5), curves=(
+        {"family_id": "Ex7_1", "params": DRAWS["sphere_b"][1][0]},))
+    surface = _surfaces("sphere_b", 1)[0]
+    x0, y0 = 0.6 - diffgeo.E_FIRST_STEP, 0.85
+    lx, ly = surface.tangent(x0, y0)
+    g = -indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
+    message = f"g_xy = {g:g} >= 0 at ({x0:g}, {y0:g})"
+
+    def tangent(x, y):
+        lx, ly = surface.tangent(x, y)
+        at = np.broadcast_to((x == x0) & (y == y0), lx.shape[:-1])
+        return lx, np.where(at[..., None], -ly, ly)
+
+    reversed_ = dataclasses.replace(surface, tangent=tangent)
+    with pytest.raises(DegenerateMetricError) as err:
+        diffgeo._efield(reversed_, *grid_axes(surface.domain, FD_SUBGRID))
+    assert str(err.value) == message
+    build = SURFACE_FAMILIES["sphere_b"].build
+    monkeypatch.setitem(SURFACE_FAMILIES, "sphere_b", dataclasses.replace(
+        SURFACE_FAMILIES["sphere_b"], build=lambda *a: dataclasses.replace(
+            build(*a), tangent=tangent)))
+    report = harness.verify(spec)
+    assert not report.overall_pass
+    (check,) = [c for c in report.checks if not c.passed]
+    assert check.condition_id == "metric-signature"
+    assert check.note == f"induced metric left null form: {message}"
