@@ -6,10 +6,13 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (82):
+The outputs (84):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
+* ``verify --no-timings`` and a csv export of ``PAIRING_GAP``, a
+  translation whose pairing vanishes between the nodes of its 2x2 grid
+  (written here, not under ``specs/``, which the benchmark reads);
 * sweeps of Ex7_1, Ex8_1 and Ex8_2 at n=50 on seeds 0 and 1, with
   ``LMS_DEFAULT_TOL`` unset and at seven tolerances from 1e-12 to 1e-15,
   which mix passing and failing draws;
@@ -55,6 +58,14 @@ SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SPECS = sorted(p.stem for p in SPEC_DIR.glob("*.json"))
 GRIDS = (21, 81)
 SWEEP_TOLS = (None, "1e-12", "3e-13", "1e-13", "3e-14", "1e-14", "3e-15", "1e-15")
+#: <z'(x), w'(y)> = -1 - cos(x - y) vanishes on x - y = pi, which passes
+#: between the 2x2 grid's nodes: pairing-nonzero passes on them, and the
+#: E-field stencil of the FD subgrid meets the zero (metric-signature fails)
+PAIRING_GAP = {
+    "family": "translation", "curves": [{"name": "trig4"}, {"name": "trig4_anti"}],
+    "domain": {"x": [math.pi / 2 - 0.6, math.pi / 2 + 0.2],
+               "y": [-math.pi / 2 - 0.4, -math.pi / 2 + 0.4]},
+    "grid": [2, 2]}
 
 
 def outputs() -> dict[str, tuple[list[str], str | None]]:
@@ -70,6 +81,11 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
             table[f"export-{spec}.{fmt}"] = (
                 ["export", "--spec", str(SPEC_DIR / f"{spec}.json"), "--format", fmt,
                  "--out", "{out}"], None)
+    gap = "{tmp}/translation_pairing_gap.json"
+    table["verify-translation_pairing_gap-2.json"] = (
+        ["verify", "--spec", gap, "--no-timings"], None)
+    table["export-translation_pairing_gap.csv"] = (
+        ["export", "--spec", gap, "--format", "csv", "--out", "{out}"], None)
     for family in ("Ex7_1", "Ex8_1", "Ex8_2"):
         for seed in (0, 1):
             for tol in SWEEP_TOLS:
@@ -92,7 +108,9 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
 
 
 def write_grid_specs(tmp: pathlib.Path) -> None:
-    """Each shipped spec at each of ``GRIDS``, as ``{tmp}/{spec}-{n}.json``."""
+    """Each shipped spec at each of ``GRIDS``, as ``{tmp}/{spec}-{n}.json``,
+    and ``PAIRING_GAP`` as ``{tmp}/translation_pairing_gap.json``."""
+    (tmp / "translation_pairing_gap.json").write_text(json.dumps(PAIRING_GAP))
     for spec in SPECS:
         data = json.loads((SPEC_DIR / f"{spec}.json").read_text())
         for n in GRIDS:

@@ -184,7 +184,8 @@ def _offsets(surface, f, x, y):
 _RICHARDSON, _CROSS_X, _CROSS_Y = (1, -1, 0.5, -0.5), (1, 1, -1, -1), (1, -1, 1, -1)
 
 
-def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None) -> Jet2:
+def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None, *,
+           _centre=None) -> Jet2:
     """Jet from Richardson-extrapolated central differences of the position,
     at one node or at arrays of nodes (x and y broadcast against each other).
 
@@ -193,7 +194,8 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
     (+-hx2/2, +-hy2/2).  Each step scales with its own coordinate, so x's
     offsets are evaluated on x's own shape (a grid block's (rows, 1) axis)
     and y's likewise.  Each quotient is formed from its own four offsets
-    (``_offsets``), which are then dropped."""
+    (``_offsets``), which are then dropped.  ``_centre`` hands in the
+    position at the nodes when a jet there holds it already."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
     def step(h, base, t):  # the given step, or base * max(1, |t|) per node
@@ -202,7 +204,8 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
     hx1, hy1 = step(h1, FIRST_STEP, x), step(h1, FIRST_STEP, y)
     hx2, hy2 = step(h2, SECOND_STEP, x), step(h2, SECOND_STEP, y)
     _check_point(surface, x, y, np.maximum(np.maximum(hx1, hy1), np.maximum(hx2, hy2)))
-    c, at = surface.position(x, y), _offsets(surface, surface.position, x, y)
+    c = surface.position(x, y) if _centre is None else _centre
+    at = _offsets(surface, surface.position, x, y)
 
     def rich1(q, h):  # q: the position at +h, -h, +h/2, -h/2
         d1 = (q[0] - q[1]) / _col(2 * h)
@@ -285,11 +288,14 @@ def _table(surface: SurfaceMap, jet: Jet2):
     W = W.reshape(W.shape[:2] + (-1,))
     d = _metric_diagonal(W.shape[1], surface.ambient.embedding_signature.index)
     T = np.empty((3, 6, W.shape[-1]))
-    # the Gram block by a matmul per node, whose summation order the quadric
-    # verdicts at an LMS_DEFAULT_TOL near rounding level depend on
+    # the basis scaled by the diagonal (exactly, by +-1) once: for the einsum,
+    # then node-major for the Gram block by a matmul per node, whose summation
+    # order the quadric verdicts at an LMS_DEFAULT_TOL near rounding level depend on
+    D = W[:3] * d[:, None]
+    T[:, 3:] = np.einsum("ikn,jkn->ijn", D, W[3:6])
+    D = np.ascontiguousarray(D.transpose(2, 0, 1))  # the one above dies before B is made
     B = np.ascontiguousarray(W[:3].transpose(2, 0, 1))
-    T[:, :3] = ((B * d) @ B.transpose(0, 2, 1)).transpose(1, 2, 0)
-    T[:, 3:] = np.einsum("ikn,jkn->ijn", W[:3] * d[:, None], W[3:6])
+    T[:, :3] = (D @ B.transpose(0, 2, 1)).transpose(1, 2, 0)
     bad = T[0, 1] >= 0
     if bad.any():
         raise DegenerateMetricError(

@@ -24,7 +24,7 @@ import json
 import math
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from .curves import (
     _finite_number,
     _valid_rows,
     builtin_curve,
-    derivative_inner,
-    null_check,
     validate_family,
 )
 from .errors import DegenerateMetricError, InvalidInputError, PremiseError
@@ -55,17 +53,14 @@ from .surfaces import (
     FLAT_DOMAIN,
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
-    SQRT2,
     _check_grid,
-    _col,
     _stacked,
+    _translation_premises,
     check_case_b_premises,
     check_case_c_conditions,
     check_case_ii_premises,
     check_case_iii_conditions,
     de_sitter_control,
-    grid_axes,
-    grid_points,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
     sphere_case_b,
@@ -286,57 +281,23 @@ def _vmax(v):
 
 @dataclass(frozen=True)
 class SurfaceFamily:
-    """Everything the harness knows about one surface family.
+    """How the harness builds one surface family; the model its checks
+    compare with is the chart of the surface built (``SurfaceMap.chart``).
 
     ``premises(curves, spec, tols)`` returns the reports made before
     building, or one list of them per draw when the curves are ``_Stack``s
     of many draws' curves; if ``blocking``, a failed one blocks the surface.
     ``build(curves, domain, premise_tol, premises)`` constructs the surface
-    from those reports.  ``k`` is both <L,L> and the model K, ``g_xy(x, y)``
-    the model conformal factor, ``pde`` (check id, residual, note)
-    triples, ``xi(x, y, dz)`` the expected h(e1,e1) from the derivatives dz
-    (orders 0-3) of the source curve z at x, ``minimality`` a tolerance
-    key; None skips a check.  ``build`` and
-    ``premises`` call constructors and checkers by module-global name, so a
-    wrapper installed there sees every call."""
+    from those reports.  ``build`` and ``premises`` call constructors and
+    checkers by module-global name, so a wrapper installed there sees every
+    call."""
 
     arity: int
     domain: tuple[tuple[float, float], tuple[float, float]]
     build: Callable
     premises: Callable = lambda curves, spec, tols: []
     blocking: bool = False
-    k: float | None = None
-    g_xy: Callable | None = None
-    pde: tuple[tuple[str, Callable, str], ...] = ()
-    xi: Callable | None = None
-    minimality: str = "minimality"
 
-
-def _translation_premises(curves, spec, tols):
-    """Null curves and a nonzero <z'(x), w'(y)> on the grid."""
-    z, w = curves
-    reports = [replace(null_check(curve, DEFAULT_SAMPLES, tols["premise"]), condition_id=cid)
-               for curve, cid in ((z, "null-z"), (w, "null-w"))]
-    values = derivative_inner(z, 1, w, 1, *grid_axes(spec.resolved_domain(), spec.grid))
-    pairing = ConditionReport.from_min(
-        "pairing-nonzero", np.abs(values), tols["premise"],
-        f"{spec.grid[0]}x{spec.grid[1]} grid", grid_points(spec.resolved_domain(), spec.grid),
-        note="min |<z'(x), w'(y)>| must stay positive")
-    if values.min() < 0 < values.max():  # sign change proves a zero
-        pairing = ConditionReport(
-            pairing.condition_id, float(values.max() - values.min()), 0.0, False,
-            pairing.grid, pairing.worst_point,
-            "<z'(x), w'(y)> changes sign on the grid (residual = span)")
-    return reports + [pairing]
-
-
-#: Model K (which is also <L,L>) and conformal factor on each quadric
-_ON_SPHERE = {"k": 1.0, "g_xy": lambda x, y: -2.0 / (x + y) ** 2}
-_ON_HYPERBOLIC = {"k": -1.0, "g_xy": lambda x, y: -1.0 / np.cosh((x + y) / SQRT2) ** 2}
-_SPHERE_PDE_XY = ("pde-xy", lambda x, y, jet, f: _vmax(jet.Lxy - 2 * jet.L / _col((x + y) ** 2)),
-                  "L_xy = 2L/(x+y)^2")
-_HYPERBOLIC_PDE_XY = ("pde-xy", lambda x, y, jet, f: _vmax(
-    jet.Lxy + jet.L / _col(np.cosh((x + y) / SQRT2) ** 2)), "L_xy = -sech^2((x+y)/sqrt2) L")
 
 #: The surface families by spec name.  The de Sitter control takes no
 #: curves from its spec (it builds its own); it exists so the standard
@@ -346,57 +307,42 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         2, FLAT_DOMAIN,
         build=lambda curves, domain, tol, premises=None: translation_surface(
             *curves, domain, tol=tol, _premises=premises),
-        premises=_translation_premises, blocking=True, minimality="minimality-flat"),
+        premises=lambda curves, spec, tols: _translation_premises(
+            *curves, spec.grid, spec.resolved_domain(), DEFAULT_SAMPLES, tols["premise"]),
+        blocking=True),
     "sphere_b": SurfaceFamily(
         1, SPHERE_DOMAIN,
         build=lambda curves, domain, tol, premises=None: sphere_case_b(
             *curves, domain, tol=tol, _premises=premises),
         premises=lambda curves, spec, tols: check_case_b_premises(
-            *curves, DEFAULT_SAMPLES, tols["premise"]),
-        **_ON_SPHERE,
-        pde=(_SPHERE_PDE_XY,
-             ("pde-yy", lambda x, y, jet, f: _vmax(jet.Lyy + 2 * jet.Ly / _col(x + y)),
-              "L_yy = -2L_y/(x+y)")),
-        xi=lambda x, y, z: -_col((x + y) ** 2) * z[3] / 4.0),
+            *curves, DEFAULT_SAMPLES, tols["premise"])),
     "sphere_c": SurfaceFamily(
         2, SPHERE_DOMAIN,
         build=lambda curves, domain, tol, *_: sphere_case_c(*curves, domain),
         premises=lambda curves, spec, tols: check_case_c_conditions(
-            *curves, spec.grid, spec.resolved_domain(), tols["condition"]),
-        **_ON_SPHERE, pde=(_SPHERE_PDE_XY,)),
+            *curves, spec.grid, spec.resolved_domain(), tols["condition"])),
     "hyp_ii": SurfaceFamily(
         1, HYPERBOLIC_DOMAIN,
         build=lambda curves, domain, tol, premises=None: hyperbolic_case_ii(
             *curves, domain, tol=tol, _premises=premises),
         premises=lambda curves, spec, tols: check_case_ii_premises(
-            *curves, DEFAULT_SAMPLES, tols["premise"]),
-        **_ON_HYPERBOLIC,
-        pde=(_HYPERBOLIC_PDE_XY,
-             ("pde-yy", lambda x, y, jet, f: _vmax(
-                 jet.Lyy + SQRT2 * _col(np.tanh((x + y) / SQRT2)) * jet.Ly),
-              "L_yy = -sqrt2 tanh((x+y)/sqrt2) L_y")),
-        # normal field of the single-curve hyperbolic construction; the
-        # cosh^2 factor follows from substituting the immersion into its
-        # own PDE system (and the numeric residual confirms it)
-        xi=lambda x, y, z: ((SQRT2 * z[1] - z[3] / SQRT2)
-                            * _col(np.cosh((x + y) / SQRT2) ** 2))),
+            *curves, DEFAULT_SAMPLES, tols["premise"])),
     "hyp_iii": SurfaceFamily(
         2, HYPERBOLIC_DOMAIN,
         build=lambda curves, domain, tol, *_: hyperbolic_case_iii(*curves, domain),
         premises=lambda curves, spec, tols: check_case_iii_conditions(
-            *curves, spec.grid, spec.resolved_domain(), tols["condition"]),
-        **_ON_HYPERBOLIC, pde=(_HYPERBOLIC_PDE_XY,)),
+            *curves, spec.grid, spec.resolved_domain(), tols["condition"])),
     "de_sitter_control": SurfaceFamily(
         0, DE_SITTER_DOMAIN,
-        build=lambda curves, domain, tol, *_: de_sitter_control(domain),
-        **_ON_SPHERE),
+        build=lambda curves, domain, tol, *_: de_sitter_control(domain)),
 }
 
 
 def _premise_phase(spec, curves, tols):
     """The family's premise checks, then the surface unless one blocks it:
-    (reports, blocking ids, surface or None).  sphere_b and hyp_ii judge
-    their own premises, from the reports handed to their constructors."""
+    (reports, blocking ids, surface or None).  sphere_b, hyp_ii and
+    translation judge their own premises, from the reports handed to their
+    constructors."""
     return _premise_phases(spec, [curves], tols)[0][0]
 
 
@@ -427,77 +373,73 @@ def _premise_phases(spec, draws, tols):
                  if stacks and built else None)
 
 
-def _check_plan(spec, surface) -> tuple[list[tuple], list[tuple]]:
-    """The checks of a surface built for ``spec`` (or of a block's stack of
-    such surfaces) as (condition id, residual of (x, y, jet, forms) on a
-    block, tol key, note): those of the grid pass and of the subgrid pass."""
-    family = SURFACE_FAMILIES[spec.family]
-    idx = surface.ambient.embedding_signature.index
+def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
+    """The checks of a surface (or of a block's stack of surfaces of one
+    chart) as (condition id, residual of (x, y, jet, forms) on a block, tol
+    key, note): those of the grid pass and of the subgrid pass.  They follow
+    from the surface's chart (``surfaces._Chart``): the quadric and K
+    checks where it has k, metric-match where it has g_xy, tangency and its
+    PDE system on a quadric ambient, and pde-yy and xi-recovery from one
+    source curve."""
+    chart, ambient, k = surface.chart, surface.ambient, surface.chart.k
+    idx, quadric = ambient.embedding_signature.index, ambient.kind is not AmbientKind.FLAT
+    one_curve = len(surface.sources) == 1
 
     def dot(a, b):
         return indefinite_dot(a, b, idx)
 
     planned: list[tuple] = []
-
-    def add_max(cid, per_node, tol_key, note=""):
-        planned.append((cid, per_node, tol_key, note))
-
     # <L,L>, <L,L_x> and <L,L_y> are read from the Gram matrix of (L_x, L_y, L)
-    k = family.k
     if k is not None:
-        add_max("quadric", lambda x, y, jet, f: np.abs(f.metric.gram[..., 2, 2] - k),
-                "quadric", note=f"<L,L> = {k:g}")
-    if surface.ambient.kind is not AmbientKind.FLAT:
-        add_max("tangency",
-                lambda x, y, jet, f: np.max(np.abs(f.metric.gram[..., 2, :2]), axis=-1),
-                "tangency", note="<L,L_x> = <L,L_y> = 0")
-
-    if family.g_xy is not None:
-        add_max("metric-match",
-                lambda x, y, jet, f: np.abs(f.metric.g_xy - family.g_xy(x, y)),
-                "metric", note="g_xy matches the model conformal factor")
-    add_max("metric-null-form",
-            lambda x, y, jet, f: np.maximum(*f.metric.offdiag_residuals),
-            "metric-null", note="|g_xx|, |g_yy|")
-    add_max("frame-normalization",
-            lambda x, y, jet, f: np.abs(dot(f.frame.e1, f.frame.e2) + 1.0),
-            "frame", note="<e1,e2> = -1")
-
-    for cid, residual, note in family.pde:
-        add_max(cid, residual, "pde", note=note)
-    add_max("minimality", lambda x, y, jet, f: _vmax(f.H),
-            family.minimality, note="max-norm of the mean curvature vector")
+        planned.append(("quadric", lambda x, y, jet, f: np.abs(f.metric.gram[..., 2, 2] - k),
+                        "quadric", f"<L,L> = {k:g}"))
+    if quadric:
+        planned.append((
+            "tangency", lambda x, y, jet, f: np.max(np.abs(f.metric.gram[..., 2, :2]), axis=-1),
+            "tangency", "<L,L_x> = <L,L_y> = 0"))
+    if chart.g_xy is not None:
+        planned.append(("metric-match",
+                        lambda x, y, jet, f: np.abs(f.metric.g_xy - chart.g_xy(x + y)),
+                        "metric", "g_xy matches the model conformal factor"))
+    planned.append(("metric-null-form",
+                    lambda x, y, jet, f: np.maximum(*f.metric.offdiag_residuals),
+                    "metric-null", "|g_xx|, |g_yy|"))
+    planned.append(("frame-normalization",
+                    lambda x, y, jet, f: np.abs(dot(f.frame.e1, f.frame.e2) + 1.0),
+                    "frame", "<e1,e2> = -1"))
+    for cid, residual, note in chart.pde[:1 + one_curve] if quadric else ():
+        planned.append((cid, lambda x, y, jet, f, r=residual: _vmax(r(x + y, jet)), "pde", note))
+    planned.append(("minimality", lambda x, y, jet, f: _vmax(f.H), chart.minimality,
+                    "max-norm of the mean curvature vector"))
 
     # K and the Gauss equation are checked twice with the same residuals:
     # on the whole grid with K exact from the third-order jet, and on the
     # FD subgrid with K from the E-field stencil (the cross-check), whose
-    # analytic jet is compared with the FD jet
-    stencil: list[tuple] = []
-    if surface.jet is not None:
-        stencil.append(("fd-partials",
-                        lambda x, y, jet, f: diffgeo._fd_gap(jet, diffgeo.fd_jet(surface, x, y)),
-                        "fd", "analytic vs finite-difference jet (relative)"))
+    # analytic jet is compared with the FD jet about the jet's own L
+    stencil = [("fd-partials", lambda x, y, jet, f: diffgeo._fd_gap(
+        jet, diffgeo.fd_jet(surface, x, y, _centre=jet.L)),
+        "fd", "analytic vs finite-difference jet (relative)")]
     if k is not None:
         def k_res(x, y, jet, f):
             return np.abs(f.K - k)
-        add_max("curvature-analytic", k_res, "analytic-k",
-                note=f"K = {k:g} from the third-order jet")
+        planned.append(("curvature-analytic", k_res, "analytic-k",
+                        f"K = {k:g} from the third-order jet"))
         stencil.append(("curvature", k_res, "curvature", f"K = {k:g}"))
 
-    if family.xi is not None:
+    if chart.xi is not None and one_curve:
         def xi_res(x, y, jet, f):
-            expected = family.xi(x, y, jet.curves[0])
+            expected = chart.xi(x + y, jet.curves[0])
             return _vmax(f.h11 - expected) / np.maximum(1.0, _vmax(expected))
-        add_max("xi-recovery", xi_res, "xi",
-                note="h(e1,e1) matches the expected normal field (relative)")
+        planned.append(("xi-recovery", xi_res, "xi",
+                        "h(e1,e1) matches the expected normal field (relative)"))
 
-    c = surface.ambient.curvature
+    c = ambient.curvature
 
     def gauss_res(x, y, jet, f):
         return np.abs(f.K - c + dot(f.h11, f.h22) - dot(f.h12, f.h12))
     gauss_note = "K - c + <h11,h22> - <h12,h12> = 0"
-    add_max("gauss-analytic", gauss_res, "analytic-k",
-            note=gauss_note + ", K from the third-order jet")
+    planned.append(("gauss-analytic", gauss_res, "analytic-k",
+                    gauss_note + ", K from the third-order jet"))
     stencil.append(("gauss-equation", gauss_res, "gauss", gauss_note))
 
     return planned, stencil
@@ -517,12 +459,12 @@ def _check_rows(spec, surfaces, tols, stacked=None) -> list[list[tuple]]:
         draws = stacked or _stacked(surfaces)
         for pick, (shape, curvature) in enumerate(((spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
             columns = diffgeo.grid_values(
-                draws, shape, lambda s: [e[1] for e in _check_plan(spec, s)[pick]],
+                draws, shape, lambda s: [e[1] for e in _check_plan(s)[pick]],
                 curvature=curvature)
             desc, pts = surfaces[0].grid_description(shape), surfaces[0].grid(shape)
             checks += [(cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note)
                        for (cid, _, tol_key, note), column in zip(
-                           _check_plan(spec, surfaces[0])[pick], columns)]
+                           _check_plan(surfaces[0])[pick], columns)]
     except (DegenerateMetricError, InvalidInputError) as exc:
         if len(surfaces) > 1:
             return [run for surface in surfaces for run in _check_rows(spec, [surface], tols)]

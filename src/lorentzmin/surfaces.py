@@ -23,7 +23,9 @@ L = a(x+y) Z + b Z' with Z = z(x)+w(y) and Z' = z'(x)+w'(y): ``_chart_maps``
 takes L from the family's own expression and its partials from a's
 derivatives by the product rule, so a PDE check compares two independent
 computations.  Translation is the chart with a = 1 and b = 0, and the de
-Sitter control the sphere pair chart on two built-in curves.
+Sitter control the sphere pair chart on two built-in curves.  The chart
+(``_Chart``) also holds the model that the harness checks the surface
+against, and every surface carries its chart (``SurfaceMap.chart``).
 ``position`` and ``jet`` broadcast over numpy arrays of x and y, z
 evaluated on the x values and w on the y values only; a grid pass
 evaluates each curve once per axis chunk of BLOCK_NODES coordinates
@@ -36,13 +38,13 @@ merely flag the non-degeneracy ones (a vanishing jerk term is the totally
 geodesic boundary case, not an error).  The single-curve constructors run
 their premise checks before anything else and keep the reports, on the
 surface (``premises``) or on the ``PremiseError``; they and
-``translation_surface`` also take reports made already (``_premises``),
-so a caller never needs to run them twice.
+``translation_surface`` (whose checker is ``_translation_premises``) also
+take reports made already (``_premises``) and judge those, so a caller
+never needs to run them twice.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -141,10 +143,10 @@ class SurfaceMap:
     the sources' ``derivatives`` there (``Jet2.curves``).  ``singular_margin``, when
     present, gives the distance from a point to the nearest singular
     locus of the chart.  ``premises`` keeps the premise reports of a
-    constructor that checks its curve (sphere_b and hyp_ii), ``_maps`` the
-    function of ``sources`` that made ``position``, ``jet`` and ``tangent``
-    (``_chart_maps`` on the family's chart, which every constructor sets;
-    ``_stacked`` calls it again).
+    constructor that checks its curve (sphere_b and hyp_ii).  ``chart``
+    (``_Chart``, set by every constructor) holds the family's model, and
+    with ``sources`` made ``position``, ``jet`` and ``tangent``
+    (``_chart_maps``, which ``_stacked`` runs on stacked sources).
     """
 
     ambient: Ambient
@@ -158,7 +160,7 @@ class SurfaceMap:
     family: str = ""
     label: str = ""
     premises: tuple[ConditionReport, ...] = ()
-    _maps: Callable | None = None
+    chart: _Chart | None = None
 
     def grid(self, shape=DEFAULT_GRID):
         return grid_points(self.domain, shape)
@@ -169,13 +171,27 @@ class SurfaceMap:
 
 @dataclass(frozen=True)
 class _Chart:
-    """A family's L = a(s) Z + b Z' (s = x+y; w = 0 for one curve):
+    """A family's L = a(s) Z + b Z' (s = x+y; w = 0 for one curve) and the
+    model its checks compare with.
+
     ``immersion(Z, Z', s)`` is its own expression for L, ``coefficients(s)``
-    gives a, a', a'' and a''' at s."""
+    gives a, a', a'' and a''' at s.  The model, None or empty where a check
+    does not apply: ``k`` is both <L,L> and K, ``g_xy(s)`` the conformal
+    factor, ``pde`` the (check id, residual vector of (s, jet), note) of
+    pde-xy and pde-yy (pde-yy holds for one curve), ``xi(s, dz)`` the
+    expected h(e1,e1) of one curve from z's derivatives dz (orders 0-3) at
+    x; ``pole`` a pole on x+y = 0, which sets the surface's singular margin;
+    ``minimality`` a tolerance key."""
 
     immersion: Callable
     coefficients: Callable
     b: float
+    k: float | None = None
+    g_xy: Callable | None = None
+    pde: tuple[tuple[str, Callable, str], ...] = ()
+    xi: Callable | None = None
+    pole: bool = False
+    minimality: str = "minimality"
 
 
 def _chart_maps(chart: _Chart, *sources):
@@ -228,16 +244,16 @@ def _chart_maps(chart: _Chart, *sources):
 
 def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> SurfaceMap:
     """The surface of ``chart`` on its source curves, labelled family[z, w] (or
-    ``label``); ``_maps`` keeps the function of the sources that made its maps."""
-    maps = functools.partial(_chart_maps, chart)
-    position, jet, tangent = maps(*sources)
+    ``label``), with the singular margin |x+y| if the chart has a pole."""
+    position, jet, tangent = _chart_maps(chart, *sources)
     names = ", ".join(c.label or name for c, name in zip(sources, "zw"))
-    return SurfaceMap(ambient, position, domain, jet, tangent, sources=sources, family=family,
-                      label=label or f"{family}[{names}]", _maps=maps, **fields)
+    margin = (lambda x, y: abs(x + y)) if chart.pole else None
+    return SurfaceMap(ambient, position, domain, jet, tangent, margin, sources, family=family,
+                      label=label or f"{family}[{names}]", chart=chart, **fields)
 
 
 def _stacked(surfaces, sources=None) -> SurfaceMap:
-    """One surface for surfaces of one constructor and curves of one term
+    """One surface for surfaces of one chart and curves of one term
     structure: its sources are their curves stacked (``_Stack``), or
     ``sources``, stacks of them made already, and its maps put a draw axis
     before the two node axes of x and y.  It keeps the first surface's other
@@ -247,7 +263,7 @@ def _stacked(surfaces, sources=None) -> SurfaceMap:
     sources = sources or tuple(map(_Stack, zip(*(s.sources for s in surfaces))))
     position, jet, tangent = (
         lambda x, y, *d, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3), *d)
-        for f in surfaces[0]._maps(*sources))
+        for f in _chart_maps(surfaces[0].chart, *sources))
     return replace(surfaces[0], sources=sources, position=position, jet=jet, tangent=tangent)
 
 
@@ -448,7 +464,26 @@ def _premise_flags(reports: list[ConditionReport]) -> tuple[str, ...]:
 
 
 #: L = z + w: a = 1 and b = 0
-_FLAT_CHART = _Chart(lambda Z, Z1, s: Z, lambda s: (1.0, 0.0, 0.0, 0.0), 0.0)
+_FLAT_CHART = _Chart(lambda Z, Z1, s: Z, lambda s: (1.0, 0.0, 0.0, 0.0), 0.0,
+                     minimality="minimality-flat")
+
+
+def _translation_premises(z, w, grid, domain, samples, tol) -> list[ConditionReport]:
+    """null-z and null-w (``null_check`` at samples points), then
+    pairing-nonzero: min |<z'(x), w'(y)>| on the grid over domain must reach
+    tol, and a sign change, which proves a zero between nodes, fails with
+    the span of the values as residual."""
+    reports = [replace(null_check(curve, samples, tol), condition_id=cid)
+               for curve, cid in ((z, "null-z"), (w, "null-w"))]
+    values = derivative_inner(z, 1, w, 1, *grid_axes(domain, grid))
+    pairing = ConditionReport.from_min(
+        "pairing-nonzero", np.abs(values), tol, f"{grid[0]}x{grid[1]} grid",
+        grid_points(domain, grid), note="min |<z'(x), w'(y)>| must stay positive")
+    if values.min() < 0 < values.max():
+        pairing = ConditionReport(
+            pairing.condition_id, float(values.max() - values.min()), 0.0, False, pairing.grid,
+            pairing.worst_point, "<z'(x), w'(y)> changes sign on the grid (residual = span)")
+    return reports + [pairing]
 
 
 def translation_surface(
@@ -462,34 +497,26 @@ def translation_surface(
 ) -> SurfaceMap:
     """L(x,y) = z(x) + w(y) for null curves with <z'(x), w'(y)> != 0.
 
-    The pairing <z', w'> is sampled on a samples x samples grid; a value
-    below tol in magnitude anywhere makes the induced metric degenerate and
-    raises.  (A positive pairing is accepted here - the surface is still
-    minimal - but the null-coordinate analysis downstream requires a
-    negative one; reverse the parameter of one curve to flip the sign.)
-    ``_premises`` hands in reports made already, which begin with the null
-    checks (``null_check``) of z and w.
+    The premises (``_translation_premises``) run on a samples x samples
+    grid, or are handed in (``_premises``, made on any grid).  A failed
+    null check raises ``PremiseError``; a pairing that vanishes, below tol
+    at a node or between nodes where it changes sign, makes the induced
+    metric degenerate and raises.  (A positive pairing is accepted here -
+    the surface is still minimal - but the null-coordinate analysis
+    downstream requires a negative one; reverse the parameter of one curve
+    to flip the sign.)
     """
     _require_same_signature(z, w)
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    nulls = _premises or [null_check(curve, samples, tol) for curve in (z, w)]
-    failed = [name for report, name in zip(nulls, ("null-z", "null-w")) if not report.passed]
+    premises = _premises or _translation_premises(z, w, (samples, samples), domain, samples, tol)
+    failed = [r.condition_id for r in premises[:2] if not r.passed]
     if failed:
-        raise PremiseError(failed)
-
-    xs, ys = grid_axes(domain, (samples, samples))
-    values = derivative_inner(z, 1, w, 1, xs, ys)
-    near = ~(np.abs(values) >= tol)  # ConditionReport.from_min's rule: NaN fails too
-    if near.any():
-        i, j = np.unravel_index(np.argmax(near), near.shape)
-        raise DegenerateMetricError(
-            f"<z'(x), w'(y)> vanishes near (x, y) = ({xs[i, 0]:g}, {ys[0, j]:g})")
-    lo, hi = values.min(), values.max()
-    if lo < 0 < hi:  # continuous, so a sign change proves a zero
-        raise DegenerateMetricError(
-            f"<z'(x), w'(y)> changes sign on the domain ({lo:g} to {hi:g})")
+        raise PremiseError(failed, premises)
+    if not premises[2].passed:
+        raise DegenerateMetricError("<z'(x), w'(y)> vanishes near (x, y) = ({:g}, {:g})".format(
+            *premises[2].worst_point))
 
     return _mapped("translation", _FLAT_CHART, Ambient.flat(z.signature), domain, (z, w))
 
@@ -516,9 +543,13 @@ def _sphere_ambient(signature: Signature) -> Ambient:
     return Ambient.sphere(Signature(signature.dim - 1, signature.index))
 
 
-#: L = (z+w)/(x+y) - (z'+w')/2: a(s) = 1/s and b = -1/2
-_SPHERE_CHART = _Chart(lambda Z, Z1, s: Z / s - Z1 / 2,
-                       lambda s: (1 / s, -1 / s**2, 2 / s**3, -6 / s**4), -0.5)
+#: L = (z+w)/(x+y) - (z'+w')/2: a(s) = 1/s and b = -1/2, on S^m_s(1)
+_SPHERE_CHART = _Chart(
+    lambda Z, Z1, s: Z / s - Z1 / 2, lambda s: (1 / s, -1 / s**2, 2 / s**3, -6 / s**4), -0.5,
+    k=1.0, g_xy=lambda s: -2.0 / s ** 2,
+    pde=(("pde-xy", lambda s, jet: jet.Lxy - 2 * jet.L / _col(s ** 2), "L_xy = 2L/(x+y)^2"),
+         ("pde-yy", lambda s, jet: jet.Lyy + 2 * jet.Ly / _col(s), "L_yy = -2L_y/(x+y)")),
+    xi=lambda s, z: -_col(s ** 2) * z[3] / 4.0, pole=True)
 
 
 def sphere_case_b(
@@ -544,8 +575,7 @@ def sphere_case_b(
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
     return _mapped("sphere_b", _SPHERE_CHART, _sphere_ambient(z.signature), domain, (z,),
-                   singular_margin=lambda x, y: abs(x + y), flags=flags,
-                   premises=tuple(premises))
+                   flags=flags, premises=tuple(premises))
 
 
 def check_case_c_conditions(
@@ -583,8 +613,7 @@ def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
     _sphere_domain_guard(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    return _mapped("sphere_c", _SPHERE_CHART, _sphere_ambient(z.signature), domain, (z, w),
-                   singular_margin=lambda x, y: abs(x + y))
+    return _mapped("sphere_c", _SPHERE_CHART, _sphere_ambient(z.signature), domain, (z, w))
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +646,17 @@ def _tanh_coefficients(s):  # tanh(s/sqrt2) and its first three derivatives
     return T, S2 / SQRT2, -S2 * T, S2 * (2 * T**2 - S2) / SQRT2
 
 
-#: L = (z+w) tanh((x+y)/sqrt2) - (z'+w')/sqrt2: a(s) = tanh(s/sqrt2), b = -1/sqrt2
-_HYPERBOLIC_CHART = _Chart(lambda Z, Z1, s: Z * np.tanh(s / SQRT2) - Z1 / SQRT2,
-                           _tanh_coefficients, -1 / SQRT2)
+#: L = (z+w) tanh((x+y)/sqrt2) - (z'+w')/sqrt2: a(s) = tanh(s/sqrt2), b = -1/sqrt2,
+#: on H^m_s(-1).  Its xi's cosh^2 factor follows from substituting the
+#: immersion into its own PDE system (and the numeric residual confirms it).
+_HYPERBOLIC_CHART = _Chart(
+    lambda Z, Z1, s: Z * np.tanh(s / SQRT2) - Z1 / SQRT2, _tanh_coefficients, -1 / SQRT2,
+    k=-1.0, g_xy=lambda s: -1.0 / np.cosh(s / SQRT2) ** 2,
+    pde=(("pde-xy", lambda s, jet: jet.Lxy + jet.L / _col(np.cosh(s / SQRT2) ** 2),
+          "L_xy = -sech^2((x+y)/sqrt2) L"),
+         ("pde-yy", lambda s, jet: jet.Lyy + SQRT2 * _col(np.tanh(s / SQRT2)) * jet.Ly,
+          "L_yy = -sqrt2 tanh((x+y)/sqrt2) L_y")),
+    xi=lambda s, z: (SQRT2 * z[1] - z[3] / SQRT2) * _col(np.cosh(s / SQRT2) ** 2))
 
 
 def hyperbolic_case_ii(
@@ -704,5 +741,4 @@ def de_sitter_control(domain=DE_SITTER_DOMAIN) -> SurfaceMap:
 
     z, w = covering("half_quadratic", domain[0]), covering("half_quadratic_rev", domain[1])
     return _mapped("de_sitter_control", _SPHERE_CHART, Ambient.flat(z.signature), domain, (z, w),
-                   label="de_sitter_control", singular_margin=lambda x, y: abs(x + y),
-                   flags=("negative-control",))
+                   label="de_sitter_control", flags=("negative-control",))

@@ -146,7 +146,7 @@ class TestPartials:
         from lorentzmin.curves import Curve
         from lorentzmin.harness import _check_plan
 
-        spec, surface = _build_spec_surface(name)
+        _, surface = _build_spec_surface(name)
         calls = []
         derivatives = Curve.derivatives
 
@@ -156,7 +156,7 @@ class TestPartials:
 
         monkeypatch.setattr(Curve, "derivatives", counted)
         values = diffgeo.grid_values(surface, shape,
-                                     lambda s: [e[1] for e in _check_plan(spec, s)[0]])
+                                     lambda s: [e[1] for e in _check_plan(s)[0]])
         assert [calls.count(c) for c in surface.sources] == list(chunks)
         assert len(calls) == sum(chunks)
         assert all(v.shape[:2] == shape for v in values)
@@ -198,7 +198,7 @@ class TestPartials:
 
         from lorentzmin.harness import _check_plan
 
-        spec, surface = _build_spec_surface("hyp_iii_ex82")
+        _, surface = _build_spec_surface("hyp_iii_ex82")
         made, live = [], []
 
         def jet(x, y, *d):
@@ -216,7 +216,7 @@ class TestPartials:
 
         monkeypatch.setattr(diffgeo, "_forms", recording)
         diffgeo.grid_values(dataclasses.replace(surface, jet=jet), (81, 81),
-                            [e[1] for e in _check_plan(spec, surface)[0]])
+                            [e[1] for e in _check_plan(surface)[0]])
         blocks = -(-81 // (diffgeo.BLOCK_NODES // 81))
         assert len(made) == 2 * blocks and live == [0] * blocks
 
@@ -255,6 +255,27 @@ class TestPartials:
         x4, y4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5))
         assert calls == [((5, 1), (1, 5)), x4, y4, x4, ((4, 5, 1), (4, 1, 5)),
                          ((4, 5, 1), (4, 1, 5)), y4]
+
+    def test_fd_partials_takes_the_centres_from_the_subgrid_jet(self, sphere_71):
+        # the subgrid pass's fd-partials check hands fd_jet the L that the
+        # block's jet holds, so its position calls are the six quotients' alone
+        import dataclasses
+
+        from lorentzmin.harness import _check_plan
+
+        calls = []
+
+        def position(x, y):
+            calls.append((np.shape(x), np.shape(y)))
+            return sphere_71.position(x, y)
+
+        counted = dataclasses.replace(sphere_71, position=position)
+        (gap,) = [e[1] for e in _check_plan(counted)[1] if e[0] == "fd-partials"]
+        (got,) = diffgeo.grid_values(counted, (5, 5), [gap], curvature="stencil")
+        x4, y4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5))
+        assert calls == [x4, y4, x4, ((4, 5, 1), (4, 1, 5)), ((4, 5, 1), (4, 1, 5)), y4]
+        xs, ys = grid_axes(counted.domain, (5, 5))
+        assert np.array_equal(got, fd_discrepancy(sphere_71, xs, ys))
 
 
 class TestInducedMetric:

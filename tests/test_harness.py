@@ -185,25 +185,25 @@ class TestVerify:
             r.to_dict() for r in original(*calls[0])]
 
     def test_translation_null_checks_run_once(self, monkeypatch):
-        # the harness's null-z and null-w reports are handed to the
-        # constructor, which keeps its own pairing sweep
+        # the harness's null-z, null-w and pairing-nonzero reports are
+        # handed to the constructor, which judges them and computes nothing
+        # again: two null checks and one pairing on the spec's grid
         import pathlib
 
-        from lorentzmin import harness, surfaces
+        from lorentzmin import surfaces
 
-        calls = []
-        original = surfaces.null_check
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for module in (surfaces, harness):
-            monkeypatch.setattr(module, "null_check", counted)
+        calls = {"null_check": [], "derivative_inner": []}
+        for name, made in calls.items():
+            def counted(*args, original=getattr(surfaces, name), made=made):
+                made.append(args)
+                return original(*args)
+            monkeypatch.setattr(surfaces, name, counted)
         spec = pathlib.Path(__file__).resolve().parent.parent / "specs" / "translation_demo.json"
         report = verify(json.loads(spec.read_text()))
         assert report.overall_pass
-        assert len(calls) == 2
+        assert len(calls["null_check"]) == 2
+        ((*_, xs, ys),) = calls["derivative_inner"]
+        assert (xs.size, ys.size) == (21, 21)
 
     def test_failed_premise_reported_even_on_a_bad_domain(self):
         # the premises run before the domain checks, so this is a report
@@ -238,10 +238,10 @@ class TestVerify:
     def test_pairing_on_the_axes_equals_the_flattened_grid(self):
         # <z'(x), w'(y)> broadcast over the grid's axes: the same residual,
         # worst point and bits as on every node's (x, y) pair
-        from lorentzmin.curves import derivative_inner
-        from lorentzmin.harness import SurfaceSpec, _resolve_curves, _translation_premises
+        from lorentzmin.curves import DEFAULT_SAMPLES, derivative_inner
+        from lorentzmin.harness import SurfaceSpec, _resolve_curves
         from lorentzmin.report import default_tolerances
-        from lorentzmin.surfaces import grid_axes, grid_points
+        from lorentzmin.surfaces import _translation_premises, grid_axes, grid_points
 
         spec = SurfaceSpec.from_dict({**TRANSLATION, "grid": [7, 5]})
         (z, w), _ = _resolve_curves(spec)
@@ -249,7 +249,8 @@ class TestVerify:
         flat = derivative_inner(z, 1, w, 1, pts[:, 0], pts[:, 1])
         axes = derivative_inner(z, 1, w, 1, *grid_axes(spec.resolved_domain(), spec.grid))
         assert axes.shape == spec.grid and np.array_equal(axes.ravel(), flat)
-        pairing = _translation_premises((z, w), spec, default_tolerances())[-1]
+        pairing = _translation_premises(z, w, spec.grid, spec.resolved_domain(), DEFAULT_SAMPLES,
+                                        default_tolerances()["premise"])[-1]
         assert pairing.max_residual == 1e-9 - np.min(np.abs(flat))
         assert pairing.worst_point == tuple(pts[np.argmin(np.abs(flat))])
 
@@ -260,6 +261,33 @@ class TestVerify:
         assert not report.overall_pass
         assert "pairing-nonzero" in report.failed_checks()
         assert not report.surface["constructed"]
+
+    def test_pairing_checked_once_on_the_spec_grid(self, tmp_path, capsys):
+        # <z', w'> = -1 - cos(x - y) vanishes on x - y = pi, between the
+        # nodes of a 2x2 grid: pairing-nonzero passes there, the surface is
+        # built from that report alone, and the subgrid's E-field meets the
+        # zero.  The constructor on its own 41x41 grid refuses the surface.
+        from lorentzmin.curves import builtin_curve
+        from lorentzmin.errors import DegenerateMetricError
+        from lorentzmin.surfaces import translation_surface
+
+        (x0, x1), (y0, y1) = domain = (
+            (math.pi / 2 - 0.6, math.pi / 2 + 0.2), (-math.pi / 2 - 0.4, -math.pi / 2 + 0.4))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "family": "translation", "curves": [{"name": "trig4"}, {"name": "trig4_anti"}],
+            "domain": {"x": [x0, x1], "y": [y0, y1]}, "grid": [2, 2]}))
+        assert main(["verify", "--spec", str(spec), "--no-timings"]) == 1
+        out, err = capsys.readouterr()
+        checks = {c["condition_id"]: c["passed"] for c in json.loads(out)["checks"]}
+        assert err == "" and checks["pairing-nonzero"] and not checks["metric-signature"]
+        csv = tmp_path / "mesh.csv"
+        assert main(["export", "--spec", str(spec), "--format", "csv", "--out", str(csv)]) == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert [tuple(map(float, r.split(",")[:2])) for r in rows] == [
+            (x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+        with pytest.raises(DegenerateMetricError, match="vanishes"):
+            translation_surface(builtin_curve("trig4"), builtin_curve("trig4_anti"), domain)
 
     def test_alt_pairing_descriptor(self):
         # the mismatched-partner variant leaves the light cone, which the

@@ -131,7 +131,6 @@ def test_table_jet_gives_the_bits_of_copied_fields_and_of_the_point_path(family,
     # (Jet2.table); rebuilt by dataclasses.replace, a jet has no table, and
     # _table copies its fields as for any other jet.  Both runs give the
     # same bits, over two blocks, and the blocks' fields are partials()'s.
-    spec = SurfaceSpec(family=family, grid=(9, 9))
     surface = _stacked(_surfaces(family)[:draws])
     copied = dataclasses.replace(
         surface, jet=lambda x, y, *d: dataclasses.replace(surface.jet(x, y, *d)))
@@ -139,7 +138,7 @@ def test_table_jet_gives_the_bits_of_copied_fields_and_of_the_point_path(family,
     axes = grid_axes(surface.domain, shape)
     assert surface.jet(*axes).table is not None and copied.jet(*axes).table is None
     fields = [lambda x, y, jet, f, name=name: getattr(jet, name) for name in _FIELDS] + [
-        e[1] for e in harness._check_plan(spec, surface)[0]]
+        e[1] for e in harness._check_plan(surface)[0]]
     table, copy = (diffgeo.grid_values(s, shape, fields) for s in (surface, copied))
     for got, want in zip(table, copy):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -169,8 +168,8 @@ def _peak(run):
 
 
 def _pass_peak(family, draws, shape, curvature, pick):
-    spec, stack = SurfaceSpec(family=family, grid=(9, 9)), _stacked(_surfaces(family, draws))
-    fields = [e[1] for e in harness._check_plan(spec, stack)[pick]]
+    stack = _stacked(_surfaces(family, draws))
+    fields = [e[1] for e in harness._check_plan(stack)[pick]]
     return _peak(lambda: diffgeo.grid_values(stack, shape, fields, curvature=curvature))
 
 

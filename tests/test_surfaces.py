@@ -343,7 +343,7 @@ def test_third_order_jet_matches_richardson_of_mixed_partial(name):
     x, y = sub[:, 0], sub[:, 1]
     jet = surface.jet(x, y)
     # every family is a chart: stackable, with a tangent map and a jet table
-    assert all(f is not None for f in (surface._maps, surface.tangent, jet.table))
+    assert all(f is not None for f in (surface.chart, surface.tangent, jet.table))
     hx, hy = 1e-3 * np.maximum(1.0, np.abs(x)), 1e-3 * np.maximum(1.0, np.abs(y))
     fd_x = _rich1(lambda t: surface.jet(t, y).Lxy, x, hx)
     fd_y = _rich1(lambda t: surface.jet(x, t).Lxy, y, hy)
