@@ -6,13 +6,16 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (84):
+The outputs (85):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
 * ``verify --no-timings`` and a csv export of ``PAIRING_GAP``, a
   translation whose pairing vanishes between the nodes of its 2x2 grid
   (written here, not under ``specs/``, which the benchmark reads);
+* ``verify --no-timings`` of ``DEGENERATE_PAIR``, a hyp_iii pair whose
+  metric is degenerate, so its joint conditions are reported ahead of
+  ``metric-signature``;
 * sweeps of Ex7_1, Ex8_1 and Ex8_2 at n=50 on seeds 0 and 1, with
   ``LMS_DEFAULT_TOL`` unset and at seven tolerances from 1e-12 to 1e-15,
   which mix passing and failing draws;
@@ -66,6 +69,9 @@ PAIRING_GAP = {
     "domain": {"x": [math.pi / 2 - 0.6, math.pi / 2 + 0.2],
                "y": [-math.pi / 2 - 0.4, -math.pi / 2 + 0.4]},
     "grid": [2, 2]}
+#: ads_null as both z and w is no admissible pair: iii.1 fails (iii.2 and
+#: iii.3 hold), and g_xy > 0 stops the grid pass (metric-signature fails)
+DEGENERATE_PAIR = {"family": "hyp_iii", "curves": [{"name": "ads_null"}, {"name": "ads_null"}]}
 
 
 def outputs() -> dict[str, tuple[list[str], str | None]]:
@@ -86,6 +92,8 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
         ["verify", "--spec", gap, "--no-timings"], None)
     table["export-translation_pairing_gap.csv"] = (
         ["export", "--spec", gap, "--format", "csv", "--out", "{out}"], None)
+    table["verify-hyp_iii_degenerate_pair-21.json"] = (
+        ["verify", "--spec", "{tmp}/hyp_iii_degenerate_pair.json", "--no-timings"], None)
     for family in ("Ex7_1", "Ex8_1", "Ex8_2"):
         for seed in (0, 1):
             for tol in SWEEP_TOLS:
@@ -109,8 +117,10 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
 
 def write_grid_specs(tmp: pathlib.Path) -> None:
     """Each shipped spec at each of ``GRIDS``, as ``{tmp}/{spec}-{n}.json``,
-    and ``PAIRING_GAP`` as ``{tmp}/translation_pairing_gap.json``."""
+    ``PAIRING_GAP`` as ``{tmp}/translation_pairing_gap.json`` and
+    ``DEGENERATE_PAIR`` as ``{tmp}/hyp_iii_degenerate_pair.json``."""
     (tmp / "translation_pairing_gap.json").write_text(json.dumps(PAIRING_GAP))
+    (tmp / "hyp_iii_degenerate_pair.json").write_text(json.dumps(DEGENERATE_PAIR))
     for spec in SPECS:
         data = json.loads((SPEC_DIR / f"{spec}.json").read_text())
         for n in GRIDS:

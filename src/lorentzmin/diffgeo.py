@@ -27,15 +27,15 @@ g_xy = <L_x,L_y> = -E^2 gives
     (g_xy)_y  = <L_xy,L_y> + <L_x,L_yy>,
     (g_xy)_xy = <L_xxy,L_y> + <L_xx,L_yy> + <L_xy,L_xy> + <L_x,L_xyy>.
 
-Without them (a surface with no analytic jet), or on request for the
-cross-check, E_x, E_y and E_xy come from central differences of E (the
-E-field stencil: L_x and L_y alone, the surface's ``tangent``, at eight
-offsets per node).  ``fd_jet`` is the derivative-free counterpart of the
-analytic jet: Richardson-extrapolated central differences of the position
-at 25 offsets per node; ``fd_discrepancy`` compares it with the analytic
-jet (the ``fd-partials`` cross-check).  Each stencil step scales with its
-own coordinate, so a grid block's offsets lie on its x and y axes, and
-each quotient's offsets are evaluated together, then dropped (``_offsets``).
+For the cross-check, E_x, E_y and E_xy come from central differences of
+E instead (the E-field stencil: L_x and L_y alone, the surface's
+``tangent``, at eight offsets per node).  ``fd_jet`` is the
+derivative-free counterpart of the analytic jet: Richardson-extrapolated
+central differences of the position at 25 offsets per node;
+``fd_discrepancy`` compares it with the analytic jet (the ``fd-partials``
+cross-check).  Each stencil step scales with its own coordinate, so a grid
+block's offsets lie on its x and y axes, and each quotient's offsets are
+evaluated together, then dropped (``_offsets``).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
 one ``jet`` call, one table of the indefinite products that the
@@ -83,13 +83,12 @@ __all__ = [
 #: (~23 eps |L| / h^2) against pole truncation (~h^4 |L^(6)| / 480): both
 #: stay near 1e-7 relative at 3e-4.  The E-field stencil uses plain central
 #: differences: E_FIRST_STEP for E_x/E_y and a wider mixed step for E_xy
-#: (K_STEP_ANALYTIC when analytic partials back the metric, K_STEP_FD
-#: otherwise), because the E-field's own noise floor is amplified by 1/h^2.
+#: (K_STEP_ANALYTIC), because the E-field's own noise floor is amplified
+#: by 1/h^2.
 FIRST_STEP = 1e-5
 SECOND_STEP = 3e-4
 E_FIRST_STEP = 1e-4
 K_STEP_ANALYTIC = 5e-4
-K_STEP_FD = 1e-3
 
 #: A Gram matrix whose |det| falls below this fraction of the product of
 #: its row norms is singular to working precision (the Gram determinant
@@ -232,12 +231,10 @@ def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None 
 
 
 def partials(surface: SurfaceMap, x, y) -> Jet2:
-    """Analytic jet when the surface provides one, FD jet otherwise.
+    """The surface's analytic jet at one node or at arrays of nodes.
 
     x and y may be arrays that broadcast against each other; every field
     comes back with shape nodes + (dim,)."""
-    if surface.jet is None:
-        return fd_jet(surface, x, y)
     _check_point(surface, x, y, 0.0)
     jet = surface.jet(x, y)
     # the nodes' shape (after the draw axis of a stack of draws) + (dim,)
@@ -257,13 +254,8 @@ def _fd_gap(an: Jet2, fd: Jet2):
 
 
 def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None):
-    """Max relative max-norm gap between analytic and FD partials, per node.
-
-    Only meaningful for surfaces with analytic partials; each of the five
-    derivatives is compared at scale max(1, |analytic|).
-    """
-    if surface.jet is None:
-        raise DomainError("surface provides no analytic partials to compare")
+    """Max relative max-norm gap between analytic and FD partials, per node;
+    each of the five derivatives is compared at scale max(1, |analytic|)."""
     return _fd_gap(partials(surface, x, y), fd_jet(surface, x, y, h1, h2))
 
 
@@ -332,13 +324,9 @@ def _second_form(W, T, n):
 
 
 def _conformal(surface: SurfaceMap, x, y):
-    """E = sqrt(-g_xy) at arrays of nodes the caller has checked, from L_x
-    and L_y of the analytic jet (``tangent`` if any) or else of the FD jet."""
-    if surface.jet is not None and surface.tangent is not None:
-        lx, ly = surface.tangent(x, y)
-    else:
-        jet = fd_jet(surface, x, y) if surface.jet is None else surface.jet(x, y)
-        lx, ly = jet.Lx, jet.Ly
+    """E = sqrt(-g_xy) at arrays of nodes the caller has checked, from the
+    surface's ``tangent`` (the analytic L_x and L_y)."""
+    lx, ly = surface.tangent(x, y)
     g_xy = indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
     bad = g_xy >= 0
     if bad.any():
@@ -360,9 +348,9 @@ def _efield(surface: SurfaceMap, x, y):
     uses the wider K step (noise-limited, divided by h^2).  Each step scales
     with its own coordinate, max(1, |x|) or max(1, |y|), so the offsets lie
     on x's and y's own axes; each quotient's are evaluated by ``_offsets``."""
-    k = K_STEP_ANALYTIC if surface.jet is not None else K_STEP_FD
     ax, ay = (np.maximum(1.0, np.abs(t)) for t in (x, y))
-    hx1, hy1, hx, hy = E_FIRST_STEP * ax, E_FIRST_STEP * ay, k * ax, k * ay
+    hx1, hy1 = E_FIRST_STEP * ax, E_FIRST_STEP * ay
+    hx, hy = K_STEP_ANALYTIC * ax, K_STEP_ANALYTIC * ay
     _check_point(surface, x, y, np.maximum(hx, hy))
     at = _offsets(surface, lambda u, v: _conformal(surface, u, v), x, y)
     e = at(((1, -1), hx1))
@@ -399,7 +387,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     nodes are checked here.  The jet comes back broadcast to the nodes."""
     if d is None:
         _check_point(surface, x, y, 0.0)
-    jet = fd_jet(surface, x, y) if surface.jet is None else surface.jet(x, y, *(d or ()))
+    jet = surface.jet(x, y, *(d or ()))
     W, g, T, nodes = _table(surface, jet)
     h = _second_form(W, T, 2 if surface.ambient.kind is AmbientKind.FLAT else 3)
     E = np.sqrt(-T[0, 1])
@@ -482,8 +470,7 @@ def second_fundamental_form(surface: SurfaceMap, x: float, y: float) -> Fundamen
 
 
 def gauss_curvature(surface: SurfaceMap, x: float, y: float) -> float:
-    """K = (2 E E_xy - 2 E_x E_y)/E^4, exact from the third-order jet (from
-    the E-field stencil on a surface without an analytic jet)."""
+    """K = (2 E E_xy - 2 E_x E_y)/E^4, exact from the third-order jet."""
     return point_forms(surface, x, y)[1].K
 
 

@@ -10,12 +10,12 @@ A surface is described by a small JSON spec:
 
 Curve descriptors are either a built-in family id plus parameters or the
 name of a named test curve.  ``verify`` builds the curves, runs the
-family's premise or condition checkers, constructs the surface and runs
-the full differential-geometry suite on the grid, returning a report that
-never throws on a failed check (only on malformed input).  Reports
-serialize deterministically: identical specs yield byte-identical JSON up
-to the timings block, with every float printed in scientific notation at
-18 significant digits (``%.17e``: 17 after the point).
+family's premise checkers, constructs the surface and runs the full
+differential-geometry suite (a pair's joint conditions too) on the grid,
+returning a report that never throws on a failed check (only on malformed
+input).  Reports serialize deterministically: identical specs yield
+byte-identical JSON up to the timings block, with every float printed in
+scientific notation at 18 significant digits (``%.17e``: 17 after the point).
 """
 
 from __future__ import annotations
@@ -54,12 +54,11 @@ from .surfaces import (
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
     _check_grid,
+    _condition_rows,
     _stacked,
     _translation_premises,
     check_case_b_premises,
-    check_case_c_conditions,
     check_case_ii_premises,
-    check_case_iii_conditions,
     de_sitter_control,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
@@ -286,7 +285,8 @@ class SurfaceFamily:
 
     ``premises(curves, spec, tols)`` returns the reports made before
     building, or one list of them per draw when the curves are ``_Stack``s
-    of many draws' curves; if ``blocking``, a failed one blocks the surface.
+    of many draws' curves (by default none: a pair's joint conditions are
+    checks of the grid pass); if ``blocking``, a failed one blocks the surface.
     ``build(curves, domain, premise_tol, premises)`` constructs the surface
     from those reports.  ``build`` and ``premises`` call constructors and
     checkers by module-global name, so a wrapper installed there sees every
@@ -295,7 +295,8 @@ class SurfaceFamily:
     arity: int
     domain: tuple[tuple[float, float], tuple[float, float]]
     build: Callable
-    premises: Callable = lambda curves, spec, tols: []
+    premises: Callable = lambda curves, spec, tols: (
+        [[] for _ in range(curves[0]._lead[0])] if curves and isinstance(curves[0], _Stack) else [])
     blocking: bool = False
 
 
@@ -318,9 +319,7 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
             *curves, DEFAULT_SAMPLES, tols["premise"])),
     "sphere_c": SurfaceFamily(
         2, SPHERE_DOMAIN,
-        build=lambda curves, domain, tol, *_: sphere_case_c(*curves, domain),
-        premises=lambda curves, spec, tols: check_case_c_conditions(
-            *curves, spec.grid, spec.resolved_domain(), tols["condition"])),
+        build=lambda curves, domain, tol, *_: sphere_case_c(*curves, domain)),
     "hyp_ii": SurfaceFamily(
         1, HYPERBOLIC_DOMAIN,
         build=lambda curves, domain, tol, premises=None: hyperbolic_case_ii(
@@ -329,9 +328,7 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
             *curves, DEFAULT_SAMPLES, tols["premise"])),
     "hyp_iii": SurfaceFamily(
         2, HYPERBOLIC_DOMAIN,
-        build=lambda curves, domain, tol, *_: hyperbolic_case_iii(*curves, domain),
-        premises=lambda curves, spec, tols: check_case_iii_conditions(
-            *curves, spec.grid, spec.resolved_domain(), tols["condition"])),
+        build=lambda curves, domain, tol, *_: hyperbolic_case_iii(*curves, domain)),
     "de_sitter_control": SurfaceFamily(
         0, DE_SITTER_DOMAIN,
         build=lambda curves, domain, tol, *_: de_sitter_control(domain)),
@@ -377,10 +374,11 @@ def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
     """The checks of a surface (or of a block's stack of surfaces of one
     chart) as (condition id, residual of (x, y, jet, forms) on a block, tol
     key, note): those of the grid pass and of the subgrid pass.  They follow
-    from the surface's chart (``surfaces._Chart``): the quadric and K
-    checks where it has k, metric-match where it has g_xy, tangency and its
-    PDE system on a quadric ambient, and pde-yy and xi-recovery from one
-    source curve."""
+    from the surface's chart (``surfaces._Chart``): first a pair's joint
+    conditions on a quadric ambient (tol key "condition"), then the quadric
+    and K checks where it has k, metric-match where it has g_xy, tangency
+    and its PDE system on a quadric ambient, and pde-yy and xi-recovery from
+    one source curve."""
     chart, ambient, k = surface.chart, surface.ambient, surface.chart.k
     idx, quadric = ambient.embedding_signature.index, ambient.kind is not AmbientKind.FLAT
     one_curve = len(surface.sources) == 1
@@ -388,7 +386,9 @@ def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
     def dot(a, b):
         return indefinite_dot(a, b, idx)
 
-    planned: list[tuple] = []
+    planned: list[tuple] = [
+        (cid, lambda x, y, jet, f, r=residual: r(x + y, jet, idx), "condition", note)
+        for cid, residual, note in (chart.conditions if quadric and not one_curve else ())]
     # <L,L>, <L,L_x> and <L,L_y> are read from the Gram matrix of (L_x, L_y, L)
     if k is not None:
         planned.append(("quadric", lambda x, y, jet, f: np.abs(f.metric.gram[..., 2, 2] - k),
@@ -453,7 +453,8 @@ def _check_rows(spec, surfaces, tols, stacked=None) -> list[list[tuple]]:
     which ``grid_values`` cuts into blocks of whole draws.  A list that
     fails as a whole (a degenerate metric, or curves of two term structures,
     as when a draw zeroes a whole component) is rerun one surface at a
-    time, so each gets the outcome it would get alone."""
+    time, so each gets the outcome it would get alone; a degenerate one
+    still reports its joint conditions (``surfaces._condition_rows``)."""
     checks = []
     try:
         draws = stacked or _stacked(surfaces)
@@ -470,10 +471,13 @@ def _check_rows(spec, surfaces, tols, stacked=None) -> list[list[tuple]]:
             return [run for surface in surfaces for run in _check_rows(spec, [surface], tols)]
         if not isinstance(exc, DegenerateMetricError):
             raise
+        s = surfaces[0]
+        pair = any(key == "condition" for _, _, key, _ in _check_plan(s)[0])
         # tol -1 keeps the pass == (residual <= tol) invariant honest
-        return [[("metric-signature", np.zeros((1, 1)), -1.0,
-                  surfaces[0].grid_description(spec.grid), None,
-                  f"induced metric left null form: {exc}")]]
+        return [(_condition_rows(s.chart, s.sources, s.domain, spec.grid, tols["condition"])
+                 if pair else []) + [("metric-signature", np.zeros((1, 1)), -1.0,
+                                      s.grid_description(spec.grid), None,
+                                      f"induced metric left null form: {exc}")]]
     return [checks]
 
 
@@ -485,7 +489,7 @@ def _checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
 
 
 def verify(spec: SurfaceSpec | dict) -> VerificationReport:
-    """Full pipeline: curves, premises/conditions, surface, geometry suite.
+    """Full pipeline: curves, premises, surface, geometry suite.
 
     Raises only on malformed input (unknown family, bad arity, violated
     factory constraints); failed checks are reported, not thrown.

@@ -25,7 +25,8 @@ derivatives by the product rule, so a PDE check compares two independent
 computations.  Translation is the chart with a = 1 and b = 0, and the de
 Sitter control the sphere pair chart on two built-in curves.  The chart
 (``_Chart``) also holds the model that the harness checks the surface
-against, and every surface carries its chart (``SurfaceMap.chart``).
+against, the pair conditions (c.1)-(c.3) and (iii.1)-(iii.3) included, and
+every surface carries its chart (``SurfaceMap.chart``).
 ``position`` and ``jet`` broadcast over numpy arrays of x and y, z
 evaluated on the x values and w on the y values only; a grid pass
 evaluates each curve once per axis chunk of BLOCK_NODES coordinates
@@ -33,9 +34,10 @@ evaluates each curve once per axis chunk of BLOCK_NODES coordinates
 component-major (embedding axis first) and return dim-last views.
 ``tangent`` gives L_x and L_y alone (curve orders 0-2) for the E-field
 stencil.  Premise checkers return per-condition reports with the worst
-sample point; constructors raise on algebraic premise failures and
-merely flag the non-degeneracy ones (a vanishing jerk term is the totally
-geodesic boundary case, not an error).  The single-curve constructors run
+sample point (a pair checker's from its chart's jet: ``_condition_rows``);
+constructors raise on algebraic premise failures and merely flag the
+non-degeneracy ones (a vanishing jerk term is the totally geodesic
+boundary case, not an error).  The single-curve constructors run
 their premise checks before anything else and keep the reports, on the
 surface (``premises``) or on the ``PremiseError``; they and
 ``translation_surface`` (whose checker is ``_translation_premises``) also
@@ -136,7 +138,7 @@ class SurfaceMap:
     """An immersion (x, y) -> embedding space, with its ambient.
 
     ``position``, ``jet`` and ``tangent`` (the jet's L_x and L_y alone, so
-    replace or drop it with ``jet``) are stateless closures valid on a
+    replace it with ``jet``) are stateless closures valid on a
     neighborhood of the declared ``domain`` rectangle (finite-difference
     stencils may poke slightly outside it); all take scalars or arrays of
     x and y that broadcast against each other; ``jet(x, y, *d)`` also takes
@@ -152,8 +154,8 @@ class SurfaceMap:
     ambient: Ambient
     position: Callable[[float, float], np.ndarray]
     domain: tuple[tuple[float, float], tuple[float, float]]
-    jet: Callable[[float, float], Jet2] | None = None
-    tangent: Callable[[float, float], tuple[np.ndarray, np.ndarray]] | None = None
+    jet: Callable[[float, float], Jet2]
+    tangent: Callable[[float, float], tuple[np.ndarray, np.ndarray]]
     singular_margin: Callable[[float, float], float] | None = None
     sources: tuple[Curve, ...] = ()
     flags: tuple[str, ...] = ()
@@ -178,7 +180,9 @@ class _Chart:
     gives a, a', a'' and a''' at s.  The model, None or empty where a check
     does not apply: ``k`` is both <L,L> and K, ``g_xy(s)`` the conformal
     factor, ``pde`` the (check id, residual vector of (s, jet), note) of
-    pde-xy and pde-yy (pde-yy holds for one curve), ``xi(s, dz)`` the
+    pde-xy and pde-yy (pde-yy holds for one curve), ``conditions`` the
+    (check id, residual of (s, jet, embedding index), note) of a pair's joint
+    conditions, from ``jet.L`` and ``jet.curves``, ``xi(s, dz)`` the
     expected h(e1,e1) of one curve from z's derivatives dz (orders 0-3) at
     x; ``pole`` a pole on x+y = 0, which sets the surface's singular margin;
     ``minimality`` a tolerance key."""
@@ -189,6 +193,7 @@ class _Chart:
     k: float | None = None
     g_xy: Callable | None = None
     pde: tuple[tuple[str, Callable, str], ...] = ()
+    conditions: tuple[tuple[str, Callable, str], ...] = ()
     xi: Callable | None = None
     pole: bool = False
     minimality: str = "minimality"
@@ -273,9 +278,9 @@ def _draw_count(surface) -> int:
 
 
 def _draws_per_block(shape) -> int:
-    """Whole draws of a grid in one block (``diffgeo.grid_values``,
-    ``_pair_conditions``): BLOCK_NODES counts draws x nodes, so 12 draws at
-    9x9, and 40 on the 5x5 FD subgrid (a sweep's fold; 3.9 MiB at most)."""
+    """Whole draws of a grid in one block (``diffgeo.grid_values``): BLOCK_NODES
+    counts draws x nodes, so 12 draws at 9x9, and 40 on the 5x5 FD subgrid
+    (a sweep's fold; 3.9 MiB at most)."""
     return max(1, BLOCK_NODES // (shape[0] * shape[1]))
 
 
@@ -317,17 +322,18 @@ def grid_points(domain, shape) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*grid_axes(domain, shape)), axis=-1).reshape(-1, 2)
 
 
-def _grid_blocks(shape, xs, ys, sources=(), orders=range(4)):
+def _grid_blocks(shape, xs, ys, sources=()):
     """(rows, cols, x, y, d) of a grid's blocks of at most BLOCK_NODES nodes
     (whole rows when a row fits, pieces of one row otherwise): index slices,
-    axes, and the sources' ``derivatives`` there, z's at x and w's at y.
+    axes, and the sources' ``derivatives`` there (orders 0-3), z's at x and
+    w's at y.
     Each curve is evaluated once per axis chunk of at most BLOCK_NODES
     coordinates (w once per chunk of x too when both axes exceed it)."""
     cols = min(shape[1], BLOCK_NODES)
     rows = BLOCK_NODES // cols
     span = BLOCK_NODES // rows * rows
     def tables(curves, t):  # their derivatives at t, laid out component-major
-        return [_dim_last(np.moveaxis(c.derivatives(t, orders), -1, 1).copy(), 1) for c in curves]
+        return [_dim_last(np.moveaxis(c.derivatives(t, range(4)), -1, 1).copy(), 1) for c in curves]
 
     dw = None
     for i in range(0, shape[0], span):
@@ -412,21 +418,32 @@ def _per_draw(z, rows) -> list:
     return draws if isinstance(z, _Stack) else draws[0]
 
 
-def _pair_conditions(z, w, grid, domain, tol, residuals, ids):
-    """Reports of a pair's joint conditions ``ids`` ((id, note) pairs) over a
-    grid, by blocks of whole draws (``_grid_blocks``): ``residuals(s, dz, dw,
-    index)`` gives their per-node residuals on a block from s = x+y and the
-    derivatives of orders 0, 1 and 3 of z and w there (``_per_draw``)."""
-    draws, grid, axes = z._lead[:1] or (1,), tuple(grid), grid_axes(domain, grid)
-    rows, per = [np.empty(draws + grid) for _ in ids], _draws_per_block(grid)
-    for d in range(0, draws[0], per):
-        pair = (z[d:d + per], w[d:d + per]) if z._lead else (z, w)
-        for r, c, x, y, (dz, dw) in _grid_blocks(grid, *axes, pair, (0, 1, 3)):
-            for row, value in zip(rows, residuals(x + y, dz, dw, z.signature.index)):
-                row[d:d + per, r, c] = value
-    pts, desc = grid_points(domain, grid), grid_description(domain, grid)
-    return _per_draw(z, [(cid, row.reshape(draws + (-1,)), tol, desc, pts, note,
-                          ConditionReport._from_max_rows) for (cid, note), row in zip(ids, rows)])
+def _condition_rows(chart, sources, domain, grid, tol) -> list[tuple]:
+    """(id, (1, nodes) residuals, tol, grid description, grid points, note)
+    of ``chart``'s joint conditions on a pair over a grid, from one jet call
+    per block (``_grid_blocks``) and no metric: for the pair checkers, and
+    for the grid pass's checks when a degenerate metric stops it."""
+    jet, idx = _chart_maps(chart, *sources)[1], sources[0].signature.index
+    rows = [np.empty(tuple(grid)) for _ in chart.conditions]
+    for r, c, x, y, d in _grid_blocks(grid, *grid_axes(domain, grid), sources):
+        block = jet(x, y, *d)
+        for row, (_, residual, _) in zip(rows, chart.conditions):
+            row[r, c] = residual(x + y, block, idx)
+    desc, pts = grid_description(domain, grid), grid_points(domain, grid)
+    return [(cid, row.reshape(1, -1), tol, desc, pts, note)
+            for (cid, _, note), row in zip(chart.conditions, rows)]
+
+
+def _curve_conditions(ids, residual) -> tuple[tuple[str, Callable, str], ...]:
+    """Conditions ``ids`` on z and on w, each residual(s, c, dot) of that
+    curve's derivatives c (``Jet2.curves``) and dot(k, v) = <z^(k) + w^(k), v>,
+    whose sum dies with the product that reads it."""
+    def on(i):
+        def condition(s, jet, idx):
+            dz, dw = jet.curves
+            return residual(s, jet.curves[i], lambda k, v: indefinite_dot(dz[k] + dw[k], v, idx))
+        return condition
+    return tuple((cid, on(i), "") for i, cid in enumerate(ids))
 
 
 def _single_curve_premises(z, samples, tol, speed, acc, nonzero):
@@ -549,6 +566,10 @@ _SPHERE_CHART = _Chart(
     k=1.0, g_xy=lambda s: -2.0 / s ** 2,
     pde=(("pde-xy", lambda s, jet: jet.Lxy - 2 * jet.L / _col(s ** 2), "L_xy = 2L/(x+y)^2"),
          ("pde-yy", lambda s, jet: jet.Lyy + 2 * jet.Ly / _col(s), "L_yy = -2L_y/(x+y)")),
+    conditions=(("c.1", lambda s, jet, idx: np.abs(indefinite_dot(jet.L, jet.L, idx) - 1.0),
+                 "<L,L> = 1"),
+                *_curve_conditions(("c.2", "c.3"), lambda s, c, dot: np.abs(
+                    2 * dot(0, c[3]) - s * dot(1, c[3])))),
     xi=lambda s, z: -_col(s ** 2) * z[3] / 4.0, pole=True)
 
 
@@ -593,17 +614,8 @@ def check_case_c_conditions(
     _require_same_signature(z, w)
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
-
-    def residuals(s, dz, dw, idx):
-        (z0, z1, z3), (w0, w1, w3) = dz, dw
-        zw, zw1 = z0 + w0, z1 + w1
-        L = _SPHERE_CHART.immersion(zw, zw1, _col(s))
-        return (np.abs(indefinite_dot(L, L, idx) - 1.0),
-                np.abs(2 * indefinite_dot(zw, z3, idx) - s * indefinite_dot(zw1, z3, idx)),
-                np.abs(2 * indefinite_dot(zw, w3, idx) - s * indefinite_dot(zw1, w3, idx)))
-
-    return _pair_conditions(z, w, grid, domain, tol, residuals,
-                            [("c.1", "<L,L> = 1"), ("c.2", ""), ("c.3", "")])
+    return [ConditionReport.from_max(*row)
+            for row in _condition_rows(_SPHERE_CHART, (z, w), domain, grid, tol)]
 
 
 def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
@@ -656,6 +668,10 @@ _HYPERBOLIC_CHART = _Chart(
           "L_xy = -sech^2((x+y)/sqrt2) L"),
          ("pde-yy", lambda s, jet: jet.Lyy + SQRT2 * _col(np.tanh(s / SQRT2)) * jet.Ly,
           "L_yy = -sqrt2 tanh((x+y)/sqrt2) L_y")),
+    conditions=(("iii.1", lambda s, jet, idx: np.abs(indefinite_dot(jet.L, jet.L, idx) + 1.0),
+                 "<L,L> = -1"),
+                *_curve_conditions(("iii.2", "iii.3"), lambda s, c, dot: np.abs(
+                    SQRT2 * dot(0, a := 2 * c[1] - c[3]) * np.tanh(s / SQRT2) - dot(1, a)))),
     xi=lambda s, z: (SQRT2 * z[1] - z[3] / SQRT2) * _col(np.cosh(s / SQRT2) ** 2))
 
 
@@ -694,20 +710,8 @@ def check_case_iii_conditions(
     sqrt2 <z+w, 2c'-c'''> tanh((x+y)/sqrt2) = <z'+w', 2c'-c'''> for
     c = z and c = w respectively."""
     _require_same_signature(z, w)
-    domain = _check_domain(domain)
-
-    def residuals(s, dz, dw, idx):
-        (z0, z1, z3), (w0, w1, w3) = dz, dw
-        T = np.tanh(s / SQRT2)
-        az, aw = 2 * z1 - z3, 2 * w1 - w3
-        zw, zw1 = z0 + w0, z1 + w1
-        L = _HYPERBOLIC_CHART.immersion(zw, zw1, _col(s))
-        return (np.abs(indefinite_dot(L, L, idx) + 1.0),
-                np.abs(SQRT2 * indefinite_dot(zw, az, idx) * T - indefinite_dot(zw1, az, idx)),
-                np.abs(SQRT2 * indefinite_dot(zw, aw, idx) * T - indefinite_dot(zw1, aw, idx)))
-
-    return _pair_conditions(z, w, grid, domain, tol, residuals,
-                            [("iii.1", "<L,L> = -1"), ("iii.2", ""), ("iii.3", "")])
+    return [ConditionReport.from_max(*row) for row in _condition_rows(
+        _HYPERBOLIC_CHART, (z, w), _check_domain(domain), grid, tol)]
 
 
 def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> SurfaceMap:

@@ -112,30 +112,38 @@ def test_batch_mixing_passing_and_failing_draws(monkeypatch, family, tol):
 
 
 def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
-    plain = sweep("Ex7_1", n=12, rng_seed=3)
-    cfg = harness._sampler_config("Ex7_1", None)
-    rng = np.random.default_rng(3)
-    params = [draw_params("Ex7_1", cfg, rng) for _ in range(12)]
-    assert plain["valid"] == 12
-    # the third draw's L at the first grid node marks its jets
-    spec = SurfaceSpec(family="sphere_b", grid=(9, 9),
-                       curves=({"family_id": "Ex7_1", "params": params[2]},))
-    curves, _ = harness._resolve_curves(spec)
-    surface = harness._premise_phase(spec, curves, default_tolerances())[2]
-    x0, y0 = surface.grid((9, 9))[0]
-    marker = surface.position(x0, y0)[0]
-    table = diffgeo._table
+    # a sphere_b fold and a hyp_iii fold, whose joint conditions are checks
+    # of the grid pass that a degenerate draw still reports
+    for family, kept in (("Ex7_1", ["lightcone-z", "speed-z", "acc-null-z", "jerk-nonzero-z"]),
+                         ("Ex8_2", ["iii.1", "iii.2", "iii.3"])):
+        plain = sweep(family, n=12, rng_seed=3)
+        cfg = harness._sampler_config(family, None)
+        rng = np.random.default_rng(3)
+        params = [p for p in (draw_params(family, cfg, rng) for _ in range(12))
+                  if validate_family(ParamFamily(family, p)).ok]
+        assert plain["valid"] == len(params) >= 5
+        # the third valid draw's L at the first grid node marks its jets
+        spec = SurfaceSpec(family=FAMILIES[family]["surface"], grid=tuple(cfg["grid"]),
+                           curves=({"family_id": family, "params": params[2]},))
+        curves, _ = harness._resolve_curves(spec)
+        surface = harness._premise_phase(spec, curves, default_tolerances())[2]
+        x0, y0 = surface.grid(spec.grid)[0]
+        marker = surface.position(x0, y0)[0]
+        table = diffgeo._table
 
-    def degenerate_third(surface, jet):
-        if np.any(jet.L[..., 0] == marker):
-            raise DegenerateMetricError("test: the third draw is degenerate")
-        return table(surface, jet)
+        def degenerate_third(surface, jet, marker=marker, table=table):
+            if np.any(jet.L[..., 0] == marker):
+                raise DegenerateMetricError("test: the third draw is degenerate")
+            return table(surface, jet)
 
-    monkeypatch.setattr(diffgeo, "_table", degenerate_third)
-    summary = sweep("Ex7_1", n=12, rng_seed=3)
-    assert dumps_json(summary) == dumps_json(draw_by_draw("Ex7_1", 12, 3))
-    assert summary["failures"] == [{"params": params[2], "failed": ["metric-signature"]}]
-    assert (summary["passed"], summary["failed"]) == (11, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(diffgeo, "_table", degenerate_third)
+            summary = sweep(family, n=12, rng_seed=3)
+            assert dumps_json(summary) == dumps_json(draw_by_draw(family, 12, 3))
+            assert summary["failures"] == [{"params": params[2], "failed": ["metric-signature"]}]
+            assert (summary["passed"], summary["failed"]) == (len(params) - 1, 1)
+            # the degenerate draw keeps its premise or joint-condition reports
+            assert [c.condition_id for c in verify(spec).checks] == kept + ["metric-signature"]
 
 
 def test_sweep_checks_full_batches(monkeypatch):

@@ -22,6 +22,7 @@ from lorentzmin.indefinite import AmbientKind, indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
     Jet2,
+    SurfaceMap,
     _col,
     de_sitter_control,
     grid_axes,
@@ -89,15 +90,14 @@ class TestPartials:
             partials(sphere_71, 5.0, 5.0)
 
     def test_fd_only_surface(self, sphere_71):
-        import dataclasses
-
-        bare = dataclasses.replace(sphere_71, jet=None)
-        jet_fd = partials(bare, 0.4, 0.6)
+        jet_fd = fd_jet(sphere_71, 0.4, 0.6)
         jet_an = partials(sphere_71, 0.4, 0.6)
         assert np.max(np.abs(jet_fd.Lxx - jet_an.Lxx)) < 1e-5
-        # no third-order jet, so K comes from the E-field stencil
+        # the FD jet has no third-order fields
         assert jet_fd.Lxxy is None and jet_fd.Lxyy is None
-        assert gauss_curvature(bare, 0.4, 0.6) == pytest.approx(1.0, abs=1e-4)
+        # and no surface runs on it alone: one needs its jet and tangent
+        with pytest.raises(TypeError):
+            SurfaceMap(sphere_71.ambient, sphere_71.position, sphere_71.domain)
 
     def test_grid_path_makes_one_jet_call_per_block(self, sphere_71):
         import dataclasses
@@ -222,7 +222,8 @@ class TestPartials:
 
     def test_hyp_iii_verify_at_81x81_peaks_below_the_512_node_blocks(self):
         # 2.80 MiB with 512-node blocks, whose jet was copied into the table;
-        # 2.41 MiB with 1,024-node blocks whose jet is written into it
+        # 2.41 MiB with 1,024-node blocks whose jet is written into it; 2.67
+        # MiB with the joint conditions in the grid pass, read from jet.L
         import tracemalloc
 
         from lorentzmin.harness import verify

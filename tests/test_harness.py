@@ -289,6 +289,19 @@ class TestVerify:
         with pytest.raises(DegenerateMetricError, match="vanishes"):
             translation_surface(builtin_curve("trig4"), builtin_curve("trig4_anti"), domain)
 
+    def test_degenerate_pair_reports_its_conditions_then_metric_signature(self):
+        # ads_null as both curves makes g_xy positive, which stops the grid
+        # pass; the joint conditions still come from the chart jet alone
+        report = verify({"family": "hyp_iii",
+                         "curves": [{"name": "ads_null"}, {"name": "ads_null"}]})
+        assert report.surface["constructed"] and not report.overall_pass
+        assert [(c.condition_id, c.passed, c.max_residual, c.tol) for c in report.checks] == [
+            ("iii.1", False, 1.79779344251198552e+01, 1e-7),
+            ("iii.2", True, 5.47191932137619398e-15, 1e-7),
+            ("iii.3", True, 5.47191932137619398e-15, 1e-7),
+            ("metric-signature", False, 0.0, -1.0)]
+        assert report.checks[-1].note.startswith("induced metric left null form: g_xy = 0.217056")
+
     def test_alt_pairing_descriptor(self):
         # the mismatched-partner variant leaves the light cone, which the
         # premise phase reports without throwing

@@ -195,18 +195,6 @@ def test_subgrid_pass_of_a_fold_peaks_near_a_grid_block(family):
     assert subgrid <= 2 * grid, (subgrid / 2**20, grid / 2**20)
 
 
-def test_premises_of_a_fold_at_a_large_grid_peak_below_a_grid_block():
-    # the pair conditions run on blocks of whole draws: one draw per block
-    # at 33x33, where a stack of 40 draws peaked at 25 MiB
-    spec, curves = _curves("hyp_iii", (33, 33))
-    tols = default_tolerances()
-    outcomes, stacked = harness._premise_phases(spec, curves, tols)
-    assert all(s is not None for _, _, s in outcomes) and stacked is not None
-    premises = _peak(lambda: harness._premise_phases(spec, curves, tols))
-    grid = _pass_peak("hyp_iii", 12, (9, 9), "jet", 0)
-    assert premises <= grid, (premises / 2**20, grid / 2**20)
-
-
 def test_efield_names_the_offset_where_g_xy_turns(monkeypatch):
     # L_y reversed at one E-field offset, (x - h1, y) of the subgrid node
     # (0.6, 0.85), makes g_xy positive there alone; the grid pass uses the jet
