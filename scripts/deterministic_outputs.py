@@ -37,7 +37,8 @@ check id or verdict, or a sweep's valid/invalid/passed/failed counts or
 failures moved, and otherwise in ``residuals R``: the largest ratio, either
 way round, between an old and a new residual (a check's ``max_residual``,
 a sweep's ``worst_residuals``, the largest of an export's ``residual``
-column).
+column), then each residual that moved, largest ratio first, and which way,
+as in ``residuals 164 curvature fell, gauss-equation fell``.
 """
 
 from __future__ import annotations
@@ -167,21 +168,32 @@ def _summary(path: pathlib.Path, code: str):
 
 
 def _ratio(old, new) -> float:
-    """The larger of |old/new| and |new/old|: 1 for equal values (NaNs too)."""
+    """The larger of |old/new| and |new/old|: 1 for equal values (NaNs too),
+    inf if one of them is 0 or NaN."""
     a, b = abs(float(old)), abs(float(new))
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 1.0
-    return max(a, b) / min(a, b) if min(a, b) > 0 else math.inf
+    return math.inf if math.isnan(a + b) or min(a, b) == 0 else max(a, b) / min(a, b)
 
 
 def _moved(old: pathlib.Path, new: pathlib.Path, old_code: str, new_code: str) -> str:
-    """``verdicts``, or ``residuals R`` with R the largest residual ratio ("" for
-    an output without residuals)."""
+    """``verdicts``, or ``residuals R`` with R the largest residual ratio, then
+    each residual that moved and whether it ``fell`` or ``rose`` ("" for an
+    output without residuals)."""
     (was, old_res), (now, new_res) = _summary(old, old_code), _summary(new, new_code)
     if was != now:
         return "verdicts"
-    ratios = [_ratio(old_res[k], new_res[k]) for k in old_res.keys() & new_res.keys()]
-    return f"residuals {max(ratios):.3g}" if ratios else ""
+    ratios = {k: _ratio(old_res[k], new_res[k]) for k in old_res.keys() & new_res.keys()}
+    if not ratios:
+        return ""
+
+    def size(v):  # a NaN above every number
+        return math.isnan(float(v)), abs(float(v))
+
+    moved = sorted((k for k, r in ratios.items() if r != 1.0), key=lambda k: (-ratios[k], k))
+    ways = ", ".join(f"{k} {'fell' if size(new_res[k]) < size(old_res[k]) else 'rose'}"
+                     for k in moved)
+    return f"residuals {max(ratios.values()):.3g} {ways}".rstrip()
 
 
 def main() -> int:

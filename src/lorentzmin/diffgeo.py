@@ -29,13 +29,13 @@ g_xy = <L_x,L_y> = -E^2 gives
 
 For the cross-check, E_x, E_y and E_xy come from central differences of
 E instead (the E-field stencil: L_x and L_y alone, the surface's
-``tangent``, at eight offsets per node).  ``fd_jet`` is the
-derivative-free counterpart of the analytic jet: Richardson-extrapolated
-central differences of the position at 25 offsets per node;
-``fd_discrepancy`` compares it with the analytic jet (the ``fd-partials``
-cross-check).  Each stencil step scales with its own coordinate, so a grid
-block's offsets lie on its x and y axes, and each quotient's offsets are
-evaluated together, then dropped (``_offsets``).
+``tangent``, at the four offsets of one cross per node).  ``fd_jet`` is
+the derivative-free counterpart of the analytic jet: Richardson-extrapolated
+central differences of the position at 17 offsets per node, one step per
+stencil; ``fd_discrepancy`` compares it with the analytic jet (the
+``fd-partials`` cross-check).  Each stencil step scales with its own
+coordinate, so a grid block's offsets lie on its x and y axes, and each
+group of offsets is evaluated together, then dropped (``_offsets``).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
 one ``jet`` call, one table of the indefinite products that the
@@ -78,16 +78,15 @@ __all__ = [
     "minimality_residual",
 ]
 
-#: Default FD steps (scaled by max(1, |coordinate|)); each uses one
-#: Richardson level.  SECOND_STEP balances Richardson roundoff
-#: (~23 eps |L| / h^2) against pole truncation (~h^4 |L^(6)| / 480): both
-#: stay near 1e-7 relative at 3e-4.  The E-field stencil uses plain central
-#: differences: E_FIRST_STEP for E_x/E_y and a wider mixed step for E_xy
-#: (K_STEP_ANALYTIC), because the E-field's own noise floor is amplified
-#: by 1/h^2.
-FIRST_STEP = 1e-5
-SECOND_STEP = 3e-4
-E_FIRST_STEP = 1e-4
+#: Default FD steps (scaled by max(1, |coordinate|)), one per stencil.
+#: FD_STEP gives each of fd_jet's Richardson quotients (one level) its h: it
+#: balances the second derivative's roundoff (~23 eps |L| / h^2) against pole
+#: truncation (~h^4 |L^(6)| / 480), both near 1e-7 relative at 3e-4, and
+#: leaves the first derivative's roundoff (~eps |L| / h) far below.  The
+#: E-field stencil takes plain central differences on one cross of half-width
+#: K_STEP_ANALYTIC, wide because the E-field's own noise floor is amplified
+#: by 1/h^2 in E_xy.
+FD_STEP = 3e-4
 K_STEP_ANALYTIC = 5e-4
 
 #: A Gram matrix whose |det| falls below this fraction of the product of
@@ -183,51 +182,41 @@ def _offsets(surface, f, x, y):
 _RICHARDSON, _CROSS_X, _CROSS_Y = (1, -1, 0.5, -0.5), (1, 1, -1, -1), (1, -1, 1, -1)
 
 
-def fd_jet(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None, *,
-           _centre=None) -> Jet2:
+def fd_jet(surface: SurfaceMap, x, y, h: float | None = None, *, _centre=None) -> Jet2:
     """Jet from Richardson-extrapolated central differences of the position,
     at one node or at arrays of nodes (x and y broadcast against each other).
 
-    The stencils need 25 offsets per node: the centre; x and y at +-h1,
-    +-h1/2, +-h2 and +-h2/2; the crosses (+-hx2, +-hy2) and
-    (+-hx2/2, +-hy2/2).  Each step scales with its own coordinate, so x's
-    offsets are evaluated on x's own shape (a grid block's (rows, 1) axis)
-    and y's likewise.  Each quotient is formed from its own four offsets
-    (``_offsets``), which are then dropped.  ``_centre`` hands in the
-    position at the nodes when a jet there holds it already."""
+    The stencils need 17 offsets per node, at one step per coordinate (h if
+    given, else FD_STEP * max(1, |x|) and FD_STEP * max(1, |y|)): the centre;
+    x at +-hx and +-hx/2, for L_x and L_xx alike, and y likewise; the
+    crosses (+-hx, +-hy) and (+-hx/2, +-hy/2) for L_xy.  Each step scales with its own
+    coordinate, so x's offsets are evaluated on x's own shape (a grid
+    block's (rows, 1) axis) and y's likewise.  Each group of offsets is
+    evaluated together (``_offsets``) and dropped once its quotients are
+    formed.  ``_centre`` hands in the position at the nodes when a jet there
+    holds it already."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-
-    def step(h, base, t):  # the given step, or base * max(1, |t|) per node
-        return np.full(t.shape, float(h)) if h is not None else base * np.maximum(1.0, np.abs(t))
-
-    hx1, hy1 = step(h1, FIRST_STEP, x), step(h1, FIRST_STEP, y)
-    hx2, hy2 = step(h2, SECOND_STEP, x), step(h2, SECOND_STEP, y)
-    _check_point(surface, x, y, np.maximum(np.maximum(hx1, hy1), np.maximum(hx2, hy2)))
+    hx, hy = (np.full(t.shape, float(h)) if h is not None
+              else FD_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
+    _check_point(surface, x, y, np.maximum(hx, hy))
     c = surface.position(x, y) if _centre is None else _centre
     at = _offsets(surface, surface.position, x, y)
 
-    def rich1(q, h):  # q: the position at +h, -h, +h/2, -h/2
+    def richardson(q, h):  # (first, second) derivative from the position at +h, -h, +h/2, -h/2
         d1 = (q[0] - q[1]) / _col(2 * h)
         d2 = (q[2] - q[3]) / _col(h)
-        return (4 * d2 - d1) / 3
-
-    def rich2(q, h):
-        d1 = (q[0] - 2 * c + q[1]) / _col(h**2)
-        d2 = (q[2] - 2 * c + q[3]) / _col((h / 2) ** 2)
-        return (4 * d2 - d1) / 3
+        s1 = (q[0] - 2 * c + q[1]) / _col(h**2)
+        s2 = (q[2] - 2 * c + q[3]) / _col((h / 2) ** 2)
+        return (4 * d2 - d1) / 3, (4 * s2 - s1) / 3
 
     def cross(hx, hy):  # from the position at (x + hx, y + hy), (x + hx, y - hy), ...
         p = at((_CROSS_X, hx), (_CROSS_Y, hy))
         return (p[0] - p[1] - p[2] + p[3]) / _col(4 * hx * hy)
 
-    return Jet2(
-        L=c,
-        Lx=rich1(at((_RICHARDSON, hx1)), hx1),
-        Ly=rich1(at(dy=(_RICHARDSON, hy1)), hy1),
-        Lxx=rich2(at((_RICHARDSON, hx2)), hx2),
-        Lxy=(4 * cross(hx2 / 2, hy2 / 2) - cross(hx2, hy2)) / 3,
-        Lyy=rich2(at(dy=(_RICHARDSON, hy2)), hy2),
-    )
+    Lx, Lxx = richardson(at((_RICHARDSON, hx)), hx)
+    Ly, Lyy = richardson(at(dy=(_RICHARDSON, hy)), hy)
+    return Jet2(L=c, Lx=Lx, Ly=Ly, Lxx=Lxx, Lxy=(4 * cross(hx / 2, hy / 2) - cross(hx, hy)) / 3,
+                Lyy=Lyy)
 
 
 def partials(surface: SurfaceMap, x, y) -> Jet2:
@@ -253,10 +242,11 @@ def _fd_gap(an: Jet2, fd: Jet2):
     return worst
 
 
-def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float | None = None):
-    """Max relative max-norm gap between analytic and FD partials, per node;
-    each of the five derivatives is compared at scale max(1, |analytic|)."""
-    return _fd_gap(partials(surface, x, y), fd_jet(surface, x, y, h1, h2))
+def fd_discrepancy(surface: SurfaceMap, x, y, h: float | None = None):
+    """Max relative max-norm gap between analytic and FD partials (``fd_jet``
+    at step h), per node; each of the five derivatives is compared at scale
+    max(1, |analytic|)."""
+    return _fd_gap(partials(surface, x, y), fd_jet(surface, x, y, h))
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +254,13 @@ def fd_discrepancy(surface: SurfaceMap, x, y, h1: float | None = None, h2: float
 
 
 def _table(surface: SurfaceMap, jet: Jet2):
-    """(W, d, T, nodes): the jet's fields (``_FIELDS``) broadcast to its
-    nodes, component-major, shape (fields, dim, n nodes), which is the jet's
-    own table if it has one (``Jet2.table``); the metric diagonal;
-    T = <W_i, W_j> for i < 3, j < 6, shape (3, 6, n); the nodes' shape.  On
-    the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3 vectors, the Gram
-    matrix is T[:n, :n] and the right-hand sides T[:n, 3:]."""
-    if (W := jet.table) is None:
-        fields = [getattr(jet, f) for f in _FIELDS[:6 if jet.Lxxy is None else 8]]
-        shape = np.broadcast_shapes(*(np.shape(v) for v in fields))
-        W = np.empty((len(fields), shape[-1]) + shape[:-1])
-        for row, v in zip(_dim_last(W, 1), fields):
-            row[...] = v
-    nodes = W.shape[2:]
-    W = W.reshape(W.shape[:2] + (-1,))
+    """(W, d, T, nodes): the chart jet's own table (``Jet2.table``), its
+    eight fields (``_FIELDS``) component-major, shape (8, dim, n nodes); the
+    metric diagonal; T = <W_i, W_j> for i < 3, j < 6, shape (3, 6, n); the
+    nodes' shape.  On the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3
+    vectors, the Gram matrix is T[:n, :n] and the right-hand sides T[:n, 3:]."""
+    nodes = jet.table.shape[2:]
+    W = jet.table.reshape(jet.table.shape[:2] + (-1,))
     d = _metric_diagonal(W.shape[1], surface.ambient.embedding_signature.index)
     T = np.empty((3, 6, W.shape[-1]))
     # the basis scaled by the diagonal (exactly, by +-1) once: for the einsum,
@@ -341,24 +324,18 @@ def _conformal(surface: SurfaceMap, x, y):
 
 
 def _efield(surface: SurfaceMap, x, y):
-    """E_x, E_y and E_xy by plain central differences of E = sqrt(-g_xy), at
-    nodes x and y that broadcast (a grid block's axes).
+    """E_x, E_y and E_xy by plain central differences of E = sqrt(-g_xy) on
+    one cross, E(x +- hx, y +- hy), at nodes x and y that broadcast (a grid
+    block's axes).
 
-    First derivatives use E_FIRST_STEP (truncation-limited); the mixed one
-    uses the wider K step (noise-limited, divided by h^2).  Each step scales
-    with its own coordinate, max(1, |x|) or max(1, |y|), so the offsets lie
-    on x's and y's own axes; each quotient's are evaluated by ``_offsets``."""
-    ax, ay = (np.maximum(1.0, np.abs(t)) for t in (x, y))
-    hx1, hy1 = E_FIRST_STEP * ax, E_FIRST_STEP * ay
-    hx, hy = K_STEP_ANALYTIC * ax, K_STEP_ANALYTIC * ay
+    The half-widths are K_STEP_ANALYTIC * max(1, |x|) and * max(1, |y|), so
+    the four offsets lie on x's and y's own axes (``_offsets``)."""
+    hx, hy = (K_STEP_ANALYTIC * np.maximum(1.0, np.abs(t)) for t in (x, y))
     _check_point(surface, x, y, np.maximum(hx, hy))
-    at = _offsets(surface, lambda u, v: _conformal(surface, u, v), x, y)
-    e = at(((1, -1), hx1))
-    ex = (e[0] - e[1]) / (2 * hx1)
-    e = at(dy=((1, -1), hy1))
-    ey = (e[0] - e[1]) / (2 * hy1)
-    e = at((_CROSS_X, hx), (_CROSS_Y, hy))
-    return ex, ey, (e[0] - e[1] - e[2] + e[3]) / (4 * hx * hy)
+    e = _offsets(surface, lambda u, v: _conformal(surface, u, v), x, y)(
+        (_CROSS_X, hx), (_CROSS_Y, hy))
+    return ((e[0] + e[1] - e[2] - e[3]) / (4 * hx), (e[0] - e[1] + e[2] - e[3]) / (4 * hy),
+            (e[0] - e[1] - e[2] + e[3]) / (4 * hx * hy))
 
 
 def _connection(E, ex, ey, exy):
@@ -379,8 +356,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     """Jet and fundamental forms at arrays of nodes (x, y broadcast).
 
     ``curvature`` picks the source of the E-field behind K and the
-    connection: "jet" takes it exactly from the third-order jet, or from
-    the stencil when the jet has no third-order fields; "stencil" always
+    connection: "jet" takes it exactly from the third-order jet; "stencil"
     uses the stencil (the cross-check); None skips it and leaves the
     connection coefficients and K None.  ``d`` hands ``jet`` the curves'
     derivatives on a grid ``grid_values`` has checked; without it the
@@ -393,7 +369,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     E = np.sqrt(-T[0, 1])
     connection, K = (None,) * 4, None
     if curvature is not None:
-        if curvature == "jet" and len(W) == 8:
+        if curvature == "jet":
             ex, ey, exy = _jet_efield(W, g, T, E)
         else:
             ex, ey, exy = (np.reshape(e, -1) for e in _efield(surface, x, y))

@@ -211,8 +211,8 @@ def test_criterion_9_fd_soundness(report_71, report_81, report_82, pair_pool):
     for surf in (sphere_case_b(z71), hyperbolic_case_ii(z81)):
         (x0, x1), (y0, y1) = surf.domain
         x, y = (x0 + x1) / 2, (y0 + y1) / 2
-        coarse = diffgeo.fd_discrepancy(surf, x, y, h1=0.04, h2=0.04)
-        fine = diffgeo.fd_discrepancy(surf, x, y, h1=0.02, h2=0.02)
+        coarse = diffgeo.fd_discrepancy(surf, x, y, h=0.04)
+        fine = diffgeo.fd_discrepancy(surf, x, y, h=0.02)
         worst_ratio = min(worst_ratio, coarse / fine)
     ok = worst_gap < 1e-6 and worst_ratio >= 4.0
     _line(9, ok,

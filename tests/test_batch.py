@@ -348,9 +348,9 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
     report = verify(SPHERE_71)
     assert report.overall_pass
     # jets on the grid and the subgrid centres; only L_x and L_y at the
-    # subgrid's 8 E-field offsets, each quotient's offsets in one call
+    # subgrid's 4 E-field offsets, one cross, in one call
     assert sorted(nodes["jet"]) == [25, 21 * 21]
-    assert nodes["tangent"] == [2 * 25, 2 * 25, 4 * 25]
+    assert nodes["tangent"] == [4 * 25]
 
 
 def test_efield_checks_its_nodes_once():

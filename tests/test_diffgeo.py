@@ -250,16 +250,15 @@ class TestPartials:
         counted = dataclasses.replace(sphere_71, position=position)
         xs, ys = grid_axes(counted.domain, (5, 5))
         assert np.max(fd_discrepancy(counted, xs, ys)) < 1e-6
-        # the centres, then each quotient's four offsets in one call (25
-        # nodes), x's on the x axis and y's on the y axis: L_x, L_y, L_xx,
-        # the two crosses of L_xy on both axes, L_yy
-        x4, y4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5))
-        assert calls == [((5, 1), (1, 5)), x4, y4, x4, ((4, 5, 1), (4, 1, 5)),
-                         ((4, 5, 1), (4, 1, 5)), y4]
+        # the centres, then each group's four offsets in one call (25
+        # nodes), x's on the x axis and y's on the y axis: L_x with L_xx,
+        # L_y with L_yy, the two crosses of L_xy on both axes
+        x4, y4, xy4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5)), ((4, 5, 1), (4, 1, 5))
+        assert calls == [((5, 1), (1, 5)), x4, y4, xy4, xy4]
 
     def test_fd_partials_takes_the_centres_from_the_subgrid_jet(self, sphere_71):
         # the subgrid pass's fd-partials check hands fd_jet the L that the
-        # block's jet holds, so its position calls are the six quotients' alone
+        # block's jet holds, so its position calls are the four groups' alone
         import dataclasses
 
         from lorentzmin.harness import _check_plan
@@ -273,8 +272,8 @@ class TestPartials:
         counted = dataclasses.replace(sphere_71, position=position)
         (gap,) = [e[1] for e in _check_plan(counted)[1] if e[0] == "fd-partials"]
         (got,) = diffgeo.grid_values(counted, (5, 5), [gap], curvature="stencil")
-        x4, y4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5))
-        assert calls == [x4, y4, x4, ((4, 5, 1), (4, 1, 5)), ((4, 5, 1), (4, 1, 5)), y4]
+        x4, y4, xy4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5)), ((4, 5, 1), (4, 1, 5))
+        assert calls == [x4, y4, xy4, xy4]
         xs, ys = grid_axes(counted.domain, (5, 5))
         assert np.array_equal(got, fd_discrepancy(sphere_71, xs, ys))
 
@@ -465,8 +464,8 @@ class TestFdConvergence:
         for surf in (sphere_71, hyp_81):
             (x0, x1), (y0, y1) = surf.domain
             x, y = (x0 + x1) / 2, (y0 + y1) / 2
-            coarse = fd_discrepancy(surf, x, y, h1=0.04, h2=0.04)
-            fine = fd_discrepancy(surf, x, y, h1=0.02, h2=0.02)
+            coarse = fd_discrepancy(surf, x, y, h=0.04)
+            fine = fd_discrepancy(surf, x, y, h=0.02)
             assert coarse / fine >= 4.0
 
 
@@ -495,22 +494,18 @@ def _rich_cross(pos, x, y, hx, hy):
     return (4 * cross(hx / 2, hy / 2) - cross(hx, hy)) / 3
 
 
-def _per_offset_fd_jet(surface, x, y, h1=None, h2=None):
+def _per_offset_fd_jet(surface, x, y, h=None):
     x, y = np.broadcast_arrays(x, y)
     pos = surface.position
-
-    def step(h, base, t):
-        return np.full(t.shape, float(h)) if h is not None else base * np.maximum(1.0, np.abs(t))
-
-    hx1, hy1 = step(h1, diffgeo.FIRST_STEP, x), step(h1, diffgeo.FIRST_STEP, y)
-    hx2, hy2 = step(h2, diffgeo.SECOND_STEP, x), step(h2, diffgeo.SECOND_STEP, y)
+    hx, hy = (np.full(t.shape, float(h)) if h is not None
+              else diffgeo.FD_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
     return Jet2(
         L=pos(x, y),
-        Lx=_rich1(lambda t: pos(t, y), x, hx1),
-        Ly=_rich1(lambda t: pos(x, t), y, hy1),
-        Lxx=_rich2(lambda t: pos(t, y), x, hx2),
-        Lxy=_rich_cross(pos, x, y, hx2, hy2),
-        Lyy=_rich2(lambda t: pos(x, t), y, hy2),
+        Lx=_rich1(lambda t: pos(t, y), x, hx),
+        Ly=_rich1(lambda t: pos(x, t), y, hy),
+        Lxx=_rich2(lambda t: pos(t, y), x, hx),
+        Lxy=_rich_cross(pos, x, y, hx, hy),
+        Lyy=_rich2(lambda t: pos(x, t), y, hy),
     )
 
 
@@ -526,7 +521,7 @@ def test_stacked_fd_jet_matches_per_offset_differences(name):
     _, surface = _build_spec_surface(name)
     sub = surface.grid(FD_SUBGRID)
     (x0, x1), (y0, y1) = surface.domain
-    for args in ((sub[:, 0], sub[:, 1]), (sub[:, 0], sub[:, 1], 0.04, 0.04),
+    for args in ((sub[:, 0], sub[:, 1]), (sub[:, 0], sub[:, 1], 0.04),
                  ((x0 + x1) / 2, (y0 + y1) / 2)):
         stacked, reference = fd_jet(surface, *args), _per_offset_fd_jet(surface, *args)
         for field in ("L", "Lx", "Ly", "Lxx", "Lxy", "Lyy"):
@@ -569,7 +564,7 @@ class TestClosedFormProjection:
     def test_spec_grid_matches_lapack(self, name):
         spec, surface = _build_spec_surface(name)
         xs, ys = grid_axes(surface.domain, spec.grid)
-        jet = partials(surface, xs, ys)
+        jet = surface.jet(xs, ys)  # the chart jet, which holds the table
         W, d, T, nodes = diffgeo._table(surface, jet)
         assert nodes == spec.grid
         # component-major: W is (fields, dim, nodes) and T (3, 6, nodes)

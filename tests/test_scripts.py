@@ -1,7 +1,9 @@
 """The scripts under ``scripts/`` run and exit 0."""
 
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -65,6 +67,13 @@ def test_deterministic_outputs_names_each_output_once_and_writes_one(tmp_path):
 
 
 def test_deterministic_outputs_compare_tells_verdicts_from_residuals(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "outputs", ROOT / "scripts" / "deterministic_outputs.py")
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+    # a residual that turns NaN, or from NaN to a number, moved without bound
+    assert outputs._ratio(1e-8, "nan") == outputs._ratio("nan", 1e-8) == math.inf
+    assert outputs._ratio("nan", "nan") == outputs._ratio(2.0, -2.0) == 1.0
     name = "verify-translation_demo-21.json"
     old = tmp_path / "old"
     result = run_script("deterministic_outputs.py", "--out", str(old), "--only", name)
@@ -72,11 +81,22 @@ def test_deterministic_outputs_compare_tells_verdicts_from_residuals(tmp_path):
     report = json.loads((old / name).read_text())
     (old / "MANIFEST").write_text("0" * 64 + f" 0 {name}\n")
     fd = [c["condition_id"] == "fd-partials" for c in report["checks"]]
-    scaled = {**report, "checks": [{**c, "max_residual": c["max_residual"] * 3} if f else c
-                                   for c, f in zip(report["checks"], fd)]}
     flipped = {**report, "checks": [{**c, "passed": not c["passed"]} if f else c
                                     for c, f in zip(report["checks"], fd)]}
-    for changed, out in ((scaled, [name, "residuals", "3"]), (flipped, [name, "verdicts"])):
+
+    def scaled(factors):  # the old report, with these checks' residuals scaled
+        return {**report, "checks": [
+            {**c, "max_residual": c["max_residual"] * factors[c["condition_id"]]}
+            if c["condition_id"] in factors else c for c in report["checks"]]}
+
+    # each moved residual, largest ratio first, and which way it moved
+    for changed, out in (
+            (scaled({"fd-partials": 3}), [name, "residuals", "3", "fd-partials", "fell"]),
+            (scaled({"fd-partials": 1 / 4}), [name, "residuals", "4", "fd-partials", "rose"]),
+            (scaled({"fd-partials": math.nan}), [name, "residuals", "inf", "fd-partials", "fell"]),
+            (scaled({"null-z": 1 / 2, "fd-partials": 5}),
+             [name, "residuals", "5", "fd-partials", "fell,", "null-z", "rose"]),
+            (flipped, [name, "verdicts"])):
         (old / name).write_text(json.dumps(changed))
         result = run_script("deterministic_outputs.py", "--out", str(tmp_path / "new"),
                             "--only", name, "--compare", str(old / "MANIFEST"))

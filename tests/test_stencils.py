@@ -1,14 +1,14 @@
 """The FD subgrid's stencils are light enough to check a sweep's whole
 fold of draws at once, and give the same bits as the full stencils did:
 ``tangent`` is the jet's (L_x, L_y); ``fd_jet`` and the E-field stencil,
-which evaluate their offsets on a block's own axes, a quotient at a time,
+which evaluate their offsets on a block's own axes, a group at a time,
 equal the stencils evaluated on every node, one offset at a time.  Each
 is checked on a single surface and on stacks of draws
 (``surfaces._stacked``).  The subgrid pass over a fold of 40 draws peaks
 at most 2x the grid pass over a 9x9 block of 12 draws, and the premises of
 40 pair draws at a 33x33 grid no higher than that grid pass.  The chart
 jet, which writes its fields into the grid pass's table, gives the bits of
-a jet whose fields are copied there and of the point path."""
+the point path."""
 
 import dataclasses
 import tracemalloc
@@ -50,18 +50,15 @@ def _surfaces(family, draws=6):
 
 def _fd_jet_on_every_node(surface, x, y):
     """``fd_jet`` as it was before its line offsets were evaluated per axis:
-    all 25 offsets of every node stacked into one ``position`` call."""
+    all 17 offsets of every node stacked into one ``position`` call."""
     x, y = np.broadcast_arrays(x, y)
-    hx1, hy1 = (diffgeo.FIRST_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
-    hx2, hy2 = (diffgeo.SECOND_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
+    hx, hy = (diffgeo.FD_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
     zero = np.zeros_like(x)
     offsets = [(zero, zero)]
-    for h in (hx1, hx2):
-        offsets += [(h, zero), (-h, zero), (h / 2, zero), (-h / 2, zero)]
-    for h in (hy1, hy2):
-        offsets += [(zero, h), (zero, -h), (zero, h / 2), (zero, -h / 2)]
-    for hx, hy in ((hx2, hy2), (hx2 / 2, hy2 / 2)):
-        offsets += [(hx, hy), (hx, -hy), (-hx, hy), (-hx, -hy)]
+    offsets += [(hx, zero), (-hx, zero), (hx / 2, zero), (-hx / 2, zero)]
+    offsets += [(zero, hy), (zero, -hy), (zero, hy / 2), (zero, -hy / 2)]
+    for u, v in ((hx, hy), (hx / 2, hy / 2)):
+        offsets += [(u, v), (u, -v), (-u, v), (-u, -v)]
     dx, dy = (np.stack(d) for d in zip(*offsets))
     p = surface.position(x + dx, y + dy)
     c = p[0]
@@ -79,25 +76,23 @@ def _fd_jet_on_every_node(surface, x, y):
     def cross(q, hx, hy):
         return (q[0] - q[1] - q[2] + q[3]) / _col(4 * hx * hy)
 
-    return Jet2(L=c, Lx=rich1(p[1:5], hx1), Ly=rich1(p[9:13], hy1), Lxx=rich2(p[5:9], hx2),
-                Lxy=(4 * cross(p[21:25], hx2 / 2, hy2 / 2) - cross(p[17:21], hx2, hy2)) / 3,
-                Lyy=rich2(p[13:17], hy2))
+    return Jet2(L=c, Lx=rich1(p[1:5], hx), Ly=rich1(p[5:9], hy), Lxx=rich2(p[1:5], hx),
+                Lxy=(4 * cross(p[13:17], hx / 2, hy / 2) - cross(p[9:13], hx, hy)) / 3,
+                Lyy=rich2(p[5:9], hy))
 
 
 def _efield_per_offset(surface, x, y):
     """``diffgeo._efield`` with one ``tangent`` call per offset, on every node."""
     x, y = np.broadcast_arrays(x, y)
-    (hx1, hx), (hy1, hy) = ((diffgeo.E_FIRST_STEP * a, diffgeo.K_STEP_ANALYTIC * a)
-                            for a in (np.maximum(1.0, np.abs(t)) for t in (x, y)))
+    hx, hy = (diffgeo.K_STEP_ANALYTIC * np.maximum(1.0, np.abs(t)) for t in (x, y))
 
     def e(u, v):
         lx, ly = surface.tangent(u, v)
         return np.sqrt(-indefinite_dot(lx, ly, surface.ambient.embedding_signature.index))
 
-    return ((e(x + hx1, y) - e(x - hx1, y)) / (2 * hx1),
-            (e(x, y + hy1) - e(x, y - hy1)) / (2 * hy1),
-            (e(x + hx, y + hy) - e(x + hx, y - hy) - e(x - hx, y + hy) + e(x - hx, y - hy))
-            / (4 * hx * hy))
+    pp, pm, mp, mm = e(x + hx, y + hy), e(x + hx, y - hy), e(x - hx, y + hy), e(x - hx, y - hy)
+    return ((pp + pm - mp - mm) / (4 * hx), (pp - pm + mp - mm) / (4 * hy),
+            (pp - pm - mp + mm) / (4 * hx * hy))
 
 
 @pytest.mark.parametrize("draws", [1, 6])
@@ -128,20 +123,14 @@ def test_per_axis_fd_jet_equals_the_stencil_on_every_node(family, draws):
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_table_jet_gives_the_bits_of_copied_fields_and_of_the_point_path(family, draws):
     # the chart jet writes its fields into the table of diffgeo._table
-    # (Jet2.table); rebuilt by dataclasses.replace, a jet has no table, and
-    # _table copies its fields as for any other jet.  Both runs give the
-    # same bits, over two blocks, and the blocks' fields are partials()'s.
+    # (Jet2.table); the fields the grid pass copies out of it, over two
+    # blocks, have the bits of partials()'s
     surface = _stacked(_surfaces(family)[:draws])
-    copied = dataclasses.replace(
-        surface, jet=lambda x, y, *d: dataclasses.replace(surface.jet(x, y, *d)))
     shape = (40, 40)  # two blocks of 1,024 nodes at most
     axes = grid_axes(surface.domain, shape)
-    assert surface.jet(*axes).table is not None and copied.jet(*axes).table is None
-    fields = [lambda x, y, jet, f, name=name: getattr(jet, name) for name in _FIELDS] + [
-        e[1] for e in harness._check_plan(surface)[0]]
-    table, copy = (diffgeo.grid_values(s, shape, fields) for s in (surface, copied))
-    for got, want in zip(table, copy):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert surface.jet(*axes).table is not None
+    fields = [lambda x, y, jet, f, name=name: getattr(jet, name) for name in _FIELDS]
+    table = diffgeo.grid_values(surface, shape, fields)
     jet = diffgeo.partials(surface, *axes)
     for got, name in zip(table, _FIELDS):
         assert got.tobytes() == np.ascontiguousarray(getattr(jet, name)).tobytes(), name
@@ -196,12 +185,12 @@ def test_subgrid_pass_of_a_fold_peaks_near_a_grid_block(family):
 
 
 def test_efield_names_the_offset_where_g_xy_turns(monkeypatch):
-    # L_y reversed at one E-field offset, (x - h1, y) of the subgrid node
+    # L_y reversed at one E-field offset, (x - h, y - h) of the subgrid node
     # (0.6, 0.85), makes g_xy positive there alone; the grid pass uses the jet
     spec = SurfaceSpec(family="sphere_b", grid=(5, 5), curves=(
         {"family_id": "Ex7_1", "params": DRAWS["sphere_b"][1][0]},))
     surface = _surfaces("sphere_b", 1)[0]
-    x0, y0 = 0.6 - diffgeo.E_FIRST_STEP, 0.85
+    x0, y0 = 0.6 - diffgeo.K_STEP_ANALYTIC, 0.85 - diffgeo.K_STEP_ANALYTIC
     lx, ly = surface.tangent(x0, y0)
     g = -indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
     message = f"g_xy = {g:g} >= 0 at ({x0:g}, {y0:g})"
