@@ -24,7 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConstraintViolationError, InvalidInputError, SignatureMismatchError
+from .errors import (ConstraintViolationError, InvalidInputError, SignatureMismatchError,
+                     _violated)
 from .indefinite import Signature, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 
@@ -62,7 +63,7 @@ DEFAULT_SAMPLES = 41
 
 def _finite_number(value) -> bool:
     """True for an int or float, not a bool, that is a finite double."""
-    if type(value) is float:  # a sweep's curve terms: skip the ABC check below
+    if type(value) is float:  # a curve's terms: skip the ABC check below
         return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
@@ -113,23 +114,37 @@ def tcos(a: float, w: float = 1.0):
 
 
 def _checked_term(term) -> tuple:
-    """The term with a float coefficient and a float frequency (int power)."""
+    """The term with a float coefficient and a float frequency (int power);
+    either may be a float array over a fold's draws."""
+    def finite(v):
+        return (v.dtype == float and bool(np.isfinite(v).all()) if isinstance(v, np.ndarray)
+                else _finite_number(v))
+
     basis, a, w = term if isinstance(term, (tuple, list)) and len(term) == 3 else (None,) * 3
     if basis == "pow":
         ok = isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 0
     else:
-        ok = isinstance(basis, str) and basis in PERIODIC_BASES and _finite_number(w)
-    if not (ok and _finite_number(a)):
+        ok = isinstance(basis, str) and basis in PERIODIC_BASES and finite(w)
+    if not (ok and finite(a)):
         raise InvalidInputError(f"malformed term {term!r}: want (basis, a, w) with basis in "
                                 f"{sorted(PERIODIC_BASES)}, or ('pow', a, j) with j >= 0")
-    return basis, float(a), int(w) if basis == "pow" else float(w)
+    a, w = (v if isinstance(v, np.ndarray) else float(v) for v in (a, w))
+    return basis, a, int(w) if basis == "pow" else w
+
+
+def _pow(w, k):
+    """w**k by Python's float ``**`` (libm's pow, which numpy's need not
+    match bit for bit), elementwise on an array."""
+    if not isinstance(w, np.ndarray):
+        return w**k
+    return np.array([v**k for v in w.ravel().tolist()]).reshape(w.shape)
 
 
 def _coefficients_by_order(basis, a, w) -> tuple:
     """The factor of each derivative order: a * w^k * sign[k] for a
     periodic term, a * j (j-1) ... (j-k+1) for a power t^j."""
     if basis != "pow":
-        return tuple(a * w**k * sign for k, sign in enumerate(PERIODIC_BASES[basis][1]))
+        return tuple(a * _pow(w, k) * sign for k, sign in enumerate(PERIODIC_BASES[basis][1]))
     coefs = [a]
     for i in range(min(w, MAX_ORDER)):
         coefs.append((w - i) * coefs[-1])
@@ -148,15 +163,21 @@ class Curve:
     which add with ``+``).  Terms are checked and stored with float
     coefficients; the factor of each derivative order is computed once
     here, so evaluation only multiplies it by the term's basis function.
+
+    A coefficient or frequency may also be an array of shape (draws, 1, 1)
+    over a fold's draws (``_fold_curves``): the curve is then the fold's
+    curves, each draw bit for bit its own, evaluated on t's shape broadcast
+    against that; ``curve[draws]`` picks some, and it cannot be hashed.
     """
 
     signature: Signature
     components: tuple
     domain: tuple[float, float] = (-2.0, 2.0)
     label: str = ""
-    #: (slot, first, basis, w or j, factors by order) per term of every
-    #: nonzero component; a zero one stays at the zeros evaluation starts from
+    #: (slot, first, basis, w or j, factors by order) per term, and the
+    #: shape of a factor: () for one curve, (draws, 1, 1) for a fold's
     _plan: tuple = field(init=False, repr=False, compare=False)
+    _lead: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -168,18 +189,32 @@ class Curve:
         comps = tuple(tuple(map(_checked_term, c)) for c in self.components)
         if len(comps) != self.signature.dim:
             raise InvalidInputError(f"{len(comps)} components for signature {self.signature}")
+        lead = {v.shape for c in comps for _, *av in c for v in av if isinstance(v, np.ndarray)}
+        if len(lead) > 1:
+            raise InvalidInputError(f"coefficient arrays of shapes {sorted(lead)} in one curve")
         try:
             plan = tuple((slot, n == 0, b, w, _coefficients_by_order(b, a, w))
-                         for slot, comp in enumerate(comps) if any(a != 0 for _, a, _ in comp)
-                         for n, (b, a, w) in enumerate(comp))
+                         for slot, comp in enumerate(comps) for n, (b, a, w) in enumerate(comp))
         except OverflowError as exc:
             raise InvalidInputError(f"{self.label or 'curve'}: term out of range ({exc})") from exc
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_lead", lead.pop() if lead else ())
 
-    #: the shape of a term factor: () here, (curves, 1, 1) on a ``_Stack``
-    _lead = ()
+    def __getitem__(self, draws):
+        """The curve of the draws that ``draws`` (a slice or a list of
+        indices) picks from a fold's; its plan is sliced, not rebuilt."""
+        def pick(v):
+            return v[draws] if isinstance(v, np.ndarray) else v
+        part = object.__new__(Curve)
+        part.__dict__.update(
+            self.__dict__, _lead=np.empty(self._lead)[draws].shape,
+            components=tuple(tuple((b, pick(a), pick(w)) for b, a, w in c)
+                             for c in self.components),
+            _plan=tuple((slot, first, b, pick(w), tuple(map(pick, coefs)))
+                        for slot, first, b, w, coefs in self._plan))
+        return part
 
     def derivatives(self, t, orders) -> np.ndarray:
         """The derivatives of the given orders at a scalar or array t,
@@ -224,38 +259,6 @@ class Curve:
         if samples < 2:
             raise InvalidInputError("need at least 2 samples")
         return np.linspace(self.domain[0], self.domain[1], samples)
-
-
-class _Stack:
-    """Curves of one term structure (signature, domain, nonzero components,
-    bases and powers) evaluated at once by ``Curve.derivatives``: each
-    term's frequency and factors are arrays of shape (len(curves), 1, 1),
-    so the curves lie along the third from last axis of t's shape."""
-
-    def __init__(self, curves):
-        def structure(c):
-            return c.signature, c.domain, [p[:3] + (p[3] if p[2] == "pow" else None,)
-                                           for p in c._plan]
-        if any(structure(c) != structure(curves[0]) for c in curves):
-            raise InvalidInputError("only curves of one term structure can be stacked")
-        self.signature, self.domain = curves[0].signature, curves[0].domain
-        self._lead = (len(curves), 1, 1)
-        self._plan = tuple(
-            (slot, first, basis, w if basis == "pow" else wf[0], tuple(wf[1:]))
-            for (slot, first, basis, w, _), wf in zip(curves[0]._plan, (
-                np.array([(p[3],) + p[4] for p in terms]).T[..., None, None]
-                for terms in zip(*(c._plan for c in curves)))))
-
-    def __getitem__(self, draws):
-        """The stack of the curves that ``draws`` (a slice or a list of indices) picks."""
-        part = object.__new__(_Stack)
-        part.signature, part.domain = self.signature, self.domain
-        part._lead = (np.arange(self._lead[0])[draws].size, 1, 1)
-        part._plan = tuple(p[:3] + (p[3] if p[2] == "pow" else p[3][draws],
-                                    tuple(c[draws] for c in p[4])) for p in self._plan)
-        return part
-
-    derivatives, at, sample_grid = Curve.derivatives, Curve.at, Curve.sample_grid
 
 
 def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):
@@ -557,34 +560,38 @@ FAMILIES: dict[str, dict] = {
 }
 
 
-def validate_family(fam: ParamFamily, coeffs: tuple | None = None) -> FamilyValidation:
-    """Numeric validation: every radicand >= 0, every denominator > 0.
+def _coefficient_ok(value, kind: str):
+    """A radicand >= 0 or a denominator > 0, and finite (NaN and inf fail;
+    an int is exact), of a number or elementwise of an array."""
+    return ((value > 0) if kind == "denominator" else (value >= 0)) & (value < math.inf)
+
+
+def validate_family(fam: ParamFamily) -> FamilyValidation:
+    """Numeric validation: every radicand >= 0, every denominator > 0, and
+    each finite (``_coefficient_ok``).
 
     The quoted inequality chain is evaluated too, but only for reporting;
     it neither implies nor is implied by validity (one family's chain in
-    fact forces a radicand negative).  ``coeffs`` is the family's
-    (radicands, denominators) at these parameters when already computed.
+    fact forces a radicand negative).
     """
     info = FAMILIES[fam.family_id]
     args = [fam.params[k] for k in info["params"]]
     failures = [f"{fam.family_id}: parameter {name} must be positive (= {value:g})"
                 for name, value in zip(info["params"], args) if not value > 0]
     try:
-        rads, dens = coeffs or info["_coeffs"](*args)
+        rads, dens = info["_coeffs"](*args)
     except OverflowError as exc:  # squares of parameters beyond the double range
         rads, dens = {}, {}
         failures.append(f"{fam.label()}: parameters out of range ({exc})")
-    violations = [(name, value, "denominator") for name, value in dens.items() if not value > 0]
-    # NaN (an overflow inside the radicand) fails too
-    violations += [(name, value, "radicand") for name, value in rads.items() if not value >= 0]
+    violations = [(name, value, kind) for kind, part in (("denominator", dens), ("radicand", rads))
+                  for name, value in part.items() if not _coefficient_ok(value, kind)]
     return FamilyValidation(
         family_id=fam.family_id,
         ok=not (failures or violations),
         radicands=rads,
         denominators=dens,
-        failures=failures + [
-            f"{kind} {name} {'negative' if kind == 'radicand' else 'not positive'} (= {value:g})"
-            for name, value, kind in violations],
+        failures=failures + [f"{kind} {name} {_violated(value, kind)} (= {value:g})"
+                             for name, value, kind in violations],
         chain_ok=_chain_holds(info["_chain"], args),
         chain=info["chain"],
         _error=violations[0] if violations and not failures else (),
@@ -592,19 +599,13 @@ def validate_family(fam: ParamFamily, coeffs: tuple | None = None) -> FamilyVali
 
 
 def _py_squares(values: np.ndarray) -> np.ndarray:
-    """``v ** 2`` of each float as Python computes it (libm's pow, which need
-    not round as ``v * v`` does), NaN where that raises OverflowError."""
-    def square(v):
-        try:
-            return v**2
-        except OverflowError:
-            return math.nan
-
-    values = values.tolist()
+    """``v ** 2`` of each float as Python computes it (``_pow``), NaN where
+    that raises OverflowError."""
     try:
-        return np.array([v**2 for v in values], dtype=float)
-    except OverflowError:
-        return np.array([square(v) for v in values], dtype=float)
+        return _pow(values, 2)
+    except OverflowError:  # square each alone
+        return np.array([math.nan]) if values.size == 1 else np.concatenate(
+            [_py_squares(v) for v in np.split(values, values.size)])
 
 
 class _Squares:
@@ -619,21 +620,20 @@ class _Squares:
         return self.squares if k == 2 else NotImplemented
 
 
-def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, list]:
+def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, tuple[dict, dict]]:
     """The rows of a (draws, params) array that ``validate_family`` would
-    pass, and their (radicands, denominators), from one run of the family's
-    formulas on the columns with its tests (parameters and denominators > 0,
-    radicands >= 0, so NaN fails, and a square that overflows fails)."""
+    pass, and their radicands and denominators (each an array over those
+    rows), from one run of the family's formulas on the columns with its
+    tests (parameters > 0, ``_coefficient_ok``, so NaN and inf fail, and a
+    square that overflows fails)."""
     with np.errstate(over="ignore", invalid="ignore"):
         rads, dens = FAMILIES[family_id]["_coeffs"](*(_Squares(_py_squares(c)) for c in values.T))
     ok = np.all(values > 0, axis=1)
-    for value in dens.values():
-        ok &= value > 0
-    for value in rads.values():
-        ok &= value >= 0
+    for kind, part in (("denominator", dens), ("radicand", rads)):
+        for value in part.values():
+            ok &= _coefficient_ok(value, kind)
     rows = np.flatnonzero(ok)
-    return rows, [tuple({k: float(v[i]) for k, v in part.items()} for part in (rads, dens))
-                  for i in rows.tolist()]
+    return rows, tuple({k: v[rows] for k, v in part.items()} for part in (rads, dens))
 
 
 def _chain_holds(chain, args) -> bool:
@@ -654,23 +654,38 @@ def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
     return _example_from(fam, validate_family(fam), alt_pairing)
 
 
+def _family_curves(family_id, args, rads, dens, alt_pairing, label, sqrt=math.sqrt):
+    """The family's curves (one, or z and w) from its parameters, radicands
+    and denominators, by its ``_build_exNN``."""
+    info = FAMILIES[family_id]
+    tables = info["_build"](*args, rads, dens, alt_pairing, sqrt=sqrt)
+    return tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, label + suffix)
+                 for comps, suffix in zip(tables, (".z", ".w") if info["pair"] else ("",)))
+
+
 def _example_from(fam: ParamFamily, validation: FamilyValidation, alt_pairing: bool):
     """``make_example`` from a validation of the same parameters."""
     if validation._error:
         raise ConstraintViolationError(*validation._error)
     if not validation.ok:
         raise InvalidInputError(validation.failures[0])
-    info = FAMILIES[fam.family_id]
-    label = fam.label()
-    suffixes = (".z", ".w") if info["pair"] else ("",)
+    info, label = FAMILIES[fam.family_id], fam.label()
     try:
-        tables = info["_build"](*(fam.params[k] for k in info["params"]), validation.radicands,
-                                validation.denominators, alt_pairing)
-        curves = tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, label + suffix)
-                       for comps, suffix in zip(tables, suffixes))
+        curves = _family_curves(fam.family_id, [fam.params[k] for k in info["params"]],
+                                validation.radicands, validation.denominators, alt_pairing, label)
     except (ZeroDivisionError, OverflowError) as exc:
         raise InvalidInputError(f"{label}: parameters out of range ({exc})") from exc
     return curves if info["pair"] else curves[0]
+
+
+def _fold_curves(family_id: str, values: np.ndarray, coeffs: tuple[dict, dict]) -> tuple:
+    """The family's curves for a fold of valid draws (rows of values) from
+    their radicands and denominators (``_valid_rows``): each one ``Curve``
+    on arrays of shape (draws, 1, 1); one not finite raises InvalidInputError."""
+    rads, dens = ({k: v[:, None, None] for k, v in part.items()} for part in coeffs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _family_curves(family_id, values.T[..., None, None], rads, dens, False, family_id,
+                              np.sqrt)
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     uses the stencil (the cross-check); None skips it and leaves the
     connection coefficients and K None.  ``d`` hands ``jet`` the curves'
     derivatives on a grid ``grid_values`` has checked; without it the
-    nodes are checked here.  The jet comes back broadcast to the nodes."""
+    nodes are checked here.  The chart's jet comes back, broadcast to the nodes."""
     if d is None:
         _check_point(surface, x, y, 0.0)
     jet = surface.jet(x, y, *(d or ()))
@@ -388,7 +388,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     frame = FrameData(*vectors(W[:2] / E), *map(scalar, connection))
     h11, h12, h22 = vectors(np.divide(h, E**2, out=h))
     forms = FundamentalForms(md, frame, h11, h12, h22, -h12, scalar(K))
-    return Jet2(**dict(zip(_FIELDS, vectors(W))), curves=jet.curves), forms
+    return jet, forms
 
 
 def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
@@ -404,14 +404,14 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     takes K from the E-field stencil, None skips K (the forms then carry
     none).
 
-    ``surface`` may be a stack of draws (``surfaces._stacked``): each
+    ``surface`` may be a fold's draws (``surfaces._stacked``): each
     array then gets a leading draw axis, and a block holds at most
-    ``_draws_per_block`` whole draws, taken from the stack's sources.
+    ``_draws_per_block`` whole draws, a slice of the fold's curves.
     ``fields`` may be a function of a block's surface that gives them.
     """
     if (draws := _draw_count(surface)) > (per := _draws_per_block(shape)):
         return [np.concatenate(p) for p in zip(*(grid_values(
-            _stacked([surface], tuple(s[d:d + per] for s in surface.sources)), shape, fields,
+            _stacked(surface, tuple(s[d:d + per] for s in surface.sources)), shape, fields,
             curvature=curvature) for d in range(0, draws, per)))]
     if callable(fields):
         fields = fields(surface)

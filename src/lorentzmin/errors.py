@@ -9,16 +9,21 @@ class SignatureMismatchError(InvalidInputError):
     """Operands carry different pseudo-Euclidean signatures."""
 
 
+def _violated(value, kind: str) -> str:
+    """How a radicand (>= 0) or a denominator (> 0) fails its rule."""
+    finite = -float("inf") < value < float("inf")
+    return "not finite" if not finite else "negative" if kind == "radicand" else "not positive"
+
+
 class ConstraintViolationError(InvalidInputError):
-    """A curve-family parameter set makes a radicand negative or a
-    denominator non-positive.  ``radicand`` names the offending expression
-    and ``kind`` says which of the two it is."""
+    """A curve-family parameter set makes a radicand negative, a
+    denominator non-positive, or either not finite.  ``radicand`` names the
+    offending expression and ``kind`` says which of the two it is."""
 
     def __init__(self, radicand: str, value: float, kind: str = "radicand"):
         self.radicand = radicand
         self.value = value
-        bound = "negative" if kind == "radicand" else "not positive"
-        super().__init__(f"{kind} {radicand} is {bound} (= {value:.6g})")
+        super().__init__(f"{kind} {radicand} is {_violated(value, kind)} (= {value:.6g})")
 
 
 class PremiseError(InvalidInputError):

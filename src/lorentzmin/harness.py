@@ -36,9 +36,9 @@ from .curves import (
     Curve,
     FamilyValidation,
     ParamFamily,
-    _Stack,
     _example_from,
     _finite_number,
+    _fold_curves,
     _valid_rows,
     builtin_curve,
     validate_family,
@@ -53,8 +53,10 @@ from .surfaces import (
     FLAT_DOMAIN,
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
+    _blocking,
     _check_grid,
     _condition_rows,
+    _draw_count,
     _stacked,
     _translation_premises,
     check_case_b_premises,
@@ -284,20 +286,18 @@ class SurfaceFamily:
     compare with is the chart of the surface built (``SurfaceMap.chart``).
 
     ``premises(curves, spec, tols)`` returns the reports made before
-    building, or one list of them per draw when the curves are ``_Stack``s
-    of many draws' curves (by default none: a pair's joint conditions are
-    checks of the grid pass); if ``blocking``, a failed one blocks the surface.
-    ``build(curves, domain, premise_tol, premises)`` constructs the surface
-    from those reports.  ``build`` and ``premises`` call constructors and
-    checkers by module-global name, so a wrapper installed there sees every
-    call."""
+    building, one list per draw on a fold's curves (by default none: a
+    pair's joint conditions are checks of the grid pass); ``_blocking`` ones
+    block the surface.  ``build(curves, domain, premise_tol, premises)``
+    constructs it from those reports.  ``build`` and ``premises`` call
+    constructors and checkers by module-global name, so a wrapper installed
+    there sees every call."""
 
     arity: int
     domain: tuple[tuple[float, float], tuple[float, float]]
     build: Callable
     premises: Callable = lambda curves, spec, tols: (
-        [[] for _ in range(curves[0]._lead[0])] if curves and isinstance(curves[0], _Stack) else [])
-    blocking: bool = False
+        [[] for _ in range(curves[0]._lead[0])] if curves and curves[0]._lead else [])
 
 
 #: The surface families by spec name.  The de Sitter control takes no
@@ -309,8 +309,7 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         build=lambda curves, domain, tol, premises=None: translation_surface(
             *curves, domain, tol=tol, _premises=premises),
         premises=lambda curves, spec, tols: _translation_premises(
-            *curves, spec.grid, spec.resolved_domain(), DEFAULT_SAMPLES, tols["premise"]),
-        blocking=True),
+            *curves, spec.grid, spec.resolved_domain(), DEFAULT_SAMPLES, tols["premise"])),
     "sphere_b": SurfaceFamily(
         1, SPHERE_DOMAIN,
         build=lambda curves, domain, tol, premises=None: sphere_case_b(
@@ -336,44 +335,34 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
 
 
 def _premise_phase(spec, curves, tols):
-    """The family's premise checks, then the surface unless one blocks it:
-    (reports, blocking ids, surface or None).  sphere_b, hyp_ii and
-    translation judge their own premises, from the reports handed to their
-    constructors."""
-    return _premise_phases(spec, [curves], tols)[0][0]
-
-
-def _premise_phases(spec, draws, tols):
-    """``_premise_phase`` of each of a list of draws (tuples of curves) of one
-    spec, and the built draws as one surface (``surfaces._stacked``) on one
-    ``_Stack`` per source curve, which the premise checks run on too; or one
-    draw at a time, and None, if they have two term structures."""
+    """The family's premise checks, then the surface unless one blocks it
+    (``_blocking``): (reports, blocking ids, surface or None).  sphere_b,
+    hyp_ii and translation take the reports instead of checking again."""
     family = SURFACE_FAMILIES[spec.family]
-    stacks = None
-    if len(draws) > 1:
-        try:
-            stacks = tuple(map(_Stack, zip(*draws)))
-        except InvalidInputError:
-            return [_premise_phase(spec, curves, tols) for curves in draws], None
-    out = []
-    for curves, reports in zip(draws, family.premises(stacks, spec, tols) if stacks
-                               else [family.premises(draws[0], spec, tols)]):
-        hard = [r.condition_id for r in reports if not r.passed] if family.blocking else []
-        try:
-            surface = None if hard else family.build(
-                curves, spec.resolved_domain(), tols["premise"], reports)
-        except PremiseError as exc:
-            hard, surface = exc.failed, None
-        out.append((reports, hard, surface))
-    built = [i for i, (_, _, surface) in enumerate(out) if surface is not None]
-    return out, (_stacked([out[i][2] for i in built], tuple(s[built] for s in stacks))
-                 if stacks and built else None)
+    reports = family.premises(curves, spec, tols)
+    hard = _blocking(reports)
+    return reports, hard, None if hard else family.build(
+        curves, spec.resolved_domain(), tols["premise"], reports)
+
+
+def _premise_phases(spec, curves, tols):
+    """``_premise_phase`` of each draw of a fold's curves (``_fold_curves``):
+    (reports, blocking ids) per draw, and the draws that build as one
+    surface (``surfaces._stacked``) from one constructor call, or None."""
+    family = SURFACE_FAMILIES[spec.family]
+    outcomes = [(reports, _blocking(reports)) for reports in family.premises(curves, spec, tols)]
+    built = [i for i, (_, hard) in enumerate(outcomes) if not hard]
+    if not built:
+        return outcomes, None
+    first = family.build(tuple(c[built[:1]] for c in curves), spec.resolved_domain(),
+                         tols["premise"], outcomes[built[0]][0])
+    return outcomes, _stacked(first, tuple(c[built] for c in curves))
 
 
 def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
-    """The checks of a surface (or of a block's stack of surfaces of one
-    chart) as (condition id, residual of (x, y, jet, forms) on a block, tol
-    key, note): those of the grid pass and of the subgrid pass.  They follow
+    """The checks of a surface (or of a block's draws of a fold's) as
+    (condition id, residual of (x, y, jet, forms) on a block, tol key,
+    note): those of the grid pass and of the subgrid pass.  They follow
     from the surface's chart (``surfaces._Chart``): first a pair's joint
     conditions on a quadric ambient (tol key "condition"), then the quadric
     and K checks where it has k, metric-match where it has g_xy, tangency
@@ -445,33 +434,29 @@ def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
     return planned, stencil
 
 
-def _check_rows(spec, surfaces, tols, stacked=None) -> list[list[tuple]]:
-    """The checks of a list of surfaces built for one spec but for their
-    curves, in runs of draws: per run, (condition id, residuals as (draws,
-    nodes) rows, tol, grid description, grid points, note) per check.  Both
-    passes take one stack of them (``stacked``, or ``surfaces._stacked``),
-    which ``grid_values`` cuts into blocks of whole draws.  A list that
-    fails as a whole (a degenerate metric, or curves of two term structures,
-    as when a draw zeroes a whole component) is rerun one surface at a
-    time, so each gets the outcome it would get alone; a degenerate one
-    still reports its joint conditions (``surfaces._condition_rows``)."""
-    checks = []
+def _check_rows(spec, surface, tols) -> list[list[tuple]]:
+    """The checks of a surface built for ``spec``, or of a fold's draws of
+    it (``surfaces._stacked``), which ``grid_values`` cuts into blocks of
+    whole draws, in runs of draws: per run, (condition id, residuals as
+    (draws, nodes) rows, tol, grid description, grid points, note) per
+    check.  A fold whose metric is degenerate is rerun on one-draw slices
+    of its curves, so each draw gets the outcome it would get alone; a
+    degenerate one still reports its joint conditions (``_condition_rows``)."""
+    checks, draws = [], _draw_count(surface)
     try:
-        draws = stacked or _stacked(surfaces)
         for pick, (shape, curvature) in enumerate(((spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
             columns = diffgeo.grid_values(
-                draws, shape, lambda s: [e[1] for e in _check_plan(s)[pick]],
+                surface, shape, lambda s: [e[1] for e in _check_plan(s)[pick]],
                 curvature=curvature)
-            desc, pts = surfaces[0].grid_description(shape), surfaces[0].grid(shape)
-            checks += [(cid, np.reshape(column, (len(surfaces), -1)), tols[tol_key], desc, pts, note)
+            desc, pts = surface.grid_description(shape), surface.grid(shape)
+            checks += [(cid, np.reshape(column, (draws, -1)), tols[tol_key], desc, pts, note)
                        for (cid, _, tol_key, note), column in zip(
-                           _check_plan(surfaces[0])[pick], columns)]
-    except (DegenerateMetricError, InvalidInputError) as exc:
-        if len(surfaces) > 1:
-            return [run for surface in surfaces for run in _check_rows(spec, [surface], tols)]
-        if not isinstance(exc, DegenerateMetricError):
-            raise
-        s = surfaces[0]
+                           _check_plan(surface)[pick], columns)]
+    except DegenerateMetricError as exc:
+        if draws > 1:
+            return [run for i in range(draws) for run in _check_rows(
+                spec, _stacked(surface, tuple(c[i:i + 1] for c in surface.sources)), tols)]
+        s = surface
         pair = any(key == "condition" for _, _, key, _ in _check_plan(s)[0])
         # tol -1 keeps the pass == (residual <= tol) invariant honest
         return [(_condition_rows(s.chart, s.sources, s.domain, spec.grid, tols["condition"])
@@ -481,9 +466,9 @@ def _check_rows(spec, surfaces, tols, stacked=None) -> list[list[tuple]]:
     return [checks]
 
 
-def _checks(spec, surfaces, tols) -> list[list[ConditionReport]]:
-    """The reports of ``_check_rows``, one list per surface."""
-    return [list(reports) for run in _check_rows(spec, surfaces, tols) for reports in zip(*(
+def _checks(spec, surface, tols) -> list[list[ConditionReport]]:
+    """The reports of ``_check_rows``, one list per draw."""
+    return [list(reports) for run in _check_rows(spec, surface, tols) for reports in zip(*(
         ConditionReport._from_max_rows(cid, rows, tol, desc, pts, note=note)
         for cid, rows, tol, desc, pts, note in run))]
 
@@ -510,7 +495,7 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
     else:
         surface_info = {"constructed": True, "label": surface.label,
                         "ambient": surface.ambient.describe(), "flags": list(surface.flags)}
-        reports = reports + _checks(spec, [surface], tols)[0]
+        reports = reports + _checks(spec, surface, tols)[0]
     timings["checks"] = time.perf_counter() - t1
     timings["total"] = time.perf_counter() - t0
 
@@ -540,10 +525,10 @@ def sweep(
     Deterministic for a given seed.  An empty valid set is reported, not
     raised.  Returns counts plus the worst residual seen per check id.
     Each draw gets ``verify``'s outcome: the draws are drawn and validated
-    in chunks (``_draw_chunks``, ``curves._valid_rows``), and the valid ones
-    checked in folds of one FD subgrid block (40 draws), each source curve
-    stacked once per fold (``_premise_phases``, ``_check_rows``), whose
-    residual rows are folded into the summary in draw order.
+    in chunks (``_draw_chunks``, ``curves._valid_rows``), and a chunk's
+    valid ones checked in folds of one FD subgrid block (40 draws), whose
+    curves are built once from its coefficient arrays (``_fold_curves``)
+    and whose residual rows are folded into the summary in draw order.
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidInputError(f"unknown curve family {family!r}")
@@ -555,7 +540,6 @@ def sweep(
     spec = SurfaceSpec(family=surface_family, grid=tuple(cfg["grid"]))
     tols = default_tolerances()
     names = FAMILIES[family]["params"]
-    pending: list[tuple] = []  # (params, curves) per valid draw
     valid = passed = failed = invalid = 0
     worst: dict[str, float] = {}
     failures: list[dict] = []
@@ -566,40 +550,31 @@ def sweep(
             worst.update(zip(cids, np.maximum.accumulate(np.hstack([start, values]), axis=1)[
                 :, -1].tolist()))
 
-    def fold():  # check the pending draws together, then fold them in draw order
-        nonlocal passed, failed
-        outcomes, stacked = _premise_phases(spec, [curves for _, curves in pending], tols)
-        built = [s for _, _, s in outcomes if s is not None]
-        failed_checks = []  # per built draw
-        for run in _check_rows(spec, built, tols, stacked) if built else ():
-            cids = [check[0] for check in run]
-            values, _, ok = map(np.array, zip(*(_max_verdicts(rows, tol)
-                                                for _, rows, tol, *_ in run)))
-            fold_worst(cids, values)
-            failed_checks += [[c for c, good in zip(cids, col) if not good] for col in ok.T]
-        failed_checks.reverse()
-        for (params, _), (reports, hard, surface) in zip(pending, outcomes):
-            fold_worst([r.condition_id for r in reports], [[r.max_residual] for r in reports])
-            ids = [r.condition_id for r in reports if not r.passed]
-            ids += failed_checks.pop() if surface is not None else []
-            if hard or ids:
-                failed += 1
-                failures.append({"params": params, "failed": ids})
-            else:
-                passed += 1
-        pending.clear()
-
+    per = diffgeo._draws_per_block(FD_SUBGRID)
     for chunk in _draw_chunks(family, cfg, rng, n):
         rows, coeffs = _valid_rows(family, chunk)
         valid, invalid = valid + len(rows), invalid + len(chunk) - len(rows)
-        for values, coeff in zip(chunk[rows].tolist(), coeffs):
-            fam = ParamFamily(family, dict(zip(names, values)))
-            example = _example_from(fam, validate_family(fam, coeff), False)
-            pending.append((fam.params, example if isinstance(example, tuple) else (example,)))
-            if len(pending) == diffgeo._draws_per_block(FD_SUBGRID):
-                fold()
-    if pending:
-        fold()
+        for i in range(0, len(rows), per):  # check a fold together, then fold it in draw order
+            draws = chunk[rows[i:i + per]]
+            outcomes, surface = _premise_phases(spec, _fold_curves(family, draws, tuple(
+                {k: v[i:i + per] for k, v in part.items()} for part in coeffs)), tols)
+            failed_checks = []  # per built draw
+            for run in _check_rows(spec, surface, tols) if surface is not None else ():
+                cids = [check[0] for check in run]
+                values, _, ok = map(np.array, zip(*(_max_verdicts(r, tol)
+                                                    for _, r, tol, *_ in run)))
+                fold_worst(cids, values)
+                failed_checks += [[c for c, good in zip(cids, col) if not good] for col in ok.T]
+            failed_checks.reverse()
+            for params, (reports, hard) in zip(draws.tolist(), outcomes):
+                fold_worst([r.condition_id for r in reports], [[r.max_residual] for r in reports])
+                ids = [r.condition_id for r in reports if not r.passed]
+                ids += [] if hard else failed_checks.pop()
+                if ids:
+                    failed += 1
+                    failures.append({"params": dict(zip(names, params)), "failed": ids})
+                else:
+                    passed += 1
     return {
         "family": family,
         "surface_family": surface_family,

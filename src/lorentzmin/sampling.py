@@ -37,8 +37,8 @@ MAX_SAMPLER_TRIES = 10_000
 CHUNK_VALUES = 16 * BLOCK_NODES
 
 #: Largest magnitude of a number in a sampler config, so that the squares
-#: of the draws, times the constants of the chain and of the radicands,
-#: stay finite.
+#: of the draws stay finite.  Their products need not: a radicand or a
+#: denominator that overflows is not finite, which makes the draw invalid.
 SAMPLER_BOUND = 1e150
 
 

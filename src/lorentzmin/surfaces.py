@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import BUILTIN_CURVES, DEFAULT_SAMPLES, Curve, _Stack, derivative_inner, null_check
+from .curves import BUILTIN_CURVES, DEFAULT_SAMPLES, Curve, derivative_inner, null_check
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -148,7 +148,7 @@ class SurfaceMap:
     constructor that checks its curve (sphere_b and hyp_ii).  ``chart``
     (``_Chart``, set by every constructor) holds the family's model, and
     with ``sources`` made ``position``, ``jet`` and ``tangent``
-    (``_chart_maps``, which ``_stacked`` runs on stacked sources).
+    (``_chart_maps``, which ``_stacked`` runs on a fold's sources).
     """
 
     ambient: Ambient
@@ -257,23 +257,18 @@ def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> Su
                       label=label or f"{family}[{names}]", chart=chart, **fields)
 
 
-def _stacked(surfaces, sources=None) -> SurfaceMap:
-    """One surface for surfaces of one chart and curves of one term
-    structure: its sources are their curves stacked (``_Stack``), or
-    ``sources``, stacks of them made already, and its maps put a draw axis
-    before the two node axes of x and y.  It keeps the first surface's other
-    fields.  ``_stacked([stack], sources)`` thus takes draws of a stack."""
-    if sources is None and len(surfaces) == 1:
-        return surfaces[0]
-    sources = sources or tuple(map(_Stack, zip(*(s.sources for s in surfaces))))
+def _stacked(surface, sources) -> SurfaceMap:
+    """``surface`` on ``sources``, a fold's curves (``curves._fold_curves``)
+    or some of its draws: its maps put the draw axis before the two node
+    axes of x and y, and it keeps the surface's other fields."""
     position, jet, tangent = (
         lambda x, y, *d, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3), *d)
-        for f in _chart_maps(surfaces[0].chart, *sources))
-    return replace(surfaces[0], sources=sources, position=position, jet=jet, tangent=tangent)
+        for f in _chart_maps(surface.chart, *sources))
+    return replace(surface, sources=sources, position=position, jet=jet, tangent=tangent)
 
 
 def _draw_count(surface) -> int:
-    """The draws of a surface stacked by ``_stacked``; 1 for any other."""
+    """The draws of a surface on a fold's curves (``_stacked``); 1 for any other."""
     return surface.sources[0]._lead[0] if surface.sources and surface.sources[0]._lead else 1
 
 
@@ -411,11 +406,11 @@ def _sphere_domain_guard(domain):
 def _per_draw(z, rows) -> list:
     """Rows of (draws, nodes) residuals as (condition id, rows, tol, grid,
     points, note, reduction) by check, as one list of reports per draw when
-    z is a ``_Stack`` of the draws' curves, else as the one curve's list."""
+    z is a fold's curve (``curves._fold_curves``), else as the one curve's list."""
     checks = [reduce(cid, np.reshape(r, (z._lead[:1] or (1,)) + (-1,)), tol, grid, pts, note)
               for cid, r, tol, grid, pts, note, reduce in rows]
     draws = [list(reports) for reports in zip(*checks)]
-    return draws if isinstance(z, _Stack) else draws[0]
+    return draws if z._lead else draws[0]
 
 
 def _condition_rows(chart, sources, domain, grid, tol) -> list[tuple]:
@@ -466,11 +461,17 @@ def _single_curve_premises(z, samples, tol, speed, acc, nonzero):
     ])
 
 
+def _blocking(reports: list[ConditionReport]) -> list[str]:
+    """The failed premises that block a build: any of the first three (a
+    single curve's algebraic ones, or translation's nulls and pairing)."""
+    return [r.condition_id for r in reports[:3] if not r.passed]
+
+
 def _premise_flags(reports: list[ConditionReport]) -> tuple[str, ...]:
-    """Raise on failed algebraic premises (the first three reports), with
-    all the reports on the error; a failed non-degeneracy one only flags
-    the totally geodesic boundary."""
-    hard_failures = [r.condition_id for r in reports[:3] if not r.passed]
+    """Raise on failed algebraic premises (``_blocking``), with all the
+    reports on the error; a failed non-degeneracy one only flags the
+    totally geodesic boundary."""
+    hard_failures = _blocking(reports)
     if hard_failures:
         raise PremiseError(hard_failures, reports)
     return () if reports[3].passed else ("totally-geodesic-boundary",)
@@ -528,7 +529,7 @@ def translation_surface(
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
     premises = _premises or _translation_premises(z, w, (samples, samples), domain, samples, tol)
-    failed = [r.condition_id for r in premises[:2] if not r.passed]
+    failed = _blocking(premises[:2])
     if failed:
         raise PremiseError(failed, premises)
     if not premises[2].passed:

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 import lorentzmin
 from lorentzmin import diffgeo, harness, sampling
-from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, ParamFamily, _ex72_chain_mid,
-                               _valid_rows, validate_family)
-from lorentzmin.errors import DegenerateMetricError, InvalidInputError
+from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, Curve, FamilyValidation, ParamFamily,
+                               _ex72_chain_mid, _fold_curves, _valid_rows, make_example,
+                               validate_family)
+from lorentzmin.errors import ConstraintViolationError, DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import default_tolerances
-from lorentzmin.surfaces import SPHERE_DOMAIN, _stacked, sphere_case_b
+from lorentzmin.surfaces import SPHERE_DOMAIN, SurfaceMap, _draw_count, _stacked, sphere_case_b
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SPHERE_71 = {
@@ -146,14 +147,31 @@ def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
             assert [c.condition_id for c in verify(spec).checks] == kept + ["metric-signature"]
 
 
+def repeated(curve, draws):
+    """A fold of ``draws`` copies of ``curve``: each coefficient and
+    frequency repeated on the draw axis."""
+    def fold(v):
+        return np.full((draws, 1, 1), v)
+    return Curve(curve.signature, [[(b, fold(a), w if b == "pow" else fold(w)) for b, a, w in comp]
+                                   for comp in curve.components], curve.domain, curve.label)
+
+
+def fold_of(family, draws):
+    """The curves of a fold of parameter sets of a built-in family, all valid."""
+    values = np.array([[p[k] for k in FAMILIES[family]["params"]] for p in draws], dtype=float)
+    rows, coeffs = _valid_rows(family, values)
+    assert rows.tolist() == list(range(len(draws)))
+    return _fold_curves(family, values, coeffs)
+
+
 def test_sweep_checks_full_batches(monkeypatch):
     # a fold is one block of the FD subgrid pass: 40 draws at 5x5
     checks = harness._check_rows
     sizes = []
 
-    def recording(spec, surfaces, tols, stacked=None):
-        sizes.append(len(surfaces))
-        return checks(spec, surfaces, tols, stacked)
+    def recording(spec, surface, tols):
+        sizes.append(_draw_count(surface))
+        return checks(spec, surface, tols)
 
     monkeypatch.setattr(harness, "_check_rows", recording)
     sweep("Ex7_1", n=90, rng_seed=0)
@@ -162,20 +180,36 @@ def test_sweep_checks_full_batches(monkeypatch):
 
 
 def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
-    # each source is stacked once per fold of 40 sphere_b draws: the
-    # premises, the grid pass and the subgrid pass all take draws of it
-    from lorentzmin.curves import _Stack
+    # each fold of 40 sphere_b draws builds its curves once: the premises,
+    # the grid pass and the subgrid pass all take draws of them
+    build = harness._fold_curves
+    folds = []
 
-    stacks = []
-    init = _Stack.__init__
+    def counted(family, values, coeffs):
+        folds.append(len(values))
+        return build(family, values, coeffs)
 
-    def counted(self, curves):
-        stacks.append(len(curves))
-        init(self, curves)
-
-    monkeypatch.setattr(_Stack, "__init__", counted)
+    monkeypatch.setattr(harness, "_fold_curves", counted)
     assert sweep("Ex7_1", n=50, rng_seed=0)["valid"] == 50
-    assert stacks == [40, 10]
+    assert folds == [40, 10]
+
+
+@pytest.mark.parametrize("family, n, curves", [("Ex7_1", 50, 1), ("Ex8_2", 160, 2)])
+def test_sweep_builds_no_per_draw_object(monkeypatch, family, n, curves):
+    # the valid path builds no ParamFamily, FamilyValidation, Curve or
+    # SurfaceMap per draw: per fold, its curves, one constructor call and
+    # the stacked surface, plus one slice of it per 9x9 block of 12 draws
+    made = {cls.__name__: 0 for cls in (ParamFamily, FamilyValidation, Curve, SurfaceMap)}
+    for cls in (ParamFamily, FamilyValidation, Curve, SurfaceMap):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            made[name] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    summary = sweep(family, n=n, rng_seed=0)
+    folds = [40] * (summary["valid"] // 40) + [summary["valid"] % 40]
+    assert summary["valid"] > 40 and summary["passed"] == summary["valid"]
+    assert made == {"ParamFamily": 0, "FamilyValidation": 0, "Curve": curves * len(folds),
+                    "SurfaceMap": sum(2 + (d > 12) * -(-d // 12) for d in folds)}
 
 
 def test_sweep_validates_each_draw_once(monkeypatch):
@@ -282,15 +316,16 @@ PARAMS = (st.floats(-0.5, 4.0) | st.floats(1e140, 1e160)
 
 def _same_verdict(family, params):
     """The sweep's verdict on a draw (``_valid_rows``) is validate_family's,
-    and a valid draw's validation from those coefficients is the full one,
+    and a valid draw's radicands and denominators are validate_family's,
     bit for bit."""
     rows, coeffs = _valid_rows(family, np.array([[params[k] for k in
                                                   FAMILIES[family]["params"]]], dtype=float))
     validation = validate_family(ParamFamily(family, params))
     assert (rows.size == 1) == validation.ok
     if validation.ok:
-        assert validate_family(ParamFamily(family, params), coeffs[0]) == validation
-        assert [np.float64(v).tobytes() for part in coeffs[0] for v in part.values()] == [
+        assert [list(part) for part in coeffs] == [
+            list(validation.radicands), list(validation.denominators)]
+        assert [v.tobytes() for part in coeffs for v in part.values()] == [
             np.float64(v).tobytes() for part in (validation.radicands, validation.denominators)
             for v in part.values()]
     return validation
@@ -316,8 +351,8 @@ def test_sweep_rejects_exactly_the_draws_validation_rejects(family, near, data):
     ("Ex8_2", {"a": -0.7, "b": 0.7, "p": 1.1, "q": 1.5, "r": 1.1, "s": 1.5}, False, None),
     # at SAMPLER_BOUND a^2 p^2 is inf: times p^2 - r^2 = 0 it is NaN, which fails ...
     ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 1e150}, False, math.nan),
-    # ... and an inf radicand passes
-    ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 2}, True, math.inf),
+    # ... and so does an inf radicand, which is not finite
+    ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 2}, False, math.inf),
     # beyond it p**2 raises OverflowError
     ("Ex7_1", {"a": 1, "p": 1e155, "q": 1, "r": 2}, False, "out of range"),
 ])
@@ -329,6 +364,22 @@ def test_sweep_rejection_edges(family, params, ok, edge):
     elif edge is not None:
         rads = list(validation.radicands.values())
         assert any(v == edge or (math.isnan(v) and math.isnan(edge)) for v in rads)
+        if not ok:
+            assert f"not finite (= {edge:g})" in validation.failures[0]
+
+
+def test_sweep_counts_draws_with_infinite_radicands_invalid():
+    # squares within SAMPLER_BOUND stay finite, but a^2 p^2 (p^2 - r^2) does
+    # not: each draw's radicands overflow to inf, which fails validation
+    summary = sweep("Ex7_1", {"a_box": [1e150, 1e150], "pqr_box": [1e149, 1e150],
+                              "min_gap": 0}, n=3)
+    assert (summary["valid"], summary["invalid"], summary["passed"]) == (0, 3, 0)
+    fam = ParamFamily("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1e149, "r": 5e149})
+    assert validate_family(fam).failures == [
+        f"radicand {name} not finite (= inf)" for name in FAMILIES["Ex7_1"]["_coeffs"](
+            1.0, 1.0, 1.0, 1.0)[0]]
+    with pytest.raises(ConstraintViolationError, match=r"is not finite \(= inf\)"):
+        make_example(fam)
 
 
 def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
@@ -371,26 +422,25 @@ def test_efield_checks_its_nodes_once():
 
 
 def test_sweep_holds_one_batch_of_surfaces(monkeypatch):
-    phases, checks = harness._premise_phases, harness._check_rows
+    # every surface made so far, by the constructor or as a fold's stack
+    init, checks = SurfaceMap.__init__, harness._check_rows
     made, live = [], []
 
-    def tracked(spec, draws, tols):
-        out, stacked = phases(spec, draws, tols)
-        made.extend(weakref.ref(surface) for _, _, surface in out if surface is not None)
-        made.append(weakref.ref(stacked))
-        return out, stacked
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
 
-    def counting(spec, surfaces, tols, stacked=None):
+    def counting(spec, surface, tols):
         gc.collect()
         live.append(sum(ref() is not None for ref in made))
-        return checks(spec, surfaces, tols, stacked)
+        return checks(spec, surface, tols)
 
-    monkeypatch.setattr(harness, "_premise_phases", tracked)
+    monkeypatch.setattr(SurfaceMap, "__init__", tracked)
     monkeypatch.setattr(harness, "_check_rows", counting)
     sweep("Ex7_1", n=50, rng_seed=0)
-    per = diffgeo._draws_per_block(harness.FD_SUBGRID)
-    # a fold's draws and their stacked surface
-    assert live == [per + 1] * (50 // per) + [50 % per + 1]
+    # the fold's stacked surface alone: its constructor's surface and the
+    # folds before it are gone
+    assert live == [1, 1]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))
@@ -415,7 +465,8 @@ def test_grid_values_blocks_whole_draws(monkeypatch, name):
         (alone,) = diffgeo.grid_values(surface, shape, k, curvature=curvature)
         single = list(blocks)
         blocks.clear()
-        (many,) = diffgeo.grid_values(_stacked([surface] * 13), shape, k, curvature=curvature)
+        fold = _stacked(surface, tuple(repeated(c, 13) for c in surface.sources))
+        (many,) = diffgeo.grid_values(fold, shape, k, curvature=curvature)
         assert np.array_equal(many, np.broadcast_to(alone, (13,) + alone.shape))
         # whole draws of one stack per block, one draw where a grid block holds one
         stacks = [(d,) + shape for d in [per] * (13 // per) + [13 % per] if d]
@@ -436,34 +487,55 @@ def test_batch_error_other_than_a_degenerate_metric_propagates(monkeypatch):
         sweep("Ex7_1", n=12, rng_seed=3)
 
 
-def test_draws_of_two_term_structures_are_checked_one_by_one():
+def test_a_draw_that_zeroes_components_is_checked_in_its_fold():
     # this q zeroes a radicand exactly, which validation allows; two of the
-    # curve's components then vanish, so its terms cannot stack with a
-    # draw's whose radicand is positive
+    # curve's components then vanish, and the draw still shares its fold's
+    # term structure, so the fold is checked in one run, each draw as alone
     a = 0.5
     q = math.sqrt((4 + a * a) / (2 + a * a))
     tols = default_tolerances()
+    draws = [{"a": a, "b": 1.1, "p": 1.0, "q": qq} for qq in (1.5, q)]
     specs = [SurfaceSpec(family="hyp_ii", grid=(9, 9), curves=(
-        {"family_id": "Ex8_1", "params": {"a": a, "b": 1.1, "p": 1.0, "q": qq}},))
-        for qq in (1.5, q)]
-    surfaces = [harness._premise_phase(s, harness._resolve_curves(s)[0], tols)[2] for s in specs]
-    assert [len(s.sources[0]._plan) for s in surfaces] == [8, 6]
-    batch = harness._checks(specs[0], surfaces, tols)
-    assert batch == [harness._checks(specs[0], [s], tols)[0] for s in surfaces]
+        {"family_id": "Ex8_1", "params": params},)) for params in draws]
+    _, fold = harness._premise_phases(specs[0], fold_of("Ex8_1", draws), tols)
+    assert len(harness._check_rows(specs[0], fold, tols)) == 1
+    alone = [harness._premise_phase(s, harness._resolve_curves(s)[0], tols)[2] for s in specs]
+    assert not make_example(ParamFamily("Ex8_1", draws[1])).at(0.5)[[2, 5]].any()
+    batch = harness._checks(specs[0], fold, tols)
+    assert batch == [harness._checks(specs[0], s, tols)[0] for s in alone]
     assert all(r.passed for checks in batch for r in checks)
 
 
+#: three draws of each single-curve family and of Ex8_2 (a fold's curves);
+#: in each, the third draw has a frequency (2.8862 or 1.4356) whose cube
+#: numpy's array ``**`` rounds otherwise than Python's float ``**``
+FOLDS = {
+    "Ex7_1": [{"a": 0.5, "p": 3, "q": 1, "r": 2}, {"a": 1.7, "p": 3, "q": 1, "r": 2},
+              {"a": 1.0, "p": 2.8862, "q": 1, "r": 2}],
+    # the second draw zeroes the radicand of components 2 and 5
+    "Ex8_1": [{"a": 0.5, "b": 1.1, "p": 1.0, "q": q}
+              for q in (1.5, math.sqrt(4.25 / 2.25), 1.4356)],
+    "Ex8_2": [{"a": a, "b": 0.7, "p": 1.1, "q": 1.5, "r": 1.1, "s": s}
+              for a, s in ((0.6, 1.5), (0.65, 1.5), (0.7, 1.4356))],
+}
+
+
 def test_stacked_curves_evaluate_each_curve_bit_for_bit():
-    from lorentzmin.curves import _Stack, make_example
-    pairs = [make_example(ParamFamily("Ex8_2", {"a": a, "b": 0.7, "p": 1.1, "q": 1.5,
-                                                "r": 1.1, "s": 1.5})) for a in (0.6, 0.65, 0.7)]
+    # a fold's curves put its draws on the third axis from the end of t's
+    # shape; each draw's values are those of its make_example curve, signs of
+    # zero included, and so are those of a fold's slices
     t = np.linspace(-1.0, 1.0, 12).reshape(2, 1, 2, 3)  # offsets, draws, rows, cols
-    for curves in zip(*pairs):
-        stack = _Stack(curves)
-        stacked = stack.derivatives(t, range(4))
-        assert stacked.shape == (4, 2, 3, 2, 3, 14)
-        for b, curve in enumerate(curves):
-            assert np.array_equal(stacked[:, :, b], curve.derivatives(t[:, 0], range(4)))
-            assert np.array_equal(stack.at(t, 2)[:, b], curve.at(t[:, 0], 2))
-    with pytest.raises(InvalidInputError, match="term structure"):
-        _Stack(pairs[0])  # z and w of one pair have different terms
+    for family, draws in FOLDS.items():
+        alone = [make_example(ParamFamily(family, params)) for params in draws]
+        alone = [c if isinstance(c, tuple) else (c,) for c in alone]
+        for i, curve in enumerate(fold_of(family, draws)):
+            values = curve.derivatives(t, range(4))
+            assert values.shape == (4, 2, len(draws), 2, 3, curve.signature.dim)
+            for b, own in enumerate(curves[i] for curves in alone):
+                assert values[:, :, b].tobytes() == own.derivatives(t[:, 0], range(4)).tobytes()
+                assert curve.at(t, 2)[:, b].tobytes() == own.at(t[:, 0], 2).tobytes()
+            assert curve[[2, 0]].at(t, 1).tobytes() == curve.at(t, 1)[:, [2, 0]].tobytes()
+            assert curve[1:].at(t, 3).tobytes() == curve.at(t, 3)[:, 1:].tobytes()
+    with pytest.raises(InvalidInputError, match="shapes"):
+        Curve(curve.signature, [[(b, a[:2] if isinstance(a, np.ndarray) else a, w)
+                                 for b, a, w in comp] for comp in curve.components])

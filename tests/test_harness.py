@@ -408,14 +408,18 @@ class TestSweep:
                                                            worst):
         import lorentzmin.harness as harness
 
-        draws = iter(residuals)
+        draws, folds = iter(residuals), []
 
-        def fake_check_rows(spec, surfaces, tols, stacked=None):
-            return [[("x", np.array([[next(draws)] for _ in surfaces]), 1.0, "g", None, "")]]
+        def fake_premise_phases(spec, curves, tols):
+            folds.append(curves[0]._lead[0])
+            return [([], []) for _ in range(folds[-1])], spec
 
-        # every draw builds a surface with no premise reports, then checks "x"
-        monkeypatch.setattr(harness, "_premise_phases",
-                            lambda spec, draws, tols: ([([], [], spec) for _ in draws], None))
+        def fake_check_rows(spec, surface, tols):
+            return [[("x", np.array([[next(draws)] for _ in range(folds[-1])]), 1.0, "g", None,
+                      "")]]
+
+        # every draw builds, with no premise reports, then checks "x"
+        monkeypatch.setattr(harness, "_premise_phases", fake_premise_phases)
         monkeypatch.setattr(harness, "_check_rows", fake_check_rows)
         summary = sweep("Ex7_1", n=len(residuals), rng_seed=0)
         assert summary["worst_residuals"] == {"x": worst}

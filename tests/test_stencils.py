@@ -3,12 +3,11 @@ fold of draws at once, and give the same bits as the full stencils did:
 ``tangent`` is the jet's (L_x, L_y); ``fd_jet`` and the E-field stencil,
 which evaluate their offsets on a block's own axes, a group at a time,
 equal the stencils evaluated on every node, one offset at a time.  Each
-is checked on a single surface and on stacks of draws
-(``surfaces._stacked``).  The subgrid pass over a fold of 40 draws peaks
-at most 2x the grid pass over a 9x9 block of 12 draws, and the premises of
-40 pair draws at a 33x33 grid no higher than that grid pass.  The chart
-jet, which writes its fields into the grid pass's table, gives the bits of
-the point path."""
+is checked on a single surface and on a fold of draws, built as a sweep
+builds it (``curves._fold_curves``, ``harness._premise_phases``).  The
+subgrid pass over a fold of 40 draws peaks at most 2x the grid pass over
+a 9x9 block of 12 draws.  The chart jet, which writes its fields into the
+grid pass's table, gives the bits of the point path."""
 
 import dataclasses
 import tracemalloc
@@ -17,11 +16,12 @@ import numpy as np
 import pytest
 
 from lorentzmin import diffgeo, harness
+from lorentzmin.curves import FAMILIES, _fold_curves, _valid_rows
 from lorentzmin.errors import DegenerateMetricError
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec
 from lorentzmin.indefinite import indefinite_dot
 from lorentzmin.report import default_tolerances
-from lorentzmin.surfaces import _FIELDS, Jet2, _col, _stacked, grid_axes
+from lorentzmin.surfaces import _FIELDS, Jet2, _col, _draw_count, grid_axes
 
 #: 40 valid parameter sets of each curve-built family (a sweep's fold), one
 #: term structure each
@@ -46,6 +46,21 @@ def _surfaces(family, draws=6):
     spec, curves = _curves(family, draws=draws)
     premise = default_tolerances()["premise"]
     return [SURFACE_FAMILIES[family].build(c, spec.resolved_domain(), premise) for c in curves]
+
+
+def _surface(family, draws):
+    """The first draw's surface, or the first ``draws`` draws as a sweep's
+    fold makes them: curves from the coefficient arrays, then one surface."""
+    if draws == 1:
+        return _surfaces(family, 1)[0]
+    curve_family, params = DRAWS[family]
+    values = np.array([[p[k] for k in FAMILIES[curve_family]["params"]] for p in params[:draws]])
+    rows, coeffs = _valid_rows(curve_family, values)
+    spec = SurfaceSpec(family=family, grid=(9, 9))
+    _, surface = harness._premise_phases(spec, _fold_curves(curve_family, values, coeffs),
+                                         default_tolerances())
+    assert len(rows) == _draw_count(surface) == draws
+    return surface
 
 
 def _fd_jet_on_every_node(surface, x, y):
@@ -98,7 +113,7 @@ def _efield_per_offset(surface, x, y):
 @pytest.mark.parametrize("draws", [1, 6])
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_tangent_is_the_jets_lx_and_ly(family, draws):
-    surface = _stacked(_surfaces(family)[:draws])
+    surface = _surface(family, draws)
     x, y = np.broadcast_arrays(*grid_axes(surface.domain, FD_SUBGRID))
     # offsets on a leading axis, as the E-field stencil passes them
     d = np.linspace(-1e-3, 1e-3, 8)[:, None, None]
@@ -112,7 +127,7 @@ def test_tangent_is_the_jets_lx_and_ly(family, draws):
 @pytest.mark.parametrize("draws", [1, 6])
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_per_axis_fd_jet_equals_the_stencil_on_every_node(family, draws):
-    surface = _stacked(_surfaces(family)[:draws])
+    surface = _surface(family, draws)
     xs, ys = grid_axes(surface.domain, FD_SUBGRID)
     got, want = diffgeo.fd_jet(surface, xs, ys), _fd_jet_on_every_node(surface, xs, ys)
     for field in ("L", "Lx", "Ly", "Lxx", "Lxy", "Lyy"):
@@ -125,7 +140,7 @@ def test_table_jet_gives_the_bits_of_copied_fields_and_of_the_point_path(family,
     # the chart jet writes its fields into the table of diffgeo._table
     # (Jet2.table); the fields the grid pass copies out of it, over two
     # blocks, have the bits of partials()'s
-    surface = _stacked(_surfaces(family)[:draws])
+    surface = _surface(family, draws)
     shape = (40, 40)  # two blocks of 1,024 nodes at most
     axes = grid_axes(surface.domain, shape)
     assert surface.jet(*axes).table is not None
@@ -140,7 +155,7 @@ def test_table_jet_gives_the_bits_of_copied_fields_and_of_the_point_path(family,
 @pytest.mark.parametrize("family", sorted(DRAWS))
 def test_axis_efield_equals_the_stencil_on_every_node(family, draws):
     # 40 draws of 25 nodes take two offsets per tangent call
-    surface = _stacked(_surfaces(family, draws))
+    surface = _surface(family, draws)
     xs, ys = grid_axes(surface.domain, FD_SUBGRID)
     for got, want in zip(diffgeo._efield(surface, xs, ys), _efield_per_offset(surface, xs, ys)):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -157,7 +172,7 @@ def _peak(run):
 
 
 def _pass_peak(family, draws, shape, curvature, pick):
-    stack = _stacked(_surfaces(family, draws))
+    stack = _surface(family, draws)
     fields = [e[1] for e in harness._check_plan(stack)[pick]]
     return _peak(lambda: diffgeo.grid_values(stack, shape, fields, curvature=curvature))
 
