@@ -6,7 +6,7 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (85):
+The outputs (86):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
@@ -25,6 +25,9 @@ The outputs (85):
 * on seeds 0 and 1, Ex7_1 at n=50 with min_gap 1.2 (about 340 rejected
   tries per draw) and Ex8_1 at n=50 with rel 0.3 (about half the draws
   invalid), which exercise the samplers' rejections;
+* Ex7_1 at n=3 on parameters near 1e-150 (``EXTREME_BOX``), whose fold
+  mixes two premise-blocked draws, a ``metric-signature`` draw and a
+  lightcone-z residual of 2.4e288;
 * ``list-families``.
 
 Each output runs in this process through ``lorentzmin.cli.main``; its file
@@ -70,6 +73,8 @@ PAIRING_GAP = {
     "domain": {"x": [math.pi / 2 - 0.6, math.pi / 2 + 0.2],
                "y": [-math.pi / 2 - 0.4, -math.pi / 2 + 0.4]},
     "grid": [2, 2]}
+#: An Ex7_1 sampler box whose squares of p, q and r are near 1e-300
+EXTREME_BOX = {"a_box": [1, 1], "pqr_box": [1e-160, 1e-150], "min_gap": 0}
 #: ads_null as both z and w is no admissible pair: iii.1 fails (iii.2 and
 #: iii.3 hold), and g_xy > 0 stops the grid pass (metric-signature fails)
 DEGENERATE_PAIR = {"family": "hyp_iii", "curves": [{"name": "ads_null"}, {"name": "ads_null"}]}
@@ -112,6 +117,9 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
             table[f"sweep-{family}-{key}{value}-seed{seed}.json"] = (
                 ["sweep", "--family", family, "--n", "50", "--seed", str(seed),
                  f"--sampler-config={json.dumps({key: value})}"], None)
+    table["sweep-Ex7_1-extreme-seed0.json"] = (
+        ["sweep", "--family", "Ex7_1", "--n", "3", f"--sampler-config={json.dumps(EXTREME_BOX)}"],
+        None)
     table["list-families.json"] = (["list-families"], None)
     return table
 

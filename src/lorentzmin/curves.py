@@ -134,8 +134,9 @@ def _checked_term(term) -> tuple:
 
 def _pow(w, k):
     """w**k by Python's float ``**`` (libm's pow, which numpy's need not
-    match bit for bit), elementwise on an array."""
-    if not isinstance(w, np.ndarray):
+    match bit for bit), elementwise on an array; w**0 = 1 and w**1 = w are
+    exact either way."""
+    if not isinstance(w, np.ndarray) or k < 2:
         return w**k
     return np.array([v**k for v in w.ravel().tolist()]).reshape(w.shape)
 
@@ -568,7 +569,8 @@ def _coefficient_ok(value, kind: str):
 
 def validate_family(fam: ParamFamily) -> FamilyValidation:
     """Numeric validation: every radicand >= 0, every denominator > 0, and
-    each finite (``_coefficient_ok``).
+    each finite (``_coefficient_ok``); then every coefficient of the curves
+    finite (``_coefficients``).
 
     The quoted inequality chain is evaluated too, but only for reporting;
     it neither implies nor is implied by validity (one family's chain in
@@ -580,11 +582,15 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
                 for name, value in zip(info["params"], args) if not value > 0]
     try:
         rads, dens = info["_coeffs"](*args)
+        built = _coefficients(fam.family_id, *([np.array([v], dtype=float) for v in part]
+                                                for part in (args, rads.values(), dens.values())))
     except OverflowError as exc:  # squares of parameters beyond the double range
-        rads, dens = {}, {}
+        rads, dens, built = {}, {}, []
         failures.append(f"{fam.label()}: parameters out of range ({exc})")
     violations = [(name, value, kind) for kind, part in (("denominator", dens), ("radicand", rads))
                   for name, value in part.items() if not _coefficient_ok(value, kind)]
+    failures += [] if failures or violations else [f"{fam.label()}: {name} not finite (= {a[0]:g})"
+                                                   for name, a in built if not np.isfinite(a[0])]
     return FamilyValidation(
         family_id=fam.family_id,
         ok=not (failures or violations),
@@ -632,8 +638,23 @@ def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, tuple[d
     for kind, part in (("denominator", dens), ("radicand", rads)):
         for value in part.values():
             ok &= _coefficient_ok(value, kind)
+    built = _coefficients(family_id, values.T, rads.values(), dens.values()) if ok.any() else ()
+    for _, a in built:
+        ok &= np.isfinite(a)
     rows = np.flatnonzero(ok)
     return rows, tuple({k: v[rows] for k, v in part.items()} for part in (rads, dens))
+
+
+def _coefficients(family_id, args, rads, dens) -> list[tuple[str, np.ndarray]]:
+    """(name, array) of each term coefficient of the family's curves from
+    arrays of its parameters, radicands and denominators, by numpy's
+    arithmetic: a quotient by zero is not finite (``make_example``'s raises)."""
+    info = FAMILIES[family_id]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tables = info["_build"](*args, dict(enumerate(rads)), dict(enumerate(dens)), False,
+                                sqrt=np.sqrt)
+    return [(f"coefficient of {curve}'s component {slot}", np.atleast_1d(a)) for curve, comps in
+            zip("zw", tables) for slot, comp in enumerate(comps) for _, a, _ in comp]
 
 
 def _chain_holds(chain, args) -> bool:

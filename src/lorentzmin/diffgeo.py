@@ -34,8 +34,10 @@ the derivative-free counterpart of the analytic jet: Richardson-extrapolated
 central differences of the position at 17 offsets per node, one step per
 stencil; ``fd_discrepancy`` compares it with the analytic jet (the
 ``fd-partials`` cross-check).  Each stencil step scales with its own
-coordinate, so a grid block's offsets lie on its x and y axes, and each
-group of offsets is evaluated together, then dropped (``_offsets``).
+coordinate, so all offsets lie on a block's x and y axes: each curve is
+evaluated once per block, at 7 points about each coordinate
+(``_abscissae``), and ``position`` and ``tangent`` read the offsets from
+those tables (``_at``).
 
 One routine, ``_forms``, computes all of it on arrays of nodes at once:
 one ``jet`` call, one table of the indefinite products that the
@@ -43,10 +45,11 @@ projection, (g_xy)_x, (g_xy)_y and the checks need, the at most 3x3 Gram
 systems solved in closed form from their adjugates behind a degeneracy
 guard, and four products for (g_xy)_xy, all component-major (embedding
 axis first in memory), returning dim-last views.  ``grid_values`` runs it
-in blocks of at most ``BLOCK_NODES`` nodes, with the grid's axes checked
-once and each block handed its slice of the curves' per-axis derivatives
-(``surfaces._grid_blocks``); the point functions (``point_forms`` and the
-functions built on it) run it on a single node.
+in blocks of at most ``BLOCK_NODES`` draws x nodes, with the grid's axes
+checked once and each block handed its slice of the curves' per-axis
+derivatives, made once for a fold's draws (``surfaces._grid_blocks``); the
+point functions (``point_forms`` and the functions built on it) run it on
+a single node.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .errors import DegenerateMetricError, DomainError
 from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 from .surfaces import (_FIELDS, BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _dim_last,
-                       _draw_count, _draws_per_block, _grid_blocks, _stacked, grid_axes)
+                       _draw_count, _draws_per_block, _grid_blocks, _tables, grid_axes)
 
 __all__ = [
     "MetricData",
@@ -130,6 +133,7 @@ class FundamentalForms:
     h22: np.ndarray
     H: np.ndarray    # mean curvature vector, = -h12
     K: float
+    fd: Jet2 | None = None  # the FD jet (``fd_jet``) of a "stencil" pass
 
 
 # ---------------------------------------------------------------------------
@@ -164,43 +168,59 @@ def _check_point(surface: SurfaceMap, x, y, reach):
             )
 
 
-def _offsets(surface, f, x, y):
-    """at(dx, dy): [f(x + sx[i] hx, y + sy[i] hy) for each offset i], with
-    dx = (sx, hx) and dy = (sy, hy) factors and steps (an axis without them
-    keeps its coordinate) and the offsets on an axis before the nodes', from
-    calls of f on at most 2 BLOCK_NODES node-offsets of ``surface`` each."""
-    nodes = np.broadcast(x, y)
-    each = max(1, 2 * BLOCK_NODES // (_draw_count(surface) * nodes.size))
-
-    def moved(t, d, i):
-        return t + np.reshape(d[0][i:i + each], (-1,) + (1,) * nodes.ndim) * d[1] if d else t
-    return lambda dx=(), dy=(): [v for i in range(0, len((dx or dy)[0]), each)
-                                 for v in f(moved(x, dx, i), moved(y, dy, i))]
+def _abscissae(t, h=None):
+    """(points, h, k): where the stencils evaluate the curves about
+    coordinates t, on a leading axis: t; t + h, t - h, t + h/2, t - h/2 for
+    fd_jet's quotients and crosses (h given, or FD_STEP * max(1, |t|); hx/2
+    is 0.5 hx exactly); t + k, t - k for the E-field (K_STEP_ANALYTIC)."""
+    scale = np.maximum(1.0, np.abs(t))
+    h, k = FD_STEP * scale if h is None else np.full(np.shape(t), float(h)), K_STEP_ANALYTIC * scale
+    return np.stack([t, t + h, t - h, t + 0.5 * h, t - 0.5 * h, t + k, t - k]), h, k
 
 
-#: Offset factors: a Richardson quotient's +h, -h, +h/2, -h/2; a cross's x and y signs
-_RICHARDSON, _CROSS_X, _CROSS_Y = (1, -1, 0.5, -0.5), (1, 1, -1, -1), (1, -1, 1, -1)
+#: (orders, abscissae) of the curves' tables that the stencils keep: the
+#: nodes' for the jet, fd_jet's offsets for ``position``, the E-field's for ``tangent``
+_PARTS = ((4, slice(0, 1)), (2, slice(1, 5)), (3, slice(5, 7)))
+#: A cross's offsets (+, +), (+, -), (-, +), (-, -), as rows of x's and y's abscissae
+_CROSS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def fd_jet(surface: SurfaceMap, x, y, h: float | None = None, *, _centre=None) -> Jet2:
+def _stencil_tables(surface: SurfaceMap, X, Y):  # z's at the abscissae X, then w's at Y
+    return _tables(surface.sources[:1], X, _PARTS) + _tables(surface.sources[1:], Y, _PARTS)
+
+
+def _at(f, X, Y, d, parts, pairs):
+    """[f at (X[i], Y[j]) for (i, j) in pairs]: f at rows of the ``_abscissae``
+    X of x and Y of y, of their ``parts`` (indices of ``_PARTS``, x's and
+    y's), with the curves' tables there (of d, z's then w's), in calls on at
+    most 2 BLOCK_NODES node-offsets each; a row that a call repeats is broadcast."""
+    (n, sx), (m, sy) = (_PARTS[p] for p in parts)
+    X, Y, d = X[sx], Y[sy], d[parts[0]:parts[0] + 1] + d[3 + parts[1]:4 + parts[1]]
+    each = max(1, 2 * BLOCK_NODES // np.broadcast(X[0], Y[0], *(t[0, 0, ..., 0] for t in d)).size)
+    out = []
+    for k in range(0, len(pairs), each):
+        rows = [list(r) if len(set(r)) > 1 else slice(r[0], r[0] + 1)
+                for r in zip(*pairs[k:k + each])]
+        out += list(f(X[rows[0]], Y[rows[1]], *(  # tables picked component-major
+            _dim_last(np.moveaxis(t, -1, 1)[:min(n, m), :, r], 1) for t, r in zip(d, rows))))
+    return out
+
+
+def fd_jet(surface: SurfaceMap, x, y, h: float | None = None, *, _centre=None, _d=None) -> Jet2:
     """Jet from Richardson-extrapolated central differences of the position,
     at one node or at arrays of nodes (x and y broadcast against each other).
 
     The stencils need 17 offsets per node, at one step per coordinate (h if
     given, else FD_STEP * max(1, |x|) and FD_STEP * max(1, |y|)): the centre;
     x at +-hx and +-hx/2, for L_x and L_xx alike, and y likewise; the
-    crosses (+-hx, +-hy) and (+-hx/2, +-hy/2) for L_xy.  Each step scales with its own
-    coordinate, so x's offsets are evaluated on x's own shape (a grid
-    block's (rows, 1) axis) and y's likewise.  Each group of offsets is
-    evaluated together (``_offsets``) and dropped once its quotients are
-    formed.  ``_centre`` hands in the position at the nodes when a jet there
-    holds it already."""
+    crosses (+-hx, +-hy) and (+-hx/2, +-hy/2) for L_xy.  ``position`` reads
+    them from the sources' tables at the ``_abscissae`` (``_d`` hands in
+    those of a grid pass); ``_centre``, the position at the nodes."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    hx, hy = (np.full(t.shape, float(h)) if h is not None
-              else FD_STEP * np.maximum(1.0, np.abs(t)) for t in (x, y))
+    (X, hx, _), (Y, hy, _) = _abscissae(x, h), _abscissae(y, h)
     _check_point(surface, x, y, np.maximum(hx, hy))
-    c = surface.position(x, y) if _centre is None else _centre
-    at = _offsets(surface, surface.position, x, y)
+    d = _d or _stencil_tables(surface, X, Y)
+    c = surface.position(x, y, *(t[:2, 0] for t in d[::3])) if _centre is None else _centre
 
     def richardson(q, h):  # (first, second) derivative from the position at +h, -h, +h/2, -h/2
         d1 = (q[0] - q[1]) / _col(2 * h)
@@ -209,14 +229,17 @@ def fd_jet(surface: SurfaceMap, x, y, h: float | None = None, *, _centre=None) -
         s2 = (q[2] - 2 * c + q[3]) / _col((h / 2) ** 2)
         return (4 * d2 - d1) / 3, (4 * s2 - s1) / 3
 
-    def cross(hx, hy):  # from the position at (x + hx, y + hy), (x + hx, y - hy), ...
-        p = at((_CROSS_X, hx), (_CROSS_Y, hy))
+    def cross(p, hx, hy):  # from the position at (x + hx, y + hy), (x + hx, y - hy), ...
         return (p[0] - p[1] - p[2] + p[3]) / _col(4 * hx * hy)
 
-    Lx, Lxx = richardson(at((_RICHARDSON, hx)), hx)
-    Ly, Lyy = richardson(at(dy=(_RICHARDSON, hy)), hy)
-    return Jet2(L=c, Lx=Lx, Ly=Ly, Lxx=Lxx, Lxy=(4 * cross(hx / 2, hy / 2) - cross(hx, hy)) / 3,
-                Lyy=Lyy)
+    def at(parts, pairs):  # the position at those offsets
+        return _at(surface.position, X, Y, d, parts, pairs)
+
+    Lxy = (4 * cross(at((1, 1), [(i + 2, j + 2) for i, j in _CROSS]), hx / 2, hy / 2)
+           - cross(at((1, 1), _CROSS), hx, hy)) / 3  # first, while few results are held
+    Lx, Lxx = richardson(at((1, 0), [(i, 0) for i in range(4)]), hx)
+    Ly, Lyy = richardson(at((0, 1), [(0, j) for j in range(4)]), hy)
+    return Jet2(L=c, Lx=Lx, Ly=Ly, Lxx=Lxx, Lxy=Lxy, Lyy=Lyy)
 
 
 def partials(surface: SurfaceMap, x, y) -> Jet2:
@@ -270,7 +293,8 @@ def _table(surface: SurfaceMap, jet: Jet2):
     T[:, 3:] = np.einsum("ikn,jkn->ijn", D, W[3:6])
     D = np.ascontiguousarray(D.transpose(2, 0, 1))  # the one above dies before B is made
     B = np.ascontiguousarray(W[:3].transpose(2, 0, 1))
-    T[:, :3] = (D @ B.transpose(0, 2, 1)).transpose(1, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an extreme draw's products are inf
+        T[:, :3] = (D @ B.transpose(0, 2, 1)).transpose(1, 2, 0)
     bad = T[0, 1] >= 0
     if bad.any():
         raise DegenerateMetricError(
@@ -306,10 +330,10 @@ def _second_form(W, T, n):
     return W[3:6] - np.einsum("ijn,ikn->jkn", C, W[:n])
 
 
-def _conformal(surface: SurfaceMap, x, y):
+def _conformal(surface: SurfaceMap, x, y, *d):
     """E = sqrt(-g_xy) at arrays of nodes the caller has checked, from the
-    surface's ``tangent`` (the analytic L_x and L_y)."""
-    lx, ly = surface.tangent(x, y)
+    surface's ``tangent`` (the analytic L_x and L_y; ``d`` as it takes them)."""
+    lx, ly = surface.tangent(x, y, *d)
     g_xy = indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
     bad = g_xy >= 0
     if bad.any():
@@ -323,19 +347,20 @@ def _conformal(surface: SurfaceMap, x, y):
     return np.sqrt(-g_xy)
 
 
-def _efield(surface: SurfaceMap, x, y):
+def _efield(surface: SurfaceMap, x, y, d=None):
     """E_x, E_y and E_xy by plain central differences of E = sqrt(-g_xy) on
-    one cross, E(x +- hx, y +- hy), at nodes x and y that broadcast (a grid
+    one cross, E(x +- kx, y +- ky), at nodes x and y that broadcast (a grid
     block's axes).
 
-    The half-widths are K_STEP_ANALYTIC * max(1, |x|) and * max(1, |y|), so
-    the four offsets lie on x's and y's own axes (``_offsets``)."""
-    hx, hy = (K_STEP_ANALYTIC * np.maximum(1.0, np.abs(t)) for t in (x, y))
-    _check_point(surface, x, y, np.maximum(hx, hy))
-    e = _offsets(surface, lambda u, v: _conformal(surface, u, v), x, y)(
-        (_CROSS_X, hx), (_CROSS_Y, hy))
-    return ((e[0] + e[1] - e[2] - e[3]) / (4 * hx), (e[0] - e[1] + e[2] - e[3]) / (4 * hy),
-            (e[0] - e[1] - e[2] + e[3]) / (4 * hx * hy))
+    The half-widths are K_STEP_ANALYTIC * max(1, |x|) and * max(1, |y|);
+    ``tangent`` reads the offsets from the sources' tables at the
+    ``_abscissae`` (``d`` hands in those of a grid pass)."""
+    (X, _, kx), (Y, _, ky) = _abscissae(x), _abscissae(y)
+    _check_point(surface, x, y, np.maximum(kx, ky))
+    e = _at(lambda u, v, *t: _conformal(surface, u, v, *t), X, Y,
+            d or _stencil_tables(surface, X, Y), (2, 2), _CROSS)
+    return ((e[0] + e[1] - e[2] - e[3]) / (4 * kx), (e[0] - e[1] + e[2] - e[3]) / (4 * ky),
+            (e[0] - e[1] - e[2] + e[3]) / (4 * kx * ky))
 
 
 def _connection(E, ex, ey, exy):
@@ -357,22 +382,24 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
 
     ``curvature`` picks the source of the E-field behind K and the
     connection: "jet" takes it exactly from the third-order jet; "stencil"
-    uses the stencil (the cross-check); None skips it and leaves the
-    connection coefficients and K None.  ``d`` hands ``jet`` the curves'
-    derivatives on a grid ``grid_values`` has checked; without it the
-    nodes are checked here.  The chart's jet comes back, broadcast to the nodes."""
+    uses the stencil and adds the FD jet (``fd``), the cross-checks; None
+    skips it.  ``d`` hands ``jet`` the curves' derivatives on a grid
+    ``grid_values`` has checked (for "stencil", ``_stencil_tables``);
+    without it the nodes are checked here.  The chart's jet comes back."""
     if d is None:
         _check_point(surface, x, y, 0.0)
-    jet = surface.jet(x, y, *(d or ()))
+    stencil = d if curvature == "stencil" else None  # tables at the stencils' abscissae
+    jet = surface.jet(x, y, *(t[:, 0] for t in stencil[::3]) if stencil else d or ())
     W, g, T, nodes = _table(surface, jet)
     h = _second_form(W, T, 2 if surface.ambient.kind is AmbientKind.FLAT else 3)
     E = np.sqrt(-T[0, 1])
-    connection, K = (None,) * 4, None
+    connection, K, fd = (None,) * 4, None, None
     if curvature is not None:
         if curvature == "jet":
             ex, ey, exy = _jet_efield(W, g, T, E)
         else:
-            ex, ey, exy = (np.reshape(e, -1) for e in _efield(surface, x, y))
+            ex, ey, exy = (np.reshape(e, -1) for e in _efield(surface, x, y, stencil))
+            fd = fd_jet(surface, x, y, _centre=jet.L, _d=stencil)
         connection, K = _connection(E, ex, ey, exy)
 
     def scalar(a):  # per node -> the nodes' shape; a float at one node
@@ -387,7 +414,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
                     np.moveaxis(T[:3, :3].reshape((3, 3) + nodes), (0, 1), (-2, -1)))
     frame = FrameData(*vectors(W[:2] / E), *map(scalar, connection))
     h11, h12, h22 = vectors(np.divide(h, E**2, out=h))
-    forms = FundamentalForms(md, frame, h11, h12, h22, -h12, scalar(K))
+    forms = FundamentalForms(md, frame, h11, h12, h22, -h12, scalar(K), fd)
     return jet, forms
 
 
@@ -401,30 +428,24 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     and part of one row otherwise.  One array per field comes back, of
     shape (nx, ny) plus whatever the field appends, in the node order of
     ``grid_points``.  ``curvature`` is passed to ``_forms``: "stencil"
-    takes K from the E-field stencil, None skips K (the forms then carry
-    none).
+    takes K from the E-field stencil and adds the FD jet; None skips K
+    (the forms then carry none).
 
     ``surface`` may be a fold's draws (``surfaces._stacked``): each
     array then gets a leading draw axis, and a block holds at most
-    ``_draws_per_block`` whole draws, a slice of the fold's curves.
-    ``fields`` may be a function of a block's surface that gives them.
+    ``_draws_per_block`` whole draws (``_grid_blocks``).
     """
-    if (draws := _draw_count(surface)) > (per := _draws_per_block(shape)):
-        return [np.concatenate(p) for p in zip(*(grid_values(
-            _stacked(surface, tuple(s[d:d + per] for s in surface.sources)), shape, fields,
-            curvature=curvature) for d in range(0, draws, per)))]
-    if callable(fields):
-        fields = fields(surface)
     xs, ys = grid_axes(surface.domain, shape)
     _check_point(surface, xs, ys, 0.0)
-    out = [None] * len(fields)
-    for r, c, x, y, d in _grid_blocks(shape, xs, ys, surface.sources):
+    out, draws = [None] * len(fields), _draw_count(surface)
+    stencil = curvature == "stencil"  # the sources at the stencils' abscissae too
+    for at, x, y, d in _grid_blocks(shape, xs, ys, surface.sources, lambda c, t: _tables(
+            c, _abscissae(t)[0], _PARTS) if stencil else _tables(c, t)):
         jet, forms = _forms(surface, x, y, curvature, d)
-        at = (slice(None),) * (jet.L.ndim - 3) + (r, c)  # after the draw axis of a stack
         for i, field in enumerate(fields):
             value = field(x, y, jet, forms)
             if out[i] is None:
-                out[i] = np.empty(value.shape[:len(at) - 2] + (xs.size, ys.size)
+                out[i] = np.empty((draws,) * (len(at) - 2) + (xs.size, ys.size)
                                   + value.shape[len(at):], value.dtype)
             out[i][at] = value
         jet = forms = value = None  # this block's arrays die before the next block's jet

@@ -53,6 +53,7 @@ from .surfaces import (
     FLAT_DOMAIN,
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
+    BLOCKING,
     _blocking,
     _check_grid,
     _condition_rows,
@@ -286,9 +287,9 @@ class SurfaceFamily:
     compare with is the chart of the surface built (``SurfaceMap.chart``).
 
     ``premises(curves, spec, tols)`` returns the reports made before
-    building, one list per draw on a fold's curves (by default none: a
-    pair's joint conditions are checks of the grid pass); ``_blocking`` ones
-    block the surface.  ``build(curves, domain, premise_tol, premises)``
+    building, or their rows on a fold's curves (by default none: a pair's
+    joint conditions are checks of the grid pass); ``_blocking`` ones block
+    the surface.  ``build(curves, domain, premise_tol, premises)``
     constructs it from those reports.  ``build`` and ``premises`` call
     constructors and checkers by module-global name, so a wrapper installed
     there sees every call."""
@@ -296,8 +297,7 @@ class SurfaceFamily:
     arity: int
     domain: tuple[tuple[float, float], tuple[float, float]]
     build: Callable
-    premises: Callable = lambda curves, spec, tols: (
-        [[] for _ in range(curves[0]._lead[0])] if curves and curves[0]._lead else [])
+    premises: Callable = lambda curves, spec, tols: []
 
 
 #: The surface families by spec name.  The de Sitter control takes no
@@ -345,18 +345,28 @@ def _premise_phase(spec, curves, tols):
         curves, spec.resolved_domain(), tols["premise"], reports)
 
 
-def _premise_phases(spec, curves, tols):
-    """``_premise_phase`` of each draw of a fold's curves (``_fold_curves``):
-    (reports, blocking ids) per draw, and the draws that build as one
-    surface (``surfaces._stacked``) from one constructor call, or None."""
+def _premise_phases(spec, curves, tols, like=None):
+    """A fold's premises (``_fold_curves``) as (condition id, residuals,
+    verdicts) over its draws; the draws that build (``BLOCKING``); and those
+    as one surface (``_stacked``) like ``like``, or ``like`` if none builds.
+    Past the premises, the constructor checks only the family and the spec,
+    so it runs once without ``like``, on the first draw's reports alone."""
     family = SURFACE_FAMILIES[spec.family]
-    outcomes = [(reports, _blocking(reports)) for reports in family.premises(curves, spec, tols)]
-    built = [i for i, (_, hard) in enumerate(outcomes) if not hard]
-    if not built:
-        return outcomes, None
-    first = family.build(tuple(c[built[:1]] for c in curves), spec.resolved_domain(),
-                         tols["premise"], outcomes[built[0]][0])
-    return outcomes, _stacked(first, tuple(c[built] for c in curves))
+    rows = family.premises(curves, spec, tols)
+    verdicts = [(cid, *(verdict or _max_verdicts)(r, tol)[:3:2])
+                for cid, r, tol, *_, verdict in rows]
+    ok = np.ones(curves[0]._lead[0], dtype=bool)
+    for _, _, passed in verdicts[:BLOCKING]:
+        ok &= passed
+    built = np.flatnonzero(ok)
+    if not built.size:
+        return verdicts, built, like
+    if like is None:
+        like = family.build(tuple(c[built[:1]] for c in curves), spec.resolved_domain(),
+                            tols["premise"], [ConditionReport._from_rows(
+                                cid, r[built[:1]], *rest)[0] for cid, r, *rest in rows])
+    return verdicts, built, _stacked(like, curves if ok.all() else tuple(
+        c[built] for c in curves))
 
 
 def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
@@ -405,9 +415,8 @@ def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
     # on the whole grid with K exact from the third-order jet, and on the
     # FD subgrid with K from the E-field stencil (the cross-check), whose
     # analytic jet is compared with the FD jet about the jet's own L
-    stencil = [("fd-partials", lambda x, y, jet, f: diffgeo._fd_gap(
-        jet, diffgeo.fd_jet(surface, x, y, _centre=jet.L)),
-        "fd", "analytic vs finite-difference jet (relative)")]
+    stencil = [("fd-partials", lambda x, y, jet, f: diffgeo._fd_gap(jet, f.fd),
+                "fd", "analytic vs finite-difference jet (relative)")]
     if k is not None:
         def k_res(x, y, jet, f):
             return np.abs(f.K - k)
@@ -444,14 +453,13 @@ def _check_rows(spec, surface, tols) -> list[list[tuple]]:
     degenerate one still reports its joint conditions (``_condition_rows``)."""
     checks, draws = [], _draw_count(surface)
     try:
-        for pick, (shape, curvature) in enumerate(((spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
-            columns = diffgeo.grid_values(
-                surface, shape, lambda s: [e[1] for e in _check_plan(s)[pick]],
-                curvature=curvature)
+        for plan, (shape, curvature) in zip(_check_plan(surface), (
+                (spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
+            columns = diffgeo.grid_values(surface, shape, [e[1] for e in plan],
+                                          curvature=curvature)
             desc, pts = surface.grid_description(shape), surface.grid(shape)
             checks += [(cid, np.reshape(column, (draws, -1)), tols[tol_key], desc, pts, note)
-                       for (cid, _, tol_key, note), column in zip(
-                           _check_plan(surface)[pick], columns)]
+                       for (cid, _, tol_key, note), column in zip(plan, columns)]
     except DegenerateMetricError as exc:
         if draws > 1:
             return [run for i in range(draws) for run in _check_rows(
@@ -469,8 +477,7 @@ def _check_rows(spec, surface, tols) -> list[list[tuple]]:
 def _checks(spec, surface, tols) -> list[list[ConditionReport]]:
     """The reports of ``_check_rows``, one list per draw."""
     return [list(reports) for run in _check_rows(spec, surface, tols) for reports in zip(*(
-        ConditionReport._from_max_rows(cid, rows, tol, desc, pts, note=note)
-        for cid, rows, tol, desc, pts, note in run))]
+        ConditionReport._from_rows(*check) for check in run))]
 
 
 def verify(spec: SurfaceSpec | dict) -> VerificationReport:
@@ -527,8 +534,10 @@ def sweep(
     Each draw gets ``verify``'s outcome: the draws are drawn and validated
     in chunks (``_draw_chunks``, ``curves._valid_rows``), and a chunk's
     valid ones checked in folds of one FD subgrid block (40 draws), whose
-    curves are built once from its coefficient arrays (``_fold_curves``)
-    and whose residual rows are folded into the summary in draw order.
+    curves are built once from its coefficient arrays (``_fold_curves``),
+    and whose (draws, nodes) residual rows are reduced once per check: the
+    worst residual is a max over draws (NaN wins), and only a draw that
+    fails gets an entry.
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidInputError(f"unknown curve family {family!r}")
@@ -540,41 +549,28 @@ def sweep(
     spec = SurfaceSpec(family=surface_family, grid=tuple(cfg["grid"]))
     tols = default_tolerances()
     names = FAMILIES[family]["params"]
-    valid = passed = failed = invalid = 0
+    valid = invalid = 0
     worst: dict[str, float] = {}
     failures: list[dict] = []
-
-    def fold_worst(cids, values):  # np.maximum over each row of values, in draw order
-        if cids:
-            start = [[worst.get(cid, -math.inf)] for cid in cids]
-            worst.update(zip(cids, np.maximum.accumulate(np.hstack([start, values]), axis=1)[
-                :, -1].tolist()))
-
-    per = diffgeo._draws_per_block(FD_SUBGRID)
+    per, surface = diffgeo._draws_per_block(FD_SUBGRID), None
     for chunk in _draw_chunks(family, cfg, rng, n):
         rows, coeffs = _valid_rows(family, chunk)
         valid, invalid = valid + len(rows), invalid + len(chunk) - len(rows)
-        for i in range(0, len(rows), per):  # check a fold together, then fold it in draw order
+        for i in range(0, len(rows), per):  # check a fold together
             draws = chunk[rows[i:i + per]]
-            outcomes, surface = _premise_phases(spec, _fold_curves(family, draws, tuple(
-                {k: v[i:i + per] for k, v in part.items()} for part in coeffs)), tols)
-            failed_checks = []  # per built draw
-            for run in _check_rows(spec, surface, tols) if surface is not None else ():
-                cids = [check[0] for check in run]
-                values, _, ok = map(np.array, zip(*(_max_verdicts(r, tol)
-                                                    for _, r, tol, *_ in run)))
-                fold_worst(cids, values)
-                failed_checks += [[c for c, good in zip(cids, col) if not good] for col in ok.T]
-            failed_checks.reverse()
-            for params, (reports, hard) in zip(draws.tolist(), outcomes):
-                fold_worst([r.condition_id for r in reports], [[r.max_residual] for r in reports])
-                ids = [r.condition_id for r in reports if not r.passed]
-                ids += [] if hard else failed_checks.pop()
-                if ids:
-                    failed += 1
-                    failures.append({"params": dict(zip(names, params)), "failed": ids})
-                else:
-                    passed += 1
+            verdicts, built, surface = _premise_phases(spec, _fold_curves(family, draws, tuple(
+                {k: v[i:i + per] for k, v in part.items()} for part in coeffs)), tols, surface)
+            verdicts = [v + (np.arange(len(draws)),) for v in verdicts]
+            for run in _check_rows(spec, surface, tols) if built.size else ():
+                took, built = np.split(built, [len(run[0][1])])
+                verdicts += [(cid, *_max_verdicts(r, tol)[:3:2], took) for cid, r, tol, *_ in run]
+            failed = {}  # by draw, its failed check ids in order
+            for cid, values, ok, took in verdicts:
+                worst[cid] = float(np.max(values, initial=worst.get(cid, -math.inf)))
+                for d in took[~ok].tolist():
+                    failed.setdefault(d, []).append(cid)
+            failures += [{"params": dict(zip(names, draws[d].tolist())), "failed": ids}
+                         for d, ids in sorted(failed.items())]
     return {
         "family": family,
         "surface_family": surface_family,
@@ -583,8 +579,8 @@ def sweep(
         "sampler": {k: v for k, v in sorted(cfg.items())},
         "valid": valid,
         "invalid": invalid,
-        "passed": passed,
-        "failed": failed,
+        "passed": valid - len(failures),
+        "failed": len(failures),
         "worst_residuals": {k: json_residual(v) for k, v in sorted(worst.items())},
         "failures": failures,
     }

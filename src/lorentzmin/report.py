@@ -34,15 +34,8 @@ class ConditionReport:
     @classmethod
     def from_max(cls, condition_id, residuals, tol, grid, points=None, note=""):
         """Report for a residual bounded above: pass iff max <= tol."""
-        return cls._from_max_rows(condition_id, np.reshape(residuals, (1, -1)), tol, grid,
-                                  points, note)[0]
-
-    @classmethod
-    def _from_max_rows(cls, condition_id, rows, tol, grid, points=None, note=""):
-        """``from_max`` of each row of a (draws, nodes) array, reduced at once."""
-        values, index, passed = _max_verdicts(rows, tol)
-        return [cls(condition_id, value, float(tol), ok, grid, _point(points, i), note)
-                for value, i, ok in zip(values.tolist(), index.tolist(), passed.tolist())]
+        return cls._from_rows(condition_id, np.reshape(residuals, (1, -1)), tol, grid, points,
+                              note)[0]
 
     @classmethod
     def from_min(cls, condition_id, values, threshold, grid, points=None, note=""):
@@ -51,17 +44,17 @@ class ConditionReport:
         Stored residual is the shortfall ``threshold - min_value``; the
         recorded tolerance is 0, preserving pass == (residual <= tol).
         """
-        return cls._from_min_rows(condition_id, np.reshape(values, (1, -1)), threshold, grid,
-                                  points, note)[0]
+        return cls._from_rows(condition_id, np.reshape(values, (1, -1)), threshold, grid, points,
+                              note or f"lower bound: residual = {threshold:g} - min value",
+                              _min_verdicts)[0]
 
     @classmethod
-    def _from_min_rows(cls, condition_id, rows, threshold, grid, points=None, note=""):
-        """``from_min`` of each row of a (draws, nodes) array, reduced at once."""
-        values, index, finite = _worst(rows, np.argmin)
-        note = note or f"lower bound: residual = {threshold:g} - min value"
-        return [cls(condition_id, float(threshold) - value, 0.0,
-                    ok and float(threshold) - value <= 0.0, grid, _point(points, i), note)
-                for value, i, ok in zip(values.tolist(), index.tolist(), finite.tolist())]
+    def _from_rows(cls, condition_id, rows, tol, grid, points=None, note="", verdicts=None):
+        """``from_max`` of each row of a (draws, nodes) array, reduced at once,
+        or ``from_min``'s with ``verdicts=_min_verdicts``."""
+        values, index, passed, tol = (verdicts or _max_verdicts)(rows, tol)
+        return [cls(condition_id, value, tol, ok, grid, _point(points, i), note)
+                for value, i, ok in zip(values.tolist(), index.tolist(), passed.tolist())]
 
     def to_dict(self) -> dict:
         return {
@@ -94,10 +87,19 @@ def _worst(rows, pick):
 
 
 def _max_verdicts(rows, tol):
-    """(residual, worst node, verdict) of ``from_max`` for each row of a
-    (draws, nodes) array, as arrays: what a report holds but its point."""
+    """(residual, worst node, verdict, tol) of ``from_max`` for each row of a
+    (draws, nodes) array, the first three as arrays: what a report holds but
+    its point."""
     values, index, finite = _worst(rows, np.argmax)
-    return values, index, finite & (values <= tol)
+    return values, index, finite & (values <= tol), float(tol)
+
+
+def _min_verdicts(rows, threshold):
+    """``_max_verdicts`` of ``from_min``: the residual is the shortfall
+    threshold - min, and the tol 0."""
+    values, index, finite = _worst(rows, np.argmin)
+    values = float(threshold) - values
+    return values, index, finite & (values <= 0.0), 0.0
 
 
 def _point(points, i) -> tuple[float, ...]:

@@ -29,20 +29,20 @@ against, the pair conditions (c.1)-(c.3) and (iii.1)-(iii.3) included, and
 every surface carries its chart (``SurfaceMap.chart``).
 ``position`` and ``jet`` broadcast over numpy arrays of x and y, z
 evaluated on the x values and w on the y values only; a grid pass
-evaluates each curve once per axis chunk of BLOCK_NODES coordinates
-(``_grid_blocks``) and hands ``jet`` each block's slice.  They compute
-component-major (embedding axis first) and return dim-last views.
-``tangent`` gives L_x and L_y alone (curve orders 0-2) for the E-field
-stencil.  Premise checkers return per-condition reports with the worst
-sample point (a pair checker's from its chart's jet: ``_condition_rows``);
-constructors raise on algebraic premise failures and merely flag the
-non-degeneracy ones (a vanishing jerk term is the totally geodesic
-boundary case, not an error).  The single-curve constructors run
-their premise checks before anything else and keep the reports, on the
-surface (``premises``) or on the ``PremiseError``; they and
-``translation_surface`` (whose checker is ``_translation_premises``) also
-take reports made already (``_premises``) and judge those, so a caller
-never needs to run them twice.
+evaluates each curve once per axis chunk of BLOCK_NODES coordinates, for
+all of a fold's draws (``_grid_blocks``), and hands ``jet`` each block's
+slice.  They compute component-major (embedding axis first) and return
+dim-last views.  ``tangent`` gives L_x and L_y alone (curve orders 0-2) for
+the E-field stencil; it and ``position`` take the stencils' tables too.
+Premise checkers return per-condition reports with the worst sample point
+(a pair checker's from its chart's jet: ``_condition_rows``); constructors
+raise on algebraic premise failures and merely flag the non-degeneracy
+ones (a vanishing jerk term is the totally geodesic boundary case, not an
+error).  The single-curve constructors run their premise checks before
+anything else and keep the reports, on the surface (``premises``) or on
+the ``PremiseError``; they and ``translation_surface`` (whose checker is
+``_translation_premises``) also take reports made already (``_premises``)
+and judge those, so a caller never needs to run them twice.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .errors import (
     SignatureMismatchError,
 )
 from .indefinite import Ambient, Signature, indefinite_dot
-from .report import DEFAULT_TOLS, ConditionReport
+from .report import DEFAULT_TOLS, ConditionReport, _min_verdicts
 
 __all__ = [
     "Jet2",
@@ -141,8 +141,8 @@ class SurfaceMap:
     replace it with ``jet``) are stateless closures valid on a
     neighborhood of the declared ``domain`` rectangle (finite-difference
     stencils may poke slightly outside it); all take scalars or arrays of
-    x and y that broadcast against each other; ``jet(x, y, *d)`` also takes
-    the sources' ``derivatives`` there (``Jet2.curves``).  ``singular_margin``, when
+    x and y that broadcast against each other, and also the sources'
+    ``derivatives`` there (``_tables``; ``Jet2.curves``).  ``singular_margin``, when
     present, gives the distance from a point to the nearest singular
     locus of the chart.  ``premises`` keeps the premise reports of a
     constructor that checks its curve (sphere_b and hyp_ii).  ``chart``
@@ -219,8 +219,8 @@ def _chart_maps(chart: _Chart, *sources):
             np.add(a1Z + a[0] * c[1], b * c[2], out=row)
         return s, a, Z, dz, dw, W
 
-    def position(x, y):
-        (z0, z1), (w0, w1) = _component_major(_derivatives(sources, x, y, 2), x, y)
+    def position(x, y, *d):
+        (z0, z1, *_), (w0, w1, *_) = _component_major(d or _derivatives(sources, x, y, 2), x, y)
         return _dim_last(chart.immersion(z0 + w0, z1 + w1, x + y))
 
     def jet(x, y, *d):
@@ -243,8 +243,8 @@ def _chart_maps(chart: _Chart, *sources):
         object.__setattr__(jet, "table", W)  # frozen, and not an init field
         return jet
 
-    return position, jet, lambda x, y: [*map(_dim_last, parts(
-        x, y, _derivatives(sources, x, y, 3), 2)[-1])]
+    return position, jet, lambda x, y, *d: [*map(_dim_last, parts(
+        x, y, d or _derivatives(sources, x, y, 3), 2)[-1])]
 
 
 def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> SurfaceMap:
@@ -317,29 +317,44 @@ def grid_points(domain, shape) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*grid_axes(domain, shape)), axis=-1).reshape(-1, 2)
 
 
-def _grid_blocks(shape, xs, ys, sources=()):
-    """(rows, cols, x, y, d) of a grid's blocks of at most BLOCK_NODES nodes
-    (whole rows when a row fits, pieces of one row otherwise): index slices,
-    axes, and the sources' ``derivatives`` there (orders 0-3), z's at x and
-    w's at y.
-    Each curve is evaluated once per axis chunk of at most BLOCK_NODES
-    coordinates (w once per chunk of x too when both axes exceed it)."""
+def _tables(curves, t, parts=((4, ...),)) -> list:
+    """Each curve's ``derivatives`` (orders 0-3) at t, component-major and
+    viewed dim-last, or its ``parts`` (orders, index of t's first axis) each,
+    curve by curve; a fold's (``_stacked``) with the draw axis third from last."""
+    if curves and curves[0]._lead:
+        t = np.expand_dims(t, -3)
+    cm = (np.moveaxis(c.derivatives(t, range(4)), -1, 1) for c in curves)  # one at a time
+    return [_dim_last(table[:n, :, at].copy(), 1) for table in cm for n, at in parts]
+
+
+def _grid_blocks(shape, xs, ys, sources=(), tables=_tables):
+    """(at, x, y, d) of a grid's blocks of at most BLOCK_NODES draws x nodes:
+    the block's index (after a fold's draw axis), axes, and the sources'
+    ``tables`` there, z's at x, then w's at y.  A block holds
+    ``_draws_per_block`` whole draws when a draw's grid fits, else whole rows
+    of one draw when a row fits, and part of one row otherwise.  Each curve
+    is evaluated once per axis chunk of at most BLOCK_NODES coordinates (w
+    once per chunk of x too when both axes exceed it), all draws at once."""
+    fold, per = bool(sources and sources[0]._lead), _draws_per_block(shape)
+    draws = sources[0]._lead[0] if fold else 1
+    group = draws if per > 1 else 1  # the draws evaluated together
     cols = min(shape[1], BLOCK_NODES)
     rows = BLOCK_NODES // cols
     span = BLOCK_NODES // rows * rows
-    def tables(curves, t):  # their derivatives at t, laid out component-major
-        return [_dim_last(np.moveaxis(c.derivatives(t, range(4)), -1, 1).copy(), 1) for c in curves]
-
-    dw = None
-    for i in range(0, shape[0], span):
-        dz = tables(sources[:1], xs[i:i + span])
-        for j in range(0, shape[1], cols):
-            c = slice(j, j + cols)
-            if dw is None or cols < shape[1]:
-                dw = tables(sources[1:], ys[:, c])
-            for k in range(0, min(span, shape[0] - i), rows):
-                yield (slice(i + k, i + k + rows), c, xs[i + k:i + k + rows], ys[:, c],
-                       [t[..., k:k + rows, :, :] for t in dz] + dw)
+    for g in range(0, draws, group):
+        part = tuple(s[g:g + 1] for s in sources) if group < draws else sources
+        dw = None
+        for i in range(0, shape[0], span):
+            dz = tables(part[:1], xs[i:i + span])
+            for j in range(0, shape[1], cols):
+                c = slice(j, j + cols)
+                if dw is None or cols < shape[1]:
+                    dw = tables(part[1:], ys[:, c])
+                for k in range(0, min(span, shape[0] - i), rows):
+                    r, d = slice(i + k, i + k + rows), [t[..., k:k + rows, :, :] for t in dz] + dw
+                    for b in range(g, g + group, per):  # whole draws of a fold, a slice each
+                        yield ((slice(b, b + per),) * fold + (r, c), xs[r], ys[:, c],
+                               [t[..., b - g:b - g + per, :, :, :] for t in d] if fold else d)
 
 
 def grid_description(domain, shape) -> str:
@@ -403,16 +418,6 @@ def _sphere_domain_guard(domain):
         )
 
 
-def _per_draw(z, rows) -> list:
-    """Rows of (draws, nodes) residuals as (condition id, rows, tol, grid,
-    points, note, reduction) by check, as one list of reports per draw when
-    z is a fold's curve (``curves._fold_curves``), else as the one curve's list."""
-    checks = [reduce(cid, np.reshape(r, (z._lead[:1] or (1,)) + (-1,)), tol, grid, pts, note)
-              for cid, r, tol, grid, pts, note, reduce in rows]
-    draws = [list(reports) for reports in zip(*checks)]
-    return draws if z._lead else draws[0]
-
-
 def _condition_rows(chart, sources, domain, grid, tol) -> list[tuple]:
     """(id, (1, nodes) residuals, tol, grid description, grid points, note)
     of ``chart``'s joint conditions on a pair over a grid, from one jet call
@@ -420,10 +425,10 @@ def _condition_rows(chart, sources, domain, grid, tol) -> list[tuple]:
     for the grid pass's checks when a degenerate metric stops it."""
     jet, idx = _chart_maps(chart, *sources)[1], sources[0].signature.index
     rows = [np.empty(tuple(grid)) for _ in chart.conditions]
-    for r, c, x, y, d in _grid_blocks(grid, *grid_axes(domain, grid), sources):
+    for at, x, y, d in _grid_blocks(grid, *grid_axes(domain, grid), sources):
         block = jet(x, y, *d)
         for row, (_, residual, _) in zip(rows, chart.conditions):
-            row[r, c] = residual(x + y, block, idx)
+            row[at[-2:]] = residual(x + y, block, idx)  # a one-draw fold's too
     desc, pts = grid_description(domain, grid), grid_points(domain, grid)
     return [(cid, row.reshape(1, -1), tol, desc, pts, note)
             for (cid, _, note), row in zip(chart.conditions, rows)]
@@ -444,27 +449,31 @@ def _curve_conditions(ids, residual) -> tuple[tuple[str, Callable, str], ...]:
 def _single_curve_premises(z, samples, tol, speed, acc, nonzero):
     """<z,z> = 0, <z',z'> = speed, <z'',z''> = acc[1] (check id acc[0]) and a
     vector nonzero[1](d) of d = (z, z', z'', z''') that must not vanish (check
-    id nonzero[0], note nonzero[2]), at samples points of z's domain
-    (``_per_draw``)."""
+    id nonzero[0], note nonzero[2]), at samples points of z's domain: their
+    reports, or, for a fold's curve (``curves._fold_curves``), their (draws,
+    samples) rows as ``ConditionReport._from_rows``'s arguments."""
     ts = z.sample_grid(samples)
     pts = ts[:, None]
     grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
     d = z.derivatives(ts, range(4))
     sq = [indefinite_dot(d[k], d[k], z.signature.index) for k in range(3)]
-    most = ConditionReport._from_max_rows
-    return _per_draw(z, [
-        ("lightcone-z", np.abs(sq[0]), tol, grid, pts, "", most),
-        ("speed-z", np.abs(sq[1] - speed), tol, grid, pts, f"<z',z'> = {speed:g}", most),
-        (acc[0], np.abs(sq[2] - acc[1]), tol, grid, pts, f"<z'',z''> = {acc[1]:g}", most),
-        (nonzero[0], np.max(np.abs(nonzero[1](d)), axis=-1), tol, grid, pts, nonzero[2],
-         ConditionReport._from_min_rows),
-    ])
+    rows = [(cid, np.reshape(r, (z._lead[:1] or (1,)) + (-1,)), tol, grid, pts, note, verdicts)
+            for cid, r, note, verdicts in (
+                ("lightcone-z", np.abs(sq[0]), "", None),
+                ("speed-z", np.abs(sq[1] - speed), f"<z',z'> = {speed:g}", None),
+                (acc[0], np.abs(sq[2] - acc[1]), f"<z'',z''> = {acc[1]:g}", None),
+                (nonzero[0], np.max(np.abs(nonzero[1](d)), axis=-1), nonzero[2], _min_verdicts))]
+    return rows if z._lead else [ConditionReport._from_rows(*row)[0] for row in rows]
+
+
+#: The premises whose failure blocks a build: the first three (a single
+#: curve's algebraic ones, or translation's nulls and pairing)
+BLOCKING = 3
 
 
 def _blocking(reports: list[ConditionReport]) -> list[str]:
-    """The failed premises that block a build: any of the first three (a
-    single curve's algebraic ones, or translation's nulls and pairing)."""
-    return [r.condition_id for r in reports[:3] if not r.passed]
+    """The failed premises that block a build (``BLOCKING``)."""
+    return [r.condition_id for r in reports[:BLOCKING] if not r.passed]
 
 
 def _premise_flags(reports: list[ConditionReport]) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, Curve, FamilyValidat
                                validate_family)
 from lorentzmin.errors import ConstraintViolationError, DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
-from lorentzmin.report import default_tolerances
+from lorentzmin.report import ConditionReport, default_tolerances
 from lorentzmin.surfaces import SPHERE_DOMAIN, SurfaceMap, _draw_count, _stacked, sphere_case_b
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -165,18 +165,29 @@ def fold_of(family, draws):
 
 
 def test_sweep_checks_full_batches(monkeypatch):
-    # a fold is one block of the FD subgrid pass: 40 draws at 5x5
-    checks = harness._check_rows
-    sizes = []
+    # a fold is one block of the FD subgrid pass: 40 draws at 5x5.  Its
+    # curve is evaluated once for the premises, once for the whole 9x9 pass
+    # (blocks of 12 draws take slices) and once for the subgrid block, at
+    # the 7 stencil abscissae of each coordinate
+    checks, derivatives = harness._check_rows, Curve.derivatives
+    sizes, evaluated = [], []
 
     def recording(spec, surface, tols):
         sizes.append(_draw_count(surface))
         return checks(spec, surface, tols)
 
+    def counted(curve, t, orders):
+        evaluated.append((curve._lead[0], np.shape(t)))
+        return derivatives(curve, t, orders)
+
     monkeypatch.setattr(harness, "_check_rows", recording)
+    monkeypatch.setattr(Curve, "derivatives", counted)
     sweep("Ex7_1", n=90, rng_seed=0)
     per = diffgeo.BLOCK_NODES // 25
     assert sizes == [per] * (90 // per) + [90 % per]
+    samples = (harness.DEFAULT_SAMPLES,)
+    assert evaluated == [call for d in sizes for call in (
+        (d, samples), (d, (1, 9, 1)), (d, (7, 1, 5, 1)))]
 
 
 def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
@@ -194,22 +205,27 @@ def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
     assert folds == [40, 10]
 
 
-@pytest.mark.parametrize("family, n, curves", [("Ex7_1", 50, 1), ("Ex8_2", 160, 2)])
+@pytest.mark.parametrize("family, n, curves", [("Ex7_1", 50, 1), ("Ex8_2", 160, 2),
+                                                ("Ex7_1", 200, 1)])
 def test_sweep_builds_no_per_draw_object(monkeypatch, family, n, curves):
-    # the valid path builds no ParamFamily, FamilyValidation, Curve or
-    # SurfaceMap per draw: per fold, its curves, one constructor call and
-    # the stacked surface, plus one slice of it per 9x9 block of 12 draws
-    made = {cls.__name__: 0 for cls in (ParamFamily, FamilyValidation, Curve, SurfaceMap)}
-    for cls in (ParamFamily, FamilyValidation, Curve, SurfaceMap):
+    # the valid path builds no ParamFamily, FamilyValidation, Curve,
+    # SurfaceMap or ConditionReport per draw: per fold, its curves and its
+    # stacked surface; per sweep, one constructor call, with the four
+    # premise reports of its one draw where the family has premises (one
+    # curve), as many at n=200 as at n=50
+    reports = 4 if curves == 1 else 0
+    classes = (ParamFamily, FamilyValidation, Curve, SurfaceMap, ConditionReport)
+    made = {cls.__name__: 0 for cls in classes}
+    for cls in classes:
         def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
             made[name] += 1
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
     summary = sweep(family, n=n, rng_seed=0)
-    folds = [40] * (summary["valid"] // 40) + [summary["valid"] % 40]
+    folds = -(-summary["valid"] // 40)
     assert summary["valid"] > 40 and summary["passed"] == summary["valid"]
-    assert made == {"ParamFamily": 0, "FamilyValidation": 0, "Curve": curves * len(folds),
-                    "SurfaceMap": sum(2 + (d > 12) * -(-d // 12) for d in folds)}
+    assert made == {"ParamFamily": 0, "FamilyValidation": 0, "Curve": curves * folds,
+                    "SurfaceMap": 1 + folds, "ConditionReport": reports}
 
 
 def test_sweep_validates_each_draw_once(monkeypatch):
@@ -382,8 +398,52 @@ def test_sweep_counts_draws_with_infinite_radicands_invalid():
         make_example(fam)
 
 
+def test_sweep_counts_draws_with_non_finite_coefficients_invalid(monkeypatch):
+    # in the second draw q sqrt(r^2 - q^2) underflows to 0: its radicands and
+    # denominator pass, one of its coefficients is inf, and validation and
+    # the sweep's rows reject it alike
+    bad = {"a": 1.0, "p": 3e-152, "q": 1e-200, "r": 2e-152}
+    names = FAMILIES["Ex7_1"]["params"]
+    chunk = np.array([[float(p[k]) for k in names] for p in (CENTRES["Ex7_1"], bad)])
+    monkeypatch.setattr(harness, "_draw_chunks", lambda family, cfg, rng, n: iter([chunk]))
+    summary = sweep("Ex7_1", n=2)
+    assert (summary["valid"], summary["invalid"], summary["passed"]) == (1, 1, 1)
+    assert _same_verdict("Ex7_1", bad).failures == [
+        f"Ex7_1(a=1,p=3e-152,q=1e-200,r=2e-152): coefficient of z's component {slot} not "
+        "finite (= inf)" for slot in (1, 4, 6)]
+
+
+def test_a_nan_residual_fails_its_draw_alone(monkeypatch):
+    # a NaN at one node of one draw's minimality row: that draw fails
+    # minimality alone, the check's worst residual reads "nan", and every
+    # other draw and worst residual is as it was
+    plain = sweep("Ex7_1", n=12, rng_seed=3)
+    assert plain["passed"] == plain["valid"] >= 5
+    checks = harness._check_rows
+
+    def poisoned(spec, surface, tols):
+        runs = checks(spec, surface, tols)
+        (i,) = [i for i, check in enumerate(runs[0]) if check[0] == "minimality"]
+        rows = runs[0][i][1].copy()
+        rows[2, 40] = math.nan
+        runs[0][i] = (runs[0][i][0], rows) + runs[0][i][2:]
+        return runs
+
+    monkeypatch.setattr(harness, "_check_rows", poisoned)
+    summary = sweep("Ex7_1", n=12, rng_seed=3)
+    cfg = harness._sampler_config("Ex7_1", None)
+    rng = np.random.default_rng(3)
+    third = [p for p in (draw_params("Ex7_1", cfg, rng) for _ in range(12))
+             if validate_family(ParamFamily("Ex7_1", p)).ok][2]
+    assert summary["failures"] == [{"params": third, "failed": ["minimality"]}]
+    assert (summary["passed"], summary["failed"]) == (plain["passed"] - 1, 1)
+    assert summary["worst_residuals"] == {**plain["worst_residuals"], "minimality": "nan"}
+
+
 def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
     nodes = {"jet": [], "tangent": []}
+    evaluated = []
+    derivatives = Curve.derivatives
 
     def counting(z, domain, **kwargs):
         surface = sphere_case_b(z, domain, **kwargs)
@@ -395,13 +455,21 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
             return evaluate
         return dataclasses.replace(surface, jet=counted("jet"), tangent=counted("tangent"))
 
+    def counted_derivatives(curve, t, orders):
+        evaluated.append(np.shape(t))
+        return derivatives(curve, t, orders)
+
     monkeypatch.setattr(harness, "sphere_case_b", counting)
+    monkeypatch.setattr(Curve, "derivatives", counted_derivatives)
     report = verify(SPHERE_71)
     assert report.overall_pass
     # jets on the grid and the subgrid centres; only L_x and L_y at the
     # subgrid's 4 E-field offsets, one cross, in one call
     assert sorted(nodes["jet"]) == [25, 21 * 21]
     assert nodes["tangent"] == [4 * 25]
+    # z once for the premises, once for the grid pass and once for the
+    # subgrid block, at the 7 stencil abscissae of each x
+    assert evaluated == [(harness.DEFAULT_SAMPLES,), (21, 1), (7, 5, 1)]
 
 
 def test_efield_checks_its_nodes_once():
@@ -497,7 +565,7 @@ def test_a_draw_that_zeroes_components_is_checked_in_its_fold():
     draws = [{"a": a, "b": 1.1, "p": 1.0, "q": qq} for qq in (1.5, q)]
     specs = [SurfaceSpec(family="hyp_ii", grid=(9, 9), curves=(
         {"family_id": "Ex8_1", "params": params},)) for params in draws]
-    _, fold = harness._premise_phases(specs[0], fold_of("Ex8_1", draws), tols)
+    *_, fold = harness._premise_phases(specs[0], fold_of("Ex8_1", draws), tols)
     assert len(harness._check_rows(specs[0], fold, tols)) == 1
     alone = [harness._premise_phase(s, harness._resolve_curves(s)[0], tols)[2] for s in specs]
     assert not make_example(ParamFamily("Ex8_1", draws[1])).at(0.5)[[2, 5]].any()

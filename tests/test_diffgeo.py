@@ -155,8 +155,7 @@ class TestPartials:
             return derivatives(curve, t, orders)
 
         monkeypatch.setattr(Curve, "derivatives", counted)
-        values = diffgeo.grid_values(surface, shape,
-                                     lambda s: [e[1] for e in _check_plan(s)[0]])
+        values = diffgeo.grid_values(surface, shape, [e[1] for e in _check_plan(surface)[0]])
         assert [calls.count(c) for c in surface.sources] == list(chunks)
         assert len(calls) == sum(chunks)
         assert all(v.shape[:2] == shape for v in values)
@@ -238,23 +237,36 @@ class TestPartials:
             tracemalloc.stop()
         assert peak <= 2.80 * 2**20, peak / 2**20
 
-    def test_fd_discrepancy_makes_one_position_call_per_stencil_group(self, sphere_71):
+    def test_fd_discrepancy_makes_one_position_call_per_stencil_group(self, monkeypatch,
+                                                                      sphere_71):
         import dataclasses
 
-        calls = []
+        from lorentzmin.curves import Curve
 
-        def position(x, y):
+        calls, evaluated = [], []
+        derivatives = Curve.derivatives
+
+        def position(x, y, *d):
             calls.append((np.shape(x), np.shape(y)))
-            return sphere_71.position(x, y)
+            return sphere_71.position(x, y, *d)
+
+        def counted_derivatives(curve, t, orders):
+            evaluated.append(np.shape(t))
+            return derivatives(curve, t, orders)
 
         counted = dataclasses.replace(sphere_71, position=position)
         xs, ys = grid_axes(counted.domain, (5, 5))
+        monkeypatch.setattr(Curve, "derivatives", counted_derivatives)
         assert np.max(fd_discrepancy(counted, xs, ys)) < 1e-6
+        # z is evaluated once for the analytic jet and once for the FD jet,
+        # at x and at its 7 stencil abscissae
+        assert evaluated == [(5, 1), (7, 5, 1)]
         # the centres, then each group's four offsets in one call (25
-        # nodes), x's on the x axis and y's on the y axis: L_x with L_xx,
-        # L_y with L_yy, the two crosses of L_xy on both axes
-        x4, y4, xy4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5)), ((4, 5, 1), (4, 1, 5))
-        assert calls == [((5, 1), (1, 5)), x4, y4, xy4, xy4]
+        # nodes), read from those tables: the two crosses of L_xy on both
+        # axes, L_x with L_xx on the x axis, L_y with L_yy on the y axis
+        xy4 = ((4, 5, 1), (4, 1, 5))
+        assert calls == [((5, 1), (1, 5)), xy4, xy4, ((4, 5, 1), (1, 1, 5)),
+                         ((1, 5, 1), (4, 1, 5))]
 
     def test_fd_partials_takes_the_centres_from_the_subgrid_jet(self, sphere_71):
         # the subgrid pass's fd-partials check hands fd_jet the L that the
@@ -265,15 +277,15 @@ class TestPartials:
 
         calls = []
 
-        def position(x, y):
+        def position(x, y, *d):
             calls.append((np.shape(x), np.shape(y)))
-            return sphere_71.position(x, y)
+            return sphere_71.position(x, y, *d)
 
         counted = dataclasses.replace(sphere_71, position=position)
         (gap,) = [e[1] for e in _check_plan(counted)[1] if e[0] == "fd-partials"]
         (got,) = diffgeo.grid_values(counted, (5, 5), [gap], curvature="stencil")
-        x4, y4, xy4 = ((4, 5, 1), (1, 5)), ((5, 1), (4, 1, 5)), ((4, 5, 1), (4, 1, 5))
-        assert calls == [x4, y4, xy4, xy4]
+        xy4 = ((4, 5, 1), (4, 1, 5))
+        assert calls == [xy4, xy4, ((4, 5, 1), (1, 1, 5)), ((1, 5, 1), (4, 1, 5))]
         xs, ys = grid_axes(counted.domain, (5, 5))
         assert np.array_equal(got, fd_discrepancy(sphere_71, xs, ys))
 

@@ -129,9 +129,9 @@ class TestVerify:
         nodes = []
         stencil = diffgeo._efield
 
-        def counted(surface, x, y):
+        def counted(surface, x, y, *d):
             nodes.append(np.broadcast(x, y).size)
-            return stencil(surface, x, y)
+            return stencil(surface, x, y, *d)
 
         monkeypatch.setattr(diffgeo, "_efield", counted)
         report = verify(dict(SPHERE_71, grid=[41, 41]))
@@ -410,9 +410,9 @@ class TestSweep:
 
         draws, folds = iter(residuals), []
 
-        def fake_premise_phases(spec, curves, tols):
+        def fake_premise_phases(spec, curves, tols, like=None):
             folds.append(curves[0]._lead[0])
-            return [([], []) for _ in range(folds[-1])], spec
+            return [], np.arange(folds[-1]), spec
 
         def fake_check_rows(spec, surface, tols):
             return [[("x", np.array([[next(draws)] for _ in range(folds[-1])]), 1.0, "g", None,
@@ -592,6 +592,29 @@ class TestCli:
         spec = dict(SPHERE_71, curves=[{"family_id": "Ex7_1", "params": params}])
         assert main(["verify", "--spec", self._write_spec(tmp_path, spec)]) == 2
         assert capsys.readouterr().err == "error: denominator r^2-q^2 is not positive (= 0)\n"
+
+    def test_non_finite_coefficient_exit_2_names_the_coefficient(self, tmp_path, capsys):
+        # every radicand and denominator is finite and positive, but
+        # q sqrt(r^2 - q^2) underflows to 0, so a coefficient of z is inf
+        params = {"a": 1, "p": 3e-152, "q": 1e-200, "r": 2e-152}
+        spec = dict(SPHERE_71, curves=[{"family_id": "Ex7_1", "params": params}])
+        assert main(["verify", "--spec", self._write_spec(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Ex7_1(a=1,p=3e-152,q=1e-200,r=2e-152): coefficient of z's component 1 not "
+            "finite (= inf)\n")
+
+    def test_extreme_draw_sweep_leaks_no_warning(self, capsys):
+        # the third draw builds, and the products of its Gram block overflow;
+        # under the test suite's filterwarnings = error a RuntimeWarning there
+        # ends the sweep
+        config = '{"a_box": [1, 1], "pqr_box": [1e-160, 1e-150], "min_gap": 0}'
+        assert main(["sweep", "--family", "Ex7_1", f"--sampler-config={config}", "--n", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        summary = json.loads(out)
+        assert [f["failed"] for f in summary["failures"]] == [
+            ["lightcone-z", "jerk-nonzero-z"]] * 2 + [["jerk-nonzero-z", "metric-signature"]]
+        assert summary["worst_residuals"]["lightcone-z"] > 1e288
 
     def test_sweep_exit_0(self, capsys):
         assert main(["sweep", "--family", "Ex7_2", "--n", "50", "--seed", "0"]) == 0

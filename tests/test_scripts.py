@@ -43,7 +43,7 @@ def test_deterministic_outputs_names_each_output_once_and_writes_one(tmp_path):
     listed = run_script("deterministic_outputs.py", "--list")
     assert listed.returncode == 0, listed.stderr
     names = listed.stdout.split()
-    assert len(names) == len(set(names)) == 85
+    assert len(names) == len(set(names)) == 86
     name = "export-translation_demo.csv"
     result = run_script("deterministic_outputs.py", "--out", str(tmp_path), "--only", name)
     assert result.returncode == 0, result.stdout + result.stderr

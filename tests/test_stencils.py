@@ -57,8 +57,8 @@ def _surface(family, draws):
     values = np.array([[p[k] for k in FAMILIES[curve_family]["params"]] for p in params[:draws]])
     rows, coeffs = _valid_rows(curve_family, values)
     spec = SurfaceSpec(family=family, grid=(9, 9))
-    _, surface = harness._premise_phases(spec, _fold_curves(curve_family, values, coeffs),
-                                         default_tolerances())
+    *_, surface = harness._premise_phases(spec, _fold_curves(curve_family, values, coeffs),
+                                          default_tolerances())
     assert len(rows) == _draw_count(surface) == draws
     return surface
 
@@ -210,8 +210,8 @@ def test_efield_names_the_offset_where_g_xy_turns(monkeypatch):
     g = -indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
     message = f"g_xy = {g:g} >= 0 at ({x0:g}, {y0:g})"
 
-    def tangent(x, y):
-        lx, ly = surface.tangent(x, y)
+    def tangent(x, y, *d):
+        lx, ly = surface.tangent(x, y, *d)
         at = np.broadcast_to((x == x0) & (y == y0), lx.shape[:-1])
         return lx, np.where(at[..., None], -ly, ly)
 
