@@ -6,7 +6,7 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (86):
+The outputs (87):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
@@ -22,6 +22,9 @@ The outputs (86):
 * Ex8_2 at n=160 on seed 0 (53 valid draws, so more than one fold), with
   ``LMS_DEFAULT_TOL`` unset and at 1e-14 (3 of its draws fail there);
 * the Ex7_2 sweep at n=300 on seed 5, and at n=2000 on seeds 0 and 1;
+* Ex7_2 at n=400 on seed 0 with a box of 10% about the spec's parameters
+  (``EX72_BOX``), where 351 draws are valid and all of them pass, the one
+  sweep of sphere_c that has valid draws (the chain sampler's have none);
 * on seeds 0 and 1, Ex7_1 at n=50 with min_gap 1.2 (about 340 rejected
   tries per draw) and Ex8_1 at n=50 with rel 0.3 (about half the draws
   invalid), which exercise the samplers' rejections;
@@ -75,6 +78,8 @@ PAIRING_GAP = {
     "grid": [2, 2]}
 #: An Ex7_1 sampler box whose squares of p, q and r are near 1e-300
 EXTREME_BOX = {"a_box": [1, 1], "pqr_box": [1e-160, 1e-150], "min_gap": 0}
+#: A box_around sampler about sphere_c_ex72's (p, q, r), where most Ex7_2 draws are valid
+EX72_BOX = {"mode": "box_around", "center": [3, 1.5, 1], "rel": 0.1}
 #: ads_null as both z and w is no admissible pair: iii.1 fails (iii.2 and
 #: iii.3 hold), and g_xy > 0 stops the grid pass (metric-signature fails)
 DEGENERATE_PAIR = {"family": "hyp_iii", "curves": [{"name": "ads_null"}, {"name": "ads_null"}]}
@@ -117,6 +122,9 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
             table[f"sweep-{family}-{key}{value}-seed{seed}.json"] = (
                 ["sweep", "--family", family, "--n", "50", "--seed", str(seed),
                  f"--sampler-config={json.dumps({key: value})}"], None)
+    table["sweep-Ex7_2-box-seed0.json"] = (
+        ["sweep", "--family", "Ex7_2", "--n", "400", "--seed", "0",
+         f"--sampler-config={json.dumps(EX72_BOX)}"], None)
     table["sweep-Ex7_1-extreme-seed0.json"] = (
         ["sweep", "--family", "Ex7_1", "--n", "3", f"--sampler-config={json.dumps(EXTREME_BOX)}"],
         None)

@@ -63,7 +63,7 @@ DEFAULT_SAMPLES = 41
 
 def _finite_number(value) -> bool:
     """True for an int or float, not a bool, that is a finite double."""
-    if type(value) is float:  # a curve's terms: skip the ABC check below
+    if isinstance(value, float):  # a curve's terms (np.float64 too): skip the ABC check
         return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
@@ -168,7 +168,8 @@ class Curve:
     A coefficient or frequency may also be an array of shape (draws, 1, 1)
     over a fold's draws (``_fold_curves``): the curve is then the fold's
     curves, each draw bit for bit its own, evaluated on t's shape broadcast
-    against that; ``curve[draws]`` picks some, and it cannot be hashed.
+    against that; ``curve[draws]`` picks some, and it cannot be hashed.  A
+    plain curve's ``_drawn`` is a fold of one draw with its float terms.
     """
 
     signature: Signature
@@ -177,6 +178,7 @@ class Curve:
     label: str = ""
     #: (slot, first, basis, w or j, factors by order) per term, and the
     #: shape of a factor: () for one curve, (draws, 1, 1) for a fold's
+    #: (which ``_drawn`` sets to (1, 1, 1) on float factors)
     _plan: tuple = field(init=False, repr=False, compare=False)
     _lead: tuple = field(init=False, repr=False, compare=False)
 
@@ -205,16 +207,26 @@ class Curve:
 
     def __getitem__(self, draws):
         """The curve of the draws that ``draws`` (a slice or a list of
-        indices) picks from a fold's; its plan is sliced, not rebuilt."""
+        indices) picks from a fold's, or, for an int, that draw's own curve
+        with float terms; its plan is sliced, not rebuilt."""
+        one = isinstance(draws, numbers.Integral)
+
         def pick(v):
-            return v[draws] if isinstance(v, np.ndarray) else v
+            return v if not isinstance(v, np.ndarray) else v[draws].item() if one else v[draws]
         part = object.__new__(Curve)
         part.__dict__.update(
-            self.__dict__, _lead=np.empty(self._lead)[draws].shape,
+            self.__dict__, _lead=() if one else np.empty(self._lead)[draws].shape,
             components=tuple(tuple((b, pick(a), pick(w)) for b, a, w in c)
                              for c in self.components),
             _plan=tuple((slot, first, b, pick(w), tuple(map(pick, coefs)))
                         for slot, first, b, w, coefs in self._plan))
+        return part
+
+    def _drawn(self) -> Curve:
+        """This plain curve as a fold of one draw: its terms, evaluated with
+        the draw axis of length 1 that its lead shape (1, 1, 1) adds."""
+        part = object.__new__(Curve)
+        part.__dict__.update(self.__dict__, _lead=(1, 1, 1))
         return part
 
     def derivatives(self, t, orders) -> np.ndarray:
@@ -288,15 +300,20 @@ def null_check(curve: Curve, samples: int = DEFAULT_SAMPLES,
 # inequality chains traditionally quoted with these families are reported
 # as advisory metadata only (see FamilyValidation.chain_ok), because for
 # one family the quoted chain is incompatible with a radicand.  Each
-# formula is written once, in ``_exNN_coeffs``: ``make_example`` hands the
-# validated radicands and denominators to ``_build_exNN``, which takes their
-# square roots in the order the coefficient function lists them and returns
-# the term tables of the family's curve or pair.  Both take numbers or, with
-# a symbolic ``sqrt``, symbols, so the tables can be checked symbolically.
+# formula is written once, in ``_exNN_coeffs``, which ``_tests`` runs on
+# arrays of parameters over draws; ``_fold_curves`` hands the validated
+# radicands and denominators to ``_build_exNN``, which takes their square
+# roots in the order the coefficient function lists them and returns the
+# term tables of the family's curve or pair.  Both take arrays of numbers
+# or, with a symbolic ``sqrt``, symbols, so the tables can be checked
+# symbolically.
 
-#: Example families keep cosh arguments <= 6 on this domain, so the
-#: premise identities hold to ~1e-11 in double precision, well inside the
-#: 1e-9 algebraic tolerance.
+#: Example families keep cosh arguments <= 6 on this domain.  A premise
+#: identity's rounding error grows with the terms it cancels (about 1e-16
+#: of the largest <z^(k), z^(k)> term): on the shipped specs and the default
+#: sampler boxes it stays below 1e-10, inside the 1e-9 algebraic tolerance,
+#: but not on every box the samplers accept (an Ex7_1 sweep with pqr_box
+#: [0.2, 5.0] fails acc-null-z on 596 of 2,000 valid draws, seed 0).
 FACTORY_DOMAIN = (-1.2, 1.2)
 
 
@@ -447,7 +464,7 @@ def _place(dim, slot_values):
     return comps
 
 
-def _build_ex71(a, p, q, r, rads, dens, alt_pairing, sqrt=math.sqrt):
+def _build_ex71(a, p, q, r, rads, dens, alt_pairing, sqrt):
     (d,) = map(sqrt, dens.values())
     c2, c3, c4 = (sqrt(v) / w for v, w in zip(rads.values(), (q * d, r * d, q * r)))
     return ([
@@ -456,7 +473,7 @@ def _build_ex71(a, p, q, r, rads, dens, alt_pairing, sqrt=math.sqrt):
     ],)
 
 
-def _build_ex72(p, q, r, rads, dens, alt_pairing, sqrt=math.sqrt):
+def _build_ex72(p, q, r, rads, dens, alt_pairing, sqrt):
     s15 = sqrt(15)
     A, B, C, D, E = (sqrt(v) / w for v, w in zip(
         rads.values(), (4 * s15, 4 * s15, 8 * s15, 4 * s15, 8)))
@@ -471,7 +488,7 @@ def _build_ex72(p, q, r, rads, dens, alt_pairing, sqrt=math.sqrt):
     return z, w
 
 
-def _build_ex81(a, b, p, q, rads, dens, alt_pairing, sqrt=math.sqrt):
+def _build_ex81(a, b, p, q, rads, dens, alt_pairing, sqrt):
     (d,) = map(sqrt, dens.values())
     cp, cq, c0 = (sqrt(v) / w for v, w in zip(rads.values(), (p * d, q * d, p * q)))
     # default pairs the fifth component with the a*cosh(x) block; the
@@ -484,7 +501,7 @@ def _build_ex81(a, b, p, q, rads, dens, alt_pairing, sqrt=math.sqrt):
     ],)
 
 
-def _build_ex82(a, b, p, q, r, s, rads, dens, alt_pairing, sqrt=math.sqrt):
+def _build_ex82(a, b, p, q, r, s, rads, dens, alt_pairing, sqrt):
     # each half lists its three radicands and denominators in matching order
     al, be, ga, de, ep, ze = (sqrt(v) / sqrt(w) for v, w in zip(rads.values(), dens.values()))
     z = _place(14, [
@@ -568,9 +585,13 @@ def _coefficient_ok(value, kind: str):
 
 
 def validate_family(fam: ParamFamily) -> FamilyValidation:
-    """Numeric validation: every radicand >= 0, every denominator > 0, and
-    each finite (``_coefficient_ok``); then every coefficient of the curves
-    finite (``_coefficients``).
+    """Numeric validation: every parameter > 0, every radicand >= 0 and
+    every denominator > 0, each finite (``_coefficient_ok``), then every
+    coefficient of the curves finite: ``_tests`` on the parameter set as
+    one draw, so a sweep's ``_valid_rows`` gives each draw this verdict.
+    An int parameter up to 2**10 in size stays an int there, as it does in
+    Python, so a formula of ints alone gives its exact int (at most a
+    sixth power of 2**10 times a few terms, far inside int64).
 
     The quoted inequality chain is evaluated too, but only for reporting;
     it neither implies nor is implied by validity (one family's chain in
@@ -578,26 +599,27 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
     """
     info = FAMILIES[fam.family_id]
     args = [fam.params[k] for k in info["params"]]
+    rads, dens, tests = _tests(fam.family_id, [
+        np.array([v], int if isinstance(v, int) and abs(v) <= 2**10 else float) for v in args])
+    failed = [(kind, name, value[0].item()) for kind, name, value, passed in tests if not passed[0]]
     failures = [f"{fam.family_id}: parameter {name} must be positive (= {value:g})"
-                for name, value in zip(info["params"], args) if not value > 0]
-    try:
-        rads, dens = info["_coeffs"](*args)
-        built = _coefficients(fam.family_id, *([np.array([v], dtype=float) for v in part]
-                                                for part in (args, rads.values(), dens.values())))
-    except OverflowError as exc:  # squares of parameters beyond the double range
-        rads, dens, built = {}, {}, []
-        failures.append(f"{fam.label()}: parameters out of range ({exc})")
-    violations = [(name, value, kind) for kind, part in (("denominator", dens), ("radicand", rads))
-                  for name, value in part.items() if not _coefficient_ok(value, kind)]
-    failures += [] if failures or violations else [f"{fam.label()}: {name} not finite (= {a[0]:g})"
-                                                   for name, a in built if not np.isfinite(a[0])]
+                for kind, name, value in failed if kind == "parameter"]
+    if any(kind == "square" for kind, *_ in failed):  # Python's float ** raises OverflowError
+        rads, dens, failed = {}, {}, []
+        failures.append(f"{fam.label()}: parameters out of range "
+                        "((34, 'Numerical result out of range'))")
+    violations = [(name, value, kind) for kind, name, value in failed
+                  if kind in ("denominator", "radicand")]
+    texts = failures + [f"{kind} {name} {_violated(value, kind)} (= {value:g})"
+                        for name, value, kind in violations]
+    texts += [f"{fam.label()}: {name} not finite (= {value:g})"
+              for kind, name, value in failed if kind == "coefficient"]
     return FamilyValidation(
         family_id=fam.family_id,
-        ok=not (failures or violations),
-        radicands=rads,
-        denominators=dens,
-        failures=failures + [f"{kind} {name} {_violated(value, kind)} (= {value:g})"
-                             for name, value, kind in violations],
+        ok=not texts,
+        radicands={k: v[0].item() for k, v in rads.items()},
+        denominators={k: v[0].item() for k, v in dens.items()},
+        failures=texts,
         chain_ok=_chain_holds(info["_chain"], args),
         chain=info["chain"],
         _error=violations[0] if violations and not failures else (),
@@ -626,22 +648,36 @@ class _Squares:
         return self.squares if k == 2 else NotImplemented
 
 
-def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, tuple[dict, dict]]:
-    """The rows of a (draws, params) array that ``validate_family`` would
-    pass, and their radicands and denominators (each an array over those
-    rows), from one run of the family's formulas on the columns with its
-    tests (parameters > 0, ``_coefficient_ok``, so NaN and inf fail, and a
-    square that overflows fails)."""
+def _tests(family_id: str, columns) -> tuple[dict, dict, list]:
+    """``validate_family``'s tests of each draw, from one run of the
+    family's formulas on its parameters (``columns``, an array over the
+    draws per parameter): (radicands, denominators, tests), the first two
+    dicts of arrays over the draws, and tests (kind, name, values, passed)
+    in its order: each parameter > 0; its square as Python's ``**`` takes
+    it (``_py_squares``) finite, which only an overflow fails; each
+    denominator and radicand ``_coefficient_ok``, so NaN and inf fail;
+    then, if a draw passes those, each coefficient of the curves finite."""
+    info = FAMILIES[family_id]
+    squares = [_py_squares(c) for c in columns]
     with np.errstate(over="ignore", invalid="ignore"):
-        rads, dens = FAMILIES[family_id]["_coeffs"](*(_Squares(_py_squares(c)) for c in values.T))
-    ok = np.all(values > 0, axis=1)
-    for kind, part in (("denominator", dens), ("radicand", rads)):
-        for value in part.values():
-            ok &= _coefficient_ok(value, kind)
-    built = _coefficients(family_id, values.T, rads.values(), dens.values()) if ok.any() else ()
-    for _, a in built:
-        ok &= np.isfinite(a)
-    rows = np.flatnonzero(ok)
+        rads, dens = info["_coeffs"](*map(_Squares, squares))
+    tests = [("parameter", name, c, c > 0) for name, c in zip(info["params"], columns)]
+    tests += [("square", name, v, ~np.isnan(v)) for name, v in zip(info["params"], squares)]
+    tests += [(kind, name, value, _coefficient_ok(value, kind))
+              for kind, part in (("denominator", dens), ("radicand", rads))
+              for name, value in part.items()]
+    if np.logical_and.reduce([passed for *_, passed in tests]).any():
+        tests += [("coefficient", name, a, np.isfinite(a)) for name, a in
+                  _coefficients(family_id, columns, rads.values(), dens.values())]
+    return rads, dens, tests
+
+
+def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, tuple[dict, dict]]:
+    """The rows of a (draws, params) array that pass ``validate_family``'s
+    tests (``_tests``), and their radicands and denominators (each an
+    array over those rows)."""
+    rads, dens, tests = _tests(family_id, values.T)
+    rows = np.flatnonzero(np.all(np.broadcast_arrays(*(passed for *_, passed in tests)), axis=0))
     return rows, tuple({k: v[rows] for k, v in part.items()} for part in (rads, dens))
 
 
@@ -666,47 +702,49 @@ def _chain_holds(chain, args) -> bool:
 
 
 def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
-    """Build the curve (or pair of curves) of a built-in family.
+    """Build the curve (or pair of curves) of a built-in family: the plain
+    curves of its fold of one draw (``_family_fold``).
 
     Raises InvalidInputError for non-positive parameters and
     ConstraintViolationError naming the first offending radicand or
     denominator.
     """
-    return _example_from(fam, validate_family(fam), alt_pairing)
+    curves = tuple(c[0] for c in _family_fold(fam, alt_pairing)[1])
+    return curves if FAMILIES[fam.family_id]["pair"] else curves[0]
 
 
-def _family_curves(family_id, args, rads, dens, alt_pairing, label, sqrt=math.sqrt):
-    """The family's curves (one, or z and w) from its parameters, radicands
-    and denominators, by its ``_build_exNN``."""
-    info = FAMILIES[family_id]
-    tables = info["_build"](*args, rads, dens, alt_pairing, sqrt=sqrt)
-    return tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, label + suffix)
-                 for comps, suffix in zip(tables, (".z", ".w") if info["pair"] else ("",)))
-
-
-def _example_from(fam: ParamFamily, validation: FamilyValidation, alt_pairing: bool):
-    """``make_example`` from a validation of the same parameters."""
+def _family_fold(fam: ParamFamily, alt_pairing: bool) -> tuple[FamilyValidation, tuple]:
+    """``validate_family(fam)`` and the family's curves as a fold of one
+    draw: its parameters as one row through ``_fold_curves``; a failed
+    validation raises, as ``make_example`` says."""
+    validation = validate_family(fam)
     if validation._error:
         raise ConstraintViolationError(*validation._error)
     if not validation.ok:
         raise InvalidInputError(validation.failures[0])
-    info, label = FAMILIES[fam.family_id], fam.label()
-    try:
-        curves = _family_curves(fam.family_id, [fam.params[k] for k in info["params"]],
-                                validation.radicands, validation.denominators, alt_pairing, label)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise InvalidInputError(f"{label}: parameters out of range ({exc})") from exc
-    return curves if info["pair"] else curves[0]
+    row = np.array([[fam.params[k] for k in FAMILIES[fam.family_id]["params"]]], dtype=float)
+    return validation, _fold_curves(fam.family_id, row, tuple(
+        {k: np.array([v]) for k, v in part.items()}
+        for part in (validation.radicands, validation.denominators)), alt_pairing, fam.label())
 
 
-def _fold_curves(family_id: str, values: np.ndarray, coeffs: tuple[dict, dict]) -> tuple:
-    """The family's curves for a fold of valid draws (rows of values) from
-    their radicands and denominators (``_valid_rows``): each one ``Curve``
-    on arrays of shape (draws, 1, 1); one not finite raises InvalidInputError."""
-    rads, dens = ({k: v[:, None, None] for k, v in part.items()} for part in coeffs)
+def _fold_curves(family_id: str, values: np.ndarray, coeffs: tuple[dict, dict],
+                 alt_pairing: bool = False, label: str = "") -> tuple:
+    """The family's curves (one, or z and w) for a fold of valid draws
+    (rows of values) from their radicands and denominators (``_valid_rows``),
+    by its ``_build_exNN`` with ``np.sqrt``: each one ``Curve`` on arrays of
+    shape (draws, 1, 1), labelled ``label`` (or the family id); one not
+    finite raises InvalidInputError.  A fold of one draw keeps that draw's
+    terms as floats (``Curve._drawn``), which evaluate faster than arrays."""
+    info, one = FAMILIES[family_id], len(values) == 1
+    args = values[0] if one else values.T[..., None, None]
+    rads, dens = ({k: v[0] if one else v[:, None, None] for k, v in part.items()}
+                  for part in coeffs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _family_curves(family_id, values.T[..., None, None], rads, dens, False, family_id,
-                              np.sqrt)
+        tables = info["_build"](*args, rads, dens, alt_pairing, sqrt=np.sqrt)
+        curves = tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, (label or family_id) + suffix)
+                       for comps, suffix in zip(tables, (".z", ".w") if info["pair"] else ("",)))
+    return tuple(c._drawn() for c in curves) if one else curves
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ A surface is described by a small JSON spec:
      "tolerances": {"minimality": 1e-6}}
 
 Curve descriptors are either a built-in family id plus parameters or the
-name of a named test curve.  ``verify`` builds the curves, runs the
-family's premise checkers, constructs the surface and runs the full
-differential-geometry suite (a pair's joint conditions too) on the grid,
-returning a report that never throws on a failed check (only on malformed
-input).  Reports serialize deterministically: identical specs yield
-byte-identical JSON up to the timings block, with every float printed in
-scientific notation at 18 significant digits (``%.17e``: 17 after the point).
+name of a named test curve.  ``verify`` takes the spec's curves as a fold
+of one draw and checks it as ``sweep`` checks its folds: the family's
+premise rows (``_premise_phases``), the surface built once, then the full
+differential-geometry suite (a pair's joint conditions too) on the grid
+(``_check_rows``), returning a report that never throws on a failed check
+(only on malformed input).  Reports serialize deterministically: identical
+specs yield byte-identical JSON up to the timings block, with every float
+printed in scientific notation at 18 significant digits (``%.17e``: 17
+after the point).
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from .curves import (
     Curve,
     FamilyValidation,
     ParamFamily,
-    _example_from,
+    _family_fold,
     _finite_number,
     _fold_curves,
     _valid_rows,
     builtin_curve,
-    validate_family,
 )
 from .errors import DegenerateMetricError, InvalidInputError, PremiseError
 from .indefinite import AmbientKind, indefinite_dot
@@ -54,14 +55,16 @@ from .surfaces import (
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
     BLOCKING,
+    _CASE_B,
+    _CASE_II,
     _blocking,
     _check_grid,
     _condition_rows,
     _draw_count,
+    _reports,
+    _single_curve_premises,
     _stacked,
     _translation_premises,
-    check_case_b_premises,
-    check_case_ii_premises,
     de_sitter_control,
     hyperbolic_case_ii,
     hyperbolic_case_iii,
@@ -245,6 +248,9 @@ def dumps_json(obj) -> str:
 
 
 def _resolve_curves(spec: SurfaceSpec):
+    """The spec's curves, each a fold of one draw (a family's from its
+    parameters as one row, ``curves._family_fold``; a named one
+    ``Curve._drawn``), and the validations of its family parameters."""
     curves: list[Curve] = []
     validations: list[FamilyValidation] = []
     for desc in spec.curves:
@@ -255,15 +261,15 @@ def _resolve_curves(spec: SurfaceSpec):
         if extra:
             raise InvalidInputError(f"unknown curve descriptor keys {sorted(extra)}")
         if "name" in desc:
-            curves.append(builtin_curve(desc["name"]))
+            curves.append(builtin_curve(desc["name"])._drawn())
             continue
         fam = ParamFamily(desc["family_id"], desc.get("params", {}))
         alt_pairing = desc.get("alt_pairing", False)
         if not isinstance(alt_pairing, bool):
             raise InvalidInputError(f"alt_pairing must be true or false, got {alt_pairing!r}")
-        validations.append(validate_family(fam))
-        built = _example_from(fam, validations[-1], alt_pairing)
-        curves.extend(built if isinstance(built, tuple) else (built,))
+        validation, fold = _family_fold(fam, alt_pairing)
+        validations.append(validation)
+        curves.extend(fold)
     arity = SURFACE_FAMILIES[spec.family].arity
     if len(curves) != arity:
         raise InvalidInputError(
@@ -286,13 +292,13 @@ class SurfaceFamily:
     """How the harness builds one surface family; the model its checks
     compare with is the chart of the surface built (``SurfaceMap.chart``).
 
-    ``premises(curves, spec, tols)`` returns the reports made before
-    building, or their rows on a fold's curves (by default none: a pair's
-    joint conditions are checks of the grid pass); ``_blocking`` ones block
-    the surface.  ``build(curves, domain, premise_tol, premises)``
-    constructs it from those reports.  ``build`` and ``premises`` call
-    constructors and checkers by module-global name, so a wrapper installed
-    there sees every call."""
+    ``premises(curves, spec, tols)`` returns the rows of the checks made
+    before building on a fold's curves (by default none: a pair's joint
+    conditions are checks of the grid pass); ``BLOCKING`` ones block a
+    draw.  ``build(curves, domain, premise_tol, premises)`` constructs the
+    surface on a fold's curves from a draw's reports of them.  ``build``
+    and ``premises`` call constructors and checkers by module-global name,
+    so a wrapper installed there sees every call."""
 
     arity: int
     domain: tuple[tuple[float, float], tuple[float, float]]
@@ -314,8 +320,8 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         1, SPHERE_DOMAIN,
         build=lambda curves, domain, tol, premises=None: sphere_case_b(
             *curves, domain, tol=tol, _premises=premises),
-        premises=lambda curves, spec, tols: check_case_b_premises(
-            *curves, DEFAULT_SAMPLES, tols["premise"])),
+        premises=lambda curves, spec, tols: _single_curve_premises(
+            *curves, DEFAULT_SAMPLES, tols["premise"], *_CASE_B)),
     "sphere_c": SurfaceFamily(
         2, SPHERE_DOMAIN,
         build=lambda curves, domain, tol, *_: sphere_case_c(*curves, domain)),
@@ -323,8 +329,8 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         1, HYPERBOLIC_DOMAIN,
         build=lambda curves, domain, tol, premises=None: hyperbolic_case_ii(
             *curves, domain, tol=tol, _premises=premises),
-        premises=lambda curves, spec, tols: check_case_ii_premises(
-            *curves, DEFAULT_SAMPLES, tols["premise"])),
+        premises=lambda curves, spec, tols: _single_curve_premises(
+            *curves, DEFAULT_SAMPLES, tols["premise"], *_CASE_II)),
     "hyp_iii": SurfaceFamily(
         2, HYPERBOLIC_DOMAIN,
         build=lambda curves, domain, tol, *_: hyperbolic_case_iii(*curves, domain)),
@@ -334,38 +340,34 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
 }
 
 
-def _premise_phase(spec, curves, tols):
-    """The family's premise checks, then the surface unless one blocks it
-    (``_blocking``): (reports, blocking ids, surface or None).  sphere_b,
-    hyp_ii and translation take the reports instead of checking again."""
-    family = SURFACE_FAMILIES[spec.family]
-    reports = family.premises(curves, spec, tols)
-    hard = _blocking(reports)
-    return reports, hard, None if hard else family.build(
-        curves, spec.resolved_domain(), tols["premise"], reports)
-
-
 def _premise_phases(spec, curves, tols, like=None):
-    """A fold's premises (``_fold_curves``) as (condition id, residuals,
-    verdicts) over its draws; the draws that build (``BLOCKING``); and those
-    as one surface (``_stacked``) like ``like``, or ``like`` if none builds.
-    Past the premises, the constructor checks only the family and the spec,
-    so it runs once without ``like``, on the first draw's reports alone."""
+    """A fold's premises (``curves._fold_curves``; a spec's curves are a fold
+    of one draw) as (condition id, residuals, verdicts) over its draws; the
+    reports of its first draw that builds (or of its first draw), made only
+    without ``like``; the draws that build (``BLOCKING``); and those as one
+    surface (``_stacked``) like ``like``, or ``like`` if none builds.  Past
+    the premises, the constructor checks only the family and the spec, so
+    without ``like`` it runs once, on that first draw and its reports, and a
+    fold of one draw takes the surface it builds (the de Sitter control,
+    which builds its own curves, on them as a fold of one draw)."""
     family = SURFACE_FAMILIES[spec.family]
     rows = family.premises(curves, spec, tols)
     verdicts = [(cid, *(verdict or _max_verdicts)(r, tol)[:3:2])
                 for cid, r, tol, *_, verdict in rows]
-    ok = np.ones(curves[0]._lead[0], dtype=bool)
+    ok = np.ones(curves[0]._lead[0] if curves else 1, dtype=bool)
     for _, _, passed in verdicts[:BLOCKING]:
         ok &= passed
     built = np.flatnonzero(ok)
+    reports = [] if like is not None else _reports(rows, built[0] if built.size else 0)
     if not built.size:
-        return verdicts, built, like
+        return verdicts, reports, built, like
     if like is None:
-        like = family.build(tuple(c[built[:1]] for c in curves), spec.resolved_domain(),
-                            tols["premise"], [ConditionReport._from_rows(
-                                cid, r[built[:1]], *rest)[0] for cid, r, *rest in rows])
-    return verdicts, built, _stacked(like, curves if ok.all() else tuple(
+        like = family.build(curves if ok.size == 1 else tuple(c[built[:1]] for c in curves),
+                            spec.resolved_domain(), tols["premise"], reports)
+        if ok.size == 1:
+            return verdicts, reports, built, like if curves else _stacked(
+                like, tuple(c._drawn() for c in like.sources))
+    return verdicts, reports, built, _stacked(like, curves if ok.all() else tuple(
         c[built] for c in curves))
 
 
@@ -493,20 +495,20 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
 
     t0 = time.perf_counter()
     curves, validations = _resolve_curves(spec)
-    reports, hard, surface = _premise_phase(spec, curves, tols)
+    _, reports, built, surface = _premise_phases(spec, curves, tols)
     timings["premises"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    if hard:
-        surface_info = {"constructed": False, "reason": f"premises failed: {hard}"}
-    else:
+    if built.size:
         surface_info = {"constructed": True, "label": surface.label,
                         "ambient": surface.ambient.describe(), "flags": list(surface.flags)}
         reports = reports + _checks(spec, surface, tols)[0]
+    else:
+        surface_info = {"constructed": False, "reason": f"premises failed: {_blocking(reports)}"}
     timings["checks"] = time.perf_counter() - t1
     timings["total"] = time.perf_counter() - t0
 
-    overall = bool(not hard and all(r.passed for r in reports))
+    overall = bool(built.size and all(r.passed for r in reports))
     return VerificationReport(
         spec=spec.to_dict(),
         surface=surface_info,
@@ -558,7 +560,7 @@ def sweep(
         valid, invalid = valid + len(rows), invalid + len(chunk) - len(rows)
         for i in range(0, len(rows), per):  # check a fold together
             draws = chunk[rows[i:i + per]]
-            verdicts, built, surface = _premise_phases(spec, _fold_curves(family, draws, tuple(
+            verdicts, _, built, surface = _premise_phases(spec, _fold_curves(family, draws, tuple(
                 {k: v[i:i + per] for k, v in part.items()} for part in coeffs)), tols, surface)
             verdicts = [v + (np.arange(len(draws)),) for v in verdicts]
             for run in _check_rows(spec, surface, tols) if built.size else ():
@@ -685,10 +687,10 @@ def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:
     if isinstance(spec, dict):
         spec = SurfaceSpec.from_dict(spec)
     curves, _ = _resolve_curves(spec)
-    reports, hard, surface = _premise_phase(spec, curves, {**default_tolerances(),
-                                                           **spec.tolerances})
-    if hard:
-        raise PremiseError(hard, reports)
+    _, reports, built, surface = _premise_phases(spec, curves, {**default_tolerances(),
+                                                                **spec.tolerances})
+    if not built.size:
+        raise PremiseError(_blocking(reports), reports)
     nx, ny = spec.grid
     dim = surface.ambient.embedding_signature.dim
     positions, residuals = diffgeo.grid_values(

@@ -34,8 +34,9 @@ all of a fold's draws (``_grid_blocks``), and hands ``jet`` each block's
 slice.  They compute component-major (embedding axis first) and return
 dim-last views.  ``tangent`` gives L_x and L_y alone (curve orders 0-2) for
 the E-field stencil; it and ``position`` take the stencils' tables too.
-Premise checkers return per-condition reports with the worst sample point
-(a pair checker's from its chart's jet: ``_condition_rows``); constructors
+Premise checkers return per-condition reports with the worst sample point,
+the first draw's of their (draws, samples) rows (``_reports``; a pair
+checker's rows from its chart's jet: ``_condition_rows``); constructors
 raise on algebraic premise failures and merely flag the non-degeneracy
 ones (a vanishing jerk term is the totally geodesic boundary case, not an
 error).  The single-curve constructors run their premise checks before
@@ -54,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import BUILTIN_CURVES, DEFAULT_SAMPLES, Curve, derivative_inner, null_check
+from .curves import BUILTIN_CURVES, DEFAULT_SAMPLES, Curve, derivative_inner
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -148,7 +149,7 @@ class SurfaceMap:
     constructor that checks its curve (sphere_b and hyp_ii).  ``chart``
     (``_Chart``, set by every constructor) holds the family's model, and
     with ``sources`` made ``position``, ``jet`` and ``tangent``
-    (``_chart_maps``, which ``_stacked`` runs on a fold's sources).
+    (``_source_maps``, which ``_stacked`` runs on a fold's sources).
     """
 
     ambient: Ambient
@@ -247,10 +248,22 @@ def _chart_maps(chart: _Chart, *sources):
         x, y, d or _derivatives(sources, x, y, 3), 2)[-1])]
 
 
+def _source_maps(chart: _Chart, sources) -> tuple:
+    """``_chart_maps`` of ``chart`` on ``sources``; on a fold's curves
+    (``curves._fold_curves``) each map puts the draw axis before the last
+    two (node) axes of x and y, which a scalar or a vector gets in front."""
+    def drawn(t):
+        t = np.asarray(t)
+        return t[..., None, :, :] if t.ndim > 1 else t.reshape((1,) + t.shape)
+    maps = _chart_maps(chart, *sources)
+    return maps if not sources[0]._lead else tuple(
+        lambda x, y, *d, f=f: f(drawn(x), drawn(y), *d) for f in maps)
+
+
 def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> SurfaceMap:
     """The surface of ``chart`` on its source curves, labelled family[z, w] (or
     ``label``), with the singular margin |x+y| if the chart has a pole."""
-    position, jet, tangent = _chart_maps(chart, *sources)
+    position, jet, tangent = _source_maps(chart, sources)
     names = ", ".join(c.label or name for c, name in zip(sources, "zw"))
     margin = (lambda x, y: abs(x + y)) if chart.pole else None
     return SurfaceMap(ambient, position, domain, jet, tangent, margin, sources, family=family,
@@ -259,11 +272,9 @@ def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> Su
 
 def _stacked(surface, sources) -> SurfaceMap:
     """``surface`` on ``sources``, a fold's curves (``curves._fold_curves``)
-    or some of its draws: its maps put the draw axis before the two node
-    axes of x and y, and it keeps the surface's other fields."""
-    position, jet, tangent = (
-        lambda x, y, *d, f=f: f(np.expand_dims(x, -3), np.expand_dims(y, -3), *d)
-        for f in _chart_maps(surface.chart, *sources))
+    or some of its draws, with its chart's maps on them (``_source_maps``);
+    it keeps the surface's other fields."""
+    position, jet, tangent = _source_maps(surface.chart, sources)
     return replace(surface, sources=sources, position=position, jet=jet, tangent=tangent)
 
 
@@ -322,7 +333,7 @@ def _tables(curves, t, parts=((4, ...),)) -> list:
     viewed dim-last, or its ``parts`` (orders, index of t's first axis) each,
     curve by curve; a fold's (``_stacked``) with the draw axis third from last."""
     if curves and curves[0]._lead:
-        t = np.expand_dims(t, -3)
+        t = t[..., None, :, :]
     cm = (np.moveaxis(c.derivatives(t, range(4)), -1, 1) for c in curves)  # one at a time
     return [_dim_last(table[:n, :, at].copy(), 1) for table in cm for n, at in parts]
 
@@ -450,20 +461,27 @@ def _single_curve_premises(z, samples, tol, speed, acc, nonzero):
     """<z,z> = 0, <z',z'> = speed, <z'',z''> = acc[1] (check id acc[0]) and a
     vector nonzero[1](d) of d = (z, z', z'', z''') that must not vanish (check
     id nonzero[0], note nonzero[2]), at samples points of z's domain: their
-    reports, or, for a fold's curve (``curves._fold_curves``), their (draws,
-    samples) rows as ``ConditionReport._from_rows``'s arguments."""
+    (draws, samples) rows as ``ConditionReport._from_rows``'s arguments (one
+    row for a plain curve).  The products are formed under ``np.errstate``:
+    an extreme draw's overflow gives residuals of inf or NaN, which fail."""
     ts = z.sample_grid(samples)
-    pts = ts[:, None]
     grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
     d = z.derivatives(ts, range(4))
-    sq = [indefinite_dot(d[k], d[k], z.signature.index) for k in range(3)]
-    rows = [(cid, np.reshape(r, (z._lead[:1] or (1,)) + (-1,)), tol, grid, pts, note, verdicts)
-            for cid, r, note, verdicts in (
-                ("lightcone-z", np.abs(sq[0]), "", None),
-                ("speed-z", np.abs(sq[1] - speed), f"<z',z'> = {speed:g}", None),
-                (acc[0], np.abs(sq[2] - acc[1]), f"<z'',z''> = {acc[1]:g}", None),
-                (nonzero[0], np.max(np.abs(nonzero[1](d)), axis=-1), nonzero[2], _min_verdicts))]
-    return rows if z._lead else [ConditionReport._from_rows(*row)[0] for row in rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = [indefinite_dot(d[k], d[k], z.signature.index) for k in range(3)]
+        return [(cid, np.reshape(r, (-1, samples)), tol, grid, ts[:, None], note, verdicts)
+                for cid, r, note, verdicts in (
+                    ("lightcone-z", np.abs(sq[0]), "", None),
+                    ("speed-z", np.abs(sq[1] - speed), f"<z',z'> = {speed:g}", None),
+                    (acc[0], np.abs(sq[2] - acc[1]), f"<z'',z''> = {acc[1]:g}", None),
+                    (nonzero[0], np.max(np.abs(nonzero[1](d)), axis=-1), nonzero[2],
+                     _min_verdicts))]
+
+
+def _reports(rows, draw=0) -> list[ConditionReport]:
+    """The reports of one draw of checks' (draws, nodes) rows, given as
+    ``ConditionReport._from_rows``'s arguments."""
+    return [ConditionReport._from_rows(cid, r[draw:draw + 1], *rest)[0] for cid, r, *rest in rows]
 
 
 #: The premises whose failure blocks a build: the first three (a single
@@ -495,22 +513,36 @@ _FLAT_CHART = _Chart(lambda Z, Z1, s: Z, lambda s: (1.0, 0.0, 0.0, 0.0), 0.0,
                      minimality="minimality-flat")
 
 
-def _translation_premises(z, w, grid, domain, samples, tol) -> list[ConditionReport]:
-    """null-z and null-w (``null_check`` at samples points), then
-    pairing-nonzero: min |<z'(x), w'(y)>| on the grid over domain must reach
-    tol, and a sign change, which proves a zero between nodes, fails with
-    the span of the values as residual."""
-    reports = [replace(null_check(curve, samples, tol), condition_id=cid)
-               for curve, cid in ((z, "null-z"), (w, "null-w"))]
-    values = derivative_inner(z, 1, w, 1, *grid_axes(domain, grid))
-    pairing = ConditionReport.from_min(
-        "pairing-nonzero", np.abs(values), tol, f"{grid[0]}x{grid[1]} grid",
-        grid_points(domain, grid), note="min |<z'(x), w'(y)>| must stay positive")
-    if values.min() < 0 < values.max():
-        pairing = ConditionReport(
-            pairing.condition_id, float(values.max() - values.min()), 0.0, False, pairing.grid,
-            pairing.worst_point, "<z'(x), w'(y)> changes sign on the grid (residual = span)")
-    return reports + [pairing]
+def _pairing_verdicts(values, tol):
+    """``_min_verdicts`` of |values| for rows of <z'(x), w'(y)>, but a row
+    whose values change sign, which proves a zero between nodes, fails with
+    their span as its residual."""
+    lo, hi = np.min(values, axis=1), np.max(values, axis=1)
+    shortfall, index, passed, zero = _min_verdicts(np.abs(values), tol)
+    flips = (lo < 0) & (0 < hi)
+    return np.where(flips, hi - lo, shortfall), index, passed & ~flips, zero
+
+
+def _translation_premises(z, w, grid, domain, samples, tol) -> list[tuple]:
+    """null-z and null-w, |<c',c'>| at samples points of each curve's domain,
+    then pairing-nonzero: min |<z'(x), w'(y)>| on the grid over domain must
+    reach tol (``_pairing_verdicts``): their (draws, nodes) rows, as
+    ``_single_curve_premises`` gives them, under ``np.errstate`` too."""
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for curve, cid in ((z, "null-z"), (w, "null-w")):
+            ts = curve.sample_grid(samples)
+            rows.append((cid, np.reshape(np.abs(derivative_inner(curve, 1, curve, 1, ts, ts)),
+                                         (-1, samples)), tol,
+                         f"{samples} samples on [{curve.domain[0]:g}, {curve.domain[1]:g}]",
+                         ts[:, None], "", None))
+        values = np.reshape(derivative_inner(z, 1, w, 1, *grid_axes(domain, grid)),
+                            (-1, grid[0] * grid[1]))
+    flips = np.any((np.min(values, axis=1) < 0) & (0 < np.max(values, axis=1)))
+    return rows + [("pairing-nonzero", values, tol, f"{grid[0]}x{grid[1]} grid",
+                    grid_points(domain, grid),
+                    "<z'(x), w'(y)> changes sign on the grid (residual = span)" if flips
+                    else "min |<z'(x), w'(y)>| must stay positive", _pairing_verdicts)]
 
 
 def translation_surface(
@@ -537,7 +569,8 @@ def translation_surface(
     domain = _check_domain(domain)
     _require_coverage(z, domain[0], "x")
     _require_coverage(w, domain[1], "y")
-    premises = _premises or _translation_premises(z, w, (samples, samples), domain, samples, tol)
+    premises = _premises or _reports(
+        _translation_premises(z, w, (samples, samples), domain, samples, tol))
     failed = _blocking(premises[:2])
     if failed:
         raise PremiseError(failed, premises)
@@ -561,9 +594,13 @@ def check_case_b_premises(
     acceleration; the jerk must not vanish (its vanishing is the totally
     geodesic boundary case).
     """
-    return _single_curve_premises(
-        z, samples, tol, 4.0, ("acc-null-z", 0.0),
-        ("jerk-nonzero-z", lambda d: d[3], "max-norm of z''' must stay positive"))
+    return _reports(_single_curve_premises(z, samples, tol, *_CASE_B))
+
+
+#: sphere_b's premises on its curve (``_single_curve_premises``): speed 2,
+#: null acceleration, and a jerk that must not vanish
+_CASE_B = (4.0, ("acc-null-z", 0.0),
+           ("jerk-nonzero-z", lambda d: d[3], "max-norm of z''' must stay positive"))
 
 
 def _sphere_ambient(signature: Signature) -> Ambient:
@@ -624,8 +661,7 @@ def check_case_c_conditions(
     _require_same_signature(z, w)
     domain = _check_domain(domain)
     _sphere_domain_guard(domain)
-    return [ConditionReport.from_max(*row)
-            for row in _condition_rows(_SPHERE_CHART, (z, w), domain, grid, tol)]
+    return _reports(_condition_rows(_SPHERE_CHART, (z, w), domain, grid, tol))
 
 
 def sphere_case_c(z: Curve, w: Curve, domain=SPHERE_DOMAIN) -> SurfaceMap:
@@ -648,10 +684,13 @@ def check_case_ii_premises(
     """Premises of the single-curve hyperbolic construction: light-cone
     position, <z',z'> = -2, <z'',z''> = 4, and z''' != 2 z' (whose failure
     is the totally geodesic boundary case)."""
-    return _single_curve_premises(
-        z, samples, tol, -2.0, ("acc-norm-z", 4.0),
-        ("nondegenerate-z", lambda d: d[3] - 2 * d[1],
-         "max-norm of z''' - 2z' must stay positive"))
+    return _reports(_single_curve_premises(z, samples, tol, *_CASE_II))
+
+
+#: hyp_ii's premises on its curve (``_single_curve_premises``): <z',z'> = -2,
+#: <z'',z''> = 4, and a z''' - 2z' that must not vanish
+_CASE_II = (-2.0, ("acc-norm-z", 4.0), ("nondegenerate-z", lambda d: d[3] - 2 * d[1],
+                                         "max-norm of z''' - 2z' must stay positive"))
 
 
 def _hyperbolic_ambient(signature: Signature) -> Ambient:
@@ -720,8 +759,7 @@ def check_case_iii_conditions(
     sqrt2 <z+w, 2c'-c'''> tanh((x+y)/sqrt2) = <z'+w', 2c'-c'''> for
     c = z and c = w respectively."""
     _require_same_signature(z, w)
-    return [ConditionReport.from_max(*row) for row in _condition_rows(
-        _HYPERBOLIC_CHART, (z, w), _check_domain(domain), grid, tol)]
+    return _reports(_condition_rows(_HYPERBOLIC_CHART, (z, w), _check_domain(domain), grid, tol))
 
 
 def hyperbolic_case_iii(z: Curve, w: Curve, domain=HYPERBOLIC_DOMAIN) -> SurfaceMap:

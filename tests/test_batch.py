@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import lorentzmin
 from lorentzmin import diffgeo, harness, sampling
+from lorentzmin.cli import main
 from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, Curve, FamilyValidation, ParamFamily,
                                _ex72_chain_mid, _fold_curves, _valid_rows, make_example,
                                validate_family)
@@ -127,9 +128,9 @@ def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
         spec = SurfaceSpec(family=FAMILIES[family]["surface"], grid=tuple(cfg["grid"]),
                            curves=({"family_id": family, "params": params[2]},))
         curves, _ = harness._resolve_curves(spec)
-        surface = harness._premise_phase(spec, curves, default_tolerances())[2]
+        surface = harness._premise_phases(spec, curves, default_tolerances())[3]
         x0, y0 = surface.grid(spec.grid)[0]
-        marker = surface.position(x0, y0)[0]
+        marker = surface.position(np.array([[x0]]), np.array([[y0]])).flat[0]
         table = diffgeo._table
 
         def degenerate_third(surface, jet, marker=marker, table=table):
@@ -360,7 +361,9 @@ def test_sweep_rejects_exactly_the_draws_validation_rejects(family, near, data):
         else data.draw(PARAMS, label=k) for k in FAMILIES[family]["params"]})
 
 
-@pytest.mark.parametrize("family, params, ok, edge", [
+#: (family, params, ok, edge): validation's verdict, and the radicand (a
+#: number) or the failure text (a string) that the edge is about
+REJECTION_EDGES = [
     # q^2(2+a^2) - (4+a^2) is exactly 0, which passes
     ("Ex8_1", {"a": 0.5, "b": 1.1, "p": 1.0, "q": math.sqrt(4.25 / 2.25)}, True, 0.0),
     ("Ex7_1", {"a": 0.0, "p": 3, "q": 1, "r": 2}, False, None),
@@ -371,7 +374,10 @@ def test_sweep_rejects_exactly_the_draws_validation_rejects(family, near, data):
     ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 2}, False, math.inf),
     # beyond it p**2 raises OverflowError
     ("Ex7_1", {"a": 1, "p": 1e155, "q": 1, "r": 2}, False, "out of range"),
-])
+]
+
+
+@pytest.mark.parametrize("family, params, ok, edge", REJECTION_EDGES)
 def test_sweep_rejection_edges(family, params, ok, edge):
     validation = _same_verdict(family, params)
     assert validation.ok is ok
@@ -382,6 +388,31 @@ def test_sweep_rejection_edges(family, params, ok, edge):
         assert any(v == edge or (math.isnan(v) and math.isnan(edge)) for v in rads)
         if not ok:
             assert f"not finite (= {edge:g})" in validation.failures[0]
+
+
+@pytest.mark.parametrize("family, params, code, err", [
+    (*REJECTION_EDGES[0][:2], 0, ""),
+    (*REJECTION_EDGES[1][:2], 2, "error: Ex7_1: parameter a must be positive (= 0)\n"),
+    (*REJECTION_EDGES[2][:2], 2, "error: Ex8_2: parameter a must be positive (= -0.7)\n"),
+    (*REJECTION_EDGES[3][:2], 2, "error: radicand 4r^2+a^2p^2(p^2-r^2) is not finite (= nan)\n"),
+    (*REJECTION_EDGES[4][:2], 2, "error: radicand 4r^2+a^2p^2(p^2-r^2) is not finite (= inf)\n"),
+    (*REJECTION_EDGES[5][:2], 2, "error: Ex7_1(a=1,p=1e+155,q=1,r=2): parameters out of range "
+                                 "((34, 'Numerical result out of range'))\n"),
+    # an int 0 and a -0.0, each printed as given
+    ("Ex7_2", {"p": 3, "q": 0, "r": 1}, 2, "error: Ex7_2: parameter q must be positive (= 0)\n"),
+    ("Ex7_2", {"p": 3, "q": 1.5, "r": -0.0}, 2,
+     "error: Ex7_2: parameter r must be positive (= -0)\n"),
+])
+def test_verify_exit_texts_of_the_rejection_edges(tmp_path, capsys, family, params, code, err):
+    # lms verify on each edge: a valid one checks its surface (stderr empty);
+    # a rejected one exits 2 with this one line and writes nothing to stdout
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": FAMILIES[family]["surface"],
+                                "curves": [{"family_id": family, "params": params}]}))
+    assert main(["verify", "--spec", str(path), "--no-timings"]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    assert (out == "") == (code == 2)
 
 
 def test_sweep_counts_draws_with_infinite_radicands_invalid():
@@ -468,8 +499,9 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
     assert sorted(nodes["jet"]) == [25, 21 * 21]
     assert nodes["tangent"] == [4 * 25]
     # z once for the premises, once for the grid pass and once for the
-    # subgrid block, at the 7 stencil abscissae of each x
-    assert evaluated == [(harness.DEFAULT_SAMPLES,), (21, 1), (7, 5, 1)]
+    # subgrid block, at the 7 stencil abscissae of each x; the grid passes
+    # put a draw axis (z is a fold of one draw) before the node axes
+    assert evaluated == [(harness.DEFAULT_SAMPLES,), (1, 21, 1), (7, 1, 5, 1)]
 
 
 def test_efield_checks_its_nodes_once():
@@ -516,7 +548,8 @@ def test_grid_values_blocks_whole_draws(monkeypatch, name):
     spec = SurfaceSpec.from_dict({**json.loads((SPEC_DIR / f"{name}.json").read_text()),
                                   "grid": [9, 9]})
     curves, _ = harness._resolve_curves(spec)
-    surface = harness._premise_phase(spec, curves, default_tolerances())[2]
+    # verify's surface: a fold of one draw
+    surface = harness._premise_phases(spec, curves, default_tolerances())[3]
     forms, blocks = diffgeo._forms, []
 
     def recording(surface, x, y, curvature="jet", d=None):
@@ -533,12 +566,13 @@ def test_grid_values_blocks_whole_draws(monkeypatch, name):
         (alone,) = diffgeo.grid_values(surface, shape, k, curvature=curvature)
         single = list(blocks)
         blocks.clear()
-        fold = _stacked(surface, tuple(repeated(c, 13) for c in surface.sources))
+        fold = _stacked(surface, tuple(repeated(c[0], 13) for c in surface.sources))
         (many,) = diffgeo.grid_values(fold, shape, k, curvature=curvature)
-        assert np.array_equal(many, np.broadcast_to(alone, (13,) + alone.shape))
+        assert alone.shape == (1,) + shape
+        assert np.array_equal(many, np.broadcast_to(alone, (13,) + shape))
         # whole draws of one stack per block, one draw where a grid block holds one
         stacks = [(d,) + shape for d in [per] * (13 // per) + [13 % per] if d]
-        assert blocks == (stacks if per > 1 else [(1,) + b for b in single] * 13)
+        assert blocks == (stacks if per > 1 else single * 13)
         assert all(math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks)
 
 
@@ -567,7 +601,7 @@ def test_a_draw_that_zeroes_components_is_checked_in_its_fold():
         {"family_id": "Ex8_1", "params": params},)) for params in draws]
     *_, fold = harness._premise_phases(specs[0], fold_of("Ex8_1", draws), tols)
     assert len(harness._check_rows(specs[0], fold, tols)) == 1
-    alone = [harness._premise_phase(s, harness._resolve_curves(s)[0], tols)[2] for s in specs]
+    alone = [harness._premise_phases(s, harness._resolve_curves(s)[0], tols)[3] for s in specs]
     assert not make_example(ParamFamily("Ex8_1", draws[1])).at(0.5)[[2, 5]].any()
     batch = harness._checks(specs[0], fold, tols)
     assert batch == [harness._checks(specs[0], s, tols)[0] for s in alone]

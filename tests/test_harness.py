@@ -167,42 +167,48 @@ class TestVerify:
         ({"family": "sphere_b", "curves": [{"name": "trig3"}]}, "check_case_b_premises"),
     ], ids=["sphere_b", "hyp_ii", "sphere_b-failed"])
     def test_premise_checker_runs_once(self, monkeypatch, spec, checker):
+        # the premise rows are made once, for the harness and the
+        # constructor alike, and verify's reports are the public checker's
         from lorentzmin import harness, surfaces
 
         calls = []
-        original = getattr(surfaces, checker)
+        original = surfaces._single_curve_premises
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (surfaces, harness):  # wherever the checker is looked up
-            if hasattr(module, checker):
-                monkeypatch.setattr(module, checker, counted)
+        for module in (surfaces, harness):  # wherever the rows are looked up
+            monkeypatch.setattr(module, "_single_curve_premises", counted)
         report = verify(dict(spec, grid=[5, 5]))
         assert len(calls) == 1
+        z, samples, tol = calls[0][:3]  # z is a fold of one draw
         assert [c.to_dict() for c in report.checks[:4]] == [
-            r.to_dict() for r in original(*calls[0])]
+            r.to_dict() for r in getattr(surfaces, checker)(z[0], samples, tol)]
 
     def test_translation_null_checks_run_once(self, monkeypatch):
         # the harness's null-z, null-w and pairing-nonzero reports are
         # handed to the constructor, which judges them and computes nothing
-        # again: two null checks and one pairing on the spec's grid
+        # again: two null checks, each of one curve at its samples, and one
+        # pairing on the spec's grid
         import pathlib
 
         from lorentzmin import surfaces
+        from lorentzmin.curves import DEFAULT_SAMPLES
 
-        calls = {"null_check": [], "derivative_inner": []}
-        for name, made in calls.items():
-            def counted(*args, original=getattr(surfaces, name), made=made):
-                made.append(args)
-                return original(*args)
-            monkeypatch.setattr(surfaces, name, counted)
+        calls = []
+
+        def counted(*args, original=surfaces.derivative_inner):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(surfaces, "derivative_inner", counted)
         spec = pathlib.Path(__file__).resolve().parent.parent / "specs" / "translation_demo.json"
         report = verify(json.loads(spec.read_text()))
         assert report.overall_pass
-        assert len(calls["null_check"]) == 2
-        ((*_, xs, ys),) = calls["derivative_inner"]
+        (z, _, z2, _, tz, _), (w, _, w2, _, tw, _), (*_, xs, ys) = calls
+        assert z is z2 and w is w2 and z is not w
+        assert tz.size == tw.size == DEFAULT_SAMPLES
         assert (xs.size, ys.size) == (21, 21)
 
     def test_failed_premise_reported_even_on_a_bad_domain(self):
@@ -241,16 +247,16 @@ class TestVerify:
         from lorentzmin.curves import DEFAULT_SAMPLES, derivative_inner
         from lorentzmin.harness import SurfaceSpec, _resolve_curves
         from lorentzmin.report import default_tolerances
-        from lorentzmin.surfaces import _translation_premises, grid_axes, grid_points
+        from lorentzmin.surfaces import _reports, _translation_premises, grid_axes, grid_points
 
         spec = SurfaceSpec.from_dict({**TRANSLATION, "grid": [7, 5]})
-        (z, w), _ = _resolve_curves(spec)
+        z, w = (c[0] for c in _resolve_curves(spec)[0])  # the plain curves of folds of one draw
         pts = grid_points(spec.resolved_domain(), spec.grid)
         flat = derivative_inner(z, 1, w, 1, pts[:, 0], pts[:, 1])
         axes = derivative_inner(z, 1, w, 1, *grid_axes(spec.resolved_domain(), spec.grid))
         assert axes.shape == spec.grid and np.array_equal(axes.ravel(), flat)
-        pairing = _translation_premises(z, w, spec.grid, spec.resolved_domain(), DEFAULT_SAMPLES,
-                                        default_tolerances()["premise"])[-1]
+        pairing = _reports(_translation_premises(z, w, spec.grid, spec.resolved_domain(),
+                                                 DEFAULT_SAMPLES, default_tolerances()["premise"]))[-1]
         assert pairing.max_residual == 1e-9 - np.min(np.abs(flat))
         assert pairing.worst_point == tuple(pts[np.argmin(np.abs(flat))])
 
@@ -376,6 +382,14 @@ class TestSweep:
         b = sweep("Ex7_1", n=4, rng_seed=5)
         assert dumps_json(a) == dumps_json(b)
 
+    def test_ex72_box_around_the_spec_passes_every_valid_draw(self):
+        # the chain sampler yields no valid Ex7_2 draw; a box of 10% about
+        # sphere_c_ex72's parameters yields many, and each one passes
+        summary = sweep("Ex7_2", {"mode": "box_around", "center": [3, 1.5, 1], "rel": 0.1},
+                        n=400, rng_seed=0)
+        assert summary["valid"] > 300
+        assert summary["passed"] == summary["valid"] and summary["failures"] == []
+
     def test_ex72_chain_has_no_valid_draws(self):
         summary = sweep("Ex7_2", n=500, rng_seed=1)
         assert summary["valid"] == 0
@@ -412,7 +426,7 @@ class TestSweep:
 
         def fake_premise_phases(spec, curves, tols, like=None):
             folds.append(curves[0]._lead[0])
-            return [], np.arange(folds[-1]), spec
+            return [], [], np.arange(folds[-1]), spec
 
         def fake_check_rows(spec, surface, tols):
             return [[("x", np.array([[next(draws)] for _ in range(folds[-1])]), 1.0, "g", None,
@@ -615,6 +629,28 @@ class TestCli:
         assert [f["failed"] for f in summary["failures"]] == [
             ["lightcone-z", "jerk-nonzero-z"]] * 2 + [["jerk-nonzero-z", "metric-signature"]]
         assert summary["worst_residuals"]["lightcone-z"] > 1e288
+
+    def test_premise_overflow_leaks_no_warning_under_w_error(self):
+        # draws near 1e-165 overflow the products of their premises; under
+        # python -W error a RuntimeWarning there would end the sweep in a
+        # traceback.  Their NaN residuals still fail: every draw fails
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        config = '{"a_box":[1,1],"pqr_box":[1e-170,1e-160],"min_gap":0}'
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lorentzmin.cli", "sweep", "--family", "Ex7_1",
+             "--sampler-config", config, "--n", "20"], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")]))})
+        assert (result.returncode, result.stderr) == (1, "")
+        summary = json.loads(result.stdout)
+        assert summary["failed"] == summary["valid"] == 20
+        assert summary["worst_residuals"]["lightcone-z"] == "nan"
+        assert all("lightcone-z" in f["failed"] for f in summary["failures"])
 
     def test_sweep_exit_0(self, capsys):
         assert main(["sweep", "--family", "Ex7_2", "--n", "50", "--seed", "0"]) == 0

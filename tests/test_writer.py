@@ -83,8 +83,8 @@ class TestExactness:
 def grid_values(spec: SurfaceSpec):
     """The exported columns of ``spec``, computed as ``export_samples`` does."""
     curves, _ = harness._resolve_curves(spec)
-    _, _, surface = harness._premise_phase(spec, curves,
-                                           {**default_tolerances(), **spec.tolerances})
+    *_, surface = harness._premise_phases(spec, curves,
+                                          {**default_tolerances(), **spec.tolerances})
     positions, residuals = diffgeo.grid_values(
         surface, spec.grid,
         [lambda x, y, jet, f: jet.L, lambda x, y, jet, f: harness._vmax(f.H)], curvature=None)
