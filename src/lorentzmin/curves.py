@@ -63,7 +63,7 @@ DEFAULT_SAMPLES = 41
 
 def _finite_number(value) -> bool:
     """True for an int or float, not a bool, that is a finite double."""
-    if isinstance(value, float):  # a curve's terms (np.float64 too): skip the ABC check
+    if type(value) is float:  # a curve's terms: skip the ABC check below
         return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
@@ -168,8 +168,7 @@ class Curve:
     A coefficient or frequency may also be an array of shape (draws, 1, 1)
     over a fold's draws (``_fold_curves``): the curve is then the fold's
     curves, each draw bit for bit its own, evaluated on t's shape broadcast
-    against that; ``curve[draws]`` picks some, and it cannot be hashed.  A
-    plain curve's ``_drawn`` is a fold of one draw with its float terms.
+    against that; ``curve[draws]`` picks some, and it cannot be hashed.
     """
 
     signature: Signature
@@ -178,7 +177,6 @@ class Curve:
     label: str = ""
     #: (slot, first, basis, w or j, factors by order) per term, and the
     #: shape of a factor: () for one curve, (draws, 1, 1) for a fold's
-    #: (which ``_drawn`` sets to (1, 1, 1) on float factors)
     _plan: tuple = field(init=False, repr=False, compare=False)
     _lead: tuple = field(init=False, repr=False, compare=False)
 
@@ -207,26 +205,16 @@ class Curve:
 
     def __getitem__(self, draws):
         """The curve of the draws that ``draws`` (a slice or a list of
-        indices) picks from a fold's, or, for an int, that draw's own curve
-        with float terms; its plan is sliced, not rebuilt."""
-        one = isinstance(draws, numbers.Integral)
-
+        indices) picks from a fold's; its plan is sliced, not rebuilt."""
         def pick(v):
-            return v if not isinstance(v, np.ndarray) else v[draws].item() if one else v[draws]
+            return v[draws] if isinstance(v, np.ndarray) else v
         part = object.__new__(Curve)
         part.__dict__.update(
-            self.__dict__, _lead=() if one else np.empty(self._lead)[draws].shape,
+            self.__dict__, _lead=np.empty(self._lead)[draws].shape,
             components=tuple(tuple((b, pick(a), pick(w)) for b, a, w in c)
                              for c in self.components),
             _plan=tuple((slot, first, b, pick(w), tuple(map(pick, coefs)))
                         for slot, first, b, w, coefs in self._plan))
-        return part
-
-    def _drawn(self) -> Curve:
-        """This plain curve as a fold of one draw: its terms, evaluated with
-        the draw axis of length 1 that its lead shape (1, 1, 1) adds."""
-        part = object.__new__(Curve)
-        part.__dict__.update(self.__dict__, _lead=(1, 1, 1))
         return part
 
     def derivatives(self, t, orders) -> np.ndarray:
@@ -287,10 +275,17 @@ def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):
 def null_check(curve: Curve, samples: int = DEFAULT_SAMPLES,
                tol: float = DEFAULT_TOLS["premise"]) -> ConditionReport:
     """Max of |<z',z'>| over an even grid of the domain; pass iff <= tol."""
+    return ConditionReport._from_rows(*_null_row(curve, samples, tol))[0]
+
+
+def _null_row(curve: Curve, samples: int, tol: float, condition_id: str = "null") -> tuple:
+    """``null_check`` as (draws, samples) rows, ``ConditionReport._from_rows``'s
+    arguments, formed under ``np.errstate`` (an overflow's inf or NaN fails)."""
     ts = curve.sample_grid(samples)
-    residuals = np.abs(derivative_inner(curve, 1, curve, 1, ts, ts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.abs(derivative_inner(curve, 1, curve, 1, ts, ts))
     grid = f"{samples} samples on [{curve.domain[0]:g}, {curve.domain[1]:g}]"
-    return ConditionReport.from_max("null", residuals, tol, grid, points=ts[:, None])
+    return condition_id, np.reshape(residuals, (-1, samples)), tol, grid, ts[:, None], "", None
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +296,17 @@ def null_check(curve: Curve, samples: int = DEFAULT_SAMPLES,
 # as advisory metadata only (see FamilyValidation.chain_ok), because for
 # one family the quoted chain is incompatible with a radicand.  Each
 # formula is written once, in ``_exNN_coeffs``, which ``_tests`` runs on
-# arrays of parameters over draws; ``_fold_curves`` hands the validated
-# radicands and denominators to ``_build_exNN``, which takes their square
-# roots in the order the coefficient function lists them and returns the
-# term tables of the family's curve or pair.  Both take arrays of numbers
-# or, with a symbolic ``sqrt``, symbols, so the tables can be checked
-# symbolically.
+# parameters over draws; ``_fold_curves`` hands the valid draws' radicands
+# and denominators to ``_build_exNN``, which takes their square roots in the
+# order the coefficient function lists them and returns the term tables of
+# the family's curve or pair.  Both take symbols too (with a symbolic
+# ``sqrt``), so the tables can be checked symbolically.
 
 #: Example families keep cosh arguments <= 6 on this domain.  A premise
-#: identity's rounding error grows with the terms it cancels (about 1e-16
-#: of the largest <z^(k), z^(k)> term): on the shipped specs and the default
-#: sampler boxes it stays below 1e-10, inside the 1e-9 algebraic tolerance,
-#: but not on every box the samplers accept (an Ex7_1 sweep with pqr_box
-#: [0.2, 5.0] fails acc-null-z on 596 of 2,000 valid draws, seed 0).
+#: identity holds to about 1e-16 of its largest <z^(k), z^(k)> term: inside
+#: the 1e-9 algebraic tolerance on the shipped specs and default sampler
+#: boxes, not on all the samplers accept (Ex7_1 with pqr_box [0.2, 5.0],
+#: seed 0: 596 of 2,000 valid draws fail acc-null-z).
 FACTORY_DOMAIN = (-1.2, 1.2)
 
 
@@ -585,13 +578,13 @@ def _coefficient_ok(value, kind: str):
 
 
 def validate_family(fam: ParamFamily) -> FamilyValidation:
-    """Numeric validation: every parameter > 0, every radicand >= 0 and
-    every denominator > 0, each finite (``_coefficient_ok``), then every
-    coefficient of the curves finite: ``_tests`` on the parameter set as
-    one draw, so a sweep's ``_valid_rows`` gives each draw this verdict.
-    An int parameter up to 2**10 in size stays an int there, as it does in
-    Python, so a formula of ints alone gives its exact int (at most a
-    sixth power of 2**10 times a few terms, far inside int64).
+    """Numeric validation, ``_tests`` of the parameter set as one draw (a
+    sweep's ``_valid_rows`` gives each draw this verdict): every parameter
+    > 0, every radicand >= 0 and denominator > 0, each finite
+    (``_coefficient_ok``), then every coefficient of the curves finite.  An
+    int parameter up to 2**150 stays a Python int, so a formula of ints is
+    exact, as in Python, and (of degree at most 6) inside the double range
+    the curves are built in; a larger int is a float.
 
     The quoted inequality chain is evaluated too, but only for reporting;
     it neither implies nor is implied by validity (one family's chain in
@@ -600,8 +593,9 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
     info = FAMILIES[fam.family_id]
     args = [fam.params[k] for k in info["params"]]
     rads, dens, tests = _tests(fam.family_id, [
-        np.array([v], int if isinstance(v, int) and abs(v) <= 2**10 else float) for v in args])
-    failed = [(kind, name, value[0].item()) for kind, name, value, passed in tests if not passed[0]]
+        v if not isinstance(v, int) or abs(v) <= 2**150 else float(v) for v in args])
+    failed = [(kind, name, np.asarray(value).item(0)) for kind, name, value, passed in tests
+              if not passed]
     failures = [f"{fam.family_id}: parameter {name} must be positive (= {value:g})"
                 for kind, name, value in failed if kind == "parameter"]
     if any(kind == "square" for kind, *_ in failed):  # Python's float ** raises OverflowError
@@ -617,8 +611,8 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
     return FamilyValidation(
         family_id=fam.family_id,
         ok=not texts,
-        radicands={k: v[0].item() for k, v in rads.items()},
-        denominators={k: v[0].item() for k, v in dens.items()},
+        radicands={k: np.asarray(v).item(0) for k, v in rads.items()},
+        denominators={k: np.asarray(v).item(0) for k, v in dens.items()},
         failures=texts,
         chain_ok=_chain_holds(info["_chain"], args),
         chain=info["chain"],
@@ -632,7 +626,7 @@ def _py_squares(values: np.ndarray) -> np.ndarray:
     try:
         return _pow(values, 2)
     except OverflowError:  # square each alone
-        return np.array([math.nan]) if values.size == 1 else np.concatenate(
+        return np.full(np.shape(values), math.nan) if np.size(values) == 1 else np.concatenate(
             [_py_squares(v) for v in np.split(values, values.size)])
 
 
@@ -650,25 +644,30 @@ class _Squares:
 
 def _tests(family_id: str, columns) -> tuple[dict, dict, list]:
     """``validate_family``'s tests of each draw, from one run of the
-    family's formulas on its parameters (``columns``, an array over the
-    draws per parameter): (radicands, denominators, tests), the first two
-    dicts of arrays over the draws, and tests (kind, name, values, passed)
-    in its order: each parameter > 0; its square as Python's ``**`` takes
-    it (``_py_squares``) finite, which only an overflow fails; each
-    denominator and radicand ``_coefficient_ok``, so NaN and inf fail;
-    then, if a draw passes those, each coefficient of the curves finite."""
+    family's formulas on its parameters (``columns``: per parameter, an
+    array over the draws, or a number for one): (radicands, denominators,
+    tests), the first two dicts over the draws, and tests (kind, name,
+    values, passed) in order: each parameter > 0; its square, as Python's
+    ``**`` takes it (``_py_squares``), finite; each denominator and radicand
+    ``_coefficient_ok``; then, if a draw passes those, each coefficient of
+    the curves, built in floats, finite (a quotient by zero is not)."""
     info = FAMILIES[family_id]
     squares = [_py_squares(c) for c in columns]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rads, dens = info["_coeffs"](*map(_Squares, squares))
-    tests = [("parameter", name, c, c > 0) for name, c in zip(info["params"], columns)]
-    tests += [("square", name, v, ~np.isnan(v)) for name, v in zip(info["params"], squares)]
-    tests += [(kind, name, value, _coefficient_ok(value, kind))
-              for kind, part in (("denominator", dens), ("radicand", rads))
-              for name, value in part.items()]
-    if np.logical_and.reduce([passed for *_, passed in tests]).any():
-        tests += [("coefficient", name, a, np.isfinite(a)) for name, a in
-                  _coefficients(family_id, columns, rads.values(), dens.values())]
+        tests = [("parameter", name, c, c > 0) for name, c in zip(info["params"], columns)]
+        tests += [("square", name, v, v < math.inf) for name, v in zip(info["params"], squares)]
+        tests += [(kind, name, value, _coefficient_ok(value, kind))
+                  for kind, part in (("denominator", dens), ("radicand", rads))
+                  for name, value in part.items()]
+        if np.logical_and.reduce([passed for *_, passed in tests]).any():
+            floats = [{k: np.asarray(v, float) for k, v in part.items()} for part in (rads, dens)]
+            tables = info["_build"](*(np.asarray(c, float) for c in columns), *floats, False,
+                                    sqrt=np.sqrt)
+            built = [(f"coefficient of {curve}'s component {slot}", np.atleast_1d(a))
+                     for curve, comps in zip("zw", tables)
+                     for slot, comp in enumerate(comps) for _, a, _ in comp]
+            tests += [("coefficient", name, a, np.isfinite(a)) for name, a in built]
     return rads, dens, tests
 
 
@@ -681,18 +680,6 @@ def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, tuple[d
     return rows, tuple({k: v[rows] for k, v in part.items()} for part in (rads, dens))
 
 
-def _coefficients(family_id, args, rads, dens) -> list[tuple[str, np.ndarray]]:
-    """(name, array) of each term coefficient of the family's curves from
-    arrays of its parameters, radicands and denominators, by numpy's
-    arithmetic: a quotient by zero is not finite (``make_example``'s raises)."""
-    info = FAMILIES[family_id]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tables = info["_build"](*args, dict(enumerate(rads)), dict(enumerate(dens)), False,
-                                sqrt=np.sqrt)
-    return [(f"coefficient of {curve}'s component {slot}", np.atleast_1d(a)) for curve, comps in
-            zip("zw", tables) for slot, comp in enumerate(comps) for _, a, _ in comp]
-
-
 def _chain_holds(chain, args) -> bool:
     """The advisory chain; False where one of its quotients is undefined."""
     try:
@@ -702,21 +689,20 @@ def _chain_holds(chain, args) -> bool:
 
 
 def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
-    """Build the curve (or pair of curves) of a built-in family: the plain
-    curves of its fold of one draw (``_family_fold``).
+    """Build the curve (or pair of curves) of a built-in family.
 
     Raises InvalidInputError for non-positive parameters and
     ConstraintViolationError naming the first offending radicand or
     denominator.
     """
-    curves = tuple(c[0] for c in _family_fold(fam, alt_pairing)[1])
+    curves = _family_curves(fam, alt_pairing)[1]
     return curves if FAMILIES[fam.family_id]["pair"] else curves[0]
 
 
-def _family_fold(fam: ParamFamily, alt_pairing: bool) -> tuple[FamilyValidation, tuple]:
-    """``validate_family(fam)`` and the family's curves as a fold of one
-    draw: its parameters as one row through ``_fold_curves``; a failed
-    validation raises, as ``make_example`` says."""
+def _family_curves(fam: ParamFamily, alt_pairing: bool) -> tuple[FamilyValidation, tuple]:
+    """``validate_family(fam)`` and the family's curves: the one draw of
+    its parameters as a row through ``_fold_curves``, as plain curves; a
+    failed validation raises, as ``make_example`` says."""
     validation = validate_family(fam)
     if validation._error:
         raise ConstraintViolationError(*validation._error)
@@ -724,27 +710,27 @@ def _family_fold(fam: ParamFamily, alt_pairing: bool) -> tuple[FamilyValidation,
         raise InvalidInputError(validation.failures[0])
     row = np.array([[fam.params[k] for k in FAMILIES[fam.family_id]["params"]]], dtype=float)
     return validation, _fold_curves(fam.family_id, row, tuple(
-        {k: np.array([v]) for k, v in part.items()}
-        for part in (validation.radicands, validation.denominators)), alt_pairing, fam.label())
+        {k: np.array([v], dtype=float) for k, v in part.items()}
+        for part in (validation.radicands, validation.denominators)), alt_pairing, fam.label(), 0)
 
 
 def _fold_curves(family_id: str, values: np.ndarray, coeffs: tuple[dict, dict],
-                 alt_pairing: bool = False, label: str = "") -> tuple:
+                 alt_pairing: bool = False, label: str = "", draw: int | None = None) -> tuple:
     """The family's curves (one, or z and w) for a fold of valid draws
     (rows of values) from their radicands and denominators (``_valid_rows``),
     by its ``_build_exNN`` with ``np.sqrt``: each one ``Curve`` on arrays of
-    shape (draws, 1, 1), labelled ``label`` (or the family id); one not
-    finite raises InvalidInputError.  A fold of one draw keeps that draw's
-    terms as floats (``Curve._drawn``), which evaluate faster than arrays."""
-    info, one = FAMILIES[family_id], len(values) == 1
-    args = values[0] if one else values.T[..., None, None]
-    rads, dens = ({k: v[0] if one else v[:, None, None] for k, v in part.items()}
-                  for part in coeffs)
+    shape (draws, 1, 1), or, given ``draw``, that draw's plain curve (its
+    terms' entries as Python floats), labelled ``label`` (or the family id);
+    one not finite raises InvalidInputError."""
+    info = FAMILIES[family_id]
+    rads, dens = ({k: v[:, None, None] for k, v in part.items()} for part in coeffs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tables = info["_build"](*args, rads, dens, alt_pairing, sqrt=np.sqrt)
-        curves = tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, (label or family_id) + suffix)
-                       for comps, suffix in zip(tables, (".z", ".w") if info["pair"] else ("",)))
-    return tuple(c._drawn() for c in curves) if one else curves
+        tables = info["_build"](*values.T[..., None, None], rads, dens, alt_pairing, sqrt=np.sqrt)
+        if draw is not None:
+            tables = [[[tuple(v.item(draw) if isinstance(v, np.ndarray) else v for v in term)
+                        for term in comp] for comp in comps] for comps in tables]
+        return tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, (label or family_id) + suffix)
+                     for comps, suffix in zip(tables, (".z", ".w") if info["pair"] else ("",)))
 
 
 # ---------------------------------------------------------------------------

@@ -437,7 +437,7 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     """
     xs, ys = grid_axes(surface.domain, shape)
     _check_point(surface, xs, ys, 0.0)
-    out, draws = [None] * len(fields), _draw_count(surface)
+    out, draws = [None] * len(fields), _draw_count(surface.sources)
     stencil = curvature == "stencil"  # the sources at the stencils' abscissae too
     for at, x, y, d in _grid_blocks(shape, xs, ys, surface.sources, lambda c, t: _tables(
             c, _abscissae(t)[0], _PARTS) if stencil else _tables(c, t)):

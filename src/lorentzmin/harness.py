@@ -9,15 +9,13 @@ A surface is described by a small JSON spec:
      "tolerances": {"minimality": 1e-6}}
 
 Curve descriptors are either a built-in family id plus parameters or the
-name of a named test curve.  ``verify`` takes the spec's curves as a fold
-of one draw and checks it as ``sweep`` checks its folds: the family's
-premise rows (``_premise_phases``), the surface built once, then the full
-differential-geometry suite (a pair's joint conditions too) on the grid
-(``_check_rows``), returning a report that never throws on a failed check
-(only on malformed input).  Reports serialize deterministically: identical
-specs yield byte-identical JSON up to the timings block, with every float
-printed in scientific notation at 18 significant digits (``%.17e``: 17
-after the point).
+name of a named test curve.  ``verify`` takes ``sweep``'s route with the
+spec's curves as one draw: premise rows (``_premise_phases``), the surface,
+and the full differential-geometry suite (a pair's joint conditions too)
+on the grid (``_check_rows``), returning a report that never throws on a
+failed check (only on malformed input).  Reports serialize deterministically:
+identical specs yield byte-identical JSON up to the timings block, with every
+float in scientific notation at 18 significant digits (``%.17e``).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .curves import (
     Curve,
     FamilyValidation,
     ParamFamily,
-    _family_fold,
+    _family_curves,
     _finite_number,
     _fold_curves,
     _valid_rows,
@@ -55,8 +53,6 @@ from .surfaces import (
     HYPERBOLIC_DOMAIN,
     SPHERE_DOMAIN,
     BLOCKING,
-    _CASE_B,
-    _CASE_II,
     _blocking,
     _check_grid,
     _condition_rows,
@@ -248,9 +244,6 @@ def dumps_json(obj) -> str:
 
 
 def _resolve_curves(spec: SurfaceSpec):
-    """The spec's curves, each a fold of one draw (a family's from its
-    parameters as one row, ``curves._family_fold``; a named one
-    ``Curve._drawn``), and the validations of its family parameters."""
     curves: list[Curve] = []
     validations: list[FamilyValidation] = []
     for desc in spec.curves:
@@ -261,15 +254,15 @@ def _resolve_curves(spec: SurfaceSpec):
         if extra:
             raise InvalidInputError(f"unknown curve descriptor keys {sorted(extra)}")
         if "name" in desc:
-            curves.append(builtin_curve(desc["name"])._drawn())
+            curves.append(builtin_curve(desc["name"]))
             continue
         fam = ParamFamily(desc["family_id"], desc.get("params", {}))
         alt_pairing = desc.get("alt_pairing", False)
         if not isinstance(alt_pairing, bool):
             raise InvalidInputError(f"alt_pairing must be true or false, got {alt_pairing!r}")
-        validation, fold = _family_fold(fam, alt_pairing)
+        validation, built = _family_curves(fam, alt_pairing)
         validations.append(validation)
-        curves.extend(fold)
+        curves.extend(built)
     arity = SURFACE_FAMILIES[spec.family].arity
     if len(curves) != arity:
         raise InvalidInputError(
@@ -293,10 +286,10 @@ class SurfaceFamily:
     compare with is the chart of the surface built (``SurfaceMap.chart``).
 
     ``premises(curves, spec, tols)`` returns the rows of the checks made
-    before building on a fold's curves (by default none: a pair's joint
-    conditions are checks of the grid pass); ``BLOCKING`` ones block a
-    draw.  ``build(curves, domain, premise_tol, premises)`` constructs the
-    surface on a fold's curves from a draw's reports of them.  ``build``
+    before building, over a fold's draws or a spec's one (by default none:
+    a pair's joint conditions are checks of the grid pass); ``BLOCKING``
+    ones block a draw.  ``build(curves, domain, premise_tol, premises)``
+    constructs the surface from one draw's curves and reports.  ``build``
     and ``premises`` call constructors and checkers by module-global name,
     so a wrapper installed there sees every call."""
 
@@ -321,7 +314,7 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         build=lambda curves, domain, tol, premises=None: sphere_case_b(
             *curves, domain, tol=tol, _premises=premises),
         premises=lambda curves, spec, tols: _single_curve_premises(
-            *curves, DEFAULT_SAMPLES, tols["premise"], *_CASE_B)),
+            *curves, DEFAULT_SAMPLES, tols["premise"], spec.family)),
     "sphere_c": SurfaceFamily(
         2, SPHERE_DOMAIN,
         build=lambda curves, domain, tol, *_: sphere_case_c(*curves, domain)),
@@ -330,7 +323,7 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
         build=lambda curves, domain, tol, premises=None: hyperbolic_case_ii(
             *curves, domain, tol=tol, _premises=premises),
         premises=lambda curves, spec, tols: _single_curve_premises(
-            *curves, DEFAULT_SAMPLES, tols["premise"], *_CASE_II)),
+            *curves, DEFAULT_SAMPLES, tols["premise"], spec.family)),
     "hyp_iii": SurfaceFamily(
         2, HYPERBOLIC_DOMAIN,
         build=lambda curves, domain, tol, *_: hyperbolic_case_iii(*curves, domain)),
@@ -341,34 +334,29 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
 
 
 def _premise_phases(spec, curves, tols, like=None):
-    """A fold's premises (``curves._fold_curves``; a spec's curves are a fold
-    of one draw) as (condition id, residuals, verdicts) over its draws; the
-    reports of its first draw that builds (or of its first draw), made only
-    without ``like``; the draws that build (``BLOCKING``); and those as one
-    surface (``_stacked``) like ``like``, or ``like`` if none builds.  Past
-    the premises, the constructor checks only the family and the spec, so
-    without ``like`` it runs once, on that first draw and its reports, and a
-    fold of one draw takes the surface it builds (the de Sitter control,
-    which builds its own curves, on them as a fold of one draw)."""
+    """A fold's premises (``_fold_curves``), or a spec's plain curves' as one
+    draw, as (condition id, residuals, verdicts) over the draws; without
+    ``like``, the reports of the first draw that builds (or of the first);
+    the draws that build (``BLOCKING``); and the surface, which the
+    constructor builds once, on that draw and its reports: a spec's as
+    built, a fold's those draws of it (``_stacked``) like ``like``, or
+    ``like`` if none builds."""
     family = SURFACE_FAMILIES[spec.family]
     rows = family.premises(curves, spec, tols)
     verdicts = [(cid, *(verdict or _max_verdicts)(r, tol)[:3:2])
                 for cid, r, tol, *_, verdict in rows]
-    ok = np.ones(curves[0]._lead[0] if curves else 1, dtype=bool)
+    ok = np.ones(_draw_count(curves), dtype=bool)
     for _, _, passed in verdicts[:BLOCKING]:
         ok &= passed
-    built = np.flatnonzero(ok)
+    built, fold = np.flatnonzero(ok), bool(curves and curves[0]._lead)
     reports = [] if like is not None else _reports(rows, built[0] if built.size else 0)
     if not built.size:
         return verdicts, reports, built, like
     if like is None:
-        like = family.build(curves if ok.size == 1 else tuple(c[built[:1]] for c in curves),
+        like = family.build(tuple(c[built[:1]] for c in curves) if fold else curves,
                             spec.resolved_domain(), tols["premise"], reports)
-        if ok.size == 1:
-            return verdicts, reports, built, like if curves else _stacked(
-                like, tuple(c._drawn() for c in like.sources))
-    return verdicts, reports, built, _stacked(like, curves if ok.all() else tuple(
-        c[built] for c in curves))
+    return verdicts, reports, built, like if not fold else _stacked(
+        like, curves if ok.all() else tuple(c[built] for c in curves))
 
 
 def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
@@ -453,7 +441,7 @@ def _check_rows(spec, surface, tols) -> list[list[tuple]]:
     check.  A fold whose metric is degenerate is rerun on one-draw slices
     of its curves, so each draw gets the outcome it would get alone; a
     degenerate one still reports its joint conditions (``_condition_rows``)."""
-    checks, draws = [], _draw_count(surface)
+    checks, draws = [], _draw_count(surface.sources)
     try:
         for plan, (shape, curvature) in zip(_check_plan(surface), (
                 (spec.grid, "jet"), (FD_SUBGRID, "stencil"))):
@@ -476,12 +464,6 @@ def _check_rows(spec, surface, tols) -> list[list[tuple]]:
     return [checks]
 
 
-def _checks(spec, surface, tols) -> list[list[ConditionReport]]:
-    """The reports of ``_check_rows``, one list per draw."""
-    return [list(reports) for run in _check_rows(spec, surface, tols) for reports in zip(*(
-        ConditionReport._from_rows(*check) for check in run))]
-
-
 def verify(spec: SurfaceSpec | dict) -> VerificationReport:
     """Full pipeline: curves, premises, surface, geometry suite.
 
@@ -502,7 +484,7 @@ def verify(spec: SurfaceSpec | dict) -> VerificationReport:
     if built.size:
         surface_info = {"constructed": True, "label": surface.label,
                         "ambient": surface.ambient.describe(), "flags": list(surface.flags)}
-        reports = reports + _checks(spec, surface, tols)[0]
+        reports = reports + _reports(_check_rows(spec, surface, tols)[0])
     else:
         surface_info = {"constructed": False, "reason": f"premises failed: {_blocking(reports)}"}
     timings["checks"] = time.perf_counter() - t1

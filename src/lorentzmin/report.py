@@ -51,10 +51,12 @@ class ConditionReport:
     @classmethod
     def _from_rows(cls, condition_id, rows, tol, grid, points=None, note="", verdicts=None):
         """``from_max`` of each row of a (draws, nodes) array, reduced at once,
-        or ``from_min``'s with ``verdicts=_min_verdicts``."""
-        values, index, passed, tol = (verdicts or _max_verdicts)(rows, tol)
-        return [cls(condition_id, value, tol, ok, grid, _point(points, i), note)
-                for value, i, ok in zip(values.tolist(), index.tolist(), passed.tolist())]
+        or ``from_min``'s with ``verdicts=_min_verdicts``; a ``verdicts``
+        that gives a note per row as a fifth item overrides ``note``."""
+        values, index, passed, tol, *notes = (verdicts or _max_verdicts)(rows, tol)
+        return [cls(condition_id, value, tol, ok, grid, _point(points, i), n)
+                for value, i, ok, n in zip(values.tolist(), index.tolist(), passed.tolist(),
+                                           *notes or [[note] * len(values)])]
 
     def to_dict(self) -> dict:
         return {

@@ -34,9 +34,8 @@ all of a fold's draws (``_grid_blocks``), and hands ``jet`` each block's
 slice.  They compute component-major (embedding axis first) and return
 dim-last views.  ``tangent`` gives L_x and L_y alone (curve orders 0-2) for
 the E-field stencil; it and ``position`` take the stencils' tables too.
-Premise checkers return per-condition reports with the worst sample point,
-the first draw's of their (draws, samples) rows (``_reports``; a pair
-checker's rows from its chart's jet: ``_condition_rows``); constructors
+Premise checkers return per-condition reports with the worst sample point
+(a pair checker's from its chart's jet: ``_condition_rows``); constructors
 raise on algebraic premise failures and merely flag the non-degeneracy
 ones (a vanishing jerk term is the totally geodesic boundary case, not an
 error).  The single-curve constructors run their premise checks before
@@ -55,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import BUILTIN_CURVES, DEFAULT_SAMPLES, Curve, derivative_inner
+from .curves import BUILTIN_CURVES, DEFAULT_SAMPLES, Curve, _null_row, derivative_inner
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -149,7 +148,7 @@ class SurfaceMap:
     constructor that checks its curve (sphere_b and hyp_ii).  ``chart``
     (``_Chart``, set by every constructor) holds the family's model, and
     with ``sources`` made ``position``, ``jet`` and ``tangent``
-    (``_source_maps``, which ``_stacked`` runs on a fold's sources).
+    (``_chart_maps``, which ``_stacked`` runs on a fold's sources).
     """
 
     ambient: Ambient
@@ -248,22 +247,10 @@ def _chart_maps(chart: _Chart, *sources):
         x, y, d or _derivatives(sources, x, y, 3), 2)[-1])]
 
 
-def _source_maps(chart: _Chart, sources) -> tuple:
-    """``_chart_maps`` of ``chart`` on ``sources``; on a fold's curves
-    (``curves._fold_curves``) each map puts the draw axis before the last
-    two (node) axes of x and y, which a scalar or a vector gets in front."""
-    def drawn(t):
-        t = np.asarray(t)
-        return t[..., None, :, :] if t.ndim > 1 else t.reshape((1,) + t.shape)
-    maps = _chart_maps(chart, *sources)
-    return maps if not sources[0]._lead else tuple(
-        lambda x, y, *d, f=f: f(drawn(x), drawn(y), *d) for f in maps)
-
-
 def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> SurfaceMap:
     """The surface of ``chart`` on its source curves, labelled family[z, w] (or
     ``label``), with the singular margin |x+y| if the chart has a pole."""
-    position, jet, tangent = _source_maps(chart, sources)
+    position, jet, tangent = _chart_maps(chart, *sources)
     names = ", ".join(c.label or name for c, name in zip(sources, "zw"))
     margin = (lambda x, y: abs(x + y)) if chart.pole else None
     return SurfaceMap(ambient, position, domain, jet, tangent, margin, sources, family=family,
@@ -272,15 +259,17 @@ def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> Su
 
 def _stacked(surface, sources) -> SurfaceMap:
     """``surface`` on ``sources``, a fold's curves (``curves._fold_curves``)
-    or some of its draws, with its chart's maps on them (``_source_maps``);
-    it keeps the surface's other fields."""
-    position, jet, tangent = _source_maps(surface.chart, sources)
+    or some of its draws: its maps put the draw axis before the two node
+    axes of x and y, and it keeps the surface's other fields."""
+    position, jet, tangent = (
+        lambda x, y, *d, f=f: f(x[..., None, :, :], y[..., None, :, :], *d)
+        for f in _chart_maps(surface.chart, *sources))
     return replace(surface, sources=sources, position=position, jet=jet, tangent=tangent)
 
 
-def _draw_count(surface) -> int:
-    """The draws of a surface on a fold's curves (``_stacked``); 1 for any other."""
-    return surface.sources[0]._lead[0] if surface.sources and surface.sources[0]._lead else 1
+def _draw_count(sources) -> int:
+    """The draws of a fold's curves (``_stacked``'s sources); 1 for plain curves or none."""
+    return sources[0]._lead[0] if sources and sources[0]._lead else 1
 
 
 def _draws_per_block(shape) -> int:
@@ -457,13 +446,23 @@ def _curve_conditions(ids, residual) -> tuple[tuple[str, Callable, str], ...]:
     return tuple((cid, on(i), "") for i, cid in enumerate(ids))
 
 
-def _single_curve_premises(z, samples, tol, speed, acc, nonzero):
-    """<z,z> = 0, <z',z'> = speed, <z'',z''> = acc[1] (check id acc[0]) and a
-    vector nonzero[1](d) of d = (z, z', z'', z''') that must not vanish (check
-    id nonzero[0], note nonzero[2]), at samples points of z's domain: their
-    (draws, samples) rows as ``ConditionReport._from_rows``'s arguments (one
-    row for a plain curve).  The products are formed under ``np.errstate``:
-    an extreme draw's overflow gives residuals of inf or NaN, which fail."""
+#: A single-curve construction's premises by family: <z',z'>, (check id,
+#: <z'',z''>) and (check id, a vector of d = (z, ..., z''') that must not vanish, note)
+_SINGLE_CURVE = {
+    "sphere_b": (4.0, ("acc-null-z", 0.0),
+                 ("jerk-nonzero-z", lambda d: d[3], "max-norm of z''' must stay positive")),
+    "hyp_ii": (-2.0, ("acc-norm-z", 4.0), ("nondegenerate-z", lambda d: d[3] - 2 * d[1],
+                                            "max-norm of z''' - 2z' must stay positive")),
+}
+
+
+def _single_curve_premises(z, samples, tol, family):
+    """<z,z> = 0 and the family's premises (``_SINGLE_CURVE``) at samples
+    points of z's domain: their (draws, samples) rows as
+    ``ConditionReport._from_rows``'s arguments (one row for a plain curve).
+    The products are formed under ``np.errstate``: an extreme draw's
+    overflow gives residuals of inf or NaN, which fail."""
+    speed, acc, nonzero = _SINGLE_CURVE[family]
     ts = z.sample_grid(samples)
     grid = f"{samples} samples on [{z.domain[0]:g}, {z.domain[1]:g}]"
     d = z.derivatives(ts, range(4))
@@ -516,33 +515,25 @@ _FLAT_CHART = _Chart(lambda Z, Z1, s: Z, lambda s: (1.0, 0.0, 0.0, 0.0), 0.0,
 def _pairing_verdicts(values, tol):
     """``_min_verdicts`` of |values| for rows of <z'(x), w'(y)>, but a row
     whose values change sign, which proves a zero between nodes, fails with
-    their span as its residual."""
+    their span as its residual; and each row's note."""
     lo, hi = np.min(values, axis=1), np.max(values, axis=1)
     shortfall, index, passed, zero = _min_verdicts(np.abs(values), tol)
     flips = (lo < 0) & (0 < hi)
-    return np.where(flips, hi - lo, shortfall), index, passed & ~flips, zero
+    return np.where(flips, hi - lo, shortfall), index, passed & ~flips, zero, [
+        "<z'(x), w'(y)> changes sign on the grid (residual = span)" if flip
+        else "min |<z'(x), w'(y)>| must stay positive" for flip in flips.tolist()]
 
 
 def _translation_premises(z, w, grid, domain, samples, tol) -> list[tuple]:
-    """null-z and null-w, |<c',c'>| at samples points of each curve's domain,
-    then pairing-nonzero: min |<z'(x), w'(y)>| on the grid over domain must
-    reach tol (``_pairing_verdicts``): their (draws, nodes) rows, as
+    """null-z and null-w (``null_check``'s rows, ``curves._null_row``), then
+    pairing-nonzero: min |<z'(x), w'(y)>| on the grid over domain must reach
+    tol (``_pairing_verdicts``): their (draws, nodes) rows, as
     ``_single_curve_premises`` gives them, under ``np.errstate`` too."""
-    rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for curve, cid in ((z, "null-z"), (w, "null-w")):
-            ts = curve.sample_grid(samples)
-            rows.append((cid, np.reshape(np.abs(derivative_inner(curve, 1, curve, 1, ts, ts)),
-                                         (-1, samples)), tol,
-                         f"{samples} samples on [{curve.domain[0]:g}, {curve.domain[1]:g}]",
-                         ts[:, None], "", None))
-        values = np.reshape(derivative_inner(z, 1, w, 1, *grid_axes(domain, grid)),
-                            (-1, grid[0] * grid[1]))
-    flips = np.any((np.min(values, axis=1) < 0) & (0 < np.max(values, axis=1)))
-    return rows + [("pairing-nonzero", values, tol, f"{grid[0]}x{grid[1]} grid",
-                    grid_points(domain, grid),
-                    "<z'(x), w'(y)> changes sign on the grid (residual = span)" if flips
-                    else "min |<z'(x), w'(y)>| must stay positive", _pairing_verdicts)]
+        values = derivative_inner(z, 1, w, 1, *grid_axes(domain, grid))
+    return [_null_row(z, samples, tol, "null-z"), _null_row(w, samples, tol, "null-w"),
+            ("pairing-nonzero", np.reshape(values, (-1, grid[0] * grid[1])), tol,
+             f"{grid[0]}x{grid[1]} grid", grid_points(domain, grid), "", _pairing_verdicts)]
 
 
 def translation_surface(
@@ -594,13 +585,7 @@ def check_case_b_premises(
     acceleration; the jerk must not vanish (its vanishing is the totally
     geodesic boundary case).
     """
-    return _reports(_single_curve_premises(z, samples, tol, *_CASE_B))
-
-
-#: sphere_b's premises on its curve (``_single_curve_premises``): speed 2,
-#: null acceleration, and a jerk that must not vanish
-_CASE_B = (4.0, ("acc-null-z", 0.0),
-           ("jerk-nonzero-z", lambda d: d[3], "max-norm of z''' must stay positive"))
+    return _reports(_single_curve_premises(z, samples, tol, "sphere_b"))
 
 
 def _sphere_ambient(signature: Signature) -> Ambient:
@@ -684,13 +669,7 @@ def check_case_ii_premises(
     """Premises of the single-curve hyperbolic construction: light-cone
     position, <z',z'> = -2, <z'',z''> = 4, and z''' != 2 z' (whose failure
     is the totally geodesic boundary case)."""
-    return _reports(_single_curve_premises(z, samples, tol, *_CASE_II))
-
-
-#: hyp_ii's premises on its curve (``_single_curve_premises``): <z',z'> = -2,
-#: <z'',z''> = 4, and a z''' - 2z' that must not vanish
-_CASE_II = (-2.0, ("acc-norm-z", 4.0), ("nondegenerate-z", lambda d: d[3] - 2 * d[1],
-                                         "max-norm of z''' - 2z' must stay positive"))
+    return _reports(_single_curve_premises(z, samples, tol, "hyp_ii"))
 
 
 def _hyperbolic_ambient(signature: Signature) -> Ambient:

@@ -4,6 +4,7 @@ repeat work that a single verify does once."""
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import pathlib
@@ -25,7 +26,8 @@ from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, Curve, FamilyValidat
 from lorentzmin.errors import ConstraintViolationError, DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import ConditionReport, default_tolerances
-from lorentzmin.surfaces import SPHERE_DOMAIN, SurfaceMap, _draw_count, _stacked, sphere_case_b
+from lorentzmin.surfaces import (SPHERE_DOMAIN, SurfaceMap, _draw_count, _reports, _stacked,
+                                 sphere_case_b)
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SPHERE_71 = {
@@ -130,7 +132,7 @@ def test_degenerate_draw_in_a_batch_changes_only_that_draw(monkeypatch):
         curves, _ = harness._resolve_curves(spec)
         surface = harness._premise_phases(spec, curves, default_tolerances())[3]
         x0, y0 = surface.grid(spec.grid)[0]
-        marker = surface.position(np.array([[x0]]), np.array([[y0]])).flat[0]
+        marker = surface.position(x0, y0)[0]
         table = diffgeo._table
 
         def degenerate_third(surface, jet, marker=marker, table=table):
@@ -174,7 +176,7 @@ def test_sweep_checks_full_batches(monkeypatch):
     sizes, evaluated = [], []
 
     def recording(spec, surface, tols):
-        sizes.append(_draw_count(surface))
+        sizes.append(_draw_count(surface.sources))
         return checks(spec, surface, tols)
 
     def counted(curve, t, orders):
@@ -415,6 +417,34 @@ def test_verify_exit_texts_of_the_rejection_edges(tmp_path, capsys, family, para
     assert (out == "") == (code == 2)
 
 
+@pytest.mark.parametrize("family, params, sha256", [
+    ("Ex7_2", {"p": 4000, "q": 2000, "r": 1600},
+     "43673a378d1cb06f065d910fd1a407460f2b1ee218bba21ac21cacefdeaa13f1"),
+    ("Ex7_1", {"a": 3000, "p": 3, "q": 1, "r": 2},
+     "4f85bc6d654fdf3f87dcabcf11c7bc6dffe0a368f5e1dc184e5ad8069094135a"),
+])
+def test_verify_keeps_int_parameters_exact(tmp_path, capsys, family, params, sha256):
+    # ints above 2**10 stay Python ints in validation, so the radicands and
+    # denominators of a spec of ints are exact ints, printed as ints; the
+    # whole report is pinned byte for byte
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": FAMILIES[family]["surface"], "grid": [9, 9],
+                                "curves": [{"family_id": family, "params": params}]}))
+    assert main(["verify", "--spec", str(path), "--no-timings"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    (validation,) = json.loads(out)["curve_validations"]
+    assert validation["ok"]
+    assert all(type(v) is int for part in ("radicands", "denominators")
+               for v in validation[part].values())
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    # past 2**53 an int's exact zero edge keeps its sign: r^2 - q^2 is
+    # 2**56 + 4 > 0 here, though r and q round to the same double
+    exact = validate_family(ParamFamily("Ex7_1", {"a": 1, "p": 2**54 + 8, "q": 2**54,
+                                                  "r": 2**54 + 2}))
+    assert exact.ok and exact.denominators == {"r^2-q^2": 2**56 + 4}
+
+
 def test_sweep_counts_draws_with_infinite_radicands_invalid():
     # squares within SAMPLER_BOUND stay finite, but a^2 p^2 (p^2 - r^2) does
     # not: each draw's radicands overflow to inf, which fails validation
@@ -499,9 +529,8 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
     assert sorted(nodes["jet"]) == [25, 21 * 21]
     assert nodes["tangent"] == [4 * 25]
     # z once for the premises, once for the grid pass and once for the
-    # subgrid block, at the 7 stencil abscissae of each x; the grid passes
-    # put a draw axis (z is a fold of one draw) before the node axes
-    assert evaluated == [(harness.DEFAULT_SAMPLES,), (1, 21, 1), (7, 1, 5, 1)]
+    # subgrid block, at the 7 stencil abscissae of each x
+    assert evaluated == [(harness.DEFAULT_SAMPLES,), (21, 1), (7, 5, 1)]
 
 
 def test_efield_checks_its_nodes_once():
@@ -548,7 +577,6 @@ def test_grid_values_blocks_whole_draws(monkeypatch, name):
     spec = SurfaceSpec.from_dict({**json.loads((SPEC_DIR / f"{name}.json").read_text()),
                                   "grid": [9, 9]})
     curves, _ = harness._resolve_curves(spec)
-    # verify's surface: a fold of one draw
     surface = harness._premise_phases(spec, curves, default_tolerances())[3]
     forms, blocks = diffgeo._forms, []
 
@@ -566,13 +594,12 @@ def test_grid_values_blocks_whole_draws(monkeypatch, name):
         (alone,) = diffgeo.grid_values(surface, shape, k, curvature=curvature)
         single = list(blocks)
         blocks.clear()
-        fold = _stacked(surface, tuple(repeated(c[0], 13) for c in surface.sources))
+        fold = _stacked(surface, tuple(repeated(c, 13) for c in surface.sources))
         (many,) = diffgeo.grid_values(fold, shape, k, curvature=curvature)
-        assert alone.shape == (1,) + shape
-        assert np.array_equal(many, np.broadcast_to(alone, (13,) + shape))
+        assert np.array_equal(many, np.broadcast_to(alone, (13,) + alone.shape))
         # whole draws of one stack per block, one draw where a grid block holds one
         stacks = [(d,) + shape for d in [per] * (13 // per) + [13 % per] if d]
-        assert blocks == (stacks if per > 1 else single * 13)
+        assert blocks == (stacks if per > 1 else [(1,) + b for b in single] * 13)
         assert all(math.prod(b) <= diffgeo.BLOCK_NODES for b in blocks)
 
 
@@ -603,8 +630,9 @@ def test_a_draw_that_zeroes_components_is_checked_in_its_fold():
     assert len(harness._check_rows(specs[0], fold, tols)) == 1
     alone = [harness._premise_phases(s, harness._resolve_curves(s)[0], tols)[3] for s in specs]
     assert not make_example(ParamFamily("Ex8_1", draws[1])).at(0.5)[[2, 5]].any()
-    batch = harness._checks(specs[0], fold, tols)
-    assert batch == [harness._checks(specs[0], s, tols)[0] for s in alone]
+    batch = [_reports(run, d) for run in harness._check_rows(specs[0], fold, tols)
+             for d in range(len(run[0][1]))]
+    assert batch == [_reports(harness._check_rows(specs[0], s, tols)[0]) for s in alone]
     assert all(r.passed for checks in batch for r in checks)
 
 

@@ -522,12 +522,10 @@ def _per_offset_fd_jet(surface, x, y, h=None):
 
 
 def _build_spec_surface(name):
-    """The spec's surface on plain curves: the one draw of each of its
-    resolved curves, which are folds of one draw."""
     spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
     curves, _ = _resolve_curves(spec)
     return spec, SURFACE_FAMILIES[spec.family].build(
-        tuple(c[0] for c in curves), spec.resolved_domain(), DEFAULT_TOLS["premise"])
+        curves, spec.resolved_domain(), DEFAULT_TOLS["premise"])
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SPEC_DIR.glob("*.json")))

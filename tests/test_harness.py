@@ -182,33 +182,29 @@ class TestVerify:
             monkeypatch.setattr(module, "_single_curve_premises", counted)
         report = verify(dict(spec, grid=[5, 5]))
         assert len(calls) == 1
-        z, samples, tol = calls[0][:3]  # z is a fold of one draw
         assert [c.to_dict() for c in report.checks[:4]] == [
-            r.to_dict() for r in getattr(surfaces, checker)(z[0], samples, tol)]
+            r.to_dict() for r in getattr(surfaces, checker)(*calls[0][:3])]
 
     def test_translation_null_checks_run_once(self, monkeypatch):
         # the harness's null-z, null-w and pairing-nonzero reports are
         # handed to the constructor, which judges them and computes nothing
-        # again: two null checks, each of one curve at its samples, and one
-        # pairing on the spec's grid
+        # again: two null checks (null_check's rows) and one pairing on the
+        # spec's grid
         import pathlib
 
         from lorentzmin import surfaces
-        from lorentzmin.curves import DEFAULT_SAMPLES
 
-        calls = []
-
-        def counted(*args, original=surfaces.derivative_inner):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(surfaces, "derivative_inner", counted)
+        calls = {"_null_row": [], "derivative_inner": []}
+        for name, made in calls.items():
+            def counted(*args, original=getattr(surfaces, name), made=made):
+                made.append(args)
+                return original(*args)
+            monkeypatch.setattr(surfaces, name, counted)
         spec = pathlib.Path(__file__).resolve().parent.parent / "specs" / "translation_demo.json"
         report = verify(json.loads(spec.read_text()))
         assert report.overall_pass
-        (z, _, z2, _, tz, _), (w, _, w2, _, tw, _), (*_, xs, ys) = calls
-        assert z is z2 and w is w2 and z is not w
-        assert tz.size == tw.size == DEFAULT_SAMPLES
+        assert [args[3] for args in calls["_null_row"]] == ["null-z", "null-w"]
+        ((*_, xs, ys),) = calls["derivative_inner"]
         assert (xs.size, ys.size) == (21, 21)
 
     def test_failed_premise_reported_even_on_a_bad_domain(self):
@@ -250,7 +246,7 @@ class TestVerify:
         from lorentzmin.surfaces import _reports, _translation_premises, grid_axes, grid_points
 
         spec = SurfaceSpec.from_dict({**TRANSLATION, "grid": [7, 5]})
-        z, w = (c[0] for c in _resolve_curves(spec)[0])  # the plain curves of folds of one draw
+        (z, w), _ = _resolve_curves(spec)
         pts = grid_points(spec.resolved_domain(), spec.grid)
         flat = derivative_inner(z, 1, w, 1, pts[:, 0], pts[:, 1])
         axes = derivative_inner(z, 1, w, 1, *grid_axes(spec.resolved_domain(), spec.grid))

@@ -35,12 +35,11 @@ DRAWS = {
 
 
 def _curves(family, grid=(9, 9), draws=None):
-    """The spec and each draw's plain curves (the first ``draws`` draws; a
-    spec resolves to folds of one draw)."""
+    """The spec and each draw's curves (the first ``draws`` draws)."""
     curve_family, params = DRAWS[family]
     specs = [SurfaceSpec(family=family, grid=grid, curves=(
         {"family_id": curve_family, "params": dict(p)},)) for p in params[:draws]]
-    return specs[0], [tuple(c[0] for c in harness._resolve_curves(spec)[0]) for spec in specs]
+    return specs[0], [tuple(harness._resolve_curves(spec)[0]) for spec in specs]
 
 
 def _surfaces(family, draws=6):
@@ -60,7 +59,7 @@ def _surface(family, draws):
     spec = SurfaceSpec(family=family, grid=(9, 9))
     *_, surface = harness._premise_phases(spec, _fold_curves(curve_family, values, coeffs),
                                           default_tolerances())
-    assert len(rows) == _draw_count(surface) == draws
+    assert len(rows) == _draw_count(surface.sources) == draws
     return surface
 
 
@@ -221,18 +220,9 @@ def test_efield_names_the_offset_where_g_xy_turns(monkeypatch):
         diffgeo._efield(reversed_, *grid_axes(surface.domain, FD_SUBGRID))
     assert str(err.value) == message
     build = SURFACE_FAMILIES["sphere_b"].build
-
-    def reversing(*args):  # verify's surface, a fold of one draw, reversed alike
-        built = build(*args)
-
-        def folded(x, y, *d):
-            lx, ly = built.tangent(x, y, *d)
-            at = np.broadcast_to(((x == x0) & (y == y0))[..., None, :, :], lx.shape[:-1])
-            return lx, np.where(at[..., None], -ly, ly)
-        return dataclasses.replace(built, tangent=folded)
-
     monkeypatch.setitem(SURFACE_FAMILIES, "sphere_b", dataclasses.replace(
-        SURFACE_FAMILIES["sphere_b"], build=reversing))
+        SURFACE_FAMILIES["sphere_b"], build=lambda *a: dataclasses.replace(
+            build(*a), tangent=tangent)))
     report = harness.verify(spec)
     assert not report.overall_pass
     (check,) = [c for c in report.checks if not c.passed]

@@ -336,9 +336,9 @@ def test_third_order_jet_matches_richardson_of_mixed_partial(name):
     # L_xxy and L_xyy against Richardson central differences of the
     # analytic L_xy, relative at scale max(1, |analytic|)
     spec = SurfaceSpec.from_dict(json.loads((SPEC_DIR / f"{name}.json").read_text()))
-    curves, _ = _resolve_curves(spec)  # folds of one draw: the draw's own curves
+    curves, _ = _resolve_curves(spec)
     surface = SURFACE_FAMILIES[spec.family].build(
-        tuple(c[0] for c in curves), spec.resolved_domain(), DEFAULT_TOLS["premise"])
+        curves, spec.resolved_domain(), DEFAULT_TOLS["premise"])
     sub = surface.grid(FD_SUBGRID)
     x, y = sub[:, 0], sub[:, 1]
     jet = surface.jet(x, y)
