@@ -6,7 +6,7 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (87):
+The outputs (89):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
@@ -31,6 +31,9 @@ The outputs (87):
 * Ex7_1 at n=3 on parameters near 1e-150 (``EXTREME_BOX``), whose fold
   mixes two premise-blocked draws, a ``metric-signature`` draw and a
   lightcone-z residual of 2.4e288;
+* ``verify --no-timings`` of ``OVERFLOW_SPEC`` and Ex7_1 at n=20 on
+  ``OVERFLOW_BOX``: valid curves whose cosh overflows on the domain, so
+  their premises read "nan" and "-inf" residuals, which fail;
 * ``list-families``.
 
 Each output runs in this process through ``lorentzmin.cli.main``; its file
@@ -80,6 +83,12 @@ PAIRING_GAP = {
 EXTREME_BOX = {"a_box": [1, 1], "pqr_box": [1e-160, 1e-150], "min_gap": 0}
 #: A box_around sampler about sphere_c_ex72's (p, q, r), where most Ex7_2 draws are valid
 EX72_BOX = {"mode": "box_around", "center": [3, 1.5, 1], "rel": 0.1}
+#: A valid Ex7_1 spec (its radicands are exact ints) whose cosh(p t)
+#: overflows on the curve's domain
+OVERFLOW_SPEC = {"family": "sphere_b", "curves": [
+    {"family_id": "Ex7_1", "params": {"a": 1, "p": 2001, "q": 1000, "r": 2000}}]}
+#: An Ex7_1 sampler box whose draws' cosh overflows there too
+OVERFLOW_BOX = {"pqr_box": [500, 700], "a_box": [1, 1]}
 #: ads_null as both z and w is no admissible pair: iii.1 fails (iii.2 and
 #: iii.3 hold), and g_xy > 0 stops the grid pass (metric-signature fails)
 DEGENERATE_PAIR = {"family": "hyp_iii", "curves": [{"name": "ads_null"}, {"name": "ads_null"}]}
@@ -128,16 +137,23 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
     table["sweep-Ex7_1-extreme-seed0.json"] = (
         ["sweep", "--family", "Ex7_1", "--n", "3", f"--sampler-config={json.dumps(EXTREME_BOX)}"],
         None)
+    table["verify-sphere_b_overflow-21.json"] = (
+        ["verify", "--spec", "{tmp}/sphere_b_overflow.json", "--no-timings"], None)
+    table["sweep-Ex7_1-overflow-seed0.json"] = (
+        ["sweep", "--family", "Ex7_1", "--n", "20", f"--sampler-config={json.dumps(OVERFLOW_BOX)}"],
+        None)
     table["list-families.json"] = (["list-families"], None)
     return table
 
 
 def write_grid_specs(tmp: pathlib.Path) -> None:
     """Each shipped spec at each of ``GRIDS``, as ``{tmp}/{spec}-{n}.json``,
-    ``PAIRING_GAP`` as ``{tmp}/translation_pairing_gap.json`` and
-    ``DEGENERATE_PAIR`` as ``{tmp}/hyp_iii_degenerate_pair.json``."""
+    ``PAIRING_GAP`` as ``{tmp}/translation_pairing_gap.json``,
+    ``DEGENERATE_PAIR`` as ``{tmp}/hyp_iii_degenerate_pair.json`` and
+    ``OVERFLOW_SPEC`` as ``{tmp}/sphere_b_overflow.json``."""
     (tmp / "translation_pairing_gap.json").write_text(json.dumps(PAIRING_GAP))
     (tmp / "hyp_iii_degenerate_pair.json").write_text(json.dumps(DEGENERATE_PAIR))
+    (tmp / "sphere_b_overflow.json").write_text(json.dumps(OVERFLOW_SPEC))
     for spec in SPECS:
         data = json.loads((SPEC_DIR / f"{spec}.json").read_text())
         for n in GRIDS:

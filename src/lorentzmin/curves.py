@@ -115,7 +115,7 @@ def tcos(a: float, w: float = 1.0):
 
 def _checked_term(term) -> tuple:
     """The term with a float coefficient and a float frequency (int power);
-    either may be a float array over a fold's draws."""
+    either may be a float array over a fold's draws (a 0-d one is a float)."""
     def finite(v):
         return (v.dtype == float and bool(np.isfinite(v).all()) if isinstance(v, np.ndarray)
                 else _finite_number(v))
@@ -128,7 +128,7 @@ def _checked_term(term) -> tuple:
     if not (ok and finite(a)):
         raise InvalidInputError(f"malformed term {term!r}: want (basis, a, w) with basis in "
                                 f"{sorted(PERIODIC_BASES)}, or ('pow', a, j) with j >= 0")
-    a, w = (v if isinstance(v, np.ndarray) else float(v) for v in (a, w))
+    a, w = (v if isinstance(v, np.ndarray) and v.ndim else float(v) for v in (a, w))
     return basis, a, int(w) if basis == "pow" else w
 
 
@@ -233,23 +233,25 @@ class Curve:
         shape = np.broadcast_shapes(t.shape, self._lead) if self._lead else t.shape
         out = np.zeros((len(orders),) + shape + (self.signature.dim,))
         # a component's first term assigns and the others add, so it is the
-        # sum of its terms in order; each basis function is evaluated once
-        for slot, first, basis, w, coefs in self._plan:
-            if basis != "pow":
-                funcs, wt, f = PERIODIC_BASES[basis][0], w * t, [None, None]
-            for i, k in enumerate(orders):
+        # sum of its terms in order; each basis function is evaluated once.
+        # An overflow gives inf or NaN, which fails the check that reads it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for slot, first, basis, w, coefs in self._plan:
                 if basis != "pow":
-                    if f[k % 2] is None:
-                        f[k % 2] = funcs[k % 2](wt)
-                    value = coefs[k] * f[k % 2]
-                elif k <= w:  # a power t^j dies above order j
-                    value = coefs[k] * t ** (w - k) if k < w else coefs[k]
-                else:
-                    continue
-                if first:
-                    out[i, ..., slot] = value
-                else:
-                    out[i, ..., slot] += value
+                    funcs, wt, f = PERIODIC_BASES[basis][0], w * t, [None, None]
+                for i, k in enumerate(orders):
+                    if basis != "pow":
+                        if f[k % 2] is None:
+                            f[k % 2] = funcs[k % 2](wt)
+                        value = coefs[k] * f[k % 2]
+                    elif k <= w:  # a power t^j dies above order j
+                        value = coefs[k] * t ** (w - k) if k < w else coefs[k]
+                    else:
+                        continue
+                    if first:
+                        out[i, ..., slot] = value
+                    else:
+                        out[i, ..., slot] += value
         return out
 
     def at(self, t, order: int = 0) -> np.ndarray:
@@ -275,7 +277,7 @@ def derivative_inner(c1: Curve, k1: int, c2: Curve, k2: int, t1, t2):
 def null_check(curve: Curve, samples: int = DEFAULT_SAMPLES,
                tol: float = DEFAULT_TOLS["premise"]) -> ConditionReport:
     """Max of |<z',z'>| over an even grid of the domain; pass iff <= tol."""
-    return ConditionReport._from_rows(*_null_row(curve, samples, tol))[0]
+    return ConditionReport._from_rows(*_null_row(curve, samples, tol))
 
 
 def _null_row(curve: Curve, samples: int, tol: float, condition_id: str = "null") -> tuple:
@@ -296,11 +298,11 @@ def _null_row(curve: Curve, samples: int, tol: float, condition_id: str = "null"
 # as advisory metadata only (see FamilyValidation.chain_ok), because for
 # one family the quoted chain is incompatible with a radicand.  Each
 # formula is written once, in ``_exNN_coeffs``, which ``_tests`` runs on
-# parameters over draws; ``_fold_curves`` hands the valid draws' radicands
-# and denominators to ``_build_exNN``, which takes their square roots in the
-# order the coefficient function lists them and returns the term tables of
-# the family's curve or pair.  Both take symbols too (with a symbolic
-# ``sqrt``), so the tables can be checked symbolically.
+# parameters over draws and whose radicands and denominators it hands to
+# ``_build_exNN``, which takes their square roots in the order the
+# coefficient function lists them and returns the term tables of the
+# family's curve or pair; ``_fold_curves`` takes the valid draws' curves
+# from those tables.  Both take symbols too (with a symbolic ``sqrt``).
 
 #: Example families keep cosh arguments <= 6 on this domain.  A premise
 #: identity holds to about 1e-16 of its largest <z^(k), z^(k)> term: inside
@@ -590,10 +592,15 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
     it neither implies nor is implied by validity (one family's chain in
     fact forces a radicand negative).
     """
+    return _validation(fam)[0]
+
+
+def _validation(fam: ParamFamily, alt_pairing: bool = False) -> tuple[FamilyValidation, tuple]:
+    """``validate_family(fam)`` and the term tables its ``_tests`` built."""
     info = FAMILIES[fam.family_id]
     args = [fam.params[k] for k in info["params"]]
-    rads, dens, tests = _tests(fam.family_id, [
-        v if not isinstance(v, int) or abs(v) <= 2**150 else float(v) for v in args])
+    rads, dens, tests, tables = _tests(fam.family_id, [
+        v if not isinstance(v, int) or abs(v) <= 2**150 else float(v) for v in args], alt_pairing)
     failed = [(kind, name, np.asarray(value).item(0)) for kind, name, value, passed in tests
               if not passed]
     failures = [f"{fam.family_id}: parameter {name} must be positive (= {value:g})"
@@ -617,7 +624,7 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
         chain_ok=_chain_holds(info["_chain"], args),
         chain=info["chain"],
         _error=violations[0] if violations and not failures else (),
-    )
+    ), tables
 
 
 def _py_squares(values: np.ndarray) -> np.ndarray:
@@ -642,16 +649,17 @@ class _Squares:
         return self.squares if k == 2 else NotImplemented
 
 
-def _tests(family_id: str, columns) -> tuple[dict, dict, list]:
+def _tests(family_id: str, columns, alt_pairing: bool = False) -> tuple[dict, dict, list, tuple]:
     """``validate_family``'s tests of each draw, from one run of the
     family's formulas on its parameters (``columns``: per parameter, an
     array over the draws, or a number for one): (radicands, denominators,
-    tests), the first two dicts over the draws, and tests (kind, name,
+    tests, tables), the first two dicts over the draws, tests (kind, name,
     values, passed) in order: each parameter > 0; its square, as Python's
     ``**`` takes it (``_py_squares``), finite; each denominator and radicand
     ``_coefficient_ok``; then, if a draw passes those, each coefficient of
-    the curves, built in floats, finite (a quotient by zero is not)."""
-    info = FAMILIES[family_id]
+    the curves, built in floats, finite (a quotient by zero is not): tables
+    holds their term tables (``_build_exNN``, with ``alt_pairing``), or ()."""
+    info, tables = FAMILIES[family_id], ()
     squares = [_py_squares(c) for c in columns]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rads, dens = info["_coeffs"](*map(_Squares, squares))
@@ -662,22 +670,24 @@ def _tests(family_id: str, columns) -> tuple[dict, dict, list]:
                   for name, value in part.items()]
         if np.logical_and.reduce([passed for *_, passed in tests]).any():
             floats = [{k: np.asarray(v, float) for k, v in part.items()} for part in (rads, dens)]
-            tables = info["_build"](*(np.asarray(c, float) for c in columns), *floats, False,
-                                    sqrt=np.sqrt)
+            tables = info["_build"](*(np.asarray(c, float) for c in columns), *floats,
+                                    alt_pairing, sqrt=np.sqrt)
             built = [(f"coefficient of {curve}'s component {slot}", np.atleast_1d(a))
                      for curve, comps in zip("zw", tables)
                      for slot, comp in enumerate(comps) for _, a, _ in comp]
             tests += [("coefficient", name, a, np.isfinite(a)) for name, a in built]
-    return rads, dens, tests
+    return rads, dens, tests, tables
 
 
-def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, tuple[dict, dict]]:
+def _valid_rows(family_id: str, values: np.ndarray) -> tuple[np.ndarray, tuple]:
     """The rows of a (draws, params) array that pass ``validate_family``'s
-    tests (``_tests``), and their radicands and denominators (each an
-    array over those rows)."""
-    rads, dens, tests = _tests(family_id, values.T)
+    tests (``_tests``, on columns of shape (draws, 1, 1)), and the family's
+    curves on them, from those rows of the tests' tables (``_fold_curves``)."""
+    *_, tests, tables = _tests(family_id, values.T[..., None, None])
     rows = np.flatnonzero(np.all(np.broadcast_arrays(*(passed for *_, passed in tests)), axis=0))
-    return rows, tuple({k: v[rows] for k, v in part.items()} for part in (rads, dens))
+    return rows, _fold_curves(family_id, [
+        [[tuple(v[rows] if isinstance(v, np.ndarray) else v for v in term) for term in comp]
+         for comp in comps] for comps in tables]) if rows.size else ()
 
 
 def _chain_holds(chain, args) -> bool:
@@ -700,37 +710,25 @@ def make_example(fam: ParamFamily, *, alt_pairing: bool = False):
 
 
 def _family_curves(fam: ParamFamily, alt_pairing: bool) -> tuple[FamilyValidation, tuple]:
-    """``validate_family(fam)`` and the family's curves: the one draw of
-    its parameters as a row through ``_fold_curves``, as plain curves; a
-    failed validation raises, as ``make_example`` says."""
-    validation = validate_family(fam)
+    """``validate_family(fam)`` and the family's curves, as plain curves
+    from the term tables its tests built with ``alt_pairing`` (``_validation``);
+    a failed validation raises, as ``make_example`` says."""
+    validation, tables = _validation(fam, alt_pairing)
     if validation._error:
         raise ConstraintViolationError(*validation._error)
     if not validation.ok:
         raise InvalidInputError(validation.failures[0])
-    row = np.array([[fam.params[k] for k in FAMILIES[fam.family_id]["params"]]], dtype=float)
-    return validation, _fold_curves(fam.family_id, row, tuple(
-        {k: np.array([v], dtype=float) for k, v in part.items()}
-        for part in (validation.radicands, validation.denominators)), alt_pairing, fam.label(), 0)
+    return validation, _fold_curves(fam.family_id, tables, fam.label())
 
 
-def _fold_curves(family_id: str, values: np.ndarray, coeffs: tuple[dict, dict],
-                 alt_pairing: bool = False, label: str = "", draw: int | None = None) -> tuple:
-    """The family's curves (one, or z and w) for a fold of valid draws
-    (rows of values) from their radicands and denominators (``_valid_rows``),
-    by its ``_build_exNN`` with ``np.sqrt``: each one ``Curve`` on arrays of
-    shape (draws, 1, 1), or, given ``draw``, that draw's plain curve (its
-    terms' entries as Python floats), labelled ``label`` (or the family id);
-    one not finite raises InvalidInputError."""
+def _fold_curves(family_id: str, tables, label: str = "") -> tuple:
+    """The family's curves (one, or z and w) from term tables of its
+    ``_build_exNN`` (``_tests``): plain curves from one draw's numbers, each
+    one ``Curve`` on arrays of shape (draws, 1, 1) from a fold's, each draw
+    bit for bit its plain curve, labelled ``label`` (or the family id)."""
     info = FAMILIES[family_id]
-    rads, dens = ({k: v[:, None, None] for k, v in part.items()} for part in coeffs)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tables = info["_build"](*values.T[..., None, None], rads, dens, alt_pairing, sqrt=np.sqrt)
-        if draw is not None:
-            tables = [[[tuple(v.item(draw) if isinstance(v, np.ndarray) else v for v in term)
-                        for term in comp] for comp in comps] for comps in tables]
-        return tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, (label or family_id) + suffix)
-                     for comps, suffix in zip(tables, (".z", ".w") if info["pair"] else ("",)))
+    return tuple(Curve(info["signature"], comps, FACTORY_DOMAIN, (label or family_id) + suffix)
+                 for comps, suffix in zip(tables, (".z", ".w") if info["pair"] else ("",)))
 
 
 # ---------------------------------------------------------------------------

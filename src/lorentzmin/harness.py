@@ -38,7 +38,6 @@ from .curves import (
     ParamFamily,
     _family_curves,
     _finite_number,
-    _fold_curves,
     _valid_rows,
     builtin_curve,
 )
@@ -334,22 +333,23 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
 
 
 def _premise_phases(spec, curves, tols, like=None):
-    """A fold's premises (``_fold_curves``), or a spec's plain curves' as one
-    draw, as (condition id, residuals, verdicts) over the draws; without
-    ``like``, the reports of the first draw that builds (or of the first);
+    """A fold's premises (``curves._valid_rows``), or a spec's plain curves'
+    as one draw, as (condition id, residuals, verdicts) over the draws, each
+    row reduced once; without ``like``, the reports of the first draw that
+    builds (or of the first), read from those reductions;
     the draws that build (``BLOCKING``); and the surface, which the
     constructor builds once, on that draw and its reports: a spec's as
     built, a fold's those draws of it (``_stacked``) like ``like``, or
     ``like`` if none builds."""
     family = SURFACE_FAMILIES[spec.family]
     rows = family.premises(curves, spec, tols)
-    verdicts = [(cid, *(verdict or _max_verdicts)(r, tol)[:3:2])
-                for cid, r, tol, *_, verdict in rows]
+    reduced = [(verdict or _max_verdicts)(r, tol) for _, r, tol, *_, verdict in rows]
     ok = np.ones(_draw_count(curves), dtype=bool)
-    for _, _, passed in verdicts[:BLOCKING]:
+    for _, _, passed, *_ in reduced[:BLOCKING]:
         ok &= passed
     built, fold = np.flatnonzero(ok), bool(curves and curves[0]._lead)
-    reports = [] if like is not None else _reports(rows, built[0] if built.size else 0)
+    reports = [] if like is not None else _reports(rows, built[0] if built.size else 0, reduced)
+    verdicts = [(row[0], values, passed) for row, (values, _, passed, *_) in zip(rows, reduced)]
     if not built.size:
         return verdicts, reports, built, like
     if like is None:
@@ -516,10 +516,10 @@ def sweep(
     Deterministic for a given seed.  An empty valid set is reported, not
     raised.  Returns counts plus the worst residual seen per check id.
     Each draw gets ``verify``'s outcome: the draws are drawn and validated
-    in chunks (``_draw_chunks``, ``curves._valid_rows``), and a chunk's
-    valid ones checked in folds of one FD subgrid block (40 draws), whose
-    curves are built once from its coefficient arrays (``_fold_curves``),
-    and whose (draws, nodes) residual rows are reduced once per check: the
+    in chunks (``_draw_chunks``, ``curves._valid_rows``, which builds the
+    valid draws' curves once, from the term tables their validation built),
+    and checked in folds of one FD subgrid block (40 draws), slices of those
+    curves, whose (draws, nodes) residual rows are reduced once per check: the
     worst residual is a max over draws (NaN wins), and only a draw that
     fails gets an entry.
     """
@@ -538,12 +538,12 @@ def sweep(
     failures: list[dict] = []
     per, surface = diffgeo._draws_per_block(FD_SUBGRID), None
     for chunk in _draw_chunks(family, cfg, rng, n):
-        rows, coeffs = _valid_rows(family, chunk)
+        rows, curves = _valid_rows(family, chunk)
         valid, invalid = valid + len(rows), invalid + len(chunk) - len(rows)
         for i in range(0, len(rows), per):  # check a fold together
             draws = chunk[rows[i:i + per]]
-            verdicts, _, built, surface = _premise_phases(spec, _fold_curves(family, draws, tuple(
-                {k: v[i:i + per] for k, v in part.items()} for part in coeffs)), tols, surface)
+            verdicts, _, built, surface = _premise_phases(
+                spec, tuple(c[i:i + per] for c in curves), tols, surface)
             verdicts = [v + (np.arange(len(draws)),) for v in verdicts]
             for run in _check_rows(spec, surface, tols) if built.size else ():
                 took, built = np.split(built, [len(run[0][1])])

@@ -35,7 +35,7 @@ class ConditionReport:
     def from_max(cls, condition_id, residuals, tol, grid, points=None, note=""):
         """Report for a residual bounded above: pass iff max <= tol."""
         return cls._from_rows(condition_id, np.reshape(residuals, (1, -1)), tol, grid, points,
-                              note)[0]
+                              note)
 
     @classmethod
     def from_min(cls, condition_id, values, threshold, grid, points=None, note=""):
@@ -46,17 +46,17 @@ class ConditionReport:
         """
         return cls._from_rows(condition_id, np.reshape(values, (1, -1)), threshold, grid, points,
                               note or f"lower bound: residual = {threshold:g} - min value",
-                              _min_verdicts)[0]
+                              _min_verdicts)
 
     @classmethod
-    def _from_rows(cls, condition_id, rows, tol, grid, points=None, note="", verdicts=None):
-        """``from_max`` of each row of a (draws, nodes) array, reduced at once,
-        or ``from_min``'s with ``verdicts=_min_verdicts``; a ``verdicts``
-        that gives a note per row as a fifth item overrides ``note``."""
-        values, index, passed, tol, *notes = (verdicts or _max_verdicts)(rows, tol)
-        return [cls(condition_id, value, tol, ok, grid, _point(points, i), n)
-                for value, i, ok, n in zip(values.tolist(), index.tolist(), passed.tolist(),
-                                           *notes or [[note] * len(values)])]
+    def _from_rows(cls, condition_id, rows, tol, grid, points=None, note="", verdicts=None,
+                   draw=0, reduced=()):
+        """``from_max`` of row ``draw`` of a (draws, nodes) array, or ``from_min``'s
+        with ``verdicts=_min_verdicts``, read from ``reduced``, what ``verdicts`` gives
+        (made here if not given); a note per row as its fifth item overrides ``note``."""
+        values, index, passed, tol, *notes = reduced or (verdicts or _max_verdicts)(rows, tol)
+        return cls(condition_id, values.item(draw), tol, passed.item(draw), grid,
+                   _point(points, index.item(draw)), notes[0][draw] if notes else note)
 
     def to_dict(self) -> dict:
         return {

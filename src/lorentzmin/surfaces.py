@@ -477,10 +477,11 @@ def _single_curve_premises(z, samples, tol, family):
                      _min_verdicts))]
 
 
-def _reports(rows, draw=0) -> list[ConditionReport]:
+def _reports(rows, draw=0, reduced=None) -> list[ConditionReport]:
     """The reports of one draw of checks' (draws, nodes) rows, given as
-    ``ConditionReport._from_rows``'s arguments."""
-    return [ConditionReport._from_rows(cid, r[draw:draw + 1], *rest)[0] for cid, r, *rest in rows]
+    ``ConditionReport._from_rows``'s arguments, read from their ``reduced``."""
+    return [ConditionReport._from_rows(*row, draw=draw, reduced=r)
+            for row, r in zip(rows, reduced or [()] * len(rows))]
 
 
 #: The premises whose failure blocks a build: the first three (a single

@@ -21,8 +21,7 @@ import lorentzmin
 from lorentzmin import diffgeo, harness, sampling
 from lorentzmin.cli import main
 from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, Curve, FamilyValidation, ParamFamily,
-                               _ex72_chain_mid, _fold_curves, _valid_rows, make_example,
-                               validate_family)
+                               _ex72_chain_mid, _valid_rows, make_example, validate_family)
 from lorentzmin.errors import ConstraintViolationError, DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import ConditionReport, default_tolerances
@@ -162,9 +161,9 @@ def repeated(curve, draws):
 def fold_of(family, draws):
     """The curves of a fold of parameter sets of a built-in family, all valid."""
     values = np.array([[p[k] for k in FAMILIES[family]["params"]] for p in draws], dtype=float)
-    rows, coeffs = _valid_rows(family, values)
+    rows, curves = _valid_rows(family, values)
     assert rows.tolist() == list(range(len(draws)))
-    return _fold_curves(family, values, coeffs)
+    return curves
 
 
 def test_sweep_checks_full_batches(monkeypatch):
@@ -194,28 +193,36 @@ def test_sweep_checks_full_batches(monkeypatch):
 
 
 def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
-    # each fold of 40 sphere_b draws builds its curves once: the premises,
-    # the grid pass and the subgrid pass all take draws of them
-    build = harness._fold_curves
-    folds = []
+    # a chunk of 50 sphere_b draws builds its curves once: its folds of 40
+    # and 10 draws take slices of them, and the premises, the grid pass and
+    # the subgrid pass all take draws of those
+    build, folds = lorentzmin.curves._fold_curves, []
 
-    def counted(family, values, coeffs):
-        folds.append(len(values))
-        return build(family, values, coeffs)
+    def counted(family, tables, label=""):
+        curves = build(family, tables, label)
+        folds.append(_draw_count(curves))
+        return curves
 
-    monkeypatch.setattr(harness, "_fold_curves", counted)
+    premise_phases, premised = harness._premise_phases, []
+
+    def recording(spec, curves, tols, like=None):
+        premised.append(_draw_count(curves))
+        return premise_phases(spec, curves, tols, like)
+
+    monkeypatch.setattr(lorentzmin.curves, "_fold_curves", counted)
+    monkeypatch.setattr(harness, "_premise_phases", recording)
     assert sweep("Ex7_1", n=50, rng_seed=0)["valid"] == 50
-    assert folds == [40, 10]
+    assert (folds, premised) == ([50], [40, 10])
 
 
 @pytest.mark.parametrize("family, n, curves", [("Ex7_1", 50, 1), ("Ex8_2", 160, 2),
                                                 ("Ex7_1", 200, 1)])
 def test_sweep_builds_no_per_draw_object(monkeypatch, family, n, curves):
     # the valid path builds no ParamFamily, FamilyValidation, Curve,
-    # SurfaceMap or ConditionReport per draw: per fold, its curves and its
-    # stacked surface; per sweep, one constructor call, with the four
-    # premise reports of its one draw where the family has premises (one
-    # curve), as many at n=200 as at n=50
+    # SurfaceMap or ConditionReport per draw: per chunk of draws, its
+    # curves; per fold, its stacked surface; per sweep, one constructor
+    # call, with the four premise reports of its one draw where the family
+    # has premises (one curve), as many at n=200 as at n=50
     reports = 4 if curves == 1 else 0
     classes = (ParamFamily, FamilyValidation, Curve, SurfaceMap, ConditionReport)
     made = {cls.__name__: 0 for cls in classes}
@@ -225,9 +232,9 @@ def test_sweep_builds_no_per_draw_object(monkeypatch, family, n, curves):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
     summary = sweep(family, n=n, rng_seed=0)
-    folds = -(-summary["valid"] // 40)
+    folds, chunks = -(-summary["valid"] // 40), -(-n // diffgeo.BLOCK_NODES)
     assert summary["valid"] > 40 and summary["passed"] == summary["valid"]
-    assert made == {"ParamFamily": 0, "FamilyValidation": 0, "Curve": curves * folds,
+    assert made == {"ParamFamily": 0, "FamilyValidation": 0, "Curve": curves * chunks,
                     "SurfaceMap": 1 + folds, "ConditionReport": reports}
 
 
@@ -245,6 +252,32 @@ def test_sweep_validates_each_draw_once(monkeypatch):
         summary = sweep(family, n=n, rng_seed=0)
         assert summary["valid"] + summary["invalid"] == n
         assert calls == chunks
+
+
+def test_sweep_verify_and_export_build_each_draw_once(monkeypatch, tmp_path):
+    # one array call of the family's _build_exNN per chunk of draws that has
+    # a valid one (validation's call, whose tables the chunk's curves take),
+    # and one per family curve of a spec that is verified or exported
+    calls = []
+    for info in FAMILIES.values():
+        def counted(*args, build=info["_build"], **kwargs):
+            calls.append(np.size(args[0]))
+            return build(*args, **kwargs)
+        monkeypatch.setitem(info, "_build", counted)
+    for family, config, n, builds in (("Ex7_1", None, 1100, [1024, 76]), ("Ex7_2", None, 2100, []),
+                                      ("Ex7_2", {"mode": "box_around", "center": [3, 1.5, 1],
+                                                 "rel": 0.1}, 20, [20])):
+        calls.clear()
+        assert (sweep(family, config, n=n, rng_seed=0)["valid"] > 0) == bool(builds)
+        assert calls == builds
+    for path in sorted(SPEC_DIR.glob("*.json")):
+        spec = json.loads(path.read_text())
+        families = sum("family_id" in c for c in spec.get("curves", ()))
+        for run in (lambda: verify(spec),
+                    lambda: harness.export_samples(spec, str(tmp_path / "out.csv"), "csv")):
+            calls.clear()
+            run()
+            assert calls == [1] * families, path.stem
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,20 +366,25 @@ PARAMS = (st.floats(-0.5, 4.0) | st.floats(1e140, 1e160)
           | st.sampled_from([0.0, -0.0, -1.0, 1e-200, sampling.SAMPLER_BOUND, 1e155]))
 
 
+def _terms(curve):
+    """Each term of a curve (or of a one-draw fold's) as (basis, the bytes
+    of its coefficient and of its frequency or power, as float64)."""
+    return [(b, *(np.asarray(v, float).tobytes() for v in av))
+            for comp in curve.components for b, *av in comp]
+
+
 def _same_verdict(family, params):
     """The sweep's verdict on a draw (``_valid_rows``) is validate_family's,
-    and a valid draw's radicands and denominators are validate_family's,
-    bit for bit."""
-    rows, coeffs = _valid_rows(family, np.array([[params[k] for k in
+    and a valid draw's curves in its chunk are make_example's plain curves,
+    coefficient for coefficient, bit for bit."""
+    rows, curves = _valid_rows(family, np.array([[params[k] for k in
                                                   FAMILIES[family]["params"]]], dtype=float))
     validation = validate_family(ParamFamily(family, params))
     assert (rows.size == 1) == validation.ok
     if validation.ok:
-        assert [list(part) for part in coeffs] == [
-            list(validation.radicands), list(validation.denominators)]
-        assert [v.tobytes() for part in coeffs for v in part.values()] == [
-            np.float64(v).tobytes() for part in (validation.radicands, validation.denominators)
-            for v in part.values()]
+        plain = make_example(ParamFamily(family, params))
+        assert [_terms(c) for c in curves] == [
+            _terms(c) for c in (plain if FAMILIES[family]["pair"] else (plain,))]
     return validation
 
 

@@ -2,9 +2,11 @@
 and every built-in curve family its default sweep.
 
 ``tests/golden/<spec>.json`` holds ``verify(spec).to_dict(include_timings=False)``
-for each spec, and ``tests/golden/sweeps/<family>.json`` the summary of
-``sweep(family, n=5, rng_seed=0)`` with the family's default sampler, and
-``tests/golden/list_families.json`` the catalog of ``list_families()``.
+for each spec, ``tests/golden/sweeps/<family>.json`` the summary of
+``sweep(family, n=5, rng_seed=0)`` with the family's default sampler,
+``tests/golden/sweeps/Ex7_2-box.json`` that of an Ex7_2 sweep whose draws
+are valid (``SWEEPS``), and ``tests/golden/list_families.json`` the catalog
+of ``list_families()``.
 After an intended change to a report, regenerate them from the current
 code with
 
@@ -41,8 +43,13 @@ SPEC_DIR = ROOT / "specs"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 SPECS = sorted(p.stem for p in SPEC_DIR.glob("*.json"))
 SWEEP_DIR = GOLDEN_DIR / "sweeps"
-SWEEP_FAMILIES = sorted(FAMILIES)
 SWEEP_N, SWEEP_SEED = 5, 0
+#: The golden sweeps by name: (family, sampler config, n), each on seed
+#: SWEEP_SEED.  Ex7_2's default chain sampler draws no valid set, so it
+#: has a box of 10% about sphere_c_ex72's (p, q, r) too: 18 of its 20
+#: draws are valid, and all of them pass
+SWEEPS = {**{family: (family, None, SWEEP_N) for family in sorted(FAMILIES)},
+          "Ex7_2-box": ("Ex7_2", {"mode": "box_around", "center": [3, 1.5, 1], "rel": 0.1}, 20)}
 CATALOG = GOLDEN_DIR / "list_families.json"
 
 RESIDUAL_FACTOR = 10.0
@@ -80,8 +87,9 @@ def assert_matches(got: dict, want: dict) -> None:
                 cid, g["worst_point"], w["worst_point"])
 
 
-def current_sweep(family: str) -> dict:
-    return json.loads(dumps_json(sweep(family, n=SWEEP_N, rng_seed=SWEEP_SEED)))
+def current_sweep(name: str) -> dict:
+    family, config, n = SWEEPS[name]
+    return json.loads(dumps_json(sweep(family, config, n=n, rng_seed=SWEEP_SEED)))
 
 
 def assert_sweep_matches(got: dict, want: dict) -> None:
@@ -109,13 +117,16 @@ def test_report_matches_golden(name):
 
 
 def test_every_curve_family_has_a_golden_sweep():
-    assert sorted(p.stem for p in SWEEP_DIR.glob("*.json")) == SWEEP_FAMILIES
+    assert sorted(p.stem for p in SWEEP_DIR.glob("*.json")) == sorted(SWEEPS)
+    assert set(FAMILIES) < set(SWEEPS)
+    box = json.loads((SWEEP_DIR / "Ex7_2-box.json").read_text())
+    assert box["surface_family"] == "sphere_c" and box["passed"] == box["valid"] == 18
 
 
-@pytest.mark.parametrize("family", SWEEP_FAMILIES)
-def test_sweep_matches_golden(family):
-    want = json.loads((SWEEP_DIR / f"{family}.json").read_text())
-    assert_sweep_matches(current_sweep(family), want)
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_matches_golden(name):
+    want = json.loads((SWEEP_DIR / f"{name}.json").read_text())
+    assert_sweep_matches(current_sweep(name), want)
 
 
 def test_catalog_matches_golden():
@@ -141,10 +152,10 @@ def write_goldens() -> None:
         (GOLDEN_DIR / f"{name}.json").write_text(text + "\n")
         print(f"wrote {GOLDEN_DIR / name}.json")
     SWEEP_DIR.mkdir(exist_ok=True)
-    for family in SWEEP_FAMILIES:
-        text = json.dumps(current_sweep(family), indent=1, sort_keys=True)
-        (SWEEP_DIR / f"{family}.json").write_text(text + "\n")
-        print(f"wrote {SWEEP_DIR / family}.json")
+    for name in sorted(SWEEPS):
+        text = json.dumps(current_sweep(name), indent=1, sort_keys=True)
+        (SWEEP_DIR / f"{name}.json").write_text(text + "\n")
+        print(f"wrote {SWEEP_DIR / name}.json")
     CATALOG.write_text(json.dumps(current_catalog(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {CATALOG}")
 

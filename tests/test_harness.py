@@ -626,27 +626,41 @@ class TestCli:
             ["lightcone-z", "jerk-nonzero-z"]] * 2 + [["jerk-nonzero-z", "metric-signature"]]
         assert summary["worst_residuals"]["lightcone-z"] > 1e288
 
-    def test_premise_overflow_leaks_no_warning_under_w_error(self):
-        # draws near 1e-165 overflow the products of their premises; under
-        # python -W error a RuntimeWarning there would end the sweep in a
-        # traceback.  Their NaN residuals still fail: every draw fails
+    def test_premise_overflow_leaks_no_warning_under_w_error(self, tmp_path):
+        # draws near 1e-165 overflow the products of their premises, and a
+        # cosh(p t) with p near 2000 (or 500-700) overflows in the curve's
+        # evaluation; under python -W error a RuntimeWarning there would end
+        # the run in a traceback.  Their NaN and inf residuals still fail
         import os
         import pathlib
         import subprocess
         import sys
 
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        config = '{"a_box":[1,1],"pqr_box":[1e-170,1e-160],"min_gap":0}'
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "lorentzmin.cli", "sweep", "--family", "Ex7_1",
-             "--sampler-config", config, "--n", "20"], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, [str(src), os.environ.get("PYTHONPATH")]))})
-        assert (result.returncode, result.stderr) == (1, "")
-        summary = json.loads(result.stdout)
-        assert summary["failed"] == summary["valid"] == 20
-        assert summary["worst_residuals"]["lightcone-z"] == "nan"
-        assert all("lightcone-z" in f["failed"] for f in summary["failures"])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": "sphere_b", "curves": [
+            {"family_id": "Ex7_1", "params": {"a": 1, "p": 2001, "q": 1000, "r": 2000}}]}))
+
+        def run(*args):
+            result = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "lorentzmin.cli", *args],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                    filter(None, [str(src), os.environ.get("PYTHONPATH")]))})
+            assert (result.returncode, result.stderr) == (1, "")
+            return json.loads(result.stdout)
+
+        for config in ('{"a_box":[1,1],"pqr_box":[1e-170,1e-160],"min_gap":0}',
+                       '{"pqr_box":[500,700],"a_box":[1,1]}'):
+            summary = run("sweep", "--family", "Ex7_1", "--sampler-config", config, "--n", "20")
+            assert summary["failed"] == summary["valid"] == 20
+            assert summary["worst_residuals"]["lightcone-z"] == "nan"
+            assert all("lightcone-z" in f["failed"] for f in summary["failures"])
+        report = run("verify", "--spec", str(spec), "--no-timings")
+        assert report["surface"]["constructed"] is False
+        assert [(c["condition_id"], c["max_residual"], c["passed"]) for c in report["checks"]] == [
+            ("lightcone-z", "nan", False), ("speed-z", "nan", False),
+            ("acc-null-z", "nan", False), ("jerk-nonzero-z", "-inf", False)]
 
     def test_sweep_exit_0(self, capsys):
         assert main(["sweep", "--family", "Ex7_2", "--n", "50", "--seed", "0"]) == 0

@@ -4,7 +4,7 @@ fold of draws at once, and give the same bits as the full stencils did:
 which evaluate their offsets on a block's own axes, a group at a time,
 equal the stencils evaluated on every node, one offset at a time.  Each
 is checked on a single surface and on a fold of draws, built as a sweep
-builds it (``curves._fold_curves``, ``harness._premise_phases``).  The
+builds it (``curves._valid_rows``, ``harness._premise_phases``).  The
 subgrid pass over a fold of 40 draws peaks at most 2x the grid pass over
 a 9x9 block of 12 draws.  The chart jet, which writes its fields into the
 grid pass's table, gives the bits of the point path."""
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lorentzmin import diffgeo, harness
-from lorentzmin.curves import FAMILIES, _fold_curves, _valid_rows
+from lorentzmin.curves import FAMILIES, _valid_rows
 from lorentzmin.errors import DegenerateMetricError
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec
 from lorentzmin.indefinite import indefinite_dot
@@ -50,15 +50,15 @@ def _surfaces(family, draws=6):
 
 def _surface(family, draws):
     """The first draw's surface, or the first ``draws`` draws as a sweep's
-    fold makes them: curves from the coefficient arrays, then one surface."""
+    fold makes them: curves from the tables their validation built, then one
+    surface."""
     if draws == 1:
         return _surfaces(family, 1)[0]
     curve_family, params = DRAWS[family]
     values = np.array([[p[k] for k in FAMILIES[curve_family]["params"]] for p in params[:draws]])
-    rows, coeffs = _valid_rows(curve_family, values)
+    rows, curves = _valid_rows(curve_family, values)
     spec = SurfaceSpec(family=family, grid=(9, 9))
-    *_, surface = harness._premise_phases(spec, _fold_curves(curve_family, values, coeffs),
-                                          default_tolerances())
+    *_, surface = harness._premise_phases(spec, curves, default_tolerances())
     assert len(rows) == _draw_count(surface.sources) == draws
     return surface
 
