@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import pathlib
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lorentzmin import diffgeo, harness
-from lorentzmin.harness import FLOAT_FORMAT, SurfaceSpec, _format_rows, export_samples
+from lorentzmin.harness import (EXPORT_VALUES, FLOAT_FORMAT, SurfaceSpec, _decimal,
+                                _format_rows, _times_p10, export_samples)
 from lorentzmin.report import default_tolerances
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -71,6 +73,33 @@ class TestExactness:
         text = _format_rows(np.array([[0.0, -0.0, 1 + 2**-18]]), ",")
         assert text == "0.00000000000000000e+00,-0.00000000000000000e+00,1.00000381469726562e+00\n"
 
+    def test_estimate_is_exact_to_ten_to_the_22_and_within_1e_12_above(self):
+        rng = np.random.default_rng(11)
+        a = 10 ** (np.repeat(np.arange(-38, 17), 200) + rng.uniform(0, 1, 55 * 200))
+        a = a[(a > 1e-38) & (a < 1e17)]
+        p = 17 - _decimal(a)[1]
+        floor, frac = _times_p10(a, p)
+        errors = [abs(int(f) + Fraction(r) - Fraction(v) * 10**q)
+                  for v, q, f, r in zip(a.tolist(), p.tolist(), floor.tolist(), frac.tolist())]
+        exact = [e for e, q in zip(errors, p.tolist()) if q <= 22]
+        above = [e for e, q in zip(errors, p.tolist()) if q > 22]
+        assert len(exact) >= 2_000 and len(above) >= 2_000
+        assert max(exact) == 0
+        # at least 1000x inside the 1e-9 window that sends a value to ``%``
+        assert max(above) < 1e-12
+
+    def test_values_too_close_to_call_print_as_percent(self, monkeypatch):
+        # the 2**-30 ties above: all of them have 17 - k > 22
+        values = np.array([(1 + j) * 2.0**-30 for j in range(17 * 120)])
+        close = _decimal(values)[2]
+        assert close.sum() >= 20
+        printed = []
+        monkeypatch.setattr(harness, "format_float",
+                            lambda v: printed.append(v) or FLOAT_FORMAT % v)
+        (table,) = blocks(values)
+        assert _format_rows(table, ",") == reference(table, ",")
+        assert printed == values[close].tolist()
+
     @given(st.sampled_from([1, 3, 17]).flatmap(
                lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width),
                                       min_size=1, max_size=6)),
@@ -91,12 +120,15 @@ def grid_values(spec: SurfaceSpec):
     return surface.grid(spec.grid), positions.reshape(len(residuals.ravel()), -1), residuals
 
 
-@pytest.mark.parametrize("name", SPECS)
-def test_exports_round_trip_the_grid_values(name, tmp_path):
+@pytest.mark.parametrize("name, n", [pytest.param(name, 9, id=name) for name in SPECS]
+                         + [pytest.param("hyp_iii_ex82", 41, id="hyp_iii_ex82-41x41")])
+def test_exports_round_trip_the_grid_values(name, n, tmp_path):
     spec = SurfaceSpec.from_dict({**json.loads((SPEC_DIR / f"{name}.json").read_text()),
-                                  "grid": [9, 9]})
+                                  "grid": [n, n]})
     nodes, positions, residuals = grid_values(spec)
     table = np.column_stack([nodes, positions, residuals.ravel()])
+    # 9x9 is one csv write; hyp_iii's 17 columns at 41x41 take four
+    assert table.size < EXPORT_VALUES if n == 9 else table.size > 3 * EXPORT_VALUES
 
     export_samples(spec, str(tmp_path / "s.csv"), "csv")
     header, body = (tmp_path / "s.csv").read_text().split("\n", 1)
@@ -123,9 +155,13 @@ def reference_faces(nx: int, ny: int) -> str:
                    for a in (i * ny + j + 1 for i in range(nx - 1) for j in range(ny - 1)))
 
 
-@pytest.mark.parametrize("grid", [(2, 2), (5, 4), (3, 7), (30, 25)])
+FACE_GRIDS = [(2, 2), (5, 4), (3, 7), (30, 25), (60, 50)]
+
+
+@pytest.mark.parametrize("grid", FACE_GRIDS)
 def test_obj_faces_equal_the_per_face_writer(grid, tmp_path):
-    # (30, 25) has 696 faces, more than one write of EXPORT_VALUES // 4
+    # (60, 50) has 2891 faces, more than one write of EXPORT_VALUES // 4
+    assert max((nx - 1) * (ny - 1) for nx, ny in FACE_GRIDS) > EXPORT_VALUES // 4
     spec = {"family": "translation", "curves": [{"name": "hyp6"}, {"name": "trig6"}],
             "grid": list(grid)}
     export_samples(spec, str(tmp_path / "s.obj"), "obj")
