@@ -6,7 +6,7 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (89):
+The outputs (91):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
@@ -34,7 +34,10 @@ The outputs (89):
 * ``verify --no-timings`` of ``OVERFLOW_SPEC`` and Ex7_1 at n=20 on
   ``OVERFLOW_BOX``: valid curves whose cosh overflows on the domain, so
   their premises read "nan" and "-inf" residuals, which fail;
-* ``list-families``.
+* ``list-families``;
+* ``verify --no-timings`` of ``FACTOR_SPEC`` and Ex7_1 at n=3 on
+  ``FACTOR_BOX``: finite coefficients whose factor a*p*p*p overflows, so
+  validation rejects them (verify exits 2, the sweep's draws are invalid).
 
 Each output runs in this process through ``lorentzmin.cli.main``; its file
 is the command's standard output (the exported file for exports).
@@ -89,6 +92,11 @@ OVERFLOW_SPEC = {"family": "sphere_b", "curves": [
     {"family_id": "Ex7_1", "params": {"a": 1, "p": 2001, "q": 1000, "r": 2000}}]}
 #: An Ex7_1 sampler box whose draws' cosh overflows there too
 OVERFLOW_BOX = {"pqr_box": [500, 700], "a_box": [1, 1]}
+#: An Ex7_1 spec whose coefficients are finite but whose a*p*p*p is not
+FACTOR_SPEC = {"family": "sphere_b", "curves": [
+    {"family_id": "Ex7_1", "params": {"a": 1e-100, "p": 1.5e110, "q": 1.2e110, "r": 1.3e110}}]}
+#: An Ex7_1 sampler box whose draws' a*p*p*p overflows too
+FACTOR_BOX = {"a_box": [1e-100, 1e-100], "pqr_box": [1e110, 1e111], "min_gap": 0}
 #: ads_null as both z and w is no admissible pair: iii.1 fails (iii.2 and
 #: iii.3 hold), and g_xy > 0 stops the grid pass (metric-signature fails)
 DEGENERATE_PAIR = {"family": "hyp_iii", "curves": [{"name": "ads_null"}, {"name": "ads_null"}]}
@@ -143,17 +151,24 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
         ["sweep", "--family", "Ex7_1", "--n", "20", f"--sampler-config={json.dumps(OVERFLOW_BOX)}"],
         None)
     table["list-families.json"] = (["list-families"], None)
+    table["verify-sphere_b_factor_overflow-21.json"] = (
+        ["verify", "--spec", "{tmp}/sphere_b_factor_overflow.json", "--no-timings"], None)
+    table["sweep-Ex7_1-factor-overflow-seed0.json"] = (
+        ["sweep", "--family", "Ex7_1", "--n", "3", f"--sampler-config={json.dumps(FACTOR_BOX)}"],
+        None)
     return table
 
 
 def write_grid_specs(tmp: pathlib.Path) -> None:
     """Each shipped spec at each of ``GRIDS``, as ``{tmp}/{spec}-{n}.json``,
     ``PAIRING_GAP`` as ``{tmp}/translation_pairing_gap.json``,
-    ``DEGENERATE_PAIR`` as ``{tmp}/hyp_iii_degenerate_pair.json`` and
-    ``OVERFLOW_SPEC`` as ``{tmp}/sphere_b_overflow.json``."""
+    ``DEGENERATE_PAIR`` as ``{tmp}/hyp_iii_degenerate_pair.json``,
+    ``OVERFLOW_SPEC`` as ``{tmp}/sphere_b_overflow.json`` and
+    ``FACTOR_SPEC`` as ``{tmp}/sphere_b_factor_overflow.json``."""
     (tmp / "translation_pairing_gap.json").write_text(json.dumps(PAIRING_GAP))
     (tmp / "hyp_iii_degenerate_pair.json").write_text(json.dumps(DEGENERATE_PAIR))
     (tmp / "sphere_b_overflow.json").write_text(json.dumps(OVERFLOW_SPEC))
+    (tmp / "sphere_b_factor_overflow.json").write_text(json.dumps(FACTOR_SPEC))
     for spec in SPECS:
         data = json.loads((SPEC_DIR / f"{spec}.json").read_text())
         for n in GRIDS:

@@ -122,7 +122,7 @@ def _checked_term(term) -> tuple:
 
     basis, a, w = term if isinstance(term, (tuple, list)) and len(term) == 3 else (None,) * 3
     if basis == "pow":
-        ok = isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 0
+        ok = isinstance(w, numbers.Integral) and _finite_number(w) and w >= 0
     else:
         ok = isinstance(basis, str) and basis in PERIODIC_BASES and finite(w)
     if not (ok and finite(a)):
@@ -132,20 +132,14 @@ def _checked_term(term) -> tuple:
     return basis, a, int(w) if basis == "pow" else w
 
 
-def _pow(w, k):
-    """w**k by Python's float ``**`` (libm's pow, which numpy's need not
-    match bit for bit), elementwise on an array; w**0 = 1 and w**1 = w are
-    exact either way."""
-    if not isinstance(w, np.ndarray) or k < 2:
-        return w**k
-    return np.array([v**k for v in w.ravel().tolist()]).reshape(w.shape)
-
-
 def _coefficients_by_order(basis, a, w) -> tuple:
     """The factor of each derivative order: a * w^k * sign[k] for a
-    periodic term, a * j (j-1) ... (j-k+1) for a power t^j."""
+    periodic term, with w^k the product 1, w, w*w, w*w*w, so a number and
+    an array of them give the same bits; a * j (j-1) ... (j-k+1) for a
+    power t^j.  A factor beyond the double range is inf (or NaN)."""
     if basis != "pow":
-        return tuple(a * _pow(w, k) * sign for k, sign in enumerate(PERIODIC_BASES[basis][1]))
+        return tuple(a * wk * sign for wk, sign in zip((1, w, w * w, w * w * w),
+                                                       PERIODIC_BASES[basis][1]))
     coefs = [a]
     for i in range(min(w, MAX_ORDER)):
         coefs.append((w - i) * coefs[-1])
@@ -193,11 +187,12 @@ class Curve:
         lead = {v.shape for c in comps for _, *av in c for v in av if isinstance(v, np.ndarray)}
         if len(lead) > 1:
             raise InvalidInputError(f"coefficient arrays of shapes {sorted(lead)} in one curve")
-        try:
+        with np.errstate(over="ignore", invalid="ignore"):
             plan = tuple((slot, n == 0, b, w, _coefficients_by_order(b, a, w))
                          for slot, comp in enumerate(comps) for n, (b, a, w) in enumerate(comp))
-        except OverflowError as exc:
-            raise InvalidInputError(f"{self.label or 'curve'}: term out of range ({exc})") from exc
+        if not all(np.isfinite(f).all() for *_, factors in plan for f in factors):
+            raise InvalidInputError(f"{self.label or 'curve'}: term out of range (a factor of "
+                                    "its derivatives is not finite)")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "_plan", plan)
@@ -583,10 +578,11 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
     """Numeric validation, ``_tests`` of the parameter set as one draw (a
     sweep's ``_valid_rows`` gives each draw this verdict): every parameter
     > 0, every radicand >= 0 and denominator > 0, each finite
-    (``_coefficient_ok``), then every coefficient of the curves finite.  An
-    int parameter up to 2**150 stays a Python int, so a formula of ints is
-    exact, as in Python, and (of degree at most 6) inside the double range
-    the curves are built in; a larger int is a float.
+    (``_coefficient_ok``), then every coefficient of the curves, and each
+    factor a*w^k of its term's derivatives, finite.  An int parameter up to
+    2**150 stays a Python int, so a formula of ints is exact, as in Python,
+    and (of degree at most 6) inside the double range the curves are built
+    in; a larger int is a float.
 
     The quoted inequality chain is evaluated too, but only for reporting;
     it neither implies nor is implied by validity (one family's chain in
@@ -596,16 +592,18 @@ def validate_family(fam: ParamFamily) -> FamilyValidation:
 
 
 def _validation(fam: ParamFamily, alt_pairing: bool = False) -> tuple[FamilyValidation, tuple]:
-    """``validate_family(fam)`` and the term tables its ``_tests`` built."""
+    """``validate_family(fam)`` and the term tables its ``_tests`` built on
+    the parameters as one draw (an int up to 2**150 as is, else a 0-d array)."""
     info = FAMILIES[fam.family_id]
     args = [fam.params[k] for k in info["params"]]
     rads, dens, tests, tables = _tests(fam.family_id, [
-        v if not isinstance(v, int) or abs(v) <= 2**150 else float(v) for v in args], alt_pairing)
+        v if isinstance(v, int) and abs(v) <= 2**150 else np.asarray(float(v)) for v in args],
+        alt_pairing)
     failed = [(kind, name, np.asarray(value).item(0)) for kind, name, value, passed in tests
               if not passed]
     failures = [f"{fam.family_id}: parameter {name} must be positive (= {value:g})"
                 for kind, name, value in failed if kind == "parameter"]
-    if any(kind == "square" for kind, *_ in failed):  # Python's float ** raises OverflowError
+    if any(kind == "square" for kind, *_ in failed):
         rads, dens, failed = {}, {}, []
         failures.append(f"{fam.label()}: parameters out of range "
                         "((34, 'Numerical result out of range'))")
@@ -613,7 +611,8 @@ def _validation(fam: ParamFamily, alt_pairing: bool = False) -> tuple[FamilyVali
                   if kind in ("denominator", "radicand")]
     texts = failures + [f"{kind} {name} {_violated(value, kind)} (= {value:g})"
                         for name, value, kind in violations]
-    texts += [f"{fam.label()}: {name} not finite (= {value:g})"
+    texts += [f"{fam.label()}: {name} not finite (= {value:g})" if not math.isfinite(value) else
+              f"{fam.label()}: {name} (= {value:g}) times a power of its frequency is not finite"
               for kind, name, value in failed if kind == "coefficient"]
     return FamilyValidation(
         family_id=fam.family_id,
@@ -627,44 +626,24 @@ def _validation(fam: ParamFamily, alt_pairing: bool = False) -> tuple[FamilyVali
     ), tables
 
 
-def _py_squares(values: np.ndarray) -> np.ndarray:
-    """``v ** 2`` of each float as Python computes it (``_pow``), NaN where
-    that raises OverflowError."""
-    try:
-        return _pow(values, 2)
-    except OverflowError:  # square each alone
-        return np.full(np.shape(values), math.nan) if np.size(values) == 1 else np.concatenate(
-            [_py_squares(v) for v in np.split(values, values.size)])
-
-
-class _Squares:
-    """Arrays of parameters for formulas that take them only as ``p**2``,
-    which gives ``squares`` (``_py_squares``), so each element comes out as
-    the same formula on floats gives it, bit for bit."""
-
-    def __init__(self, squares):
-        self.squares = squares
-
-    def __pow__(self, k):
-        return self.squares if k == 2 else NotImplemented
-
-
 def _tests(family_id: str, columns, alt_pairing: bool = False) -> tuple[dict, dict, list, tuple]:
     """``validate_family``'s tests of each draw, from one run of the
     family's formulas on its parameters (``columns``: per parameter, an
-    array over the draws, or a number for one): (radicands, denominators,
-    tests, tables), the first two dicts over the draws, tests (kind, name,
-    values, passed) in order: each parameter > 0; its square, as Python's
-    ``**`` takes it (``_py_squares``), finite; each denominator and radicand
-    ``_coefficient_ok``; then, if a draw passes those, each coefficient of
-    the curves, built in floats, finite (a quotient by zero is not): tables
-    holds their term tables (``_build_exNN``, with ``alt_pairing``), or ()."""
+    array over the draws, or for one draw a 0-d array or an int, so that a
+    square is ``np.square`` of a float, exact of an int): (radicands,
+    denominators, tests, tables), the first two dicts over the draws, tests
+    (kind, name, values, passed) in order: each parameter > 0; its square
+    finite; each denominator and radicand ``_coefficient_ok``; then, if a
+    draw passes those, each coefficient of the curves, built in floats,
+    with every factor of its term's derivatives (``_coefficients_by_order``)
+    finite (a quotient by zero is not): tables holds their term tables
+    (``_build_exNN``, with ``alt_pairing``), or ()."""
     info, tables = FAMILIES[family_id], ()
-    squares = [_py_squares(c) for c in columns]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rads, dens = info["_coeffs"](*map(_Squares, squares))
+        rads, dens = info["_coeffs"](*columns)
         tests = [("parameter", name, c, c > 0) for name, c in zip(info["params"], columns)]
-        tests += [("square", name, v, v < math.inf) for name, v in zip(info["params"], squares)]
+        tests += [("square", name, v, v < math.inf)
+                  for name, v in zip(info["params"], (c * c for c in columns))]
         tests += [(kind, name, value, _coefficient_ok(value, kind))
                   for kind, part in (("denominator", dens), ("radicand", rads))
                   for name, value in part.items()]
@@ -672,10 +651,11 @@ def _tests(family_id: str, columns, alt_pairing: bool = False) -> tuple[dict, di
             floats = [{k: np.asarray(v, float) for k, v in part.items()} for part in (rads, dens)]
             tables = info["_build"](*(np.asarray(c, float) for c in columns), *floats,
                                     alt_pairing, sqrt=np.sqrt)
-            built = [(f"coefficient of {curve}'s component {slot}", np.atleast_1d(a))
-                     for curve, comps in zip("zw", tables)
-                     for slot, comp in enumerate(comps) for _, a, _ in comp]
-            tests += [("coefficient", name, a, np.isfinite(a)) for name, a in built]
+            tests += [("coefficient", f"coefficient of {curve}'s component {slot}",
+                       np.atleast_1d(a), np.logical_and.reduce(
+                           [np.isfinite(f) for f in _coefficients_by_order(b, a, w)]))
+                      for curve, comps in zip("zw", tables)
+                      for slot, comp in enumerate(comps) for b, a, w in comp]
     return rads, dens, tests, tables
 
 

@@ -14,8 +14,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .curves import (EX72_CHAIN_BOUNDS, FAMILIES, _ex72_chain_mid, _finite_number, _py_squares,
-                     _Squares)
+from .curves import EX72_CHAIN_BOUNDS, FAMILIES, _ex72_chain_mid, _finite_number
 from .errors import InvalidInputError
 from .surfaces import BLOCK_NODES, _check_grid
 
@@ -134,13 +133,12 @@ def _draw_chunks(family: str, cfg: dict, rng: np.random.Generator, n: int):
     box = [float(v) for v in cfg["qr_box" if chain else "pqr_box"]]
     while n > 0:
         state, m = rng.bit_generator.state, min(BLOCK_NODES, n)
-        values, squares = np.empty(0), np.empty(0)
+        values = np.empty(0)
         while True:  # pass one, extended until it places m sets or a failed one
             new = rng.uniform(*box, max(values.size, m * (lead + 2 * width + tail)))
             values, size = np.append(values, new), values.size + new.size
             if chain:
-                squares = np.append(squares, _py_squares(new))
-                mid = _ex72_chain_mid(_Squares(squares[:-1]), _Squares(squares[1:]))
+                mid = _ex72_chain_mid(values[:-1], values[1:])
                 ok = mid > 0
             else:
                 a, b, c = values[:-2], values[1:-1], values[2:]  # every try, sorted below

@@ -21,7 +21,7 @@ import lorentzmin
 from lorentzmin import diffgeo, harness, sampling
 from lorentzmin.cli import main
 from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, Curve, FamilyValidation, ParamFamily,
-                               _ex72_chain_mid, _valid_rows, make_example, validate_family)
+                               _valid_rows, make_example, validate_family)
 from lorentzmin.errors import ConstraintViolationError, DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import ConditionReport, default_tolerances
@@ -54,7 +54,7 @@ def draw_params(family, cfg, rng):
         hi, lo = EX72_CHAIN_BOUNDS
         for _ in range(sampling.MAX_SAMPLER_TRIES):
             q, r = rng.uniform(*cfg["qr_box"], 2)
-            mid = _ex72_chain_mid(q, r)
+            mid = 80 + 189 * (r * r) - 64 * (q * q)  # X(q, r), with products
             if mid > 0:
                 p = math.sqrt(rng.uniform(mid / hi, mid / lo))
                 return {"p": float(p), "q": float(q), "r": float(r)}
@@ -245,7 +245,7 @@ def test_sweep_validates_each_draw_once(monkeypatch):
         coeffs = FAMILIES[family]["_coeffs"]
 
         def counted(*args, coeffs=coeffs):
-            calls.append(len(args[0].squares))
+            calls.append(np.size(args[0]))
             return coeffs(*args)
 
         monkeypatch.setitem(FAMILIES[family], "_coeffs", counted)
@@ -360,8 +360,8 @@ def test_chain_sweep_holds_one_chunk_of_parameters():
 
 #: parameters inside and outside the families' domains, down to 0 and
 #: below, and up to and past SAMPLER_BOUND, where squares times the
-#: coefficients overflow to inf or NaN, and where a square itself raises
-#: OverflowError (beyond about 1.3e154)
+#: coefficients overflow to inf or NaN, and where a square itself
+#: overflows (beyond about 1.3e154)
 PARAMS = (st.floats(-0.5, 4.0) | st.floats(1e140, 1e160)
           | st.sampled_from([0.0, -0.0, -1.0, 1e-200, sampling.SAMPLER_BOUND, 1e155]))
 
@@ -412,8 +412,11 @@ REJECTION_EDGES = [
     ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 1e150}, False, math.nan),
     # ... and so does an inf radicand, which is not finite
     ("Ex7_1", {"a": 1e150, "p": 1e150, "q": 1, "r": 2}, False, math.inf),
-    # beyond it p**2 raises OverflowError
+    # beyond it p*p overflows
     ("Ex7_1", {"a": 1, "p": 1e155, "q": 1, "r": 2}, False, "out of range"),
+    # every coefficient is finite, but a*p*p*p is not: the curve cannot be built
+    ("Ex7_1", {"a": 1e-100, "p": 1.5e110, "q": 1.2e110, "r": 1.3e110}, False,
+     "coefficient of z's component 0 (= 1e-100) times a power of its frequency is not finite"),
 ]
 
 
@@ -421,8 +424,9 @@ REJECTION_EDGES = [
 def test_sweep_rejection_edges(family, params, ok, edge):
     validation = _same_verdict(family, params)
     assert validation.ok is ok
-    if isinstance(edge, str):
-        assert not validation.radicands and edge in validation.failures[0]
+    if isinstance(edge, str):  # only a square out of range leaves no radicands
+        assert edge in validation.failures[0]
+        assert (not validation.radicands) == (edge == "out of range")
     elif edge is not None:
         rads = list(validation.radicands.values())
         assert any(v == edge or (math.isnan(v) and math.isnan(edge)) for v in rads)
@@ -442,6 +446,9 @@ def test_sweep_rejection_edges(family, params, ok, edge):
     ("Ex7_2", {"p": 3, "q": 0, "r": 1}, 2, "error: Ex7_2: parameter q must be positive (= 0)\n"),
     ("Ex7_2", {"p": 3, "q": 1.5, "r": -0.0}, 2,
      "error: Ex7_2: parameter r must be positive (= -0)\n"),
+    (*REJECTION_EDGES[6][:2], 2, "error: Ex7_1(a=1e-100,p=1.5e+110,q=1.2e+110,r=1.3e+110): "
+                                 "coefficient of z's component 0 (= 1e-100) times a power of its "
+                                 "frequency is not finite\n"),
 ])
 def test_verify_exit_texts_of_the_rejection_edges(tmp_path, capsys, family, params, code, err):
     # lms verify on each edge: a valid one checks its surface (stderr empty);
@@ -676,7 +683,9 @@ def test_a_draw_that_zeroes_components_is_checked_in_its_fold():
 
 #: three draws of each single-curve family and of Ex8_2 (a fold's curves);
 #: in each, the third draw has a frequency (2.8862 or 1.4356) whose cube
-#: numpy's array ``**`` rounds otherwise than Python's float ``**``
+#: numpy's array ``**`` rounds otherwise than the product w*w*w a curve
+#: forms, so a fold whose factors were powers by ``**`` would differ there
+#: from its plain curve
 FOLDS = {
     "Ex7_1": [{"a": 0.5, "p": 3, "q": 1, "r": 2}, {"a": 1.7, "p": 3, "q": 1, "r": 2},
               {"a": 1.0, "p": 2.8862, "q": 1, "r": 2}],

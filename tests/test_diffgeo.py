@@ -11,6 +11,7 @@ from lorentzmin.diffgeo import (
     fd_discrepancy,
     fd_jet,
     gauss_curvature,
+    mean_curvature_norm,
     minimality_residual,
     partials,
     point_forms,
@@ -409,6 +410,15 @@ class TestMinimality:
         assert not rep.passed
         # max-norm of H = L peaks at the (0.9, 0.9) corner: (1+xy)/(x+y)
         assert rep.max_residual == pytest.approx(1.81 / 1.8, abs=2e-4)
+
+    def test_mean_curvature_norm_is_the_max_norm_of_H(self):
+        _, sphere = _build_spec_surface("sphere_b_ex71")
+        for surface, x, y in ((sphere, 0.5, 0.6), (de_sitter_control(), 1.0, 1.0)):
+            norm = mean_curvature_norm(surface, x, y)
+            assert norm == np.max(np.abs(second_fundamental_form(surface, x, y).H))
+        assert mean_curvature_norm(sphere, 0.5, 0.6) < 1e-12
+        # H = -L, and L(1, 1) = (0, 0, 1)
+        assert abs(mean_curvature_norm(de_sitter_control(), 1.0, 1.0) - 1.0) < 1e-12
 
 
 class TestGaussEquation:

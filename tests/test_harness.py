@@ -630,7 +630,9 @@ class TestCli:
         # draws near 1e-165 overflow the products of their premises, and a
         # cosh(p t) with p near 2000 (or 500-700) overflows in the curve's
         # evaluation; under python -W error a RuntimeWarning there would end
-        # the run in a traceback.  Their NaN and inf residuals still fail
+        # the run in a traceback.  Their NaN and inf residuals still fail.
+        # Draws near 1e110 overflow a factor a*p*p*p in validation, which
+        # counts them invalid
         import os
         import pathlib
         import subprocess
@@ -641,13 +643,13 @@ class TestCli:
         spec.write_text(json.dumps({"family": "sphere_b", "curves": [
             {"family_id": "Ex7_1", "params": {"a": 1, "p": 2001, "q": 1000, "r": 2000}}]}))
 
-        def run(*args):
+        def run(*args, code=1):
             result = subprocess.run(
                 [sys.executable, "-W", "error", "-m", "lorentzmin.cli", *args],
                 capture_output=True, text=True, timeout=120,
                 env={**os.environ, "PYTHONPATH": os.pathsep.join(
                     filter(None, [str(src), os.environ.get("PYTHONPATH")]))})
-            assert (result.returncode, result.stderr) == (1, "")
+            assert (result.returncode, result.stderr) == (code, "")
             return json.loads(result.stdout)
 
         for config in ('{"a_box":[1,1],"pqr_box":[1e-170,1e-160],"min_gap":0}',
@@ -656,6 +658,9 @@ class TestCli:
             assert summary["failed"] == summary["valid"] == 20
             assert summary["worst_residuals"]["lightcone-z"] == "nan"
             assert all("lightcone-z" in f["failed"] for f in summary["failures"])
+        config = '{"a_box":[1e-100,1e-100],"pqr_box":[1e110,1e111],"min_gap":0}'
+        summary = run("sweep", "--family", "Ex7_1", "--sampler-config", config, "--n", "3", code=0)
+        assert (summary["valid"], summary["invalid"]) == (0, 3)
         report = run("verify", "--spec", str(spec), "--no-timings")
         assert report["surface"]["constructed"] is False
         assert [(c["condition_id"], c["max_residual"], c["passed"]) for c in report["checks"]] == [

@@ -6,8 +6,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from lorentzmin.curves import (Curve, ParamFamily, builtin_curve, derivative_inner, hcosh, hsinh,
-                               make_example)
+from lorentzmin.curves import (Curve, ParamFamily, builtin_curve, const, derivative_inner, hcosh,
+                               hsinh, make_example, seeded_null_pair)
+from lorentzmin.diffgeo import point_forms
 from lorentzmin.errors import (
     DegenerateMetricError,
     DomainError,
@@ -369,3 +370,36 @@ def test_pde_xy_fails_when_L_disagrees_with_its_chart(monkeypatch, name, chart):
         good, immersion=lambda Z, Z1, s: good.immersion(Z, (1 + 1e-6) * Z1, s)))
     report = verify(json.loads((SPEC_DIR / f"{name}.json").read_text()))
     assert "pde-xy" in report.failed_checks()
+
+
+def _e30():
+    return Curve(Signature(3, 0), [const(0.0)] * 3)
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: Curve(Signature(1, 0), [const(1.0)], (1.0, 1.0)), InvalidInputError,
+     "empty curve domain (1.0, 1.0)"),
+    # a*p*p*p overflows, though a and p are finite
+    (lambda: Curve(Signature(1, 0), [hcosh(1e-100, 1e110)], label="big"), InvalidInputError,
+     "big: term out of range (a factor of its derivatives is not finite)"),
+    # a power beyond the double range, which no factor could hold
+    (lambda: Curve(Signature(1, 0), [(("pow", 1.0, 10**400),)]), InvalidInputError,
+     f"malformed term ('pow', 1.0, {10**400}): want (basis, a, w) with basis in ['cos', 'cosh', "
+     "'sin', 'sinh'], or ('pow', a, j) with j >= 0"),
+    (lambda: builtin_curve("line2").sample_grid(1), InvalidInputError, "need at least 2 samples"),
+    (lambda: seeded_null_pair(np.random.default_rng(0), "bogus"), InvalidInputError,
+     "unknown pair flavor 'bogus'"),
+    (lambda: translation_surface(builtin_curve("line2"), builtin_curve("line2_rev"),
+                                 ((0, 0), (0, 1))),
+     InvalidInputError, "empty surface domain ((0, 0), (0, 1))"),
+    (lambda: hyperbolic_case_iii(_e30(), _e30()), InvalidInputError,
+     "hyperbolic ambient needs embedding index >= 1, got E^3_0"),
+    # x + y = 0 is the sphere chart's singular locus
+    (lambda: point_forms(sphere_case_b(make_example(ParamFamily(
+        "Ex7_1", {"a": 1, "p": 3, "q": 1, "r": 2}))), 0.0, 0.0),
+     DomainError, "point (0, 0) within 0 of a singular locus (need > 0)"),
+])
+def test_input_guards_raise_their_errors(build, error, text):
+    with pytest.raises(error) as raised:
+        build()
+    assert (type(raised.value), str(raised.value)) == (error, text)
