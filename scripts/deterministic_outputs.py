@@ -6,7 +6,7 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (91):
+The outputs (92):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
@@ -30,7 +30,9 @@ The outputs (91):
   invalid), which exercise the samplers' rejections;
 * Ex7_1 at n=3 on parameters near 1e-150 (``EXTREME_BOX``), whose fold
   mixes two premise-blocked draws, a ``metric-signature`` draw and a
-  lightcone-z residual of 2.4e288;
+  lightcone-z residual of 2.4e288, and at n=10, where the metric of the
+  fold of its five built draws is degenerate, so the fold is rerun one
+  draw at a time;
 * ``verify --no-timings`` of ``OVERFLOW_SPEC`` and Ex7_1 at n=20 on
   ``OVERFLOW_BOX``: valid curves whose cosh overflows on the domain, so
   their premises read "nan" and "-inf" residuals, which fail;
@@ -144,6 +146,9 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
          f"--sampler-config={json.dumps(EX72_BOX)}"], None)
     table["sweep-Ex7_1-extreme-seed0.json"] = (
         ["sweep", "--family", "Ex7_1", "--n", "3", f"--sampler-config={json.dumps(EXTREME_BOX)}"],
+        None)
+    table["sweep-Ex7_1-extreme-n10-seed0.json"] = (
+        ["sweep", "--family", "Ex7_1", "--n", "10", f"--sampler-config={json.dumps(EXTREME_BOX)}"],
         None)
     table["verify-sphere_b_overflow-21.json"] = (
         ["verify", "--spec", "{tmp}/sphere_b_overflow.json", "--no-timings"], None)

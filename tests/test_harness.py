@@ -626,6 +626,29 @@ class TestCli:
             ["lightcone-z", "jerk-nonzero-z"]] * 2 + [["jerk-nonzero-z", "metric-signature"]]
         assert summary["worst_residuals"]["lightcone-z"] > 1e288
 
+    def test_extreme_degenerate_fold_is_rerun_one_draw_at_a_time(self, monkeypatch, capsys):
+        # at n=10 the metric of the fold of five built draws is degenerate, so
+        # _check_rows reruns the fold on one-draw slices; nothing is faked, and
+        # no RuntimeWarning leaks from the rerun either
+        import lorentzmin.harness as harness
+        from lorentzmin.surfaces import _draw_count
+
+        checks, sizes = harness._check_rows, []
+
+        def recording(spec, surface, tols):
+            sizes.append(_draw_count(surface.sources))
+            return checks(spec, surface, tols)
+
+        monkeypatch.setattr(harness, "_check_rows", recording)
+        config = '{"a_box": [1, 1], "pqr_box": [1e-160, 1e-150], "min_gap": 0}'
+        assert main(["sweep", "--family", "Ex7_1", f"--sampler-config={config}", "--n", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert (err, sizes) == ("", [5, 1, 1, 1, 1, 1])
+        summary = json.loads(out)
+        assert (summary["valid"], summary["failed"]) == (10, 10)
+        assert [f["failed"] for f in summary["failures"]].count(
+            ["jerk-nonzero-z", "metric-signature"]) == 5
+
     def test_premise_overflow_leaks_no_warning_under_w_error(self, tmp_path):
         # draws near 1e-165 overflow the products of their premises, and a
         # cosh(p t) with p near 2000 (or 500-700) overflows in the curve's
