@@ -196,6 +196,8 @@ def _at(f, X, Y, d, parts, pairs):
     most 2 BLOCK_NODES node-offsets each; a row that a call repeats is broadcast."""
     (n, sx), (m, sy) = (_PARTS[p] for p in parts)
     X, Y, d = X[sx], Y[sy], d[parts[0]:parts[0] + 1] + d[3 + parts[1]:4 + parts[1]]
+    if d[0].ndim > X.ndim + 2:  # a fold's tables, whose draw axis follows the offsets'
+        X, Y = X[:, None], Y[:, None]
     each = max(1, 2 * BLOCK_NODES // np.broadcast(X[0], Y[0], *(t[0, 0, ..., 0] for t in d)).size)
     out = []
     for k in range(0, len(pairs), each):
@@ -337,11 +339,8 @@ def _conformal(surface: SurfaceMap, x, y, *d):
     g_xy = indefinite_dot(lx, ly, surface.ambient.embedding_signature.index)
     bad = g_xy >= 0
     if bad.any():
-        x, y = np.broadcast_arrays(x, y)
-        if g_xy.ndim > x.ndim:  # a stack of draws, whose axis is third from last
-            x, y = np.expand_dims(x, -3), np.expand_dims(y, -3)
         x, y, g_xy = np.broadcast_arrays(x, y, g_xy)
-        i = _first(g_xy >= 0)
+        i = _first(bad)
         raise DegenerateMetricError(
             f"g_xy = {g_xy.flat[i]:g} >= 0 at ({x.flat[i]:g}, {y.flat[i]:g})")
     return np.sqrt(-g_xy)
@@ -431,8 +430,8 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     takes K from the E-field stencil and adds the FD jet; None skips K
     (the forms then carry none).
 
-    ``surface`` may be a fold's draws (``surfaces._stacked``): each
-    array then gets a leading draw axis, and a block holds at most
+    ``surface`` may be built on a fold's curves: each array then gets a
+    leading draw axis, and a block holds at most
     ``_draws_per_block`` whole draws (``_grid_blocks``).
     """
     xs, ys = grid_axes(surface.domain, shape)

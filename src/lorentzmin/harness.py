@@ -58,7 +58,6 @@ from .surfaces import (
     _draw_count,
     _reports,
     _single_curve_premises,
-    _stacked,
     _translation_premises,
     de_sitter_control,
     hyperbolic_case_ii,
@@ -332,31 +331,25 @@ SURFACE_FAMILIES: dict[str, SurfaceFamily] = {
 }
 
 
-def _premise_phases(spec, curves, tols, like=None):
+def _premise_phases(spec, curves, tols):
     """A fold's premises (``curves._valid_rows``), or a spec's plain curves'
     as one draw, as (condition id, residuals, verdicts) over the draws, each
-    row reduced once; without ``like``, the reports of the first draw that
-    builds (or of the first), read from those reductions;
-    the draws that build (``BLOCKING``); and the surface, which the
-    constructor builds once, on that draw and its reports: a spec's as
-    built, a fold's those draws of it (``_stacked``) like ``like``, or
-    ``like`` if none builds."""
+    row reduced once; the reports of the first draw that builds (or of the
+    first), read from those reductions; the draws that build (``BLOCKING``);
+    and the surface that the family's constructor builds on those draws of
+    the curves and that first draw's reports (None if no draw builds)."""
     family = SURFACE_FAMILIES[spec.family]
     rows = family.premises(curves, spec, tols)
     reduced = [(verdict or _max_verdicts)(r, tol) for _, r, tol, *_, verdict in rows]
     ok = np.ones(_draw_count(curves), dtype=bool)
     for _, _, passed, *_ in reduced[:BLOCKING]:
         ok &= passed
-    built, fold = np.flatnonzero(ok), bool(curves and curves[0]._lead)
-    reports = [] if like is not None else _reports(rows, built[0] if built.size else 0, reduced)
+    built = np.flatnonzero(ok)
+    reports = _reports(rows, built[0] if built.size else 0, reduced)
     verdicts = [(row[0], values, passed) for row, (values, _, passed, *_) in zip(rows, reduced)]
-    if not built.size:
-        return verdicts, reports, built, like
-    if like is None:
-        like = family.build(tuple(c[built[:1]] for c in curves) if fold else curves,
-                            spec.resolved_domain(), tols["premise"], reports)
-    return verdicts, reports, built, like if not fold else _stacked(
-        like, curves if ok.all() else tuple(c[built] for c in curves))
+    surface = family.build(curves if ok.all() else tuple(c[built] for c in curves),
+                           spec.resolved_domain(), tols["premise"], reports) if built.size else None
+    return verdicts, reports, built, surface
 
 
 def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
@@ -434,13 +427,13 @@ def _check_plan(surface) -> tuple[list[tuple], list[tuple]]:
 
 
 def _check_rows(spec, surface, tols) -> list[list[tuple]]:
-    """The checks of a surface built for ``spec``, or of a fold's draws of
-    it (``surfaces._stacked``), which ``grid_values`` cuts into blocks of
-    whole draws, in runs of draws: per run, (condition id, residuals as
-    (draws, nodes) rows, tol, grid description, grid points, note) per
-    check.  A fold whose metric is degenerate is rerun on one-draw slices
-    of its curves, so each draw gets the outcome it would get alone; a
-    degenerate one still reports its joint conditions (``_condition_rows``)."""
+    """The checks of a surface built for ``spec``, on plain curves or on a
+    fold's, which ``grid_values`` cuts into blocks of whole draws, in runs
+    of draws: per run, (condition id, residuals as (draws, nodes) rows, tol,
+    grid description, grid points, note) per check.  A fold whose metric is
+    degenerate is rerun on surfaces built on one-draw slices of its curves
+    (``_premise_phases``), so each draw gets the outcome it would get alone;
+    a degenerate one still reports its joint conditions (``_condition_rows``)."""
     checks, draws = [], _draw_count(surface.sources)
     try:
         for plan, (shape, curvature) in zip(_check_plan(surface), (
@@ -452,8 +445,8 @@ def _check_rows(spec, surface, tols) -> list[list[tuple]]:
                        for (cid, _, tol_key, note), column in zip(plan, columns)]
     except DegenerateMetricError as exc:
         if draws > 1:
-            return [run for i in range(draws) for run in _check_rows(
-                spec, _stacked(surface, tuple(c[i:i + 1] for c in surface.sources)), tols)]
+            return [run for i in range(draws) for run in _check_rows(spec, _premise_phases(
+                spec, tuple(c[i:i + 1] for c in surface.sources), tols)[3], tols)]
         s = surface
         pair = any(key == "condition" for _, _, key, _ in _check_plan(s)[0])
         # tol -1 keeps the pass == (residual <= tol) invariant honest
@@ -536,14 +529,14 @@ def sweep(
     valid = invalid = 0
     worst: dict[str, float] = {}
     failures: list[dict] = []
-    per, surface = diffgeo._draws_per_block(FD_SUBGRID), None
+    per = diffgeo._draws_per_block(FD_SUBGRID)
     for chunk in _draw_chunks(family, cfg, rng, n):
         rows, curves = _valid_rows(family, chunk)
         valid, invalid = valid + len(rows), invalid + len(chunk) - len(rows)
         for i in range(0, len(rows), per):  # check a fold together
             draws = chunk[rows[i:i + per]]
             verdicts, _, built, surface = _premise_phases(
-                spec, tuple(c[i:i + per] for c in curves), tols, surface)
+                spec, tuple(c[i:i + per] for c in curves), tols)
             verdicts = [v + (np.arange(len(draws)),) for v in verdicts]
             for run in _check_rows(spec, surface, tols) if built.size else ():
                 took, built = np.split(built, [len(run[0][1])])

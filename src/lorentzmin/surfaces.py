@@ -148,7 +148,8 @@ class SurfaceMap:
     constructor that checks its curve (sphere_b and hyp_ii).  ``chart``
     (``_Chart``, set by every constructor) holds the family's model, and
     with ``sources`` made ``position``, ``jet`` and ``tangent``
-    (``_chart_maps``, which ``_stacked`` runs on a fold's sources).
+    (``_chart_maps``), whose values on a fold's sources have its draw axis
+    before the two node axes of x and y (an offsets axis before the draws').
     """
 
     ambient: Ambient
@@ -257,18 +258,8 @@ def _mapped(family, chart, ambient, domain, sources, label=None, **fields) -> Su
                       label=label or f"{family}[{names}]", chart=chart, **fields)
 
 
-def _stacked(surface, sources) -> SurfaceMap:
-    """``surface`` on ``sources``, a fold's curves (``curves._fold_curves``)
-    or some of its draws: its maps put the draw axis before the two node
-    axes of x and y, and it keeps the surface's other fields."""
-    position, jet, tangent = (
-        lambda x, y, *d, f=f: f(x[..., None, :, :], y[..., None, :, :], *d)
-        for f in _chart_maps(surface.chart, *sources))
-    return replace(surface, sources=sources, position=position, jet=jet, tangent=tangent)
-
-
 def _draw_count(sources) -> int:
-    """The draws of a fold's curves (``_stacked``'s sources); 1 for plain curves or none."""
+    """The draws of a fold's curves (``curves._fold_curves``); 1 for plain curves or none."""
     return sources[0]._lead[0] if sources and sources[0]._lead else 1
 
 
@@ -320,7 +311,7 @@ def grid_points(domain, shape) -> np.ndarray:
 def _tables(curves, t, parts=((4, ...),)) -> list:
     """Each curve's ``derivatives`` (orders 0-3) at t, component-major and
     viewed dim-last, or its ``parts`` (orders, index of t's first axis) each,
-    curve by curve; a fold's (``_stacked``) with the draw axis third from last."""
+    curve by curve; a fold's with the draw axis third from last."""
     if curves and curves[0]._lead:
         t = t[..., None, :, :]
     cm = (np.moveaxis(c.derivatives(t, range(4)), -1, 1) for c in curves)  # one at a time

@@ -25,7 +25,7 @@ from lorentzmin.curves import (EX72_CHAIN_BOUNDS, FAMILIES, Curve, FamilyValidat
 from lorentzmin.errors import ConstraintViolationError, DegenerateMetricError, InvalidInputError
 from lorentzmin.harness import SurfaceSpec, dumps_json, sweep, verify
 from lorentzmin.report import ConditionReport, default_tolerances
-from lorentzmin.surfaces import (SPHERE_DOMAIN, SurfaceMap, _draw_count, _reports, _stacked,
+from lorentzmin.surfaces import (SPHERE_DOMAIN, SurfaceMap, _draw_count, _mapped, _reports,
                                  sphere_case_b)
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -205,9 +205,9 @@ def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
 
     premise_phases, premised = harness._premise_phases, []
 
-    def recording(spec, curves, tols, like=None):
+    def recording(spec, curves, tols):
         premised.append(_draw_count(curves))
-        return premise_phases(spec, curves, tols, like)
+        return premise_phases(spec, curves, tols)
 
     monkeypatch.setattr(lorentzmin.curves, "_fold_curves", counted)
     monkeypatch.setattr(harness, "_premise_phases", recording)
@@ -220,9 +220,8 @@ def test_sweep_stacks_a_fold_once_for_both_passes(monkeypatch):
 def test_sweep_builds_no_per_draw_object(monkeypatch, family, n, curves):
     # the valid path builds no ParamFamily, FamilyValidation, Curve,
     # SurfaceMap or ConditionReport per draw: per chunk of draws, its
-    # curves; per fold, its stacked surface; per sweep, one constructor
-    # call, with the four premise reports of its one draw where the family
-    # has premises (one curve), as many at n=200 as at n=50
+    # curves; per fold, one constructor call, with the four premise reports
+    # of its first draw where the family has premises (one curve)
     reports = 4 if curves == 1 else 0
     classes = (ParamFamily, FamilyValidation, Curve, SurfaceMap, ConditionReport)
     made = {cls.__name__: 0 for cls in classes}
@@ -235,7 +234,7 @@ def test_sweep_builds_no_per_draw_object(monkeypatch, family, n, curves):
     folds, chunks = -(-summary["valid"] // 40), -(-n // diffgeo.BLOCK_NODES)
     assert summary["valid"] > 40 and summary["passed"] == summary["valid"]
     assert made == {"ParamFamily": 0, "FamilyValidation": 0, "Curve": curves * chunks,
-                    "SurfaceMap": 1 + folds, "ConditionReport": reports}
+                    "SurfaceMap": folds, "ConditionReport": reports * folds}
 
 
 def test_sweep_validates_each_draw_once(monkeypatch):
@@ -612,8 +611,7 @@ def test_sweep_holds_one_batch_of_surfaces(monkeypatch):
     monkeypatch.setattr(SurfaceMap, "__init__", tracked)
     monkeypatch.setattr(harness, "_check_rows", counting)
     sweep("Ex7_1", n=50, rng_seed=0)
-    # the fold's stacked surface alone: its constructor's surface and the
-    # folds before it are gone
+    # the fold's surface alone: the folds' before it are gone
     assert live == [1, 1]
 
 
@@ -639,7 +637,8 @@ def test_grid_values_blocks_whole_draws(monkeypatch, name):
         (alone,) = diffgeo.grid_values(surface, shape, k, curvature=curvature)
         single = list(blocks)
         blocks.clear()
-        fold = _stacked(surface, tuple(repeated(c, 13) for c in surface.sources))
+        fold = _mapped(surface.family, surface.chart, surface.ambient, surface.domain,
+                       tuple(repeated(c, 13) for c in surface.sources))
         (many,) = diffgeo.grid_values(fold, shape, k, curvature=curvature)
         assert np.array_equal(many, np.broadcast_to(alone, (13,) + alone.shape))
         # whole draws of one stack per block, one draw where a grid block holds one

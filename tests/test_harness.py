@@ -420,7 +420,7 @@ class TestSweep:
 
         draws, folds = iter(residuals), []
 
-        def fake_premise_phases(spec, curves, tols, like=None):
+        def fake_premise_phases(spec, curves, tols):
             folds.append(curves[0]._lead[0])
             return [], [], np.arange(folds[-1]), spec
 

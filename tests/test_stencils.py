@@ -75,6 +75,8 @@ def _fd_jet_on_every_node(surface, x, y):
     for u, v in ((hx, hy), (hx / 2, hy / 2)):
         offsets += [(u, v), (u, -v), (-u, v), (-u, -v)]
     dx, dy = (np.stack(d) for d in zip(*offsets))
+    if _draw_count(surface.sources) > 1:  # the offsets axis before a fold's draw axis
+        dx, dy = dx[:, None], dy[:, None]
     p = surface.position(x + dx, y + dy)
     c = p[0]
 
@@ -115,8 +117,9 @@ def _efield_per_offset(surface, x, y):
 def test_tangent_is_the_jets_lx_and_ly(family, draws):
     surface = _surface(family, draws)
     x, y = np.broadcast_arrays(*grid_axes(surface.domain, FD_SUBGRID))
-    # offsets on a leading axis, as the E-field stencil passes them
-    d = np.linspace(-1e-3, 1e-3, 8)[:, None, None]
+    # offsets on a leading axis, as the E-field stencil passes them: before
+    # a fold's draw axis
+    d = np.linspace(-1e-3, 1e-3, 8).reshape((8,) + (1,) * (2 + (draws > 1)))
     lx, ly = surface.tangent(x + d, y - d)
     jet = surface.jet(x + d, y - d)
     assert lx.shape == jet.Lx.shape == (8,) + (draws,) * (draws > 1) + FD_SUBGRID + (
