@@ -54,7 +54,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = json.loads(args.sampler_config) if args.sampler_config else None
+    try:
+        config = json.loads(args.sampler_config) if args.sampler_config else None
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"sampler config is not valid JSON: {exc}") from exc
     summary = sweep(args.family, config, n=args.n, rng_seed=args.seed)
     text = dumps_json(summary)
     if args.json_out:

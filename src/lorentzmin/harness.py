@@ -518,8 +518,9 @@ def sweep(
     """
     if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidInputError(f"unknown curve family {family!r}")
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
     cfg = _sampler_config(family, sampler_config)
     rng = np.random.default_rng(rng_seed)
     surface_family = FAMILIES[family]["surface"]

@@ -577,6 +577,34 @@ def test_verify_evaluates_the_subgrid_jet_once(monkeypatch):
     assert evaluated == [(harness.DEFAULT_SAMPLES,), (21, 1), (7, 5, 1)]
 
 
+def test_sweep_checks_call_the_constructors_maps(monkeypatch):
+    # each fold's surface comes from the family's constructor, and the checks
+    # call its maps as it returned them: a fold of 40 draws, then one of 10
+    calls = {"jet": [], "tangent": [], "position": []}
+
+    def counting(z, domain, **kwargs):
+        surface = sphere_case_b(z, domain, **kwargs)
+
+        def counted(name):
+            def evaluate(x, y, *d):
+                value = getattr(surface, name)(x, y, *d)
+                lead = value.L if name == "jet" else value[0] if name == "tangent" else value
+                calls[name].append(lead.shape[:-1])
+                return value
+            return evaluate
+        return dataclasses.replace(surface, **{name: counted(name) for name in calls})
+
+    monkeypatch.setattr(harness, "sphere_case_b", counting)
+    assert sweep("Ex7_1", n=50, rng_seed=0)["passed"] == 50
+    # the grid pass's blocks of 12 draws at 9x9 and the subgrid's of 40 at
+    # 5x5; the E-field's 4 offsets and fd_jet's 4 + 4 + 4 + 4, an offsets axis
+    # before the draws', at most 2 BLOCK_NODES node-offsets a call
+    assert calls == {
+        "jet": [(12, 9, 9)] * 3 + [(4, 9, 9), (40, 5, 5), (10, 9, 9), (10, 5, 5)],
+        "tangent": [(2, 40, 5, 5)] * 2 + [(4, 10, 5, 5)],
+        "position": [(2, 40, 5, 5)] * 8 + [(4, 10, 5, 5)] * 4}
+
+
 def test_efield_checks_its_nodes_once():
     z = lorentzmin.make_example(ParamFamily("Ex7_1", {"a": 1, "p": 3, "q": 1, "r": 2}))
     surface = sphere_case_b(z, SPHERE_DOMAIN)

@@ -406,6 +406,12 @@ class TestSweep:
         summary = sweep("Ex8_1", {"center": [1, 1.1, 0, 1.5], "rel": 0}, n=2)
         assert (summary["valid"], summary["invalid"]) == (0, 2)
 
+    @pytest.mark.parametrize("n", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_n_that_is_not_an_integer_is_rejected(self, n):
+        # numpy used to raise on 2.5, the comparison on "3", and True ran one draw
+        with pytest.raises(InvalidInputError, match=f"n must be an integer >= 1, got {n!r}"):
+            sweep("Ex7_1", n=n)
+
     @pytest.mark.parametrize("residuals, worst", [
         ([1e-3, math.nan], "nan"),          # max(1e-3, nan) is 1e-3
         ([math.nan, 1e-3], "nan"),
@@ -711,9 +717,11 @@ class TestCli:
         # a mode that draws other parameters than the family takes
         ("Ex7_1", '{"mode": "chain", "qr_box": [0.1, 3]}'),
         ("Ex8_1", '{"mode": "sorted_box", "a_box": [1, 2], "pqr_box": [1, 2], "min_gap": 0}'),
+        ("Ex7_1", "nope"),
     ], ids=["list", "gap-string", "box-number", "gap-unsatisfiable", "mode-without-keys",
             "grid-number", "unknown-key", "box-reversed", "box-overflow", "box-square-overflow",
-            "center-short", "rel-huge", "mode-for-other-params", "box-for-other-params"])
+            "center-short", "rel-huge", "mode-for-other-params", "box-for-other-params",
+            "not-json"])
     def test_malformed_sampler_config_exit_2_with_one_line_error(self, capsys, family,
                                                                  config):
         code = main(["sweep", "--family", family, "--n", "2",
@@ -721,6 +729,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        if config == "nope":  # the error names what was not JSON
+            assert err == ("error: sampler config is not valid JSON: "
+                           "Expecting value: line 1 column 1 (char 0)\n")
 
     def test_export_exit_0(self, tmp_path):
         spec = self._write_spec(tmp_path, TRANSLATION)
