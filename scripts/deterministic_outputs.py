@@ -6,7 +6,7 @@ can be compared by diffing their manifests:
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR
     PYTHONPATH=src python3 scripts/deterministic_outputs.py --out DIR2 --compare DIR/MANIFEST
 
-The outputs (92):
+The outputs (98):
 
 * ``verify --no-timings`` of the six specs at 21x21 and at 81x81;
 * csv and obj exports of the six specs, at their own grids;
@@ -39,7 +39,9 @@ The outputs (92):
 * ``list-families``;
 * ``verify --no-timings`` of ``FACTOR_SPEC`` and Ex7_1 at n=3 on
   ``FACTOR_BOX``: finite coefficients whose factor a*p*p*p overflows, so
-  validation rejects them (verify exits 2, the sweep's draws are invalid).
+  validation rejects them (verify exits 2, the sweep's draws are invalid);
+* csv exports of the six specs at 81x81, the benchmark's exports, which
+  span several grid blocks and several writes.
 
 Each output runs in this process through ``lorentzmin.cli.main``; its file
 is the command's standard output (the exported file for exports).
@@ -161,6 +163,10 @@ def outputs() -> dict[str, tuple[list[str], str | None]]:
     table["sweep-Ex7_1-factor-overflow-seed0.json"] = (
         ["sweep", "--family", "Ex7_1", "--n", "3", f"--sampler-config={json.dumps(FACTOR_BOX)}"],
         None)
+    for spec in SPECS:
+        table[f"export-{spec}-81.csv"] = (
+            ["export", "--spec", f"{{tmp}}/{spec}-81.json", "--format", "csv", "--out", "{out}"],
+            None)
     return table
 
 
