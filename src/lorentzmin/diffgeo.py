@@ -44,7 +44,11 @@ one ``jet`` call, one table of the indefinite products that the
 projection, (g_xy)_x, (g_xy)_y and the checks need, the at most 3x3 Gram
 systems solved in closed form from their adjugates behind a degeneracy
 guard, and four products for (g_xy)_xy, all component-major (embedding
-axis first in memory), returning dim-last views.  ``grid_values`` runs it
+axis first in memory), returning dim-last views.  Without curvature
+(``curvature=None``: exports, ``minimality_residual`` and
+``mean_curvature_norm``) it computes H = -h(e1, e2) = -(L_xy)^perp / E^2
+alone: ``jet`` fills L_x, L_y, L and L_xy, the table holds the Gram block
+and one right-hand side, and only L_xy is projected.  ``grid_values`` runs it
 in blocks of at most ``BLOCK_NODES`` draws x nodes, with the grid's axes
 checked once and each block handed its slice of the curves' per-axis
 derivatives, made once for a fold's draws (``surfaces._grid_blocks``); the
@@ -280,19 +284,21 @@ def fd_discrepancy(surface: SurfaceMap, x, y, h: float | None = None):
 
 def _table(surface: SurfaceMap, jet: Jet2):
     """(W, d, T, nodes): the chart jet's own table (``Jet2.table``), its
-    eight fields (``_FIELDS``) component-major, shape (8, dim, n nodes); the
-    metric diagonal; T = <W_i, W_j> for i < 3, j < 6, shape (3, 6, n); the
+    eight fields (``_FIELDS``) component-major, shape (8, dim, n nodes), or
+    the first four of a jet made for H alone; the metric diagonal; T =
+    <W_i, W_j> for i < 3 and j < 6 (j < 4 for H alone), shape (3, 6, n); the
     nodes' shape.  On the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3
-    vectors, the Gram matrix is T[:n, :n] and the right-hand sides T[:n, 3:]."""
+    vectors, the Gram matrix is T[:n, :n] and the right-hand sides T[:n, 3:],
+    those of L_xy, L_xx and L_yy."""
     nodes = jet.table.shape[2:]
     W = jet.table.reshape(jet.table.shape[:2] + (-1,))
     d = _metric_diagonal(W.shape[1], surface.ambient.embedding_signature.index)
-    T = np.empty((3, 6, W.shape[-1]))
+    T = np.empty((3, min(len(W), 6), W.shape[-1]))
     # the basis scaled by the diagonal (exactly, by +-1) once: for the einsum,
     # then node-major for the Gram block by a matmul per node, whose summation
     # order the quadric verdicts at an LMS_DEFAULT_TOL near rounding level depend on
     D = W[:3] * d[:, None]
-    T[:, 3:] = np.einsum("ikn,jkn->ijn", D, W[3:6])
+    T[:, 3:] = np.einsum("ikn,jkn->ijn", D, W[3:len(T[0])])
     D = np.ascontiguousarray(D.transpose(2, 0, 1))  # the one above dies before B is made
     B = np.ascontiguousarray(W[:3].transpose(2, 0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # an extreme draw's products are inf
@@ -326,10 +332,11 @@ def _gram_solve(G, rhs):
 
 
 def _second_form(W, T, n):
-    """Normal parts of L_xx, L_xy, L_yy (coordinate h_xx, h_xy, h_yy), shape
-    (3, dim, nodes): V minus B C, where G C = <B, V> on the basis B = W[:n]."""
-    C = _gram_solve(T[:n, :n], T[:n, 3:6])
-    return W[3:6] - np.einsum("ijn,ikn->jkn", C, W[:n])
+    """Normal parts of L_xy, L_xx and L_yy (coordinate h_xy, h_xx, h_yy), or
+    of L_xy alone for a table made for H alone, shape (3 or 1, dim, nodes): V
+    minus B C, where G C = <B, V> on the basis B = W[:n]."""
+    C = _gram_solve(T[:n, :n], T[:n, 3:])
+    return W[3:len(T[0])] - np.einsum("ijn,ikn->jkn", C, W[:n])
 
 
 def _conformal(surface: SurfaceMap, x, y, *d):
@@ -369,9 +376,9 @@ def _connection(E, ex, ey, exy):
 
 def _jet_efield(W, d, T, E):
     """E_x, E_y and E_xy exactly, from the derivatives of g_xy = -E^2 (two in T)."""
-    ex = -(T[1, 3] + T[0, 4]) / (2 * E)  # (g_xy)_x = <L_y,L_xx> + <L_x,L_xy>
-    ey = -(T[1, 4] + T[0, 5]) / (2 * E)  # (g_xy)_y = <L_y,L_xy> + <L_x,L_yy>
-    Lx, Ly, _, Lxx, Lxy, Lyy, Lxxy, Lxyy = W
+    ex = -(T[1, 4] + T[0, 3]) / (2 * E)  # (g_xy)_x = <L_y,L_xx> + <L_x,L_xy>
+    ey = -(T[1, 3] + T[0, 5]) / (2 * E)  # (g_xy)_y = <L_y,L_xy> + <L_x,L_yy>
+    Lx, Ly, _, Lxy, Lxx, Lyy, Lxxy, Lxyy = W
     dxy = np.einsum("k,kn->n", d, Lxxy * Ly + Lxx * Lyy + Lxy * Lxy + Lx * Lxyy)
     return ex, ey, -dxy / (2 * E) - ex * ey / E
 
@@ -382,13 +389,16 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     ``curvature`` picks the source of the E-field behind K and the
     connection: "jet" takes it exactly from the third-order jet; "stencil"
     uses the stencil and adds the FD jet (``fd``), the cross-checks; None
-    skips it.  ``d`` hands ``jet`` the curves' derivatives on a grid
-    ``grid_values`` has checked (for "stencil", ``_stencil_tables``);
-    without it the nodes are checked here.  The chart's jet comes back."""
+    computes H alone: a jet of L, L_x, L_y and L_xy, the Gram block and the
+    normal part of L_xy, and forms whose frame, h11, h22 and K are None.
+    ``d`` hands ``jet`` the curves' derivatives on a grid ``grid_values`` has
+    checked (for "stencil", ``_stencil_tables``); without it the nodes are
+    checked here.  The chart's jet comes back."""
     if d is None:
         _check_point(surface, x, y, 0.0)
     stencil = d if curvature == "stencil" else None  # tables at the stencils' abscissae
-    jet = surface.jet(x, y, *(t[:, 0] for t in stencil[::3]) if stencil else d or ())
+    jet = surface.jet(x, y, *(t[:, 0] for t in stencil[::3]) if stencil else d or (),
+                      **({} if curvature else {"rows": 4}))
     W, g, T, nodes = _table(surface, jet)
     h = _second_form(W, T, 2 if surface.ambient.kind is AmbientKind.FLAT else 3)
     E = np.sqrt(-T[0, 1])
@@ -411,8 +421,8 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     md = MetricData(scalar(g_xx), scalar(g_xy), scalar(g_yy), scalar(E),
                     (scalar(np.abs(g_xx)), scalar(np.abs(g_yy))),
                     np.moveaxis(T[:3, :3].reshape((3, 3) + nodes), (0, 1), (-2, -1)))
-    frame = FrameData(*vectors(W[:2] / E), *map(scalar, connection))
-    h11, h12, h22 = vectors(np.divide(h, E**2, out=h))
+    frame = None if curvature is None else FrameData(*vectors(W[:2] / E), *map(scalar, connection))
+    h12, h11, h22 = [*vectors(np.divide(h, E**2, out=h)), None, None][:3]  # h12 alone for H
     forms = FundamentalForms(md, frame, h11, h12, h22, -h12, scalar(K), fd)
     return jet, forms
 
@@ -427,8 +437,9 @@ def grid_values(surface: SurfaceMap, shape, fields, *, curvature="jet"):
     and part of one row otherwise.  One array per field comes back, of
     shape (nx, ny) plus whatever the field appends, in the node order of
     ``grid_points``.  ``curvature`` is passed to ``_forms``: "stencil"
-    takes K from the E-field stencil and adds the FD jet; None skips K
-    (the forms then carry none).
+    takes K from the E-field stencil and adds the FD jet; None computes H
+    alone (the jet then carries L, L_x, L_y and L_xy, and the forms the
+    metric, h12 and H).
 
     ``surface`` may be built on a fold's curves: each array then gets a
     leading draw axis, and a block holds at most

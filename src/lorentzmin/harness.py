@@ -582,10 +582,16 @@ def format_float(v: float) -> str:
 EXPORT_VALUES = 8192
 
 #: 10**p for p = 0..56 as rows hi + lo (lo rounds the rest, 0 up to p = 22),
-#: and the digits of 0..9999 as four ASCII bytes to a word each.
+#: and the words of a formatted value (``_format_rows``), four ASCII bytes each:
+#: the digits of 0..9999; the sign (NUL for +), first digit, '.' and second
+#: digit, at 100 * signbit + the first two digits; "e", the sign and two
+#: digits of an exponent k in -99..99, at k + 99.
 _P10 = np.array([[float(10**p), float(10**p - int(float(10**p)))] for p in range(57)]).T
 _DIGITS4 = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
                     -1).view(np.uint32).ravel()
+_LEAD = np.frombuffer("".join(f"{s}{t // 10}.{t % 10}" for s in "\0-" for t in range(100))
+                      .encode(), np.uint32)
+_EXP = np.frombuffer("".join(f"e{k:+03d}" for k in range(-99, 100)).encode(), np.uint32)
 
 
 def _times_p10(a, p):
@@ -628,30 +634,29 @@ def _decimal(a):
 
 def _format_rows(table: np.ndarray, sep: str, prefix: str = "") -> str:
     """``prefix + sep.join(FLOAT_FORMAT % v for v in row) + "\\n"`` for each
-    row of ``table``, formatted as one block; ``sep`` is one character."""
+    row of ``table``, formatted as one block; ``sep`` is one character.  A
+    value is seven words (``_LEAD``, four of ``_DIGITS4``, ``_EXP`` and the
+    separator, after three NULs), and the NULs are dropped at the end."""
     rows, cols = table.shape
     a = np.abs(table).ravel()
     exact = (a > 1e-38) & (a < 1e17)
     digits, k, close = _decimal(np.where(exact, a, 1.0))
     digits[~exact], k[~exact] = 0, 0  # right for zeros; the others are replaced below
-    # six words: "00" and the first two digits, four digits four times, "00" and |k|
-    text = np.empty((a.size, 6), np.uint32)
-    text[:, 5] = _DIGITS4.take(np.abs(k))
-    for j in (4, 3, 2, 1, 0):  # x - (x // c) * c, as numpy's % costs about 4x more
-        text[:, j] = _DIGITS4.take(digits - (digits := digits // 10000) * 10000)
-    lines = np.zeros((rows, len(prefix) + 26 * cols), np.uint8)  # zero bytes are dropped
-    lines[:, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
-    cell = lines[:, len(prefix):].reshape(rows, cols, 26)
-    cell[..., :24] = text.view(np.uint8).reshape(rows, cols, 24)  # in place but the first digit
-    cell[..., 1] = cell[..., 2]
-    del text, digits  # before the compaction below doubles the block's bytes
-    cell[..., 0] = np.signbit(table) * ord("-")
-    cell[..., 21] = np.where(k < 0, ord("-"), ord("+")).reshape(rows, cols)
-    cell[..., [2, 20, 25]] = np.frombuffer(f".e{sep}".encode(), np.uint8)
-    cell[:, -1, 25] = ord("\n")
+    lead = -(-len(prefix) // 4)  # the prefix's words, padded with NULs
+    words = np.empty((rows, lead + 7 * cols), np.uint32)
+    words[:, :lead] = np.frombuffer(prefix.encode().ljust(4 * lead, b"\0"), np.uint32)
+    cell = words[:, lead:].reshape(rows, cols, 7)
+    for j in (4, 3, 2, 1):  # x - (x // c) * c, as numpy's % costs about 4x more
+        cell[..., j] = _DIGITS4.take(digits - (digits := digits // 10000) * 10000).reshape(
+            rows, cols)
+    cell[..., 0] = _LEAD.take(digits + 100 * np.signbit(table).ravel()).reshape(rows, cols)
+    cell[..., 5] = _EXP.take(k + 99).reshape(rows, cols)
+    cell[..., 6] = np.frombuffer(f"\0\0\0{sep}".encode(), np.uint32)
+    cell[:, -1, 6] = np.frombuffer(b"\0\0\0\n", np.uint32)
+    text = cell.view(np.uint8)  # 28 bytes a value, the separator last
     for i, j in zip(*np.nonzero((~exact & (a != 0) | close).reshape(rows, cols))):
-        cell[i, j, :25] = list(format_float(table[i, j]).encode().ljust(25, b"\0"))
-    return str(lines, "ascii").replace("\0", "")
+        text[i, j, :27] = list(format_float(table[i, j]).encode().ljust(27, b"\0"))
+    return str(words.tobytes().translate(None, b"\0"), "ascii")
 
 
 def export_samples(spec: SurfaceSpec | dict, path: str, format: str) -> None:

@@ -111,7 +111,8 @@ class Jet2:
     at an array of points (each field then has shape nodes + (dim,)).
 
     The third-order ``Lxxy`` and ``Lxyy`` give K and the connection
-    exactly; a jet without them (``fd_jet``) leaves both None.  ``curves``
+    exactly; a jet without them (``fd_jet``) leaves both None, and one made
+    for H alone (``_chart_maps``) L_xx and L_yy too.  ``curves``
     keeps the source curves' ``derivatives`` (orders 0-3, z's at x, w's at
     y) that a chart's jet was built from."""
 
@@ -129,8 +130,9 @@ class Jet2:
     table: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
-#: The jet's fields in the row order of ``Jet2.table`` and ``diffgeo._table``'s W
-_FIELDS = ("Lx", "Ly", "L", "Lxx", "Lxy", "Lyy", "Lxxy", "Lxyy")
+#: The jet's fields in the row order of ``Jet2.table`` and ``diffgeo._table``'s W;
+#: the first four are all that H needs (``_chart_maps``' jet at ``rows=4``)
+_FIELDS = ("Lx", "Ly", "L", "Lxy", "Lxx", "Lyy", "Lxxy", "Lxyy")
 
 
 @dataclass(frozen=True)
@@ -204,8 +206,9 @@ def _chart_maps(chart: _Chart, *sources):
     """position, jet and tangent of ``chart`` on its sources (z, or z and w):
     L is the chart's immersion, and its partials the product rule on
     a(x+y) Z + b Z' (L_xy = a''Z + a'Z', L_xxy = a'''Z + a''(z' + Z') + a'z'').
-    ``jet`` writes each field into a row of one table (``Jet2.table``).  One source
-    skips w = 0's terms but keeps Z = z + 0.0 and Z' = z' + 0.0, so L's zeros keep their signs."""
+    ``jet`` writes each field into a row of one table (``Jet2.table``), the
+    first ``rows`` of ``_FIELDS`` (the others None).  One source skips w = 0's
+    terms but keeps Z = z + 0.0 and Z' = z' + 0.0, so L's zeros keep their signs."""
     b, pair = chart.b, len(sources) > 1
 
     def parts(x, y, d, rows):  # s, a to a''', Z, z's and w's derivatives (component-major),
@@ -224,23 +227,26 @@ def _chart_maps(chart: _Chart, *sources):
         (z0, z1, *_), (w0, w1, *_) = _component_major(d or _derivatives(sources, x, y, 2), x, y)
         return _dim_last(chart.immersion(z0 + w0, z1 + w1, x + y))
 
-    def jet(x, y, *d):
+    def jet(x, y, *d, rows=8):
         d = d or _derivatives(sources, x, y, 4)
-        s, (a0, a1, a2, a3), Z, (_, z1, z2, z3), (_, w1, w2, w3), W = parts(x, y, d, 8)
-        _, _, L, Lxx, Lxy, Lyy, Lxxy, Lxyy = W
+        s, (a0, a1, a2, a3), Z, (_, z1, z2, z3), (_, w1, w2, w3), W = parts(x, y, d, rows)
+        L, Lxy = W[2:4]
         Z1 = z1 + w1
         L[...] = chart.immersion(Z, Z1, s)
-        a2Z = np.multiply(a2, Z, out=None if pair else Lyy)  # shared by fields, or L_yy alone
-        a3Z = a3 * Z
-        np.add(a2Z + 2 * a1 * z1 + a0 * z2, b * z3, out=Lxx)
+        # shared by fields, or L_yy alone
+        a2Z = np.multiply(a2, Z, out=None if pair or rows < 8 else W[5])
         np.add(a2Z, a1 * Z1, out=Lxy)
-        np.add(a3Z + a2 * (z1 + Z1), a1 * z2, out=Lxxy)
-        if pair:
-            np.add(a2Z + 2 * a1 * w1 + a0 * w2, b * w3, out=Lyy)
-            np.add(a3Z + a2 * (w1 + Z1), a1 * w2, out=Lxyy)
-        else:
-            np.add(a3Z, a2 * Z1, out=Lxyy)
-        jet = Jet2(**{k: _dim_last(v) for k, v in zip(_FIELDS, W)}, curves=tuple(d))
+        if rows == 8:
+            Lxx, Lyy, Lxxy, Lxyy = W[4:]
+            a3Z = a3 * Z
+            np.add(a2Z + 2 * a1 * z1 + a0 * z2, b * z3, out=Lxx)
+            np.add(a3Z + a2 * (z1 + Z1), a1 * z2, out=Lxxy)
+            if pair:
+                np.add(a2Z + 2 * a1 * w1 + a0 * w2, b * w3, out=Lyy)
+                np.add(a3Z + a2 * (w1 + Z1), a1 * w2, out=Lxyy)
+            else:
+                np.add(a3Z, a2 * Z1, out=Lxyy)
+        jet = Jet2(**dict(zip(_FIELDS, [*map(_dim_last, W), *[None] * 4])), curves=tuple(d))
         object.__setattr__(jet, "table", W)  # frozen, and not an init field
         return jet
 

@@ -22,6 +22,7 @@ from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resol
 from lorentzmin.indefinite import AmbientKind, indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS
 from lorentzmin.surfaces import (
+    _FIELDS,
     Jet2,
     SurfaceMap,
     _col,
@@ -601,10 +602,11 @@ class TestClosedFormProjection:
         h = np.moveaxis(diffgeo._second_form(np.moveaxis(W, 0, -1), np.moveaxis(T, 0, -1), n),
                         -1, 0)
         np.testing.assert_allclose(h, normal, rtol=1e-12, atol=1e-12 * scale)
-        # the table holds the products the checks read from it
+        # the table holds the products the checks read from it, in the
+        # jet's row order (L_x, L_y, L, L_xy, L_xx, L_yy)
         idx = surface.ambient.embedding_signature.index
         for i, a in enumerate((jet.Lx, jet.Ly, jet.L)):
-            for j, b in enumerate((jet.Lx, jet.Ly, jet.L, jet.Lxx, jet.Lxy, jet.Lyy)):
+            for j, b in enumerate(getattr(jet, name) for name in _FIELDS[:6]):
                 np.testing.assert_allclose(T[..., i, j], indefinite_dot(a, b, idx).ravel(),
                                            rtol=1e-12,
                                            atol=1e-12 * np.max(np.abs(a)) * np.max(np.abs(b)))
