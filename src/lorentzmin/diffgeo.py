@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DOMAIN_PAD_FRACTION
-from .errors import DegenerateMetricError, DomainError
+from .errors import DegenerateMetricError, DomainError, InvalidInputError
 from .indefinite import AmbientKind, _metric_diagonal, indefinite_dot
 from .report import DEFAULT_TOLS, ConditionReport
 from .surfaces import (_FIELDS, BLOCK_NODES, DEFAULT_GRID, Jet2, SurfaceMap, _col, _dim_last,
@@ -221,7 +221,10 @@ def fd_jet(surface: SurfaceMap, x, y, h: float | None = None, *, _centre=None, _
     x at +-hx and +-hx/2, for L_x and L_xx alike, and y likewise; the
     crosses (+-hx, +-hy) and (+-hx/2, +-hy/2) for L_xy.  ``position`` reads
     them from the sources' tables at the ``_abscissae`` (``_d`` hands in
-    those of a grid pass); ``_centre``, the position at the nodes."""
+    those of a grid pass); ``_centre``, the position at the nodes.  A step h
+    that is not finite and positive raises ``InvalidInputError``."""
+    if h is not None and not (np.isfinite(h) and h > 0):
+        raise InvalidInputError(f"h must be a finite step > 0, got {h!r}")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     (X, hx, _), (Y, hy, _) = _abscissae(x, h), _abscissae(y, h)
     _check_point(surface, x, y, np.maximum(hx, hy))

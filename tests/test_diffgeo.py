@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lorentzmin.diffgeo import (
     point_forms,
     second_fundamental_form,
 )
-from lorentzmin.errors import DegenerateMetricError, DomainError
+from lorentzmin.errors import DegenerateMetricError, DomainError, InvalidInputError
 from lorentzmin.harness import FD_SUBGRID, SURFACE_FAMILIES, SurfaceSpec, _resolve_curves
 from lorentzmin.indefinite import AmbientKind, indefinite_dot
 from lorentzmin.report import DEFAULT_TOLS
@@ -90,6 +91,23 @@ class TestPartials:
     def test_point_outside_domain(self, sphere_71):
         with pytest.raises(DomainError):
             partials(sphere_71, 5.0, 5.0)
+
+    @pytest.mark.parametrize("function", [fd_jet, fd_discrepancy])
+    @pytest.mark.parametrize("h, error, match", [
+        (0.15, DomainError, "within 0.2 of a singular locus"),  # the stencil meets x+y = 0
+        (-0.15, InvalidInputError, "h must be a finite step > 0, got -0.15"),
+        (-0.1, InvalidInputError, "h must be a finite step > 0, got -0.1"),
+        (0.0, InvalidInputError, "h must be a finite step > 0, got 0.0"),
+        (math.nan, InvalidInputError, "h must be a finite step > 0, got nan"),
+        (math.inf, InvalidInputError, "h must be a finite step > 0, got inf"),
+    ])
+    def test_fd_step_must_be_finite_and_positive(self, sphere_71, function, h, error, match):
+        # a negative h once slipped past the singular-locus guard (a stencil
+        # across x+y = 0, or a division by zero at h = -0.1 and h = 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match):
+                function(sphere_71, 0.1, 0.1, h)
 
     def test_fd_only_surface(self, sphere_71):
         jet_fd = fd_jet(sphere_71, 0.4, 0.6)
