@@ -148,6 +148,27 @@ def test_exports_round_trip_the_grid_values(name, n, tmp_path):
     assert "".join(f"v {v}\n" for v in vertices) == reference(first3, " ", "v ")
 
 
+@pytest.mark.parametrize("name, n", [pytest.param(name, 21, id=name) for name in SPECS]
+                         + [pytest.param("hyp_iii_ex82", 41, id="hyp_iii_ex82-41x41")])
+def test_exported_residuals_are_verifys_minimality_bit_for_bit(name, n, tmp_path):
+    # an export's grid pass computes H alone; its residual column equals the
+    # minimality row of verify's full pass node for node (41x41 is two blocks)
+    spec = SurfaceSpec.from_dict({**json.loads((SPEC_DIR / f"{name}.json").read_text()),
+                                  "grid": [n, n]})
+    tols = {**default_tolerances(), **spec.tolerances}
+    curves, _ = harness._resolve_curves(spec)
+    *_, surface = harness._premise_phases(spec, curves, tols)
+    (checks,) = harness._check_rows(spec, surface, tols)
+    (row,) = [values for cid, values, *_ in checks if cid == "minimality"]
+
+    export_samples(spec, str(tmp_path / "s.csv"), "csv")
+    body = (tmp_path / "s.csv").read_text().splitlines()[1:]
+    residuals = np.array([float(line.rsplit(",", 1)[1]) for line in body])
+    assert residuals.view(np.uint64).tolist() == row.ravel().view(np.uint64).tolist()
+    report = diffgeo.minimality_residual(surface, spec.grid)
+    assert np.float64(report.max_residual).view(np.uint64) == np.max(row).view(np.uint64)
+
+
 def reference_faces(nx: int, ny: int) -> str:
     """The per-face f-string generator that obj exports used before the
     vectorised writer."""
