@@ -578,7 +578,8 @@ def format_float(v: float) -> str:
 
 
 #: Values formatted per write, which bounds the writer's temporaries.  Six csv
-#: exports at 81x81 took 109, 98, 94 and 106 ms at 2048, 4096, 8192 and 16384.
+#: exports at 81x81 took 91, 82, 78 and 83 ms at 2048, 4096, 8192 and 16384
+#: (CPU time, median of 40 interleaved rounds on a shared 2-vCPU VM).
 EXPORT_VALUES = 8192
 
 #: 10**p for p = 0..56 as rows hi + lo (lo rounds the rest, 0 up to p = 22),
