@@ -643,15 +643,15 @@ def _format_rows(table: np.ndarray, sep: str, prefix: str = "") -> str:
     exact = (a > 1e-38) & (a < 1e17)
     digits, k, close = _decimal(np.where(exact, a, 1.0))
     digits[~exact], k[~exact] = 0, 0  # right for zeros; the others are replaced below
+    digits, k = digits.reshape(rows, cols), k.reshape(rows, cols)
     lead = -(-len(prefix) // 4)  # the prefix's words, padded with NULs
     words = np.empty((rows, lead + 7 * cols), np.uint32)
     words[:, :lead] = np.frombuffer(prefix.encode().ljust(4 * lead, b"\0"), np.uint32)
     cell = words[:, lead:].reshape(rows, cols, 7)
     for j in (4, 3, 2, 1):  # x - (x // c) * c, as numpy's % costs about 4x more
-        cell[..., j] = _DIGITS4.take(digits - (digits := digits // 10000) * 10000).reshape(
-            rows, cols)
-    cell[..., 0] = _LEAD.take(digits + 100 * np.signbit(table).ravel()).reshape(rows, cols)
-    cell[..., 5] = _EXP.take(k + 99).reshape(rows, cols)
+        cell[..., j] = _DIGITS4.take(digits - (digits := digits // 10000) * 10000)
+    cell[..., 0] = _LEAD.take(digits + 100 * np.signbit(table))
+    cell[..., 5] = _EXP.take(k + 99)
     cell[..., 6] = np.frombuffer(f"\0\0\0{sep}".encode(), np.uint32)
     cell[:, -1, 6] = np.frombuffer(b"\0\0\0\n", np.uint32)
     text = cell.view(np.uint8)  # 28 bytes a value, the separator last

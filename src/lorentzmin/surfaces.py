@@ -233,8 +233,7 @@ def _chart_maps(chart: _Chart, *sources):
         L, Lxy = W[2:4]
         Z1 = z1 + w1
         L[...] = chart.immersion(Z, Z1, s)
-        # shared by fields, or L_yy alone
-        a2Z = np.multiply(a2, Z, out=None if pair or rows < 8 else W[5])
+        a2Z = np.multiply(a2, Z, out=None if pair or rows < 8 else W[5])  # shared, or L_yy alone
         np.add(a2Z, a1 * Z1, out=Lxy)
         if rows == 8:
             Lxx, Lyy, Lxxy, Lxyy = W[4:]
