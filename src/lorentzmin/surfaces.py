@@ -125,8 +125,9 @@ class Jet2:
     Lxxy: np.ndarray | None = None
     Lxyy: np.ndarray | None = None
     curves: tuple[np.ndarray, ...] = ()
-    #: the fields as rows (``_FIELDS``) of one (8, dim) + nodes array, when a chart's jet
-    #: computed them there; not an init field, so ``dataclasses.replace`` drops it
+    #: the fields as rows (``_FIELDS``) of one (8, dim) + nodes array (4 rows for H
+    #: alone), when a chart's jet computed them there; not an init field, so
+    #: ``dataclasses.replace`` drops it
     table: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
