@@ -289,8 +289,8 @@ def _table(surface: SurfaceMap, jet: Jet2):
     """(W, d, T, nodes): the chart jet's own table (``Jet2.table``), its
     eight fields (``_FIELDS``) component-major, shape (8, dim, n nodes), or
     the first four of a jet made for H alone; the metric diagonal; T =
-    <W_i, W_j> for i < 3 and j < 6 (j < 4 for H alone), shape (3, 6, n); the
-    nodes' shape.  On the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3
+    <W_i, W_j> for i < 3 and j < 6 (j < 4 for H alone), shape (3, 6 or 4, n);
+    the nodes' shape.  On the basis B = (L_x, L_y[, L]) of n = 2 (flat) or 3
     vectors, the Gram matrix is T[:n, :n] and the right-hand sides T[:n, 3:],
     those of L_xy, L_xx and L_yy."""
     nodes = jet.table.shape[2:]
