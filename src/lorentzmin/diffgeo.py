@@ -131,12 +131,12 @@ class FrameData:
 @dataclass(frozen=True)
 class FundamentalForms:
     metric: MetricData
-    frame: FrameData
-    h11: np.ndarray
+    frame: FrameData | None  # None, with h11, h22 and K, from a pass for H alone
+    h11: np.ndarray | None
     h12: np.ndarray
-    h22: np.ndarray
+    h22: np.ndarray | None
     H: np.ndarray    # mean curvature vector, = -h12
-    K: float
+    K: float | None
     fd: Jet2 | None = None  # the FD jet (``fd_jet``) of a "stencil" pass
 
 
@@ -405,7 +405,7 @@ def _forms(surface: SurfaceMap, x, y, curvature="jet", d=None):
     W, g, T, nodes = _table(surface, jet)
     h = _second_form(W, T, 2 if surface.ambient.kind is AmbientKind.FLAT else 3)
     E = np.sqrt(-T[0, 1])
-    connection, K, fd = (None,) * 4, None, None
+    K = fd = None
     if curvature is not None:
         if curvature == "jet":
             ex, ey, exy = _jet_efield(W, g, T, E)
